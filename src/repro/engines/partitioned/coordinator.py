@@ -15,18 +15,16 @@ barriers. Each barrier:
 
 Two transports run the same :class:`~repro.engines.partitioned.shard.
 ShardState` logic: ``inline`` (in-process, for fast deterministic
-tests) and ``pipes`` (real fork-context worker processes with the
-runtime pool's private-pipe discipline). The pipes transport is
-supervised: every reply carries a barrier-time snapshot, so when a
-shard dies mid-superstep (crash, OOM kill, chaos plan) the coordinator
-respawns it, restores the last snapshot, re-sends the in-flight
-command — bounded by a :class:`~repro.service.supervise.RetryPolicy`
+tests) and ``pipes`` (one :class:`repro.proc.Child` per shard). The
+pipes transport is supervised: every reply carries a barrier-time
+snapshot, so when a shard dies mid-superstep (crash, OOM kill, chaos
+plan) the coordinator respawns it, restores the last snapshot, re-sends
+the in-flight command — bounded by a :class:`~repro.proc.RetryPolicy`
 budget — and the run completes bit-identically.
 """
 
 from __future__ import annotations
 
-import multiprocessing.connection
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -45,9 +43,8 @@ from repro.engines.partitioned.shard import (
 )
 from repro.exceptions import ConfigurationError, GraphalyticsError
 from repro.graph.graph import Graph
-from repro.runtime.pool import default_mp_context
-from repro.service.supervise import RetryPolicy
-from repro.trace import Span, current_tracer, rebase_spans
+from repro.proc import Child, RetryPolicy, absorb, stop_all, wait_any
+from repro.trace import Span, current_tracer
 
 __all__ = ["PartitionedEngine", "ShardFailure"]
 
@@ -93,29 +90,8 @@ class _InlineTransport:
         self.shards.clear()
 
 
-class _ShardHandle:
-    """Bookkeeping for one shard worker process."""
-
-    def __init__(self, shard_id: int):
-        self.shard_id = shard_id
-        self.process = None
-        self.task_send = None
-        self.result_recv = None
-        self.attempts = 1
-
-    def close(self) -> None:
-        for conn_name in ("task_send", "result_recv"):
-            conn = getattr(self, conn_name)
-            if conn is not None:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
-                setattr(self, conn_name, None)
-
-
 class _PipesTransport:
-    """Shards as worker processes behind private pipes, supervised."""
+    """Shards as :class:`repro.proc.Child` processes, supervised."""
 
     def __init__(
         self,
@@ -125,67 +101,51 @@ class _PipesTransport:
         *,
         retry: RetryPolicy,
         chaos_plan: Optional[Dict[str, object]] = None,
-        context=None,
     ):
         self.partition_set = partition_set
         self.spec = spec
         self.retry = retry
-        self.chaos_plan = chaos_plan
         self.clock = current_tracer().clock
-        self._ctx = context or default_mp_context()
         self._graph_payload = graph_payload(graph)
-        self._handles: Dict[int, _ShardHandle] = {}
+        self._children: Dict[int, Child] = {}
+        self._attempts: Dict[int, int] = {}
         self._snapshots: Dict[int, Dict[str, object]] = {}
         self.respawns = 0
         for p in partition_set.shards:
-            handle = _ShardHandle(p.shard_id)
-            self._handles[p.shard_id] = handle
-            self._spawn(handle)
+            self._attempts[p.shard_id] = 1
             # First launch arms the chaos plan; relaunches never re-arm
             # it (fault counters are per-process — re-arming would kill
             # every attempt and defeat supervision).
-            self._send(p.shard_id, self._init_payload(p.shard_id, chaos=chaos_plan))
-        self._await_replies(dict.fromkeys(self._handles, None), parent_span=None)
+            self._spawn(p.shard_id, chaos=chaos_plan)
+        self._await_replies(dict.fromkeys(self._children, None), parent_span=None)
 
     # -- process lifecycle -------------------------------------------------
 
-    def _spawn(self, handle: _ShardHandle) -> None:
-        handle.close()
-        result_recv, result_send = self._ctx.Pipe(duplex=False)
-        task_recv, task_send = self._ctx.Pipe(duplex=False)
-        handle.task_send = task_send
-        handle.result_recv = result_recv
-        handle.process = self._ctx.Process(
+    def _spawn(self, shard_id: int, *, chaos=None, restore=None) -> Child:
+        """(Re)launch one shard process and send it its init command."""
+        dead = self._children.get(shard_id)
+        if dead is not None:
+            dead.close()
+        child = Child(
+            f"graphalytics-shard-{shard_id}",
             target=shard_main,
-            name=f"graphalytics-shard-{handle.shard_id}",
-            args=(handle.shard_id, task_recv, result_send),
-            daemon=True,
+            args=(shard_id,),
         )
-        handle.process.start()
-        # Close the parent's copies of the child-held ends so EOF is
-        # observable on both sides (same discipline as the worker pool).
-        result_send.close()
-        task_recv.close()
-
-    def _init_payload(
-        self, shard_id: int, *, chaos=None, restore=None
-    ) -> Dict[str, object]:
+        self._children[shard_id] = child
         partition = self.partition_set.shards[shard_id]
-        return {
-            "cmd": "init",
-            "graph": self._graph_payload,
-            "owned": partition.owned,
-            "owner": self.partition_set.owner,
-            "num_shards": self.partition_set.num_shards,
-            "spec": self.spec,
-            "chaos": chaos,
-            "restore": restore,
-        }
-
-    def _send(self, shard_id: int, payload: Dict[str, object]) -> None:
-        # The coordinator-clock send stamp; the shard subtracts its own
-        # receive stamp to produce the rebase offset for its spans.
-        self._handles[shard_id].task_send.send((payload, self.clock.now()))
+        child.send(
+            {
+                "cmd": "init",
+                "graph": self._graph_payload,
+                "owned": partition.owned,
+                "owner": self.partition_set.owner,
+                "num_shards": self.partition_set.num_shards,
+                "spec": self.spec,
+                "chaos": chaos,
+                "restore": restore,
+            }
+        )
+        return child
 
     # -- supervised exchange ----------------------------------------------
 
@@ -193,7 +153,7 @@ class _PipesTransport:
         self, commands: Dict[int, Dict[str, object]], parent_span=None
     ) -> Dict[int, Dict[str, object]]:
         for shard_id in sorted(commands):
-            self._send(shard_id, commands[shard_id])
+            self._children[shard_id].send(commands[shard_id])
         return self._await_replies(commands, parent_span=parent_span)
 
     def _await_replies(
@@ -214,41 +174,24 @@ class _PipesTransport:
         bodies: Dict[int, Dict[str, object]] = {}
         arrivals: Dict[int, float] = {}
         while outstanding:
-            conns = {
-                handle.result_recv: shard_id
-                for shard_id, handle in sorted(self._handles.items())
-                if shard_id in outstanding and handle.result_recv is not None
-            }
-            ready = multiprocessing.connection.wait(list(conns), timeout=0.25)
-            for conn in ready:
-                shard_id = conns[conn]
-                try:
-                    envelope = conn.recv()
-                except (EOFError, OSError):
-                    self._handles[shard_id].close()
-                    continue  # death handled by the liveness sweep below
+            waiting = [self._children[s] for s in sorted(outstanding)]
+            for _child, envelope in wait_any(waiting, 0.25):
                 self._ingest(
-                    shard_id, envelope, bodies, arrivals, outstanding,
-                    parent_span, tracer,
+                    envelope, bodies, arrivals, outstanding, parent_span,
+                    tracer,
                 )
             for shard_id in sorted(outstanding):
-                handle = self._handles[shard_id]
-                if handle.process is not None and handle.process.is_alive():
+                child = self._children[shard_id]
+                if child.alive():
                     continue
                 # Dead — but drain any reply that beat the death.
-                drained = False
-                if handle.result_recv is not None and handle.result_recv.poll(0):
-                    try:
-                        envelope = handle.result_recv.recv()
-                    except (EOFError, OSError):
-                        envelope = None
-                    if envelope is not None:
-                        self._ingest(
-                            shard_id, envelope, bodies, arrivals,
-                            outstanding, parent_span, tracer,
-                        )
-                        drained = True
-                if not drained:
+                envelope = child.recv() if child.poll(0) else None
+                if envelope is not None:
+                    self._ingest(
+                        envelope, bodies, arrivals, outstanding,
+                        parent_span, tracer,
+                    )
+                else:
                     self._supervise(shard_id, outstanding.get(shard_id))
         if parent_span is not None and arrivals:
             barrier_end = max(arrivals.values())
@@ -268,87 +211,59 @@ class _PipesTransport:
         return bodies
 
     def _ingest(
-        self, shard_id, envelope, bodies, arrivals, outstanding,
-        parent_span, tracer,
+        self, envelope, bodies, arrivals, outstanding, parent_span, tracer,
     ) -> None:
+        shard_id = int(envelope["shard"])
+        absorb(envelope, tracer, parent_span)
         if envelope.get("event") == "fail":
             raise ShardFailure(
                 f"shard {shard_id} failed: {envelope.get('detail')}\n"
                 f"{envelope.get('traceback', '')}"
             )
-        if envelope.get("cmd") != "init":
+        # An init ack's snapshot is kept only when it is the first: it
+        # covers a death during superstep 0, and a re-init's must not
+        # clobber a later barrier's.
+        if envelope.get("cmd") != "init" or shard_id not in self._snapshots:
             self._snapshots[shard_id] = envelope.get("snapshot") or {}
-        elif shard_id not in self._snapshots:
-            # The post-init snapshot covers a death during superstep 0.
-            self._snapshots[shard_id] = envelope.get("snapshot") or {}
-        offset = float(envelope.get("clock_offset", 0.0))
-        shard_spans = [
-            Span.from_dict(record) for record in envelope.get("spans", [])
-        ]
-        for span in rebase_spans(shard_spans, offset, parent=parent_span):
-            tracer.record(span)
         bodies[shard_id] = envelope.get("body") or {}
         arrivals[shard_id] = tracer.clock.now()
         outstanding.pop(shard_id, None)
 
     def _supervise(self, shard_id: int, inflight: Optional[Dict[str, object]]) -> None:
         """A shard died holding a command: respawn, restore, resend."""
-        handle = self._handles[shard_id]
-        handle.attempts += 1
-        if self.retry.exhausted(handle.attempts):
+        self._attempts[shard_id] += 1
+        attempts = self._attempts[shard_id]
+        if self.retry.exhausted(attempts):
             raise ShardFailure(
-                f"shard {shard_id} died {handle.attempts} times; "
+                f"shard {shard_id} died {attempts} times; "
                 f"supervision budget ({self.retry.max_attempts}) spent"
             )
-        self.clock.sleep(self.retry.backoff(handle.attempts - 1))
+        self.clock.sleep(self.retry.backoff(attempts - 1))
         self.respawns += 1
-        self._spawn(handle)
-        self._send(
-            shard_id,
-            self._init_payload(
-                shard_id, chaos=None, restore=self._snapshots.get(shard_id),
-            ),
-        )
+        child = self._spawn(shard_id, restore=self._snapshots.get(shard_id))
         # Block for the init ack, then re-send the in-flight command;
         # the outer loop keeps waiting for its reply as usual.
         while True:
-            if handle.result_recv.poll(0.25):
-                try:
-                    ack = handle.result_recv.recv()
-                except (EOFError, OSError):
-                    ack = None
-                if ack is not None and ack.get("event") == "fail":
+            ack = child.recv() if child.poll(0.25) else None
+            if ack is not None:
+                absorb(ack, current_tracer(), None)
+                if ack.get("event") == "fail":
                     raise ShardFailure(
                         f"shard {shard_id} failed during supervised re-init: "
                         f"{ack.get('detail')}"
                     )
-                if ack is not None:
-                    break
-            if handle.process is None or not handle.process.is_alive():
+                break
+            if not child.alive():
                 # Died again before acking init — recurse into the
                 # budget-bounded path.
                 self._supervise(shard_id, inflight)
                 return
         if inflight is not None:
-            self._send(shard_id, inflight)
+            child.send(inflight)
 
     def shutdown(self) -> None:
-        for shard_id in sorted(self._handles):
-            handle = self._handles[shard_id]
-            if handle.process is not None and handle.process.is_alive():
-                try:
-                    handle.task_send.send(None)
-                except (OSError, ValueError):
-                    handle.process.terminate()
-        for shard_id in sorted(self._handles):
-            handle = self._handles[shard_id]
-            if handle.process is not None:
-                handle.process.join(timeout=5.0)
-                if handle.process.is_alive():
-                    handle.process.terminate()
-                    handle.process.join(timeout=5.0)
-            handle.close()
-        self._handles.clear()
+        stop_all(self._children.values())
+        self._children.clear()
 
 
 class PartitionedEngine:
@@ -369,14 +284,12 @@ class PartitionedEngine:
         transport: str = "pipes",
         chaos_plan: Optional[Dict[str, object]] = None,
         retry: Optional[RetryPolicy] = None,
-        context=None,
     ):
         self.graph = graph
         self.partition_set = partition_graph(graph, partitions, strategy)
         self.transport_kind = transport
         self.chaos_plan = chaos_plan
         self.retry = retry or RetryPolicy(max_attempts=3, backoff_base=0.05)
-        self._context = context
         if transport not in ("pipes", "inline"):
             raise ConfigurationError(
                 f"unknown partitioned transport {transport!r}"
@@ -421,7 +334,6 @@ class PartitionedEngine:
         return _PipesTransport(
             self.graph, self.partition_set, spec,
             retry=self.retry, chaos_plan=self.chaos_plan,
-            context=self._context,
         )
 
     # -- pregel ------------------------------------------------------------

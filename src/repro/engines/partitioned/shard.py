@@ -5,9 +5,8 @@ local program from the spec, run one Pregel superstep / GAS round /
 GAS sweep / PR gather / LCC slice over the *owned* vertices, and pack
 the results for the barrier. It is transport-agnostic: the inline
 transport calls it in-process (fast deterministic tests), and
-:func:`shard_main` wraps it in the runtime pool's worker discipline —
-private task/result pipes, the orphan guard, a per-process tracer whose
-spans ship home with the clock-offset handshake, and a
+:func:`shard_main` runs it under :func:`repro.proc.serve` (the same
+supervised-child loop as the runtime pool's workers), adding a
 ``partitioned.shard.step`` fault-point check that lets a chaos plan
 SIGKILL the shard mid-superstep.
 
@@ -27,7 +26,6 @@ Bit-identity invariants enforced here:
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +42,8 @@ from repro.engines.pregel import Aggregator, VertexContext
 from repro.exceptions import ConfigurationError
 from repro.faults.points import check
 from repro.graph.graph import Graph
-from repro.trace import Tracer, set_tracer
+from repro.proc import serve
+from repro.trace import current_tracer
 
 __all__ = ["STEP_FAULT_POINT", "ShardState", "shard_main", "graph_payload", "graph_from_payload"]
 
@@ -325,88 +324,48 @@ class ShardState:
             self.gas_active = {int(v) for v in snapshot["active"]}
 
 
-def shard_main(shard_id: int, task_conn, result_conn) -> None:
-    """Shard worker entrypoint: the runtime pool's worker discipline.
+def shard_main(task_conn, result_conn, shard_id: int) -> None:
+    """Shard worker entrypoint: the command body that
+    :func:`repro.proc.serve` loops over until the sentinel.
 
-    Same contract as :func:`repro.runtime.pool._worker_main`: private
-    pipes, orphan-guard poll so a SIGKILLed coordinator cannot leak the
-    process, fresh per-process tracer, and every reply carries the spans
-    plus the ``sent_at - received_at`` clock offset so the coordinator
-    can rebase them onto its superstep timeline. Every exception becomes
-    a structured failure envelope (RUN001) — except the chaos kill,
-    which is the point.
+    Every reply carries a barrier-time snapshot for supervision. Every
+    exception becomes a structured failure envelope (RUN001) — except
+    the chaos kill, which is the point.
     """
-    tracer = Tracer(process=f"shard-{shard_id}")
-    set_tracer(tracer)
     state: Optional[ShardState] = None
-    parent = os.getppid()
-    while True:
-        if not task_conn.poll(1.0):
-            if os.getppid() != parent:
-                return
-            continue
-        try:
-            task = task_conn.recv()
-        except (EOFError, OSError):
-            return
-        if task is None:
-            return
-        payload, sent_at = task
-        received_at = tracer.clock.now()
-        clock_offset = sent_at - received_at
+
+    def run_command(payload: Dict[str, object], reply: Dict[str, object]) -> None:
+        nonlocal state
         cmd = payload["cmd"]
-        try:
-            if cmd == "init":
-                chaos = payload.get("chaos")
-                if chaos is not None:
-                    from repro.faults.points import IoFaultPlan, install_io_plan
+        reply["shard"] = shard_id
+        reply["cmd"] = cmd
+        if cmd == "init":
+            chaos = payload.get("chaos")
+            if chaos is not None:
+                from repro.faults.points import IoFaultPlan, install_io_plan
 
-                    install_io_plan(IoFaultPlan.from_dict(chaos))
-                state = ShardState(
-                    graph_from_payload(payload["graph"]),
-                    shard_id,
-                    payload["owned"],
-                    payload["owner"],
-                    int(payload["num_shards"]),
-                    payload["spec"],
-                )
-                restore = payload.get("restore")
-                if restore:
-                    state.restore(restore)
-                body: Dict[str, object] = {"ok": True}
-            else:
-                # The chaos plane's hook: a kill-kind fault here is a
-                # shard dying between the barrier and its compute.
-                check(STEP_FAULT_POINT)
-                with tracer.span(
-                    "shard-compute", shard=shard_id, cmd=cmd,
-                    superstep=payload.get("superstep"),
-                ):
-                    body = state.apply_command(payload)
-        except Exception as exc:  # noqa: BLE001 — converted, not swallowed
-            import traceback
-
-            result_conn.send(
-                {
-                    "event": "fail",
-                    "shard": shard_id,
-                    "cmd": cmd,
-                    "detail": f"{type(exc).__name__}: {exc}",
-                    "traceback": traceback.format_exc(limit=8),
-                    "spans": [span.as_dict() for span in tracer.drain()],
-                    "clock_offset": clock_offset,
-                }
+                install_io_plan(IoFaultPlan.from_dict(chaos))
+            state = ShardState(
+                graph_from_payload(payload["graph"]),
+                shard_id,
+                payload["owned"],
+                payload["owner"],
+                int(payload["num_shards"]),
+                payload["spec"],
             )
-            continue
-        result_conn.send(
-            {
-                "event": "done",
-                "shard": shard_id,
-                "cmd": cmd,
-                "body": body,
-                "snapshot": state.snapshot() if state is not None else {},
-                "spans": [span.as_dict() for span in tracer.drain()],
-                "counters": tracer.take_counters(),
-                "clock_offset": clock_offset,
-            }
-        )
+            restore = payload.get("restore")
+            if restore:
+                state.restore(restore)
+            reply["body"] = {"ok": True}
+        else:
+            # The chaos plane's hook: a kill-kind fault here is a
+            # shard dying between the barrier and its compute.
+            check(STEP_FAULT_POINT)
+            with current_tracer().span(
+                "shard-compute", shard=shard_id, cmd=cmd,
+                superstep=payload.get("superstep"),
+            ):
+                reply["body"] = state.apply_command(payload)
+        reply["snapshot"] = state.snapshot() if state is not None else {}
+
+    serve(task_conn, result_conn, run_command, process=f"shard-{shard_id}")

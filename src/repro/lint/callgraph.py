@@ -14,7 +14,8 @@ tables:
 
 The graph also records **worker entrypoints** — the fork boundary the
 RACE rules reason about: any function passed as ``target=`` to a
-``*.Process(...)`` call, and any function shipped through a
+``*.Process(...)`` call or to ``repro.proc``'s ``Child(...)`` (the one
+spawn site under ``src/repro``), and any function shipped through a
 ``*.send(...)`` pipe payload (a callable dispatched to the other side).
 
 It separately records **handler entrypoints** — async request handlers
@@ -42,7 +43,11 @@ from typing import Dict, List, Optional, Set
 from repro.lint.core import call_name
 from repro.lint.project import FunctionInfo, ModuleInfo, ProjectModel
 
-__all__ = ["CallSite", "CallGraph"]
+__all__ = ["SPAWN_CALLS", "CallSite", "CallGraph"]
+
+#: Call names whose ``target=`` keyword crosses the fork boundary:
+#: ``multiprocessing``'s ``Process`` and :class:`repro.proc.Child`.
+SPAWN_CALLS = ("Process", "Child")
 
 
 @dataclass
@@ -210,7 +215,7 @@ class CallGraph:
                         fn.key, "registered request handler"
                     )
             return
-        if last == "Process":
+        if last in SPAWN_CALLS:
             for keyword in call.keywords:
                 if keyword.arg != "target":
                     continue

@@ -33,6 +33,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Set, Tuple
 
+from repro.lint.callgraph import SPAWN_CALLS
 from repro.lint.core import (
     Finding,
     Module,
@@ -233,9 +234,10 @@ class UnpicklablePayloadRule(Rule):
         "job payloads / Pipe sends must carry plain picklable data, "
         "not lambdas, nested functions, generators, or open handles"
     )
-    # The two subsystems that marshal payloads across process forks:
-    # the runtime pool/service plane and the partitioned shard engine.
-    scope = ("runtime", "partitioned")
+    # The subsystems that marshal payloads across process forks: the
+    # runtime pool/service plane, the partitioned shard engine, and the
+    # supervised-child primitive both are built on.
+    scope = ("runtime", "partitioned", "proc")
 
     def check(self, module: Module) -> Iterator[Finding]:
         for node in ast.walk(module.tree):
@@ -253,7 +255,7 @@ class UnpicklablePayloadRule(Rule):
                     yield arg, "Pipe send"
             return
         last = call_name(call).rsplit(".", 1)[-1]
-        if last == "Process":
+        if last in SPAWN_CALLS:
             for keyword in call.keywords:
                 if keyword.arg == "args":
                     yield keyword.value, "Process args"

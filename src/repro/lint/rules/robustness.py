@@ -127,6 +127,7 @@ class SwallowedExceptionRule(Rule):
 #: paths where an exception IS a job outcome and must become data.
 _ENTRYPOINT_TOKENS = (
     "worker", "job", "dispatch", "task", "attempt", "envelope", "run_",
+    "serve",
 )
 
 #: Identifier fragments that show the handler produces a structured
@@ -169,7 +170,9 @@ class RuntimeFailureRecordRule(Rule):
         "runtime worker/job entrypoint must re-raise or convert "
         "exceptions into structured failure records"
     )
-    scope = ("runtime",)
+    # ``proc``: the one child command loop (``repro.proc.serve``) that
+    # the pool's workers and the engine's shards both run.
+    scope = ("runtime", "proc")
 
     def check(self, module: Module) -> Iterator[Finding]:
         for node in ast.walk(module.tree):

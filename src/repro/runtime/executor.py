@@ -31,6 +31,7 @@ from repro.exceptions import ConfigurationError
 from repro.harness.config import BenchmarkConfig
 from repro.harness.datasets import get_dataset
 from repro.harness.results import BenchmarkResult, ResultsDatabase
+from repro.proc import absorb
 from repro.runtime.cache import CacheStats, GraphCache
 from repro.runtime.events import RuntimeEventLog
 from repro.faults.plan import FaultPlan
@@ -46,7 +47,7 @@ from repro.runtime.journal import (
 )
 from repro.runtime.pool import CacheBackedRunner, WorkerPool, run_job_spec
 from repro.runtime.scheduler import JobGraph, NodeState, expand_matrix
-from repro.trace import Span, current_tracer, rebase_spans
+from repro.trace import Span, current_tracer
 
 __all__ = [
     "RuntimeConfig",
@@ -340,20 +341,9 @@ class _MatrixRun:
 
     def merge_worker_trace(self, seq: int, envelope: Dict[str, object],
                            *, status: str) -> None:
-        """Close the attempt span and graft the worker's spans under it.
-
-        The worker ships its spans on its own clock plus the measured
-        ``clock_offset``; re-basing by the offset (and clamping into the
-        attempt window) puts them on the dispatcher's timeline.
-        """
-        attempt_span = self.finish_attempt(seq, status=status)
-        raw = envelope.get("spans") or []
-        if attempt_span is None or not raw:
-            return
-        offset = float(envelope.get("clock_offset", 0.0))
-        worker_spans = [Span.from_dict(record) for record in raw]
-        for span in rebase_spans(worker_spans, offset, parent=attempt_span):
-            self.tracer.record(span)
+        """Close the attempt span; graft the worker's spans under it and
+        sum in its counters (:func:`repro.proc.absorb`)."""
+        absorb(envelope, self.tracer, self.finish_attempt(seq, status=status))
 
     def close_spans(self) -> None:
         """End any still-open phase/attempt spans plus the run root."""
@@ -684,7 +674,6 @@ def _handle_envelope(run: _MatrixRun, pool: WorkerPool, envelope) -> None:
     worker = int(envelope["worker"])
     seq = int(envelope["seq"])
     run.cache_stats.merge(envelope.get("cache", {}))
-    run.tracer.merge_counters(envelope.get("counters") or {})
     node = run.graph.nodes.get(seq)
     stale = (
         node is None
@@ -695,7 +684,9 @@ def _handle_envelope(run: _MatrixRun, pool: WorkerPool, envelope) -> None:
     if stale:
         # A result from a worker we already timed out and replaced: the
         # job's fate was decided when we killed it; keep the decision —
-        # and drop its spans, which describe an attempt we disowned.
+        # and drop its spans, which describe an attempt we disowned. The
+        # work it counted still happened.
+        run.tracer.merge_counters(envelope.get("counters") or {})
         run.tracer.counter("scheduler.stale-result")
         run.events.emit("stale-result", seq=seq, worker=worker)
         return

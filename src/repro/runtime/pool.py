@@ -1,16 +1,13 @@
 """The multiprocessing worker pool and the worker-side job body.
 
-Each worker is a long-lived OS process with a private task queue and a
-private result pipe. The dispatcher hands a worker one job at a time, so
-a hung or crashed job is attributable to exactly one process, which the
-dispatcher can kill and respawn without losing anything: the job's fate
-is recorded as an attempt on its DAG node, never inferred.
-
-Result channels are deliberately *not* shared: a worker killed mid-send
-(deadline breach, ``os._exit``) can leave a shared queue's write lock
-held forever, wedging every other worker's result. With one pipe per
-worker, a dying worker can only corrupt its own channel, which the
-dispatcher discards when it respawns the process.
+Each worker is a long-lived :class:`repro.proc.Child` — private pipes,
+orphan guard, clock handshake, stop ladder all live there. The
+dispatcher hands a worker one job at a time, so a hung or crashed job is
+attributable to exactly one process, which the dispatcher can kill and
+respawn without losing anything: the job's fate is recorded as an
+attempt on its DAG node, never inferred. What this module keeps is the
+pool's own bookkeeping: which worker holds which job, and how many were
+respawned.
 
 Worker-side state is deliberately reconstructable: a
 :class:`CacheBackedRunner` (a :class:`~repro.harness.runner.
@@ -20,16 +17,13 @@ reused across jobs, so repeated datasets are loaded once per worker and
 built once per run.
 
 Every exception escaping a job body is converted into a structured
-failure envelope and shipped back — the worker loop never swallows a
-failure (lint rule RUN001 enforces this statically).
+failure envelope and shipped back by :func:`repro.proc.serve` — the
+worker loop never swallows a failure (lint rule RUN001 enforces this
+statically).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
-import os
-import traceback
 from typing import Dict, List, Optional
 
 from repro.harness.config import BenchmarkConfig
@@ -37,10 +31,11 @@ from repro.harness.datasets import get_dataset
 from repro.harness.runner import BenchmarkRunner
 from repro.runtime.cache import GraphCache
 from repro.faults.plan import FaultPlan
+from repro.proc import Child, serve, stop_all, wait_any
 from repro.runtime.jobs import JobKind, JobSpec
-from repro.trace import Tracer, current_tracer, set_tracer
+from repro.trace import current_tracer
 
-__all__ = ["CacheBackedRunner", "run_job_spec", "WorkerPool", "default_mp_context"]
+__all__ = ["CacheBackedRunner", "run_job_spec", "WorkerPool"]
 
 
 class CacheBackedRunner(BenchmarkRunner):
@@ -98,144 +93,37 @@ def run_job_spec(runner: CacheBackedRunner, cache: GraphCache, spec: JobSpec) ->
 
 
 def _worker_main(
-    worker_id: int,
     task_conn,
     result_conn,
+    worker_id: int,
     config: BenchmarkConfig,
     cache_dir: Optional[str],
     memory_entries: int,
     fault_plan: Optional[FaultPlan],
 ) -> None:
-    """Worker entrypoint: loop tasks until the ``None`` sentinel.
-
-    Contract (RUN001): every exception is either re-raised or converted
-    into a structured failure envelope — no silent loss.
-
-    Timing contract: the worker owns a fresh per-process
-    :class:`~repro.trace.Tracer` (replacing any fork-inherited one), and
-    every envelope ships the spans the job emitted *plus* the clock
-    offset ``sent_at - received_at`` — the dispatcher stamps each task
-    with its send time on the dispatcher clock, so the offset maps
-    worker-clock instants onto the dispatcher's timeline
-    (:func:`repro.trace.rebase_spans`). Durations (``elapsed``) are
-    clock-origin-free and need no re-basing.
-    """
-    tracer = Tracer(process=f"worker-{worker_id}")
-    set_tracer(tracer)
+    """Worker entrypoint: per-process state plus the job body that
+    :func:`repro.proc.serve` loops over until the sentinel."""
     cache = GraphCache(cache_dir, memory_entries=memory_entries)
     runner = CacheBackedRunner(config, cache)
-    parent = os.getppid()
-    while True:
-        # Orphan guard: if the dispatcher dies hard (SIGKILL chaos, OOM
-        # kill), the task pipe never reaches EOF — sibling workers
-        # forked later inherit its write end — so a blocking read would
-        # leak this process forever. Poll with a timeout and exit once
-        # reparented.
-        if not task_conn.poll(1.0):
-            if os.getppid() != parent:
-                return
-            continue
+
+    def run_task(task, reply: Dict[str, object]) -> None:
+        spec, attempt = task
+        reply["worker"] = worker_id
+        reply["seq"] = spec.seq
         try:
-            task = task_conn.recv()
-        except (EOFError, OSError):
-            return
-        if task is None:
-            return
-        spec, attempt, sent_at = task
-        received_at = tracer.clock.now()
-        clock_offset = sent_at - received_at
-        try:
-            with tracer.span(
+            with current_tracer().span(
                 "task", job=spec.job_id, worker=worker_id, attempt=attempt
             ) as task_span:
                 if fault_plan is not None:
                     fault_plan.inject(spec, attempt)
-                payload = run_job_spec(runner, cache, spec)
-        except Exception as exc:
-            # Converted into a structured failure record, per contract.
-            result_conn.send(
-                _failure_envelope(
-                    worker_id, spec, exc, task_span, cache, tracer,
-                    clock_offset,
-                )
-            )
-            continue
-        result_conn.send(
-            {
-                "event": "done",
-                "worker": worker_id,
-                "seq": spec.seq,
-                "payload": payload,
-                "cache": cache.take_stats_delta(),
-                "elapsed": task_span.duration,
-                "spans": [span.as_dict() for span in tracer.drain()],
-                "counters": tracer.take_counters(),
-                "clock_offset": clock_offset,
-            }
-        )
+                reply["payload"] = run_job_spec(runner, cache, spec)
+        finally:
+            # Shipped on failure too: the dispatcher accounts cache
+            # traffic and elapsed time per attempt, not per success.
+            reply["cache"] = cache.take_stats_delta()
+            reply["elapsed"] = task_span.duration
 
-
-def _failure_envelope(
-    worker_id: int, spec: JobSpec, exc: BaseException, task_span,
-    cache: GraphCache, tracer: Tracer, clock_offset: float,
-) -> Dict[str, object]:
-    """The structured failure record a worker ships for a raised job."""
-    return {
-        "event": "fail",
-        "worker": worker_id,
-        "seq": spec.seq,
-        "detail": f"{type(exc).__name__}: {exc}",
-        "traceback": traceback.format_exc(limit=8),
-        "cache": cache.take_stats_delta(),
-        "elapsed": task_span.duration,
-        "spans": [span.as_dict() for span in tracer.drain()],
-        "counters": tracer.take_counters(),
-        "clock_offset": clock_offset,
-    }
-
-
-def default_mp_context():
-    """Prefer fork (fast, shares warm module state); fall back portably.
-
-    Public because every process-spawning layer (this pool, the
-    partitioned engine's shard transport) must agree on one start-method
-    policy.
-    """
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
-#: Backwards-compatible private alias (pre-existing internal callers).
-_default_context = default_mp_context
-
-
-class _WorkerHandle:
-    """Bookkeeping for one worker process."""
-
-    def __init__(self, worker_id: int):
-        self.worker_id = worker_id
-        self.process = None
-        self.task_send = None
-        self.result_recv = None
-        self.busy_seq: Optional[int] = None
-
-    def close_result_conn(self) -> None:
-        if self.result_recv is not None:
-            try:
-                self.result_recv.close()
-            except OSError:
-                pass
-            self.result_recv = None
-
-    def close_task_conn(self) -> None:
-        if self.task_send is not None:
-            try:
-                self.task_send.close()
-            except OSError:
-                pass
-            self.task_send = None
+    serve(task_conn, result_conn, run_task, process=f"worker-{worker_id}")
 
 
 class WorkerPool:
@@ -249,141 +137,80 @@ class WorkerPool:
         cache_dir: Optional[str] = None,
         memory_entries: int = 8,
         fault_plan: Optional[FaultPlan] = None,
-        context=None,
     ):
         self.size = max(1, int(workers))
         self.config = config
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
         self.memory_entries = memory_entries
         self.fault_plan = fault_plan
-        self.clock = current_tracer().clock
-        self._ctx = context or _default_context()
-        self._handles: Dict[int, _WorkerHandle] = {}
+        self._children: Dict[int, Child] = {}
+        #: worker id -> seq of the job it holds (``None`` = idle).
+        self._busy: Dict[int, Optional[int]] = {}
         self.respawns = 0
 
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
         for worker_id in range(self.size):
-            handle = _WorkerHandle(worker_id)
-            self._handles[worker_id] = handle
-            self._spawn(handle)
+            self._spawn(worker_id)
 
-    def _spawn(self, handle: _WorkerHandle) -> None:
-        handle.close_result_conn()
-        handle.close_task_conn()
-        recv_conn, send_conn = self._ctx.Pipe(duplex=False)
-        task_recv, task_send = self._ctx.Pipe(duplex=False)
-        handle.task_send = task_send
-        handle.result_recv = recv_conn
-        handle.busy_seq = None
-        handle.process = self._ctx.Process(
+    def _spawn(self, worker_id: int) -> None:
+        self._busy[worker_id] = None
+        self._children[worker_id] = Child(
+            f"graphalytics-worker-{worker_id}",
             target=_worker_main,
-            name=f"graphalytics-worker-{handle.worker_id}",
             args=(
-                handle.worker_id,
-                task_recv,
-                send_conn,
+                worker_id,
                 self.config,
                 self.cache_dir,
                 self.memory_entries,
                 self.fault_plan,
             ),
-            daemon=True,
         )
-        handle.process.start()
-        # The parent's copies of the worker-held ends must close so each
-        # side sees EOF (not a silent hang) when the other goes away.
-        send_conn.close()
-        task_recv.close()
 
     def restart(self, worker_id: int) -> None:
         """Kill (if needed) and respawn one worker; its job (and any
         bytes stuck in its result pipe) is gone — the attempt record on
         the DAG node is the source of truth, not the channel."""
-        handle = self._handles[worker_id]
-        if handle.process is not None and handle.process.is_alive():
-            handle.process.terminate()
-            handle.process.join(timeout=5.0)
-            if handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join(timeout=5.0)
+        self._children[worker_id].stop(graceful=False)
         self.respawns += 1
-        self._spawn(handle)
+        self._spawn(worker_id)
 
     def shutdown(self) -> None:
-        for handle in self._handles.values():
-            if handle.process is not None and handle.process.is_alive():
-                try:
-                    handle.task_send.send(None)
-                except (OSError, ValueError):
-                    handle.process.terminate()
-        for handle in self._handles.values():
-            if handle.process is not None:
-                handle.process.join(timeout=5.0)
-                if handle.process.is_alive():
-                    handle.process.terminate()
-                    handle.process.join(timeout=5.0)
-            handle.close_result_conn()
-            handle.close_task_conn()
-        self._handles.clear()
+        stop_all(self._children.values())
+        self._children.clear()
+        self._busy.clear()
 
     # -- dispatch ----------------------------------------------------------
 
     def idle_workers(self) -> List[int]:
         return sorted(
-            worker_id
-            for worker_id, handle in self._handles.items()
-            if handle.busy_seq is None
+            worker_id for worker_id, seq in self._busy.items() if seq is None
         )
 
     def submit(self, worker_id: int, spec: JobSpec, attempt: int) -> None:
-        handle = self._handles[worker_id]
-        handle.busy_seq = spec.seq
-        # The dispatcher-clock send stamp: the worker subtracts its own
-        # receive stamp to get the cross-process clock offset its spans
-        # are re-based by.
-        handle.task_send.send((spec, attempt, self.clock.now()))
+        self._busy[worker_id] = spec.seq
+        self._children[worker_id].send((spec, attempt))
 
     def mark_idle(self, worker_id: int) -> None:
-        self._handles[worker_id].busy_seq = None
+        self._busy[worker_id] = None
 
     def busy_seq(self, worker_id: int) -> Optional[int]:
-        return self._handles[worker_id].busy_seq
-
-    def is_alive(self, worker_id: int) -> bool:
-        process = self._handles[worker_id].process
-        return process is not None and process.is_alive()
+        return self._busy[worker_id]
 
     def dead_busy_workers(self) -> List[int]:
         """Workers that died while holding a job (crash candidates)."""
         return sorted(
             worker_id
-            for worker_id, handle in self._handles.items()
-            if handle.busy_seq is not None and not self.is_alive(worker_id)
+            for worker_id, seq in self._busy.items()
+            if seq is not None and not self._children[worker_id].alive()
         )
 
     def wait(self, timeout: float) -> Optional[Dict[str, object]]:
-        """Next worker envelope, or ``None`` after the poll interval."""
-        timeout = max(0.001, timeout)
-        conns = {
-            handle.result_recv: handle
-            for handle in self._handles.values()
-            if handle.result_recv is not None
-        }
-        if not conns:
-            self.clock.sleep(timeout)
-            return None
-        ready = multiprocessing.connection.wait(list(conns), timeout=timeout)
-        for conn in ready:
-            handle = conns[conn]
-            try:
-                return handle.result_recv.recv()
-            except (EOFError, OSError):
-                # The worker died: the pipe is at EOF (or mid-message
-                # garbage). Stop polling it — the dispatcher's dead-
-                # worker policing records the crash and respawns it.
-                handle.close_result_conn()
-        # Poll tick — nothing to record yet; the dispatcher handles
-        # deadlines and dead workers itself.
+        """Next worker envelope, or ``None`` after the poll interval
+        (a tick: the dispatcher polices deadlines and dead workers
+        itself)."""
+        replies = wait_any(self._children.values(), max(0.001, timeout))
+        for _child, envelope in replies:
+            return envelope
         return None

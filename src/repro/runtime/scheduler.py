@@ -32,6 +32,7 @@ from repro.algorithms.registry import get_algorithm
 from repro.harness.config import BenchmarkConfig
 from repro.harness.datasets import get_dataset
 from repro.platforms.registry import get_platform
+from repro.proc import RetryPolicy
 from repro.runtime.jobs import AttemptRecord, JobFailure, JobKind, JobSpec
 
 __all__ = ["can_run_combo", "expand_matrix", "JobNode", "JobGraph"]
@@ -152,8 +153,10 @@ class JobGraph:
         max_attempts: int = 2,
         backoff_base: float = 0.05,
     ):
-        self.max_attempts = max(1, int(max_attempts))
-        self.backoff_base = float(backoff_base)
+        self.retry = RetryPolicy(
+            max_attempts=max(1, int(max_attempts)),
+            backoff_base=float(backoff_base),
+        )
         self.nodes: Dict[int, JobNode] = {}
         self.failures: List[JobFailure] = []
         by_key: Dict[Tuple[str, str, str], int] = {}
@@ -259,9 +262,8 @@ class JobGraph:
         """
         node = self.nodes[seq]
         attempt = node.attempt_number
-        backoff = 0.0
-        if attempt < self.max_attempts:
-            backoff = self.backoff_base * (2 ** (attempt - 1))
+        retrying = not self.retry.exhausted(attempt)
+        backoff = self.retry.backoff(attempt) if retrying else 0.0
         node.attempts.append(
             AttemptRecord(
                 attempt=attempt,
@@ -274,7 +276,7 @@ class JobGraph:
         )
         node.worker = None
         node.deadline = None
-        if attempt < self.max_attempts:
+        if retrying:
             node.state = NodeState.READY
             node.eligible_at = now + backoff
             return None

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import multiprocessing
 import re
 import shutil
 import warnings
@@ -42,6 +41,7 @@ from typing import Awaitable, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.exceptions import ConfigurationError, GraphalyticsError
 from repro.faults import FaultPointError, IoFaultPlan
+from repro.proc import Child, RetryPolicy, stop_all
 from repro.service.http import (
     EventStream,
     ProtocolError,
@@ -62,7 +62,6 @@ from repro.service.runs import (
 )
 from repro.service.supervise import (
     BreakerOpen,
-    RetryPolicy,
     TenantBreaker,
     record_attempt,
     write_quarantine,
@@ -133,7 +132,7 @@ class BenchmarkService:
             retry_after=self.config.retry_after,
         )
         self._routes: List[Tuple[str, "re.Pattern[str]", _Handler]] = []
-        self._children: Dict[str, multiprocessing.process.BaseProcess] = {}
+        self._children: Dict[str, Child] = {}
         self._monitors: List[asyncio.Task] = []
         self._wake: Optional[asyncio.Event] = None
         self._server: Optional[asyncio.base_events.Server] = None
@@ -203,7 +202,7 @@ class BenchmarkService:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop listening, terminate run children."""
+        """Graceful shutdown: stop listening, reap the run children."""
         self._stopping = True
         if self._server is not None:
             self._server.close()
@@ -215,9 +214,7 @@ class BenchmarkService:
             await self._scheduler
         except asyncio.CancelledError:
             pass
-        for proc in list(self._children.values()):
-            if proc.is_alive():
-                proc.terminate()
+        await asyncio.to_thread(stop_all, list(self._children.values()))
         for task in self._monitors:
             task.cancel()
         await asyncio.gather(*self._monitors, return_exceptions=True)
@@ -261,24 +258,25 @@ class BenchmarkService:
             )
         record.state = RUNNING
         record.started_at = current_tracer().clock.now()
-        proc = multiprocessing.Process(
+        # No command channel: the run child reports through
+        # ``outcome.json`` and, starting a pool of its own, must not be
+        # daemonic.
+        child = Child(
+            f"service-run-{run_id}",
             target=execute_service_run,
             args=(str(self.registry.run_dir(run_id)),),
             kwargs={
                 "workers": record.workers or self.config.workers,
                 "job_timeout": record.job_timeout or self.config.job_timeout,
             },
-            name=f"service-run-{run_id}",
+            channel=False,
         )
-        proc.start()
-        self._children[run_id] = proc
+        self._children[run_id] = child
         self._monitors.append(
-            asyncio.ensure_future(self._monitor(tenant, run_id, proc))
+            asyncio.ensure_future(self._monitor(tenant, run_id, child))
         )
 
-    async def _monitor(
-        self, tenant: str, run_id: str, proc: multiprocessing.process.BaseProcess
-    ) -> None:
+    async def _monitor(self, tenant: str, run_id: str, child: Child) -> None:
         """Wait (off-loop) for one run child; settle or supervise it.
 
         A child that wrote ``outcome.json`` is terminal (the outcome is
@@ -289,7 +287,7 @@ class BenchmarkService:
         through the supervision decision (relaunch with backoff, or
         quarantine when the attempt budget is spent).
         """
-        await asyncio.to_thread(proc.join)
+        await asyncio.to_thread(child.process.join)
         record = self.registry.records[run_id]
         outcome = await asyncio.to_thread(self.registry.load_outcome, run_id)
         now = current_tracer().clock.now()
@@ -316,7 +314,7 @@ class BenchmarkService:
             await self._supervise(
                 record,
                 reason=(
-                    f"run child exited with code {proc.exitcode} and "
+                    f"run child exited with code {child.process.exitcode} and "
                     f"no outcome (attempt {record.attempts}/"
                     f"{self.config.run_attempts})"
                 ),

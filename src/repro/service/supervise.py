@@ -27,12 +27,12 @@ for both in-life child death and boot-scan recovery.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
 from repro.exceptions import GraphalyticsError
 from repro.ioutil import atomic_write
+from repro.proc import RetryPolicy  # re-exported: its home is repro.proc
 
 __all__ = [
     "SUPERVISE_NAME",
@@ -133,27 +133,6 @@ def load_quarantine(
     except (OSError, json.JSONDecodeError):
         return None
     return loaded if isinstance(loaded, dict) else None
-
-
-# -- retry policy -------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Attempt budget + exponential backoff, the scheduler's shape.
-
-    :class:`~repro.runtime.scheduler.JobGraph` retries *jobs* with
-    ``backoff_base * 2**(attempt-1)``; the service retries *runs* with
-    the same curve so operators reason about one policy at both layers.
-    """
-
-    max_attempts: int = 3
-    backoff_base: float = 0.5
-
-    def exhausted(self, attempts: int) -> bool:
-        return attempts >= self.max_attempts
-
-    def backoff(self, attempt: int) -> float:
-        return self.backoff_base * (2 ** (max(attempt, 1) - 1))
 
 
 # -- the circuit breaker ------------------------------------------------------

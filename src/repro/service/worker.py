@@ -7,14 +7,15 @@ the server. That buys three properties the service contract needs:
   takes out one child, not the server and every other tenant's stream;
 * honest crash semantics — the e2e suite SIGKILLs the *server* mid-run
   and expects the restarted server to resume from the journal; the
-  parent-death watchdog below makes the children die with the server,
-  so the journal really is torn where the crash happened;
+  parent-death watchdog (:func:`repro.proc.watch_parent`) makes the
+  children die with the server, so the journal really is torn where
+  the crash happened;
 * a tailable journal — the child writes ``journal.jsonl`` in the run
   directory through the ordinary crash-safe runtime, and the server
   process streams it to SSE clients with :class:`~repro.service.tail.JournalTailer`
   without sharing any in-process state.
 
-:func:`execute_service_run` is the ``multiprocessing.Process`` target.
+:func:`execute_service_run` is the :class:`repro.proc.Child` target.
 It is a lint-recognized worker entrypoint (the RACE rules police it),
 so it mutates no module globals — everything it touches lives in the
 run directory it is handed.
@@ -23,14 +24,12 @@ run directory it is handed.
 from __future__ import annotations
 
 import json
-import os
-import threading
-import time
 from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.faults import IoFaultPlan, install_io_plan
 from repro.ioutil import atomic_write
+from repro.proc import watch_parent
 from repro.resultsdb.store import STORE_NAME, commit_service_run
 from repro.runtime.executor import (
     RuntimeConfig,
@@ -42,33 +41,6 @@ from repro.service.runs import OUTCOME_NAME, REQUEST_NAME
 from repro.trace import Tracer, use_tracer
 
 __all__ = ["execute_service_run", "run_outcome_payload"]
-
-#: How often the orphan watchdog re-checks the parent (seconds).
-_WATCHDOG_INTERVAL = 0.2
-
-
-def _start_parent_watchdog(parent_pid: int) -> threading.Thread:
-    """Kill this process the moment its parent disappears.
-
-    When the server is SIGKILLed it cannot reap or signal its children,
-    so each child polls its parent pid from a daemon thread and
-    ``os._exit``\\ s on orphaning — the same guard the worker pool uses.
-    A hard exit is deliberate: it tears the journal exactly where the
-    crash landed, which is the case resume is built for.
-    """
-
-    def watch() -> None:
-        while True:
-            if os.getppid() != parent_pid:
-                os._exit(1)
-            time.sleep(_WATCHDOG_INTERVAL)
-
-    thread = threading.Thread(
-        target=watch, name="service-parent-watchdog", daemon=True
-    )
-    thread.start()
-    return thread
-
 
 def run_outcome_payload(result, *, elapsed: float) -> Dict[str, object]:
     """The terminal ``outcome.json`` body for a finished run."""
@@ -130,7 +102,6 @@ def execute_service_run(
     *,
     workers: Union[int, str, None] = "auto",
     job_timeout: Optional[float] = None,
-    watchdog: bool = True,
 ) -> int:
     """Execute (or resume) the run spooled at ``run_dir``; returns 0/1.
 
@@ -144,8 +115,7 @@ def execute_service_run(
     directory without one as unfinished work to re-enqueue.
     """
     run_dir = Path(run_dir)
-    if watchdog:
-        _start_parent_watchdog(os.getppid())
+    watch_parent()
     # A fresh tracer per child: span buffers and counters must not be
     # shared (or forked mid-write) from the server process.
     tracer = Tracer()

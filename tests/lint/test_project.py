@@ -114,6 +114,34 @@ class TestCallGraph:
         assert any(k.endswith("_worker_main") for k in callers)
 
 
+class TestLiveTreeForkBoundary:
+    """The real tree spawns through ``repro.proc.Child(target=...)``,
+    not a literal ``Process(target=...)``: the three child entrypoints
+    must still be the fork boundary the RACE rules reason from."""
+
+    @pytest.fixture(scope="class")
+    def live(self):
+        return _build([REPO_ROOT / "src" / "repro"])
+
+    @pytest.mark.parametrize(
+        "entrypoint",
+        [
+            "repro.runtime.pool._worker_main",
+            "repro.engines.partitioned.shard.shard_main",
+            "repro.service.worker.execute_service_run",
+        ],
+    )
+    def test_child_targets_are_worker_entrypoints(self, live, entrypoint):
+        assert live.worker_entrypoints.get(entrypoint) == "Process target"
+
+    def test_the_serve_loop_and_its_handlers_are_worker_reachable(self, live):
+        assert {
+            "repro.proc.serve",
+            "repro.runtime.pool._worker_main.run_task",
+            "repro.engines.partitioned.shard.shard_main.run_command",
+        } <= set(live.worker_reachable)
+
+
 class TestLocalResolution:
     def test_relative_import_climbs_packages(self, tmp_path):
         pkg = tmp_path / "pkg"

@@ -5,7 +5,7 @@ produce — both that the violations are caught and that the surrounding
 clean patterns are not.
 """
 
-from repro.lint import all_rules
+from repro.lint import LintConfig, LintEngine, all_rules
 from repro.lint.rules.consistency import registry_gaps
 
 
@@ -137,6 +137,31 @@ class TestRun001RuntimeFailureRecords:
         # territory (different scope), not RUN001's.
         findings = lint_fixture("harness/exc001_case.py", select=["RUN001"])
         assert findings == []
+
+
+    def test_polices_the_serve_loop_in_proc(self, tmp_path):
+        # ``repro.proc.serve`` is the one child command loop: a module
+        # named ``proc`` is in scope and ``serve`` is an entrypoint name.
+        (tmp_path / "proc.py").write_text(
+            "def serve(conn, handle):\n"
+            "    while True:\n"
+            "        try:\n"
+            "            handle(conn.recv())\n"
+            "        except Exception:\n"
+            "            continue\n"
+            "\n"
+            "def serve_recorded(conn, handle):\n"
+            "    try:\n"
+            "        handle(conn.recv())\n"
+            "    except Exception as exc:\n"
+            "        conn.send(_mark_failed({}, exc))\n",
+            encoding="utf-8",
+        )
+        engine = LintEngine(LintConfig(root=tmp_path, select=["RUN001"]))
+        findings = engine.run([tmp_path / "proc.py"])
+        assert [(f.rule_id, f.symbol, f.line) for f in findings] == [
+            ("RUN001", "serve", 5),
+        ]
 
 
 class TestRob001AtomicArtifactWrites:
