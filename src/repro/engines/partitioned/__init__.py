@@ -1,17 +1,17 @@
 """``repro.engines.partitioned`` — sharded, measured graph execution.
 
-ROADMAP item 3: the paper's horizontal-scaling experiments (§6), as a
-*mechanistic* system instead of a calibrated formula. A graph is
-edge-cut partitioned across shard workers (hash or range strategy);
-Pregel supersteps and GAS rounds run bulk-synchronously with real
-message exchange over pipes, combiners that merge messages before the
-wire, and a deterministic merge of per-shard state — so any shard
-count, either strategy, and either transport produce **bit-identical**
-outputs to the single-process engines in :mod:`repro.engines.pregel`
-and :mod:`repro.engines.gas`.
+The paper's horizontal-scaling experiments (§6), as a *mechanistic*
+system instead of a calibrated formula. A graph is edge-cut partitioned
+across shard workers (hash or range strategy) and the six core
+algorithms run as the :mod:`repro.engines.spmv` loops over one sharded
+product: each shard reduces the dense state vector over the CSR slots
+whose target it owns, in original slot order, and the owned slices are
+scattered back — so any shard count, either strategy, and either
+transport produce **bit-identical** outputs to the numpy reference
+kernels in :mod:`repro.algorithms`.
 
-See docs/scaling.md for the partitioner, the exchange protocol, the
-barrier/span timeline, supervision, and the measured scaling curves
+See docs/scaling.md for the partitioner, the product, the barrier/span
+timeline, supervision, and the measured scaling curves
 (``benchmarks/bench_partitioned_scaling.py`` → ``BENCH_partitioned.json``).
 """
 
@@ -22,29 +22,23 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.engines.partitioned.coordinator import PartitionedEngine, ShardFailure
-from repro.engines.partitioned.exchange import MessageBatch, Outbox, deliver
 from repro.engines.partitioned.partition import (
     PARTITION_STRATEGIES,
     Partition,
     PartitionSet,
     partition_graph,
 )
-from repro.engines.partitioned.programs import ProgramSpec, spec_for
-from repro.engines.partitioned.shard import STEP_FAULT_POINT, ShardState
+from repro.engines.partitioned.shard import STEP_FAULT_POINT
+from repro.exceptions import ConfigurationError
 from repro.graph.graph import Graph
 
 __all__ = [
     "PARTITION_STRATEGIES",
     "STEP_FAULT_POINT",
-    "MessageBatch",
-    "Outbox",
     "Partition",
     "PartitionSet",
     "PartitionedEngine",
-    "ProgramSpec",
     "ShardFailure",
-    "ShardState",
-    "deliver",
     "partition_graph",
     "run_algorithm",
     "run_bfs",
@@ -53,7 +47,6 @@ __all__ = [
     "run_cdlp",
     "run_pagerank",
     "run_lcc",
-    "spec_for",
 ]
 
 
@@ -68,8 +61,15 @@ def run_algorithm(
     transport: str = "pipes",
     chaos_plan: Optional[Dict[str, object]] = None,
 ) -> np.ndarray:
-    """Run one core algorithm partitioned; returns the finalized array."""
-    spec = spec_for(algorithm, params, model=model)
+    """Run one core algorithm partitioned; returns the finalized array.
+
+    ``model`` named the interpreter to shard when there were several; it
+    is still validated, and selects nothing.
+    """
+    if model not in ("auto", "pregel", "gas", "lcc"):
+        raise ConfigurationError(
+            f"unknown partitioned execution model {model!r}"
+        )
     engine = PartitionedEngine(
         graph,
         partitions=partitions,
@@ -77,7 +77,7 @@ def run_algorithm(
         transport=transport,
         chaos_plan=chaos_plan,
     )
-    return engine.run(spec)
+    return engine.run(algorithm, params)
 
 
 def run_bfs(graph: Graph, source: int, **options) -> np.ndarray:
@@ -105,4 +105,4 @@ def run_pagerank(
 
 
 def run_lcc(graph: Graph, **options) -> np.ndarray:
-    return run_algorithm(graph, "lcc", model="lcc", **options)
+    return run_algorithm(graph, "lcc", **options)

@@ -24,7 +24,7 @@ the strategy's balance bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -166,21 +166,17 @@ def partition_graph(
     cut_mask = owners[src] != owners[dst] if len(src) else np.zeros(0, dtype=bool)
     cut_edges = int(np.count_nonzero(cut_mask))
 
-    # Mirrors: for each shard, the remote endpoints of its cut edges —
-    # computed once over the edge list (both directions: a shard owning
-    # either endpoint mirrors the other).
-    mirror_sets: List[set] = [set() for _ in range(num_shards)]
-    if cut_edges:
-        cut_src = src[cut_mask]
-        cut_dst = dst[cut_mask]
-        for u, v in zip(cut_src.tolist(), cut_dst.tolist()):
-            mirror_sets[int(owners[u])].add(int(v))
-            mirror_sets[int(owners[v])].add(int(u))
-
+    # Mirrors: for each shard, the remote endpoints of its cut edges
+    # (both directions: a shard owning either endpoint mirrors the
+    # other).
+    cut_src, cut_dst = src[cut_mask], dst[cut_mask]
     shards = []
     for shard_id in range(num_shards):
         owned = np.nonzero(owners == shard_id)[0].astype(np.int64)
-        mirrors = np.array(sorted(mirror_sets[shard_id]), dtype=np.int64)
+        mirrors = np.unique(np.concatenate([
+            cut_dst[owners[cut_src] == shard_id],
+            cut_src[owners[cut_dst] == shard_id],
+        ]))
         shards.append(
             Partition(
                 shard_id=shard_id,

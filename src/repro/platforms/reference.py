@@ -66,10 +66,11 @@ class ReferenceDriver(PlatformDriver):
 
     With ``partitions`` set, execution routes through the sharded engine
     in :mod:`repro.engines.partitioned` instead of the single-process
-    kernels. Outputs are bit-identical either way (the partitioned
-    engine's core contract), so the switch changes only *how* the
-    measured wall-clock is produced — which is exactly what the scaling
-    experiments need.
+    kernels. Outputs are bit-identical either way for all six
+    algorithms (the partitioned engine's core contract: every shard
+    reduces its rows in the kernels' slot order), so the switch changes
+    only *how* the measured wall-clock is produced — which is exactly
+    what the scaling experiments need.
     """
 
     def __init__(
@@ -84,21 +85,16 @@ class ReferenceDriver(PlatformDriver):
     def _run_algorithm(self, algorithm: str, graph, params):
         if self.partitions is None:
             return super()._run_algorithm(algorithm, graph, params)
-        # Imported lazily: the partitioned coordinator pulls in the
-        # runtime pool, whose import chain reaches back to this module.
+        # Imported lazily: this driver is imported by everything that
+        # names a platform, the sharded engine only when it is used.
         from repro.engines.partitioned import run_algorithm as run_partitioned
 
-        # PageRank goes through the GAS model: its sharded sweeps repeat
-        # the reference kernel's numpy reductions exactly, so the driver
-        # keeps bit-identical outputs (the Pregel formulation rounds
-        # differently at the last ulp).
         return run_partitioned(
             graph,
             algorithm,
-            dict(params or {}),
+            params,
             partitions=self.partitions,
             strategy=self.partition_strategy,
-            model="gas" if algorithm == "pr" else "auto",
         )
 
     def execute(

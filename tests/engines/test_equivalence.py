@@ -18,6 +18,7 @@ from repro.algorithms.sssp import single_source_shortest_paths
 from repro.algorithms.validation import validate_output
 from repro.algorithms.wcc import weakly_connected_components
 from repro.exceptions import GraphFormatError
+from repro.graph.builder import GraphBuilder
 
 from tests.algorithms.test_properties import random_graphs
 from tests.engines.conftest import ENGINES
@@ -78,6 +79,18 @@ class TestWcc:
             engine.run_wcc(er_directed),
             weakly_connected_components(er_directed),
         )
+
+    def test_ids_beyond_float64_precision_stay_distinct(self, engine):
+        # 2**53 and 2**53 + 1 are the same float64: an engine that
+        # carries the ids themselves as floats merges the components.
+        base = 2 ** 53
+        builder = GraphBuilder(directed=False)
+        builder.add_vertices([base, base + 1, base + 2])
+        builder.add_edge(base + 1, base + 2)
+        graph = builder.build()
+        labels = engine.run_wcc(graph)
+        assert labels.tolist() == [base, base + 1, base + 1]
+        assert np.array_equal(labels, weakly_connected_components(graph))
 
 
 class TestCdlp:

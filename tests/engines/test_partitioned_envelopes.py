@@ -4,19 +4,19 @@ and dropped; the fail envelope used to omit them)."""
 
 import pytest
 
-from repro.engines.partitioned import ShardFailure, ShardState, run_bfs
+from repro.engines.partitioned import ShardFailure, run_bfs, shard
 from repro.trace import Tracer, current_tracer, use_tracer
 
 
 def test_shard_counters_reach_the_coordinator(er_undirected, monkeypatch):
-    original = ShardState.apply_command
+    original = shard.apply_product
 
-    def counting(self, command):
+    def counting(block, product):
         current_tracer().counter("shard.commands")
-        return original(self, command)
+        return original(block, product)
 
     # Shards are forked from this process, so they inherit the patch.
-    monkeypatch.setattr(ShardState, "apply_command", counting)
+    monkeypatch.setattr(shard, "apply_product", counting)
     tracer = Tracer()
     with use_tracer(tracer):
         run_bfs(er_undirected, 0, partitions=2, transport="pipes")
@@ -30,11 +30,11 @@ def test_shard_counters_reach_the_coordinator(er_undirected, monkeypatch):
 def test_failing_shard_ships_counters_with_its_failure(
     er_undirected, monkeypatch
 ):
-    def failing(self, command):
+    def failing(block, product):
         current_tracer().counter("shard.before-failure")
         raise RuntimeError("shard bug")
 
-    monkeypatch.setattr(ShardState, "apply_command", failing)
+    monkeypatch.setattr(shard, "apply_product", failing)
     tracer = Tracer()
     with use_tracer(tracer), pytest.raises(
         ShardFailure, match="RuntimeError: shard bug"

@@ -1,106 +1,94 @@
-"""Parity oracle for the sharded engine (ROADMAP item 3).
+"""Parity oracle for the sharded engine.
 
 The partitioned engine's core contract: for every core algorithm, ANY
 shard count, either partitioning strategy, and either transport, the
 finalized output is **byte-identical** (through the canonical output
-codec) to the single-process engine it shards. This suite is the
-oracle:
+codec) to the numpy reference kernel. This suite is the oracle:
 
 * the full matrix — six algorithms x miniature graphs x shard counts
   {1,2,3,4} x both strategies — on the inline transport;
 * a real-process subset on the pipes transport;
+* a hypothesis differential over arbitrary small graphs;
 * partitioner invariants on seeded random graphs (every vertex owned
   exactly once, every cut edge mirrored on both sides, shard sizes
   within the strategy's balance bound);
-* exchange determinism: permuting batch delivery order cannot change
-  the delivered state;
-* chaos: a shard SIGKILLed mid-superstep is relaunched by the
-  supervisor and the run still completes bit-identically.
+* chaos: a shard SIGKILLed mid-superstep, or dying at start-up, is
+  relaunched by the supervisor and the run still completes
+  bit-identically; one that always dies fails the run within budget.
 """
+
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.algorithms.lcc import local_clustering_coefficient
-from repro.engines import gas, pregel
+from repro.algorithms import get_algorithm
 from repro.engines.partitioned import (
     PARTITION_STRATEGIES,
     STEP_FAULT_POINT,
-    Outbox,
     PartitionedEngine,
-    deliver,
+    ShardFailure,
     partition_graph,
     run_algorithm,
-    spec_for,
+    shard,
 )
-from repro.engines.pregel import HISTOGRAM_COMBINER, MIN_COMBINER
 from repro.exceptions import ConfigurationError
+from repro.proc import RetryPolicy
 
 from tests.algorithms.test_properties import random_graphs
 
 SHARD_COUNTS = (1, 2, 3, 4)
 
-#: name -> (model, algorithm, params, baseline runner, graph fixtures).
-#: Baselines are the single-process engines the partitioned engine
-#: shards — the bit-identity contract is against them, per model.
+
+def _first(graph):
+    return {"source_vertex": int(graph.vertex_ids[0])}
+
+
+def _last(graph):
+    return {"source_vertex": int(graph.vertex_ids[-1])}
+
+
+def _none(graph):
+    return {}
+
+
+#: id -> (algorithm, params, graph fixtures): two groups of parameters
+#: and graphs per iterative algorithm. The ids are the ones the matrix
+#: has always run under — the prefixes date from when there were two
+#: interpreters to shard — so its history stays comparable.
 CASES = {
-    "pregel-bfs": (
-        "pregel", "bfs", lambda g: {"source_vertex": int(g.vertex_ids[0])},
-        lambda g: pregel.run_bfs(g, int(g.vertex_ids[0])),
-        ("er_undirected", "er_directed", "two_triangles"),
-    ),
-    "pregel-sssp": (
-        "pregel", "sssp", lambda g: {"source_vertex": int(g.vertex_ids[0])},
-        lambda g: pregel.run_sssp(g, int(g.vertex_ids[0])),
-        ("er_weighted",),
-    ),
-    "pregel-wcc": (
-        "pregel", "wcc", lambda g: {},
-        pregel.run_wcc,
-        ("er_undirected", "er_directed", "two_triangles"),
-    ),
+    "pregel-bfs": ("bfs", _first, ("er_undirected", "er_directed", "two_triangles")),
+    "gas-bfs": ("bfs", _last, ("er_undirected", "er_directed", "grid4x5")),
+    "pregel-sssp": ("sssp", _first, ("er_weighted",)),
+    "gas-sssp": ("sssp", _last, ("er_weighted",)),
+    "pregel-wcc": ("wcc", _none, ("er_undirected", "er_directed", "two_triangles")),
+    "gas-wcc": ("wcc", _none, ("grid4x5", "path5", "star6")),
     "pregel-cdlp": (
-        "pregel", "cdlp", lambda g: {"iterations": 5},
-        lambda g: pregel.run_cdlp(g, 5),
-        ("er_undirected", "er_directed"),
-    ),
-    "pregel-pr": (
-        "pregel", "pr", lambda g: {"iterations": 20},
-        lambda g: pregel.run_pagerank(g, 20),
-        ("er_undirected", "er_directed"),
-    ),
-    "gas-bfs": (
-        "gas", "bfs", lambda g: {"source_vertex": int(g.vertex_ids[0])},
-        lambda g: gas.run_bfs(g, int(g.vertex_ids[0])),
-        ("er_undirected", "er_directed", "two_triangles"),
-    ),
-    "gas-sssp": (
-        "gas", "sssp", lambda g: {"source_vertex": int(g.vertex_ids[0])},
-        lambda g: gas.run_sssp(g, int(g.vertex_ids[0])),
-        ("er_weighted",),
-    ),
-    "gas-wcc": (
-        "gas", "wcc", lambda g: {},
-        gas.run_wcc,
-        ("er_undirected", "er_directed"),
+        "cdlp", lambda g: {"iterations": 5}, ("er_undirected", "er_directed"),
     ),
     "gas-cdlp": (
-        "gas", "cdlp", lambda g: {"iterations": 5},
-        lambda g: gas.run_cdlp(g, 5),
-        ("er_undirected", "er_directed"),
+        "cdlp", lambda g: {"iterations": 2}, ("grid4x5", "two_triangles", "k4"),
+    ),
+    "pregel-pr": (
+        "pr", lambda g: {"iterations": 20}, ("er_undirected", "er_directed"),
     ),
     "gas-pr": (
-        "gas", "pr", lambda g: {"iterations": 20},
-        lambda g: gas.run_pagerank(g, 20),
-        ("er_undirected", "er_directed"),
+        "pr", lambda g: {"iterations": 7, "damping": 0.6},
+        ("er_directed", "star6", "two_triangles"),
     ),
     "lcc": (
-        "lcc", "lcc", lambda g: {},
-        local_clustering_coefficient,
-        ("er_undirected", "grid4x5", "two_triangles"),
+        "lcc", _none,
+        ("er_undirected", "er_directed", "grid4x5", "two_triangles"),
     ),
 }
+
+
+def _case(case, graph):
+    """(algorithm, params, the kernel's output) of one case on a graph."""
+    algorithm, make_params, _ = CASES[case]
+    params = make_params(graph)
+    return algorithm, params, get_algorithm(algorithm).run(graph, params)
 
 
 class TestParityMatrix:
@@ -112,25 +100,41 @@ class TestParityMatrix:
     def test_bit_identical(
         self, case, shards, strategy, request, canonical_bytes
     ):
-        model, algorithm, make_params, baseline, fixtures = CASES[case]
-        for fixture in fixtures:
+        for fixture in CASES[case][2]:
             graph = request.getfixturevalue(fixture)
-            expected = baseline(graph)
+            algorithm, params, expected = _case(case, graph)
             actual = run_algorithm(
                 graph,
                 algorithm,
-                make_params(graph),
+                params,
                 partitions=shards,
                 strategy=strategy,
-                model=model,
                 transport="inline",
             )
             assert actual.dtype == expected.dtype, fixture
             assert canonical_bytes(graph, actual, algorithm) == \
                 canonical_bytes(graph, expected, algorithm), (
                 f"{case} on {fixture}: {shards} {strategy} shard(s) "
-                f"diverged from the single-process engine"
+                f"diverged from the reference kernel"
             )
+
+    def test_model_keyword_is_validated_and_selects_nothing(self, er_undirected):
+        outputs = {
+            run_algorithm(
+                er_undirected, "pr", partitions=2, model=model,
+                transport="inline",
+            ).tobytes()
+            for model in ("auto", "pregel", "gas")
+        }
+        assert len(outputs) == 1
+        with pytest.raises(ConfigurationError):
+            run_algorithm(er_undirected, "pr", model="dataflow")
+
+    def test_unknown_algorithm_and_missing_source_rejected(self, er_undirected):
+        with pytest.raises(ConfigurationError):
+            run_algorithm(er_undirected, "triangles", transport="inline")
+        with pytest.raises(ConfigurationError):
+            run_algorithm(er_undirected, "bfs", transport="inline")
 
 
 class TestPipesTransport:
@@ -141,32 +145,46 @@ class TestPipesTransport:
     def test_bit_identical_over_pipes(
         self, case, shards, er_undirected, canonical_bytes
     ):
-        model, algorithm, make_params, baseline, _ = CASES[case]
         graph = er_undirected
-        expected = baseline(graph)
+        algorithm, params, expected = _case(case, graph)
         actual = run_algorithm(
-            graph,
-            algorithm,
-            make_params(graph),
-            partitions=shards,
-            model=model,
-            transport="pipes",
+            graph, algorithm, params, partitions=shards, transport="pipes",
         )
         assert canonical_bytes(graph, actual, algorithm) == \
             canonical_bytes(graph, expected, algorithm)
 
     def test_sssp_weighted_over_pipes(self, er_weighted, canonical_bytes):
-        source = int(er_weighted.vertex_ids[0])
-        expected = pregel.run_sssp(er_weighted, source)
+        algorithm, params, expected = _case("pregel-sssp", er_weighted)
         actual = run_algorithm(
-            er_weighted,
-            "sssp",
-            {"source_vertex": source},
-            partitions=2,
-            transport="pipes",
+            er_weighted, algorithm, params, partitions=2, transport="pipes",
         )
         assert canonical_bytes(er_weighted, actual, "sssp") == \
             canonical_bytes(er_weighted, expected, "sssp")
+
+
+class TestDifferential:
+    """Arbitrary small graphs: every sharding equals the kernel bytes."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(random_graphs(max_vertices=16, weighted=True))
+    def test_sharded_equals_kernels(self, graph):
+        source = _first(graph)
+        for algorithm, params in (
+            ("bfs", source), ("sssp", source), ("wcc", {}),
+            ("cdlp", {"iterations": 4}), ("pr", {"iterations": 6}),
+            ("lcc", {}),
+        ):
+            expected = get_algorithm(algorithm).run(graph, params)
+            for shards in (1, 2, 3):
+                for strategy in PARTITION_STRATEGIES:
+                    actual = run_algorithm(
+                        graph, algorithm, params, partitions=shards,
+                        strategy=strategy, transport="inline",
+                    )
+                    assert actual.dtype == expected.dtype
+                    assert actual.tobytes() == expected.tobytes(), (
+                        algorithm, shards, strategy
+                    )
 
 
 class TestPartitionerInvariants:
@@ -242,62 +260,7 @@ class TestPartitionerInvariants:
 
 
 class TestExchangeDeterminism:
-    """Permuting batch arrival order cannot change delivered state."""
-
-    @staticmethod
-    def _batches(combiner, sends):
-        outboxes = {}
-        for src_shard, sender, target, message in sends:
-            outbox = outboxes.get(src_shard)
-            if outbox is None:
-                owner = np.zeros(64, dtype=np.int64)  # everything -> shard 0
-                outbox = Outbox(
-                    owner=owner, num_shards=4, src_shard=src_shard,
-                    superstep=0, combiner=combiner,
-                )
-                outboxes[src_shard] = outbox
-            outbox.send(sender, target, message)
-        batches = []
-        for outbox in outboxes.values():
-            batches.extend(outbox.batches())
-        return batches
-
-    def test_combined_delivery_order_independent(self):
-        sends = [
-            (1, 10, 3, 7), (1, 11, 3, 4), (2, 20, 3, 9),
-            (2, 21, 5, 2), (3, 30, 5, 8), (3, 31, 3, 1),
-        ]
-        batches = self._batches(MIN_COMBINER, sends)
-        forward = deliver(batches, MIN_COMBINER)
-        backward = deliver(list(reversed(batches)), MIN_COMBINER)
-        rotated = deliver(batches[1:] + batches[:1], MIN_COMBINER)
-        assert forward == backward == rotated
-        assert forward[3] == [1]  # min across all three source shards
-
-    def test_histogram_delivery_order_independent(self):
-        sends = [
-            (1, 10, 3, "a"), (1, 11, 3, "b"), (2, 20, 3, "a"),
-            (3, 30, 3, "b"), (3, 31, 3, "a"),
-        ]
-        batches = self._batches(HISTOGRAM_COMBINER, sends)
-        forward = deliver(batches, HISTOGRAM_COMBINER)
-        backward = deliver(list(reversed(batches)), HISTOGRAM_COMBINER)
-        assert forward == backward
-        # The exact merged multiset, independent of arrival order.
-        assert sorted(forward[3]) == ["a", "a", "a", "b", "b"]
-
-    def test_tagged_delivery_sorts_by_sender_seq(self):
-        sends = [
-            (1, 10, 3, 0.5), (1, 10, 3, 0.25), (2, 20, 3, 0.125),
-            (2, 9, 3, 1.0),
-        ]
-        batches = self._batches(None, sends)
-        forward = deliver(batches, None)
-        backward = deliver(list(reversed(batches)), None)
-        assert forward == backward
-        # (sender, seq) order: sender 9 first, then 10's two messages in
-        # send order, then 20 — regardless of batch arrival order.
-        assert forward[3] == [1.0, 0.5, 0.25, 0.125]
+    """Every placement reduces each row in the same slot order."""
 
     def test_engine_state_identical_across_strategies_and_shards(
         self, er_undirected
@@ -316,7 +279,7 @@ class TestExchangeDeterminism:
 
 
 class TestChaosSupervision:
-    """SIGKILL a shard mid-superstep; the run must still be bit-perfect."""
+    """Kill a shard; the run must still be bit-perfect — or fail loudly."""
 
     def _chaos_plan(self, after):
         return {
@@ -332,26 +295,69 @@ class TestChaosSupervision:
         }
 
     def test_killed_shard_relaunched_bit_identical(self, er_undirected):
-        expected = pregel.run_pagerank(er_undirected, 20)
+        expected = get_algorithm("pr").run(er_undirected, {"iterations": 20})
         engine = PartitionedEngine(
             er_undirected,
             partitions=2,
             transport="pipes",
             chaos_plan=self._chaos_plan(after=2),
         )
-        actual = engine.run(spec_for("pr", {"iterations": 20}))
+        actual = engine.run("pr", {"iterations": 20})
         assert engine.respawns >= 1, "chaos plan never fired"
         assert actual.tobytes() == expected.tobytes()
         assert actual.dtype == expected.dtype
 
     def test_kill_during_gas_rounds(self, er_undirected):
-        expected = gas.run_wcc(er_undirected)
+        expected = get_algorithm("wcc").run(er_undirected)
         engine = PartitionedEngine(
             er_undirected,
             partitions=2,
             transport="pipes",
             chaos_plan=self._chaos_plan(after=1),
         )
-        actual = engine.run(spec_for("wcc", None, model="gas"))
+        actual = engine.run("wcc")
         assert engine.respawns >= 1
         assert actual.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def _dying_serve(monkeypatch, should_die):
+        """Make shard 0 ``os._exit`` before serving its first command
+        whenever ``should_die()`` (shards fork from this process, so
+        they inherit the patch)."""
+        real_serve = shard.serve
+
+        def serve(task_conn, result_conn, handle, *, process):
+            if process == "shard-0" and should_die():
+                os._exit(1)
+            real_serve(task_conn, result_conn, handle, process=process)
+
+        monkeypatch.setattr(shard, "serve", serve)
+
+    def test_shard_dying_at_startup_is_respawned(
+        self, er_undirected, tmp_path, monkeypatch
+    ):
+        flag = tmp_path / "died-once"
+
+        def first_time_only():
+            if flag.exists():
+                return False
+            flag.touch()
+            return True
+
+        self._dying_serve(monkeypatch, first_time_only)
+        engine = PartitionedEngine(er_undirected, partitions=2, transport="pipes")
+        actual = engine.run("wcc")
+        assert engine.respawns == 1
+        assert actual.tobytes() == get_algorithm("wcc").run(er_undirected).tobytes()
+
+    def test_shard_that_always_dies_fails_within_budget(
+        self, er_undirected, monkeypatch
+    ):
+        self._dying_serve(monkeypatch, lambda: True)
+        engine = PartitionedEngine(
+            er_undirected, partitions=2, transport="pipes",
+            retry=RetryPolicy(max_attempts=3, backoff_base=0.01),
+        )
+        with pytest.raises(ShardFailure, match="supervision budget"):
+            engine.run("wcc")
+        assert engine.respawns == 2

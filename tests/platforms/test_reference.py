@@ -68,6 +68,26 @@ class TestMeasuredExecution:
         )
 
 
+class TestShardedRouting:
+    def test_partitions_change_no_byte_of_any_output(self):
+        from repro.algorithms.registry import ALGORITHMS
+        from repro.harness.datasets import get_dataset
+        from repro.platforms.reference import ReferenceDriver
+
+        dataset = get_dataset("D100")
+        graph = dataset.materialize(0)
+        plain, sharded = ReferenceDriver(), ReferenceDriver(partitions=2)
+        handles = plain.upload(graph), sharded.upload(graph)
+        for algorithm in sorted(ALGORITHMS):
+            params = dataset.algorithm_parameters(algorithm, 0)
+            expected, actual = (
+                driver.execute(handle, algorithm, params).output
+                for driver, handle in zip((plain, sharded), handles)
+            )
+            assert actual.dtype == expected.dtype, algorithm
+            assert actual.tobytes() == expected.tobytes(), algorithm
+
+
 class TestHarnessIntegration:
     def test_runs_through_the_runner(self):
         config = BenchmarkConfig(

@@ -117,6 +117,27 @@ class TestReportCommand:
         assert code == 0
         assert "GraphMat" in path.read_text()
 
+    def test_sharded_report_traces_the_barrier(self, tmp_path):
+        # The CI partitioned leg's smoke test: a journaled pythonref run
+        # routed through the sharded engine leaves the three per-product
+        # spans in trace.jsonl.
+        from repro.trace import read_trace
+
+        run_dir = tmp_path / "run"
+        code = main(
+            [
+                "report", "--platforms", "pythonref", "--datasets", "D100",
+                "--algorithms", "pr", "bfs", "--partitions", "2",
+                "--run-dir", str(run_dir),
+                "--output", str(tmp_path / "report.md"),
+            ]
+        )
+        assert code == 0
+        spans, _ = read_trace(run_dir / "trace.jsonl")
+        assert {"shard-compute", "exchange", "barrier-wait"} <= {
+            span.name for span in spans
+        }
+
 
 class TestValidateCommand:
     def test_valid_output_accepted(self, tmp_path, capsys):
