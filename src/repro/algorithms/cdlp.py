@@ -13,6 +13,15 @@ al. [34], "modified slightly to be both parallel and deterministic" [24]:
   output deterministic.
 
 Vertices without neighbors keep their own label.
+
+A receiver's histogram is reduced with one sort of the packed integer
+key (receiver, label): equal pairs become adjacent runs, run lengths are
+the frequencies, and ``np.maximum.reduceat`` over (count, -label) picks
+the winner. The kernel propagates *ranks* of the ids (order-preserving,
+below ``n``, so ids past 2**53 survive) and keeps an **active set**:
+``label[t+1](v)`` is a function of ``label[t]`` on ``N(v)`` alone, so a
+vertex none of whose neighbors changed in step t keeps its label in
+step t+1. Only rows that hear a changed vertex are recomputed — exact.
 """
 
 from __future__ import annotations
@@ -20,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import GenerationError
-from repro.algorithms.common import expand_sources
+from repro.algorithms.common import expand_sources, gather_slots, run_starts
 from repro.graph.graph import Graph
 
 __all__ = ["community_detection_lp"]
@@ -31,33 +40,36 @@ def _most_frequent_min_label(
 ) -> np.ndarray:
     """Per receiver, the most frequent label (ties -> smallest label).
 
-    ``receivers[k]`` hears label ``labels_in[k]``. Returns an int64 array
-    of length n with -1 for vertices that hear nothing.
+    ``receivers[k]`` hears label ``labels_in[k]`` (any int64: the SpMV
+    engines pass external ids). Returns an int64 array of length n with
+    -1 for vertices that hear nothing.
     """
     result = np.full(n, -1, dtype=np.int64)
     if len(receivers) == 0:
         return result
-    order = np.lexsort((labels_in, receivers))
-    recv = receivers[order]
-    labs = labels_in[order]
-    # Run-length encode (receiver, label) pairs.
-    boundary = np.empty(len(recv), dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (recv[1:] != recv[:-1]) | (labs[1:] != labs[:-1])
-    starts = np.nonzero(boundary)[0]
-    counts = np.diff(np.append(starts, len(recv)))
-    group_recv = recv[starts]
-    group_lab = labs[starts]
-    # Pick per receiver: max count, then min label. Sorting by
-    # (receiver, -count, label) and keeping the first row per receiver
-    # implements exactly that ordering.
-    pick = np.lexsort((group_lab, -counts, group_recv))
-    sorted_recv = group_recv[pick]
-    first = np.empty(len(pick), dtype=bool)
-    first[0] = True
-    first[1:] = sorted_recv[1:] != sorted_recv[:-1]
-    winners = pick[first]
-    result[group_recv[winners]] = group_lab[winners]
+    # Labels as codes below 2**bits: offsets from the smallest label or,
+    # when those are too spread out for the packed key, ranks.
+    low, values = int(labels_in.min()), None
+    bits = (int(labels_in.max()) - low).bit_length()
+    if (max(n, len(receivers)) + 1) << bits < 1 << 63:
+        codes = labels_in - low
+    else:
+        values, codes = np.unique(labels_in, return_inverse=True)
+        bits = len(values).bit_length()
+    key = receivers << bits
+    key |= codes
+    key.sort()
+    starts = run_starts(key)  # one run per distinct (receiver, code)
+    counts = np.diff(starts, append=len(key))
+    key = key[starts]
+    # Runs are receiver-major: one reduceat per receiver over
+    # (count, -code) packed into a single integer.
+    mask = (1 << bits) - 1
+    receiver = key >> bits
+    first = run_starts(receiver)
+    best = np.maximum.reduceat((counts << bits) | (mask - (key & mask)), first)
+    winners = mask - (best & mask)
+    result[receiver[first]] = winners + low if values is None else values[winners]
     return result
 
 
@@ -70,32 +82,38 @@ def community_detection_lp(graph: Graph, *, iterations: int = 10) -> np.ndarray:
     if iterations < 0:
         raise GenerationError(f"iterations must be >= 0, got {iterations}")
     n = graph.num_vertices
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
 
-    # Message fabric: every CSR out-slot sends the source's label to the
-    # target. For undirected graphs the CSR already contains both
-    # directions. For directed graphs we additionally send along reversed
-    # edges so each vertex hears both in- and out-neighbors (bidirectional
-    # pairs then naturally count twice, per the spec).
-    out_sources = expand_sources(graph.out_indptr)
-    out_targets = graph.out_indices
+    # Message fabric, receiver-major: row v lists every vertex v hears.
+    # An undirected CSR already holds both directions; a directed vertex
+    # hears its out- and its in-neighbors, so the two CSRs are merged row
+    # by row (a bidirectional pair appears twice and counts twice, per
+    # the spec). Hearing is symmetric: v hears u iff u hears v.
+    indptr, heard_from = graph.out_indptr, graph.out_indices
     if graph.directed:
-        in_sources = expand_sources(graph.in_indptr)
-        in_targets = graph.in_indices
-        senders = np.concatenate([out_sources, in_sources])
-        receivers = np.concatenate([out_targets, in_targets])
-    else:
-        senders = out_sources
-        receivers = out_targets
+        rows = np.concatenate(
+            [expand_sources(graph.out_indptr), expand_sources(graph.in_indptr)]
+        )
+        heard_from = np.concatenate([graph.out_indices, graph.in_indices])[
+            np.argsort(rows, kind="stable")
+        ]
+        indptr = graph.out_indptr + graph.in_indptr
 
-    labels = graph.vertex_ids.astype(np.int64).copy()
+    by_id = np.argsort(graph.vertex_ids, kind="stable")
+    labels = np.empty(n, dtype=np.int64)
+    labels[by_id] = np.arange(n, dtype=np.int64)  # rank of each vertex's id
+    active = np.arange(n, dtype=np.int64)
     for _ in range(iterations):
-        heard = _most_frequent_min_label(n, receivers, labels[senders])
-        updated = labels.copy()
-        has_neighbors = heard >= 0
-        updated[has_neighbors] = heard[has_neighbors]
-        if np.array_equal(updated, labels):
+        slots, counts = gather_slots(indptr, active)
+        heard = _most_frequent_min_label(
+            n, np.repeat(active, counts), labels[heard_from[slots]]
+        )
+        changed = np.flatnonzero((heard >= 0) & (heard != labels))
+        if len(changed) == 0:
             break
-        labels = updated
-    return labels
+        labels[changed] = heard[changed]
+        # Only rows that hear a changed vertex can differ next round:
+        # by symmetry, the entries of the changed vertices' own rows.
+        hears_change = np.zeros(n, dtype=bool)
+        hears_change[heard_from[gather_slots(indptr, changed)[0]]] = True
+        active = np.flatnonzero(hears_change)
+    return graph.vertex_ids[by_id][labels]

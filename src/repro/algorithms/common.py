@@ -2,29 +2,40 @@
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
 
-__all__ = ["gather_neighbors", "expand_sources", "intersect_count"]
+__all__ = [
+    "gather_ranges", "gather_slots", "gather_neighbors", "expand_sources",
+    "run_starts",
+]
+
+
+def gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``np.concatenate([np.arange(s, s + c) for s, c in zip(starts,
+    counts)])`` without the Python loop."""
+    # Start of each range minus its offset in the output, laid out back
+    # to back; adding 0..total-1 walks every range in turn.
+    shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return shift + np.arange(len(shift), dtype=np.int64)
+
+
+def gather_slots(
+    indptr: np.ndarray, rows: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """(slots, counts): the CSR slot positions of ``rows``, concatenated
+    row by row (with repeats), and each row's slot count."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    return gather_ranges(starts, counts), counts
 
 
 def gather_neighbors(
     indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray
 ) -> np.ndarray:
-    """All neighbors of the frontier vertices, concatenated (with repeats).
-
-    Fully vectorized: equivalent to
-    ``np.concatenate([indices[indptr[v]:indptr[v+1]] for v in frontier])``
-    without the Python loop.
-    """
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=indices.dtype)
-    # Positions within each segment: 0..count-1, laid out back to back.
-    offsets = np.repeat(np.cumsum(counts) - counts, counts)
-    within = np.arange(total, dtype=np.int64) - offsets
-    return indices[np.repeat(starts, counts) + within]
+    """All neighbors of the frontier vertices, concatenated (with repeats)."""
+    return indices[gather_slots(indptr, frontier)[0]]
 
 
 def expand_sources(indptr: np.ndarray) -> np.ndarray:
@@ -33,12 +44,8 @@ def expand_sources(indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
 
 
-def intersect_count(a: np.ndarray, b: np.ndarray) -> int:
-    """|a ∩ b| for two sorted, duplicate-free int arrays."""
-    if len(a) == 0 or len(b) == 0:
-        return 0
-    if len(a) > len(b):
-        a, b = b, a
-    pos = np.searchsorted(b, a)
-    pos[pos == len(b)] = len(b) - 1
-    return int(np.count_nonzero(b[pos] == a))
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """Index of the first element of every run of equal values."""
+    if len(values) == 0:
+        return np.empty(0, dtype=np.int64)
+    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))

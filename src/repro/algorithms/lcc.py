@@ -12,64 +12,84 @@ contributes twice (both (u,w) and (w,u) are "in E") and the familiar
 ``2T / (d (d-1))`` formula is recovered. Vertices with fewer than two
 neighbors have LCC 0.
 
-This is the most demanding of the six algorithms — O(sum_v d(v)^2)
-neighborhood intersections — which is why the paper observes SLA failures
-for LCC on dense graphs (§4.2).
+This is the most demanding of the six algorithms, which is why the paper
+observes SLA failures for LCC on dense graphs (§4.2): intersecting every
+neighborhood walks O(sum_v d(v)^2) wedges. The kernel instead finds each
+triangle once, directed or not. The *support* graph has an edge {u, w}
+wherever an arc joins u and w, with multiplicity 1 (one-way arc) or 2
+(undirected edge, reciprocal pair); ``|N(v)|`` is v's support degree.
+Orienting support edges towards the higher (degree, index) endpoint
+keeps out-lists below sqrt(2|E|) and makes a triangle exactly one pair
+{w, x} of some out(u) joined by a support edge. The numerator of
+``lcc(v)`` counts, per triangle at v, the arcs between the other two
+corners — the multiplicity of the edge *opposite* v — and ``links /
+(d * (d - 1))`` is the definition's own integer division: exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import gather_neighbors
+from repro.algorithms.common import expand_sources, gather_ranges
 from repro.graph.graph import Graph
 
 __all__ = ["local_clustering_coefficient"]
+
+#: Pairs tested per vectorized step; bounds the transient memory.
+_WEDGE_CHUNK = 1 << 16
 
 
 def local_clustering_coefficient(graph: Graph, vertices=None) -> np.ndarray:
     """LCC of every vertex; returns a float64 array of values in [0, 1].
 
-    Per vertex, the neighborhood's out-edges are gathered in one
-    vectorized pass and membership-tested against the (sorted)
-    neighborhood with a single ``searchsorted`` — the Python-level loop
-    is only over vertices, not over the degree-squared edge pairs.
-
-    ``vertices`` restricts computation to the given dense indices (the
-    partitioned engine computes each shard's owned vertices this way);
-    the returned array is still full-length, zero elsewhere. Each
-    vertex's value depends only on its own neighborhood, so a sharded
-    union over any vertex partition is bit-identical to the full run.
+    ``vertices`` restricts the result to the given dense indices (a
+    shard of the partitioned engine asks for its owned vertices); the
+    array is still full-length, zero elsewhere. The subset masks one
+    whole-graph count, so any sharded union equals the full run.
     """
     n = graph.num_vertices
     result = np.zeros(n, dtype=np.float64)
     if n == 0:
         return result
 
-    out_indptr, out_indices = graph.out_indptr, graph.out_indices
-    in_indptr, in_indices = graph.in_indptr, graph.in_indices
-    directed = graph.directed
+    # Support edges lo < hi, sorted by key lo * n + hi, and their arcs.
+    sources, targets = expand_sources(graph.out_indptr), graph.out_indices
+    keys = np.minimum(sources, targets) * n + np.maximum(sources, targets)
+    keys, mult = np.unique(keys[sources != targets], return_counts=True)
+    lo, hi = np.divmod(keys, n)
+    degree = np.bincount(lo, minlength=n) + np.bincount(hi, minlength=n)
 
-    targets = range(n) if vertices is None else [int(v) for v in vertices]
-    for v in targets:
-        out_nb = out_indices[out_indptr[v]:out_indptr[v + 1]]
-        if directed:
-            in_nb = in_indices[in_indptr[v]:in_indptr[v + 1]]
-            neighborhood = np.union1d(out_nb, in_nb)
-        else:
-            neighborhood = out_nb  # already sorted and duplicate-free
-        neighborhood = neighborhood[neighborhood != v]
-        d = len(neighborhood)
-        if d < 2:
-            continue
-        # Count directed edges (u -> w) with both endpoints in the
-        # neighborhood: gather every neighbor's out-list at once and
-        # membership-test against the sorted neighborhood. (An
-        # undirected CSR stores each edge in both directions, so the
-        # count is over ordered pairs in both cases.)
-        candidates = gather_neighbors(out_indptr, out_indices, neighborhood)
-        pos = np.searchsorted(neighborhood, candidates)
-        pos[pos == d] = d - 1
-        links = int(np.count_nonzero(neighborhood[pos] == candidates))
-        result[v] = links / (d * (d - 1))
+    # Orient (lo < hi already breaks degree ties) and sort by (tail,
+    # head): row u of that CSR is out(u), heads ascending.
+    flip = degree[lo] > degree[hi]
+    oriented = np.where(flip, hi, lo) * n + np.where(flip, lo, hi)
+    order = np.argsort(oriented)
+    tail, head = np.divmod(oriented[order], n)
+    out_mult = mult[order]
+
+    # Slot i = (u -> w) pairs with every later slot j = (u -> x) of its
+    # row; w < x, so the closing support edge, if any, has key w * n + x.
+    slots = np.arange(len(keys))
+    partners = np.searchsorted(tail, tail, side="right") - 1 - slots
+    steps = np.arange(0, partners.sum() + _WEDGE_CHUNK, _WEDGE_CHUNK)
+    bounds = np.searchsorted(np.cumsum(partners), steps, side="right")
+    links = np.zeros(n, dtype=np.int64)
+    for begin, end in zip(bounds[:-1], bounds[1:]):
+        first = np.repeat(slots[begin:end], partners[begin:end])
+        second = gather_ranges(slots[begin:end] + 1, partners[begin:end])
+        closing_key = head[first] * n + head[second]
+        closing = np.searchsorted(keys, closing_key)
+        closing[closing == len(keys)] = 0
+        found = keys[closing] == closing_key
+        first, second, closing = first[found], second[found], closing[found]
+        # Triangle {u, w, x}: each corner gets the opposite edge's arcs.
+        np.add.at(links, tail[first], mult[closing])
+        np.add.at(links, head[first], out_mult[second])
+        np.add.at(links, head[second], out_mult[first])
+
+    rows = slice(None) if vertices is None else np.asarray(vertices, np.int64)
+    pairs = degree * (degree - 1)
+    wanted = np.zeros(n, dtype=bool)
+    wanted[rows] = pairs[rows] > 0
+    np.divide(links, pairs, out=result, where=wanted)
     return result

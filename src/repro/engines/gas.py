@@ -24,6 +24,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import GraphFormatError
+from repro.algorithms.sssp import check_sssp_input
 from repro.graph.graph import Graph
 
 __all__ = [
@@ -197,10 +198,7 @@ def bfs_gas_program(graph: Graph, source: int) -> Tuple[GASProgram, Callable]:
 
 def sssp_gas_program(graph: Graph, source: int) -> Tuple[GASProgram, Callable]:
     """SSSP as min-plus gather: d(v) = min(d(u) + w(u,v))."""
-    if not graph.is_weighted:
-        raise GraphFormatError("SSSP requires a weighted graph")
-    if not graph.has_vertex(source):
-        raise GraphFormatError(f"SSSP source vertex {source} not in graph")
+    check_sssp_input(graph, source)
     root = graph.index_of(source)
     program = GASProgram(
         name="sssp",

@@ -23,6 +23,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.exceptions import ConfigurationError, GraphFormatError
+from repro.algorithms.sssp import check_sssp_input
 from repro.graph.graph import Graph
 
 __all__ = [
@@ -295,10 +296,7 @@ def bfs_program(graph: Graph, source: int) -> Tuple[VertexProgram, Callable]:
 
 def sssp_program(graph: Graph, source: int) -> Tuple[VertexProgram, Callable]:
     """Pregel SSSP: relax on message, propagate distance + edge weight."""
-    if not graph.is_weighted:
-        raise GraphFormatError("SSSP requires a weighted graph")
-    if not graph.has_vertex(source):
-        raise GraphFormatError(f"SSSP source vertex {source} not in graph")
+    check_sssp_input(graph, source)
     root = graph.index_of(source)
 
     def init(g: Graph, v: int):

@@ -28,6 +28,7 @@ from repro.exceptions import GraphFormatError
 from repro.algorithms.cdlp import _most_frequent_min_label
 from repro.algorithms.common import expand_sources
 from repro.algorithms.lcc import local_clustering_coefficient
+from repro.algorithms.sssp import check_sssp_input
 from repro.graph.graph import Graph
 from repro.trace import current_tracer
 
@@ -204,10 +205,7 @@ def run_bfs(graph: Graph, source: int, engine=None) -> np.ndarray:
 
 def run_sssp(graph: Graph, source: int, engine=None) -> np.ndarray:
     """Bellman-Ford as iterated min-plus products with accumulate."""
-    if not graph.is_weighted:
-        raise GraphFormatError("SSSP requires a weighted graph")
-    if not graph.has_vertex(source):
-        raise GraphFormatError(f"SSSP source vertex {source} not in graph")
+    check_sssp_input(graph, source)
     engine = engine or SpMVEngine(graph)
     n = graph.num_vertices
     dist = np.full(n, np.inf)

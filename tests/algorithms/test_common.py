@@ -1,9 +1,43 @@
 """Tests for the shared CSR helpers."""
 
 import numpy as np
-import pytest
 
-from repro.algorithms.common import expand_sources, gather_neighbors, intersect_count
+from repro.algorithms.common import (
+    expand_sources,
+    gather_neighbors,
+    gather_ranges,
+    gather_slots,
+    run_starts,
+)
+
+
+class TestGatherRanges:
+    def test_matches_naive_concatenation(self):
+        starts = np.array([4, 0, 9, 2], dtype=np.int64)
+        counts = np.array([3, 0, 1, 2], dtype=np.int64)
+        expected = np.concatenate(
+            [np.arange(s, s + c) for s, c in zip(starts, counts)]
+        )
+        out = gather_ranges(starts, counts)
+        assert out.dtype == np.int64
+        assert np.array_equal(out, expected)
+
+    def test_no_ranges_and_all_empty_ranges(self):
+        empty = np.array([], dtype=np.int64)
+        assert len(gather_ranges(empty, empty)) == 0
+        assert len(gather_ranges(np.array([3, 7]), np.array([0, 0]))) == 0
+
+
+class TestGatherSlots:
+    def test_slots_and_counts(self, er_directed):
+        indptr = er_directed.out_indptr
+        rows = np.array([17, 0, 17, 3], dtype=np.int64)
+        slots, counts = gather_slots(indptr, rows)
+        assert np.array_equal(counts, indptr[rows + 1] - indptr[rows])
+        assert np.array_equal(
+            slots,
+            np.concatenate([np.arange(indptr[v], indptr[v + 1]) for v in rows]),
+        )
 
 
 class TestGatherNeighbors:
@@ -49,24 +83,11 @@ class TestExpandSources:
         assert len(expand_sources(np.array([0], dtype=np.int64))) == 0
 
 
-class TestIntersectCount:
-    @pytest.mark.parametrize(
-        "a,b,expected",
-        [
-            ([1, 3, 5], [3, 5, 7], 2),
-            ([1, 2], [3, 4], 0),
-            ([], [1, 2], 0),
-            ([1, 2, 3], [], 0),
-            ([1, 2, 3], [1, 2, 3], 3),
-            ([10], [5, 10, 15], 1),
-        ],
-    )
-    def test_cases(self, a, b, expected):
-        assert intersect_count(
-            np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-        ) == expected
+class TestRunStarts:
+    def test_first_index_of_every_run(self):
+        values = np.array([3, 3, 5, 5, 5, 9, 3])
+        assert run_starts(values).tolist() == [0, 2, 5, 6]
 
-    def test_swaps_for_shorter_first(self):
-        big = np.arange(0, 1000, 2)
-        small = np.array([4, 500, 999])
-        assert intersect_count(big, small) == intersect_count(small, big) == 2
+    def test_empty_and_single(self):
+        assert run_starts(np.array([], dtype=np.int64)).tolist() == []
+        assert run_starts(np.array([7])).tolist() == [0]

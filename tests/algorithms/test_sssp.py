@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GraphFormatError
-from repro.algorithms.sssp import SSSP_UNREACHABLE, single_source_shortest_paths
+from repro.algorithms import variants
+from repro.algorithms.sssp import (
+    SSSP_UNREACHABLE,
+    check_sssp_input,
+    single_source_shortest_paths,
+)
+from repro.engines import gas, pregel, spmv
 from repro.graph.graph import Graph
 
 
@@ -73,6 +79,46 @@ class TestValidation:
         g = weighted_graph([(0, 1, 1.0)])
         with pytest.raises(GraphFormatError, match="source vertex"):
             single_source_shortest_paths(g, 42)
+
+
+#: Everything that computes SSSP shares one input check.
+SSSP_IMPLEMENTATIONS = [
+    single_source_shortest_paths,
+    variants.sssp_dijkstra,
+    variants.sssp_delta_stepping,
+    variants.sssp_bellman_ford,
+    spmv.run_sssp,
+    gas.sssp_gas_program,
+    pregel.sssp_program,
+    check_sssp_input,
+]
+
+
+def _raw_weighted(weights):
+    """A 3-vertex path with weights the builder would have refused."""
+    return Graph(
+        vertex_ids=np.arange(3), src=np.array([0, 1]), dst=np.array([1, 2]),
+        directed=True, weights=np.array(weights),
+    )
+
+
+@pytest.mark.parametrize("run", SSSP_IMPLEMENTATIONS)
+class TestSharedInputCheck:
+    def test_unweighted_graph_rejected(self, run, path5):
+        with pytest.raises(GraphFormatError, match="weighted"):
+            run(path5, 0)
+
+    def test_unknown_source(self, run):
+        with pytest.raises(GraphFormatError, match="source vertex"):
+            run(_raw_weighted([1.0, 1.0]), 42)
+
+    @pytest.mark.parametrize("bad", [-0.5, float("nan"), float("-inf")])
+    def test_negative_and_nan_weights_rejected(self, run, bad):
+        with pytest.raises(GraphFormatError, match="non-negative"):
+            run(_raw_weighted([1.0, bad]), 0)
+
+    def test_zero_and_infinite_weights_accepted(self, run):
+        run(_raw_weighted([0.0, float("inf")]), 0)
 
 
 class TestAgainstNetworkx:

@@ -17,6 +17,7 @@ from repro.algorithms.variants import (
     bfs_queue,
     sssp_bellman_ford,
     sssp_delta_stepping,
+    sssp_dijkstra,
 )
 from repro.exceptions import GraphFormatError
 from repro.graph.generators import erdos_renyi
@@ -65,7 +66,7 @@ class TestBfsVariants:
 
 class TestSsspVariants:
     @pytest.mark.parametrize(
-        "variant", [sssp_delta_stepping, sssp_bellman_ford]
+        "variant", [sssp_delta_stepping, sssp_bellman_ford, sssp_dijkstra]
     )
     def test_equivalent_on_fixture(self, variant, er_weighted):
         source = int(er_weighted.vertex_ids[0])
@@ -84,7 +85,7 @@ class TestSsspVariants:
             sssp_delta_stepping(er_weighted, int(er_weighted.vertex_ids[0]), delta=0)
 
     @pytest.mark.parametrize(
-        "variant", [sssp_delta_stepping, sssp_bellman_ford]
+        "variant", [sssp_delta_stepping, sssp_bellman_ford, sssp_dijkstra]
     )
     def test_unweighted_rejected(self, variant, er_undirected):
         with pytest.raises(GraphFormatError):

@@ -156,3 +156,25 @@ class TestSpMVMechanics:
         x = np.ones(8)
         y = engine.spmv(x, PLUS_TIMES, unit_weights=True)
         assert np.allclose(y, 2.0)  # every vertex hears both neighbors
+
+    @pytest.mark.parametrize("fixture", ["er_undirected", "er_directed"])
+    def test_label_mode_row_blocks_union_to_the_full_product(
+        self, fixture, request
+    ):
+        # The sharded CDLP contract: a row block hears, for its rows,
+        # exactly what the full engine hears — with labels that are
+        # external ids past 2**53 (distinct as int64, equal as float64).
+        graph = request.getfixturevalue(fixture)
+        n = graph.num_vertices
+        labels = (1 << 53) + np.arange(n, dtype=np.int64)[::-1] // 3
+        full = SpMVEngine(graph).label_mode(labels)
+        assert full.dtype == np.int64
+        assert (full >= 1 << 53).any()
+        union = np.full(n, -1, dtype=np.int64)
+        for block in (np.arange(0, n, 2), np.arange(1, n, 2)):
+            part = SpMVEngine(graph, rows=block).label_mode(labels)
+            outside = np.ones(n, dtype=bool)
+            outside[block] = False
+            assert (part[outside] == -1).all()
+            union[block] = part[block]
+        assert union.tobytes() == full.tobytes()
