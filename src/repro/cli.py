@@ -203,22 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--repetitions", type=int, default=6)
     ana.add_argument("--seed", type=int, default=0)
 
-    repo = sub.add_parser(
-        "repository", help="query a public results repository directory"
-    )
-    repo.add_argument("directory")
-    repo_sub = repo.add_subparsers(dest="repo_command", required=True)
-    repo_sub.add_parser("list", help="list stored runs")
-    best = repo_sub.add_parser("best", help="fastest platform for a workload")
-    best.add_argument("algorithm")
-    best.add_argument("dataset")
-    regress = repo_sub.add_parser(
-        "regressions", help="workloads slower in a newer run"
-    )
-    regress.add_argument("old_run")
-    regress.add_argument("new_run")
-    regress.add_argument("--threshold", type=float, default=1.10)
-
     db = sub.add_parser(
         "db", help="canned queries over the SQLite results store"
     )
@@ -229,6 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
              "defaults to <directory>/results.db)",
     )
     db_sub = db.add_subparsers(dest="db_command", required=True)
+    db_sub.add_parser(
+        "runs", help="stored runs: id, system under test, job count"
+    )
     db_top = db_sub.add_parser(
         "top", help="platform leaderboard for one workload"
     )
@@ -284,25 +271,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="report format",
     )
     lint.add_argument(
-        "--baseline", default=None,
-        help="baseline file of grandfathered findings "
-             "(default: lint-baseline.json at the project root)",
-    )
-    lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="report every finding, ignoring the baseline",
-    )
-    lint.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings as the new baseline and exit 0",
-    )
-    lint.add_argument(
         "--select", nargs="*", default=None,
         help="run only these rule ids (e.g. DET001 CON002)",
-    )
-    lint.add_argument(
-        "--show-baselined", action="store_true",
-        help="also print findings covered by the baseline",
     )
     lint.add_argument(
         "--list-rules", action="store_true",
@@ -866,46 +836,6 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_repository(args) -> int:
-    from repro.harness.repository import ResultsRepository
-
-    repo = ResultsRepository(args.directory)
-    if args.repo_command == "list":
-        run_ids = repo.run_ids()
-        if not run_ids:
-            print("(no runs stored)")
-            return 0
-        for run_id in run_ids:
-            meta = repo.metadata(run_id)
-            jobs = len(repo.load(run_id))
-            print(f"{run_id:24s} {meta.system_under_test:32s} {jobs} jobs")
-        return 0
-    if args.repo_command == "best":
-        best = repo.best_platform(args.algorithm, args.dataset)
-        if best is None:
-            print("no compliant result for that workload")
-            return 1
-        print(
-            f"{best['platform']} at {best['tproc']:.3g} s "
-            f"(run {best['run_id']})"
-        )
-        return 0
-    # regressions
-    found = repo.regressions(
-        args.old_run, args.new_run, threshold=args.threshold
-    )
-    if not found:
-        print("no regressions")
-        return 0
-    for regression in found:
-        print(
-            f"{regression.platform} {regression.algorithm} on "
-            f"{regression.dataset}: {regression.old_seconds:.3g} s -> "
-            f"{regression.new_seconds:.3g} s ({regression.slowdown:.2f}x)"
-        )
-    return 1
-
-
 def _resolve_store_path(value, *, must_exist: bool = True):
     """``--store`` -> a ``results.db`` path; accepts a directory too."""
     from pathlib import Path
@@ -953,6 +883,13 @@ def _cmd_db(args) -> int:
         return 0
 
     with ResultsStore(_resolve_store_path(args.store)) as store:
+        if args.db_command == "runs":
+            stored = queries.runs(store)
+            if not stored:
+                print("(no runs stored)")
+            for run_id, system_under_test, jobs in stored:
+                print(f"{run_id:24s} {system_under_test:32s} {jobs} jobs")
+            return 0
         if args.db_command == "top":
             entries = queries.top(
                 store, args.algorithm, args.dataset, limit=args.limit
@@ -985,16 +922,13 @@ def _cmd_db(args) -> int:
         if args.db_command == "regressions":
             from repro.granula.visualizer import render_store_regressions
 
-            found = queries.regressions(
+            # One query feeds the table and the exit status: on a live
+            # spool two reads of the store could disagree.
+            query = queries.regression_query(
                 store, args.old_run, args.new_run, threshold=args.threshold
             )
-            print(
-                render_store_regressions(
-                    store, args.old_run, args.new_run,
-                    threshold=args.threshold,
-                )
-            )
-            return 1 if found else 0
+            print(render_store_regressions(query))
+            return 1 if query.regressions else 0
         if args.db_command == "timeline":
             from repro.granula.visualizer import render_store_run
 
@@ -1017,13 +951,9 @@ def _cmd_lint(args) -> int:
     from repro.lint import (
         LintEngine,
         all_rules,
-        load_baseline,
         load_config,
-        partition_findings,
         render_json,
         render_text,
-        stale_entries,
-        write_baseline,
     )
 
     if args.list_rules:
@@ -1034,8 +964,6 @@ def _cmd_lint(args) -> int:
         return 0
 
     config = load_config()
-    if args.baseline:
-        config.baseline = args.baseline
     if args.select:
         config.select = list(args.select)
     if args.no_project:
@@ -1048,33 +976,10 @@ def _cmd_lint(args) -> int:
 
         paths = [Path(repro.__file__).parent]
 
-    engine = LintEngine(config)
-    findings = engine.run(paths)
-
-    if args.write_baseline:
-        path = write_baseline(config.baseline_path, findings)
-        print(f"baseline with {len(findings)} findings written to {path}")
-        return 0
-
-    if args.no_baseline:
-        baseline = {}
-    else:
-        baseline = load_baseline(config.baseline_path)
-    new, baselined = partition_findings(findings, baseline)
-    stale = stale_entries(findings, baseline)
-
-    if args.format == "json":
-        print(render_json(new, baselined, stale=stale))
-    else:
-        print(
-            render_text(
-                new,
-                baselined,
-                verbose_baseline=args.show_baselined,
-                stale=stale,
-            )
-        )
-    return 1 if new else 0
+    findings = LintEngine(config).run(paths)
+    render = render_json if args.format == "json" else render_text
+    print(render(findings))
+    return 1 if findings else 0
 
 
 def _cmd_full_run(args) -> int:
@@ -1445,8 +1350,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_materialize(args)
         if args.command == "estimate":
             return _cmd_estimate(args)
-        if args.command == "repository":
-            return _cmd_repository(args)
         if args.command == "db":
             return _cmd_db(args)
         if args.command == "analyze":

@@ -141,14 +141,16 @@ def render_store_run(store, run_id: str) -> str:
     return "\n".join(lines)
 
 
-def render_store_regressions(
-    store, old_run: str, new_run: str, *, threshold: float = 1.10
-) -> str:
-    """Regression table between two stored runs, from the canned query."""
-    # Lazy import: granula must stay importable without the store layer.
-    from repro.resultsdb.queries import regressions
+def render_store_regressions(query) -> str:
+    """Regression table between two stored runs.
 
-    found = regressions(store, old_run, new_run, threshold=threshold)
+    ``query`` is the :class:`repro.resultsdb.queries.RegressionQuery` a
+    caller already ran (typed loosely so the Granula layer stays
+    importable without the store): the table and whatever else the
+    caller derives from it — the CLI's exit status — share one answer.
+    """
+    old_run, new_run, threshold = query.old_run, query.new_run, query.threshold
+    found = query.regressions
     if not found:
         return (
             f"no regressions: {new_run} vs {old_run} "

@@ -13,12 +13,11 @@ had: on platforms without ``fcntl`` the lock degraded to *no mutual
 exclusion at all*, while a transaction is exclusive on every platform
 SQLite runs on. This module no longer imports ``fcntl`` for anything.
 
-A directory holding legacy ``{run_id}.json`` archives keeps working:
-the facade imports any archive the store does not know yet on first
-contact (non-destructively — the JSON files stay where they are), so
-pre-existing repositories answer through the same API without an
-explicit migration step. ``graphalytics db import`` does the same thing
-with verification and reporting for deliberate migrations.
+A directory of legacy ``{run_id}.json`` archives is migrated once, with
+``graphalytics db import <directory>`` (one transaction, byte-identical
+round-trip verified, torn files reported instead of skipped); the
+facade itself never reads them, so an un-imported directory lists no
+runs.
 
 The cross-run queries (:meth:`ResultsRepository.best_platform`,
 :meth:`ResultsRepository.regressions`) delegate to the canned queries
@@ -28,7 +27,6 @@ exact answers.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,50 +64,18 @@ class RunMetadata:
 class ResultsRepository:
     """A directory-rooted repository of validated benchmark runs.
 
-    The root directory holds one ``results.db`` store; legacy JSON run
-    archives found next to it are absorbed (read-only) on first use.
+    The root directory holds one ``results.db`` store.
     """
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._store = ResultsStore(self.root / STORE_NAME)
-        self._absorb_legacy_archives()
 
     @property
     def store(self) -> ResultsStore:
         """The underlying results store (for canned queries, stats)."""
         return self._store
-
-    def _absorb_legacy_archives(self) -> None:
-        """Import pre-store ``{run_id}.json`` archives, at most once each.
-
-        Dot-prefixed files are the legacy layout's sidecars
-        (``.index.json``, ``.lock``) — never run archives, since run
-        ids cannot start with a dot. Absorption is non-destructive and
-        idempotent: archives already known to the store are skipped, so
-        a repository that mixes eras (old JSON runs, new store runs)
-        settles into one query surface.
-        """
-        known = set(self._store.run_ids())
-        payloads = []
-        for path in sorted(self.root.glob("*.json")):
-            if path.name.startswith(".") or path.stem in known:
-                continue
-            try:
-                payload = json.loads(path.read_text(encoding="utf-8"))
-            except (OSError, json.JSONDecodeError):
-                continue  # foreign or torn file; not a legacy archive
-            metadata = payload.get("metadata")
-            if not isinstance(metadata, dict):
-                continue
-            if str(metadata.get("run_id", "")) != path.stem:
-                continue
-            if not payload.get("results"):
-                continue
-            payloads.append(payload)
-        if payloads:
-            self._store.submit_payloads(payloads)
 
     # -- submission ---------------------------------------------------------
 
@@ -177,10 +143,7 @@ class ResultsRepository:
         """Run id -> summary; derived from the store, no shadow file."""
         return {
             run_id: {"system_under_test": sut, "jobs": jobs}
-            for run_id, sut, jobs in self._store.query(
-                "SELECT run_id, system_under_test, job_count FROM runs"
-                " ORDER BY run_id"
-            )
+            for run_id, sut, jobs in _queries.runs(self._store)
         }
 
     # -- cross-run analysis -------------------------------------------------

@@ -11,8 +11,7 @@ trusting results. This one verifies, in seconds:
   validated against precomputed invariants;
 * calibration anchors — the Table 8 headline numbers still hold;
 * determinism — two fresh runs of one job agree bit for bit;
-* lint — the static determinism/conformance analyzer reports nothing
-  beyond the committed baseline.
+* lint — the static determinism/conformance analyzer reports nothing.
 
 Exposed as ``graphalytics selfcheck``; each check returns a
 :class:`CheckResult` so failures are reportable individually.
@@ -141,26 +140,17 @@ def _check_lint() -> str:
     from pathlib import Path
 
     import repro
-    from repro.lint import (
-        LintEngine,
-        load_baseline,
-        load_config,
-        partition_findings,
-    )
+    from repro.lint import LintEngine, load_config
 
-    config = load_config(Path(repro.__file__))
-    engine = LintEngine(config)
+    engine = LintEngine(load_config(Path(repro.__file__)))
     findings = engine.run([Path(repro.__file__).parent])
-    baseline = load_baseline(config.baseline_path)
-    new, baselined = partition_findings(findings, baseline)
-    if new:
-        first = new[0]
+    if findings:
+        first = findings[0]
         raise AssertionError(
-            f"{len(new)} non-baseline lint findings; first: "
+            f"{len(findings)} lint findings; first: "
             f"{first.path}:{first.line} {first.rule_id} {first.message}"
         )
-    suffix = f" ({len(baselined)} baselined)" if baselined else ""
-    return f"static analysis clean{suffix}"
+    return "static analysis clean"
 
 
 #: name -> check body (raises AssertionError on failure).

@@ -13,16 +13,11 @@ sources:
     >>> findings = engine.run(["src/repro"])
 
 Exposed on the command line as ``graphalytics lint`` (exit code 1 on
-findings beyond the committed baseline) and as the ``lint`` probe of
-``graphalytics selfcheck``. See ``docs/lint.md``.
+any finding; ``# lint: disable=`` comments are the one way to
+grandfather one) and as the ``lint`` probe of ``graphalytics
+selfcheck``. See ``docs/lint.md``.
 """
 
-from repro.lint.baseline import (
-    load_baseline,
-    partition_findings,
-    stale_entries,
-    write_baseline,
-)
 from repro.lint.config import LintConfig, find_project_root, load_config
 from repro.lint.core import (
     Finding,
@@ -49,10 +44,6 @@ __all__ = [
     "register_rule",
     "load_config",
     "find_project_root",
-    "load_baseline",
-    "write_baseline",
-    "partition_findings",
-    "stale_entries",
     "ProjectModel",
     "render_text",
     "render_json",

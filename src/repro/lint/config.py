@@ -3,13 +3,9 @@
 ``pyproject.toml`` keys (all optional)::
 
     [tool.graphalytics.lint]
-    baseline = "lint-baseline.json"   # relative to the project root
     select   = ["DET001", "DET002"]   # empty/absent = every rule
     ignore   = ["REP001"]
     exclude  = ["tests/*"]            # glob patterns on relative paths
-
-    [tool.graphalytics.lint.scopes]
-    DET001 = ["algorithms", "engines"]  # override a rule's scope
 
 The reader uses :mod:`tomllib` on Python >= 3.11 and falls back to a
 minimal parser (string/list-of-string keys only, which is all this
@@ -21,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 __all__ = ["LintConfig", "load_config", "find_project_root"]
 
@@ -30,24 +26,13 @@ __all__ = ["LintConfig", "load_config", "find_project_root"]
 class LintConfig:
     """Resolved lint settings for one run."""
 
-    root: Optional[Path] = None          # project root (baseline anchor)
-    baseline: str = "lint-baseline.json"
+    root: Optional[Path] = None          # project root (finding paths)
     select: List[str] = field(default_factory=list)   # empty = all rules
     ignore: List[str] = field(default_factory=list)
     exclude: List[str] = field(default_factory=list)
-    scopes: Dict[str, List[str]] = field(default_factory=dict)
     #: Whether to build the whole-program ProjectModel and run the
     #: interprocedural (check_project) phase. Off = per-file rules only.
     project: bool = True
-
-    @property
-    def baseline_path(self) -> Optional[Path]:
-        if not self.baseline:
-            return None
-        path = Path(self.baseline)
-        if not path.is_absolute() and self.root is not None:
-            path = Path(self.root) / path
-        return path
 
 
 def find_project_root(start: Optional[Path] = None) -> Optional[Path]:
@@ -115,8 +100,8 @@ def _parse_toml_minimal(text: str) -> Dict[str, object]:
 def load_config(start: Optional[Path] = None) -> LintConfig:
     """Read lint settings from the nearest ``pyproject.toml``.
 
-    Returns defaults (no baseline anchor) when no project root exists —
-    the engine still runs, just without a baseline or scope overrides.
+    Returns defaults when no project root exists — the engine still
+    runs, reporting paths relative to the working directory.
     """
     root = find_project_root(start)
     if root is None:
@@ -127,18 +112,10 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
         if isinstance(data.get("tool", {}), dict)
         else {}
     )
-    scopes_raw = section.get("scopes", {})
-    scopes = {
-        str(rule): [str(s) for s in seg]
-        for rule, seg in scopes_raw.items()
-        if isinstance(seg, (list, tuple))
-    }
     return LintConfig(
         root=root,
-        baseline=str(section.get("baseline", "lint-baseline.json")),
         select=[str(r) for r in section.get("select", [])],
         ignore=[str(r) for r in section.get("ignore", [])],
         exclude=[str(p) for p in section.get("exclude", [])],
-        scopes=scopes,
         project=bool(section.get("project", True)),
     )

@@ -4,8 +4,7 @@ The benchmark's validity rests on invariants the test suite cannot see
 — determinism of the six kernels, the Pregel/GAS state contract, the
 driver lifecycle, metered reporting. :mod:`repro.lint` enforces them
 statically: every rule is an AST pass over the repro sources, producing
-:class:`Finding` records that the CLI diffs against a committed
-baseline (see :mod:`repro.lint.baseline`).
+:class:`Finding` records; any finding fails the run.
 
 Design:
 
@@ -14,11 +13,12 @@ Design:
   time and yields findings;
 * rules declare a *scope* — path segments (``algorithms``, ``engines``,
   ...) the rule applies to — so kernel-only invariants do not fire on
-  the CLI; scopes are overridable from ``pyproject.toml``;
+  the CLI;
 * ``# lint: disable=DET001`` comments (same line, or a standalone
-  comment on the line above) suppress findings at the source; a
-  directive on the first line of a multi-line statement (or on a
-  decorator) covers the statement's full span;
+  comment on the line above) suppress findings at the source — the one
+  grandfathering mechanism; a directive on the first line of a
+  multi-line statement (or on a decorator) covers the statement's full
+  span;
 * the engine runs in **two phases**: phase 1 parses every file once
   and builds a whole-program :class:`~repro.lint.project.ProjectModel`
   (symbol tables, import graph, approximate call graph, mutable-state
@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import ast
 import re
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -78,21 +77,7 @@ class Finding:
     line: int
     col: int
     message: str
-    symbol: str = ""   # enclosing function/class, for stable fingerprints
-    #: Occurrence index among identical (rule, path, symbol, message)
-    #: findings, assigned in source order by the engine. Without it,
-    #: two identical findings in the same function would share one
-    #: baseline fingerprint — and fixing one would silently hide the
-    #: other behind the survivor's budget.
-    occurrence: int = 0
-
-    @property
-    def fingerprint(self) -> str:
-        """Baseline identity: stable across unrelated line drift."""
-        return (
-            f"{self.rule_id}::{self.path}::{self.symbol}::{self.message}"
-            f"::{self.occurrence}"
-        )
+    symbol: str = ""   # enclosing function/class
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -103,7 +88,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "symbol": self.symbol,
-            "occurrence": self.occurrence,
         }
 
 
@@ -264,12 +248,11 @@ class Rule:
     #: Path segments (directory or module names) this rule applies to.
     scope: Optional[Tuple[str, ...]] = None
 
-    def applies_to(self, module: Module, scope: Optional[Sequence[str]]) -> bool:
-        effective = tuple(scope) if scope is not None else self.scope
-        if not effective:
+    def applies_to(self, module: Module) -> bool:
+        if not self.scope:
             return True
         names = set(module.segments) | {module.stem}
-        return any(part in names for part in effective)
+        return any(part in names for part in self.scope)
 
     def check(self, module: Module) -> Iterator[Finding]:
         """Per-file pass; the default checks nothing."""
@@ -278,13 +261,6 @@ class Rule:
     def check_project(self, project: "ProjectModel") -> Iterator[Finding]:
         """Whole-program pass; the default checks nothing."""
         return iter(())
-
-    def project_finding(
-        self, module: Module, node: ast.AST, message: str
-    ) -> Finding:
-        """A finding emitted from :meth:`check_project`, anchored to a
-        node of one of the project's modules."""
-        return module.finding(self, node, message)
 
 
 _REGISTRY: Dict[str, Rule] = {}
@@ -425,8 +401,7 @@ class LintEngine:
         """Phase-2a findings: every per-file rule over one module."""
         findings: List[Finding] = []
         for rule in self.rules:
-            scope_override = self.config.scopes.get(rule.rule_id)
-            if not rule.applies_to(module, scope_override):
+            if not rule.applies_to(module):
                 continue
             for finding in rule.check(module):
                 if not module.is_suppressed(finding):
@@ -437,7 +412,7 @@ class LintEngine:
         """Phase 1 + 2b: build the project model, run project rules."""
         from repro.lint.project import ProjectModel
 
-        project = ProjectModel.build(modules, scope_overrides=self.config.scopes)
+        project = ProjectModel.build(modules)
         findings: List[Finding] = []
         for rule in self.rules:
             for finding in rule.check_project(project):
@@ -445,28 +420,6 @@ class LintEngine:
                 if module is None or not module.is_suppressed(finding):
                     findings.append(finding)
         return findings
-
-    @staticmethod
-    def _finalize(findings: List[Finding]) -> List[Finding]:
-        """Sort, then assign occurrence indices in source order so
-        identical findings get distinct baseline fingerprints."""
-        findings.sort(
-            key=lambda f: (f.path, f.line, f.col, f.rule_id, f.message)
-        )
-        seen: Counter = Counter()
-        out: List[Finding] = []
-        for finding in findings:
-            key = (finding.rule_id, finding.path, finding.symbol, finding.message)
-            out.append(replace(finding, occurrence=seen[key]))
-            seen[key] += 1
-        return out
-
-    def lint_file(self, path: Path) -> List[Finding]:
-        """Per-file rules over one file (no whole-program phase)."""
-        module, syntax_finding = self._parse_module(path)
-        if module is None:
-            return [syntax_finding]
-        return self._finalize(self._module_findings(module))
 
     def run(self, paths: Sequence[Path]) -> List[Finding]:
         """Lint every python file under the given paths, sorted.
@@ -484,6 +437,9 @@ class LintEngine:
                 continue
             modules.append(module)
             findings.extend(self._module_findings(module))
-        if modules and getattr(self.config, "project", True):
+        if modules and self.config.project:
             findings.extend(self._project_findings(modules))
-        return self._finalize(findings)
+        findings.sort(
+            key=lambda f: (f.path, f.line, f.col, f.rule_id, f.message)
+        )
+        return findings

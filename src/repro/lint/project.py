@@ -316,10 +316,9 @@ class ModuleInfo:
 class ProjectModel:
     """The assembled whole-program view handed to phase-2 rules."""
 
-    def __init__(self, scope_overrides: Optional[Dict[str, List[str]]] = None):
+    def __init__(self):
         self.modules: Dict[str, ModuleInfo] = {}
         self._by_rel_path: Dict[str, ModuleInfo] = {}
-        self.scope_overrides: Dict[str, List[str]] = dict(scope_overrides or {})
         self._suffix_cache: Dict[str, Optional[ModuleInfo]] = {}
         self.import_graph: Dict[str, Set[str]] = {}
         self.call_graph = None                      # set by build()
@@ -333,14 +332,10 @@ class ProjectModel:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(
-        cls,
-        modules: List[Module],
-        scope_overrides: Optional[Dict[str, List[str]]] = None,
-    ) -> "ProjectModel":
+    def build(cls, modules: List[Module]) -> "ProjectModel":
         from repro.lint.callgraph import CallGraph
 
-        project = cls(scope_overrides)
+        project = cls()
         for module in modules:
             info = ModuleInfo(cls.module_name(module.rel_path), module)
             project.modules[info.name] = info
@@ -390,9 +385,6 @@ class ProjectModel:
     def module_for_path(self, rel_path: str) -> Optional[Module]:
         info = self._by_rel_path.get(rel_path)
         return info.module if info is not None else None
-
-    def info_for_path(self, rel_path: str) -> Optional[ModuleInfo]:
-        return self._by_rel_path.get(rel_path)
 
     def resolve_module(self, dotted: str) -> Optional[ModuleInfo]:
         """The linted module a dotted import path refers to, if any.

@@ -2,82 +2,53 @@
 
 Text output is one line per finding in the familiar
 ``path:line:col: RULE message`` shape, followed by a per-rule summary.
-JSON output is a stable document (version, findings, per-rule counts,
-new/baselined split) for CI consumers.
+JSON output is a stable document (version, findings, per-rule counts)
+for CI consumers.
 """
 
 from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.lint.core import Finding
 
 __all__ = ["render_text", "render_json"]
 
 
-def render_text(
-    new: Sequence[Finding],
-    baselined: Sequence[Finding] = (),
-    *,
-    verbose_baseline: bool = False,
-    stale: Sequence[str] = (),
-) -> str:
-    """One line per new finding + summary; '' when everything is clean."""
+def render_text(findings: Sequence[Finding]) -> str:
+    """One line per finding + a per-rule summary line."""
+    if not findings:
+        return "lint: clean (0 findings)"
     lines: List[str] = []
-    for finding in new:
+    for finding in findings:
         suffix = f" [{finding.symbol}]" if finding.symbol else ""
         lines.append(
             f"{finding.path}:{finding.line}:{finding.col}: "
             f"{finding.rule_id} {finding.message}{suffix}"
         )
-    if verbose_baseline:
-        for finding in baselined:
-            lines.append(
-                f"{finding.path}:{finding.line}:{finding.col}: "
-                f"{finding.rule_id} (baselined) {finding.message}"
-            )
-    if stale:
-        for fingerprint in stale:
-            lines.append(f"stale baseline entry (finding fixed): {fingerprint}")
-        lines.append(
-            f"note: {len(stale)} stale baseline "
-            f"entr{'ies' if len(stale) != 1 else 'y'} — regenerate with "
-            f"--write-baseline to drop them"
-        )
-    if not new and not baselined:
-        lines.append("lint: clean (0 findings)")
-        return "\n".join(lines)
-    counts = Counter(f.rule_id for f in new)
+    counts = Counter(f.rule_id for f in findings)
     summary = ", ".join(f"{rule}: {n}" for rule, n in sorted(counts.items()))
     lines.append(
-        f"lint: {len(new)} new finding{'s' if len(new) != 1 else ''}"
-        + (f" ({summary})" if summary else "")
-        + (f", {len(baselined)} baselined" if baselined else "")
+        f"lint: {len(findings)} new finding{'s' if len(findings) != 1 else ''}"
+        f" ({summary})"
     )
     return "\n".join(lines)
 
 
-def render_json(
-    new: Sequence[Finding],
-    baselined: Sequence[Finding] = (),
-    *,
-    stale: Sequence[str] = (),
-) -> str:
-    """Stable JSON document covering both new and baselined findings."""
-    def rows(findings: Sequence[Finding], is_baselined: bool):
-        return [
-            dict(f.as_dict(), baselined=is_baselined) for f in findings
-        ]
+def render_json(findings: Sequence[Finding]) -> str:
+    """Stable JSON document of the findings.
 
-    counts: Dict[str, int] = dict(Counter(f.rule_id for f in new))
+    Version 2: version 1 also carried the retired baseline's split
+    (``baselined``/``stale`` keys, a per-row ``baselined`` flag and an
+    ``occurrence`` index); ``new`` is simply the finding count now.
+    """
+    counts: Dict[str, int] = dict(Counter(f.rule_id for f in findings))
     payload = {
-        "version": 1,
-        "new": len(new),
-        "baselined": len(baselined),
-        "stale": list(stale),
+        "version": 2,
+        "new": len(findings),
         "counts": {k: counts[k] for k in sorted(counts)},
-        "findings": rows(new, False) + rows(baselined, True),
+        "findings": [f.as_dict() for f in findings],
     }
     return json.dumps(payload, indent=2)

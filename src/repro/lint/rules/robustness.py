@@ -219,155 +219,13 @@ def _open_mode(call: ast.Call, *, is_method: bool) -> Optional[ast.expr]:
     return None
 
 
-def _is_truncating_mode(mode: Optional[ast.expr]) -> bool:
-    # Only constant modes are decidable; "w" and "x" truncate/replace,
-    # append and read modes do not.
-    return (
-        isinstance(mode, ast.Constant)
-        and isinstance(mode.value, str)
-        and any(flag in mode.value for flag in ("w", "x"))
-    )
-
-
-def _truncating_writes(tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
-    """Every in-place truncating write under ``tree``, with a short
-    description of the offending call — shared by the per-file pass and
-    the interprocedural taint pass."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in _WRITE_METHODS:
-            yield node, f".{func.attr}()"
-            continue
-        is_open = (
-            isinstance(func, ast.Name) and func.id == "open"
-        ) or (
-            isinstance(func, ast.Attribute) and func.attr == "open"
-        )
-        if not is_open:
-            continue
-        mode = _open_mode(node, is_method=isinstance(func, ast.Attribute))
-        if _is_truncating_mode(mode):
-            yield node, f"open(..., {mode.value!r})"  # type: ignore[union-attr]
-
-
-@register_rule
-class AtomicArtifactWriteRule(Rule):
-    """ROB001: run artifact written without ``atomic_write``.
-
-    ``open(path, "w")`` truncates the destination before the new bytes
-    are written, and ``Path.write_text`` is the same operation spelled
-    differently: a crash (SIGKILL, OOM) between truncate and close
-    leaves a torn or empty file where the last good artifact used to
-    be. Resumable runs depend on every results database, report,
-    baseline, and journal checkpoint surviving a crash, so run
-    artifacts must be produced via :func:`repro.ioutil.atomic_write`
-    (temp file + fsync + atomic rename). Append-mode opens are exempt:
-    appends never destroy prior records, and the write-ahead journal
-    itself is an append-only file.
+def _file_writes(tree: ast.AST, flags: str) -> Iterator[Tuple[ast.Call, str]]:
+    """Every file-writing call under ``tree`` with a short description:
+    ``write_text``/``write_bytes``, and ``open`` with a constant mode
+    containing one of ``flags`` — ``"wx"`` selects the writes that
+    truncate or replace, ``"wxa+"`` every mode that can emit bytes.
+    Dynamic modes are undecidable and stay unflagged.
     """
-
-    rule_id = "ROB001"
-    severity = Severity.ERROR
-    description = (
-        "run artifacts must be written via repro.ioutil.atomic_write, "
-        "not in-place open('w')/write_text"
-    )
-    scope = ("harness", "runtime", "granula", "lint")
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        for node, desc in _truncating_writes(module.tree):
-            if desc.startswith("."):
-                yield module.finding(
-                    self, node,
-                    f"`{desc}` replaces the file non-atomically; "
-                    f"a crash mid-write leaves a torn artifact — use "
-                    f"repro.ioutil.atomic_write",
-                )
-            else:
-                yield module.finding(
-                    self, node,
-                    f"`{desc}` truncates in place; a "
-                    f"crash mid-write leaves a torn run artifact — use "
-                    f"repro.ioutil.atomic_write (append modes are exempt)",
-                )
-
-    def check_project(self, project) -> Iterator[Finding]:
-        """Interprocedural pass: an in-scope module that routes its
-        write through a helper in an *out-of-scope* module (``from
-        repro.util import dump_json``) still tears the artifact on
-        crash — the per-file pass never sees the helper's ``open``.
-        Taint every out-of-scope function containing a truncating
-        write, close over reverse call edges, and flag the in-scope
-        call sites that cross into the tainted region.
-        """
-        scope = project.scope_overrides.get(self.rule_id)
-        tainted: Dict[str, str] = {}
-        for info in project.modules.values():
-            if self.applies_to(info.module, scope):
-                continue  # in-scope writes are the per-file pass's job
-            for node, desc in _truncating_writes(info.module.tree):
-                fn = info.function_at(node)
-                if fn is not None:
-                    tainted.setdefault(fn.key, desc)
-        if not tainted:
-            return
-        sink = self._sink_origins(project.call_graph, tainted)
-        for site in project.call_graph.call_sites:
-            callee = project.call_graph.nodes.get(site.callee)
-            caller = project.call_graph.nodes.get(site.caller)
-            if callee is None or caller is None or site.callee not in sink:
-                continue
-            if self.applies_to(callee.module.module, scope):
-                continue  # the callee's own write is flagged directly
-            if not self.applies_to(caller.module.module, scope):
-                continue  # only flag where the taint enters scoped code
-            root = sink[site.callee]
-            yield caller.module.module.finding(
-                self, site.node,
-                f"call to `{site.callee}` ends in a non-atomic "
-                f"`{tainted[root]}` (inside `{root}`); the artifact is "
-                f"torn on crash exactly as if written here — route the "
-                f"write through repro.ioutil.atomic_write",
-            )
-
-    @staticmethod
-    def _sink_origins(graph, tainted: Dict[str, str]) -> Dict[str, str]:
-        """Every function from which a tainted writer is reachable,
-        mapped to the tainted function it first reaches."""
-        origin = {key: key for key in tainted}
-        queue = deque(sorted(tainted))
-        while queue:
-            current = queue.popleft()
-            for prev in sorted(graph.reverse.get(current, ())):
-                if prev not in origin:
-                    origin[prev] = origin[current]
-                    queue.append(prev)
-        return origin
-
-
-#: Modules whose file writes ARE the fault-injection plane: the
-#: ``atomic_write`` helper (every write/fsync/replace is a registered
-#: fault point) and the run journal (its append path routes through
-#: ``journal.append.*``). Everything else must call into them.
-_PLANE_MODULE_STEMS = frozenset({"ioutil", "journal"})
-
-
-def _is_write_mode(mode: Optional[ast.expr]) -> bool:
-    # Any constant mode that can emit bytes: truncate ("w"), create
-    # ("x"), append ("a"), or update ("+"). Dynamic modes stay
-    # undecidable and unflagged, as in ROB001.
-    return (
-        isinstance(mode, ast.Constant)
-        and isinstance(mode.value, str)
-        and any(flag in mode.value for flag in ("w", "x", "a", "+"))
-    )
-
-
-def _raw_writes(tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
-    """Every file-writing call under ``tree`` — including appends —
-    with a short description of the offending call."""
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -383,25 +241,17 @@ def _raw_writes(tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
         if not is_open:
             continue
         mode = _open_mode(node, is_method=isinstance(func, ast.Attribute))
-        if _is_write_mode(mode):
-            yield node, f"open(..., {mode.value!r})"  # type: ignore[union-attr]
-
-
-#: The one package allowed to open SQLite connections: the results
-#: store owns the pragmas (WAL, synchronous=FULL), the BEGIN IMMEDIATE
-#: transaction discipline, and the ``resultsdb.commit`` fault point. A
-#: connection opened anywhere else silently opts out of all three.
-_SQLITE_SANCTUARY = "resultsdb"
-
-
-def _in_resultsdb(module: Module) -> bool:
-    return _SQLITE_SANCTUARY in module.segments
+        if (
+            isinstance(mode, ast.Constant)
+            and isinstance(mode.value, str)
+            and any(flag in mode.value for flag in flags)
+        ):
+            yield node, f"open(..., {mode.value!r})"
 
 
 def _sqlite_connect_calls(tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
     """Every call under ``tree`` that resolves to ``sqlite3.connect``,
-    with a short description — shared by the per-file pass and the
-    interprocedural taint pass. Tracks ``import sqlite3`` aliases and
+    with a short description. Tracks ``import sqlite3`` aliases and
     ``from sqlite3 import connect`` (with renames); attribute calls on
     other receivers (``client.connect()``) are not sqlite."""
     module_aliases = {"sqlite3"}
@@ -431,8 +281,124 @@ def _sqlite_connect_calls(tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
             yield node, f"{func.id}(...)"
 
 
+class _ConfinementRule(Rule):
+    """Shared shape of ROB001/ROB002/ROB003: a *confined call* (a file
+    write, a SQLite connect) may appear only inside its sanctuary.
+
+    A subclass names the confined calls (:meth:`matches`), the modules
+    that are the sanctioned medium (:meth:`sanctuary` — never flagged,
+    never tainting their callers) and two message templates:
+    ``direct_message`` (``{desc}``) for a confined call written in
+    scope, ``taint_message`` (``{callee}``, ``{desc}``, ``{root}``) for
+    one reached through an out-of-scope helper.
+    """
+
+    direct_message = ""
+    taint_message = ""
+
+    def matches(self, tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
+        raise NotImplementedError
+
+    def sanctuary(self, module: Module) -> bool:
+        return False
+
+    def check(self, module: Module) -> Iterator[Finding]:
+        if self.sanctuary(module):
+            return
+        for node, desc in self.matches(module.tree):
+            yield module.finding(
+                self, node, self.direct_message.format(desc=desc)
+            )
+
+    def check_project(self, project) -> Iterator[Finding]:
+        """Interprocedural pass: an in-scope module that reaches the
+        confined call through a helper in an *out-of-scope* module
+        (``from repro.util import dump_json``) breaks the rule just the
+        same — the per-file pass never sees the helper's call. Taint
+        every out-of-scope, out-of-sanctuary function containing a
+        confined call, close over reverse call edges, and flag the
+        in-scope call sites that cross into the tainted region.
+        """
+        tainted: Dict[str, str] = {}
+        for info in project.modules.values():
+            if self.sanctuary(info.module) or self.applies_to(info.module):
+                continue  # in-scope calls are the per-file pass's job
+            for node, desc in self.matches(info.module.tree):
+                fn = info.function_at(node)
+                if fn is not None:
+                    tainted.setdefault(fn.key, desc)
+        if not tainted:
+            return
+        # Every function from which a tainted one is reachable, mapped
+        # to the tainted function it first reaches.
+        origin = {key: key for key in tainted}
+        queue = deque(sorted(tainted))
+        while queue:
+            current = queue.popleft()
+            for prev in sorted(project.call_graph.reverse.get(current, ())):
+                if prev not in origin:
+                    origin[prev] = origin[current]
+                    queue.append(prev)
+        for site in project.call_graph.call_sites:
+            callee = project.call_graph.nodes.get(site.callee)
+            caller = project.call_graph.nodes.get(site.caller)
+            if callee is None or caller is None or site.callee not in origin:
+                continue
+            if self.applies_to(callee.module.module):
+                continue  # the callee's own call is flagged directly
+            caller_module = caller.module.module
+            if not self.applies_to(caller_module) or self.sanctuary(
+                caller_module
+            ):
+                continue  # only flag where the taint enters scoped code
+            root = origin[site.callee]
+            yield caller_module.finding(
+                self, site.node,
+                self.taint_message.format(
+                    callee=site.callee, desc=tainted[root], root=root
+                ),
+            )
+
+
 @register_rule
-class SanctionedSqliteConnectRule(Rule):
+class AtomicArtifactWriteRule(_ConfinementRule):
+    """ROB001: run artifact written without ``atomic_write``.
+
+    ``open(path, "w")`` truncates the destination before the new bytes
+    are written, and ``Path.write_text`` is the same operation spelled
+    differently: a crash (SIGKILL, OOM) between truncate and close
+    leaves a torn or empty file where the last good artifact used to
+    be. Resumable runs depend on every results database, report, and
+    journal checkpoint surviving a crash, so run artifacts must be
+    produced via :func:`repro.ioutil.atomic_write` (temp file + fsync +
+    atomic rename). Append-mode opens are exempt:
+    appends never destroy prior records, and the write-ahead journal
+    itself is an append-only file.
+    """
+
+    rule_id = "ROB001"
+    severity = Severity.ERROR
+    description = (
+        "run artifacts must be written via repro.ioutil.atomic_write, "
+        "not in-place open('w')/write_text"
+    )
+    scope = ("harness", "runtime", "granula", "lint")
+    direct_message = (
+        "`{desc}` truncates in place; a crash mid-write leaves a torn run "
+        "artifact — use repro.ioutil.atomic_write (append modes are exempt)"
+    )
+    taint_message = (
+        "call to `{callee}` ends in a non-atomic `{desc}` (inside "
+        "`{root}`); the artifact is torn on crash exactly as if written "
+        "here — route the write through repro.ioutil.atomic_write"
+    )
+
+    def matches(self, tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
+        return _file_writes(tree, "wx")
+
+
+@register_rule
+class SanctionedSqliteConnectRule(_ConfinementRule):
     """ROB003: SQLite connection opened outside ``repro.resultsdb``.
 
     The results store is *one* database with one durability contract:
@@ -443,7 +409,9 @@ class SanctionedSqliteConnectRule(Rule):
     journal mode, autocommit surprises, and writes no chaos plan can
     reach — silently forking the store's semantics. Like ROB002, the
     rule is interprocedural: handing the path to an out-of-scope helper
-    that opens the connection for you is the same hole.
+    that opens the connection for you is the same hole. Helpers inside
+    ``repro.resultsdb`` are the sanctioned surface and never taint
+    their callers.
     """
 
     rule_id = "ROB003"
@@ -456,70 +424,30 @@ class SanctionedSqliteConnectRule(Rule):
         "harness", "service", "granula", "runtime", "cli", "faults",
         "engines", "benchmarks",
     )
+    direct_message = (
+        "`{desc}` opens a raw SQLite connection outside repro.resultsdb: "
+        "it skips the store's WAL/synchronous pragmas, its BEGIN IMMEDIATE "
+        "writer discipline, and the resultsdb.commit fault point — go "
+        "through repro.resultsdb.ResultsStore"
+    )
+    taint_message = (
+        "call to `{callee}` ends in a raw `{desc}` (inside `{root}`) "
+        "outside repro.resultsdb — the connection skips the store's "
+        "pragmas, transactions, and the resultsdb.commit fault point; go "
+        "through repro.resultsdb.ResultsStore"
+    )
 
-    def check(self, module: Module) -> Iterator[Finding]:
-        if _in_resultsdb(module):
-            return  # the sanctioned layer: connections live here
-        for node, desc in _sqlite_connect_calls(module.tree):
-            yield module.finding(
-                self, node,
-                f"`{desc}` opens a raw SQLite connection outside "
-                f"repro.resultsdb: it skips the store's WAL/synchronous "
-                f"pragmas, its BEGIN IMMEDIATE writer discipline, and "
-                f"the resultsdb.commit fault point — go through "
-                f"repro.resultsdb.ResultsStore",
-            )
+    def matches(self, tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
+        return _sqlite_connect_calls(tree)
 
-    def check_project(self, project) -> Iterator[Finding]:
-        """Interprocedural pass: an in-scope module that opens its
-        connection through a helper in an out-of-scope module (``from
-        repro.util.db import open_db``) forks the store's semantics
-        just the same — the per-file pass never sees the helper's
-        ``connect``. Same taint closure as ROB001/ROB002; helpers
-        inside ``repro.resultsdb`` are the sanctioned surface and never
-        taint their callers.
-        """
-        scope = project.scope_overrides.get(self.rule_id)
-        tainted: Dict[str, str] = {}
-        for info in project.modules.values():
-            if _in_resultsdb(info.module):
-                continue  # ResultsStore's own connect is the point
-            if self.applies_to(info.module, scope):
-                continue  # in-scope connects are the per-file pass's job
-            for node, desc in _sqlite_connect_calls(info.module.tree):
-                fn = info.function_at(node)
-                if fn is not None:
-                    tainted.setdefault(fn.key, desc)
-        if not tainted:
-            return
-        sink = AtomicArtifactWriteRule._sink_origins(
-            project.call_graph, tainted
-        )
-        for site in project.call_graph.call_sites:
-            callee = project.call_graph.nodes.get(site.callee)
-            caller = project.call_graph.nodes.get(site.caller)
-            if callee is None or caller is None or site.callee not in sink:
-                continue
-            if self.applies_to(callee.module.module, scope):
-                continue  # the callee's own connect is flagged directly
-            caller_module = caller.module.module
-            if not self.applies_to(caller_module, scope):
-                continue  # only flag where the connection enters scoped code
-            if _in_resultsdb(caller_module):
-                continue
-            root = sink[site.callee]
-            yield caller_module.finding(
-                self, site.node,
-                f"call to `{site.callee}` ends in a raw "
-                f"`{tainted[root]}` (inside `{root}`) outside "
-                f"repro.resultsdb — the connection skips the store's "
-                f"pragmas, transactions, and the resultsdb.commit fault "
-                f"point; go through repro.resultsdb.ResultsStore",
-            )
+    def sanctuary(self, module: Module) -> bool:
+        # The one package allowed to open connections: it owns the
+        # pragmas, the transaction discipline and the fault point.
+        return "resultsdb" in module.segments
 
 
 @register_rule
-class FaultPointRoutedWriteRule(Rule):
+class FaultPointRoutedWriteRule(_ConfinementRule):
     """ROB002: service/runtime write that bypasses the fault plane.
 
     The chaos harness can only inject ENOSPC/EIO/failed-fsync at the
@@ -542,60 +470,23 @@ class FaultPointRoutedWriteRule(Rule):
         "fault-point-aware ioutil helpers or the run journal"
     )
     scope = ("service", "runtime")
+    direct_message = (
+        "`{desc}` bypasses the fault-injection plane: no chaos plan can "
+        "reach it, so its ENOSPC/EIO handling is never exercised — route "
+        "the write through repro.ioutil.atomic_write (with "
+        "fault_point=...) or the run journal"
+    )
+    taint_message = (
+        "call to `{callee}` ends in a raw `{desc}` (inside `{root}`) that "
+        "no chaos plan can reach — route the write through "
+        "repro.ioutil.atomic_write or the run journal"
+    )
 
-    def check(self, module: Module) -> Iterator[Finding]:
-        if module.stem in _PLANE_MODULE_STEMS:
-            return  # the plane itself: its writes carry the fault points
-        for node, desc in _raw_writes(module.tree):
-            yield module.finding(
-                self, node,
-                f"`{desc}` bypasses the fault-injection plane: no chaos "
-                f"plan can reach it, so its ENOSPC/EIO handling is never "
-                f"exercised — route the write through "
-                f"repro.ioutil.atomic_write (with fault_point=...) or "
-                f"the run journal",
-            )
+    def matches(self, tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
+        return _file_writes(tree, "wxa+")
 
-    def check_project(self, project) -> Iterator[Finding]:
-        """Interprocedural pass: a service/runtime module that hands
-        its bytes to a helper in an out-of-scope module still leaves
-        the plane — the helper's raw ``open`` is exactly as unreachable
-        for a chaos plan as one written inline. Same taint closure as
-        ROB001, over the broader any-write matcher.
-        """
-        scope = project.scope_overrides.get(self.rule_id)
-        tainted: Dict[str, str] = {}
-        for info in project.modules.values():
-            if info.module.stem in _PLANE_MODULE_STEMS:
-                continue  # atomic_write's own temp-file write is the plane
-            if self.applies_to(info.module, scope):
-                continue  # in-scope writes are the per-file pass's job
-            for node, desc in _raw_writes(info.module.tree):
-                fn = info.function_at(node)
-                if fn is not None:
-                    tainted.setdefault(fn.key, desc)
-        if not tainted:
-            return
-        sink = AtomicArtifactWriteRule._sink_origins(
-            project.call_graph, tainted
-        )
-        for site in project.call_graph.call_sites:
-            callee = project.call_graph.nodes.get(site.callee)
-            caller = project.call_graph.nodes.get(site.caller)
-            if callee is None or caller is None or site.callee not in sink:
-                continue
-            if self.applies_to(callee.module.module, scope):
-                continue  # the callee's own write is flagged directly
-            caller_module = caller.module.module
-            if not self.applies_to(caller_module, scope):
-                continue  # only flag where bytes leave scoped code
-            if caller_module.stem in _PLANE_MODULE_STEMS:
-                continue
-            root = sink[site.callee]
-            yield caller_module.finding(
-                self, site.node,
-                f"call to `{site.callee}` ends in a raw "
-                f"`{tainted[root]}` (inside `{root}`) that no chaos plan "
-                f"can reach — route the write through "
-                f"repro.ioutil.atomic_write or the run journal",
-            )
+    def sanctuary(self, module: Module) -> bool:
+        # The plane itself: ``atomic_write`` (every write/fsync/replace
+        # is a registered fault point) and the run journal (its append
+        # path routes through ``journal.append.*``).
+        return module.stem in ("ioutil", "journal")

@@ -89,13 +89,12 @@ class AsyncHandlerBlockingCallRule(Rule):
     scope = ("service",)
 
     def check_project(self, project) -> Iterator[Finding]:
-        scope = project.scope_overrides.get(self.rule_id)
         for key in sorted(project.handler_reachable):
             fn = project.call_graph.nodes.get(key)
             if fn is None or not isinstance(fn.node, ast.AsyncFunctionDef):
                 continue
             module = fn.module.module
-            if not self.applies_to(module, scope):
+            if not self.applies_to(module):
                 continue
             root = project.handler_reachable[key]
             yield from self._check_handler(module, fn, root)

@@ -1,8 +1,9 @@
 """Canned cross-run queries over the results store.
 
-Three questions the paper's public repository exists to answer, each
+The questions the paper's public repository exists to answer, each
 surfaced as a ``graphalytics db`` subcommand:
 
+* :func:`runs` — which runs are stored (id, system under test, jobs);
 * :func:`top` / :func:`best_platform` — across all stored runs, which
   platform ran a workload fastest (§5's cross-platform comparison);
 * :func:`trend` — how one platform x algorithm x dataset cell moved
@@ -34,7 +35,9 @@ __all__ = [
     "TopEntry",
     "TrendPoint",
     "best_platform",
+    "regression_query",
     "regressions",
+    "runs",
     "top",
     "trend",
 ]
@@ -84,6 +87,15 @@ class TrendPoint:
     submitted_at: Optional[float]
     tproc: Optional[float]
     status: str
+
+
+def runs(store: ResultsStore) -> List[tuple]:
+    """Every stored run as ``(run_id, system_under_test, job_count)``,
+    ordered by run id — the repository's listing."""
+    return store.query(
+        "SELECT run_id, system_under_test, job_count FROM runs"
+        " ORDER BY run_id"
+    )
 
 
 def _candidate_rows(

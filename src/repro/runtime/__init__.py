@@ -8,7 +8,6 @@ failure and cache reports.
 """
 
 from repro.runtime.cache import CacheStats, GraphCache, graph_key, reference_key
-from repro.runtime.events import RuntimeEvent, RuntimeEventLog
 from repro.runtime.executor import (
     RuntimeConfig,
     RuntimeRunResult,
@@ -60,8 +59,6 @@ __all__ = [
     "JournalReplay",
     "RunJournal",
     "RuntimeConfig",
-    "RuntimeEvent",
-    "RuntimeEventLog",
     "RuntimeRunResult",
     "WorkerPool",
     "can_run_combo",

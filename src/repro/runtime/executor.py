@@ -33,7 +33,6 @@ from repro.harness.datasets import get_dataset
 from repro.harness.results import BenchmarkResult, ResultsDatabase
 from repro.proc import absorb
 from repro.runtime.cache import CacheStats, GraphCache
-from repro.runtime.events import RuntimeEventLog
 from repro.faults.plan import FaultPlan
 from repro.runtime.jobs import JobFailure, JobKind, failure_result
 from repro.runtime.journal import (
@@ -169,7 +168,11 @@ class RuntimeRunResult:
     database: ResultsDatabase
     failures: List[JobFailure] = field(default_factory=list)
     cache_stats: CacheStats = field(default_factory=CacheStats)
-    events: RuntimeEventLog = field(default_factory=RuntimeEventLog)
+    #: This run's tracer-counter deltas (``scheduler.retry``,
+    #: ``scheduler.timeout``, ``scheduler.crash``, ``cache.*``, ...) —
+    #: the same numbers ``trace.jsonl`` carries; empty when the current
+    #: tracer is disabled.
+    counters: Dict[str, float] = field(default_factory=dict)
     workers: int = 1
     mode: str = "inline"
     elapsed_seconds: float = 0.0
@@ -182,6 +185,9 @@ class RuntimeRunResult:
     #: Durability-downgrade flags the run accumulated (e.g. the journal
     #: disabling itself on ENOSPC) — empty for a fully durable run.
     degraded: List[str] = field(default_factory=list)
+    #: The ``matrix-run`` root span followed by its phase spans, closed:
+    #: what :meth:`archive` is built from.
+    _spans: List[Span] = field(default_factory=list, repr=False)
 
     @property
     def lost_jobs(self) -> int:
@@ -189,19 +195,43 @@ class RuntimeRunResult:
         return self.job_count - len(self.database)
 
     def archive(self):
-        """Granula performance archive of the run itself."""
-        return self.events.to_archive(
-            metadata={
-                "workers": self.workers,
-                "mode": self.mode,
-                "jobs": self.job_count,
-                "retries": self.events.count("retry"),
-                "timeouts": self.events.count("timeout"),
-                "crashes": self.events.count("crash"),
-                "restored": self.restored_jobs,
-                "cache_hits": self.cache_stats.hits,
-                "cache_misses": self.cache_stats.misses,
-            }
+        """Granula performance archive of the run itself.
+
+        Read off the run's own ``matrix-run → expand/execute/merge``
+        spans (times relative to the run's start); the run-level
+        counters ride on the ``execute`` phase's metadata so the archive
+        stays self-describing. A run under a disabled tracer recorded no
+        spans and archives no phases.
+        """
+        from repro.granula.archiver import PerformanceArchive, phases_from_spans
+        from repro.granula.model import model_for_platform
+
+        model = model_for_platform("runtime")
+        roots = phases_from_spans([span.as_dict() for span in self._spans])
+        phases = roots[0].children if roots else []
+        for phase in phases:
+            phase.start -= roots[0].start
+            phase.end -= roots[0].start
+            phase.description = (
+                phase.description or model.spec_for(phase.name).description
+            )
+            if phase.name == "execute":
+                phase.metadata.update(
+                    workers=self.workers,
+                    mode=self.mode,
+                    jobs=self.job_count,
+                    retries=int(self.counters.get("scheduler.retry", 0)),
+                    timeouts=int(self.counters.get("scheduler.timeout", 0)),
+                    crashes=int(self.counters.get("scheduler.crash", 0)),
+                    restored=self.restored_jobs,
+                    cache_hits=self.cache_stats.hits,
+                    cache_misses=self.cache_stats.misses,
+                )
+        return PerformanceArchive(
+            platform="runtime",
+            algorithm="schedule",
+            dataset="benchmark-matrix",
+            phases=phases,
         )
 
     def describe(self) -> str:
@@ -272,7 +302,6 @@ class _MatrixRun:
         )
         self._phase_spans: Dict[str, Span] = {}
         self._attempt_spans: Dict[int, Span] = {}
-        self.events = RuntimeEventLog(self.tracer)
         self.phase_start("expand")
         specs = expand_matrix(config)
         if not include_execute:
@@ -299,17 +328,13 @@ class _MatrixRun:
     # -- spans ---------------------------------------------------------------
 
     def phase_start(self, name: str) -> None:
-        """Open a run phase: an event marker plus a context span."""
-        self.events.phase_start(name)
+        """Open a run phase: a context span under the run root."""
         self._phase_spans[name] = self.tracer.start_span(
             name, parent=self.root_span, push=True
         )
 
     def phase_end(self, name: str) -> None:
-        self.events.phase_end(name)
-        span = self._phase_spans.pop(name, None)
-        if span is not None:
-            self.tracer.end_span(span)
+        self.tracer.end_span(self._phase_spans[name])
 
     def begin_attempt(self, seq: int, *, attempt: int, worker: int,
                       push: bool = False) -> Span:
@@ -349,11 +374,15 @@ class _MatrixRun:
         """End any still-open phase/attempt spans plus the run root."""
         for seq in list(self._attempt_spans):
             self.finish_attempt(seq, status="abandoned")
-        for name in list(self._phase_spans):
-            span = self._phase_spans.pop(name)
-            self.tracer.end_span(span)
-        if self.root_span.end is None:
-            self.tracer.end_span(self.root_span)
+        for span in (*self._phase_spans.values(), self.root_span):
+            if span.end is None:
+                self.tracer.end_span(span)
+
+    def run_spans(self) -> List[Span]:
+        """The run root and its phase spans (none under a disabled tracer)."""
+        if not self.tracer.enabled:
+            return []
+        return [self.root_span, *self._phase_spans.values()]
 
     # -- write-ahead journal -------------------------------------------------
 
@@ -433,17 +462,11 @@ class _MatrixRun:
                     elapsed=float(record.get("elapsed", 0.0)),
                 )
         self.sync_failures()  # journal not yet attached: no re-recording
-        self.events.emit(
-            "restore",
-            jobs=self.restored_jobs,
-            failures=len(self.graph.failures),
-        )
         return self.restored_jobs
 
     # -- shared bookkeeping ------------------------------------------------
 
-    def complete_job(self, seq: int, payload: Dict[str, object], *,
-                     worker: int, elapsed: float) -> None:
+    def complete_job(self, seq: int, payload: Dict[str, object]) -> None:
         node = self.graph.nodes[seq]
         self.graph.complete(seq)
         if node.spec.kind == JobKind.EXECUTE:
@@ -463,9 +486,6 @@ class _MatrixRun:
             if node.spec.kind == JobKind.EXECUTE:
                 record["result"] = payload["result"]
             self.journal.append(record)
-        self.events.emit(
-            "complete", job=node.spec.job_id, worker=worker, elapsed=elapsed
-        )
 
     def attempt_failed(self, seq: int, *, worker: int, kind: str,
                        detail: str, elapsed: float) -> None:
@@ -495,14 +515,6 @@ class _MatrixRun:
             self.journal.append(record)
         if failure is None:
             self.tracer.counter("scheduler.retry")
-            self.events.emit(
-                "retry",
-                job=node.spec.job_id,
-                worker=worker,
-                kind=kind,
-                attempt=len(node.attempts),
-                backoff=node.attempts[-1].backoff_seconds,
-            )
         self.sync_failures()
 
     def sync_failures(self) -> None:
@@ -523,12 +535,6 @@ class _MatrixRun:
                         "attempts": len(failure.attempts),
                     }
                 )
-            self.events.emit(
-                "job-failed",
-                job=failure.job_id,
-                kind=failure.final_kind,
-                attempts=len(failure.attempts),
-            )
             if failure.spec.kind == JobKind.EXECUTE:
                 row = failure_result(failure)
                 # Respect a custom machine spec for the threads column.
@@ -583,9 +589,6 @@ def _run_inline(run: _MatrixRun) -> None:
                 trace=attempt_span.span_id,
             )
             tracer.counter("scheduler.dispatch")
-            run.events.emit(
-                "dispatch", job=spec.job_id, worker=-1, attempt=attempt
-            )
             try:
                 with tracer.span(
                     "task", job=spec.job_id, worker=-1, attempt=attempt
@@ -604,9 +607,7 @@ def _run_inline(run: _MatrixRun) -> None:
                 )
                 run.finish_attempt(node.seq, status="error")
                 continue
-            run.complete_job(
-                node.seq, payload, worker=-1, elapsed=task_span.duration
-            )
+            run.complete_job(node.seq, payload)
             run.finish_attempt(node.seq)
         if not progressed:
             wake = graph.next_wake(clock.now())
@@ -654,12 +655,6 @@ def _run_pool(run: _MatrixRun) -> None:
                     trace=attempt_span.span_id,
                 )
                 run.tracer.counter("scheduler.dispatch")
-                run.events.emit(
-                    "dispatch",
-                    job=node.spec.job_id,
-                    worker=worker,
-                    attempt=attempt,
-                )
             envelope = pool.wait(runtime.poll_interval)
             now = run.clock.now()
             if envelope is not None:
@@ -688,16 +683,10 @@ def _handle_envelope(run: _MatrixRun, pool: WorkerPool, envelope) -> None:
         # work it counted still happened.
         run.tracer.merge_counters(envelope.get("counters") or {})
         run.tracer.counter("scheduler.stale-result")
-        run.events.emit("stale-result", seq=seq, worker=worker)
         return
     pool.mark_idle(worker)
     if envelope["event"] == "done":
-        run.complete_job(
-            seq,
-            envelope["payload"],
-            worker=worker,
-            elapsed=float(envelope.get("elapsed", 0.0)),
-        )
+        run.complete_job(seq, envelope["payload"])
         run.merge_worker_trace(seq, envelope, status="ok")
     else:
         run.attempt_failed(
@@ -716,7 +705,6 @@ def _police_deadlines(run: _MatrixRun, pool: WorkerPool, now: float) -> None:
             continue
         worker = node.worker if node.worker is not None else -1
         run.tracer.counter("scheduler.timeout")
-        run.events.emit("timeout", job=node.spec.job_id, worker=worker)
         pool.restart(worker)
         run.attempt_failed(
             node.seq,
@@ -736,11 +724,6 @@ def _police_crashes(run: _MatrixRun, pool: WorkerPool) -> None:
         seq = pool.busy_seq(worker)
         node = run.graph.nodes.get(seq) if seq is not None else None
         run.tracer.counter("scheduler.crash")
-        run.events.emit(
-            "crash",
-            job=node.spec.job_id if node is not None else seq,
-            worker=worker,
-        )
         pool.restart(worker)
         if node is not None and node.state == NodeState.RUNNING:
             run.attempt_failed(
@@ -824,26 +807,26 @@ def execute_matrix(
             GraphCache(cache_dir).write_run_stats(run.cache_stats)
         finally:
             run.close_spans()
+        counters = {
+            name: value - counters_before.get(name, 0.0)
+            for name, value in tracer.counters.items()
+            if value != counters_before.get(name, 0.0)
+        }
         if run_dir is not None and tracer.enabled:
             # This run's slice of the span buffer and counter deltas —
             # the examinable record behind `graphalytics trace`.
             from repro.trace import write_trace
 
-            delta = {
-                name: value - counters_before.get(name, 0.0)
-                for name, value in tracer.counters.items()
-                if value != counters_before.get(name, 0.0)
-            }
             trace_path = write_trace(
                 run_dir / "trace.jsonl",
                 tracer.spans_since(trace_mark),
-                counters=delta,
+                counters=counters,
             )
     return RuntimeRunResult(
         database=database,
         failures=list(run.graph.failures),
         cache_stats=run.cache_stats,
-        events=run.events,
+        counters=counters,
         workers=runtime.workers,
         mode=mode,
         elapsed_seconds=tracer.clock.now() - started,
@@ -853,6 +836,7 @@ def execute_matrix(
         run_dir=run_dir,
         trace_path=trace_path,
         degraded=degraded,
+        _spans=run.run_spans(),
     )
 
 

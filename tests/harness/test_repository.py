@@ -5,6 +5,7 @@ import multiprocessing
 
 import pytest
 
+from repro.cli import main
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.harness.repository import Regression, ResultsRepository, RunMetadata
 from repro.harness.results import BenchmarkResult, ResultsDatabase
@@ -214,7 +215,8 @@ class TestConcurrentSubmission:
 
 
 class TestLegacyAbsorption:
-    """A directory of pre-store JSON archives answers through the facade."""
+    """A directory of pre-store JSON archives answers through the facade
+    after ``db import`` — the one migration path — and only after it."""
 
     def _write_legacy_archive(self, root, run_id, tproc=0.3):
         payload = {
@@ -233,31 +235,46 @@ class TestLegacyAbsorption:
         root = tmp_path / "repo"
         self._write_legacy_archive(root, "old-1")
         self._write_legacy_archive(root, "old-2", tproc=0.1)
+        assert main(["db", "import", str(root)]) == 0
         repo = ResultsRepository(root)
         assert repo.run_ids() == ["old-1", "old-2"]
         assert repo.load("old-1").one(platform="GraphMat").validated is True
         best = repo.best_platform("bfs", "D300")
         assert best["run_id"] == "old-2"
-        # The archives stay in place; absorption is read-only.
+        # The archives stay in place; the import is read-only.
         assert (root / "old-1.json").exists()
+
+    def test_foreign_json_ignored(self, tmp_path, monkeypatch):
+        # Un-imported, the directory lists no runs — legacy, foreign and
+        # torn files alike: the facade reads its store and nothing else.
+        root = tmp_path / "repo"
+        self._write_legacy_archive(root, "old-1")
+        (root / "notes.json").write_text(json.dumps({"hello": "world"}))
+        (root / "torn.json").write_text('{"metadata": {')
+        with monkeypatch.context() as patched:
+            # Opening the facade neither globs nor parses the directory.
+            patched.setattr(
+                type(root), "glob",
+                lambda *a, **k: pytest.fail("facade globbed its directory"),
+            )
+            patched.setattr(
+                json, "loads",
+                lambda *a, **k: pytest.fail("facade parsed a JSON file"),
+            )
+            repo = ResultsRepository(root)
+        assert repo.run_ids() == []
+        assert repo.index() == {}
 
     def test_absorption_is_idempotent_and_mixes_eras(self, tmp_path):
         root = tmp_path / "repo"
         self._write_legacy_archive(root, "old-1")
-        repo = ResultsRepository(root)
-        repo.submit(
+        ResultsRepository(root).submit(
             RunMetadata("new-1", "sut"), ResultsDatabase([make_result()])
         )
-        again = ResultsRepository(root)  # re-opening must not re-import
+        assert main(["db", "import", str(root)]) == 0
+        assert ResultsRepository(root).run_ids() == ["new-1", "old-1"]
+        again = ResultsRepository(root)  # re-opening imports nothing
         assert again.run_ids() == ["new-1", "old-1"]
-
-    def test_foreign_json_ignored(self, tmp_path):
-        root = tmp_path / "repo"
-        root.mkdir(parents=True)
-        (root / "notes.json").write_text(json.dumps({"hello": "world"}))
-        (root / "torn.json").write_text('{"metadata": {')
-        repo = ResultsRepository(root)
-        assert repo.run_ids() == []
 
 
 class TestCrossRunAnalysis:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 
 BAD_SOURCE = """\
@@ -52,101 +54,35 @@ class TestViolations:
         assert main(["lint", str(bad), "--select", "CON002"]) == 0
 
 
-class TestBaselineFlow:
-    def test_write_then_pass_then_regress(self, tmp_path, capsys):
+class TestSuppressionIsTheOnlyGrandfathering:
+    @pytest.mark.parametrize("flag", [
+        "--baseline=x.json", "--no-baseline", "--write-baseline",
+        "--show-baselined",
+    ])
+    def test_baseline_flags_are_gone(self, flag, tmp_path):
         bad = tmp_path / "bad.py"
         bad.write_text(BAD_SOURCE, encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
+        with pytest.raises(SystemExit) as exc_info:
+            main(["lint", str(bad), flag])
+        assert exc_info.value.code == 2
+        assert list(tmp_path.iterdir()) == [bad]
 
-        assert main([
-            "lint", str(bad), "--baseline", str(baseline), "--write-baseline",
-        ]) == 0
-        assert baseline.is_file()
-        capsys.readouterr()
-
-        # Grandfathered: the same finding no longer fails the run.
-        assert main(["lint", str(bad), "--baseline", str(baseline)]) == 0
-        capsys.readouterr()
-
-        # A second, new violation still fails.
-        bad.write_text(BAD_SOURCE + "\n\nx = random.shuffle([])\n",
-                       encoding="utf-8")
-        assert main(["lint", str(bad), "--baseline", str(baseline)]) == 1
-        assert "shuffle" in capsys.readouterr().out
-
-    def test_no_baseline_flag_ignores_baseline(self, tmp_path, capsys):
+    def test_inline_suppression_grandfathers_a_finding(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
-        bad.write_text(BAD_SOURCE, encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        assert main([
-            "lint", str(bad), "--baseline", str(baseline), "--write-baseline",
-        ]) == 0
-        capsys.readouterr()
-        assert main([
-            "lint", str(bad), "--baseline", str(baseline), "--no-baseline",
-        ]) == 1
-
-    def test_show_baselined_prints_covered_findings(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_SOURCE, encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        main(["lint", str(bad), "--baseline", str(baseline),
-              "--write-baseline"])
-        capsys.readouterr()
-        assert main([
-            "lint", str(bad), "--baseline", str(baseline), "--show-baselined",
-        ]) == 0
-        assert "(baselined)" in capsys.readouterr().out
-
-    def test_fixed_baselined_finding_reported_stale(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_SOURCE, encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        main(["lint", str(bad), "--baseline", str(baseline),
-              "--write-baseline"])
-        capsys.readouterr()
-
-        # Fix the violation: the run passes but flags the dead entry.
-        bad.write_text("import random\n\n\ndef jitter():\n    return 4\n",
-                       encoding="utf-8")
-        assert main(["lint", str(bad), "--baseline", str(baseline)]) == 0
-        out = capsys.readouterr().out
-        assert "stale baseline entry" in out
-        assert "--write-baseline" in out
-
-    def test_stale_entries_in_json_payload(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_SOURCE, encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        main(["lint", str(bad), "--baseline", str(baseline),
-              "--write-baseline"])
-        capsys.readouterr()
-        bad.write_text("x = 1\n", encoding="utf-8")
-        assert main(["lint", "--format", "json", str(bad),
-                     "--baseline", str(baseline)]) == 0
+        bad.write_text(
+            BAD_SOURCE.replace(
+                "random.random()", "random.random()  # lint: disable=DET002"
+            ) + "\n\nx = random.shuffle([])\n",
+            encoding="utf-8",
+        )
+        # The suppressed finding no longer fails the run; a second,
+        # unsuppressed violation still does.
+        assert main(["lint", "--format", "json", str(bad)]) == 1
         payload = json.loads(capsys.readouterr().out)
-        assert len(payload["stale"]) == 1
-        assert "DET002" in payload["stale"][0]
-
-    def test_v1_baseline_still_accepted(self, tmp_path, capsys):
-        # A pre-migration baseline (fingerprints without occurrence
-        # indices) is expanded on read; the run still passes.
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_SOURCE, encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        main(["lint", str(bad), "--baseline", str(baseline),
-              "--write-baseline"])
-        capsys.readouterr()
-        payload = json.loads(baseline.read_text(encoding="utf-8"))
-        legacy = {
-            "version": 1,
-            "fingerprints": {
-                fp.rsplit("::", 1)[0]: count
-                for fp, count in payload["fingerprints"].items()
-            },
-        }
-        baseline.write_text(json.dumps(legacy), encoding="utf-8")
-        assert main(["lint", str(bad), "--baseline", str(baseline)]) == 0
+        assert payload["version"] == 2
+        assert "baselined" not in payload and "stale" not in payload
+        assert [row["line"] for row in payload["findings"]] == [8]
+        assert "shuffle" in payload["findings"][0]["message"]
 
 
 class TestProjectPhaseFlag:
@@ -173,14 +109,14 @@ class TestProjectPhaseFlag:
     def test_project_rules_fire_by_default(self, tmp_path, capsys):
         project = self._miniproject(tmp_path)
         assert main([
-            "lint", str(project), "--no-baseline", "--select", "RACE001",
+            "lint", str(project), "--select", "RACE001",
         ]) == 1
         assert "RACE001" in capsys.readouterr().out
 
     def test_no_project_skips_whole_program_phase(self, tmp_path, capsys):
         project = self._miniproject(tmp_path)
         assert main([
-            "lint", str(project), "--no-baseline", "--select", "RACE001",
+            "lint", str(project), "--select", "RACE001",
             "--no-project",
         ]) == 0
         assert "clean" in capsys.readouterr().out

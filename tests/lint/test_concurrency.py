@@ -10,10 +10,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
-def _run(paths, select, root=REPO_ROOT, scopes=None):
+def _run(paths, select, root=REPO_ROOT):
     config = LintConfig(root=root, select=list(select))
-    if scopes:
-        config.scopes = scopes
     return LintEngine(config).run([Path(p) for p in paths])
 
 

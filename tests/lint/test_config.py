@@ -40,23 +40,24 @@ class TestLoadConfig:
     def test_repo_pyproject_is_read(self):
         config = load_config(REPO_ROOT)
         assert config.root == REPO_ROOT
-        assert config.baseline == "lint-baseline.json"
-        assert config.scopes["DET001"] == ["algorithms", "engines"]
         assert any("fixtures" in pattern for pattern in config.exclude)
 
     def test_custom_pyproject(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(SAMPLE, encoding="utf-8")
         config = load_config(tmp_path)
-        assert config.baseline == "custom-baseline.json"
         assert config.select == ["DET001", "CON002"]
-        assert config.baseline_path == tmp_path / "custom-baseline.json"
+        assert config.ignore == ["REP001"]
+        assert config.exclude == ["tests/*"]
+        # The retired `baseline` key and `scopes` table are ignored.
+        assert not hasattr(config, "baseline")
+        assert not hasattr(config, "scopes")
 
     def test_no_project_root_yields_defaults(self, tmp_path):
         # tmp_path has no pyproject.toml anywhere above it that counts
         # as *this* project's; simulate by pointing below a bare dir.
         config = LintConfig()
         assert config.root is None
-        assert config.baseline_path == Path("lint-baseline.json")
+        assert config.select == [] and config.project is True
 
     def test_find_project_root(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text("[project]\n")

@@ -11,7 +11,7 @@ def _finding(rule="DET001", message="msg"):
 
 class TestTextReport:
     def test_clean_run(self):
-        assert render_text([], []) == "lint: clean (0 findings)"
+        assert render_text([]) == "lint: clean (0 findings)"
 
     def test_finding_line_format(self):
         text = render_text([_finding()])
@@ -22,23 +22,19 @@ class TestTextReport:
         text = render_text([_finding(), _finding(), _finding(rule="CON002")])
         assert "lint: 3 new findings (CON002: 1, DET001: 2)" in text
 
-    def test_baselined_hidden_unless_verbose(self):
-        quiet = render_text([], [_finding()])
-        assert "a/b.py" not in quiet
-        verbose = render_text([], [_finding()], verbose_baseline=True)
-        assert "(baselined)" in verbose
-
 
 class TestJsonReport:
     def test_document_shape(self):
-        payload = json.loads(render_json([_finding()], [_finding("CON002")]))
-        assert payload["version"] == 1
-        assert payload["new"] == 1
-        assert payload["baselined"] == 1
-        assert payload["counts"] == {"DET001": 1}
-        flags = [row["baselined"] for row in payload["findings"]]
-        assert flags == [False, True]
+        payload = json.loads(render_json([_finding(), _finding("CON002")]))
+        assert sorted(payload) == ["counts", "findings", "new", "version"]
+        assert payload["version"] == 2
+        assert payload["new"] == 2
+        assert payload["counts"] == {"CON002": 1, "DET001": 1}
+        assert [row["rule"] for row in payload["findings"]] == [
+            "DET001", "CON002",
+        ]
+        assert "baselined" not in payload["findings"][0]
 
     def test_empty_document(self):
-        payload = json.loads(render_json([], []))
+        payload = json.loads(render_json([]))
         assert payload["new"] == 0 and payload["findings"] == []

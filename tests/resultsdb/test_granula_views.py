@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.granula.archiver import phases_from_spans
 from repro.granula.visualizer import render_store_regressions, render_store_run
+from repro.resultsdb.queries import regression_query
 
 from tests.resultsdb.conftest import make_metadata, make_record
 
@@ -100,7 +101,9 @@ class TestRenderStoreRegressions:
 
     def test_regression_table(self, store):
         self._two_runs(store)
-        text = render_store_regressions(store, "run-old", "run-new")
+        text = render_store_regressions(
+            regression_query(store, "run-old", "run-new")
+        )
         assert text.splitlines()[0] == (
             "1 regression(s): run-new vs run-old (threshold 1.10x)"
         )
@@ -110,6 +113,6 @@ class TestRenderStoreRegressions:
     def test_clean_comparison_says_none(self, store):
         self._two_runs(store)
         text = render_store_regressions(
-            store, "run-old", "run-new", threshold=3.0
+            regression_query(store, "run-old", "run-new", threshold=3.0)
         )
         assert text == "no regressions: run-new vs run-old (threshold 3.00x)"

@@ -294,8 +294,7 @@ class TestAnswerIdentity:
 
     def test_facade_queries_match_over_a_migrated_directory(self, tmp_path):
         # The old public API, pointed at the migrated directory, keeps
-        # answering — the facade absorbs the archives through the same
-        # store the import wrote.
+        # answering — the facade opens the same store the import wrote.
         from repro.harness.repository import ResultsRepository
 
         root, _raw = _legacy_repo(tmp_path)

@@ -13,6 +13,7 @@ from repro.runtime import (
     RuntimeConfig,
     execute_matrix,
 )
+from repro.trace import Tracer, use_tracer
 
 WORKERS = int(os.environ.get("GRAPHALYTICS_TEST_WORKERS", "2"))
 
@@ -43,15 +44,16 @@ class TestPoolExecution:
         assert result.lost_jobs == 0
 
     def test_events_cover_every_job(self):
-        result = execute_matrix(_config(), RuntimeConfig(workers=WORKERS))
-        dispatched = {
-            e.fields["job"] for e in result.events.select("dispatch")
-        }
-        completed = {
-            e.fields["job"] for e in result.events.select("complete")
-        }
-        assert completed == dispatched
-        assert len(completed) == result.dag_size
+        tracer = Tracer()
+        with use_tracer(tracer):
+            result = execute_matrix(_config(), RuntimeConfig(workers=WORKERS))
+        attempts = [
+            s for s in tracer.finished_spans() if s.name == "attempt"
+        ]
+        assert all(s.status == "ok" for s in attempts)
+        jobs = [s.attributes["job"] for s in attempts]
+        assert len(set(jobs)) == len(jobs) == result.dag_size
+        assert result.counters["scheduler.dispatch"] == result.dag_size
 
     def test_archive_exposes_runtime_phases(self):
         result = execute_matrix(_config(), RuntimeConfig(workers=WORKERS))
@@ -60,6 +62,27 @@ class TestPoolExecution:
             "expand", "execute", "merge",
         ]
         assert archive.phase("execute").metadata["jobs"] == result.job_count
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_archive_phases_nest_in_the_run_window(self, workers):
+        result = execute_matrix(_config(), RuntimeConfig(workers=workers))
+        archive = result.archive()
+        cursor = 0.0
+        for phase in archive.phases:
+            assert cursor <= phase.start <= phase.end
+            cursor = phase.end
+        assert cursor <= result.elapsed_seconds
+        assert archive.phase("execute").metadata == {
+            "workers": workers,
+            "mode": result.mode,
+            "jobs": result.job_count,
+            "retries": 0,
+            "timeouts": 0,
+            "crashes": 0,
+            "restored": 0,
+            "cache_hits": result.cache_stats.hits,
+            "cache_misses": result.cache_stats.misses,
+        }
 
     def test_shared_cache_directory_reused_across_runs(self, tmp_path):
         first = execute_matrix(
@@ -128,4 +151,4 @@ class TestInlineFailurePath:
         assert result.lost_jobs == 0
         assert result.failures == []
         assert all(r.succeeded for r in result.database)
-        assert result.events.count("retry") == 1
+        assert result.counters["scheduler.retry"] == 1

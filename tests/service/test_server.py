@@ -122,7 +122,10 @@ class TestRunLifecycle:
             assert len(results) == 1
             assert results[0]["status"] == "succeeded"
             archive = json.loads(client.fetch(run_id, "archive"))
-            assert archive["phases"]
+            assert [p["name"] for p in archive["phases"]] == [
+                "expand", "execute", "merge",
+            ]
+            assert archive["phases"][1]["metadata"]["jobs"] == 1
             trace = client.fetch(run_id, "trace")
             assert trace  # span export happened
             # The spool holds the durable request + outcome pair.

@@ -3,9 +3,10 @@
 The full acceptance scenario from the service design:
 
 * two tenants submit the same matrix concurrently and stream events;
-* the server process is SIGKILLed mid-run (children die via the
-  parent-death watchdog, tearing the journals wherever they happened
-  to be);
+* the server process is SIGKILLed mid-run — each run carries a seeded
+  fault plan that stalls it half-way, so it is unfinished when the kill
+  lands by construction, not by winning a race — and the children die
+  via the parent-death watchdog;
 * a restarted server on the same spool resumes both runs from their
   journals and completes them;
 * no journal carries a duplicate ``job-done`` per job key, and the two
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 import os
+import select
 import signal
 import subprocess
 import sys
@@ -24,11 +26,12 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness.config import BenchmarkConfig
 from repro.harness.results import ResultsDatabase
+from repro.runtime import expand_matrix
 from repro.runtime.journal import RunJournal
 from repro.service import ServiceClient
 
-#: Large enough that a kill lands mid-run, small enough to stay fast.
 MATRIX = {
     "platforms": ["powergraph", "graphmat"],
     "datasets": ["R1", "R2"],
@@ -37,6 +40,31 @@ MATRIX = {
 }
 
 _DEADLINE = 120.0
+
+
+def _stall_halfway_plan() -> dict:
+    """A chaos plan that parks a fresh run of ``MATRIX`` half-way.
+
+    A fresh run of a D-job DAG appends 3D + 2 journal lines (run-start,
+    D job-scheduled, an attempt-start/job-done pair per job,
+    run-complete); a resumed one appends at most 2D + 1 (pairs for the
+    jobs left, run-complete). Fault counters restart with each run
+    child, so a stall at arrival 2D + 1 — about half the pairs written —
+    catches every fresh attempt and can never be reached by a resumed
+    one. The stall outlasts every deadline in this file: only the kill
+    ends it.
+    """
+    jobs = len(expand_matrix(BenchmarkConfig(**MATRIX)))
+    return {
+        "seed": 0,
+        "faults": [{
+            "point": "journal.append.write",
+            "kind": "latency",
+            "after": 2 * jobs + 1,
+            "times": 1,
+            "latency_seconds": 10 * _DEADLINE,
+        }],
+    }
 
 
 def _spawn_server(spool: Path, *extra: str) -> subprocess.Popen:
@@ -88,6 +116,22 @@ def _wait_for_job_done(run_dir: Path, deadline: float = _DEADLINE) -> None:
     raise AssertionError(f"no job-done appeared in {path}")
 
 
+def _wait_tree_exit(proc: subprocess.Popen, deadline: float = 30.0) -> None:
+    """Block until the dead server's whole process tree is gone.
+
+    Run children and their pool workers inherited the server's stdout
+    pipe, so it reaches EOF exactly when the last of them has exited.
+    """
+    fd = proc.stdout.fileno()
+    limit = time.monotonic() + deadline
+    while True:
+        remaining = limit - time.monotonic()
+        if remaining <= 0:
+            raise AssertionError("orphaned run children outlived the server")
+        if select.select([fd], [], [], remaining)[0] and not os.read(fd, 65536):
+            return
+
+
 def _wait_terminal(client: ServiceClient, run_id: str) -> dict:
     limit = time.monotonic() + _DEADLINE
     while time.monotonic() < limit:
@@ -116,27 +160,23 @@ def test_two_tenants_sigkill_resume_bit_identical(tmp_path):
     server = _spawn_server(spool)
     try:
         client = _read_address(server)
-        run_a = client.submit("alice", MATRIX)["run_id"]
-        run_b = client.submit("bob", MATRIX)["run_id"]
+        # Two workers: enough in flight to interleave, few enough that
+        # job-done records precede the stall on any host.
+        chaos = _stall_halfway_plan()
+        run_a = client.submit("alice", MATRIX, workers=2, chaos=chaos)["run_id"]
+        run_b = client.submit("bob", MATRIX, workers=2, chaos=chaos)["run_id"]
 
-        # Both children must be genuinely mid-run before the kill: each
-        # journal holds completed work, neither run has an outcome.
+        # Both children are mid-run at the kill: each journal holds
+        # completed work, and neither can get past its stall.
         _wait_for_job_done(spool / run_a)
         _wait_for_job_done(spool / run_b)
         os.kill(server.pid, signal.SIGKILL)
         server.wait(timeout=30)
-
-        # The parent-death watchdog reaps the orphaned run children.
-        deadline = time.monotonic() + 30
-        while time.monotonic() < deadline:
-            held = [
-                run_id for run_id in (run_a, run_b)
-                if not (spool / run_id / "outcome.json").exists()
-            ]
-            if held:
-                break  # at least one run is genuinely unfinished
-            time.sleep(0.1)
-        time.sleep(1.0)  # let watchdogs fire and journals settle
+        # The parent-death watchdog reaps the orphaned run children;
+        # once they are gone the journals are final.
+        _wait_tree_exit(server)
+        for run_id in (run_a, run_b):
+            assert not (spool / run_id / "outcome.json").exists()
     finally:
         _terminate(server)
 
@@ -172,11 +212,9 @@ def test_two_tenants_sigkill_resume_bit_identical(tmp_path):
         # Both tenants ran the identical matrix expansion.
         assert final_a["jobs"] == final_b["jobs"]
 
-        # The interrupted tenant(s) actually resumed prior journal work.
-        restored = final_a.get("restored_jobs", 0) + final_b.get(
-            "restored_jobs", 0
-        )
-        assert restored > 0, "neither run resumed from its journal"
+        # Both interrupted tenants resumed prior journal work.
+        assert final_a["restored_jobs"] > 0, final_a
+        assert final_b["restored_jobs"] > 0, final_b
 
         # Bit-identical canonical results across tenants.
         database_a = ResultsDatabase.load(spool / run_a / "results.json")

@@ -282,32 +282,67 @@ class TestRepositoryCommand:
         repo.submit(RunMetadata("v2", "GraphMat"), ResultsDatabase([result(2.0)]))
         return tmp_path / "repo"
 
+    """The results repository is queried through ``db --store DIR``."""
+
     def test_list(self, stocked_repo, capsys):
-        assert main(["repository", str(stocked_repo), "list"]) == 0
-        out = capsys.readouterr().out
-        assert "v1" in out and "v2" in out
+        assert main(["db", "--store", str(stocked_repo), "runs"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split() for line in lines] == [
+            ["v1", "GraphMat", "1", "jobs"],
+            ["v2", "GraphMat", "1", "jobs"],
+        ]
 
     def test_best(self, stocked_repo, capsys):
-        assert main(["repository", str(stocked_repo), "best", "bfs", "D300"]) == 0
+        assert main(["db", "--store", str(stocked_repo), "top", "bfs", "D300"]) == 0
         out = capsys.readouterr().out
         assert "GraphMat" in out and "run v1" in out
 
     def test_best_missing(self, stocked_repo, capsys):
-        assert main(["repository", str(stocked_repo), "best", "pr", "R1"]) == 1
+        assert main(["db", "--store", str(stocked_repo), "top", "pr", "R1"]) == 1
 
     def test_regressions_found(self, stocked_repo, capsys):
-        code = main(["repository", str(stocked_repo), "regressions", "v1", "v2"])
+        code = main(
+            ["db", "--store", str(stocked_repo), "regressions", "v1", "v2"]
+        )
         assert code == 1
         assert "2.00x" in capsys.readouterr().out
 
     def test_no_regressions(self, stocked_repo, capsys):
-        code = main(["repository", str(stocked_repo), "regressions", "v2", "v1"])
+        code = main(
+            ["db", "--store", str(stocked_repo), "regressions", "v2", "v1"]
+        )
         assert code == 0
         assert "no regressions" in capsys.readouterr().out
 
+    def test_regressions_query_runs_once(self, stocked_repo, capsys, monkeypatch):
+        # The table and the exit status come from one answer: a second
+        # read of a live store could disagree with the first.
+        from repro.resultsdb import queries
+
+        calls = []
+        real = queries.regressions
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(queries, "regressions", counting)
+        code = main(
+            ["db", "--store", str(stocked_repo), "regressions", "v1", "v2"]
+        )
+        assert code == 1 and len(calls) == 1
+
     def test_empty_repository_list(self, tmp_path, capsys):
-        assert main(["repository", str(tmp_path / "new"), "list"]) == 0
+        from repro.harness.repository import ResultsRepository
+
+        ResultsRepository(tmp_path / "new")
+        assert main(["db", "--store", str(tmp_path / "new"), "runs"]) == 0
         assert "no runs" in capsys.readouterr().out
+
+    def test_repository_command_is_gone(self, stocked_repo, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["repository", str(stocked_repo), "list"])
+        assert exc_info.value.code == 2
 
 
 class TestAnalyzeCommand:

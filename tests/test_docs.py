@@ -125,3 +125,67 @@ class TestDocstrings:
         ):
             text = (ROOT / "src" / module_name).read_text()
             assert re.search(r"Table \d+|§\d\.\d", text), module_name
+
+
+def _documented_cli_lines():
+    """(document, line number, argv after the program name) for every
+    ``graphalytics ...`` / ``python -m repro.cli ...`` command line
+    inside a fenced block of README.md and docs/*.md."""
+    for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+        fenced = False
+        for number, line in enumerate(path.read_text().splitlines(), 1):
+            if line.lstrip().startswith("```"):
+                fenced = not fenced
+                continue
+            match = re.match(
+                r"\s*(?:\$\s+)?(?:\w+=\S+\s+)*"
+                r"(?:graphalytics|python3?\s+-m\s+repro\.cli)\s+(.*)",
+                line,
+            )
+            if fenced and match:
+                argv = match.group(1).split("#")[0].split()
+                yield path.relative_to(ROOT).as_posix(), number, argv
+
+
+def _subcommands(parser):
+    import argparse
+
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _first_positional(parser, argv):
+    """The first token of ``argv`` that is neither an option of
+    ``parser`` nor an option's value."""
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            return token
+        action = parser._option_string_actions.get(token.split("=")[0])
+        if action is not None and action.nargs != 0 and "=" not in token:
+            next(tokens, None)
+    return ""
+
+
+class TestDocumentedCommands:
+    def test_every_documented_command_parses(self):
+        # A doc that advertises a command (or a `db`/`cache` subcommand)
+        # the parser no longer accepts is drift nothing else catches.
+        from repro.cli import build_parser
+
+        commands = _subcommands(build_parser())
+        lines = list(_documented_cli_lines())
+        assert len(lines) > 40, "the scan lost the fenced CLI examples"
+        unknown = []
+        for document, number, argv in lines:
+            where = f"{document}:{number}: graphalytics {' '.join(argv)}"
+            parser = commands.get(argv[0] if argv else "")
+            if parser is None:
+                unknown.append(where)
+                continue
+            nested = _subcommands(parser)
+            if nested and _first_positional(parser, argv[1:]) not in nested:
+                unknown.append(where)
+        assert not unknown, "\n".join(unknown)

@@ -123,6 +123,12 @@ class TestRuntimeFaultInjection:
             repetitions=2,
         )
 
+    @staticmethod
+    def _archived_counts(result):
+        """(retries, timeouts, crashes) as the run's archive reports them."""
+        metadata = result.archive().phase("execute").metadata
+        return metadata["retries"], metadata["timeouts"], metadata["crashes"]
+
     def test_timing_out_worker_is_killed_retried_and_recorded(self):
         from repro.runtime import FaultPlan, FaultSpec, RuntimeConfig, execute_matrix
 
@@ -150,8 +156,9 @@ class TestRuntimeFaultInjection:
         assert failure.retries == 1
         assert [a.kind for a in failure.attempts] == ["timeout", "timeout"]
         assert failure.attempts[0].backoff_seconds > 0
-        assert result.events.count("timeout") == 2
-        assert result.events.count("retry") == 1
+        assert result.counters["scheduler.timeout"] == 2
+        assert result.counters["scheduler.retry"] == 1
+        assert self._archived_counts(result) == (1, 2, 0)
         # the other three jobs are untouched
         assert len(result.database.query(status="succeeded")) == 3
 
@@ -171,8 +178,9 @@ class TestRuntimeFaultInjection:
         assert result.lost_jobs == 0
         assert result.failures == []
         assert all(r.succeeded for r in result.database)
-        assert result.events.count("timeout") == 1
-        assert result.events.count("retry") == 1
+        assert result.counters["scheduler.timeout"] == 1
+        assert result.counters["scheduler.retry"] == 1
+        assert self._archived_counts(result) == (1, 1, 0)
 
     def test_crashing_worker_is_respawned_and_job_retried(self):
         from repro.runtime import FaultPlan, FaultSpec, RuntimeConfig, execute_matrix
@@ -190,8 +198,9 @@ class TestRuntimeFaultInjection:
         assert result.lost_jobs == 0
         assert result.failures == []
         assert all(r.succeeded for r in result.database)
-        assert result.events.count("crash") == 1
-        assert result.events.count("retry") == 1
+        assert result.counters["scheduler.crash"] == 1
+        assert result.counters["scheduler.retry"] == 1
+        assert self._archived_counts(result) == (1, 0, 1)
 
     def test_persistently_crashing_job_becomes_structured_failure(self):
         from repro.runtime import FaultPlan, FaultSpec, RuntimeConfig, execute_matrix
