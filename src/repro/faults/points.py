@@ -161,7 +161,8 @@ FAULT_POINTS: Dict[str, str] = {
         "journal group-commit fdatasync (tiered durability)"
     ),
     "cache.spill.write": (
-        "disk spill of a materialized graph from the runtime cache"
+        "disk spill of a graph or reference output into the cache "
+        "directory (a run's own, or the spool-wide store)"
     ),
     "service.spool.request": (
         "service spool request.json (run identity, pre-enqueue)"

@@ -86,6 +86,19 @@ class Dataset:
     def weighted(self) -> bool:
         return self.profile.weighted
 
+    @property
+    def recipe(self) -> Optional[Mapping[str, object]]:
+        """The miniature recipe as plain data: generator kind + arguments.
+
+        The runtime cache hashes it into every key derived from this
+        dataset, so editing a catalog recipe invalidates the stored
+        graph and references. ``None`` for an opaque materializer (one
+        not built by the factory helpers below) — change such a
+        dataset's id, or tag its materializer the same way, when its
+        recipe changes.
+        """
+        return getattr(self.materializer, "recipe", None)
+
     def materialize(self, seed: int = 0) -> Graph:
         """Deterministically build (and cache) the miniature graph."""
         if seed not in self._cache:
@@ -154,13 +167,19 @@ def _profile(
     )
 
 
+def _recipe(build: Callable[[int], Graph], generator: str, **arguments):
+    """Tag a materializer with what it calls (see :attr:`Dataset.recipe`)."""
+    build.recipe = {"generator": generator, **arguments}
+    return build
+
+
 def _replica(profile_kind: str, v: int, e: int, **kwargs):
     def build(seed: int) -> Graph:
         from repro.datagen.realworld import synthetic_replica
 
         return synthetic_replica(profile_kind, v, e, seed=seed, **kwargs)
 
-    return build
+    return _recipe(build, "replica", kind=profile_kind, v=v, e=e, **kwargs)
 
 
 def _datagen(persons: int, mean_degree: float, target_cc: Optional[float] = None):
@@ -175,7 +194,10 @@ def _datagen(persons: int, mean_degree: float, target_cc: Optional[float] = None
             seed=seed,
         )
 
-    return build
+    return _recipe(
+        build, "datagen",
+        persons=persons, mean_degree=mean_degree, target_cc=target_cc,
+    )
 
 
 def _graph500(scale: int, edgefactor: int):
@@ -184,7 +206,7 @@ def _graph500(scale: int, edgefactor: int):
 
         return graph500(scale, edgefactor=edgefactor, seed=seed)
 
-    return build
+    return _recipe(build, "graph500", scale=scale, edgefactor=edgefactor)
 
 
 M = 1e6

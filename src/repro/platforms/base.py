@@ -236,18 +236,18 @@ class PlatformDriver:
     def upload(
         self, graph: Graph, profile: Optional[WorkloadProfile] = None
     ) -> UploadHandle:
-        """Convert a graph into the platform's format.
+        """Hand a graph to the platform.
 
-        The conversion truly runs (the Graph's CSR arrays are what the
-        in-process execution consumes); the modeled time covers the
-        full-scale dataset.
+        The in-process execution consumes the Graph's CSR arrays as
+        they are, and ``Graph`` builds them eagerly, so the measured
+        upload is a touch of the adjacency, not a conversion; the
+        modeled time covers the full-scale dataset.
         """
         if profile is None:
             profile = profile_from_graph(graph)
         with current_tracer().span(
             "upload", platform=self.name, dataset=profile.name
         ) as upload_span:
-            # Touch the adjacency so the conversion cost is real, not lazy.
             _ = graph.out_indptr[-1], graph.in_indptr[-1]
         elapsed = upload_span.duration
         return UploadHandle(

@@ -30,6 +30,9 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
+# Loaded lazily by the first ``np.random.default_rng`` otherwise (~11 ms
+# in every forked run child, right after its first timed job).
+import numpy.random  # noqa: F401
 
 from repro.algorithms.registry import get_algorithm
 from repro.exceptions import ConfigurationError

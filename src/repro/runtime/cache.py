@@ -2,19 +2,25 @@
 
 Dataset miniatures are deterministic functions of ``(dataset spec,
 seed)`` (see DESIGN.md §2), so the runtime materializes each one **once
-per run** and shares it across workers. The cache is keyed by a SHA-256
-digest of the canonical dataset spec — the id, the seed, the full-scale
-profile the recipe targets, and a format version — so a recipe change
-invalidates old entries instead of silently serving them.
+per directory** and shares it across workers — and, when the directory
+outlives the run (the service's ``<spool>/cache``, ``--cache-dir``),
+across runs. The cache is keyed by a SHA-256 digest of the canonical
+dataset spec — the id, the seed, the miniature recipe (generator and
+arguments), the full-scale profile it targets, and a format version —
+so a recipe change invalidates old entries instead of silently serving
+them.
 
 Two layers:
 
 * an **in-memory LRU** (per process; bounded entry count) for repeated
   jobs inside one worker;
-* an **on-disk spill** directory (shared by every worker of a run, and
-  across runs if the caller passes a persistent directory). Writes are
-  atomic (`tmp` + ``os.replace``), so concurrent workers racing to
-  store the same key are safe — last writer wins with identical bytes.
+* an **on-disk spill** directory. Writes are atomic (`tmp` +
+  ``os.replace``), so concurrent workers racing to store the same key
+  are safe — last writer wins with identical bytes. Every entry
+  carries its own payload length and CRC-32 (:data:`_HEADER`), and an
+  entry that cannot be read back for *any* reason is a miss: it is
+  unlinked, rebuilt from the recipe and stored again, so a shared
+  directory cannot be poisoned by a torn, flipped or foreign file.
 
 Every layer interaction is counted (:class:`CacheStats`); workers ship
 their deltas back with each job result, and the scheduler aggregates
@@ -28,6 +34,8 @@ import hashlib
 import json
 import os
 import pickle
+import struct
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +44,7 @@ from typing import Dict, List, Optional, Union
 import numpy as np
 
 from repro.ioutil import atomic_write
+from repro.trace import current_tracer
 
 __all__ = [
     "CACHE_FORMAT_VERSION",
@@ -44,9 +53,15 @@ __all__ = [
     "default_cache_directory",
 ]
 
-#: Bump to invalidate every existing cache entry (e.g. when a recipe or
-#: the Graph pickle layout changes).
-CACHE_FORMAT_VERSION = 1
+#: Bump to invalidate every existing cache entry (e.g. when the key
+#: payload, the entry header or the Graph pickle layout changes).
+CACHE_FORMAT_VERSION = 2
+
+#: Every entry starts with magic, payload length and payload CRC-32.
+#: The check lives in the entry itself because blob and manifest are
+#: two renames — a manifest can describe a blob it was not written for.
+_MAGIC = b"GLYTCACHE"
+_HEADER = struct.Struct(f"<{len(_MAGIC)}sQI")
 
 
 def default_cache_directory() -> Path:
@@ -118,6 +133,7 @@ def _spec_payload(dataset, seed: int, *, kind: str, algorithm: str = "") -> str:
             "format": CACHE_FORMAT_VERSION,
             "kind": kind,
             "dataset": dataset.dataset_id,
+            "recipe": dataset.recipe,
             "seed": seed,
             "algorithm": algorithm,
             "profile": {
@@ -223,17 +239,45 @@ class GraphCache:
         return self.directory / key[:2] / f"{key}.pkl"
 
     def _disk_get(self, key: str):
+        """The stored value, or ``None`` when absent *or unreadable*.
+
+        The directory may be shared by every run of a service spool, so
+        whatever sits at the entry's path is untrusted until its header
+        checks out: a short file, a flipped byte, a file from another
+        format, an unpickle error, or the entry vanishing under a
+        concurrent ``cache clear`` all count ``cache.corrupt``, drop
+        the entry and fall through to the rebuild-and-store miss path.
+        The entry is read as one blob on purpose: the CRC needs all of
+        it, and freeing a buffer this size lifts glibc's mmap threshold
+        so the kernels' numpy temporaries stop page-faulting (see
+        docs/service.md § Measured).
+        """
         path = self._entry_path(key)
         if path is None or not path.exists():
             return None
-        with open(path, "rb") as handle:
-            return pickle.load(handle)
+        try:
+            with open(path, "rb") as handle:
+                blob = handle.read()
+            magic, length, crc = _HEADER.unpack_from(blob)
+            payload = memoryview(blob)[_HEADER.size:]
+            if (
+                magic != _MAGIC
+                or len(payload) != length
+                or zlib.crc32(payload) != crc
+            ):
+                raise ValueError("header does not match payload")
+            return pickle.loads(payload)
+        except Exception:
+            current_tracer().counter("cache.corrupt")
+            path.unlink(missing_ok=True)
+            return None
 
     def _disk_put(self, key: str, value, *, kind: str, label: str) -> None:
         path = self._entry_path(key)
         if path is None:
             return
-        blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = _HEADER.pack(_MAGIC, len(payload), zlib.crc32(payload)) + payload
         # Atomic but not fsynced: entries are rebuildable, so losing one
         # to a crash is fine — serving a torn one never is. For the same
         # reason a *full disk* downgrades to not-spilling at all rather
@@ -263,8 +307,6 @@ class GraphCache:
     # -- lookup --------------------------------------------------------------
 
     def _get(self, key: str, builder, *, kind: str, label: str):
-        from repro.trace import current_tracer
-
         value = self._memory_get(key)
         if value is not None:
             self._count(memory_hits=1)
@@ -336,6 +378,30 @@ class GraphCache:
             )
         entries.sort(key=lambda e: (e.kind, e.label, e.key))
         return entries
+
+    def disk_usage(self) -> Dict[str, int]:
+        """Entry count and total size of the disk layer.
+
+        A listing and one ``stat`` per entry — no manifest is parsed,
+        so it is cheap enough for a health probe and cannot fail on a
+        torn file. Zeros when the directory does not exist yet; a
+        concurrent :meth:`clear` ends the listing early.
+        """
+        entries = size = 0
+        if self.directory is not None:
+            # os.scandir, not Path.glob: a third cheaper per entry, and
+            # this runs inside every /v1/healthz.
+            try:
+                with os.scandir(self.directory) as shards:
+                    for shard in [s.path for s in shards if s.is_dir()]:
+                        with os.scandir(shard) as listing:
+                            for entry in listing:
+                                if entry.name.endswith(".pkl"):
+                                    size += entry.stat().st_size
+                                    entries += 1
+            except FileNotFoundError:
+                pass  # nothing stored yet, or `clear` is emptying it
+        return {"entries": entries, "bytes": size}
 
     def clear(self) -> int:
         """Drop both layers; returns the number of disk entries removed."""

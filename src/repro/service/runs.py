@@ -13,7 +13,12 @@ Every submitted run owns one directory under the service **spool**:
         outcome.json    # terminal summary written by the run process
         supervise.json  # attempt ledger written before every launch
         quarantine.json # terminal marker for budget-exhausted runs
-        cache/          # materialized-graph spill
+
+Beside the run directories the spool holds what every run shares:
+``results.db`` (the results store) and ``cache/`` (the artifact store:
+materialized graphs and validation references, keyed by catalog recipe
+and seed only, so no tenant data enters it and every submission after
+the first takes disk hits instead of regenerating).
 
 ``request.json`` is written atomically *before* the run is queued and
 never modified, so the submission survives any crash; everything else
@@ -41,6 +46,7 @@ from repro.service.supervise import load_quarantine, load_supervision
 __all__ = [
     "REQUEST_NAME",
     "OUTCOME_NAME",
+    "CACHE_NAME",
     "RunRecord",
     "RunRegistry",
     "normalize_matrix",
@@ -48,6 +54,9 @@ __all__ = [
 
 REQUEST_NAME = "request.json"
 OUTCOME_NAME = "outcome.json"
+#: The spool-wide artifact store; no run id can collide with it
+#: (:meth:`RunRegistry.create` mints ``r<seq>-<tenant>``).
+CACHE_NAME = "cache"
 
 #: States a run moves through: queued -> running -> done | failed —
 #: or, when supervision exhausts its attempt budget, -> quarantined.

@@ -42,6 +42,7 @@ from typing import Awaitable, Callable, Dict, List, Optional, Tuple, Union
 from repro.exceptions import ConfigurationError, GraphalyticsError
 from repro.faults import FaultPointError, IoFaultPlan
 from repro.proc import Child, RetryPolicy, stop_all
+from repro.runtime.cache import GraphCache
 from repro.service.http import (
     EventStream,
     ProtocolError,
@@ -54,6 +55,7 @@ from repro.service.http import (
 )
 from repro.service.queue import FairShareQueue, QuotaExceeded
 from repro.service.runs import (
+    CACHE_NAME,
     QUARANTINED,
     QUEUED,
     RUNNING,
@@ -556,11 +558,8 @@ class BenchmarkService:
         operators read the detail.
         """
         now = current_tracer().clock.now()
-        usage = await asyncio.to_thread(
-            shutil.disk_usage, str(self.registry.spool)
-        )
-        store_stats = await asyncio.to_thread(
-            _store_stats, self.registry.spool
+        usage, store_stats, artifact_stats = await asyncio.to_thread(
+            _spool_report, self.registry.spool
         )
         breakers = self.breaker.state(now=now)
         quarantined = sorted(
@@ -594,6 +593,7 @@ class BenchmarkService:
                 "quarantined": quarantined,
                 "degraded_runs": degraded_runs,
                 "results_store": store_stats,
+                "artifact_store": artifact_stats,
             }
         )
 
@@ -677,14 +677,26 @@ class BenchmarkService:
         return None  # the stream was the response
 
 
+def _spool_report(spool: Path):
+    """Everything ``/v1/healthz`` reads from the filesystem.
+
+    Runs on one ``to_thread`` worker: statting, listing, opening and
+    counting is work the event loop must not wait on, and one hop for
+    all of it keeps the probe's latency flat as it reports more.
+    """
+    return (
+        shutil.disk_usage(str(spool)),
+        _store_stats(spool),
+        GraphCache(spool / CACHE_NAME).disk_usage(),
+    )
+
+
 def _store_stats(spool: Path) -> Dict[str, object]:
     """The spool results-store statistics for ``/v1/healthz``.
 
     Run children create ``<spool>/results.db`` at their terminal
     commit; before any run has finished the store does not exist and
-    healthz reports zeros without creating the file. Runs on a
-    ``to_thread`` worker: opening and counting is filesystem work the
-    event loop must not wait on.
+    healthz reports zeros without creating the file.
     """
     from repro.resultsdb.store import STORE_NAME, ResultsStore
 

@@ -18,7 +18,8 @@ the server. That buys three properties the service contract needs:
 :func:`execute_service_run` is the :class:`repro.proc.Child` target.
 It is a lint-recognized worker entrypoint (the RACE rules police it),
 so it mutates no module globals — everything it touches lives in the
-run directory it is handed.
+run directory it is handed, or in the two stores every run of the
+spool shares beside it (``results.db`` and ``cache/``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from repro.runtime.executor import (
     resolve_workers,
 )
 from repro.runtime.journal import RunJournal, config_from_payload
-from repro.service.runs import OUTCOME_NAME, REQUEST_NAME
+from repro.service.runs import CACHE_NAME, OUTCOME_NAME, REQUEST_NAME
 from repro.trace import Tracer, use_tracer
 
 __all__ = ["execute_service_run", "run_outcome_payload"]
@@ -136,7 +137,10 @@ def execute_service_run(
             runtime = RuntimeConfig(
                 workers=resolve_workers(workers),
                 job_timeout=job_timeout,
-                cache_dir=run_dir / "cache",
+                # One artifact store per spool, not per run: keyed by
+                # catalog recipe + seed only, so every tenant, attempt
+                # and resume after the first takes a disk hit.
+                cache_dir=run_dir.parent / CACHE_NAME,
             )
             resume = RunJournal.journal_path(run_dir).exists()
             result = execute_matrix(

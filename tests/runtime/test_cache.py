@@ -1,17 +1,40 @@
 """The content-addressed graph cache: keys, layers, stats, maintenance."""
 
+import dataclasses
+import hashlib
+import multiprocessing
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.harness.datasets import get_dataset
+from repro.harness.datasets import (
+    DATASETS,
+    _datagen,
+    _graph500,
+    _replica,
+    get_dataset,
+)
 from repro.runtime.cache import (
     CacheStats,
     GraphCache,
     graph_key,
     reference_key,
 )
+from repro.trace import Tracer, use_tracer
+
+
+def _assert_same_graph(loaded, built):
+    """Every attribute equal — arrays by dtype and content."""
+    assert vars(loaded).keys() == vars(built).keys()
+    for name, expected in vars(built).items():
+        got = getattr(loaded, name)
+        if isinstance(expected, np.ndarray):
+            assert got.dtype == expected.dtype, name
+            np.testing.assert_array_equal(got, expected, err_msg=name)
+        else:
+            assert got == expected, name
 
 
 class TestContentAddressing:
@@ -33,6 +56,48 @@ class TestContentAddressing:
     def test_reference_key_case_insensitive_algorithm(self):
         dataset = get_dataset("R1")
         assert reference_key(dataset, "BFS", 0) == reference_key(dataset, "bfs", 0)
+
+    @pytest.mark.parametrize(
+        "dataset_id, edited",
+        [
+            ("R4", _replica("social", 400, 12000, weighted=True)),
+            ("R4", _replica("coplay", 401, 12000, weighted=True)),
+            ("R4", _replica("coplay", 400, 12001, weighted=True)),
+            ("R4", _replica("coplay", 400, 12000, weighted=True, name="x")),
+            ("D100", _datagen(501, 24.0)),
+            ("D100", _datagen(500, 24.5)),
+            ("D100", _datagen(500, 24.0, target_cc=0.05)),
+            ("G24", _graph500(12, 15)),
+            ("G24", _graph500(11, 16)),
+        ],
+        ids=lambda value: value if isinstance(value, str) else "-".join(
+            str(argument) for argument in value.recipe.values()
+        ),
+    )
+    def test_key_depends_on_every_recipe_argument(self, dataset_id, edited):
+        """Same id, same profile, one recipe argument edited: new keys."""
+        catalog = get_dataset(dataset_id)
+        changed = dataclasses.replace(catalog, materializer=edited, _cache={})
+        assert changed.profile == catalog.profile
+        assert graph_key(changed, 0) != graph_key(catalog, 0)
+        for algorithm in ("bfs", "pr", "wcc", "cdlp", "lcc", "sssp"):
+            assert reference_key(changed, algorithm, 0) != reference_key(
+                catalog, algorithm, 0
+            )
+
+    def test_key_covers_the_recipe_not_the_closure(self):
+        catalog = get_dataset("G24")
+        rebuilt = dataclasses.replace(
+            catalog, materializer=_graph500(11, 15), _cache={}
+        )
+        assert rebuilt.materializer is not catalog.materializer
+        assert graph_key(rebuilt, 0) == graph_key(catalog, 0)
+
+    def test_every_catalog_dataset_has_its_own_recipe(self):
+        # D100 / D100' / D100" differ in target_cc only.
+        recipes = [dataset.recipe for dataset in DATASETS.values()]
+        assert all(recipe["generator"] for recipe in recipes)
+        assert len({repr(sorted(r.items())) for r in recipes}) == len(recipes)
 
 
 class TestLayers:
@@ -126,6 +191,18 @@ class TestMaintenance:
         assert [e.kind for e in entries] == ["graph", "reference"]
         assert all(e.bytes > 0 for e in entries)
 
+    def test_disk_usage_lists_without_reading_manifests(self, tmp_path):
+        cache = GraphCache(tmp_path / "not-created-yet")
+        assert cache.disk_usage() == {"entries": 0, "bytes": 0}
+        assert GraphCache(None).disk_usage() == {"entries": 0, "bytes": 0}
+        cache.get_graph(get_dataset("R1"), 0)
+        cache.get_reference(get_dataset("R1"), "bfs", 0)
+        for manifest in cache.directory.glob("*/*.json"):
+            manifest.write_text("{ torn")
+        assert cache.disk_usage() == {
+            "entries": 2, "bytes": cache.stats.bytes_written,
+        }
+
     def test_clear_removes_everything(self, tmp_path):
         cache = GraphCache(tmp_path)
         cache.get_graph(get_dataset("R1"), 0)
@@ -134,12 +211,162 @@ class TestMaintenance:
         assert cache.disk_entries() == []
         assert not list(tmp_path.glob("*/*.pkl"))
 
-    def test_corrupt_entry_detected_by_unpickling_error(self, tmp_path):
-        cache = GraphCache(tmp_path)
+
+def _truncate(path, graph):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _flip_payload_byte(path, graph):
+    blob = bytearray(path.read_bytes())
+    blob[len(blob) // 2] ^= 0x01
+    path.write_bytes(bytes(blob))
+
+
+def _headerless(path, graph):
+    """What the store held before entries carried a header."""
+    path.write_bytes(pickle.dumps(graph, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _not_a_pickle(path, graph):
+    path.write_bytes(b"not a pickle")
+
+
+class TestSelfHealing:
+    """An unreadable entry is a counted miss that repairs itself."""
+
+    def _stored(self, directory):
         dataset = get_dataset("R1")
-        cache.get_graph(dataset, 0)
-        path = cache._entry_path(graph_key(dataset, 0))
-        path.write_bytes(b"not a pickle")
-        fresh = GraphCache(tmp_path)
-        with pytest.raises(pickle.UnpicklingError):
-            fresh.get_graph(dataset, 0)
+        cache = GraphCache(directory)
+        graph = cache.get_graph(dataset, 0)
+        return dataset, graph, cache._entry_path(graph_key(dataset, 0))
+
+    def _assert_healed(self, directory, dataset, graph, tracer, reader, loaded):
+        _assert_same_graph(loaded, graph)
+        assert reader.stats.misses == 1
+        assert reader.stats.disk_hits == 0
+        assert reader.stats.stores == 1
+        assert tracer.counters["cache.corrupt"] == 1
+        assert tracer.counters["cache.miss"] == 1
+        # The entry on disk is valid again: a third process takes a hit.
+        with use_tracer(Tracer()) as after:
+            third = GraphCache(directory)
+            _assert_same_graph(third.get_graph(dataset, 0), graph)
+        assert third.stats.disk_hits == 1
+        assert "cache.corrupt" not in after.counters
+
+    @pytest.mark.parametrize(
+        "damage", [_truncate, _flip_payload_byte, _headerless, _not_a_pickle]
+    )
+    def test_damaged_entry_is_rebuilt(self, tmp_path, damage):
+        dataset, graph, path = self._stored(tmp_path)
+        damage(path, graph)
+        dataset._cache.clear()  # the rebuild must run the recipe again
+        with use_tracer(Tracer()) as tracer:
+            reader = GraphCache(tmp_path)
+            loaded = reader.get_graph(dataset, 0)
+        self._assert_healed(tmp_path, dataset, graph, tracer, reader, loaded)
+
+    def test_entry_cleared_between_exists_and_read(self, tmp_path, monkeypatch):
+        dataset, graph, path = self._stored(tmp_path)
+        real_exists = Path.exists
+
+        def cleared_after_the_check(self):
+            found = real_exists(self)
+            if self == path and found:
+                monkeypatch.undo()
+                self.unlink()  # a concurrent `cache clear` wins the race
+            return found
+
+        monkeypatch.setattr(Path, "exists", cleared_after_the_check)
+        dataset._cache.clear()
+        with use_tracer(Tracer()) as tracer:
+            reader = GraphCache(tmp_path)
+            loaded = reader.get_graph(dataset, 0)
+        self._assert_healed(tmp_path, dataset, graph, tracer, reader, loaded)
+
+    def test_damaged_reference_is_rebuilt(self, tmp_path):
+        dataset = get_dataset("R1")
+        cache = GraphCache(tmp_path)
+        reference = cache.get_reference(dataset, "pr", 0)
+        _truncate(cache._entry_path(reference_key(dataset, "pr", 0)), None)
+        with use_tracer(Tracer()) as tracer:
+            reader = GraphCache(tmp_path)
+            again = reader.get_reference(dataset, "pr", 0)
+        assert again.tobytes() == reference.tobytes()
+        assert tracer.counters["cache.corrupt"] == 1
+        assert GraphCache(tmp_path).get_reference(
+            dataset, "pr", 0
+        ).tobytes() == reference.tobytes()
+
+
+class TestRoundTrip:
+    """load(store(x)) == x for everything the catalog can put in the store."""
+
+    @pytest.mark.parametrize("dataset_id", list(DATASETS))
+    def test_graph(self, tmp_path, dataset_id):
+        dataset = get_dataset(dataset_id)
+        built = GraphCache(tmp_path).get_graph(dataset, 0)
+        reader = GraphCache(tmp_path)
+        loaded = reader._disk_get(graph_key(dataset, 0))
+        assert loaded is not built
+        _assert_same_graph(loaded, built)
+        if not built.directed:
+            # One CSR serves both directions; pickling must keep the
+            # three arrays shared, not double the graph.
+            assert loaded.in_indptr is loaded.out_indptr
+            assert loaded.in_indices is loaded.out_indices
+            assert loaded.in_weights is loaded.out_weights
+
+    @pytest.mark.parametrize("dataset_id", list(DATASETS))
+    def test_reference(self, tmp_path, dataset_id):
+        dataset = get_dataset(dataset_id)
+        algorithm = "sssp" if dataset.weighted else "bfs"
+        built = GraphCache(tmp_path).get_reference(dataset, algorithm, 0)
+        loaded = GraphCache(tmp_path)._disk_get(
+            reference_key(dataset, algorithm, 0)
+        )
+        assert loaded.dtype == built.dtype
+        assert loaded.tobytes() == built.tobytes()
+
+
+def _race_to_build(directory, barrier, results):
+    dataset = get_dataset("R3")
+    dataset._cache.clear()  # forked: drop whatever the parent memoized
+    cache = GraphCache(directory)
+    barrier.wait(timeout=60)
+    graph = cache.get_graph(dataset, 41)
+    digest = hashlib.sha256()
+    for name, value in sorted(vars(graph).items()):
+        if isinstance(value, np.ndarray):
+            digest.update(name.encode() + value.tobytes())
+    results.put((digest.hexdigest(), cache.stats.as_dict()))
+
+
+def test_processes_racing_to_build_one_key(tmp_path):
+    """More builders than cores, one key: equal graphs, one valid entry."""
+    context = multiprocessing.get_context("fork")
+    racers = 3
+    barrier = context.Barrier(racers)
+    results = context.Queue()
+    processes = [
+        context.Process(target=_race_to_build, args=(tmp_path, barrier, results))
+        for _ in range(racers)
+    ]
+    for process in processes:
+        process.start()
+    outcomes = [results.get(timeout=120) for _ in processes]
+    for process in processes:
+        process.join(timeout=60)
+        assert process.exitcode == 0
+    assert len({digest for digest, _stats in outcomes}) == 1
+    # Whoever lost the race either built too (a miss) or read the
+    # winner's entry (a disk hit) — never a torn one.
+    assert all(s["misses"] + s["disk_hits"] == 1 for _d, s in outcomes)
+    assert [p.name for p in tmp_path.glob("*/*") if p.suffix != ".json"] == [
+        f"{graph_key(get_dataset('R3'), 41)}.pkl"
+    ]
+    with use_tracer(Tracer()) as tracer:
+        reader = GraphCache(tmp_path)
+        reader.get_graph(get_dataset("R3"), 41)
+    assert reader.stats.disk_hits == 1
+    assert "cache.corrupt" not in tracer.counters

@@ -430,3 +430,199 @@ def test_chaos_quarantine_and_degradation_survive_restart(tmp_path):
         assert "degraded" in probe.stdout
     finally:
         _terminate(server)
+
+
+# ---------------------------------------------------------------------------
+# The spool-wide artifact store: shared, racing, full, poisoned.
+# ---------------------------------------------------------------------------
+
+#: `submit example`: 2 graphs + 5 references (SSSP skips unweighted R1).
+EXAMPLE_MATRIX = {
+    "platforms": ["powergraph", "graphmat"],
+    "datasets": ["R1", "R4"],
+    "algorithms": ["bfs", "pr", "sssp"],
+    "repetitions": 2,
+}
+EXAMPLE_ARTIFACTS = 7
+
+
+def _finish(client: ServiceClient, spool: Path, run_id: str) -> ResultsDatabase:
+    """Wait for ``run_id``; it must end done with every row validated."""
+    final = _wait_terminal(client, run_id)
+    assert final["state"] == "done", final
+    assert final["failures"] == 0, final
+    database = ResultsDatabase.load(spool / run_id / "results.json")
+    assert len(database) > 0
+    assert all(row.succeeded and row.validated for row in database), [
+        (row.platform, row.dataset, row.algorithm, row.status)
+        for row in database if not (row.succeeded and row.validated)
+    ]
+    # Run directories hold no private copy of the artifacts any more.
+    assert not (spool / run_id / "cache").exists()
+    return database
+
+
+def _trace_counters(spool: Path, run_id: str) -> dict:
+    from repro.trace import read_trace
+
+    _spans, counters = read_trace(spool / run_id / "trace.jsonl")
+    return counters
+
+
+def _assert_store_is_valid(spool: Path, entries: int) -> None:
+    """Every entry of ``<spool>/cache`` reads back without a repair."""
+    from repro.runtime.cache import GraphCache
+    from repro.trace import Tracer, use_tracer
+
+    store = GraphCache(spool / "cache")
+    listed = store.disk_entries()
+    assert len(listed) == entries
+    with use_tracer(Tracer()) as tracer:
+        assert all(store._disk_get(entry.key) is not None for entry in listed)
+    assert "cache.corrupt" not in tracer.counters
+
+
+@pytest.mark.slow
+def test_spool_shares_one_self_healing_artifact_store(tmp_path):
+    """Run 2 only takes disk hits; a poisoned store repairs itself."""
+    from repro.runtime.cache import GraphCache
+
+    spool = tmp_path / "spool"
+    server = _spawn_server(spool)
+    try:
+        client = _read_address(server)
+        assert client.healthz()["artifact_store"] == {"entries": 0, "bytes": 0}
+
+        first = client.submit("alice", EXAMPLE_MATRIX)["run_id"]
+        cold = _finish(client, spool, first)
+        assert _trace_counters(spool, first)["cache.miss"] == EXAMPLE_ARTIFACTS
+
+        # Another tenant, same matrix: nothing is generated again.
+        second = client.submit("bob", EXAMPLE_MATRIX)["run_id"]
+        warm = _finish(client, spool, second)
+        counters = _trace_counters(spool, second)
+        assert counters["cache.hit.disk"] >= EXAMPLE_ARTIFACTS
+        assert "cache.miss" not in counters
+        assert "cache.corrupt" not in counters
+        assert warm.canonical_json() == cold.canonical_json()
+        store = client.healthz()["artifact_store"]
+        assert store["entries"] == EXAMPLE_ARTIFACTS
+        assert store["bytes"] == sum(
+            path.stat().st_size for path in (spool / "cache").glob("*/*.pkl")
+        )
+
+        # Poison three entries three ways. At the parent of this change
+        # such a store turned every dependent job into a
+        # harness-dependency failure row, for every later run.
+        cache = GraphCache(spool / "cache")
+        entries = cache.disk_entries()
+        graphs = [e for e in entries if e.kind == "graph"]
+        references = [e for e in entries if e.kind == "reference"]
+        truncated, flipped, headerless = (
+            cache._entry_path(entry.key)
+            for entry in (graphs[0], graphs[1], references[0])
+        )
+        blob = truncated.read_bytes()
+        truncated.write_bytes(blob[: len(blob) // 2])
+        blob = bytearray(flipped.read_bytes())
+        blob[len(blob) // 2] ^= 0x01
+        flipped.write_bytes(bytes(blob))
+        headerless.write_bytes(b"\x80\x05N.")  # a bare pickle, no header
+
+        # One worker: each entry is read (and repaired) exactly once.
+        third = client.submit("carol", EXAMPLE_MATRIX, workers=1)["run_id"]
+        healed = _finish(client, spool, third)
+        counters = _trace_counters(spool, third)
+        assert counters["cache.corrupt"] == 3
+        assert counters["cache.miss"] == 3
+        assert healed.canonical_json() == cold.canonical_json()
+        _assert_store_is_valid(spool, EXAMPLE_ARTIFACTS)
+    finally:
+        _terminate(server)
+
+
+@pytest.mark.slow
+def test_two_tenants_race_to_fill_a_cold_store(tmp_path):
+    spool = tmp_path / "spool"
+    server = _spawn_server(spool)  # --max-running 2: both run at once
+    try:
+        client = _read_address(server)
+        run_a = client.submit("alice", EXAMPLE_MATRIX)["run_id"]
+        run_b = client.submit("bob", EXAMPLE_MATRIX)["run_id"]
+        database_a = _finish(client, spool, run_a)
+        database_b = _finish(client, spool, run_b)
+        assert database_a.canonical_json() == database_b.canonical_json()
+        for run_id in (run_a, run_b):
+            assert "cache.corrupt" not in _trace_counters(spool, run_id)
+        _assert_store_is_valid(spool, EXAMPLE_ARTIFACTS)
+    finally:
+        _terminate(server)
+
+
+@pytest.mark.slow
+def test_full_disk_at_the_spill_does_not_poison_later_runs(tmp_path):
+    spool = tmp_path / "spool"
+    server = _spawn_server(spool)
+    try:
+        client = _read_address(server)
+        no_space = {
+            "seed": 0,
+            "faults": [{
+                "point": "cache.spill.write", "kind": "enospc", "times": 1000,
+            }],
+        }
+        run_a = client.submit("alice", EXAMPLE_MATRIX, chaos=no_space)["run_id"]
+        database_a = _finish(client, spool, run_a)
+        # Nothing could be spilled: run A paid for every artifact itself
+        # and left the store empty, not half-written.
+        assert client.healthz()["artifact_store"]["entries"] == 0
+
+        run_b = client.submit("bob", EXAMPLE_MATRIX)["run_id"]
+        database_b = _finish(client, spool, run_b)
+        assert database_a.canonical_json() == database_b.canonical_json()
+        _assert_store_is_valid(spool, EXAMPLE_ARTIFACTS)
+    finally:
+        _terminate(server)
+
+
+def test_first_job_of_a_warm_store_child_imports_nothing(tmp_path):
+    """What a run child needs is loaded by what the server imports.
+
+    numpy loads ``numpy.ma`` and ``numpy.random`` on first use; left
+    lazy, that first use is the first job's timed ``processing`` span
+    of every forked run child.
+    """
+    from repro.harness.datasets import get_dataset
+    from repro.runtime.cache import GraphCache
+
+    store = GraphCache(tmp_path)
+    store.get_graph(get_dataset("R1"), 0)
+    store.get_reference(get_dataset("R1"), "bfs", 0)
+    script = (
+        "import repro.service.worker, sys, json\n"
+        "assert 'numpy.ma' in sys.modules and 'numpy.random' in sys.modules\n"
+        "from repro.harness.config import BenchmarkConfig\n"
+        "from repro.runtime.cache import GraphCache\n"
+        "from repro.runtime.pool import CacheBackedRunner\n"
+        "config = BenchmarkConfig(platforms=['pythonref'], datasets=['R1'],\n"
+        "                         algorithms=['bfs'], repetitions=1)\n"
+        "cache = GraphCache(sys.argv[1])\n"
+        "runner = CacheBackedRunner(config, cache)\n"
+        "before = set(sys.modules)\n"
+        "row = runner.run_job('pythonref', 'R1', 'bfs')\n"
+        "print(json.dumps({'validated': row.validated,\n"
+        "                  'stats': cache.stats.as_dict(),\n"
+        "                  'imported': sorted(set(sys.modules) - before)}))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    child = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=_DEADLINE,
+        cwd=str(Path(__file__).resolve().parents[2]),
+    )
+    assert child.returncode == 0, child.stdout + child.stderr
+    report = json.loads(child.stdout)
+    assert report["validated"] is True
+    assert report["stats"]["disk_hits"] == 2 and report["stats"]["misses"] == 0
+    assert report["imported"] == []
