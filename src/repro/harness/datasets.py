@@ -24,6 +24,9 @@ from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
 
+from repro.datagen.generator import generate
+from repro.datagen.graph500 import graph500
+from repro.datagen.realworld import synthetic_replica
 from repro.exceptions import DatasetError
 from repro.graph.graph import Graph
 from repro.harness.scale import scale_class, class_order
@@ -31,6 +34,7 @@ from repro.platforms.model import WorkloadProfile
 
 __all__ = [
     "Dataset",
+    "from_recipe",
     "DATASETS",
     "get_dataset",
     "dataset_ids",
@@ -86,18 +90,26 @@ class Dataset:
     def weighted(self) -> bool:
         return self.profile.weighted
 
+    def __post_init__(self):
+        if not hasattr(self.materializer, "recipe"):
+            # An opaque callable would be cached under id, seed and
+            # profile alone, and served stale after its recipe changed.
+            raise DatasetError(
+                f"{self.dataset_id}: build the materializer with "
+                f"from_recipe(generator, build, **arguments) so the graph "
+                f"cache can key on what it generates"
+            )
+
     @property
-    def recipe(self) -> Optional[Mapping[str, object]]:
+    def recipe(self) -> Mapping[str, object]:
         """The miniature recipe as plain data: generator kind + arguments.
 
         The runtime cache hashes it into every key derived from this
-        dataset, so editing a catalog recipe invalidates the stored
-        graph and references. ``None`` for an opaque materializer (one
-        not built by the factory helpers below) — change such a
-        dataset's id, or tag its materializer the same way, when its
-        recipe changes.
+        dataset, so editing a recipe invalidates the stored graph and
+        references. It is the very dictionary :func:`from_recipe` calls
+        the generator with.
         """
-        return getattr(self.materializer, "recipe", None)
+        return self.materializer.recipe
 
     def materialize(self, seed: int = 0) -> Graph:
         """Deterministically build (and cache) the miniature graph."""
@@ -167,46 +179,40 @@ def _profile(
     )
 
 
-def _recipe(build: Callable[[int], Graph], generator: str, **arguments):
-    """Tag a materializer with what it calls (see :attr:`Dataset.recipe`)."""
-    build.recipe = {"generator": generator, **arguments}
-    return build
+def from_recipe(
+    generator: str, build: Callable[..., Graph], **arguments
+) -> Callable[[int], Graph]:
+    """The materializer ``seed -> build(**arguments, seed=seed)``.
+
+    The arguments it calls ``build`` with are the ones it carries as
+    :attr:`Dataset.recipe` — one dictionary, so the cache key cannot
+    drift from what is generated. ``arguments`` must be plain data
+    (they are hashed as JSON).
+    """
+    def materialize(seed: int) -> Graph:
+        return build(**arguments, seed=seed)
+
+    materialize.recipe = {"generator": generator, **arguments}
+    return materialize
 
 
 def _replica(profile_kind: str, v: int, e: int, **kwargs):
-    def build(seed: int) -> Graph:
-        from repro.datagen.realworld import synthetic_replica
-
-        return synthetic_replica(profile_kind, v, e, seed=seed, **kwargs)
-
-    return _recipe(build, "replica", kind=profile_kind, v=v, e=e, **kwargs)
+    return from_recipe(
+        "replica", synthetic_replica,
+        profile=profile_kind, num_vertices=v, num_edges=e, **kwargs,
+    )
 
 
 def _datagen(persons: int, mean_degree: float, target_cc: Optional[float] = None):
-    def build(seed: int) -> Graph:
-        from repro.datagen.generator import generate
-
-        return generate(
-            persons,
-            mean_degree=mean_degree,
-            target_clustering_coefficient=target_cc,
-            weighted=True,
-            seed=seed,
-        )
-
-    return _recipe(
-        build, "datagen",
-        persons=persons, mean_degree=mean_degree, target_cc=target_cc,
+    return from_recipe(
+        "datagen", generate,
+        num_persons=persons, mean_degree=mean_degree,
+        target_clustering_coefficient=target_cc, weighted=True,
     )
 
 
 def _graph500(scale: int, edgefactor: int):
-    def build(seed: int) -> Graph:
-        from repro.datagen.graph500 import graph500
-
-        return graph500(scale, edgefactor=edgefactor, seed=seed)
-
-    return _recipe(build, "graph500", scale=scale, edgefactor=edgefactor)
+    return from_recipe("graph500", graph500, scale=scale, edgefactor=edgefactor)
 
 
 M = 1e6

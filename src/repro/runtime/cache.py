@@ -280,7 +280,9 @@ class GraphCache:
         blob = _HEADER.pack(_MAGIC, len(payload), zlib.crc32(payload)) + payload
         # Atomic but not fsynced: entries are rebuildable, so losing one
         # to a crash is fine — serving a torn one never is. For the same
-        # reason a *full disk* downgrades to not-spilling at all rather
+        # reason a spill that cannot land — a *full disk*, or a
+        # concurrent ``cache clear`` taking the temp file or its shard
+        # directory (ENOENT) — downgrades to not-spilling at all rather
         # than failing the job that built the value.
         try:
             atomic_write(
@@ -299,7 +301,7 @@ class GraphCache:
                 durable=False,
             )
         except OSError as exc:
-            if exc.errno != errno.ENOSPC:
+            if exc.errno not in (errno.ENOSPC, errno.ENOENT):
                 raise
             return
         self._count(stores=1, bytes_written=len(blob))
@@ -408,16 +410,23 @@ class GraphCache:
         self._lru.clear()
         removed = 0
         if self.directory is not None and self.directory.exists():
+            # The directory may be in use (a service spool's store is
+            # cleared under load): whatever a reader's repair or another
+            # clear removed first is simply gone, and a shard directory
+            # a writer refilled meanwhile stays.
             for path in self.directory.glob("*/*.pkl"):
-                path.unlink()
+                path.unlink(missing_ok=True)
                 removed += 1
             for path in self.directory.glob("*/*.json"):
-                path.unlink()
+                path.unlink(missing_ok=True)
             for path in self.directory.glob("*/*.tmp"):
-                path.unlink()
+                path.unlink(missing_ok=True)
             for sub in self.directory.iterdir():
-                if sub.is_dir() and not any(sub.iterdir()):
-                    sub.rmdir()
+                if sub.is_dir():
+                    try:
+                        sub.rmdir()
+                    except OSError:
+                        pass  # not empty, or already removed
         return removed
 
     def write_run_stats(self, stats: CacheStats) -> Optional[Path]:

@@ -9,6 +9,7 @@ from repro.harness.datasets import (
     SYNTHETIC_DATASETS,
     dataset_ids,
     datasets_up_to_class,
+    from_recipe,
     get_dataset,
 )
 
@@ -123,6 +124,36 @@ class TestMaterialization:
         low = compute_statistics(get_dataset("D100'").materialize())
         high = compute_statistics(get_dataset("D100\"").materialize())
         assert low.mean_clustering_coefficient < high.mean_clustering_coefficient
+
+
+class TestRecipe:
+    def test_recipe_is_what_the_generator_is_called_with(self):
+        calls = []
+
+        def build(**arguments):
+            calls.append(arguments)
+
+        materializer = from_recipe("probe", build, size=3, weighted=True)
+        materializer(7)
+        assert calls == [{"size": 3, "weighted": True, "seed": 7}]
+        assert materializer.recipe == {
+            "generator": "probe", "size": 3, "weighted": True,
+        }
+
+    def test_catalog_recipes_name_their_generator_arguments(self):
+        assert get_dataset("G24").recipe == {
+            "generator": "graph500", "scale": 11, "edgefactor": 15,
+        }
+        assert get_dataset("R4").recipe["num_edges"] == 12000
+        assert get_dataset("D100'").recipe["target_clustering_coefficient"] == 0.05
+
+    def test_opaque_materializer_is_rejected(self):
+        import dataclasses
+
+        with pytest.raises(DatasetError, match="from_recipe"):
+            dataclasses.replace(
+                get_dataset("R1"), materializer=lambda seed: None
+            )
 
 
 class TestAlgorithmParameters:

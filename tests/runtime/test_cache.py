@@ -3,7 +3,9 @@
 import dataclasses
 import hashlib
 import multiprocessing
+import os
 import pickle
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +212,53 @@ class TestMaintenance:
         assert cache.clear() == 2
         assert cache.disk_entries() == []
         assert not list(tmp_path.glob("*/*.pkl"))
+
+
+class TestClearUnderLoad:
+    """``cache clear`` on a directory that readers and writers are using."""
+
+    @pytest.mark.parametrize("step", ["mkstemp", "replace"])
+    def test_writer_racing_a_clear_skips_the_spill(
+        self, tmp_path, monkeypatch, step
+    ):
+        """``clear`` lands between ``atomic_write``'s mkdir and mkstemp
+        (the shard directory is gone) or between its write and rename
+        (the temp file is gone): the job keeps its value, nothing is
+        stored, the next reader rebuilds."""
+        dataset = get_dataset("R1")
+        dataset._cache.clear()
+        module = {"mkstemp": tempfile, "replace": os}[step]
+        real = getattr(module, step)
+
+        def cleared_first(*args, **kwargs):
+            monkeypatch.undo()
+            GraphCache(tmp_path).clear()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, step, cleared_first)
+        cache = GraphCache(tmp_path)
+        graph = cache.get_graph(dataset, 0)
+        assert cache.stats.misses == 1 and cache.stats.stores == 0
+        assert not list(tmp_path.glob("*/*"))
+        later = GraphCache(tmp_path)
+        _assert_same_graph(later.get_graph(dataset, 0), graph)
+        assert later._disk_get(graph_key(dataset, 0)) is not None
+
+    def test_clear_tolerates_entries_vanishing_under_it(
+        self, tmp_path, monkeypatch
+    ):
+        cache = GraphCache(tmp_path)
+        cache.get_graph(get_dataset("R1"), 0)
+        real_unlink = Path.unlink
+
+        def somebody_was_faster(self, missing_ok=False):
+            real_unlink(self)  # a reader dropping a bad entry, another clear
+            real_unlink(self, missing_ok=missing_ok)
+
+        monkeypatch.setattr(Path, "unlink", somebody_was_faster)
+        assert cache.clear() == 1
+        monkeypatch.undo()
+        assert not list(tmp_path.glob("*"))
 
 
 def _truncate(path, graph):

@@ -585,31 +585,54 @@ def test_full_disk_at_the_spill_does_not_poison_later_runs(tmp_path):
         _terminate(server)
 
 
-def test_first_job_of_a_warm_store_child_imports_nothing(tmp_path):
+#: What `submit example`, the CI smoke and the perf ``service`` workload
+#: run between them: a lazy import on any of these paths would land in
+#: a timed ``processing`` span.
+FIRST_JOB_DATASET = "R4"  # weighted, so it takes sssp too
+FIRST_JOBS = [
+    (platform, algorithm)
+    for platform in ("powergraph", "graphmat", "pythonref")
+    for algorithm in ("bfs", "pr", "wcc", "sssp")
+]
+
+
+@pytest.fixture(scope="module")
+def warm_store(tmp_path_factory):
+    from repro.harness.datasets import get_dataset
+    from repro.runtime.cache import GraphCache
+
+    store = GraphCache(tmp_path_factory.mktemp("warm-store"))
+    dataset = get_dataset(FIRST_JOB_DATASET)
+    store.get_graph(dataset, 0)
+    for algorithm in sorted({algorithm for _, algorithm in FIRST_JOBS}):
+        store.get_reference(dataset, algorithm, 0)
+    return store.directory
+
+
+@pytest.mark.parametrize("platform, algorithm", FIRST_JOBS)
+def test_first_job_of_a_warm_store_child_imports_nothing(
+    warm_store, platform, algorithm
+):
     """What a run child needs is loaded by what the server imports.
 
     numpy loads ``numpy.ma`` and ``numpy.random`` on first use; left
     lazy, that first use is the first job's timed ``processing`` span
-    of every forked run child.
+    of every forked run child. One fresh interpreter per (platform,
+    algorithm): only a *first* job can show an import.
     """
-    from repro.harness.datasets import get_dataset
-    from repro.runtime.cache import GraphCache
-
-    store = GraphCache(tmp_path)
-    store.get_graph(get_dataset("R1"), 0)
-    store.get_reference(get_dataset("R1"), "bfs", 0)
     script = (
         "import repro.service.worker, sys, json\n"
         "assert 'numpy.ma' in sys.modules and 'numpy.random' in sys.modules\n"
         "from repro.harness.config import BenchmarkConfig\n"
         "from repro.runtime.cache import GraphCache\n"
         "from repro.runtime.pool import CacheBackedRunner\n"
-        "config = BenchmarkConfig(platforms=['pythonref'], datasets=['R1'],\n"
-        "                         algorithms=['bfs'], repetitions=1)\n"
-        "cache = GraphCache(sys.argv[1])\n"
+        "store, platform, dataset, algorithm = sys.argv[1:]\n"
+        "config = BenchmarkConfig(platforms=[platform], datasets=[dataset],\n"
+        "                         algorithms=[algorithm], repetitions=1)\n"
+        "cache = GraphCache(store)\n"
         "runner = CacheBackedRunner(config, cache)\n"
         "before = set(sys.modules)\n"
-        "row = runner.run_job('pythonref', 'R1', 'bfs')\n"
+        "row = runner.run_job(platform, dataset, algorithm)\n"
         "print(json.dumps({'validated': row.validated,\n"
         "                  'stats': cache.stats.as_dict(),\n"
         "                  'imported': sorted(set(sys.modules) - before)}))\n"
@@ -617,7 +640,10 @@ def test_first_job_of_a_warm_store_child_imports_nothing(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
     child = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path)],
+        [
+            sys.executable, "-c", script,
+            str(warm_store), platform, FIRST_JOB_DATASET, algorithm,
+        ],
         capture_output=True, text=True, env=env, timeout=_DEADLINE,
         cwd=str(Path(__file__).resolve().parents[2]),
     )
