@@ -4,48 +4,21 @@ S-class matrix, recorded to ``BENCH_journal.json``.
 Both arms persist their final database (no real run leaves results in
 memory), so the delta isolates what crash safety itself costs: the
 journal appends (one flush per completed job) plus the group-commit
-fsyncs. Arms run interleaved in adjacent pairs and are compared by the
-**median of per-pair ratios** — wall-clocks on shared CI hardware
-drift far too much for min-of-rounds at this scale, and pairing
-cancels the drift.
-
-The acceptance target (< 5 % overhead) is asserted unless
-``GRAPHALYTICS_SKIP_OVERHEAD_CHECK`` is set. True overhead measures
-well under 1 %, but shared hardware drifts (frequency scaling, noisy
-neighbours) by more than the budget per sample, so the gate
-re-measures up to ``ATTEMPTS`` times and passes on the first in-budget
-median — bounding the false-failure rate without loosening the budget.
-What is asserted on every attempt regardless: the journaled run loses
-no jobs, its journal replays as complete, and its database is
-bit-identical to the plain run's.
+fsyncs. Measured and gated by :func:`overhead.paired_overhead`
+(interleaved pairs, median of per-pair ratios, < 5 % budget); on top
+of its checks, every journaled round loses no jobs and leaves a
+journal that replays as complete.
 """
 
-import json
-import os
-import statistics
 import tempfile
 import time
 from pathlib import Path
 
+from overhead import MATRIX, paired_overhead
 from repro.harness.config import BenchmarkConfig
 from repro.runtime import RunJournal, RuntimeConfig, execute_matrix
 
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_journal.json"
-ROUNDS = 11
-ATTEMPTS = 3
-OVERHEAD_BUDGET = 0.05
-
-#: The two largest miniature datasets and the three compute-heaviest
-#: algorithms (CDLP ~56 ms, SSSP ~16 ms, PR ~5 ms per execute on
-#: D1000), so per-job compute dwarfs the journal's ~0.06 ms/record
-#: marginal cost: 2 materialize + 5 reference + 20 execute jobs
-#: (SSSP skips the unweighted G24).
-MATRIX = dict(
-    platforms=["powergraph", "graphmat"],
-    datasets=["D1000", "G24"],
-    algorithms=["pr", "cdlp", "sssp"],
-    repetitions=2,
-)
 
 
 def _one_round(journaled: bool):
@@ -69,67 +42,7 @@ def _one_round(journaled: bool):
 
 
 def test_journal_overhead(benchmark):
-    _one_round(journaled=False)  # warm the dataset memos
-
-    def rounds():
-        samples = {False: [], True: []}
-        results = {}
-        for index in range(ROUNDS):
-            # Alternate which arm goes first so that any systematic
-            # cost of running second cancels across rounds.
-            order = (False, True) if index % 2 == 0 else (True, False)
-            for journaled in order:
-                result, elapsed = _one_round(journaled)
-                samples[journaled].append(elapsed)
-                results[journaled] = result
-        return samples, results
-
-    samples, results = benchmark.pedantic(rounds, rounds=1, iterations=1)
-
-    attempts_used = 1
-    while True:
-        # Crash safety must not change the benchmark's output at all.
-        assert (
-            results[True].database.canonical_json()
-            == results[False].database.canonical_json()
-        )
-        plain = statistics.median(samples[False])
-        journaled = statistics.median(samples[True])
-        # Each round's pair ran back to back, so its ratio is mostly
-        # drift-free; the median across rounds is robust to the
-        # occasional slow round.
-        overhead = statistics.median(
-            j / p - 1 for p, j in zip(samples[False], samples[True])
-        )
-        if overhead < OVERHEAD_BUDGET or attempts_used >= ATTEMPTS:
-            break
-        attempts_used += 1
-        samples, results = rounds()
-
-    payload = {
-        "matrix": "2 platforms x (D1000, G24) x (pr, cdlp, sssp) x 2 reps",
-        "jobs": results[True].job_count,
-        "rounds": ROUNDS,
-        "attempts": attempts_used,
-        "plain_median_seconds": round(plain, 4),
-        "journaled_median_seconds": round(journaled, 4),
-        "overhead_fraction": round(overhead, 4),
-        "plain_samples": [round(s, 4) for s in samples[False]],
-        "journaled_samples": [round(s, 4) for s in samples[True]],
-    }
-    OUTPUT.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-
-    print()
-    print(f"Journal overhead — {results[True].job_count} execute jobs, "
-          f"{ROUNDS} interleaved rounds")
-    print(f"  plain    median {plain:.4f} s")
-    print(f"  journal  median {journaled:.4f} s")
-    print(f"  overhead {overhead:+.1%} (budget {OVERHEAD_BUDGET:.0%}, "
-          f"attempt {attempts_used}/{ATTEMPTS})")
-    print(f"written to {OUTPUT.name}")
-
-    if not os.environ.get("GRAPHALYTICS_SKIP_OVERHEAD_CHECK"):
-        assert overhead < OVERHEAD_BUDGET, (
-            f"journaling cost {overhead:.1%}, budget {OVERHEAD_BUDGET:.0%} "
-            f"(set GRAPHALYTICS_SKIP_OVERHEAD_CHECK=1 on noisy hardware)"
-        )
+    paired_overhead(
+        benchmark, _one_round,
+        base="plain", treated="journaled", cost="journaling", output=OUTPUT,
+    )

@@ -7,42 +7,20 @@ one (``Tracer(enabled=False)`` — every span/counter call
 short-circuits without reading the clock). The delta therefore
 isolates what instrumentation itself costs: span allocation, context
 stacking, and buffer appends across every engine iteration, driver
-sub-phase, and scheduler transition. Arms run interleaved in adjacent
-pairs and are compared by the **median of per-pair ratios**, exactly
-like ``bench_journal_overhead.py`` — pairing cancels the wall-clock
-drift of shared CI hardware.
-
-The acceptance target (< 5 % overhead) is asserted unless
-``GRAPHALYTICS_SKIP_OVERHEAD_CHECK`` is set; the gate re-measures up
-to ``ATTEMPTS`` times and passes on the first in-budget median. What
-is asserted on every attempt regardless: neither arm loses jobs, and
-the two arms' result databases are bit-identical — tracing must
-observe the benchmark, never change it.
+sub-phase, and scheduler transition. Measured and gated by
+:func:`overhead.paired_overhead` (interleaved pairs, median of
+per-pair ratios, < 5 % budget); on top of its checks, neither arm
+loses jobs and only the traced arm records spans.
 """
 
-import json
-import os
-import statistics
 from pathlib import Path
 
+from overhead import MATRIX, paired_overhead
 from repro.harness.config import BenchmarkConfig
 from repro.runtime import RuntimeConfig, execute_matrix
 from repro.trace import MonotonicClock, Tracer, use_tracer
 
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_trace.json"
-ROUNDS = 11
-ATTEMPTS = 3
-OVERHEAD_BUDGET = 0.05
-
-#: Compute-heavy jobs (same rationale as the journal benchmark): the
-#: per-job kernel work dwarfs the per-span bookkeeping, as in any
-#: realistically sized run.
-MATRIX = dict(
-    platforms=["powergraph", "graphmat"],
-    datasets=["D1000", "G24"],
-    algorithms=["pr", "cdlp", "sssp"],
-    repetitions=2,
-)
 
 _WALL = MonotonicClock()
 
@@ -63,67 +41,7 @@ def _one_round(traced: bool):
 
 
 def test_trace_overhead(benchmark):
-    _one_round(traced=False)  # warm the dataset memos
-
-    def rounds():
-        samples = {False: [], True: []}
-        results = {}
-        for index in range(ROUNDS):
-            # Alternate which arm goes first so that any systematic
-            # cost of running second cancels across rounds.
-            order = (False, True) if index % 2 == 0 else (True, False)
-            for traced in order:
-                result, elapsed = _one_round(traced)
-                samples[traced].append(elapsed)
-                results[traced] = result
-        return samples, results
-
-    samples, results = benchmark.pedantic(rounds, rounds=1, iterations=1)
-
-    attempts_used = 1
-    while True:
-        # Instrumentation must not change the benchmark's output at all.
-        assert (
-            results[True].database.canonical_json()
-            == results[False].database.canonical_json()
-        )
-        untraced = statistics.median(samples[False])
-        traced = statistics.median(samples[True])
-        # Each round's pair ran back to back, so its ratio is mostly
-        # drift-free; the median across rounds is robust to the
-        # occasional slow round.
-        overhead = statistics.median(
-            t / u - 1 for u, t in zip(samples[False], samples[True])
-        )
-        if overhead < OVERHEAD_BUDGET or attempts_used >= ATTEMPTS:
-            break
-        attempts_used += 1
-        samples, results = rounds()
-
-    payload = {
-        "matrix": "2 platforms x (D1000, G24) x (pr, cdlp, sssp) x 2 reps",
-        "jobs": results[True].job_count,
-        "rounds": ROUNDS,
-        "attempts": attempts_used,
-        "untraced_median_seconds": round(untraced, 4),
-        "traced_median_seconds": round(traced, 4),
-        "overhead_fraction": round(overhead, 4),
-        "untraced_samples": [round(s, 4) for s in samples[False]],
-        "traced_samples": [round(s, 4) for s in samples[True]],
-    }
-    OUTPUT.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
-
-    print()
-    print(f"Trace overhead — {results[True].job_count} execute jobs, "
-          f"{ROUNDS} interleaved rounds")
-    print(f"  untraced median {untraced:.4f} s")
-    print(f"  traced   median {traced:.4f} s")
-    print(f"  overhead {overhead:+.1%} (budget {OVERHEAD_BUDGET:.0%}, "
-          f"attempt {attempts_used}/{ATTEMPTS})")
-    print(f"written to {OUTPUT.name}")
-
-    if not os.environ.get("GRAPHALYTICS_SKIP_OVERHEAD_CHECK"):
-        assert overhead < OVERHEAD_BUDGET, (
-            f"tracing cost {overhead:.1%}, budget {OVERHEAD_BUDGET:.0%} "
-            f"(set GRAPHALYTICS_SKIP_OVERHEAD_CHECK=1 on noisy hardware)"
-        )
+    paired_overhead(
+        benchmark, _one_round,
+        base="untraced", treated="traced", cost="tracing", output=OUTPUT,
+    )

@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
              "XDG cache home)",
     )
     cache_sub = cache.add_subparsers(dest="cache_command", required=True)
-    cache_sub.add_parser("stats", help="entry inventory and last-run counters")
+    cache_sub.add_parser("stats", help="entry inventory")
     cache_sub.add_parser("clear", help="remove every cached entry")
 
     trace = sub.add_parser(
@@ -530,42 +530,47 @@ def _cmd_experiments() -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.harness.config import BenchmarkConfig
     from repro.harness.experiments import get_experiment
-
-    from repro.runtime.executor import resolve_partitions, resolve_workers
+    from repro.harness.runner import BenchmarkRunner
+    from repro.runtime.cache import GraphCache
+    from repro.runtime.executor import (
+        RuntimeConfig,
+        prefetch_directory,
+        prefetch_into_runner,
+        resolve_partitions,
+        resolve_workers,
+    )
 
     experiment = get_experiment(args.experiment)
     print(f"running experiment {experiment.experiment_id} "
           f"({experiment.title}, paper §{experiment.section}) ...")
-    runner = None
     workers = resolve_workers(args.workers)
     partitions = resolve_partitions(args.partitions)
-    if workers > 1 or partitions is not None:
-        from repro.harness.config import BenchmarkConfig
-        from repro.harness.runner import BenchmarkRunner
-
-        runner = BenchmarkRunner(BenchmarkConfig(
-            seed=args.seed,
-            partitions=partitions,
-            partition_strategy=args.partition_strategy,
-        ))
-        if partitions is not None:
-            print(f"# pythonref jobs run sharded: {partitions} "
-                  f"partition(s), {args.partition_strategy} strategy")
-    if workers > 1:
-        from repro.runtime.executor import RuntimeConfig, prefetch_into_runner
-
-        prefetch = prefetch_into_runner(
-            runner,
-            datasets=list(experiment.datasets),
-            algorithms=list(experiment.algorithms),
-            runtime=RuntimeConfig(workers=workers),
+    if partitions is not None:
+        print(f"# pythonref jobs run sharded: {partitions} "
+              f"partition(s), {args.partition_strategy} strategy")
+    with prefetch_directory(workers) as cache_dir:
+        runner = BenchmarkRunner(
+            BenchmarkConfig(
+                seed=args.seed,
+                partitions=partitions,
+                partition_strategy=args.partition_strategy,
+            ),
+            GraphCache(cache_dir),
         )
-        if prefetch is not None:
-            print(f"# prefetched {prefetch.dag_size} artifacts on "
-                  f"{workers} workers in "
-                  f"{prefetch.elapsed_seconds:.2f} s")
-    report = experiment.run(runner, seed=args.seed, run_dir=args.run_dir)
+        if workers > 1:
+            prefetch = prefetch_into_runner(
+                runner,
+                datasets=list(experiment.datasets),
+                algorithms=list(experiment.algorithms),
+                runtime=RuntimeConfig(workers=workers),
+            )
+            if prefetch is not None:
+                print(f"# prefetched {prefetch.dag_size} artifacts on "
+                      f"{workers} workers in "
+                      f"{prefetch.elapsed_seconds:.2f} s")
+        report = experiment.run(runner, run_dir=args.run_dir)
     if args.figure:
         _print_figure(experiment, report)
     else:
@@ -694,7 +699,8 @@ def _cmd_report(args) -> int:
     )
     runner = BenchmarkRunner(config)
     workers = resolve_workers(args.workers)
-    if workers > 1 or args.cache_dir or args.job_timeout or args.run_dir:
+    runtime = None
+    if args.cache_dir or args.job_timeout:
         from repro.runtime.executor import RuntimeConfig
 
         runtime = RuntimeConfig(
@@ -702,13 +708,14 @@ def _cmd_report(args) -> int:
             cache_dir=args.cache_dir,
             job_timeout=args.job_timeout,
         )
-        database = runner.run(runtime=runtime, run_dir=args.run_dir)
+    database = runner.run(
+        workers=workers, runtime=runtime, run_dir=args.run_dir
+    )
+    if runner.last_run is not None:
         if runner.last_run.restored_jobs:
             print(f"# journal: restored {runner.last_run.restored_jobs} "
                   f"job(s) from {args.run_dir}")
         print(f"# runtime: {runner.last_run.describe()}")
-    else:
-        database = runner.run()
     if args.output:
         path = save_report(database, args.output)
         print(f"report written to {path}")
@@ -1095,10 +1102,6 @@ def _cmd_cache(args) -> int:
         print(f"  {entry.kind:10s} {entry.label:32s} {entry.bytes:>12,d} B")
     if entries:
         print(f"{len(entries)} entries, {total:,d} bytes")
-    stats = cache.read_run_stats()
-    if stats is not None:
-        print(f"last run: {stats.describe()} "
-              f"(hit rate {stats.hit_rate * 100:.0f}%)")
     return 0
 
 

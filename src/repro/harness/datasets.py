@@ -19,7 +19,10 @@ covers approximately 10% of the vertices").
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional
 
 import numpy as np
@@ -104,12 +107,39 @@ class Dataset:
     def recipe(self) -> Mapping[str, object]:
         """The miniature recipe as plain data: generator kind + arguments.
 
-        The runtime cache hashes it into every key derived from this
-        dataset, so editing a recipe invalidates the stored graph and
-        references. It is the very dictionary :func:`from_recipe` calls
-        the generator with.
+        Part of :attr:`spec_digest`. It is the very dictionary
+        :func:`from_recipe` calls the generator with.
         """
         return self.materializer.recipe
+
+    @cached_property
+    def spec_digest(self) -> str:
+        """SHA-256 of what every artifact of this entry depends on: id,
+        recipe, target profile, fixed algorithm parameters.
+
+        The runtime cache derives every key from it (plus seed, kind and
+        algorithm), so editing any of them invalidates the stored graph
+        and references. Computed once per entry: a key is taken for
+        every validated job.
+        """
+        profile = self.profile
+        payload = json.dumps(
+            {
+                "dataset": self.dataset_id,
+                "recipe": self.recipe,
+                "profile": {
+                    "name": profile.name,
+                    "num_vertices": profile.num_vertices,
+                    "num_edges": profile.num_edges,
+                    "directed": profile.directed,
+                    "weighted": profile.weighted,
+                },
+                "pr_iterations": self.pr_iterations,
+                "cdlp_iterations": self.cdlp_iterations,
+            },
+            sort_keys=True,
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def materialize(self, seed: int = 0) -> Graph:
         """Deterministically build (and cache) the miniature graph."""

@@ -87,68 +87,25 @@ class Experiment:
         With *run_dir* the experiment also exports its span tree to
         ``run_dir/trace.jsonl`` (docs/observability.md).
         """
+        from repro.runtime.journal import journaled_run
         from repro.trace import current_tracer
 
         runner = runner or BenchmarkRunner(BenchmarkConfig(seed=seed))
-        journal = None
-        if run_dir is not None:
-            from repro.runtime.journal import JournalError, RunJournal
-
-            if RunJournal.journal_path(run_dir).exists():
-                replay = RunJournal.load(run_dir)
-                header = replay.header
-                if (
-                    header.get("kind") != "experiment"
-                    or header.get("experiment") != self.experiment_id
-                ):
-                    raise JournalError(
-                        f"{RunJournal.journal_path(run_dir)} does not record "
-                        f"experiment {self.experiment_id!r}"
-                    )
-                if int(header.get("seed", -1)) != runner.config.seed:
-                    raise JournalError(
-                        f"journal was written with seed {header.get('seed')}, "
-                        f"cannot resume with seed {runner.config.seed}"
-                    )
-                journal = RunJournal.open(run_dir)
-                runner.attach_journal(journal, replay)
-            else:
-                journal = RunJournal.create(
-                    run_dir,
-                    {
-                        "kind": "experiment",
-                        "experiment": self.experiment_id,
-                        "seed": runner.config.seed,
-                    },
-                )
-                runner.attach_journal(journal)
         report = ExperimentReport(self.experiment_id, self.title)
-        tracer = current_tracer()
-        trace_mark = tracer.mark()
-        counters_before = tracer.counters
-        with tracer.span(
-            "experiment", experiment=self.experiment_id, section=self.section
-        ):
-            self._body(self, runner, report)
-        if journal is not None:
-            journal.append({"type": "run-complete"})
-            journal.close()
-            runner.detach_journal()
-        if run_dir is not None and tracer.enabled:
-            from pathlib import Path
-
-            from repro.trace import write_trace
-
-            delta = {
-                name: value - counters_before.get(name, 0.0)
-                for name, value in tracer.counters.items()
-                if value != counters_before.get(name, 0.0)
-            }
-            write_trace(
-                Path(run_dir) / "trace.jsonl",
-                tracer.spans_since(trace_mark),
-                counters=delta,
-            )
+        header = {
+            "kind": "experiment",
+            "experiment": self.experiment_id,
+            "seed": runner.config.seed,
+        }
+        with journaled_run(
+            run_dir, header, identity=tuple(header)
+        ) as journaled, runner.journaling(journaled.journal, journaled.replay):
+            with current_tracer().span(
+                "experiment",
+                experiment=self.experiment_id,
+                section=self.section,
+            ):
+                self._body(self, runner, report)
         return report
 
 

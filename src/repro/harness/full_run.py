@@ -19,7 +19,7 @@ from repro.harness.report import render_report, save_report
 from repro.harness.repository import ResultsRepository, RunMetadata
 from repro.harness.results import ResultsDatabase
 from repro.harness.runner import BenchmarkRunner
-from repro.trace import current_tracer, write_trace
+from repro.trace import current_tracer
 
 __all__ = ["FullRunResult", "run_full_benchmark"]
 
@@ -62,109 +62,81 @@ def run_full_benchmark(
     Experiment bodies are sequential by design (baselines feed later
     jobs), so ``workers > 1`` parallelizes their *inputs* instead: the
     runtime materializes every dataset and validation reference the
-    selected experiments need on a worker pool, then primes the shared
-    runner so the serial suite runs entirely on warm data.
+    selected experiments need on a worker pool, into the directory the
+    shared runner's cache reads, so the serial suite builds nothing.
 
     With ``run_dir`` the suite is journaled: every completed job is
     recorded durably before the next starts, and re-invoking with the
     same directory (or ``graphalytics resume <run_dir>``) replays the
     recorded jobs and executes only the remainder (docs/robustness.md).
     """
-    runner = BenchmarkRunner(BenchmarkConfig(
+    from repro.runtime.cache import GraphCache
+    from repro.runtime.executor import (
+        RuntimeConfig,
+        prefetch_directory,
+        prefetch_into_runner,
+    )
+    from repro.runtime.journal import journaled_run
+
+    config = BenchmarkConfig(
         seed=seed,
         partitions=partitions,
         partition_strategy=partition_strategy,
-    ))
-    result = FullRunResult(database=runner.database)
+    )
     selected = [EXPERIMENTS[eid] for eid in experiment_ids or list(EXPERIMENTS)]
-    tracer = current_tracer()
-    trace_mark = tracer.mark()
-    counters_before = tracer.counters
-    journal = None
-    if run_dir is not None:
-        from repro.runtime.journal import JournalError, RunJournal
-
-        if RunJournal.journal_path(run_dir).exists():
-            replay = RunJournal.load(run_dir)
-            header = replay.header
-            if header.get("kind") != "full-run":
-                raise JournalError(
-                    f"{RunJournal.journal_path(run_dir)} records a "
-                    f"{header.get('kind')!r} run, not a full benchmark run"
-                )
-            if int(header.get("seed", -1)) != seed:
-                raise JournalError(
-                    f"journal was written with seed {header.get('seed')}, "
-                    f"cannot resume with seed {seed}"
-                )
-            journal = RunJournal.open(run_dir)
-            runner.attach_journal(journal, replay)
+    header = {
+        "kind": "full-run",
+        "seed": seed,
+        "experiments": [e.experiment_id for e in selected],
+        "report": str(report_path) if report_path else None,
+        "partitions": config.partitions,
+        "partition_strategy": config.partition_strategy,
+    }
+    with journaled_run(
+        run_dir, header, identity=("kind", "seed")
+    ) as journaled, prefetch_directory(workers) as cache_dir:
+        runner = BenchmarkRunner(config, GraphCache(cache_dir))
+        result = FullRunResult(database=runner.database)
+        if journaled.replay is not None:
             result.notes.append(
                 f"[journal] resumed from {run_dir}: "
-                f"{sum(len(q) for q in replay.serial_results.values())} "
+                f"{sum(len(q) for q in journaled.replay.serial_results.values())} "
                 f"recorded job(s) will replay instead of re-executing"
             )
-        else:
-            journal = RunJournal.create(
-                run_dir,
-                {
-                    "kind": "full-run",
-                    "seed": seed,
-                    "experiments": [e.experiment_id for e in selected],
-                    "report": str(report_path) if report_path else None,
-                    "partitions": runner.config.partitions,
-                    "partition_strategy": runner.config.partition_strategy,
-                },
+        if workers > 1:
+            datasets: List[str] = []
+            algorithms: List[str] = []
+            for experiment in selected:
+                datasets.extend(d for d in experiment.datasets if d not in datasets)
+                algorithms.extend(
+                    a for a in experiment.algorithms if a not in algorithms
+                )
+            prefetch = prefetch_into_runner(
+                runner,
+                datasets=datasets,
+                algorithms=algorithms,
+                runtime=RuntimeConfig(workers=workers),
             )
-            runner.attach_journal(journal)
-    if workers > 1:
-        from repro.runtime.executor import RuntimeConfig, prefetch_into_runner
-
-        datasets: List[str] = []
-        algorithms: List[str] = []
-        for experiment in selected:
-            datasets.extend(d for d in experiment.datasets if d not in datasets)
-            algorithms.extend(
-                a for a in experiment.algorithms if a not in algorithms
-            )
-        prefetch = prefetch_into_runner(
-            runner,
-            datasets=datasets,
-            algorithms=algorithms,
-            runtime=RuntimeConfig(workers=workers),
-        )
-        if prefetch is not None:
-            result.notes.append(
-                f"[runtime] prefetched {prefetch.dag_size} artifacts on "
-                f"{workers} workers in {prefetch.elapsed_seconds:.2f} s "
-                f"({prefetch.cache_stats.describe()})"
-            )
-    with tracer.span("full-run", seed=seed):
-        # Experiment.run opens one "experiment" span per suite entry, so
-        # the exported tree reads full-run > experiment > job > ...
-        for experiment in selected:
-            experiment_id = experiment.experiment_id
-            report = experiment.run(runner)
-            result.reports[experiment_id] = report
-            result.notes.extend(
-                f"[{experiment_id}] {note}" for note in report.notes
-            )
-    if journal is not None:
-        journal.append({"type": "run-complete"})
-        journal.close()
-        runner.detach_journal()
+            if prefetch is not None:
+                result.notes.append(
+                    f"[runtime] prefetched {prefetch.dag_size} artifacts on "
+                    f"{workers} workers in {prefetch.elapsed_seconds:.2f} s "
+                    f"({prefetch.cache_stats.describe()})"
+                )
+        with runner.journaling(
+            journaled.journal, journaled.replay
+        ), current_tracer().span("full-run", seed=seed):
+            # Experiment.run opens one "experiment" span per suite entry, so
+            # the exported tree reads full-run > experiment > job > ...
+            for experiment in selected:
+                experiment_id = experiment.experiment_id
+                report = experiment.run(runner)
+                result.reports[experiment_id] = report
+                result.notes.extend(
+                    f"[{experiment_id}] {note}" for note in report.notes
+                )
+    if run_dir is not None:
         runner.database.save(Path(run_dir) / "results.json")
-    if run_dir is not None and tracer.enabled:
-        delta = {
-            name: value - counters_before.get(name, 0.0)
-            for name, value in tracer.counters.items()
-            if value != counters_before.get(name, 0.0)
-        }
-        write_trace(
-            Path(run_dir) / "trace.jsonl",
-            tracer.spans_since(trace_mark),
-            counters=delta,
-        )
     if report_path is not None:
         save_report(
             runner.database,

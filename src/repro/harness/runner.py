@@ -9,12 +9,11 @@ and fills the results database.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Tuple
-
-import numpy as np
+from contextlib import contextmanager
+from typing import Dict, Optional, Tuple
 
 from repro.exceptions import ValidationError
-from repro.algorithms.registry import get_algorithm, run_reference
+from repro.algorithms.registry import get_algorithm
 from repro.algorithms.validation import validate_output
 from repro.granula.archiver import build_archive
 from repro.harness.config import BenchmarkConfig
@@ -33,20 +32,26 @@ __all__ = ["BenchmarkRunner"]
 class BenchmarkRunner:
     """Runs benchmark jobs and records results.
 
-    One runner instance caches per-platform uploads and per-dataset
-    reference outputs, so experiment suites that revisit the same
+    Every graph and validation reference a runner touches is read
+    through one artifact store (``cache``; memory-only unless the
+    caller passes one backed by a shared directory), and uploads are
+    kept per platform, so experiment suites that revisit the same
     workloads stay fast.
     """
 
-    def __init__(self, config: Optional[BenchmarkConfig] = None):
+    def __init__(self, config: Optional[BenchmarkConfig] = None, cache=None):
+        # Imported here: repro.runtime's package init reaches back into
+        # this module through the worker pool.
+        from repro.runtime.cache import GraphCache
+
         self.config = config or BenchmarkConfig()
+        self.cache: GraphCache = cache if cache is not None else GraphCache()
         self.database = ResultsDatabase()
         self._drivers: Dict[str, PlatformDriver] = {}
         self._handles: Dict[Tuple[str, str], UploadHandle] = {}
-        self._references: Dict[Tuple[str, str], np.ndarray] = {}
         #: RuntimeRunResult of the last concurrent ``run()``, if any.
         self.last_run = None
-        #: Write-ahead journal for the sequential path (see attach_journal).
+        #: Write-ahead journal for the sequential path (see journaling).
         self._journal = None
         self._journal_replay = None
 
@@ -69,29 +74,16 @@ class BenchmarkRunner:
     def _handle(self, platform: str, dataset: Dataset) -> UploadHandle:
         key = (platform.lower(), dataset.dataset_id)
         if key not in self._handles:
-            graph = dataset.materialize(self.config.seed)
+            graph = self.cache.get_graph(dataset, self.config.seed)
             self._handles[key] = self.driver(platform).upload(
                 graph, profile=dataset.profile
             )
         return self._handles[key]
 
-    def _reference_output(
-        self, dataset: Dataset, algorithm: str, params: Mapping[str, object]
-    ) -> np.ndarray:
-        key = (dataset.dataset_id, algorithm)
-        if key not in self._references:
-            graph = dataset.materialize(self.config.seed)
-            self._references[key] = run_reference(algorithm, graph, params)
-        return self._references[key]
-
-    def prime_reference(
-        self, dataset_id: str, algorithm: str, output: np.ndarray
-    ) -> None:
-        """Install a precomputed validation reference (runtime prefetch)."""
-        self._references[(dataset_id, algorithm.lower())] = output
-
-    def attach_journal(self, journal, replay=None) -> None:
-        """Make sequential ``run_job`` calls crash-safe and resumable.
+    @contextmanager
+    def journaling(self, journal, replay=None):
+        """Make sequential ``run_job`` calls in the block crash-safe and
+        resumable.
 
         Every completed job is appended durably to *journal* before the
         next one starts; with *replay* (a loaded
@@ -99,14 +91,17 @@ class BenchmarkRunner:
         run already completed return their recorded rows instead of
         re-executing. Recorded rows are matched by job identity and
         consumed FIFO per identity, so deterministic experiment bodies
-        resume exactly where they stopped.
+        resume exactly where they stopped. ``journal=None`` changes
+        nothing: a suite's journal stays in charge of its experiments.
         """
-        self._journal = journal
-        self._journal_replay = replay
-
-    def detach_journal(self) -> None:
-        self._journal = None
-        self._journal_replay = None
+        if journal is None:
+            yield
+            return
+        self._journal, self._journal_replay = journal, replay
+        try:
+            yield
+        finally:
+            self._journal = self._journal_replay = None
 
     def can_run(self, platform: str, dataset: Dataset, algorithm: str) -> bool:
         """Whether the combination is runnable at all.
@@ -202,7 +197,7 @@ class BenchmarkRunner:
             run_index=run_index,
             seed=self.config.seed,
         )
-        result = self._finalize(job, dataset, params)
+        result = self._finalize(job, dataset)
         if self._journal is not None:
             # Journaled (durably) before the result is observable, so a
             # crash after this line cannot lose the completed job.
@@ -217,19 +212,16 @@ class BenchmarkRunner:
         self.database.add(result)
         return result
 
-    def _finalize(
-        self,
-        job: JobResult,
-        dataset: Dataset,
-        params: Mapping[str, object],
-    ) -> BenchmarkResult:
+    def _finalize(self, job: JobResult, dataset: Dataset) -> BenchmarkResult:
         """Validate, extract Tproc via Granula, derive metrics."""
         validated: Optional[bool] = None
         if job.succeeded and self.config.validate_outputs and job.output is not None:
             with current_tracer().span(
                 "validate", algorithm=job.algorithm, dataset=dataset.dataset_id
             ) as validate_span:
-                reference = self._reference_output(dataset, job.algorithm, params)
+                reference = self.cache.get_reference(
+                    dataset, job.algorithm, self.config.seed
+                )
                 try:
                     validate_output(job.algorithm, job.output, reference)
                     validated = True

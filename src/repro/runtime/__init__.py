@@ -33,7 +33,7 @@ from repro.runtime.jobs import (
     JobSpec,
     failure_result,
 )
-from repro.runtime.pool import CacheBackedRunner, WorkerPool
+from repro.runtime.pool import WorkerPool
 from repro.runtime.scheduler import (
     JobGraph,
     JobNode,
@@ -43,7 +43,6 @@ from repro.runtime.scheduler import (
 
 __all__ = [
     "AttemptRecord",
-    "CacheBackedRunner",
     "CacheStats",
     "FAILURE_STATUSES",
     "FaultPlan",

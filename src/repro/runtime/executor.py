@@ -22,15 +22,15 @@ from __future__ import annotations
 import os
 import tempfile
 import warnings
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.exceptions import ConfigurationError
 from repro.harness.config import BenchmarkConfig
-from repro.harness.datasets import get_dataset
 from repro.harness.results import BenchmarkResult, ResultsDatabase
+from repro.harness.runner import BenchmarkRunner
 from repro.proc import absorb
 from repro.runtime.cache import CacheStats, GraphCache
 from repro.faults.plan import FaultPlan
@@ -42,9 +42,10 @@ from repro.runtime.journal import (
     config_from_payload,
     config_payload,
     job_key,
+    journaled_run,
     matrix_hash,
 )
-from repro.runtime.pool import CacheBackedRunner, WorkerPool, run_job_spec
+from repro.runtime.pool import WorkerPool, run_job_spec
 from repro.runtime.scheduler import JobGraph, NodeState, expand_matrix
 from repro.trace import Span, current_tracer
 
@@ -53,6 +54,7 @@ __all__ = [
     "RuntimeRunResult",
     "execute_matrix",
     "example_matrix",
+    "prefetch_directory",
     "prefetch_into_runner",
     "resolve_partitions",
     "resolve_workers",
@@ -120,6 +122,11 @@ def resolve_partitions(
     return resolve_workers(requested, available=available)
 
 
+#: Dispatcher tick in pool mode (seconds): how long one wait for a
+#: worker envelope may block before deadlines and deaths are policed.
+POLL_INTERVAL = 0.02
+
+
 @dataclass
 class RuntimeConfig:
     """Tuning knobs of the execution runtime (see docs/runtime.md)."""
@@ -135,12 +142,8 @@ class RuntimeConfig:
     backoff_base: float = 0.05
     #: Shared spill directory; ``None`` = private per-run temp dir.
     cache_dir: Optional[Union[str, Path]] = None
-    #: Per-process in-memory LRU capacity (graphs + references).
-    memory_cache_entries: int = 8
     #: Deterministic fault injection (tests, chaos self-checks).
     fault_plan: Optional[FaultPlan] = None
-    #: Dispatcher poll interval in pool mode (seconds).
-    poll_interval: float = 0.02
 
     def __post_init__(self):
         if self.workers < 1:
@@ -261,21 +264,17 @@ def example_matrix(seed: int = 0, *, repetitions: int = 2) -> BenchmarkConfig:
 
 @contextmanager
 def _cache_directory(runtime: RuntimeConfig, run_dir: Optional[Path] = None):
+    """Where the run's artifacts spill (created by the first store)."""
     if runtime.cache_dir is not None:
-        path = Path(runtime.cache_dir)
-        path.mkdir(parents=True, exist_ok=True)
-        yield path
-        return
-    if run_dir is not None:
+        yield Path(runtime.cache_dir)
+    elif run_dir is not None:
         # Journaled runs keep their spill under the run directory, so a
         # resumed run inherits every materialization the crashed run paid
         # for instead of rebuilding them.
-        path = Path(run_dir) / "cache"
-        path.mkdir(parents=True, exist_ok=True)
-        yield path
-        return
-    with tempfile.TemporaryDirectory(prefix="graphalytics-cache-") as tmp:
-        yield Path(tmp)
+        yield Path(run_dir) / "cache"
+    else:
+        with tempfile.TemporaryDirectory(prefix="graphalytics-cache-") as tmp:
+            yield Path(tmp)
 
 
 class _MatrixRun:
@@ -386,9 +385,6 @@ class _MatrixRun:
 
     # -- write-ahead journal -------------------------------------------------
 
-    def matrix_hash(self) -> str:
-        return matrix_hash(self.config, self.specs)
-
     def journal_scheduled(self) -> None:
         """Record the full job list (one batch, one fsync)."""
         self.journal.append_many(
@@ -403,20 +399,20 @@ class _MatrixRun:
             ]
         )
 
-    def journal_dispatch(self, seq: int, *, attempt: int, worker: int,
-                         trace: str = "") -> None:
-        if self.journal is not None:
-            record = {
-                "type": "attempt-start",
-                "seq": seq,
-                "key": self.keys[seq],
-                "attempt": attempt,
-                "worker": worker,
-            }
-            if trace:
-                # The attempt span's id: joins journal rows to trace.jsonl.
-                record["trace"] = trace
-            self.journal.append(record)
+    def journal_transition(self, record: str, seq: int, /, **fields) -> None:
+        """Record one transition of job ``seq`` (journaled runs only).
+
+        Stamped with the job's key and, while the job has an attempt
+        open, that span's id — which joins journal rows to trace.jsonl.
+        """
+        if self.journal is None:
+            return
+        attempt_span = self._attempt_spans.get(seq)
+        if attempt_span is not None and attempt_span.span_id:
+            fields["trace"] = attempt_span.span_id
+        self.journal.append(
+            {"type": record, "seq": seq, "key": self.keys[seq], **fields}
+        )
 
     def restore(self, replay: JournalReplay) -> int:
         """Replay a journal into the DAG; returns the jobs marked done.
@@ -428,14 +424,6 @@ class _MatrixRun:
         In-flight jobs — an ``attempt-start`` with no terminal record —
         are left READY and simply execute again.
         """
-        expected = self.matrix_hash()
-        recorded = replay.header.get("matrix_hash")
-        if recorded != expected:
-            raise JournalError(
-                f"journal matrix hash {recorded} does not match the "
-                f"configured matrix {expected}; refusing to resume a "
-                f"different run"
-            )
         by_key = {self.keys[spec.seq]: spec.seq for spec in self.specs}
         for record in replay.records:
             seq = by_key.get(str(record.get("key", "")))
@@ -469,23 +457,13 @@ class _MatrixRun:
     def complete_job(self, seq: int, payload: Dict[str, object]) -> None:
         node = self.graph.nodes[seq]
         self.graph.complete(seq)
+        fields: Dict[str, object] = {"kind": node.spec.kind}
         if node.spec.kind == JobKind.EXECUTE:
             self.results[seq] = BenchmarkResult(**payload["result"])
-        if self.journal is not None:
             # The result row travels in the record, so resume rebuilds
             # the database without re-running the job.
-            record: Dict[str, object] = {
-                "type": "job-done",
-                "seq": seq,
-                "key": self.keys[seq],
-                "kind": node.spec.kind,
-            }
-            attempt_span = self._attempt_spans.get(seq)
-            if attempt_span is not None:
-                record["trace"] = attempt_span.span_id
-            if node.spec.kind == JobKind.EXECUTE:
-                record["result"] = payload["result"]
-            self.journal.append(record)
+            fields["result"] = payload["result"]
+        self.journal_transition("job-done", seq, **fields)
 
     def attempt_failed(self, seq: int, *, worker: int, kind: str,
                        detail: str, elapsed: float) -> None:
@@ -498,21 +476,15 @@ class _MatrixRun:
             detail=detail,
             elapsed=elapsed,
         )
-        if self.journal is not None:
-            record = {
-                "type": "attempt-failed",
-                "seq": seq,
-                "key": self.keys[seq],
-                "attempt": len(node.attempts),
-                "worker": worker,
-                "kind": kind,
-                "detail": detail,
-                "elapsed": elapsed,
-            }
-            attempt_span = self._attempt_spans.get(seq)
-            if attempt_span is not None:
-                record["trace"] = attempt_span.span_id
-            self.journal.append(record)
+        self.journal_transition(
+            "attempt-failed",
+            seq,
+            attempt=len(node.attempts),
+            worker=worker,
+            kind=kind,
+            detail=detail,
+            elapsed=elapsed,
+        )
         if failure is None:
             self.tracer.counter("scheduler.retry")
         self.sync_failures()
@@ -523,18 +495,14 @@ class _MatrixRun:
         while self._failures_seen < len(self.graph.failures):
             failure = self.graph.failures[self._failures_seen]
             self._failures_seen += 1
-            if self.journal is not None:
-                # Accounting only: resume re-derives permanent failures
-                # (and their cascades) from the attempt-failed records.
-                self.journal.append(
-                    {
-                        "type": "job-failed",
-                        "seq": failure.spec.seq,
-                        "key": self.keys[failure.spec.seq],
-                        "kind": failure.final_kind,
-                        "attempts": len(failure.attempts),
-                    }
-                )
+            # Accounting only: resume re-derives permanent failures (and
+            # their cascades) from the attempt-failed records.
+            self.journal_transition(
+                "job-failed",
+                failure.spec.seq,
+                kind=failure.final_kind,
+                attempts=len(failure.attempts),
+            )
             if failure.spec.kind == JobKind.EXECUTE:
                 row = failure_result(failure)
                 # Respect a custom machine spec for the threads column.
@@ -562,10 +530,7 @@ def _run_inline(run: _MatrixRun) -> None:
             "hang/crash fault injection requires pool mode (workers > 1 "
             "or mode='pool')"
         )
-    cache = GraphCache(
-        run.cache_dir, memory_entries=runtime.memory_cache_entries
-    )
-    runner = CacheBackedRunner(run.config, cache)
+    runner = BenchmarkRunner(run.config, GraphCache(run.cache_dir))
     graph = run.graph
     clock = run.clock
     tracer = run.tracer
@@ -581,12 +546,9 @@ def _run_inline(run: _MatrixRun) -> None:
                 # every earlier completion is already in the journal.
                 runtime.fault_plan.inject_dispatcher(spec, attempt)
             graph.mark_running(node.seq, worker=-1)
-            attempt_span = run.begin_attempt(
-                node.seq, attempt=attempt, worker=-1, push=True
-            )
-            run.journal_dispatch(
-                node.seq, attempt=attempt, worker=-1,
-                trace=attempt_span.span_id,
+            run.begin_attempt(node.seq, attempt=attempt, worker=-1, push=True)
+            run.journal_transition(
+                "attempt-start", node.seq, attempt=attempt, worker=-1
             )
             tracer.counter("scheduler.dispatch")
             try:
@@ -595,7 +557,7 @@ def _run_inline(run: _MatrixRun) -> None:
                 ) as task_span:
                     if runtime.fault_plan is not None:
                         runtime.fault_plan.inject(spec, attempt)
-                    payload = run_job_spec(runner, cache, spec)
+                    payload = run_job_spec(runner, spec)
             except Exception as exc:
                 # Converted into a structured failure record, never lost.
                 run.attempt_failed(
@@ -614,7 +576,7 @@ def _run_inline(run: _MatrixRun) -> None:
             if wake is None:
                 break  # nothing ready, nothing scheduled: DAG is drained
             clock.sleep(max(0.0, wake - clock.now()))
-    run.cache_stats.merge(cache.stats)
+    run.cache_stats.merge(runner.cache.stats)
 
 
 def _run_pool(run: _MatrixRun) -> None:
@@ -625,7 +587,6 @@ def _run_pool(run: _MatrixRun) -> None:
         runtime.workers,
         run.config,
         cache_dir=str(run.cache_dir),
-        memory_entries=runtime.memory_cache_entries,
         fault_plan=runtime.fault_plan,
     )
     pool.start()
@@ -640,9 +601,7 @@ def _run_pool(run: _MatrixRun) -> None:
                 attempt = node.attempt_number
                 if runtime.fault_plan is not None:
                     runtime.fault_plan.inject_dispatcher(node.spec, attempt)
-                attempt_span = run.begin_attempt(
-                    node.seq, attempt=attempt, worker=worker
-                )
+                run.begin_attempt(node.seq, attempt=attempt, worker=worker)
                 pool.submit(worker, node.spec, attempt)
                 deadline = (
                     now + runtime.job_timeout
@@ -650,12 +609,11 @@ def _run_pool(run: _MatrixRun) -> None:
                     else None
                 )
                 graph.mark_running(node.seq, worker=worker, deadline=deadline)
-                run.journal_dispatch(
-                    node.seq, attempt=attempt, worker=worker,
-                    trace=attempt_span.span_id,
+                run.journal_transition(
+                    "attempt-start", node.seq, attempt=attempt, worker=worker
                 )
                 run.tracer.counter("scheduler.dispatch")
-            envelope = pool.wait(runtime.poll_interval)
+            envelope = pool.wait(POLL_INTERVAL)
             now = run.clock.now()
             if envelope is not None:
                 _handle_envelope(run, pool, envelope)
@@ -761,72 +719,51 @@ def execute_matrix(
         raise ConfigurationError("resume=True requires a run_dir")
     run_dir = Path(run_dir) if run_dir is not None else None
     tracer = current_tracer()
-    trace_mark = tracer.mark()
-    counters_before = tracer.counters
+    since = (tracer.mark(), tracer.counters)
     started = tracer.clock.now()
-    trace_path: Optional[Path] = None
     with _cache_directory(runtime, run_dir) as cache_dir:
         run = _MatrixRun(
             config, runtime, cache_dir, include_execute=include_execute
         )
+        header = {} if run_dir is None else {
+            "kind": "matrix",
+            "matrix_hash": matrix_hash(config, run.specs),
+            "config": config_payload(config),
+            "include_execute": include_execute,
+        }
         try:
-            if run_dir is not None:
-                if resume:
-                    run.restore(RunJournal.load(run_dir))
-                    run.journal = RunJournal.open(run_dir)
-                else:
-                    run.journal = RunJournal.create(
-                        run_dir,
-                        {
-                            "kind": "matrix",
-                            "matrix_hash": run.matrix_hash(),
-                            "config": config_payload(config),
-                            "include_execute": include_execute,
-                        },
-                    )
+            with journaled_run(
+                run_dir, header, identity=("matrix_hash",),
+                resume=resume, since=since,
+            ) as journaled:
+                if journaled.replay is not None:
+                    run.restore(journaled.replay)
+                # Attached after any restore: restored state is never
+                # re-recorded.
+                run.journal = journaled.journal
+                if run.journal is not None and journaled.replay is None:
                     run.journal_scheduled()
-            mode = runtime.resolved_mode
-            run.phase_start("execute")
-            if run.graph.unfinished:
-                if mode == "pool":
-                    _run_pool(run)
-                else:
-                    _run_inline(run)
-            run.phase_end("execute")
-            run.phase_start("merge")
-            database = run.merged()
-            run.phase_end("merge")
-            if run.journal is not None:
-                run.journal.append({"type": "run-complete"})
-                run.journal.close()
-                degraded = list(run.journal.degraded)
-            else:
-                degraded = []
-            if run_dir is not None:
-                database.save(run_dir / "results.json")
-            GraphCache(cache_dir).write_run_stats(run.cache_stats)
+                mode = runtime.resolved_mode
+                run.phase_start("execute")
+                if run.graph.unfinished:
+                    if mode == "pool":
+                        _run_pool(run)
+                    else:
+                        _run_inline(run)
+                run.phase_end("execute")
+                run.phase_start("merge")
+                database = run.merged()
+                run.phase_end("merge")
+                run.close_spans()  # the exported trace holds the run root
         finally:
             run.close_spans()
-        counters = {
-            name: value - counters_before.get(name, 0.0)
-            for name, value in tracer.counters.items()
-            if value != counters_before.get(name, 0.0)
-        }
-        if run_dir is not None and tracer.enabled:
-            # This run's slice of the span buffer and counter deltas —
-            # the examinable record behind `graphalytics trace`.
-            from repro.trace import write_trace
-
-            trace_path = write_trace(
-                run_dir / "trace.jsonl",
-                tracer.spans_since(trace_mark),
-                counters=counters,
-            )
+        if run_dir is not None:
+            database.save(run_dir / "results.json")
     return RuntimeRunResult(
         database=database,
         failures=list(run.graph.failures),
         cache_stats=run.cache_stats,
-        counters=counters,
+        counters=journaled.counters,
         workers=runtime.workers,
         mode=mode,
         elapsed_seconds=tracer.clock.now() - started,
@@ -834,8 +771,8 @@ def execute_matrix(
         dag_size=len(run.graph),
         restored_jobs=run.restored_jobs,
         run_dir=run_dir,
-        trace_path=trace_path,
-        degraded=degraded,
+        trace_path=journaled.trace_path,
+        degraded=list(run.journal.degraded) if run.journal is not None else [],
         _spans=run.run_spans(),
     )
 
@@ -868,63 +805,44 @@ def resume_run(
     )
 
 
+def prefetch_directory(workers: int):
+    """Context manager: the cache directory of a runner about to be
+    prefetched into — private, temporary and outliving the pool (the
+    runner reads it for as long as its suite runs); ``None``, i.e. a
+    memory-only cache, when there is no pool to prefetch on."""
+    if workers > 1:
+        return tempfile.TemporaryDirectory(prefix="graphalytics-cache-")
+    return nullcontext()
+
+
 def prefetch_into_runner(
-    runner,
+    runner: BenchmarkRunner,
     *,
     datasets: Sequence[str],
     algorithms: Sequence[str],
     runtime: Optional[RuntimeConfig] = None,
 ) -> Optional[RuntimeRunResult]:
-    """Materialize datasets and references concurrently, then warm a runner.
+    """Materialize datasets and references concurrently for a runner.
 
     Experiment bodies are inherently sequential (baselines feed later
     jobs), but their expensive inputs are not: this fans materialization
-    and reference computation out to the pool, then primes the runner's
-    per-process memos from the shared cache so the serial experiment
-    runs on warm data. Returns ``None`` when there is nothing to fetch.
+    and reference computation out to the pool, which fills the directory
+    the runner's own cache reads — so the serial experiment finds every
+    artifact on disk instead of building it. Returns ``None`` when there
+    is nothing to fetch.
     """
-    from repro.runtime.scheduler import can_run_combo
-
-    datasets = [d for d in datasets]
-    algorithms = [a.lower() for a in algorithms]
+    if runner.cache.directory is None:
+        raise ConfigurationError(
+            "prefetch needs a runner whose cache has a directory to fill"
+        )
     if not datasets:
         return None
-    if not algorithms:
-        algorithms = ["bfs"]
-    runtime = runtime or RuntimeConfig()
     config = runner.config.subset(
-        datasets=datasets, algorithms=algorithms, repetitions=1
+        datasets=list(datasets),
+        algorithms=[a.lower() for a in algorithms] or ["bfs"],
+        repetitions=1,
     )
-    with _cache_directory(runtime) as cache_dir:
-        fetch_runtime = RuntimeConfig(
-            workers=runtime.workers,
-            mode=runtime.mode,
-            job_timeout=runtime.job_timeout,
-            max_attempts=runtime.max_attempts,
-            backoff_base=runtime.backoff_base,
-            cache_dir=cache_dir,
-            memory_cache_entries=runtime.memory_cache_entries,
-        )
-        result = execute_matrix(config, fetch_runtime, include_execute=False)
-        cache = GraphCache(
-            cache_dir, memory_entries=runtime.memory_cache_entries
-        )
-        seed = runner.config.seed
-        for dataset_id in datasets:
-            dataset = get_dataset(dataset_id)
-            cache.get_graph(dataset, seed)  # primes the dataset memo
-            if not runner.config.validate_outputs:
-                continue
-            for algorithm in algorithms:
-                if not can_run_combo(
-                    config.platforms[0] if config.platforms else "powergraph",
-                    dataset_id,
-                    algorithm,
-                ):
-                    continue
-                runner.prime_reference(
-                    dataset_id,
-                    algorithm,
-                    cache.get_reference(dataset, algorithm, seed),
-                )
-    return result
+    runtime = replace(
+        runtime or RuntimeConfig(), cache_dir=runner.cache.directory
+    )
+    return execute_matrix(config, runtime, include_execute=False)

@@ -40,13 +40,15 @@ import json
 import os
 import warnings
 import zlib
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import GraphalyticsError
 from repro.faults import points as fault_points
 from repro.ioutil import atomic_write, fsync_directory
-from repro.trace import Clock, current_tracer
+from repro.trace import Clock, current_tracer, write_trace
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -59,6 +61,8 @@ __all__ = [
     "config_from_payload",
     "RunJournal",
     "JournalReplay",
+    "JournaledRun",
+    "journaled_run",
 ]
 
 JOURNAL_VERSION = 1
@@ -519,3 +523,74 @@ class RunJournal:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+# -- one journaled run --------------------------------------------------------
+
+@dataclass
+class JournaledRun:
+    """What :func:`journaled_run` yields; the last two fields are filled
+    when the block ends."""
+
+    journal: Optional[RunJournal] = None
+    #: What the journal already held, on a resume.
+    replay: Optional[JournalReplay] = None
+    #: Tracer-counter deltas of the run.
+    counters: Dict[str, float] = field(default_factory=dict)
+    trace_path: Optional[Path] = None
+
+
+@contextmanager
+def journaled_run(
+    run_dir: Union[str, Path, None],
+    header: Dict[str, object],
+    *,
+    identity: Sequence[str],
+    resume: Optional[bool] = None,
+    since: Optional[Tuple[int, Dict[str, float]]] = None,
+):
+    """The journal and trace of one run, from open to ``run-complete``.
+
+    Entering opens ``<run_dir>/journal.jsonl``: a fresh journal
+    starting with ``header``, or — when ``resume`` (default: when one
+    exists) — the existing one, whose header must agree with ``header``
+    on every ``identity`` key. Leaving normally appends
+    ``run-complete``, closes the journal and exports the spans and
+    counter deltas recorded since ``since`` — a ``(tracer.mark(),
+    tracer.counters)`` pair, default: since entry — to
+    ``<run_dir>/trace.jsonl``. With ``run_dir=None`` nothing is opened
+    or written; the block still learns its counter deltas.
+    """
+    tracer = current_tracer()
+    mark, before = since or (tracer.mark(), tracer.counters)
+    run = JournaledRun()
+    if run_dir is not None:
+        run_dir = Path(run_dir)
+        path = RunJournal.journal_path(run_dir)
+        if resume is None:
+            resume = path.exists()
+        if resume:
+            run.replay = RunJournal.load(run_dir)
+            for key in identity:
+                recorded = run.replay.header.get(key)
+                if recorded != header[key]:
+                    raise JournalError(
+                        f"{path} records {key.replace('_', ' ')} "
+                        f"{recorded!r}, not {header[key]!r}; refusing to "
+                        f"resume a different run"
+                    )
+            run.journal = RunJournal(path)
+        else:
+            run.journal = RunJournal.create(run_dir, header)
+    yield run
+    if run.journal is not None:
+        run.journal.append({"type": "run-complete"})
+        run.journal.close()
+    run.counters = tracer.counters_since(before)
+    if run_dir is not None and tracer.enabled:
+        # This run's slice of the span buffer and counter deltas — the
+        # examinable record behind `graphalytics trace`.
+        run.trace_path = write_trace(
+            run_dir / "trace.jsonl", tracer.spans_since(mark),
+            counters=run.counters,
+        )

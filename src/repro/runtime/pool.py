@@ -10,11 +10,10 @@ pool's own bookkeeping: which worker holds which job, and how many were
 respawned.
 
 Worker-side state is deliberately reconstructable: a
-:class:`CacheBackedRunner` (a :class:`~repro.harness.runner.
-BenchmarkRunner` whose materializations and validation references come
-from the shared content-addressed cache) is built once per process and
-reused across jobs, so repeated datasets are loaded once per worker and
-built once per run.
+:class:`~repro.harness.runner.BenchmarkRunner` reading through a
+:class:`~repro.runtime.cache.GraphCache` on the run's shared directory
+is built once per process and reused across jobs, so repeated datasets
+are loaded once per worker and built once per run.
 
 Every exception escaping a job body is converted into a structured
 failure envelope and shipped back by :func:`repro.proc.serve` — the
@@ -35,38 +34,16 @@ from repro.proc import Child, serve, stop_all, wait_any
 from repro.runtime.jobs import JobKind, JobSpec
 from repro.trace import current_tracer
 
-__all__ = ["CacheBackedRunner", "run_job_spec", "WorkerPool"]
+__all__ = ["run_job_spec", "WorkerPool"]
 
 
-class CacheBackedRunner(BenchmarkRunner):
-    """A benchmark runner whose graph/reference artifacts come from the
-    shared content-addressed cache instead of per-process rebuilds."""
-
-    def __init__(self, config: BenchmarkConfig, cache: GraphCache):
-        super().__init__(config)
-        self.cache = cache
-
-    def _handle(self, platform, dataset):
-        # Prime the dataset memo from the cache before the base class
-        # materializes, so a spilled graph is loaded, not rebuilt.
-        self.cache.get_graph(dataset, self.config.seed)
-        return super()._handle(platform, dataset)
-
-    def _reference_output(self, dataset, algorithm, params):
-        key = (dataset.dataset_id, algorithm)
-        if key not in self._references:
-            self._references[key] = self.cache.get_reference(
-                dataset, algorithm, self.config.seed
-            )
-        return self._references[key]
-
-
-def run_job_spec(runner: CacheBackedRunner, cache: GraphCache, spec: JobSpec) -> Dict[str, object]:
+def run_job_spec(runner: BenchmarkRunner, spec: JobSpec) -> Dict[str, object]:
     """Execute one job spec; returns a picklable result payload.
 
     Raises on failure — the caller (worker loop or inline executor)
     converts exceptions into structured failure records.
     """
+    cache = runner.cache
     dataset = get_dataset(spec.dataset)
     if spec.kind == JobKind.MATERIALIZE:
         with current_tracer().span("materialize", dataset=spec.dataset):
@@ -98,13 +75,11 @@ def _worker_main(
     worker_id: int,
     config: BenchmarkConfig,
     cache_dir: Optional[str],
-    memory_entries: int,
     fault_plan: Optional[FaultPlan],
 ) -> None:
     """Worker entrypoint: per-process state plus the job body that
     :func:`repro.proc.serve` loops over until the sentinel."""
-    cache = GraphCache(cache_dir, memory_entries=memory_entries)
-    runner = CacheBackedRunner(config, cache)
+    runner = BenchmarkRunner(config, GraphCache(cache_dir))
 
     def run_task(task, reply: Dict[str, object]) -> None:
         spec, attempt = task
@@ -116,11 +91,11 @@ def _worker_main(
             ) as task_span:
                 if fault_plan is not None:
                     fault_plan.inject(spec, attempt)
-                reply["payload"] = run_job_spec(runner, cache, spec)
+                reply["payload"] = run_job_spec(runner, spec)
         finally:
             # Shipped on failure too: the dispatcher accounts cache
             # traffic and elapsed time per attempt, not per success.
-            reply["cache"] = cache.take_stats_delta()
+            reply["cache"] = runner.cache.take_stats_delta()
             reply["elapsed"] = task_span.duration
 
     serve(task_conn, result_conn, run_task, process=f"worker-{worker_id}")
@@ -135,13 +110,11 @@ class WorkerPool:
         config: BenchmarkConfig,
         *,
         cache_dir: Optional[str] = None,
-        memory_entries: int = 8,
         fault_plan: Optional[FaultPlan] = None,
     ):
         self.size = max(1, int(workers))
         self.config = config
         self.cache_dir = str(cache_dir) if cache_dir is not None else None
-        self.memory_entries = memory_entries
         self.fault_plan = fault_plan
         self._children: Dict[int, Child] = {}
         #: worker id -> seq of the job it holds (``None`` = idle).
@@ -159,13 +132,7 @@ class WorkerPool:
         self._children[worker_id] = Child(
             f"graphalytics-worker-{worker_id}",
             target=_worker_main,
-            args=(
-                worker_id,
-                self.config,
-                self.cache_dir,
-                self.memory_entries,
-                self.fault_plan,
-            ),
+            args=(worker_id, self.config, self.cache_dir, self.fault_plan),
         )
 
     def restart(self, worker_id: int) -> None:

@@ -224,6 +224,14 @@ class Tracer:
     def counters(self) -> Dict[str, float]:
         return dict(self._counters)
 
+    def counters_since(self, before: Dict[str, float]) -> Dict[str, float]:
+        """What changed since ``before`` (an earlier :attr:`counters`)."""
+        return {
+            name: value - before.get(name, 0.0)
+            for name, value in self._counters.items()
+            if value != before.get(name, 0.0)
+        }
+
     def merge_counters(self, counters: Dict[str, float]) -> None:
         for name, value in (counters or {}).items():
             self.counter(str(name), float(value))

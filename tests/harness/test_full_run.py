@@ -1,9 +1,12 @@
 """Tests for the full-benchmark orchestration."""
 
+import re
+
 import pytest
 
 from repro.harness.full_run import run_full_benchmark
 from repro.harness.repository import ResultsRepository
+from repro.trace import Tracer, use_tracer
 
 
 class TestSelectedExperiments:
@@ -31,6 +34,25 @@ class TestSelectedExperiments:
             experiment_ids=["variability"], report_path=path
         )
         assert "## BFS" in path.read_text()
+
+
+class TestPrefetch:
+    def test_two_workers_prefetch_what_the_serial_suite_then_reads(self):
+        serial = run_full_benchmark(experiment_ids=["algorithm-variety"])
+        with use_tracer(Tracer()) as tracer:
+            pooled = run_full_benchmark(
+                experiment_ids=["algorithm-variety"], workers=2
+            )
+        assert (
+            pooled.database.canonical_json()
+            == serial.database.canonical_json()
+        )
+        [note] = [n for n in pooled.notes if n.startswith("[runtime]")]
+        prefetched = int(re.search(r"prefetched (\d+) artifacts", note).group(1))
+        # Workers' counters merge into this tracer: every artifact was
+        # built once, by the pool — the suite itself built nothing.
+        assert tracer.counters["cache.miss"] == prefetched
+        assert tracer.counters["cache.hit.disk"] >= prefetched
 
 
 class TestRepositorySubmission:

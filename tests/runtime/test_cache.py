@@ -2,10 +2,13 @@
 
 import dataclasses
 import hashlib
+import json
 import multiprocessing
 import os
 import pickle
+import struct
 import tempfile
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -134,13 +137,21 @@ class TestLayers:
         # materialize() must now return the cache-loaded object, not rebuild
         assert dataset.materialize(0) is loaded
 
-    def test_lru_eviction_is_counted_and_bounded(self, tmp_path):
-        cache = GraphCache(tmp_path, memory_entries=1)
-        cache.get_graph(get_dataset("R1"), 0)
-        cache.get_graph(get_dataset("R2"), 0)
-        cache.get_graph(get_dataset("R3"), 0)
-        assert len(cache._lru) == 1
-        assert cache.stats.evictions == 2
+    def test_memory_layer_keeps_every_entry(self, tmp_path):
+        """No bound, no eviction: what a process has read it never reads
+        again (the graphs stay referenced by upload handles anyway)."""
+        cache = GraphCache(tmp_path)
+        graphs = [cache.get_graph(dataset, 0) for dataset in DATASETS.values()]
+        assert len(graphs) > 8
+        again = [cache.get_graph(dataset, 0) for dataset in DATASETS.values()]
+        assert all(a is b for a, b in zip(graphs, again))
+        assert cache.stats.as_dict() == {
+            "memory_hits": len(graphs),
+            "disk_hits": 0,
+            "misses": len(graphs),
+            "stores": len(graphs),
+            "bytes_written": cache.disk_usage()["bytes"],
+        }
 
     def test_memory_only_mode(self):
         cache = GraphCache(None)
@@ -173,15 +184,10 @@ class TestStats:
         total.merge(CacheStats(memory_hits=2, misses=1))
         total.merge({"disk_hits": 3, "bytes_written": 10})
         assert total.hits == 5
-        assert total.lookups == 6
-        assert 0 < total.hit_rate < 1
-
-    def test_run_stats_round_trip(self, tmp_path):
-        cache = GraphCache(tmp_path)
-        cache.write_run_stats(CacheStats(memory_hits=4, misses=2))
-        read = cache.read_run_stats()
-        assert read.memory_hits == 4
-        assert read.misses == 2
+        assert total.as_dict() == {
+            "memory_hits": 2, "disk_hits": 3, "misses": 1,
+            "stores": 0, "bytes_written": 10,
+        }
 
 
 class TestMaintenance:
@@ -199,11 +205,18 @@ class TestMaintenance:
         assert GraphCache(None).disk_usage() == {"entries": 0, "bytes": 0}
         cache.get_graph(get_dataset("R1"), 0)
         cache.get_reference(get_dataset("R1"), "bfs", 0)
-        for manifest in cache.directory.glob("*/*.json"):
-            manifest.write_text("{ torn")
+        for entry in cache.directory.glob("*/*.pkl"):
+            entry.write_bytes(b"{ torn" + entry.read_bytes()[6:])
         assert cache.disk_usage() == {
             "entries": 2, "bytes": cache.stats.bytes_written,
         }
+        # The listing shows what it cannot describe instead of raising.
+        assert [(e.kind, e.label) for e in cache.disk_entries()] == [
+            ("?", "?"), ("?", "?"),
+        ]
+        assert sum(e.bytes for e in cache.disk_entries()) == (
+            cache.stats.bytes_written
+        )
 
     def test_clear_removes_everything(self, tmp_path):
         cache = GraphCache(tmp_path)
@@ -211,7 +224,76 @@ class TestMaintenance:
         cache.get_reference(get_dataset("R1"), "bfs", 0)
         assert cache.clear() == 2
         assert cache.disk_entries() == []
-        assert not list(tmp_path.glob("*/*.pkl"))
+        assert not list(tmp_path.glob("*"))
+
+    def test_one_file_per_entry(self, tmp_path):
+        cache = GraphCache(tmp_path)
+        cache.get_graph(get_dataset("R1"), 0)
+        cache.get_reference(get_dataset("R1"), "bfs", 0)
+        files = [path for path in tmp_path.rglob("*") if path.is_file()]
+        assert sorted(path.name for path in files) == sorted(
+            f"{entry.key}.pkl" for entry in cache.disk_entries()
+        )
+        assert [(e.kind, e.label) for e in cache.disk_entries()] == [
+            ("graph", "R1 seed=0"), ("reference", "R1/bfs seed=0"),
+        ]
+
+
+def _write_format_2(path, value, *, kind, label):
+    """An entry as CACHE_FORMAT_VERSION 2 stored it: magic | payload
+    length | payload CRC in front of the pickle, and a JSON sidecar."""
+    payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    header = struct.pack("<9sQI", b"GLYTCACHE", len(payload), zlib.crc32(payload))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(header + payload)
+    path.with_suffix(".json").write_text(json.dumps({
+        "key": path.stem, "kind": kind, "label": label,
+        "bytes": len(header) + len(payload), "format": 2,
+    }))
+
+
+class TestOlderFormatStore:
+    """A directory a format-2 build filled, met by this one."""
+
+    def test_format_2_store_is_ignored_listed_and_cleared(
+        self, tmp_path, capsys
+    ):
+        from repro.cli import main
+
+        dataset = get_dataset("R1")
+        dataset._cache.clear()
+        built = dataset.materialize(0)
+        dataset._cache.clear()
+        # One entry under the key format 2 gave it (any other digest),
+        # one squatting on the path this format will look at.
+        orphan = hashlib.sha256(b"format 2 key").hexdigest()
+        squatter = graph_key(dataset, 0)
+        for key in (orphan, squatter):
+            _write_format_2(
+                tmp_path / key[:2] / f"{key}.pkl", built,
+                kind="graph", label="R1 seed=0",
+            )
+
+        assert main(["cache", "--dir", str(tmp_path), "stats"]) == 0
+        listing = capsys.readouterr().out
+        unreadable = [
+            line for line in listing.splitlines() if line.startswith("  ? ")
+        ]
+        assert len(unreadable) == 2 and "2 entries" in listing
+
+        with use_tracer(Tracer()) as tracer:
+            cache = GraphCache(tmp_path)
+            _assert_same_graph(cache.get_graph(dataset, 0), built)
+        assert tracer.counters["cache.corrupt"] == 1  # the squatter
+        assert cache.stats.misses == 1 and cache.stats.stores == 1
+        assert [e.kind for e in cache.disk_entries()] == ["?", "graph"]
+
+        assert cache.clear() == 2
+        assert not list(tmp_path.glob("*"))  # sidecars went too
+        GraphCache(tmp_path).get_graph(dataset, 0)
+        files = [path for path in tmp_path.rglob("*") if path.is_file()]
+        assert [path.name for path in files] == [f"{squatter}.pkl"]
+        assert [e.kind for e in GraphCache(tmp_path).disk_entries()] == ["graph"]
 
 
 class TestClearUnderLoad:
@@ -259,6 +341,40 @@ class TestClearUnderLoad:
         assert cache.clear() == 1
         monkeypatch.undo()
         assert not list(tmp_path.glob("*"))
+
+
+    @pytest.mark.parametrize("step", ["scandir", "open"])
+    def test_stats_racing_a_clear_still_lists(
+        self, tmp_path, monkeypatch, capsys, step
+    ):
+        """``clear`` lands between the directory listing and a shard's
+        (``scandir``), or between a shard's listing and the first
+        entry's read (``open``): ``cache stats`` lists what is left."""
+        from repro.cli import main
+        from repro.runtime import cache as cache_module
+
+        cache = GraphCache(tmp_path)
+        for dataset_id in ("R1", "R2", "R3"):
+            cache.get_graph(get_dataset(dataset_id), 0)
+        real = {"scandir": os.scandir, "open": open}[step]
+        calls = []
+
+        def cleared_first(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == 2:
+                GraphCache(tmp_path).clear()
+            return real(*args, **kwargs)
+
+        if step == "scandir":
+            monkeypatch.setattr(os, "scandir", cleared_first)
+        else:
+            calls.append("the race is at the first entry")
+            monkeypatch.setattr(cache_module, "open", cleared_first, raising=False)
+        assert cache.disk_entries() == []
+        monkeypatch.undo()
+        assert len(calls) >= 2
+        assert main(["cache", "--dir", str(tmp_path), "stats"]) == 0
+        assert "(no cached entries)" in capsys.readouterr().out
 
 
 def _truncate(path, graph):
@@ -411,7 +527,7 @@ def test_processes_racing_to_build_one_key(tmp_path):
     # Whoever lost the race either built too (a miss) or read the
     # winner's entry (a disk hit) — never a torn one.
     assert all(s["misses"] + s["disk_hits"] == 1 for _d, s in outcomes)
-    assert [p.name for p in tmp_path.glob("*/*") if p.suffix != ".json"] == [
+    assert [p.name for p in tmp_path.glob("*/*")] == [
         f"{graph_key(get_dataset('R3'), 41)}.pkl"
     ]
     with use_tracer(Tracer()) as tracer:

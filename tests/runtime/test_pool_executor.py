@@ -6,12 +6,15 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.harness.config import BenchmarkConfig
+from repro.harness.runner import BenchmarkRunner
 from repro.runtime import (
     FAILURE_STATUSES,
     FaultPlan,
     FaultSpec,
+    GraphCache,
     RuntimeConfig,
     execute_matrix,
+    prefetch_into_runner,
 )
 from repro.trace import Tracer, use_tracer
 
@@ -96,6 +99,101 @@ class TestPoolExecution:
         assert second.database.canonical_json() == (
             first.database.canonical_json()
         )
+
+
+#: 3 graphs + 9 references: more than the eight entries the store's
+#: memory layer was once bounded to.
+WIDE = dict(datasets=["R1", "R2", "R3"], algorithms=["bfs", "pr", "wcc"])
+WIDE_ARTIFACTS = 12
+
+
+def _files(directory):
+    return [path for path in directory.rglob("*") if path.is_file()]
+
+
+class TestCacheTraffic:
+    """Every artifact is built once per directory and read from disk at
+    most once per process — never re-read while it is still in memory."""
+
+    def test_one_process_never_reads_its_own_spill(self, tmp_path):
+        result = execute_matrix(
+            _config(**WIDE), RuntimeConfig(workers=1, cache_dir=tmp_path)
+        )
+        stats = result.cache_stats
+        assert stats.disk_hits == 0
+        assert stats.misses == stats.stores == WIDE_ARTIFACTS
+        assert all(r.succeeded and r.validated for r in result.database)
+        files = _files(tmp_path)
+        assert len(files) == WIDE_ARTIFACTS
+        assert all(path.suffix == ".pkl" for path in files)
+
+    def test_two_workers_read_each_artifact_at_most_once_more(self, tmp_path):
+        result = execute_matrix(
+            _config(**WIDE), RuntimeConfig(workers=2, cache_dir=tmp_path)
+        )
+        stats = result.cache_stats
+        assert stats.misses == stats.stores == WIDE_ARTIFACTS
+        assert stats.disk_hits <= WIDE_ARTIFACTS
+        assert len(_files(tmp_path)) == WIDE_ARTIFACTS
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_warm_directory_is_read_once_per_process(self, tmp_path, workers):
+        runtime = RuntimeConfig(workers=workers, cache_dir=tmp_path)
+        cold = execute_matrix(_config(**WIDE), runtime)
+        warm = execute_matrix(_config(**WIDE), runtime)
+        stats = warm.cache_stats
+        assert stats.misses == stats.stores == 0
+        if workers == 1:
+            assert stats.disk_hits == WIDE_ARTIFACTS
+        else:
+            assert WIDE_ARTIFACTS <= stats.disk_hits <= 2 * WIDE_ARTIFACTS
+        assert warm.database.canonical_json() == cold.database.canonical_json()
+
+    @pytest.mark.parametrize("kind", ["enospc", "eio"])
+    def test_a_disk_that_takes_no_write_fails_no_job(self, tmp_path, kind):
+        """Nothing an un-journaled run writes is worth failing it for:
+        the spill is skipped and there is no other file."""
+        from repro.faults import IoFault, IoFaultPlan, io_faults
+
+        plan = IoFaultPlan(
+            [IoFault(point="ioutil.atomic_write.write", kind=kind, times=10**6)]
+        )
+        with io_faults(plan):
+            result = execute_matrix(
+                _config(**WIDE), RuntimeConfig(workers=1, cache_dir=tmp_path)
+            )
+        assert plan.injected() == {0: WIDE_ARTIFACTS}
+        assert result.failures == [] and result.lost_jobs == 0
+        assert all(r.succeeded and r.validated for r in result.database)
+        assert result.cache_stats.stores == 0
+        assert _files(tmp_path) == []
+
+
+class TestPrefetch:
+    def test_pool_fills_the_directory_the_runner_reads(self, tmp_path):
+        config = _config(**WIDE)
+        runner = BenchmarkRunner(config, GraphCache(tmp_path))
+        outcome = prefetch_into_runner(
+            runner,
+            datasets=config.datasets,
+            algorithms=config.algorithms,
+            runtime=RuntimeConfig(workers=2),
+        )
+        assert outcome.job_count == 0 and outcome.dag_size == WIDE_ARTIFACTS
+        assert outcome.cache_stats.misses == WIDE_ARTIFACTS
+        with use_tracer(Tracer()) as tracer:
+            database = runner.run()
+        assert "cache.miss" not in tracer.counters
+        assert tracer.counters["cache.hit.disk"] == WIDE_ARTIFACTS
+        assert runner.cache.stats.misses == 0
+        serial = BenchmarkRunner(config).run()
+        assert database.canonical_json() == serial.canonical_json()
+
+    def test_runner_without_a_directory_is_refused(self):
+        with pytest.raises(ConfigurationError, match="directory"):
+            prefetch_into_runner(
+                BenchmarkRunner(_config()), datasets=["R1"], algorithms=["bfs"]
+            )
 
 
 class TestConfigValidation:

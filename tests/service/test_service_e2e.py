@@ -624,13 +624,13 @@ def test_first_job_of_a_warm_store_child_imports_nothing(
         "import repro.service.worker, sys, json\n"
         "assert 'numpy.ma' in sys.modules and 'numpy.random' in sys.modules\n"
         "from repro.harness.config import BenchmarkConfig\n"
+        "from repro.harness.runner import BenchmarkRunner\n"
         "from repro.runtime.cache import GraphCache\n"
-        "from repro.runtime.pool import CacheBackedRunner\n"
         "store, platform, dataset, algorithm = sys.argv[1:]\n"
         "config = BenchmarkConfig(platforms=[platform], datasets=[dataset],\n"
         "                         algorithms=[algorithm], repetitions=1)\n"
         "cache = GraphCache(store)\n"
-        "runner = CacheBackedRunner(config, cache)\n"
+        "runner = BenchmarkRunner(config, cache)\n"
         "before = set(sys.modules)\n"
         "row = runner.run_job(platform, dataset, algorithm)\n"
         "print(json.dumps({'validated': row.validated,\n"
