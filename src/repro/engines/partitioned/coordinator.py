@@ -22,9 +22,18 @@ either strategy is bit-identical to the numpy kernels by construction.
 Two transports run the same blocks: ``inline`` (in-process, for fast
 deterministic tests) and ``pipes`` (one :class:`repro.proc.Child` per
 shard). Shards hold nothing but their immutable block, so supervision
-is stateless: a shard that dies — at start-up or mid-product (crash,
-OOM kill, chaos plan) — is respawned and re-sent the in-flight product,
-bounded by a :class:`~repro.proc.RetryPolicy` budget.
+is stateless: a shard that dies — at start-up, idle between runs, or
+mid-product (crash, OOM kill, chaos plan) — is respawned and re-sent
+the in-flight product, bounded by a per-run
+:class:`~repro.proc.RetryPolicy` budget.
+
+A deployment — the partition set, the row blocks, the shard processes —
+is made once, on first use, and lives until :meth:`PartitionedEngine.
+close`: the platform lifecycle is upload, execute any number of times,
+delete, and only the products belong to an execution's T_proc. Because
+shards are stateless, any sequence of algorithms may run on one
+deployment; a run that raises closes it, so a reply still in a pipe is
+never read by a later run.
 """
 
 from __future__ import annotations
@@ -35,7 +44,12 @@ import numpy as np
 
 from repro.engines import spmv
 from repro.engines.partitioned.partition import partition_graph
-from repro.engines.partitioned.shard import Product, apply_product, shard_main
+from repro.engines.partitioned.shard import (
+    READY,
+    Product,
+    apply_product,
+    shard_main,
+)
 from repro.exceptions import ConfigurationError, GraphalyticsError
 from repro.graph.graph import Graph
 from repro.proc import Child, RetryPolicy, absorb, stop_all, wait_any
@@ -61,6 +75,9 @@ class _InlineTransport:
     def __init__(self, blocks: List[spmv.SpMVEngine]):
         self.blocks = blocks
 
+    def begin_run(self) -> None:
+        pass
+
     def exchange(self, product: Product, parent_span) -> Dict[int, np.ndarray]:
         tracer = current_tracer()
         replies = {}
@@ -69,7 +86,7 @@ class _InlineTransport:
                 replies[shard_id] = apply_product(block, product)
         return replies
 
-    def shutdown(self) -> None:
+    def shutdown(self, *, disown: bool = False) -> None:
         pass
 
 
@@ -87,16 +104,22 @@ class _PipesTransport:
         self.retry = retry
         self.clock = current_tracer().clock
         self._children: Dict[int, Child] = {}
-        self._attempts = dict.fromkeys(range(len(blocks)), 1)
-        self.respawns = 0
+        self.begin_run()
         for shard_id in range(len(blocks)):
             # First launch arms the chaos plan; relaunches never re-arm
             # it (fault counters are per-process — re-arming would kill
             # every attempt and defeat supervision).
             self._spawn(shard_id, chaos_plan)
 
+    def begin_run(self) -> None:
+        """The supervision budget and the respawn count are per run: a
+        live shard is its run's first attempt, whoever launched it."""
+        self._attempts = dict.fromkeys(range(len(self.blocks)), 1)
+        self.respawns = 0
+
     def _spawn(self, shard_id: int, chaos=None) -> None:
         """(Re)launch one shard process over its block."""
+        current_tracer().counter("partitioned.shard-spawn")
         dead = self._children.get(shard_id)
         if dead is not None:
             dead.close()
@@ -187,8 +210,14 @@ class _PipesTransport:
         self._spawn(shard_id)
         self._send(shard_id, product)
 
-    def shutdown(self) -> None:
-        stop_all(self._children.values())
+    def shutdown(self, *, disown: bool = False) -> None:
+        """Stop the shards — or, ``disown``, only drop this process's
+        ends of their pipes: they are a forked parent's children."""
+        if disown:
+            for shard_id in sorted(self._children):
+                self._children[shard_id].close()
+        else:
+            stop_all(self._children.values())
         self._children.clear()
 
 
@@ -199,6 +228,14 @@ class PartitionedEngine:
     partition ``strategy``, the returned array is byte-for-byte equal to
     the numpy reference kernel's (enforced by
     ``tests/engines/test_partitioned_parity.py``).
+
+    Lifetime: the engine owns its partition set from construction and
+    its row blocks and shard processes from first use (:meth:`deploy`,
+    or the first :meth:`run`) until :meth:`close`; :meth:`run` may be
+    called any number of times in between. Use it as a context manager,
+    or get a shared one from :func:`repro.engines.partitioned.deploy`.
+    An engine is not to be carried across ``os.fork()``: the shards are
+    the parent's (``deploy`` sees to that for the engines it hands out).
     """
 
     def __init__(
@@ -226,12 +263,75 @@ class PartitionedEngine:
         self.respawns = 0
         self._transport = None
 
+    # -- lifetime ----------------------------------------------------------
+
+    def deploy(self) -> "PartitionedEngine":
+        """Cut the row blocks and start the shards, unless they are live;
+        returns once every shard has answered the ready handshake.
+
+        Making a deployment is one ``deploy`` span (``deployed="fresh"``;
+        over pipes also ``spawned``, the processes started); finding one
+        live is free and leaves no span. Together with the ``deployed``
+        attribute of each run's ``partitioned`` span, a trace reads
+        ``fresh`` once per deployment and ``reused`` everywhere else.
+        """
+        if self._transport is not None:
+            return self
+        with current_tracer().span(
+            "deploy",
+            shards=self.partition_set.num_shards,
+            strategy=self.partition_set.strategy,
+            transport=self.transport_kind,
+            deployed="fresh",
+        ) as span:
+            blocks = [
+                spmv.SpMVEngine(self.graph, rows=partition.owned)
+                for partition in self.partition_set.shards
+            ]
+            if self.transport_kind == "inline":
+                self._transport = _InlineTransport(blocks)
+            else:
+                self._transport = _PipesTransport(
+                    blocks, retry=self.retry, chaos_plan=self.chaos_plan
+                )
+                try:
+                    self._transport.exchange(READY, span)
+                except BaseException:
+                    self.close()
+                    raise
+                span.attributes["spawned"] = (
+                    len(blocks) + self._transport.respawns
+                )
+        return self
+
+    def close(self, *, disown: bool = False) -> None:
+        """End the deployment (idempotent): stop the shards and drop the
+        blocks. The next :meth:`run` or :meth:`deploy` makes a new one.
+        ``disown`` is for a forked child, whose copy of a deployment
+        names its parent's shards: drop it, signal nobody."""
+        transport, self._transport = self._transport, None
+        if transport is not None:
+            self.respawns = transport.respawns
+            transport.shutdown(disown=disown)
+
+    def __enter__(self) -> "PartitionedEngine":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # -- entry point -------------------------------------------------------
 
     def run(
         self, algorithm: str, params: Optional[Dict[str, object]] = None
     ) -> np.ndarray:
-        """Run one core algorithm; returns the finalized array."""
+        """Run one core algorithm; returns the finalized array.
+
+        Never builds or stops a transport of its own: it runs on the
+        engine's deployment (made here only if there is none yet). Any
+        exception closes the deployment — a reply to the abandoned
+        product may still be in a pipe, and no later run may read it.
+        """
         algorithm = algorithm.lower()
         params = params or {}
         if algorithm not in _LOOPS:
@@ -244,29 +344,26 @@ class PartitionedEngine:
                 f"{algorithm} requires parameter 'source_vertex'"
             )
         self.supersteps = 0
+        fresh = self._transport is None
         with current_tracer().span(
             "partitioned",
             algorithm=algorithm,
             shards=self.partition_set.num_shards,
             strategy=self.partition_set.strategy,
             transport=self.transport_kind,
+            deployed="fresh" if fresh else "reused",
         ):
-            blocks = [
-                spmv.SpMVEngine(self.graph, rows=partition.owned)
-                for partition in self.partition_set.shards
-            ]
-            if self.transport_kind == "inline":
-                self._transport = _InlineTransport(blocks)
-            else:
-                self._transport = _PipesTransport(
-                    blocks, retry=self.retry, chaos_plan=self.chaos_plan
-                )
             try:
-                return _LOOPS[algorithm](self, params)
-            finally:
-                self.respawns = self._transport.respawns
-                self._transport.shutdown()
-                self._transport = None
+                if fresh:
+                    self.deploy()
+                else:
+                    self._transport.begin_run()
+                output = _LOOPS[algorithm](self, params)
+            except BaseException:
+                self.close()
+                raise
+            self.respawns = self._transport.respawns
+            return output
 
     # -- the product -------------------------------------------------------
 

@@ -22,7 +22,7 @@ from repro.faults.points import IoFaultPlan, check, install_io_plan
 from repro.proc import serve
 from repro.trace import current_tracer
 
-__all__ = ["STEP_FAULT_POINT", "Product", "apply_product", "shard_main"]
+__all__ = ["READY", "STEP_FAULT_POINT", "Product", "apply_product", "shard_main"]
 
 #: Name in :data:`repro.faults.points.FAULT_POINTS`; checked before each
 #: product so a chaos plan can kill a shard mid-superstep.
@@ -30,6 +30,11 @@ STEP_FAULT_POINT = "partitioned.shard.step"
 
 #: One product request: (SpMVEngine method name, args, keyword args).
 Product = Tuple[str, tuple, Dict[str, object]]
+
+#: The deployment handshake: answered with an empty reply and no
+#: compute, so a deployment is live — forked, booted, in its ``serve``
+#: loop — before the first product is timed.
+READY: Product = ("ready", (), {})
 
 
 def apply_product(block: SpMVEngine, product: Product) -> np.ndarray:
@@ -53,6 +58,9 @@ def shard_main(
 
     def run_command(product: Product, reply: Dict[str, object]) -> None:
         reply["shard"] = shard_id
+        if product[0] == READY[0]:
+            reply["body"] = None
+            return
         # The chaos plane's hook: a kill-kind fault here is a shard
         # dying between the barrier and its compute.
         check(STEP_FAULT_POINT)

@@ -99,9 +99,11 @@ def _close(conn) -> None:
 class Child:
     """Parent-side handle of one supervised child process.
 
-    ``channel=True`` (pool workers, shards): the child is daemonic and
-    ``target`` is called as ``target(task_conn, result_conn, *args)`` —
-    it is expected to run :func:`serve` on those two pipe ends.
+    ``channel=True`` (pool workers, shards): the child is daemonic —
+    the parent's exit terminates it, never waits for it — and
+    ``target`` is called as ``target(task_conn, result_conn, *args)``;
+    it is expected to run :func:`serve` on those two pipe ends, and may
+    start channel children of its own (a pool worker owns its shards).
     ``channel=False`` (the service run child): no pipes, non-daemonic,
     ``target(*args, **kwargs)`` as given; only :meth:`alive` and
     :meth:`stop` apply.
@@ -267,6 +269,12 @@ def _enter(target, parent_task_send, parent_result_recv, *args) -> None:
     of the parent's pipe ends, then run the caller's entrypoint."""
     parent_task_send.close()
     parent_result_recv.close()
+    # Daemonic to its parent (whose exit terminates it instead of
+    # joining it), but not to itself: multiprocessing refuses to let a
+    # daemonic process start children, because a terminated daemon
+    # orphans them, and a pool worker must own shards. Here ``serve``'s
+    # orphan guard bounds exactly that case, so the refusal buys nothing.
+    multiprocessing.current_process().daemon = False
     target(*args)
 
 

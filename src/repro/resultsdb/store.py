@@ -38,6 +38,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.exceptions import ConfigurationError
 from repro.faults import points as fault_points
+from repro.trace import current_tracer
 
 __all__ = ["STORE_NAME", "SCHEMA_VERSION", "ResultsStore", "commit_service_run"]
 
@@ -164,7 +165,7 @@ class ResultsStore:
 
         self._mutex = threading.Lock()
         with self._mutex:
-            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._enter_wal_mode(timeout)
             self._conn.execute("PRAGMA synchronous=FULL")
             self._conn.execute("PRAGMA foreign_keys=ON")
             self._conn.executescript(_SCHEMA)
@@ -172,6 +173,26 @@ class ResultsStore:
                 "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
                 ("schema_version", str(SCHEMA_VERSION)),
             )
+
+    def _enter_wal_mode(self, timeout: float) -> None:
+        """``PRAGMA journal_mode=WAL``, retried while the file is locked.
+
+        Switching the journal mode takes an exclusive lock, and SQLite
+        answers ``database is locked`` at once — the busy timeout is not
+        consulted — when another process is opening the same fresh file.
+        The other opener is done in milliseconds; wait for it as long as
+        any other statement on this connection would.
+        """
+        clock = current_tracer().clock
+        deadline = clock.now() + timeout
+        while True:
+            try:
+                self._conn.execute("PRAGMA journal_mode=WAL")
+                return
+            except sqlite3.OperationalError:
+                if clock.now() >= deadline:
+                    raise
+                clock.sleep(0.005)
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -98,7 +98,15 @@ def _worker_main(
             reply["cache"] = runner.cache.take_stats_delta()
             reply["elapsed"] = task_span.duration
 
-    serve(task_conn, result_conn, run_task, process=f"worker-{worker_id}")
+    try:
+        serve(task_conn, result_conn, run_task, process=f"worker-{worker_id}")
+    finally:
+        # A sharded pythonref job left its graph's shards deployed.
+        # Imported here: whoever built ``config`` has loaded the engine
+        # already; a process that only imports this module need not.
+        from repro.engines.partitioned import undeploy
+
+        undeploy()
 
 
 class WorkerPool:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.engines.partitioned import undeploy
 from repro.graph.builder import GraphBuilder
 from repro.graph.generators import (
     complete_graph,
@@ -12,6 +13,14 @@ from repro.graph.generators import (
     path_graph,
     star_graph,
 )
+
+
+@pytest.fixture(autouse=True)
+def no_deployment_outlives_its_test():
+    """Shard deployments are per-process state that lives until the next
+    graph (or exit): a test must not start on its predecessor's."""
+    yield
+    undeploy()
 
 
 @pytest.fixture

@@ -87,6 +87,57 @@ class TestShardedRouting:
             assert actual.dtype == expected.dtype, algorithm
             assert actual.tobytes() == expected.tobytes(), algorithm
 
+    def test_tproc_never_carries_the_deployment(self):
+        """Platform start-up is not processing time (paper §2.5): the
+        shards are deployed under ``load``, on the very first job too, so
+        every job's ``processing`` span times products only. Read off the
+        span tree — no timing assertion."""
+        import multiprocessing
+
+        from repro.harness.datasets import get_dataset
+        from repro.platforms.reference import ReferenceDriver
+        from repro.trace import Tracer, use_tracer
+
+        driver = ReferenceDriver(partitions=2)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            handle = driver.upload(get_dataset("G22").materialize(0))
+            for algorithm in ("wcc", "pr", "lcc"):
+                driver.execute(handle, algorithm)
+        spans = {s.span_id: s for s in tracer.finished_spans()}
+
+        def ancestors(span):
+            """Names of the spans around ``span``, nearest first."""
+            while span.parent_id is not None:
+                span = spans[span.parent_id]
+                yield span.name
+
+        deploys = [s for s in spans.values() if s.name == "deploy"]
+        assert len(deploys) == 1  # the first job's; later ones find it live
+        assert deploys[0].attributes["spawned"] == 2
+        assert tracer.counters["partitioned.shard-spawn"] == 2
+        assert list(ancestors(deploys[0])) == ["load", "execute"]
+        runs = [s for s in spans.values() if s.name == "partitioned"]
+        assert [s.attributes["deployed"] for s in runs] == ["reused"] * 3
+        assert all("processing" in ancestors(s) for s in runs)
+        executes = sorted(
+            (s for s in spans.values() if s.name == "execute"),
+            key=lambda s: s.start,
+        )
+        assert spans[deploys[0].parent_id].parent_id == executes[0].span_id
+
+        shards = [
+            child for child in multiprocessing.active_children()
+            if child.name.startswith("graphalytics-shard-")
+        ]
+        assert len(shards) == 2
+        driver.delete(handle)
+        assert handle.deleted
+        for shard in shards:
+            shard.join(10)
+            assert not shard.is_alive()
+
+
 
 class TestHarnessIntegration:
     def test_runs_through_the_runner(self):

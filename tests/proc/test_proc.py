@@ -43,6 +43,19 @@ def _serve_main(task_conn, result_conn, name="kid"):
     serve(task_conn, result_conn, _handle, process=name)
 
 
+def _nesting_main(task_conn, result_conn):
+    """A channel child that owns a channel child (a pool worker and its
+    shard): commands are relayed to it."""
+    kid = Child("proc-test-grandchild", target=_serve_main)
+
+    def relay(payload, reply):
+        reply["grandchild"] = kid.process.pid
+        reply["echo"] = _ask(kid, payload)["echo"]
+
+    serve(task_conn, result_conn, relay, process="middle")
+    kid.stop()
+
+
 def _stubborn_main(task_conn, result_conn):
     """Ignores SIGTERM and never reads its command pipe."""
     signal.signal(signal.SIGTERM, signal.SIG_IGN)
@@ -296,6 +309,53 @@ def test_orphaned_child_exits_once_reparented(monkeypatch):
         assert time.monotonic() - orphaned < 10 * proc.POLL_INTERVAL
     finally:
         os.close(read_end)
+
+
+def _gone(pid) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def _wait_gone(pid, within) -> bool:
+    deadline = time.monotonic() + within
+    while not _gone(pid) and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return _gone(pid)
+
+
+class TestNestedChannelChildren:
+    """A channel child is daemonic to its parent and may still own
+    channel children: both halves of the spawn site's contract."""
+
+    def test_worker_owns_a_child_and_takes_it_along(self):
+        middle = Child("proc-test-middle", target=_nesting_main)
+        try:
+            # The parent's exit terminates it, never joins it.
+            assert middle.process.daemon
+            reply = _ask(middle, {"do": "echo", "tag": 7})
+            assert reply["event"] == "done", reply.get("detail")
+            assert reply["echo"] == {"do": "echo", "tag": 7}
+            assert not _gone(reply["grandchild"])
+        finally:
+            middle.stop()
+        assert not middle.alive()
+        assert _wait_gone(reply["grandchild"], TIMEOUT)
+
+    def test_grandchild_does_not_outlive_a_sigkilled_worker(self, monkeypatch):
+        monkeypatch.setattr(proc, "POLL_INTERVAL", 0.2)
+        middle = Child("proc-test-middle", target=_nesting_main)
+        try:
+            grandchild = _ask(middle, {"do": "echo"})["grandchild"]
+            os.kill(middle.process.pid, signal.SIGKILL)
+            middle.process.join(TIMEOUT)
+            assert _wait_gone(grandchild, 10 * proc.POLL_INTERVAL), (
+                "grandchild outlived its SIGKILLed parent"
+            )
+        finally:
+            middle.stop(graceful=False)
 
 
 # -- one policy, one mechanism -------------------------------------------------

@@ -272,3 +272,61 @@ class TestCommitCrash:
         _crash_submit(tmp_path, store_path, "run-doomed")
         with ResultsStore(store_path) as store:
             assert store.query("PRAGMA integrity_check") == [("ok",)]
+
+
+# -- two processes open one fresh file -----------------------------------------
+
+OPEN_ROUNDS = 60
+
+
+def _open_fresh_stores(barrier, root, conn):
+    """Open (= create) ``root/<round>/results.db`` once per round, at the
+    same instant as the sibling process; ship the rounds that failed."""
+    import time
+
+    failures = []
+    for index in range(OPEN_ROUNDS):
+        barrier.wait(30)
+        # The barrier wakes its waiters a scheduler slice apart, which
+        # is wider than the window; the wall clock is what the two
+        # processes share, so both spin to its next 20 ms mark.
+        while time.time() % 0.02 > 0.0005:
+            pass
+        try:
+            ResultsStore(Path(root) / str(index) / STORE_NAME).close()
+        except Exception as exc:
+            failures.append(f"round {index}: {type(exc).__name__}: {exc}")
+    conn.send(failures)
+
+
+def test_two_processes_opening_one_fresh_store_both_succeed(tmp_path):
+    """Switching a fresh file to WAL takes an exclusive lock that SQLite
+    does not wait for: the pragma is retried inside the store's timeout,
+    so neither opener sees ``database is locked`` (it was ~1 round in 8)."""
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    for index in range(OPEN_ROUNDS):
+        (tmp_path / str(index)).mkdir()
+    barrier = ctx.Barrier(2)
+    openers = []
+    for _ in range(2):
+        recv, send = ctx.Pipe(duplex=False)
+        process = ctx.Process(
+            target=_open_fresh_stores, args=(barrier, tmp_path, send)
+        )
+        process.start()
+        send.close()
+        openers.append((process, recv))
+    try:
+        for process, recv in openers:
+            assert recv.poll(120), "opener never reported"
+            assert recv.recv() == []
+    finally:
+        for process, _ in openers:
+            process.join(10)
+            if process.is_alive():
+                process.kill()
+    for index in range(OPEN_ROUNDS):
+        with ResultsStore(tmp_path / str(index) / STORE_NAME) as store:
+            assert store.query("PRAGMA journal_mode") == [("wal",)]

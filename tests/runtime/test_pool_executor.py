@@ -1,11 +1,16 @@
 """The worker pool and executor: dispatch, failure surfacing, events."""
 
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.harness.config import BenchmarkConfig
+from repro.harness.results import ResultsDatabase
 from repro.harness.runner import BenchmarkRunner
 from repro.runtime import (
     FAILURE_STATUSES,
@@ -99,6 +104,78 @@ class TestPoolExecution:
         assert second.database.canonical_json() == (
             first.database.canonical_json()
         )
+
+
+#: Runs the sharded matrix on two pool workers in a process group of its
+#: own, then — pool stopped, interpreter still up — lists who else is in
+#: that group: a worker or a shard that outlived the pool.
+_SHARDED_POOL_SCRIPT = """
+import json, os, sys
+from repro.harness.config import BenchmarkConfig
+from repro.harness.runner import BenchmarkRunner
+
+database = BenchmarkRunner(BenchmarkConfig(**json.loads(sys.argv[1]))).run(workers=2)
+
+def group_of(pid):
+    with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+        return int(handle.read().rsplit(")", 1)[1].split()[2])
+
+stragglers = []
+for entry in os.listdir("/proc"):
+    if entry.isdigit() and int(entry) != os.getpid():
+        try:
+            if group_of(entry) == os.getpgrp():
+                stragglers.append(int(entry))
+        except OSError:
+            pass  # exited while we looked
+print(json.dumps({"rows": [r.as_dict() for r in database], "stragglers": stragglers}))
+"""
+
+
+class TestShardedJobsOnPoolWorkers:
+    """A pool worker owns the shards of its sharded jobs (it used to be
+    refused them: daemonic processes may not have children)."""
+
+    SHARDED = dict(
+        platforms=["pythonref", "graphmat"], datasets=["R1", "G22"],
+        algorithms=["bfs", "pr", "wcc"], partitions=2,
+    )
+
+    def test_two_workers_two_shards_every_row_succeeds(self):
+        config = _config(**self.SHARDED, repetitions=1)
+        pooled = BenchmarkRunner(config).run(workers=2)
+        serial = BenchmarkRunner(config).run(workers=1)
+        assert len(pooled) == len(serial) == 12
+        for row in pooled:
+            assert row.succeeded and row.validated, row.failure_reason
+        # PythonRef's modeled T_proc is its measured one; the modeled
+        # platform's rows are the deterministic half.
+        modeled = [
+            ResultsDatabase(db.query(platform="graphmat")).canonical_json()
+            for db in (pooled, serial)
+        ]
+        assert modeled[0] == modeled[1]
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists(), reason="needs Linux /proc"
+    )
+    def test_no_worker_or_shard_outlives_the_pool(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        run = subprocess.Popen(
+            [sys.executable, "-c", _SHARDED_POOL_SCRIPT,
+             json.dumps(dict(self.SHARDED, platforms=["pythonref"]))],
+            env=dict(os.environ, PYTHONPATH=str(src)), text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            start_new_session=True,
+        )
+        out, err = run.communicate(timeout=120)
+        assert run.returncode == 0, err
+        report = json.loads(out.splitlines()[-1])
+        assert [row["status"] for row in report["rows"]] == ["succeeded"] * 6
+        assert all(row["validated"] for row in report["rows"])
+        assert report["stragglers"] == []
+        with pytest.raises(ProcessLookupError):
+            os.killpg(run.pid, 0)
 
 
 #: 3 graphs + 9 references: more than the eight entries the store's

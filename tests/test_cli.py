@@ -137,6 +137,34 @@ class TestReportCommand:
         assert {"shard-compute", "exchange", "barrier-wait"} <= {
             span.name for span in spans
         }
+        # One dataset, two jobs: deployed once (under the first job's
+        # load), and both runs found the shards live.
+        assert sorted(
+            (s.name, s.attributes["deployed"])
+            for s in spans if "deployed" in s.attributes
+        ) == [
+            ("deploy", "fresh"),
+            ("partitioned", "reused"), ("partitioned", "reused"),
+        ]
+
+    def test_sharded_report_on_two_workers(self, tmp_path):
+        # Pool workers own the shards of their jobs (they used to be
+        # refused them, and every row came back a harness-error).
+        import json
+
+        run_dir = tmp_path / "run"
+        code = main(
+            [
+                "report", "--platforms", "pythonref", "--datasets", "R1",
+                "G22", "--algorithms", "bfs", "wcc", "--partitions", "2",
+                "--workers", "2", "--run-dir", str(run_dir),
+                "--output", str(tmp_path / "report.md"),
+            ]
+        )
+        assert code == 0
+        rows = json.loads((run_dir / "results.json").read_text())
+        assert [row["status"] for row in rows] == ["succeeded"] * 4
+        assert all(row["validated"] for row in rows)
 
 
 class TestValidateCommand:
