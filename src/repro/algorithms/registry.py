@@ -50,7 +50,8 @@ class Algorithm:
     _runner: Callable = field(repr=False, default=None)  # type: ignore[assignment]
 
     def run(self, graph: Graph, params: Mapping[str, object] = None) -> np.ndarray:
-        """Execute the reference implementation with validated parameters."""
+        """Execute the reference implementation with validated parameters
+        (those given only: the defaults are the kernels' own)."""
         params = dict(params or {})
         unknown = set(params) - set(self.parameters)
         if unknown:
@@ -64,22 +65,6 @@ def _run_bfs(graph: Graph, source_vertex: int = None) -> np.ndarray:
     if source_vertex is None:
         raise ConfigurationError("bfs requires a source_vertex parameter")
     return breadth_first_search(graph, source_vertex)
-
-
-def _run_pr(graph: Graph, iterations: int = 30, damping: float = 0.85) -> np.ndarray:
-    return pagerank(graph, iterations=iterations, damping=damping)
-
-
-def _run_wcc(graph: Graph) -> np.ndarray:
-    return weakly_connected_components(graph)
-
-
-def _run_cdlp(graph: Graph, iterations: int = 10) -> np.ndarray:
-    return community_detection_lp(graph, iterations=iterations)
-
-
-def _run_lcc(graph: Graph) -> np.ndarray:
-    return local_clustering_coefficient(graph)
 
 
 def _run_sssp(graph: Graph, source_vertex: int = None) -> np.ndarray:
@@ -105,7 +90,7 @@ ALGORITHMS: Dict[str, Algorithm] = {
         weighted=False,
         parameters=("iterations", "damping"),
         work_factor=7.5,
-        _runner=_run_pr,
+        _runner=pagerank,
     ),
     "wcc": Algorithm(
         acronym="wcc",
@@ -114,7 +99,7 @@ ALGORITHMS: Dict[str, Algorithm] = {
         weighted=False,
         parameters=(),
         work_factor=3.0,
-        _runner=_run_wcc,
+        _runner=weakly_connected_components,
     ),
     "cdlp": Algorithm(
         acronym="cdlp",
@@ -123,7 +108,7 @@ ALGORITHMS: Dict[str, Algorithm] = {
         weighted=False,
         parameters=("iterations",),
         work_factor=9.0,
-        _runner=_run_cdlp,
+        _runner=community_detection_lp,
     ),
     "lcc": Algorithm(
         acronym="lcc",
@@ -133,7 +118,7 @@ ALGORITHMS: Dict[str, Algorithm] = {
         parameters=(),
         work_factor=2.0,
         quadratic_in_degree=True,
-        _runner=_run_lcc,
+        _runner=local_clustering_coefficient,
     ),
     "sssp": Algorithm(
         acronym="sssp",

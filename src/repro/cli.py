@@ -990,21 +990,27 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_full_run(args) -> int:
+    from contextlib import nullcontext
+    from pathlib import Path
+
     from repro.harness.full_run import run_full_benchmark
-    from repro.harness.repository import ResultsRepository
+    from repro.resultsdb.store import STORE_NAME, ResultsStore
     from repro.runtime.executor import resolve_partitions, resolve_workers
 
-    repository = ResultsRepository(args.repository) if args.repository else None
-    result = run_full_benchmark(
-        seed=args.seed,
-        experiment_ids=args.experiments,
-        report_path=args.report,
-        repository=repository,
-        workers=resolve_workers(args.workers),
-        run_dir=args.run_dir,
-        partitions=resolve_partitions(args.partitions),
-        partition_strategy=args.partition_strategy,
-    )
+    with (
+        ResultsStore(Path(args.repository) / STORE_NAME)
+        if args.repository else nullcontext()
+    ) as store:
+        result = run_full_benchmark(
+            seed=args.seed,
+            experiment_ids=args.experiments,
+            report_path=args.report,
+            store=store,
+            workers=resolve_workers(args.workers),
+            run_dir=args.run_dir,
+            partitions=resolve_partitions(args.partitions),
+            partition_strategy=args.partition_strategy,
+        )
     print(
         f"ran {len(result.reports)} experiments, {result.job_count} jobs"
     )
@@ -1012,7 +1018,7 @@ def _cmd_full_run(args) -> int:
         print(f"# {note}")
     if args.report:
         print(f"report written to {args.report}")
-    if repository is not None:
+    if store is not None:
         print(f"run stored in {args.repository}")
     return 0
 

@@ -42,7 +42,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.engines import spmv
+from repro.engines import engine_call, spmv
 from repro.engines.partitioned.partition import partition_graph
 from repro.engines.partitioned.shard import (
     READY,
@@ -333,15 +333,11 @@ class PartitionedEngine:
         product may still be in a pipe, and no later run may read it.
         """
         algorithm = algorithm.lower()
-        params = params or {}
-        if algorithm not in _LOOPS:
-            raise ConfigurationError(
-                f"partitioned engine cannot execute algorithm {algorithm!r}; "
-                f"known: {', '.join(_LOOPS)}"
-            )
-        if algorithm in ("bfs", "sssp") and params.get("source_vertex") is None:
-            raise ConfigurationError(
-                f"{algorithm} requires parameter 'source_vertex'"
+        if algorithm == "lcc":  # the one product no spmv loop drives
+            loop = self.lcc
+        else:
+            loop = engine_call(
+                spmv, algorithm, params, graph=self.graph, engine=self
             )
         self.supersteps = 0
         fresh = self._transport is None
@@ -358,7 +354,7 @@ class PartitionedEngine:
                     self.deploy()
                 else:
                     self._transport.begin_run()
-                output = _LOOPS[algorithm](self, params)
+                output = loop()
             except BaseException:
                 self.close()
                 raise
@@ -400,24 +396,3 @@ class PartitionedEngine:
                     y[partition.owned] = replies[partition.shard_id]
         return y
 
-
-#: Acronym -> the loop that runs it over an engine's products.
-_LOOPS = {
-    "bfs": lambda engine, params: spmv.run_bfs(
-        engine.graph, int(params["source_vertex"]), engine=engine
-    ),
-    "pr": lambda engine, params: spmv.run_pagerank(
-        engine.graph,
-        int(params.get("iterations", 30)),
-        float(params.get("damping", 0.85)),
-        engine=engine,
-    ),
-    "wcc": lambda engine, params: spmv.run_wcc(engine.graph, engine=engine),
-    "cdlp": lambda engine, params: spmv.run_cdlp(
-        engine.graph, int(params.get("iterations", 10)), engine=engine
-    ),
-    "sssp": lambda engine, params: spmv.run_sssp(
-        engine.graph, int(params["source_vertex"]), engine=engine
-    ),
-    "lcc": lambda engine, params: engine.lcc(),
-}

@@ -4,7 +4,7 @@
 summarized in Table 6" (paper §4). This module runs the entire suite,
 collects every job in one results database, renders the composite
 report, and (optionally) submits the validated run to a results
-repository — the complete Figure 1 pipeline.
+store — the complete Figure 1 pipeline.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from typing import Dict, List, Optional, Union
 from repro.harness.config import BenchmarkConfig
 from repro.harness.experiments import EXPERIMENTS, ExperimentReport
 from repro.harness.report import render_report, save_report
-from repro.harness.repository import ResultsRepository, RunMetadata
 from repro.harness.results import ResultsDatabase
 from repro.harness.runner import BenchmarkRunner
+from repro.resultsdb.store import ResultsStore, RunMetadata, submit_validated_run
 from repro.trace import current_tracer
 
 __all__ = ["FullRunResult", "run_full_benchmark"]
@@ -47,8 +47,7 @@ def run_full_benchmark(
     seed: int = 0,
     experiment_ids: Optional[List[str]] = None,
     report_path: Optional[Union[str, Path]] = None,
-    repository: Optional[ResultsRepository] = None,
-    run_metadata: Optional[RunMetadata] = None,
+    store: Optional[ResultsStore] = None,
     workers: int = 1,
     run_dir: Optional[Union[str, Path]] = None,
     partitions: Optional[int] = None,
@@ -143,10 +142,10 @@ def run_full_benchmark(
             report_path,
             title="Graphalytics full benchmark run",
         )
-    if repository is not None:
-        metadata = run_metadata or RunMetadata(
+    if store is not None:
+        metadata = RunMetadata(
             run_id=f"full-run-seed{seed}",
             system_under_test="simulated Table 5 platforms on DAS-5 model",
         )
-        repository.submit(metadata, runner.database)
+        submit_validated_run(store, metadata, runner.database)
     return result

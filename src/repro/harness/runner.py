@@ -62,8 +62,8 @@ class BenchmarkRunner:
         if platform not in self._drivers:
             kwargs = {}
             if platform == "pythonref" and self.config.partitions is not None:
-                # Only the measured reference platform executes for real;
-                # the modeled Table-5 drivers have nothing to shard.
+                # Only the measured kernels path shards: a modeled driver
+                # has nothing to shard, an engine path measures its model.
                 kwargs = {
                     "partitions": self.config.partitions,
                     "partition_strategy": self.config.partition_strategy,

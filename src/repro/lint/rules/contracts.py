@@ -165,8 +165,8 @@ _KERNEL_NAMES = {
     "single_source_shortest_paths", "run_reference",
 }
 
-#: Driver hooks in which direct execution is the implementation itself.
-_LIFECYCLE_HOOKS = {"_native_runner", "_run_algorithm"}
+#: The driver hook in which direct execution is the implementation itself.
+_LIFECYCLE_HOOKS = {"_run_algorithm"}
 
 #: Modules that *are* the lifecycle (base driver, registry wiring).
 _EXEMPT_STEMS = {"base", "registry"}
@@ -203,7 +203,7 @@ class DriverBypassRule(Rule):
     :class:`~repro.platforms.base.PlatformDriver` — capability checks,
     modeled memory/crash failures, and the Granula event log — so its
     results are unmetered and incomparable. Execute through
-    ``self._run_algorithm`` (or provide a ``_native_runner``).
+    ``self._run_algorithm``.
     """
 
     rule_id = "CON002"

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Mapping, Optional
 
 import numpy as np
@@ -107,25 +108,6 @@ class JobResult:
     def succeeded(self) -> bool:
         return self.status is JobStatus.SUCCEEDED
 
-    def as_record(self) -> Dict[str, object]:
-        """Flat dict for the results database (no arrays)."""
-        return {
-            "platform": self.platform,
-            "algorithm": self.algorithm,
-            "dataset": self.dataset,
-            "machines": self.resources.machines,
-            "threads": self.resources.threads_per_machine,
-            "status": self.status.value,
-            "failure_reason": self.failure_reason,
-            "run_index": self.run_index,
-            "backend": self.backend,
-            "modeled_processing_time": self.modeled_processing_time,
-            "modeled_makespan": self.modeled_makespan,
-            "modeled_upload_time": self.modeled_upload_time,
-            "modeled_memory_demand": self.modeled_memory_demand,
-            "measured_processing_seconds": self.measured_processing_seconds,
-        }
-
 
 def profile_from_graph(
     graph: Graph,
@@ -170,15 +152,9 @@ class PlatformDriver:
 
     Subclasses provide ``info`` and ``model`` and may override the quirk
     hooks (:meth:`_select_backend`, :attr:`crash_algorithms`,
-    :attr:`unsupported_algorithms`, :meth:`_native_runner`).
-
-    ``execution`` selects what actually computes the output on the
-    miniature graph: ``"reference"`` (default) runs the vectorized
-    reference kernels; ``"native"`` runs the platform's own programming
-    model — the Pregel, GAS, or SpMV engine of :mod:`repro.engines` —
-    where the subclass provides one. Outputs are validation-equivalent
-    either way (enforced by the engine test suite); native mode is
-    slower but executes the model the platform is named after.
+    :attr:`unsupported_algorithms`). Modeled drivers compute their
+    output with the reference kernels; a *measured* execution path is a
+    platform of its own (:mod:`repro.platforms.reference`).
     """
 
     #: Algorithms whose vendor implementation is missing (PGX.D: LCC).
@@ -186,30 +162,12 @@ class PlatformDriver:
     #: Algorithms whose implementation crashes (GraphX: CDLP, §4.2).
     crash_algorithms: frozenset = frozenset()
 
-    def __init__(
-        self,
-        info: PlatformInfo,
-        model: PerformanceModel,
-        *,
-        execution: str = "reference",
-    ):
-        if execution not in ("reference", "native"):
-            raise ConfigurationError(
-                f"execution must be 'reference' or 'native', got {execution!r}"
-            )
+    def __init__(self, info: PlatformInfo, model: PerformanceModel):
         self.info = info
         self.model = model
-        self.execution = execution
-
-    def _native_runner(self, algorithm: str):
-        """A callable(graph, params) for native-model execution, or None."""
-        return None
 
     def _run_algorithm(self, algorithm: str, graph: Graph, params):
-        if self.execution == "native":
-            runner = self._native_runner(algorithm)
-            if runner is not None:
-                return runner(graph, dict(params or {}))
+        """What computes a job's output on the miniature graph."""
         return get_algorithm(algorithm).run(graph, params)
 
     # -- capability -------------------------------------------------------
@@ -276,54 +234,63 @@ class PlatformDriver:
         run_index: int = 0,
         seed: int = 0,
     ) -> JobResult:
-        """Run one algorithm job; never raises for modeled failures."""
+        """Run one algorithm job; never raises for modeled failures.
+
+        The lifecycle preconditions every driver shares, checked once;
+        an accepted job is the driver's :meth:`_execute`.
+        """
         if handle.deleted:
             raise ConfigurationError("graph was deleted from the platform")
         algorithm = algorithm.lower()
         resources = resources or ClusterResources()
         self.validate_resources(resources)
-        profile = handle.profile
-        backend = self._select_backend(algorithm, resources)
-        tracer = current_tracer()
-
-        def _result(status: JobStatus, reason: str = "", **kwargs) -> JobResult:
-            return JobResult(
-                platform=self.name,
-                algorithm=algorithm,
-                dataset=profile.name,
-                resources=resources,
-                status=status,
-                failure_reason=reason,
-                run_index=run_index,
-                backend=backend,
-                modeled_upload_time=handle.modeled_upload_time,
-                **kwargs,
-            )
-
+        row = partial(
+            JobResult,
+            platform=self.name,
+            algorithm=algorithm,
+            dataset=handle.profile.name,
+            resources=resources,
+            run_index=run_index,
+            backend=self._select_backend(algorithm, resources),
+            modeled_upload_time=handle.modeled_upload_time,
+        )
         if algorithm in self.unsupported_algorithms:
-            return _result(
-                JobStatus.NOT_SUPPORTED,
-                f"{self.name} provides no {algorithm.upper()} implementation",
+            return row(
+                status=JobStatus.NOT_SUPPORTED,
+                failure_reason=f"{self.name} provides no "
+                               f"{algorithm.upper()} implementation",
             )
         get_algorithm(algorithm)  # raises for unknown acronyms
+        return self._execute(
+            row, handle, algorithm, params, resources, run_index, seed
+        )
+
+    def _execute(
+        self, row, handle, algorithm, params, resources, run_index, seed
+    ) -> JobResult:
+        """An accepted job on a modeled platform: admission and timing
+        come from the performance model, the output from a real run.
+        ``row`` builds the job's result with its identity filled in."""
+        profile = handle.profile
+        tracer = current_tracer()
         if algorithm in self.crash_algorithms:
-            return _result(
-                JobStatus.CRASHED,
-                f"{self.name}'s {algorithm.upper()} implementation crashes",
+            return row(
+                status=JobStatus.CRASHED,
+                failure_reason=f"{self.name}'s {algorithm.upper()} "
+                               f"implementation crashes",
             )
         demand = self.model.memory_demand_per_machine(algorithm, profile, resources)
         capacity = self.model.memory_capacity_per_machine(resources)
         if demand > capacity:
-            return _result(
-                JobStatus.FAILED_MEMORY,
-                f"needs {demand / 2**30:.1f} GiB/machine, capacity "
-                f"{capacity / 2**30:.1f} GiB",
+            return row(
+                status=JobStatus.FAILED_MEMORY,
+                failure_reason=f"needs {demand / 2**30:.1f} GiB/machine, "
+                               f"capacity {capacity / 2**30:.1f} GiB",
                 modeled_memory_demand=demand,
             )
 
-        # Real execution on the miniature graph (reference kernels, or
-        # the platform's own programming model in native mode). The
-        # processing span is the measurement — no separate re-timing.
+        # Real execution on the miniature graph. The processing span is
+        # the measurement — no separate re-timing.
         with tracer.span(
             "execute", platform=self.name, algorithm=algorithm,
             dataset=profile.name,
@@ -349,8 +316,8 @@ class PlatformDriver:
         makespan = self.model.makespan(
             algorithm, profile, resources, processing_time=tproc
         )
-        result = _result(
-            JobStatus.SUCCEEDED,
+        result = row(
+            status=JobStatus.SUCCEEDED,
             modeled_processing_time=tproc,
             modeled_makespan=makespan,
             modeled_memory_demand=demand,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from repro.platforms.base import PlatformDriver, PlatformInfo
 from repro.platforms.model import PerformanceModel
-from repro.platforms.native import engine_runners
 
 __all__ = ["GiraphDriver", "GIRAPH_INFO", "GIRAPH_MODEL"]
 
@@ -55,17 +54,7 @@ GIRAPH_MODEL = PerformanceModel(
 
 
 class GiraphDriver(PlatformDriver):
-    """Vertex-centric (Pregel) execution on Hadoop MapReduce.
+    """Vertex-centric (Pregel) execution on Hadoop MapReduce."""
 
-    In native mode (``execution="native"``) jobs really run as vertex
-    programs on the miniature Pregel engine (:mod:`repro.engines.pregel`)
-    — the programming model Giraph implements.
-    """
-
-    def __init__(self, execution: str = "reference"):
-        super().__init__(GIRAPH_INFO, GIRAPH_MODEL, execution=execution)
-
-    def _native_runner(self, algorithm: str):
-        from repro.engines import pregel
-
-        return engine_runners(pregel).get(algorithm)
+    def __init__(self):
+        super().__init__(GIRAPH_INFO, GIRAPH_MODEL)

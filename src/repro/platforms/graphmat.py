@@ -22,7 +22,6 @@ from __future__ import annotations
 from repro.platforms.base import PlatformDriver, PlatformInfo
 from repro.platforms.cluster import ClusterResources
 from repro.platforms.model import PerformanceModel
-from repro.platforms.native import engine_runners
 
 __all__ = ["GraphMatDriver", "GRAPHMAT_INFO", "GRAPHMAT_MODEL"]
 
@@ -63,22 +62,13 @@ GRAPHMAT_MODEL = PerformanceModel(
 class GraphMatDriver(PlatformDriver):
     """SpMV execution; backend "S" (shared memory) or "D" (MPI)."""
 
-    def __init__(self, backend: str = "auto", execution: str = "reference"):
-        """``backend``: "S", "D", or "auto" (the harness's manual rule).
-
-        In native mode jobs really run as semiring sparse-matrix products
-        on the miniature SpMV engine (:mod:`repro.engines.spmv`).
-        """
-        super().__init__(GRAPHMAT_INFO, GRAPHMAT_MODEL, execution=execution)
+    def __init__(self, backend: str = "auto"):
+        """``backend``: "S", "D", or "auto" (the harness's manual rule)."""
+        super().__init__(GRAPHMAT_INFO, GRAPHMAT_MODEL)
         backend = backend.upper() if backend != "auto" else backend
         if backend not in ("S", "D", "auto"):
             raise ValueError(f"backend must be 'S', 'D', or 'auto', got {backend!r}")
         self.backend = backend
-
-    def _native_runner(self, algorithm: str):
-        from repro.engines import spmv
-
-        return engine_runners(spmv).get(algorithm)
 
     def _select_backend(self, algorithm: str, resources: ClusterResources) -> str:
         """Mirror the paper's manual backend rule.

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from repro.platforms.base import PlatformDriver, PlatformInfo
 from repro.platforms.model import PerformanceModel
-from repro.platforms.native import engine_runners
 
 __all__ = ["PowerGraphDriver", "POWERGRAPH_INFO", "POWERGRAPH_MODEL"]
 
@@ -59,16 +58,7 @@ POWERGRAPH_MODEL = PerformanceModel(
 
 
 class PowerGraphDriver(PlatformDriver):
-    """Gather-Apply-Scatter execution with vertex-cut partitioning.
+    """Gather-Apply-Scatter execution with vertex-cut partitioning."""
 
-    In native mode jobs really run as gather/apply/scatter programs on
-    the miniature GAS engine (:mod:`repro.engines.gas`).
-    """
-
-    def __init__(self, execution: str = "reference"):
-        super().__init__(POWERGRAPH_INFO, POWERGRAPH_MODEL, execution=execution)
-
-    def _native_runner(self, algorithm: str):
-        from repro.engines import gas
-
-        return engine_runners(gas).get(algorithm)
+    def __init__(self):
+        super().__init__(POWERGRAPH_INFO, POWERGRAPH_MODEL)

@@ -14,15 +14,20 @@ validation, and Granula pipeline:
     >>> result = driver.execute(handle, "bfs", {"source_vertex": 0})
     >>> result.modeled_processing_time  # == measured wall-clock
 
-Because its numbers are real, it is also the honest baseline for the
-miniature-scale kernel benchmarks.
+Because its numbers are real, it is also how the repo measures itself:
+the engines of :mod:`repro.engines` are further measured platforms
+(``pythonref-pregel`` / ``-gas`` / ``-spmv``) of the same driver.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from dataclasses import replace
+from typing import Optional
 
-from repro.algorithms.registry import get_algorithm
+# Imported with the platforms, never by a job: an import inside a timed
+# ``processing`` span would be reported as T_proc (paper §2.5).
+from repro.engines import engine_call, gas, pregel, spmv
+from repro.exceptions import ConfigurationError
 from repro.platforms.base import (
     JobResult,
     JobStatus,
@@ -30,11 +35,10 @@ from repro.platforms.base import (
     PlatformInfo,
     UploadHandle,
 )
-from repro.platforms.cluster import ClusterResources
 from repro.platforms.model import PerformanceModel
 from repro.trace import current_tracer
 
-__all__ = ["ReferenceDriver", "REFERENCE_INFO"]
+__all__ = ["ReferenceDriver", "REFERENCE_INFO", "MEASURED_PATHS"]
 
 REFERENCE_INFO = PlatformInfo(
     name="PythonRef",
@@ -46,10 +50,21 @@ REFERENCE_INFO = PlatformInfo(
     version="1.0",
 )
 
+#: Execution path -> (roster entry, engine module; None: the numpy
+#: kernels themselves). Each engine of :mod:`repro.engines` is a
+#: platform of its own (requirement R1: any programming model competes).
+MEASURED_PATHS = {"kernels": (REFERENCE_INFO, None)}
+for _model, _engine in (("Pregel", pregel), ("GAS", gas), ("SpMV", spmv)):
+    MEASURED_PATHS[_model.lower()] = (
+        replace(REFERENCE_INFO, name=f"PythonRef-{_model}",
+                programming_model=_model),
+        _engine,
+    )
+
 #: A minimal model: only used for upload-time bookkeeping and the
 #: (measured-scale) memory sanity bound; timing comes from the clock.
 _REFERENCE_MODEL = PerformanceModel(
-    base_evps=1.0,            # unused: execute() overrides with wall-clock
+    base_evps=1.0,            # unused: _execute() reports the wall-clock
     tproc_floor=0.0,
     distributed=False,
     bytes_per_element=200.0,  # numpy CSR + Python overhead, measured scale
@@ -62,12 +77,14 @@ _REFERENCE_MODEL = PerformanceModel(
 
 
 class ReferenceDriver(PlatformDriver):
-    """Runs the reference kernels for real; Tproc is the measured time.
+    """Runs one execution path (:data:`MEASURED_PATHS`) for real; Tproc
+    is the measured time. No engine formulates LCC, so an engine path
+    reports it ``not-supported`` — it never times another path's code.
 
-    With ``partitions`` set, execution routes through the sharded engine
-    in :mod:`repro.engines.partitioned` instead of the single-process
-    kernels. Outputs are bit-identical either way for all six
-    algorithms (the partitioned engine's core contract: every shard
+    With ``partitions`` set, the kernels path routes through the sharded
+    engine in :mod:`repro.engines.partitioned` instead of the
+    single-process kernels. Outputs are bit-identical either way for all
+    six algorithms (the partitioned engine's core contract: every shard
     reduces its rows in the kernels' slot order), so the switch changes
     only *how* the measured wall-clock is produced — which is exactly
     what the scaling experiments need.
@@ -82,8 +99,17 @@ class ReferenceDriver(PlatformDriver):
         self,
         partitions: Optional[int] = None,
         partition_strategy: str = "hash",
+        *,
+        path: str = "kernels",
     ):
-        super().__init__(REFERENCE_INFO, _REFERENCE_MODEL)
+        info, self.engine = MEASURED_PATHS[path]
+        if self.engine is not None:
+            if partitions is not None:
+                raise ConfigurationError(
+                    f"only the kernels path shards, not {path!r}"
+                )
+            self.unsupported_algorithms = frozenset({"lcc"})
+        super().__init__(info, _REFERENCE_MODEL)
         self.partitions = partitions
         self.partition_strategy = partition_strategy
 
@@ -100,6 +126,8 @@ class ReferenceDriver(PlatformDriver):
         )
 
     def _run_algorithm(self, algorithm: str, graph, params):
+        if self.engine is not None:
+            return engine_call(self.engine, algorithm, params)(graph)
         if self.partitions is None:
             return super()._run_algorithm(algorithm, graph, params)
         return self._deploy(graph).run(algorithm, params)
@@ -112,21 +140,11 @@ class ReferenceDriver(PlatformDriver):
 
             undeploy(handle.graph)
 
-    def execute(
-        self,
-        handle: UploadHandle,
-        algorithm: str,
-        params: Optional[Mapping[str, object]] = None,
-        resources: Optional[ClusterResources] = None,
-        *,
-        run_index: int = 0,
-        seed: int = 0,
+    def _execute(
+        self, row, handle, algorithm, params, resources, run_index, seed
     ) -> JobResult:
-        algorithm = algorithm.lower()
-        resources = resources or ClusterResources()
-        self.validate_resources(resources)
-        get_algorithm(algorithm)  # raises for unknown acronyms
-
+        """An accepted job, measured: nothing is modeled, so nothing is
+        refused, and every time is a span of this very execution."""
         graph = handle.graph
         tracer = current_tracer()
         with tracer.span(
@@ -161,17 +179,11 @@ class ReferenceDriver(PlatformDriver):
                 "end": end,
                 "source": "measured",
             }
-        result = JobResult(
-            platform=self.name,
-            algorithm=algorithm,
-            dataset=handle.profile.name,
-            resources=resources,
+        result = row(
             status=JobStatus.SUCCEEDED,
-            run_index=run_index,
             modeled_upload_time=handle.measured_upload_seconds,
             modeled_processing_time=measured,   # measured IS the number
             modeled_makespan=makespan,
-            modeled_memory_demand=None,
             measured_processing_seconds=measured,
             output=output,
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, List, Tuple
 
 from repro.exceptions import ConfigurationError
@@ -12,7 +13,7 @@ from repro.platforms.powergraph import PowerGraphDriver, POWERGRAPH_INFO
 from repro.platforms.graphmat import GraphMatDriver, GRAPHMAT_INFO
 from repro.platforms.openg import OpenGDriver, OPENG_INFO
 from repro.platforms.pgxd import PGXDDriver, PGXD_INFO
-from repro.platforms.reference import ReferenceDriver, REFERENCE_INFO
+from repro.platforms.reference import MEASURED_PATHS, ReferenceDriver
 
 __all__ = [
     "PLATFORMS",
@@ -33,9 +34,12 @@ PLATFORMS: Dict[str, Tuple[PlatformInfo, Callable[[], PlatformDriver]]] = {
 }
 
 #: Platforms beyond the paper's Table 5 roster (requirement R5: easy to
-#: add new platforms). Not included in the paper's experiments.
+#: add new platforms). Not included in the paper's experiments. These
+#: are the measured family: ``pythonref`` (the numpy kernels) and one
+#: ``pythonref-<engine>`` per programming-model engine.
 EXTRA_PLATFORMS: Dict[str, Tuple[PlatformInfo, Callable[[], PlatformDriver]]] = {
-    "pythonref": (REFERENCE_INFO, ReferenceDriver),
+    info.name.lower(): (info, partial(ReferenceDriver, path=path))
+    for path, (info, _engine) in MEASURED_PATHS.items()
 }
 
 

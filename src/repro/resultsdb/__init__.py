@@ -18,10 +18,11 @@ store in WAL mode:
 * :mod:`repro.resultsdb.migrate` — one-transaction import of a legacy
   JSON repository, byte-identical on round-trip.
 
-Every layer that needs results talks to this package:
-:class:`repro.harness.repository.ResultsRepository` is a facade over
-it, the service's run children commit outcomes, trace spans, and SLA
-breaches into the spool store at terminal-commit time, ``healthz``
+Every layer that needs results talks to this package: ``full-run
+--repository`` admits its validated run through
+:func:`~repro.resultsdb.store.submit_validated_run`, the service's run
+children commit outcomes, trace spans, and SLA breaches into the spool
+store at terminal-commit time, ``healthz``
 reports store statistics, and the Granula visualizer renders span
 timelines and regression tables straight from SQL. Lint rule ROB003
 keeps it that way: ``sqlite3.connect`` outside this package is a

@@ -32,15 +32,20 @@ argument.
 from __future__ import annotations
 
 import json
+import re
 import sqlite3
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ValidationError
 from repro.faults import points as fault_points
 from repro.trace import current_tracer
 
-__all__ = ["STORE_NAME", "SCHEMA_VERSION", "ResultsStore", "commit_service_run"]
+__all__ = [
+    "STORE_NAME", "SCHEMA_VERSION", "ResultsStore", "RunMetadata",
+    "commit_service_run", "submit_validated_run",
+]
 
 #: Database file name inside a repository directory or a service spool.
 STORE_NAME = "results.db"
@@ -585,6 +590,51 @@ def _derive_breaches(
             }
         )
     return breaches
+
+
+_RUN_ID_PATTERN = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+
+
+@dataclass(frozen=True)
+class RunMetadata:
+    """Descriptive metadata of one submitted run."""
+
+    run_id: str
+    system_under_test: str
+    submitter: str = ""
+    description: str = ""
+
+    def __post_init__(self):
+        if not _RUN_ID_PATTERN.match(self.run_id):
+            raise ConfigurationError(
+                f"run id {self.run_id!r} must be alphanumeric with ._-"
+            )
+        if not self.system_under_test:
+            raise ConfigurationError("system_under_test must be non-empty")
+
+
+def submit_validated_run(
+    store: ResultsStore, metadata: RunMetadata, database
+) -> str:
+    """Admit a ``ResultsDatabase`` to a public repository (paper Figure
+    1, boxes 11–12: "validated results are stored in an online
+    repository"): every *successful* job must have passed output
+    validation, and — :meth:`ResultsStore.submit_run`'s own rule, whose
+    one transaction this is — the run is not empty and its id not
+    taken. A private run skips the rule by calling that directly, as
+    :func:`commit_service_run` does. Returns the run id.
+    """
+    unvalidated = [
+        r for r in database if r.succeeded and r.validated is not True
+    ]
+    if unvalidated:
+        raise ValidationError(
+            f"{len(unvalidated)} successful jobs lack output validation; "
+            f"only validated results enter the repository"
+        )
+    return store.submit_run(
+        asdict(metadata), [r.as_dict() for r in database]
+    )
 
 
 def commit_service_run(

@@ -178,3 +178,44 @@ class TestSpMVMechanics:
             assert (part[outside] == -1).all()
             union[block] = part[block]
         assert union.tobytes() == full.tobytes()
+
+
+class TestEngineCallAdapter:
+    """``engine_call``: one (acronym, benchmark parameters) -> front-end
+    map for every engine module and for the sharded product engine."""
+
+    def test_binds_only_the_parameters_given(self, engine, path5):
+        from repro.engines import engine_call
+
+        call = engine_call(engine, "pr", {"iterations": 3})
+        assert call.func is engine.run_pagerank
+        assert call.keywords == {"iterations": 3}  # damping: engine's own
+        assert np.array_equal(call(path5), engine.run_pagerank(path5, 3))
+        bfs = engine_call(engine, "BFS", {"source_vertex": 0})
+        assert list(bfs(path5)) == [0, 1, 2, 3, 4]
+
+    def test_rejects_what_it_cannot_map(self, engine):
+        from repro.engines import engine_call
+        from repro.exceptions import ConfigurationError
+
+        with pytest.raises(ConfigurationError, match="source_vertex"):
+            engine_call(engine, "sssp", {})
+        with pytest.raises(ConfigurationError, match="unknown parameters"):
+            engine_call(engine, "cdlp", {"damping": 0.5})
+        with pytest.raises(ConfigurationError, match="no engine front-end"):
+            engine_call(engine, "lcc")
+
+    def test_extra_keywords_pass_through(self, path5):
+        from repro.engines import engine_call, spmv
+
+        class CountingEngine(SpMVEngine):
+            products = 0
+
+            def spmv(self, *args, **kwargs):
+                self.products += 1
+                return super().spmv(*args, **kwargs)
+
+        counting = CountingEngine(path5)
+        call = engine_call(spmv, "wcc", graph=path5, engine=counting)
+        assert np.array_equal(call(), spmv.run_wcc(path5))
+        assert counting.products > 0

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from repro.harness.full_run import run_full_benchmark
-from repro.harness.repository import ResultsRepository
+from repro.resultsdb.store import STORE_NAME, ResultsStore
 from repro.trace import Tracer, use_tracer
 
 
@@ -57,15 +57,14 @@ class TestPrefetch:
 
 class TestRepositorySubmission:
     def test_validated_run_submitted(self, tmp_path):
-        repo = ResultsRepository(tmp_path / "repo")
-        run_full_benchmark(
-            experiment_ids=["algorithm-variety"],
-            repository=repo,
-            seed=3,
-        )
-        assert repo.run_ids() == ["full-run-seed3"]
-        stored = repo.load("full-run-seed3")
-        assert len(stored) > 0
+        with ResultsStore(tmp_path / "repo" / STORE_NAME) as store:
+            run_full_benchmark(
+                experiment_ids=["algorithm-variety"],
+                store=store,
+                seed=3,
+            )
+            assert store.run_ids() == ["full-run-seed3"]
+            assert len(store.run_records("full-run-seed3")) > 0
 
 
 @pytest.mark.slow

@@ -1,14 +1,23 @@
-"""Tests for the public results repository."""
+"""Tests for the public results repository: a directory holding one
+``results.db`` store, admitted to through ``submit_validated_run`` and
+read through the store and ``repro.resultsdb.queries``."""
 
 import json
 import multiprocessing
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.exceptions import ConfigurationError, ValidationError
-from repro.harness.repository import Regression, ResultsRepository, RunMetadata
 from repro.harness.results import BenchmarkResult, ResultsDatabase
+from repro.resultsdb import queries
+from repro.resultsdb.store import (
+    STORE_NAME,
+    ResultsStore,
+    RunMetadata,
+    submit_validated_run,
+)
 
 
 def make_result(**overrides):
@@ -27,9 +36,22 @@ def make_result(**overrides):
     return BenchmarkResult(**defaults)
 
 
+def open_repository(root):
+    """The store of a repository directory, as ``full-run --repository``
+    and ``db --store`` open it."""
+    return ResultsStore(Path(root) / STORE_NAME)
+
+
+def load(store, run_id):
+    return ResultsDatabase(
+        [BenchmarkResult(**record) for record in store.run_records(run_id)]
+    )
+
+
 @pytest.fixture
 def repo(tmp_path):
-    return ResultsRepository(tmp_path / "repo")
+    with open_repository(tmp_path / "repo") as store:
+        yield store
 
 
 @pytest.fixture
@@ -54,32 +76,41 @@ class TestMetadata:
 class TestSubmission:
     def test_submit_and_reload(self, repo, database):
         meta = RunMetadata("run-1", "GraphMat on DAS-5", submitter="intel")
-        path = repo.submit(meta, database)
-        assert path.exists()
+        assert submit_validated_run(repo, meta, database) == "run-1"
+        assert repo.path.exists()
         assert repo.run_ids() == ["run-1"]
-        assert repo.metadata("run-1").submitter == "intel"
-        loaded = repo.load("run-1")
+        stored = RunMetadata(**repo.canonical_payload("run-1")["metadata"])
+        assert stored == meta
+        loaded = load(repo, "run-1")
         assert len(loaded) == 1
         assert loaded.one(platform="GraphMat").modeled_processing_time == 0.3
 
     def test_duplicate_rejected(self, repo, database):
         meta = RunMetadata("run-1", "sut")
-        repo.submit(meta, database)
+        submit_validated_run(repo, meta, database)
         with pytest.raises(ConfigurationError, match="already exists"):
-            repo.submit(meta, database)
+            submit_validated_run(repo, meta, database)
 
     def test_empty_run_rejected(self, repo):
         with pytest.raises(ConfigurationError, match="empty run"):
-            repo.submit(RunMetadata("run-1", "sut"), ResultsDatabase())
+            submit_validated_run(
+                repo, RunMetadata("run-1", "sut"), ResultsDatabase()
+            )
 
     def test_unvalidated_results_rejected(self, repo):
         db = ResultsDatabase([make_result(validated=None)])
         with pytest.raises(ValidationError, match="lack output validation"):
-            repo.submit(RunMetadata("run-1", "sut"), db)
+            submit_validated_run(repo, RunMetadata("run-1", "sut"), db)
+        assert repo.run_ids() == []
 
     def test_unvalidated_allowed_when_opted_out(self, repo):
+        """Opting out of the admission rule is not a flag: a private run
+        is the store's own transaction (what service runs commit)."""
         db = ResultsDatabase([make_result(validated=None)])
-        repo.submit(RunMetadata("run-1", "sut"), db, require_validation=False)
+        repo.submit_run(
+            {"run_id": "run-1", "system_under_test": "sut"},
+            [r.as_dict() for r in db],
+        )
         assert repo.run_ids() == ["run-1"]
 
     def test_failed_jobs_do_not_need_validation(self, repo):
@@ -87,29 +118,31 @@ class TestSubmission:
             [make_result(), make_result(status="crashed", validated=None,
                                         sla_compliant=False)]
         )
-        repo.submit(RunMetadata("run-1", "sut"), db)
+        submit_validated_run(repo, RunMetadata("run-1", "sut"), db)
 
     def test_unknown_run(self, repo):
         with pytest.raises(ConfigurationError, match="unknown run"):
-            repo.load("nope")
+            load(repo, "nope")
 
 
 def _submit_burst(root, prefix, count, barrier):
     """Child-process writer: submit ``count`` runs as fast as possible."""
-    repo = ResultsRepository(root)
+    repo = open_repository(root)
     database = ResultsDatabase([make_result()])
     barrier.wait(timeout=30)
     for index in range(count):
-        repo.submit(RunMetadata(f"{prefix}-{index}", "sut"), database)
+        submit_validated_run(
+            repo, RunMetadata(f"{prefix}-{index}", "sut"), database
+        )
 
 
 def _submit_same_run(root, run_id, barrier, queue):
     """Child-process writer: claim one fixed run id; report the verdict."""
-    repo = ResultsRepository(root)
+    repo = open_repository(root)
     database = ResultsDatabase([make_result()])
     barrier.wait(timeout=30)
     try:
-        repo.submit(RunMetadata(run_id, "sut"), database)
+        submit_validated_run(repo, RunMetadata(run_id, "sut"), database)
         queue.put("stored")
     except ConfigurationError:
         queue.put("duplicate")
@@ -145,13 +178,13 @@ class TestConcurrentSubmission:
         for proc in writers:
             proc.join(timeout=120)
             assert proc.exitcode == 0
-        repo = ResultsRepository(root)
+        repo = open_repository(root)
         expected = {f"{prefix}-{index}"
                     for prefix in prefixes for index in range(count)}
         assert set(repo.run_ids()) == expected
         # Every stored run is also loadable in full: no torn rows.
         for run_id in expected:
-            assert len(repo.load(run_id)) == 1
+            assert len(load(repo, run_id)) == 1
 
     def test_duplicate_run_id_rejected_exactly_once(self, tmp_path):
         """Of N processes claiming one run id, exactly one wins."""
@@ -174,14 +207,14 @@ class TestConcurrentSubmission:
         verdicts = [queue.get(timeout=10) for _ in range(self.WRITERS)]
         assert verdicts.count("stored") == 1
         assert verdicts.count("duplicate") == self.WRITERS - 1
-        repo = ResultsRepository(root)
+        repo = open_repository(root)
         assert repo.run_ids() == ["contested"]
-        assert len(repo.load("contested")) == 1
+        assert len(load(repo, "contested")) == 1
 
     def test_no_sidecar_files(self, tmp_path, repo, database):
         """The flock sidecar and shadow index are gone for good."""
-        repo.submit(RunMetadata("run-1", "sut"), database)
-        names = {p.name for p in repo.root.iterdir()}
+        submit_validated_run(repo, RunMetadata("run-1", "sut"), database)
+        names = {p.name for p in repo.path.parent.iterdir()}
         assert ".lock" not in names
         assert ".index.json" not in names
 
@@ -190,32 +223,33 @@ class TestConcurrentSubmission:
 
         The legacy locking degraded to a no-op where ``fcntl`` failed
         to import; the store's transactions must not care. Hide the
-        module, reload the repository module against the hidden world,
-        and check both duplicate rejection and that nothing in the
-        module references fcntl anymore.
+        module, reload the store module against the hidden world, and
+        check both duplicate rejection and that nothing in the module
+        references fcntl anymore.
         """
         import importlib
         import sys
 
-        import repro.harness.repository as repository_module
+        import repro.resultsdb.store as store_module
 
         monkeypatch.setitem(sys.modules, "fcntl", None)
-        reloaded = importlib.reload(repository_module)
+        reloaded = importlib.reload(store_module)
         try:
             assert not hasattr(reloaded, "fcntl")
-            repo = reloaded.ResultsRepository(tmp_path / "repo")
             database = ResultsDatabase([make_result()])
-            repo.submit(reloaded.RunMetadata("run-1", "sut"), database)
-            with pytest.raises(ConfigurationError, match="already exists"):
-                repo.submit(reloaded.RunMetadata("run-1", "sut"), database)
-            assert repo.run_ids() == ["run-1"]
+            meta = reloaded.RunMetadata("run-1", "sut")
+            with reloaded.ResultsStore(tmp_path / "repo" / STORE_NAME) as repo:
+                reloaded.submit_validated_run(repo, meta, database)
+                with pytest.raises(ConfigurationError, match="already exists"):
+                    reloaded.submit_validated_run(repo, meta, database)
+                assert repo.run_ids() == ["run-1"]
         finally:
             monkeypatch.delitem(sys.modules, "fcntl")
-            importlib.reload(repository_module)
+            importlib.reload(store_module)
 
 
 class TestLegacyAbsorption:
-    """A directory of pre-store JSON archives answers through the facade
+    """A directory of pre-store JSON archives answers through its store
     after ``db import`` — the one migration path — and only after it."""
 
     def _write_legacy_archive(self, root, run_id, tproc=0.3):
@@ -236,109 +270,118 @@ class TestLegacyAbsorption:
         self._write_legacy_archive(root, "old-1")
         self._write_legacy_archive(root, "old-2", tproc=0.1)
         assert main(["db", "import", str(root)]) == 0
-        repo = ResultsRepository(root)
+        repo = open_repository(root)
         assert repo.run_ids() == ["old-1", "old-2"]
-        assert repo.load("old-1").one(platform="GraphMat").validated is True
-        best = repo.best_platform("bfs", "D300")
+        assert load(repo, "old-1").one(platform="GraphMat").validated is True
+        best = queries.best_platform(repo, "bfs", "D300")
         assert best["run_id"] == "old-2"
         # The archives stay in place; the import is read-only.
         assert (root / "old-1.json").exists()
 
     def test_foreign_json_ignored(self, tmp_path, monkeypatch):
         # Un-imported, the directory lists no runs — legacy, foreign and
-        # torn files alike: the facade reads its store and nothing else.
+        # torn files alike: the store reads its database and nothing else.
         root = tmp_path / "repo"
         self._write_legacy_archive(root, "old-1")
         (root / "notes.json").write_text(json.dumps({"hello": "world"}))
         (root / "torn.json").write_text('{"metadata": {')
         with monkeypatch.context() as patched:
-            # Opening the facade neither globs nor parses the directory.
+            # Opening the store neither globs nor parses the directory.
             patched.setattr(
                 type(root), "glob",
-                lambda *a, **k: pytest.fail("facade globbed its directory"),
+                lambda *a, **k: pytest.fail("store globbed its directory"),
             )
             patched.setattr(
                 json, "loads",
-                lambda *a, **k: pytest.fail("facade parsed a JSON file"),
+                lambda *a, **k: pytest.fail("store parsed a JSON file"),
             )
-            repo = ResultsRepository(root)
+            repo = open_repository(root)
         assert repo.run_ids() == []
-        assert repo.index() == {}
+        assert queries.runs(repo) == []
 
     def test_absorption_is_idempotent_and_mixes_eras(self, tmp_path):
         root = tmp_path / "repo"
         self._write_legacy_archive(root, "old-1")
-        ResultsRepository(root).submit(
-            RunMetadata("new-1", "sut"), ResultsDatabase([make_result()])
+        submit_validated_run(
+            open_repository(root),
+            RunMetadata("new-1", "sut"), ResultsDatabase([make_result()]),
         )
         assert main(["db", "import", str(root)]) == 0
-        assert ResultsRepository(root).run_ids() == ["new-1", "old-1"]
-        again = ResultsRepository(root)  # re-opening imports nothing
+        assert open_repository(root).run_ids() == ["new-1", "old-1"]
+        again = open_repository(root)  # re-opening imports nothing
         assert again.run_ids() == ["new-1", "old-1"]
 
 
 class TestCrossRunAnalysis:
     def test_best_platform(self, repo):
-        repo.submit(
+        submit_validated_run(
+            repo,
             RunMetadata("vendor-a", "A"),
             ResultsDatabase([make_result(platform="A", modeled_processing_time=2.0)]),
         )
-        repo.submit(
+        submit_validated_run(
+            repo,
             RunMetadata("vendor-b", "B"),
             ResultsDatabase([make_result(platform="B", modeled_processing_time=0.5)]),
         )
-        best = repo.best_platform("bfs", "D300")
+        best = queries.best_platform(repo, "bfs", "D300")
         assert best["platform"] == "B"
         assert best["run_id"] == "vendor-b"
 
     def test_best_platform_ignores_sla_breakers(self, repo):
-        repo.submit(
+        submit_validated_run(
+            repo,
             RunMetadata("r", "sut"),
             ResultsDatabase(
                 [make_result(modeled_processing_time=0.1, sla_compliant=False)]
             ),
-            require_validation=False,
         )
-        assert repo.best_platform("bfs", "D300") is None
+        assert queries.best_platform(repo, "bfs", "D300") is None
 
     def test_best_platform_no_match(self, repo, database):
-        repo.submit(RunMetadata("r", "sut"), database)
-        assert repo.best_platform("sssp", "R4") is None
+        submit_validated_run(repo, RunMetadata("r", "sut"), database)
+        assert queries.best_platform(repo, "sssp", "R4") is None
 
     def test_regression_detection(self, repo):
-        repo.submit(
+        submit_validated_run(
+            repo,
             RunMetadata("v1", "sut"),
             ResultsDatabase([make_result(modeled_processing_time=1.0)]),
         )
-        repo.submit(
+        submit_validated_run(
+            repo,
             RunMetadata("v2", "sut"),
             ResultsDatabase([make_result(modeled_processing_time=1.5)]),
         )
-        regressions = repo.regressions("v1", "v2")
+        regressions = queries.regressions(repo, "v1", "v2")
         assert len(regressions) == 1
         assert regressions[0].slowdown == pytest.approx(1.5)
 
     def test_no_regression_below_threshold(self, repo):
-        repo.submit(
+        submit_validated_run(
+            repo,
             RunMetadata("v1", "sut"),
             ResultsDatabase([make_result(modeled_processing_time=1.0)]),
         )
-        repo.submit(
+        submit_validated_run(
+            repo,
             RunMetadata("v2", "sut"),
             ResultsDatabase([make_result(modeled_processing_time=1.05)]),
         )
-        assert repo.regressions("v1", "v2") == []
+        assert queries.regressions(repo, "v1", "v2") == []
 
     def test_improvements_are_not_regressions(self, repo):
-        repo.submit(
+        submit_validated_run(
+            repo,
             RunMetadata("v1", "sut"),
             ResultsDatabase([make_result(modeled_processing_time=1.0)]),
         )
-        repo.submit(
+        submit_validated_run(
+            repo,
             RunMetadata("v2", "sut"),
             ResultsDatabase([make_result(modeled_processing_time=0.5)]),
         )
-        assert repo.regressions("v1", "v2") == []
+        assert queries.regressions(repo, "v1", "v2") == []
 
     def test_regressions_sorted_by_slowdown(self, repo):
         old = ResultsDatabase(
@@ -353,7 +396,7 @@ class TestCrossRunAnalysis:
                 make_result(dataset="G22", modeled_processing_time=5.0),
             ]
         )
-        repo.submit(RunMetadata("v1", "sut"), old)
-        repo.submit(RunMetadata("v2", "sut"), new)
-        regressions = repo.regressions("v1", "v2")
+        submit_validated_run(repo, RunMetadata("v1", "sut"), old)
+        submit_validated_run(repo, RunMetadata("v2", "sut"), new)
+        regressions = queries.regressions(repo, "v1", "v2")
         assert [r.dataset for r in regressions] == ["G22", "D300"]

@@ -97,9 +97,11 @@ class TestExecute:
         assert a.modeled_processing_time == b.modeled_processing_time
 
     def test_record_roundtrip(self, driver, handle):
-        record = driver.execute(handle, "wcc").as_record()
-        assert record["platform"] == "PowerGraph"
-        assert record["status"] == "succeeded"
+        # The flat record is the harness's BenchmarkResult.as_dict — the
+        # one results surface; a JobResult carries the same identity.
+        job = driver.execute(handle, "wcc")
+        assert job.platform == "PowerGraph"
+        assert job.status.value == "succeeded"
 
 
 class TestModeledFailures:

@@ -1,13 +1,21 @@
 """Tests for the measured reference platform (R5 extensibility proof)."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from repro.exceptions import ConfigurationError
 from repro.graph.generators import erdos_renyi
 from repro.harness.config import BenchmarkConfig
 from repro.harness.runner import BenchmarkRunner
 from repro.platforms.base import JobStatus
 from repro.platforms.registry import EXTRA_PLATFORMS, PLATFORMS, create_driver
+from tests.runtime.test_pool_executor import PROC_GROUP_SCAN
 
 
 @pytest.fixture
@@ -137,6 +145,56 @@ class TestShardedRouting:
             shard.join(10)
             assert not shard.is_alive()
 
+
+#: upload, execute, delete, execute again — then, interpreter still up,
+#: list who else lives in its process group (a re-deployed shard would).
+_EXECUTE_AFTER_DELETE_SCRIPT = """
+import json, sys
+from repro.exceptions import ConfigurationError
+from repro.harness.datasets import get_dataset
+from repro.platforms.registry import create_driver
+
+driver = create_driver("pythonref", **json.loads(sys.argv[1]))
+handle = driver.upload(get_dataset("G22").materialize(0))
+assert driver.execute(handle, "wcc").succeeded
+driver.delete(handle)
+try:
+    driver.execute(handle, "wcc")
+    verdict = "executed"
+except ConfigurationError as error:
+    verdict = str(error)
+""" + PROC_GROUP_SCAN + """
+print(json.dumps({"verdict": verdict, "stragglers": stragglers}))
+"""
+
+
+class TestDeletedHandle:
+    """``execute`` on a deleted handle is refused by the one lifecycle
+    block all drivers share; the measured driver used to accept it and,
+    sharded, re-deploy shards that nothing would ever undeploy."""
+
+    @pytest.mark.skipif(
+        not Path("/proc/self/stat").exists(), reason="needs Linux /proc"
+    )
+    @pytest.mark.parametrize("options", [{}, {"partitions": 2}], ids=str)
+    def test_execute_after_delete_raises_and_leaves_no_shard(self, options):
+        src = Path(__file__).resolve().parents[2] / "src"
+        run = subprocess.run(
+            [sys.executable, "-c", _EXECUTE_AFTER_DELETE_SCRIPT,
+             json.dumps(options)],
+            env=dict(os.environ, PYTHONPATH=str(src)), text=True,
+            capture_output=True, start_new_session=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        report = json.loads(run.stdout.splitlines()[-1])
+        assert report["verdict"] == "graph was deleted from the platform"
+        assert report["stragglers"] == []
+
+    def test_engine_paths_refuse_a_deleted_handle_too(self, handle):
+        driver = create_driver("pythonref-spmv")
+        driver.delete(handle)
+        with pytest.raises(ConfigurationError, match="was deleted"):
+            driver.execute(handle, "wcc")
 
 
 class TestHarnessIntegration:

@@ -293,16 +293,14 @@ class TestAnswerIdentity:
                 assert got == _json_regressions(root, old, new)
 
     def test_facade_queries_match_over_a_migrated_directory(self, tmp_path):
-        # The old public API, pointed at the migrated directory, keeps
-        # answering — the facade opens the same store the import wrote.
-        from repro.harness.repository import ResultsRepository
-
+        # A migrated directory is a repository directory: the store
+        # ``full-run --repository`` opens is the one the import wrote.
         root, _raw = _legacy_repo(tmp_path)
         import_json_repository(root)
-        repository = ResultsRepository(root)
-        assert repository.run_ids() == [
-            "run-2016-a", "run-2016-b", "run-2016-c",
-        ]
-        assert repository.best_platform("bfs", "D300") == _json_best_platform(
-            root, "bfs", "D300"
-        )
+        with ResultsStore(root / STORE_NAME) as repository:
+            assert repository.run_ids() == [
+                "run-2016-a", "run-2016-b", "run-2016-c",
+            ]
+            assert queries.best_platform(
+                repository, "bfs", "D300"
+            ) == _json_best_platform(root, "bfs", "D300")

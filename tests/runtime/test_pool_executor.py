@@ -106,15 +106,10 @@ class TestPoolExecution:
         )
 
 
-#: Runs the sharded matrix on two pool workers in a process group of its
-#: own, then — pool stopped, interpreter still up — lists who else is in
-#: that group: a worker or a shard that outlived the pool.
-_SHARDED_POOL_SCRIPT = """
-import json, os, sys
-from repro.harness.config import BenchmarkConfig
-from repro.harness.runner import BenchmarkRunner
-
-database = BenchmarkRunner(BenchmarkConfig(**json.loads(sys.argv[1]))).run(workers=2)
+#: Script fragment: ``stragglers``, the other live processes of this
+#: interpreter's process group (start it as a session leader).
+PROC_GROUP_SCAN = """
+import os
 
 def group_of(pid):
     with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
@@ -128,6 +123,18 @@ for entry in os.listdir("/proc"):
                 stragglers.append(int(entry))
         except OSError:
             pass  # exited while we looked
+"""
+
+#: Runs the sharded matrix on two pool workers in a process group of its
+#: own, then — pool stopped, interpreter still up — lists who else is in
+#: that group: a worker or a shard that outlived the pool.
+_SHARDED_POOL_SCRIPT = """
+import json, sys
+from repro.harness.config import BenchmarkConfig
+from repro.harness.runner import BenchmarkRunner
+
+database = BenchmarkRunner(BenchmarkConfig(**json.loads(sys.argv[1]))).run(workers=2)
+""" + PROC_GROUP_SCAN + """
 print(json.dumps({"rows": [r.as_dict() for r in database], "stragglers": stragglers}))
 """
 

@@ -586,12 +586,15 @@ def test_full_disk_at_the_spill_does_not_poison_later_runs(tmp_path):
 
 
 #: What `submit example`, the CI smoke and the perf ``service`` workload
-#: run between them: a lazy import on any of these paths would land in
-#: a timed ``processing`` span.
+#: run between them, and the whole measured family: a lazy import on any
+#: of these paths would land in a timed ``processing`` span.
 FIRST_JOB_DATASET = "R4"  # weighted, so it takes sssp too
 FIRST_JOBS = [
     (platform, algorithm)
-    for platform in ("powergraph", "graphmat", "pythonref")
+    for platform in (
+        "powergraph", "graphmat", "pythonref",
+        "pythonref-pregel", "pythonref-gas", "pythonref-spmv",
+    )
     for algorithm in ("bfs", "pr", "wcc", "sssp")
 ]
 

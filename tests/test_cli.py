@@ -235,9 +235,9 @@ class TestFullRunCommand:
         assert "ran 1 experiments" in out
         assert (tmp_path / "report.md").exists()
         assert (tmp_path / "repo" / "results.db").exists()
-        from repro.harness.repository import ResultsRepository
+        from repro.resultsdb.store import ResultsStore
 
-        assert ResultsRepository(tmp_path / "repo").run_ids()
+        assert ResultsStore(tmp_path / "repo" / "results.db").run_ids()
 
 
 class TestGenerateGraph500:
@@ -294,8 +294,10 @@ class TestEstimateCommand:
 class TestRepositoryCommand:
     @pytest.fixture
     def stocked_repo(self, tmp_path):
-        from repro.harness.repository import ResultsRepository, RunMetadata
         from repro.harness.results import BenchmarkResult, ResultsDatabase
+        from repro.resultsdb.store import (
+            ResultsStore, RunMetadata, submit_validated_run,
+        )
 
         def result(tproc):
             return BenchmarkResult(
@@ -305,9 +307,12 @@ class TestRepositoryCommand:
                 validated=True,
             )
 
-        repo = ResultsRepository(tmp_path / "repo")
-        repo.submit(RunMetadata("v1", "GraphMat"), ResultsDatabase([result(1.0)]))
-        repo.submit(RunMetadata("v2", "GraphMat"), ResultsDatabase([result(2.0)]))
+        with ResultsStore(tmp_path / "repo" / "results.db") as repo:
+            for run_id, tproc in (("v1", 1.0), ("v2", 2.0)):
+                submit_validated_run(
+                    repo, RunMetadata(run_id, "GraphMat"),
+                    ResultsDatabase([result(tproc)]),
+                )
         return tmp_path / "repo"
 
     """The results repository is queried through ``db --store DIR``."""
@@ -361,9 +366,9 @@ class TestRepositoryCommand:
         assert code == 1 and len(calls) == 1
 
     def test_empty_repository_list(self, tmp_path, capsys):
-        from repro.harness.repository import ResultsRepository
+        from repro.resultsdb.store import ResultsStore
 
-        ResultsRepository(tmp_path / "new")
+        ResultsStore(tmp_path / "new" / "results.db").close()
         assert main(["db", "--store", str(tmp_path / "new"), "runs"]) == 0
         assert "no runs" in capsys.readouterr().out
 

@@ -235,21 +235,29 @@ class TestCrashPath:
         assert result.modeled_processing_time is None
 
     def test_repository_accepts_runs_with_failures(self, tmp_path):
-        from repro.harness.repository import ResultsRepository, RunMetadata
+        from repro.resultsdb.store import (
+            ResultsStore, RunMetadata, submit_validated_run,
+        )
 
         runner = BenchmarkRunner(BenchmarkConfig(seed=0))
         runner.run_job("graphx", "R1", "cdlp")   # crash
         runner.run_job("graphx", "R1", "bfs")    # validated success
-        repo = ResultsRepository(tmp_path)
-        repo.submit(RunMetadata("mixed", "GraphX"), runner.database)
-        assert repo.run_ids() == ["mixed"]
+        with ResultsStore(tmp_path / "results.db") as repo:
+            submit_validated_run(
+                repo, RunMetadata("mixed", "GraphX"), runner.database
+            )
+            assert repo.run_ids() == ["mixed"]
 
     def test_repository_rejects_tampered_run(self, tmp_path):
         from repro.exceptions import ValidationError
-        from repro.harness.repository import ResultsRepository, RunMetadata
+        from repro.resultsdb.store import (
+            ResultsStore, RunMetadata, submit_validated_run,
+        )
 
         runner = _patched_runner(WrongOutputDriver())
         runner.run_job("faulty", "R1", "bfs")
-        repo = ResultsRepository(tmp_path)
-        with pytest.raises(ValidationError):
-            repo.submit(RunMetadata("bad", "Faulty"), runner.database)
+        with ResultsStore(tmp_path / "results.db") as repo:
+            with pytest.raises(ValidationError):
+                submit_validated_run(
+                    repo, RunMetadata("bad", "Faulty"), runner.database
+                )
