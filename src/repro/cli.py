@@ -11,8 +11,8 @@ Commands:
 * ``granula`` — run one job and render its Granula archive;
 * ``lint`` — static determinism/conformance analysis of the codebase;
 * ``cache`` — inspect or clear the materialized-graph cache;
-* ``report``/``full-run`` — accept ``--workers N`` to execute on the
-  concurrent runtime (docs/runtime.md);
+* ``run``/``report``/``full-run`` — accept ``--workers N`` to execute
+  their jobs on the concurrent runtime (docs/runtime.md);
 * ``resume`` — continue a crashed journaled run from its run directory
   (``--run-dir`` on run/report/full-run; docs/robustness.md);
 * ``trace`` — render the span tree (or per-job summary) of a run
@@ -85,16 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--workers", type=_workers_type, default=1,
-        help="prefetch the experiment's graphs and validation references "
-             "on this many worker processes before the (sequential) body "
-             "runs ('auto' = the host CPU count)",
+        help="execute the experiment's jobs on this many worker "
+             "processes ('auto' = the host CPU count; same report at "
+             "any count, see docs/runtime.md)",
     )
     run.add_argument(
         "--run-dir", default=None,
         help="journal the experiment under this directory; re-running "
              "with the same directory resumes a crashed run",
     )
-    _add_partition_arguments(run)
 
     job = sub.add_parser("job", help="run a single benchmark job")
     job.add_argument("platform")
@@ -298,15 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     full.add_argument(
         "--workers", type=_workers_type, default=1,
-        help="prefetch all experiment inputs on this many worker "
-             "processes ('auto' = the host CPU count)",
+        help="execute the suite's jobs on this many worker processes "
+             "('auto' = the host CPU count; same reports at any count)",
     )
     full.add_argument(
         "--run-dir", default=None,
         help="journal the suite under this directory; re-running with "
              "the same directory resumes a crashed run",
     )
-    _add_partition_arguments(full)
 
     resume = sub.add_parser(
         "resume",
@@ -316,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     resume.add_argument(
         "--workers", type=_workers_type, default=1,
         help="worker processes for the remaining jobs ('auto' = the host "
-             "CPU count; matrix runs only; may differ from the crashed run)",
+             "CPU count; may differ from the crashed run)",
     )
     resume.add_argument(
         "--job-timeout", type=float, default=None,
@@ -530,47 +528,17 @@ def _cmd_experiments() -> int:
 
 
 def _cmd_run(args) -> int:
-    from repro.harness.config import BenchmarkConfig
     from repro.harness.experiments import get_experiment
-    from repro.harness.runner import BenchmarkRunner
-    from repro.runtime.cache import GraphCache
-    from repro.runtime.executor import (
-        RuntimeConfig,
-        prefetch_directory,
-        prefetch_into_runner,
-        resolve_partitions,
-        resolve_workers,
-    )
+    from repro.runtime.executor import RuntimeConfig, resolve_workers
 
     experiment = get_experiment(args.experiment)
     print(f"running experiment {experiment.experiment_id} "
           f"({experiment.title}, paper §{experiment.section}) ...")
-    workers = resolve_workers(args.workers)
-    partitions = resolve_partitions(args.partitions)
-    if partitions is not None:
-        print(f"# pythonref jobs run sharded: {partitions} "
-              f"partition(s), {args.partition_strategy} strategy")
-    with prefetch_directory(workers) as cache_dir:
-        runner = BenchmarkRunner(
-            BenchmarkConfig(
-                seed=args.seed,
-                partitions=partitions,
-                partition_strategy=args.partition_strategy,
-            ),
-            GraphCache(cache_dir),
-        )
-        if workers > 1:
-            prefetch = prefetch_into_runner(
-                runner,
-                datasets=list(experiment.datasets),
-                algorithms=list(experiment.algorithms),
-                runtime=RuntimeConfig(workers=workers),
-            )
-            if prefetch is not None:
-                print(f"# prefetched {prefetch.dag_size} artifacts on "
-                      f"{workers} workers in "
-                      f"{prefetch.elapsed_seconds:.2f} s")
-        report = experiment.run(runner, run_dir=args.run_dir)
+    report = experiment.run(
+        seed=args.seed,
+        run_dir=args.run_dir,
+        runtime=RuntimeConfig(workers=resolve_workers(args.workers)),
+    )
     if args.figure:
         _print_figure(experiment, report)
     else:
@@ -689,7 +657,11 @@ def _cmd_report(args) -> int:
         overrides["datasets"] = args.datasets
     if args.algorithms:
         overrides["algorithms"] = args.algorithms
-    from repro.runtime.executor import resolve_partitions, resolve_workers
+    from repro.runtime.executor import (
+        RuntimeConfig,
+        resolve_partitions,
+        resolve_workers,
+    )
 
     config = BenchmarkConfig(
         seed=args.seed,
@@ -698,24 +670,18 @@ def _cmd_report(args) -> int:
         **overrides,
     )
     runner = BenchmarkRunner(config)
-    workers = resolve_workers(args.workers)
-    runtime = None
-    if args.cache_dir or args.job_timeout:
-        from repro.runtime.executor import RuntimeConfig
-
-        runtime = RuntimeConfig(
-            workers=workers,
+    database = runner.run(
+        runtime=RuntimeConfig(
+            workers=resolve_workers(args.workers),
             cache_dir=args.cache_dir,
             job_timeout=args.job_timeout,
-        )
-    database = runner.run(
-        workers=workers, runtime=runtime, run_dir=args.run_dir
+        ),
+        run_dir=args.run_dir,
     )
-    if runner.last_run is not None:
-        if runner.last_run.restored_jobs:
-            print(f"# journal: restored {runner.last_run.restored_jobs} "
-                  f"job(s) from {args.run_dir}")
-        print(f"# runtime: {runner.last_run.describe()}")
+    if runner.last_run.restored_jobs:
+        print(f"# journal: restored {runner.last_run.restored_jobs} "
+              f"job(s) from {args.run_dir}")
+    print(f"# runtime: {runner.last_run.describe()}")
     if args.output:
         path = save_report(database, args.output)
         print(f"report written to {path}")
@@ -995,7 +961,7 @@ def _cmd_full_run(args) -> int:
 
     from repro.harness.full_run import run_full_benchmark
     from repro.resultsdb.store import STORE_NAME, ResultsStore
-    from repro.runtime.executor import resolve_partitions, resolve_workers
+    from repro.runtime.executor import resolve_workers
 
     with (
         ResultsStore(Path(args.repository) / STORE_NAME)
@@ -1008,8 +974,6 @@ def _cmd_full_run(args) -> int:
             store=store,
             workers=resolve_workers(args.workers),
             run_dir=args.run_dir,
-            partitions=resolve_partitions(args.partitions),
-            partition_strategy=args.partition_strategy,
         )
     print(
         f"ran {len(result.reports)} experiments, {result.job_count} jobs"
@@ -1024,68 +988,32 @@ def _cmd_full_run(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    from pathlib import Path
-
+    from repro.runtime.executor import RuntimeConfig, resolve_workers, resume_run
     from repro.runtime.journal import RunJournal
 
     replay = RunJournal.load(args.run_dir)
-    kind = replay.header.get("kind")
     if replay.truncated_bytes:
         print(f"# journal: dropped a torn tail of "
               f"{replay.truncated_bytes} byte(s)")
-    if kind == "matrix":
-        from repro.runtime.executor import (
-            RuntimeConfig,
-            resolve_workers,
-            resume_run,
-        )
+    runtime = RuntimeConfig(
+        workers=resolve_workers(args.workers), job_timeout=args.job_timeout
+    )
+    outcome = resume_run(args.run_dir, runtime)
+    print(f"# journal: restored {outcome.restored_jobs} of "
+          f"{outcome.dag_size} job(s); "
+          f"{outcome.dag_size - outcome.restored_jobs} executed now")
+    print(f"# runtime: {outcome.describe()}")
+    header = replay.header
+    if header.get("experiments") is not None:
+        # A suite run: say what its rows say (and rewrite the report).
+        from repro.harness.full_run import fold_full_run
 
-        runtime = RuntimeConfig(
-            workers=resolve_workers(args.workers), job_timeout=args.job_timeout
-        )
-        outcome = resume_run(args.run_dir, runtime)
-        print(f"# journal: restored {outcome.restored_jobs} of "
-              f"{outcome.dag_size} job(s); "
-              f"{outcome.dag_size - outcome.restored_jobs} executed now")
-        print(f"# runtime: {outcome.describe()}")
-        print(f"results written to {Path(args.run_dir) / 'results.json'}")
-        return 0
-    if kind == "full-run":
-        from repro.harness.full_run import run_full_benchmark
-        from repro.runtime.executor import resolve_workers
-
-        result = run_full_benchmark(
-            seed=int(replay.header.get("seed", 0)),
-            experiment_ids=replay.header.get("experiments"),
-            report_path=replay.header.get("report"),
-            workers=resolve_workers(args.workers),
-            run_dir=args.run_dir,
-            partitions=replay.header.get("partitions"),
-            partition_strategy=str(
-                replay.header.get("partition_strategy") or "hash"
-            ),
-        )
-        print(f"ran {len(result.reports)} experiments, "
-              f"{result.job_count} jobs")
-        for note in result.notes:
+        for note in fold_full_run(
+            header["experiments"], outcome.database, header.get("report")
+        ).notes:
             print(f"# {note}")
-        print(f"results written to {Path(args.run_dir) / 'results.json'}")
-        return 0
-    if kind == "experiment":
-        from repro.harness.experiments import get_experiment
-
-        experiment = get_experiment(str(replay.header.get("experiment")))
-        report = experiment.run(
-            seed=int(replay.header.get("seed", 0)), run_dir=args.run_dir
-        )
-        print(f"resumed experiment {experiment.experiment_id}: "
-              f"{len(report.rows)} rows")
-        for note in report.notes:
-            print(f"# {note}")
-        return 0
-    print(f"error: journal records unknown run kind {kind!r}",
-          file=sys.stderr)
-    return 1
+    print(f"results written to {outcome.run_dir / 'results.json'}")
+    return 0
 
 
 def _cmd_cache(args) -> int:

@@ -19,24 +19,41 @@ ready to print as the paper's tables/figures). The benchmark scripts in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from itertools import groupby
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from repro.exceptions import ConfigurationError
 from repro.harness.config import BenchmarkConfig
 from repro.harness.datasets import DATASETS, datasets_up_to_class, get_dataset
 from repro.harness.metrics import coefficient_of_variation, speedup
+from repro.harness.results import BenchmarkResult
 from repro.harness.runner import BenchmarkRunner
-from repro.harness.scale import class_order
-from repro.platforms.cluster import ClusterResources
 from repro.platforms.registry import PLATFORMS
 
-__all__ = ["Experiment", "ExperimentReport", "EXPERIMENTS", "get_experiment"]
+if TYPE_CHECKING:  # at run time repro.runtime is imported where it is
+    # used, as in the runner: its package init reaches back into harness
+    from repro.runtime.jobs import JobSpec
+
+__all__ = [
+    "Experiment",
+    "ExperimentReport",
+    "EXPERIMENTS",
+    "get_experiment",
+    "run_experiments",
+    "suite_jobs",
+]
 
 _ALL_PLATFORMS: Tuple[str, ...] = tuple(PLATFORMS)
 _DISTRIBUTED_PLATFORMS: Tuple[str, ...] = tuple(
     name for name, (info, _) in PLATFORMS.items() if info.distributed
 )
+
+#: One cell of an experiment paired with its result row — ``None`` for a
+#: combination no platform can run (reported ``NA``, never a job).
+Pairs = Iterator[Tuple["JobSpec", Optional[BenchmarkResult]]]
 
 
 @dataclass
@@ -58,7 +75,13 @@ class ExperimentReport:
 
 @dataclass
 class Experiment:
-    """Table 6 metadata plus an executable body."""
+    """Table 6 metadata, a job selection and a fold of its rows.
+
+    ``_cells`` lists every combination the experiment reports on, in
+    report order; the runnable ones are its **job list**. ``_fold`` is a
+    pure function of the cells paired with their rows: a baseline, a
+    speed-up, a CV or a limit is a report column, never a job's input.
+    """
 
     experiment_id: str
     section: str
@@ -69,7 +92,28 @@ class Experiment:
     nodes: Tuple[int, ...]
     threads: Tuple[int, ...]
     metrics: Tuple[str, ...]
-    _body: callable = field(repr=False, default=None)  # type: ignore[assignment]
+    _cells: callable = field(repr=False, default=None)  # type: ignore[assignment]
+    _fold: callable = field(repr=False, default=None)  # type: ignore[assignment]
+
+    def jobs(self, seed: int = 0) -> List[JobSpec]:
+        """The experiment's execute jobs, tagged with its id."""
+        return [
+            replace(cell, seed=seed, experiment=self.experiment_id)
+            for cell in self._cells(self)
+            if _runnable(cell)
+        ]
+
+    def fold(self, results: Iterable[BenchmarkResult]) -> ExperimentReport:
+        """The report of ``results``: this experiment's rows, in job
+        order (an iterator is advanced by exactly that many)."""
+        rows = iter(results)
+        report = ExperimentReport(self.experiment_id, self.title)
+        pairs = (
+            (cell, next(rows) if _runnable(cell) else None)
+            for cell in self._cells(self)
+        )
+        self._fold(pairs, report)
+        return report
 
     def run(
         self,
@@ -77,40 +121,68 @@ class Experiment:
         *,
         seed: int = 0,
         run_dir=None,
+        runtime=None,
     ) -> ExperimentReport:
-        """Execute the body; with ``run_dir``, journaled and resumable.
+        """Execute the job list and fold the report; the rows also land
+        in ``runner.database``.
 
-        A journaled experiment records every completed job durably under
-        *run_dir*; re-running with the same directory replays the
-        recorded jobs and executes only the remainder, so a crashed
-        experiment finishes where it stopped (docs/robustness.md).
-        With *run_dir* the experiment also exports its span tree to
-        ``run_dir/trace.jsonl`` (docs/observability.md).
+        ``runtime`` (a :class:`~repro.runtime.executor.RuntimeConfig`)
+        picks the worker count; with ``run_dir`` the run is journaled,
+        and running again with the same directory — or ``graphalytics
+        resume`` — finishes a crashed one (docs/robustness.md).
         """
-        from repro.runtime.journal import journaled_run
-        from repro.trace import current_tracer
-
         runner = runner or BenchmarkRunner(BenchmarkConfig(seed=seed))
-        report = ExperimentReport(self.experiment_id, self.title)
-        header = {
-            "kind": "experiment",
-            "experiment": self.experiment_id,
-            "seed": runner.config.seed,
-        }
-        with journaled_run(
-            run_dir, header, identity=tuple(header)
-        ) as journaled, runner.journaling(journaled.journal, journaled.replay):
-            with current_tracer().span(
-                "experiment",
-                experiment=self.experiment_id,
-                section=self.section,
-            ):
-                self._body(self, runner, report)
-        return report
+        outcome = run_experiments(
+            [self.experiment_id], runner, runtime=runtime, run_dir=run_dir
+        )
+        return self.fold(outcome.database)
 
 
-def _resources(machines: int = 1, threads: Optional[int] = None) -> ClusterResources:
-    return ClusterResources(machines=machines, threads=threads)
+def suite_jobs(experiment_ids: Sequence[str], seed: int = 0) -> List[JobSpec]:
+    """The job lists of the named experiments, concatenated."""
+    return [
+        job for eid in experiment_ids for job in get_experiment(eid).jobs(seed)
+    ]
+
+
+def run_experiments(
+    experiment_ids: Sequence[str],
+    runner: BenchmarkRunner,
+    *,
+    runtime=None,
+    run_dir=None,
+    header: Optional[Dict[str, object]] = None,
+):
+    """Run experiments as one job list: one DAG, one journal, one
+    ``results.json``. The outcome's database (and ``runner.database``)
+    holds the rows in job order; each experiment's
+    :meth:`~Experiment.fold` takes its slice of them."""
+    from repro.runtime.executor import execute_matrix
+
+    return execute_matrix(
+        runner.config,
+        runtime,
+        jobs=suite_jobs(experiment_ids, runner.config.seed),
+        runner=runner,
+        run_dir=run_dir,
+        resume=None,
+        header={**(header or {}), "experiments": list(experiment_ids)},
+    )
+
+
+def _job(**fields) -> JobSpec:
+    """One cell: an execute job, not yet numbered, seeded or tagged."""
+    from repro.runtime.jobs import JobKind, JobSpec
+
+    return JobSpec(seq=0, kind=JobKind.EXECUTE, **fields)
+
+
+def _runnable(cell: JobSpec) -> bool:
+    from repro.runtime.scheduler import can_run_combo
+
+    return can_run_combo(
+        cell.platform, cell.dataset, cell.algorithm, machines=cell.machines
+    )
 
 
 def _status_code(result) -> str:
@@ -122,181 +194,200 @@ def _status_code(result) -> str:
     return "F"
 
 
+def _series(pairs: Pairs):
+    """The pairs grouped into (platform, algorithm) series."""
+    return groupby(pairs, key=lambda pair: (pair[0].platform, pair[0].algorithm))
+
+
 # -- 4.1 Dataset variety ----------------------------------------------------
 
-def _run_dataset_variety(exp: Experiment, runner: BenchmarkRunner,
-                         report: ExperimentReport) -> None:
+def _dataset_variety_cells(exp: Experiment):
     for platform in _ALL_PLATFORMS:
         for dataset_id in exp.datasets:
             for algorithm in exp.algorithms:
-                result = runner.run_job(platform, dataset_id, algorithm)
-                report.rows.append(
-                    {
-                        "platform": result.platform,
-                        "dataset": dataset_id,
-                        "dataset_label": get_dataset(dataset_id).label,
-                        "algorithm": algorithm,
-                        "tproc": result.modeled_processing_time,
-                        "eps": result.eps,
-                        "evps": result.evps,
-                        "makespan": result.modeled_makespan,
-                        "sla_compliant": result.sla_compliant,
-                        "status": _status_code(result),
-                    }
-                )
+                yield _job(platform=platform, dataset=dataset_id, algorithm=algorithm)
+
+
+def _fold_dataset_variety(pairs: Pairs, report: ExperimentReport) -> None:
+    for cell, result in pairs:
+        report.rows.append(
+            {
+                "platform": result.platform,
+                "dataset": cell.dataset,
+                "dataset_label": get_dataset(cell.dataset).label,
+                "algorithm": cell.algorithm,
+                "tproc": result.modeled_processing_time,
+                "eps": result.eps,
+                "evps": result.evps,
+                "makespan": result.modeled_makespan,
+                "sla_compliant": result.sla_compliant,
+                "status": _status_code(result),
+            }
+        )
 
 
 # -- 4.2 Algorithm variety ----------------------------------------------------
 
-def _run_algorithm_variety(exp: Experiment, runner: BenchmarkRunner,
-                           report: ExperimentReport) -> None:
+def _algorithm_variety_cells(exp: Experiment):
     for dataset_id in exp.datasets:
-        dataset = get_dataset(dataset_id)
         for algorithm in exp.algorithms:
             for platform in _ALL_PLATFORMS:
-                if not runner.can_run(platform, dataset, algorithm):
-                    report.rows.append(
-                        {
-                            "platform": platform,
-                            "dataset": dataset_id,
-                            "algorithm": algorithm,
-                            "tproc": None,
-                            "sla_compliant": None,
-                            "status": "NA",
-                        }
-                    )
-                    continue
-                result = runner.run_job(platform, dataset_id, algorithm)
-                report.rows.append(
-                    {
-                        "platform": result.platform,
-                        "dataset": dataset_id,
-                        "algorithm": algorithm,
-                        "tproc": (
-                            result.modeled_processing_time
-                            if result.succeeded and result.sla_compliant
-                            else None
-                        ),
-                        "backend": result.backend,
-                        "sla_compliant": result.sla_compliant,
-                        "status": _status_code(result),
-                    }
-                )
+                yield _job(platform=platform, dataset=dataset_id, algorithm=algorithm)
+
+
+def _fold_algorithm_variety(pairs: Pairs, report: ExperimentReport) -> None:
+    for cell, result in pairs:
+        if result is None:
+            report.rows.append(
+                {
+                    "platform": cell.platform,
+                    "dataset": cell.dataset,
+                    "algorithm": cell.algorithm,
+                    "tproc": None,
+                    "sla_compliant": None,
+                    "status": "NA",
+                }
+            )
+            continue
+        report.rows.append(
+            {
+                "platform": result.platform,
+                "dataset": cell.dataset,
+                "algorithm": cell.algorithm,
+                "tproc": (
+                    result.modeled_processing_time
+                    if result.succeeded and result.sla_compliant
+                    else None
+                ),
+                "backend": result.backend,
+                "sla_compliant": result.sla_compliant,
+                "status": _status_code(result),
+            }
+        )
 
 
 # -- 4.3 Vertical scalability ---------------------------------------------------
 
-def _run_vertical(exp: Experiment, runner: BenchmarkRunner,
-                  report: ExperimentReport) -> None:
-    dataset_id = exp.datasets[0]
+def _vertical_cells(exp: Experiment):
     for platform in _ALL_PLATFORMS:
         for algorithm in exp.algorithms:
-            baseline: Optional[float] = None
-            best = 0.0
             for threads in exp.threads:
-                result = runner.run_job(
-                    platform, dataset_id, algorithm,
-                    resources=_resources(threads=threads),
-                )
-                tproc = result.modeled_processing_time
-                if tproc is not None and baseline is None:
-                    baseline = tproc
-                s = speedup(baseline, tproc) if (baseline and tproc) else None
-                if s:
-                    best = max(best, s)
-                report.rows.append(
-                    {
-                        "platform": result.platform,
-                        "algorithm": algorithm,
-                        "threads": threads,
-                        "tproc": tproc,
-                        "speedup": s,
-                        "sla_compliant": result.sla_compliant,
-                        "status": _status_code(result),
-                    }
-                )
-            report.notes.append(
-                f"{platform}/{algorithm}: max vertical speedup {best:.1f}"
+                yield _job(platform=platform, dataset=exp.datasets[0],
+                           algorithm=algorithm, threads=threads)
+
+
+def _fold_vertical(pairs: Pairs, report: ExperimentReport) -> None:
+    for (platform, algorithm), series in _series(pairs):
+        baseline: Optional[float] = None
+        best = 0.0
+        for cell, result in series:
+            tproc = result.modeled_processing_time
+            if tproc is not None and baseline is None:
+                baseline = tproc
+            s = speedup(baseline, tproc) if (baseline and tproc) else None
+            if s:
+                best = max(best, s)
+            report.rows.append(
+                {
+                    "platform": result.platform,
+                    "algorithm": algorithm,
+                    "threads": cell.threads,
+                    "tproc": tproc,
+                    "speedup": s,
+                    "sla_compliant": result.sla_compliant,
+                    "status": _status_code(result),
+                }
             )
+        report.notes.append(
+            f"{platform}/{algorithm}: max vertical speedup {best:.1f}"
+        )
 
 
 # -- 4.4 / 4.5 Horizontal scalability -----------------------------------------------
 
-def _run_strong(exp: Experiment, runner: BenchmarkRunner,
-                report: ExperimentReport) -> None:
-    dataset_id = exp.datasets[0]
+def _strong_cells(exp: Experiment):
     for platform in _DISTRIBUTED_PLATFORMS:
         for algorithm in exp.algorithms:
-            baseline: Optional[float] = None
             for machines in exp.nodes:
-                result = runner.run_job(
-                    platform, dataset_id, algorithm,
-                    resources=_resources(machines=machines),
-                )
-                ok = result.succeeded and result.sla_compliant
-                tproc = result.modeled_processing_time if ok else None
-                if tproc is not None and baseline is None:
-                    baseline = tproc
-                report.rows.append(
-                    {
-                        "platform": result.platform,
-                        "algorithm": algorithm,
-                        "machines": machines,
-                        "tproc": tproc,
-                        "speedup": (
-                            speedup(baseline, tproc) if (baseline and tproc) else None
-                        ),
-                        "sla_compliant": result.sla_compliant,
-                        "status": _status_code(result),
-                    }
-                )
+                yield _job(platform=platform, dataset=exp.datasets[0],
+                           algorithm=algorithm, machines=machines)
 
 
-def _run_weak(exp: Experiment, runner: BenchmarkRunner,
-              report: ExperimentReport) -> None:
-    series = list(zip(exp.datasets, exp.nodes))
+def _weak_cells(exp: Experiment):
     for platform in _DISTRIBUTED_PLATFORMS:
         for algorithm in exp.algorithms:
-            baseline: Optional[float] = None
-            for dataset_id, machines in series:
-                result = runner.run_job(
-                    platform, dataset_id, algorithm,
-                    resources=_resources(machines=machines),
-                )
-                ok = result.succeeded and result.sla_compliant
-                tproc = result.modeled_processing_time if ok else None
-                if tproc is not None and baseline is None:
-                    baseline = tproc
-                report.rows.append(
-                    {
-                        "platform": result.platform,
-                        "algorithm": algorithm,
-                        "dataset": dataset_id,
-                        "machines": machines,
-                        "tproc": tproc,
-                        # ideal weak scaling keeps Tproc constant; the
-                        # paper reports the inverse of speedup:
-                        "slowdown": (
-                            tproc / baseline if (baseline and tproc) else None
-                        ),
-                        "sla_compliant": result.sla_compliant,
-                        "status": _status_code(result),
-                    }
-                )
+            for dataset_id, machines in zip(exp.datasets, exp.nodes):
+                yield _job(platform=platform, dataset=dataset_id,
+                           algorithm=algorithm, machines=machines)
+
+
+def _scaling_series(pairs: Pairs):
+    """Each run of a (platform, algorithm) series with its Tproc (SLA-
+    compliant runs only) and the series' baseline: the first such Tproc."""
+    for _, series in _series(pairs):
+        baseline: Optional[float] = None
+        for cell, result in series:
+            ok = result.succeeded and result.sla_compliant
+            tproc = result.modeled_processing_time if ok else None
+            if tproc is not None and baseline is None:
+                baseline = tproc
+            yield cell, result, tproc, baseline
+
+
+def _fold_strong(pairs: Pairs, report: ExperimentReport) -> None:
+    for cell, result, tproc, baseline in _scaling_series(pairs):
+        report.rows.append(
+            {
+                "platform": result.platform,
+                "algorithm": cell.algorithm,
+                "machines": cell.machines,
+                "tproc": tproc,
+                "speedup": (
+                    speedup(baseline, tproc) if (baseline and tproc) else None
+                ),
+                "sla_compliant": result.sla_compliant,
+                "status": _status_code(result),
+            }
+        )
+
+
+def _fold_weak(pairs: Pairs, report: ExperimentReport) -> None:
+    for cell, result, tproc, baseline in _scaling_series(pairs):
+        report.rows.append(
+            {
+                "platform": result.platform,
+                "algorithm": cell.algorithm,
+                "dataset": cell.dataset,
+                "machines": cell.machines,
+                "tproc": tproc,
+                # ideal weak scaling keeps Tproc constant; the
+                # paper reports the inverse of speedup:
+                "slowdown": (
+                    tproc / baseline if (baseline and tproc) else None
+                ),
+                "sla_compliant": result.sla_compliant,
+                "status": _status_code(result),
+            }
+        )
 
 
 # -- 4.6 Stress test -----------------------------------------------------------
 
-def _run_stress(exp: Experiment, runner: BenchmarkRunner,
-                report: ExperimentReport) -> None:
+def _stress_cells(exp: Experiment):
     datasets = sorted(
         (get_dataset(d) for d in exp.datasets),
         key=lambda ds: (ds.profile.scale, ds.dataset_id),
     )
     for platform in _ALL_PLATFORMS:
-        smallest_failure = None
         for dataset in datasets:
-            result = runner.run_job(platform, dataset.dataset_id, "bfs")
+            yield _job(platform=platform, dataset=dataset.dataset_id, algorithm="bfs")
+
+
+def _fold_stress(pairs: Pairs, report: ExperimentReport) -> None:
+    for platform, series in groupby(pairs, key=lambda pair: pair[0].platform):
+        smallest_failure = None
+        for cell, result in series:
+            dataset = get_dataset(cell.dataset)
             failed = not (result.succeeded and result.sla_compliant)
             report.rows.append(
                 {
@@ -330,51 +421,56 @@ def _run_stress(exp: Experiment, runner: BenchmarkRunner,
 
 # -- 4.7 Variability ------------------------------------------------------------
 
-def _run_variability(exp: Experiment, runner: BenchmarkRunner,
-                     report: ExperimentReport) -> None:
-    repetitions = 10
-    configs = [
-        ("S", exp.datasets[0], 1, _ALL_PLATFORMS),
-        ("D", exp.datasets[1], 16, _DISTRIBUTED_PLATFORMS),
-    ]
-    for label, dataset_id, machines, platforms in configs:
+_VARIABILITY_REPETITIONS = 10
+
+
+def _variability_cells(exp: Experiment):
+    for dataset_id, machines, platforms in (
+        (exp.datasets[0], 1, _ALL_PLATFORMS),            # config "S"
+        (exp.datasets[1], 16, _DISTRIBUTED_PLATFORMS),   # config "D"
+    ):
         for platform in platforms:
-            times: List[float] = []
-            compliant = True
-            for run_index in range(repetitions):
-                result = runner.run_job(
-                    platform, dataset_id, "bfs",
-                    resources=_resources(machines=machines),
-                    run_index=run_index,
-                )
-                compliant = compliant and result.sla_compliant
-                if result.succeeded and result.modeled_processing_time:
-                    times.append(result.modeled_processing_time)
-            if len(times) >= 2:
-                mean = sum(times) / len(times)
-                cv = coefficient_of_variation(times)
-            else:
-                mean = cv = None
-            report.rows.append(
-                {
-                    "config": label,
-                    "platform": platform,
-                    "dataset": dataset_id,
-                    "machines": machines,
-                    "runs": len(times),
-                    "mean": mean,
-                    "cv": cv,
-                    # Every repetition must meet the SLA for the config
-                    # to count as compliant (paper §4.7 robustness view).
-                    "sla_compliant": compliant,
-                }
-            )
+            for run_index in range(_VARIABILITY_REPETITIONS):
+                yield _job(platform=platform, dataset=dataset_id, algorithm="bfs",
+                           machines=machines, run_index=run_index)
+
+
+def _fold_variability(pairs: Pairs, report: ExperimentReport) -> None:
+    for (dataset_id, machines, platform), series in groupby(
+        pairs,
+        key=lambda pair: (pair[0].dataset, pair[0].machines, pair[0].platform),
+    ):
+        times: List[float] = []
+        compliant = True
+        for _, result in series:
+            compliant = compliant and result.sla_compliant
+            if result.succeeded and result.modeled_processing_time:
+                times.append(result.modeled_processing_time)
+        if len(times) >= 2:
+            mean = sum(times) / len(times)
+            cv = coefficient_of_variation(times)
+        else:
+            mean = cv = None
+        report.rows.append(
+            {
+                "config": "S" if machines == 1 else "D",
+                "platform": platform,
+                "dataset": dataset_id,
+                "machines": machines,
+                "runs": len(times),
+                "mean": mean,
+                "cv": cv,
+                # Every repetition must meet the SLA for the config
+                # to count as compliant (paper §4.7 robustness view).
+                "sla_compliant": compliant,
+            }
+        )
 
 
 # -- 4.8 Data generation ----------------------------------------------------------
 
-def _run_datagen(exp: Experiment, runner: BenchmarkRunner,
-                 report: ExperimentReport) -> None:
+def _fold_datagen(pairs: Pairs, report: ExperimentReport) -> None:
+    """No platform job: the generator's own modeled scaling."""
     from repro.datagen.flow import FlowVersion, estimate_generation_time
 
     for sf in (30, 100, 300, 1000, 3000):
@@ -416,41 +512,47 @@ EXPERIMENTS: Dict[str, Experiment] = {
         Experiment(
             "dataset-variety", "4.1", "Baseline", "Dataset variety",
             ("bfs", "pr"), _baseline_dataset_ids(), (1,), (),
-            ("tproc", "eps", "evps"), _run_dataset_variety,
+            ("tproc", "eps", "evps"),
+            _dataset_variety_cells, _fold_dataset_variety,
         ),
         Experiment(
             "algorithm-variety", "4.2", "Baseline", "Algorithm variety",
             ("bfs", "pr", "wcc", "cdlp", "lcc", "sssp"), ("R4", "D300"),
-            (1,), (), ("tproc",), _run_algorithm_variety,
+            (1,), (), ("tproc",),
+            _algorithm_variety_cells, _fold_algorithm_variety,
         ),
         Experiment(
             "vertical-scalability", "4.3", "Scalability", "Vertical scalability",
             ("bfs", "pr"), ("D300",), (1,), (1, 2, 4, 8, 16, 32),
-            ("tproc", "speedup"), _run_vertical,
+            ("tproc", "speedup"), _vertical_cells, _fold_vertical,
         ),
         Experiment(
             "strong-scalability", "4.4", "Scalability",
             "Strong horizontal scalability",
             ("bfs", "pr"), ("D1000",), (1, 2, 4, 8, 16), (),
-            ("tproc", "speedup"), _run_strong,
+            ("tproc", "speedup"), _strong_cells, _fold_strong,
         ),
         Experiment(
             "weak-scalability", "4.5", "Scalability",
             "Weak horizontal scalability",
             ("bfs", "pr"), ("G22", "G23", "G24", "G25", "G26"),
-            (1, 2, 4, 8, 16), (), ("tproc", "speedup"), _run_weak,
+            (1, 2, 4, 8, 16), (), ("tproc", "speedup"),
+            _weak_cells, _fold_weak,
         ),
         Experiment(
             "stress-test", "4.6", "Robustness", "Stress test",
-            ("bfs",), tuple(DATASETS), (1,), (), ("sla",), _run_stress,
+            ("bfs",), tuple(DATASETS), (1,), (), ("sla",),
+            _stress_cells, _fold_stress,
         ),
         Experiment(
             "variability", "4.7", "Robustness", "Performance variability",
-            ("bfs",), ("D300", "D1000"), (1, 16), (), ("cv",), _run_variability,
+            ("bfs",), ("D300", "D1000"), (1, 16), (), ("cv",),
+            _variability_cells, _fold_variability,
         ),
         Experiment(
             "data-generation", "4.8", "Self-test", "Data generation",
-            (), (), (4, 8, 16), (), ("tgen",), _run_datagen,
+            (), (), (4, 8, 16), (), ("tgen",),
+            lambda exp: (), _fold_datagen,
         ),
     )
 }

@@ -9,11 +9,9 @@ and fills the results database.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, Optional, Tuple
 
 from repro.exceptions import ValidationError
-from repro.algorithms.registry import get_algorithm
 from repro.algorithms.validation import validate_output
 from repro.granula.archiver import build_archive
 from repro.harness.config import BenchmarkConfig
@@ -49,11 +47,8 @@ class BenchmarkRunner:
         self.database = ResultsDatabase()
         self._drivers: Dict[str, PlatformDriver] = {}
         self._handles: Dict[Tuple[str, str], UploadHandle] = {}
-        #: RuntimeRunResult of the last concurrent ``run()``, if any.
+        #: RuntimeRunResult of the last ``run()``, if any.
         self.last_run = None
-        #: Write-ahead journal for the sequential path (see journaling).
-        self._journal = None
-        self._journal_replay = None
 
     # -- plumbing -----------------------------------------------------------
 
@@ -80,43 +75,6 @@ class BenchmarkRunner:
             )
         return self._handles[key]
 
-    @contextmanager
-    def journaling(self, journal, replay=None):
-        """Make sequential ``run_job`` calls in the block crash-safe and
-        resumable.
-
-        Every completed job is appended durably to *journal* before the
-        next one starts; with *replay* (a loaded
-        :class:`~repro.runtime.journal.JournalReplay`), jobs the crashed
-        run already completed return their recorded rows instead of
-        re-executing. Recorded rows are matched by job identity and
-        consumed FIFO per identity, so deterministic experiment bodies
-        resume exactly where they stopped. ``journal=None`` changes
-        nothing: a suite's journal stays in charge of its experiments.
-        """
-        if journal is None:
-            yield
-            return
-        self._journal, self._journal_replay = journal, replay
-        try:
-            yield
-        finally:
-            self._journal = self._journal_replay = None
-
-    def can_run(self, platform: str, dataset: Dataset, algorithm: str) -> bool:
-        """Whether the combination is runnable at all.
-
-        Weighted algorithms need weighted datasets; non-distributed
-        platforms cannot take multi-machine resources.
-        """
-        spec = get_algorithm(algorithm)
-        if spec.weighted and not dataset.weighted:
-            return False
-        driver = self.driver(platform)
-        if self.config.resources.machines > 1 and not driver.info.distributed:
-            return False
-        return True
-
     # -- job execution -----------------------------------------------------
 
     def run_job(
@@ -128,7 +86,25 @@ class BenchmarkRunner:
         resources: Optional[ClusterResources] = None,
         run_index: int = 0,
     ) -> BenchmarkResult:
-        """Execute one job end to end and record it in the database.
+        """Execute one job end to end and record it in the database."""
+        result = self.execute_job(
+            platform, dataset_id, algorithm,
+            resources=resources, run_index=run_index,
+        )
+        self.database.add(result)
+        return result
+
+    def execute_job(
+        self,
+        platform: str,
+        dataset_id: str,
+        algorithm: str,
+        *,
+        resources: Optional[ClusterResources] = None,
+        run_index: int = 0,
+    ) -> BenchmarkResult:
+        """:meth:`run_job` without the recording — what the runtime
+        calls, which merges a run's rows in job order at its end.
 
         The whole job runs inside a ``job`` span whose attributes carry
         the final Tproc/makespan/EPS/EVPS — the span tree in a run's
@@ -145,9 +121,15 @@ class BenchmarkRunner:
             algorithm=algorithm,
             run_index=run_index,
         ) as job_span:
-            result = self._run_job_body(
-                platform, dataset, algorithm, resources, run_index, job_span
+            job = self.driver(platform).execute(
+                self._handle(platform, dataset),
+                algorithm,
+                dataset.algorithm_parameters(algorithm, self.config.seed),
+                resources,
+                run_index=run_index,
+                seed=self.config.seed,
             )
+            result = self._finalize(job, dataset)
             job_span.attributes.update(
                 status=result.status,
                 tproc=result.modeled_processing_time,
@@ -155,61 +137,6 @@ class BenchmarkRunner:
                 eps=result.eps,
                 evps=result.evps,
             )
-        return result
-
-    def _run_job_body(
-        self,
-        platform: str,
-        dataset: Dataset,
-        algorithm: str,
-        resources: ClusterResources,
-        run_index: int,
-        job_span,
-    ) -> BenchmarkResult:
-        serial_key = None
-        if self._journal is not None or self._journal_replay is not None:
-            from repro.runtime.journal import serial_job_key
-
-            serial_key = serial_job_key(
-                platform,
-                dataset.dataset_id,
-                algorithm,
-                machines=resources.machines,
-                threads=resources.threads,
-                run_index=run_index,
-                seed=self.config.seed,
-            )
-        if self._journal_replay is not None:
-            record = self._journal_replay.take_serial(serial_key)
-            if record is not None:
-                result = BenchmarkResult(**record["result"])
-                job_span.attributes["replayed"] = True
-                self.database.add(result)
-                return result
-        driver = self.driver(platform)
-        handle = self._handle(platform, dataset)
-        params = dataset.algorithm_parameters(algorithm, self.config.seed)
-        job = driver.execute(
-            handle,
-            algorithm,
-            params,
-            resources,
-            run_index=run_index,
-            seed=self.config.seed,
-        )
-        result = self._finalize(job, dataset)
-        if self._journal is not None:
-            # Journaled (durably) before the result is observable, so a
-            # crash after this line cannot lose the completed job.
-            self._journal.append(
-                {
-                    "type": "serial-job",
-                    "key": serial_key,
-                    "result": result.as_dict(),
-                    "trace": job_span.span_id,
-                }
-            )
-        self.database.add(result)
         return result
 
     def _finalize(self, job: JobResult, dataset: Dataset) -> BenchmarkResult:
@@ -272,48 +199,25 @@ class BenchmarkRunner:
     def run(self, *, workers: int = 1, runtime=None, run_dir=None) -> ResultsDatabase:
         """Run the full configured selection; returns the database.
 
-        With ``workers > 1`` (or an explicit
-        :class:`~repro.runtime.executor.RuntimeConfig`) the matrix is
-        executed by the concurrent runtime: a dependency-aware job DAG
-        dispatched onto a multiprocessing worker pool sharing a
-        content-addressed graph cache. The merged database is
-        deterministic — identical to the serial run except for the
-        environment-dependent ``measured_*`` wall-clocks (see
-        ``ResultsDatabase.canonical_json`` and docs/runtime.md).
+        The matrix is a job list executed by the runtime
+        (docs/runtime.md): inline on this runner or — with
+        ``workers > 1`` or an explicit
+        :class:`~repro.runtime.executor.RuntimeConfig` — on a worker
+        pool sharing a content-addressed graph cache. The rows are the
+        same for any worker count, up to the environment-dependent
+        ``measured_*`` wall-clocks (``ResultsDatabase.canonical_json``).
 
-        With ``run_dir`` the run is journaled and crash-safe (always via
-        the runtime, whatever the worker count): if the directory holds
-        a journal from a crashed run of the *same* matrix, the run
-        resumes from it instead of starting over (docs/robustness.md).
+        With ``run_dir`` the run is journaled and crash-safe: a journal
+        a crashed run of the *same* matrix left there is resumed
+        instead of starting over (docs/robustness.md).
         """
-        if workers > 1 or runtime is not None or run_dir is not None:
-            from repro.runtime.executor import RuntimeConfig, execute_matrix
-            from repro.runtime.journal import RunJournal
+        from repro.runtime.executor import RuntimeConfig, execute_matrix
 
-            if runtime is None:
-                runtime = RuntimeConfig(workers=workers)
-            resume = (
-                run_dir is not None
-                and RunJournal.journal_path(run_dir).exists()
-            )
-            outcome = execute_matrix(
-                self.config, runtime, run_dir=run_dir, resume=resume
-            )
-            self.database.extend(outcome.database)
-            self.last_run = outcome
-            return self.database
-        for platform in self.config.platforms:
-            for dataset_id in self.config.datasets:
-                dataset = get_dataset(dataset_id)
-                for algorithm in self.config.algorithms:
-                    if not self.can_run(platform, dataset, algorithm):
-                        if self.config.skip_impossible:
-                            continue
-                        raise ValidationError(
-                            f"cannot run {algorithm} on {dataset_id} with {platform}"
-                        )
-                    for rep in range(self.config.repetitions):
-                        self.run_job(
-                            platform, dataset_id, algorithm, run_index=rep
-                        )
+        self.last_run = execute_matrix(
+            self.config,
+            runtime or RuntimeConfig(workers=workers),
+            run_dir=run_dir,
+            resume=None,
+            runner=self,
+        )
         return self.database

@@ -61,8 +61,8 @@ for _model, _engine in (("Pregel", pregel), ("GAS", gas), ("SpMV", spmv)):
         _engine,
     )
 
-#: A minimal model: only used for upload-time bookkeeping and the
-#: (measured-scale) memory sanity bound; timing comes from the clock.
+#: A minimal model: the base class wants one, but every time a measured
+#: platform reports comes from the clock.
 _REFERENCE_MODEL = PerformanceModel(
     base_evps=1.0,            # unused: _execute() reports the wall-clock
     tproc_floor=0.0,
@@ -112,6 +112,13 @@ class ReferenceDriver(PlatformDriver):
         super().__init__(info, _REFERENCE_MODEL)
         self.partitions = partitions
         self.partition_strategy = partition_strategy
+
+    def upload(self, graph, profile=None) -> UploadHandle:
+        """Every row of a measured platform — a refused job's too —
+        reports the upload that was measured, never a modeled one."""
+        handle = super().upload(graph, profile)
+        handle.modeled_upload_time = handle.measured_upload_seconds
+        return handle
 
     def _deploy(self, graph):
         """The graph's live sharded engine (started if need be)."""
@@ -181,7 +188,6 @@ class ReferenceDriver(PlatformDriver):
             }
         result = row(
             status=JobStatus.SUCCEEDED,
-            modeled_upload_time=handle.measured_upload_seconds,
             modeled_processing_time=measured,   # measured IS the number
             modeled_makespan=makespan,
             measured_processing_seconds=measured,

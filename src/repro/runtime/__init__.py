@@ -1,9 +1,9 @@
 """The concurrent benchmark-execution runtime (docs/runtime.md).
 
 Public surface: :func:`~repro.runtime.executor.execute_matrix` runs a
-benchmark matrix through the dependency-aware scheduler, the
-multiprocessing worker pool, and the content-addressed graph cache,
-producing a deterministically merged results database plus structured
+job list — a benchmark matrix, an experiment, the suite — through the
+dependency-aware scheduler, the multiprocessing worker pool, and the
+content-addressed graph cache, producing a deterministically merged results database plus structured
 failure and cache reports.
 """
 
@@ -13,7 +13,6 @@ from repro.runtime.executor import (
     RuntimeRunResult,
     example_matrix,
     execute_matrix,
-    prefetch_into_runner,
     resume_run,
 )
 from repro.faults.plan import FaultPlan, FaultSpec, InjectedFaultError
@@ -23,7 +22,6 @@ from repro.runtime.journal import (
     RunJournal,
     job_key,
     matrix_hash,
-    serial_job_key,
 )
 from repro.runtime.jobs import (
     FAILURE_STATUSES,
@@ -39,6 +37,8 @@ from repro.runtime.scheduler import (
     JobNode,
     can_run_combo,
     expand_matrix,
+    matrix_jobs,
+    with_dependencies,
 )
 
 __all__ = [
@@ -68,8 +68,8 @@ __all__ = [
     "graph_key",
     "job_key",
     "matrix_hash",
+    "matrix_jobs",
     "reference_key",
-    "prefetch_into_runner",
     "resume_run",
-    "serial_job_key",
+    "with_dependencies",
 ]

@@ -1,11 +1,13 @@
-"""The benchmark-execution runtime: concurrent matrix runs, one API.
+"""The benchmark-execution runtime: every job list runs here, one API.
 
-:func:`execute_matrix` expands a benchmark selection into the job DAG,
-executes it — inline for ``workers=1``, on the multiprocessing pool
-otherwise — and merges results deterministically:
+:func:`execute_matrix` turns a job list — a benchmark selection's
+matrix, or whatever list the caller hands it (an experiment, the whole
+suite) — into the job DAG, executes it — inline for ``workers=1``, on
+the multiprocessing pool otherwise — and merges results
+deterministically:
 
-* every execute job's row enters the final database at its matrix
-  sequence number, so the database (and everything rendered from it) is
+* every execute job's row enters the final database at its position in
+  the job list, so the database (and everything rendered from it) is
   identical for any worker count and any completion order;
 * the only environment-dependent fields are the ``measured_*``
   wall-clocks; ``ResultsDatabase.canonical_json`` excludes them, and
@@ -22,8 +24,8 @@ from __future__ import annotations
 import os
 import tempfile
 import warnings
-from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -34,7 +36,7 @@ from repro.harness.runner import BenchmarkRunner
 from repro.proc import absorb
 from repro.runtime.cache import CacheStats, GraphCache
 from repro.faults.plan import FaultPlan
-from repro.runtime.jobs import JobFailure, JobKind, failure_result
+from repro.runtime.jobs import JobFailure, JobKind, JobSpec, failure_result
 from repro.runtime.journal import (
     JournalError,
     JournalReplay,
@@ -46,7 +48,12 @@ from repro.runtime.journal import (
     matrix_hash,
 )
 from repro.runtime.pool import WorkerPool, run_job_spec
-from repro.runtime.scheduler import JobGraph, NodeState, expand_matrix
+from repro.runtime.scheduler import (
+    JobGraph,
+    NodeState,
+    matrix_jobs,
+    with_dependencies,
+)
 from repro.trace import Span, current_tracer
 
 __all__ = [
@@ -54,8 +61,6 @@ __all__ = [
     "RuntimeRunResult",
     "execute_matrix",
     "example_matrix",
-    "prefetch_directory",
-    "prefetch_into_runner",
     "resolve_partitions",
     "resolve_workers",
     "resume_run",
@@ -72,7 +77,7 @@ def resolve_workers(
     run. An explicit request larger than the host is capped with a
     warning rather than honored: BENCH_runtime.json shows
     oversubscribed pools *losing* to smaller ones (4 workers slower
-    than 2 on a 1-CPU host), so a silent oversubscription is a perf
+    than 2 on a 2-vCPU host), so a silent oversubscription is a perf
     bug, not a preference.
     """
     if available is None:
@@ -263,7 +268,11 @@ def example_matrix(seed: int = 0, *, repetitions: int = 2) -> BenchmarkConfig:
 
 
 @contextmanager
-def _cache_directory(runtime: RuntimeConfig, run_dir: Optional[Path] = None):
+def _cache_directory(
+    runtime: RuntimeConfig,
+    run_dir: Optional[Path],
+    runner: Optional[BenchmarkRunner],
+):
     """Where the run's artifacts spill (created by the first store)."""
     if runtime.cache_dir is not None:
         yield Path(runtime.cache_dir)
@@ -272,25 +281,33 @@ def _cache_directory(runtime: RuntimeConfig, run_dir: Optional[Path] = None):
         # resumed run inherits every materialization the crashed run paid
         # for instead of rebuilding them.
         yield Path(run_dir) / "cache"
+    elif runner is not None and (
+        runner.cache.directory is not None
+        or runtime.resolved_mode == "inline"
+    ):
+        # The caller's runner brings its own store; only pool workers
+        # need a directory a memory-only one cannot give them.
+        yield runner.cache.directory
     else:
         with tempfile.TemporaryDirectory(prefix="graphalytics-cache-") as tmp:
             yield Path(tmp)
 
 
 class _MatrixRun:
-    """One in-flight matrix execution (shared by inline and pool modes)."""
+    """One in-flight job-list execution (shared by inline and pool modes)."""
 
     def __init__(
         self,
         config: BenchmarkConfig,
         runtime: RuntimeConfig,
-        cache_dir: Path,
-        *,
-        include_execute: bool = True,
+        cache_dir: Optional[Path],
+        jobs: Optional[Sequence[JobSpec]] = None,
+        runner: Optional[BenchmarkRunner] = None,
     ):
         self.config = config
         self.runtime = runtime
         self.cache_dir = cache_dir
+        self.runner = runner
         self.tracer = current_tracer()
         self.clock = self.tracer.clock
         self.root_span = self.tracer.start_span(
@@ -302,9 +319,10 @@ class _MatrixRun:
         self._phase_spans: Dict[str, Span] = {}
         self._attempt_spans: Dict[int, Span] = {}
         self.phase_start("expand")
-        specs = expand_matrix(config)
-        if not include_execute:
-            specs = [s for s in specs if s.kind != JobKind.EXECUTE]
+        specs = with_dependencies(
+            matrix_jobs(config) if jobs is None else jobs,
+            validate=config.validate_outputs,
+        )
         self.specs = specs
         self.keys = {spec.seq: job_key(spec) for spec in specs}
         self.graph = JobGraph(
@@ -344,16 +362,11 @@ class _MatrixRun:
         leaves it off the stack — attempts overlap there, and worker
         spans are grafted under it at merge time instead.
         """
-        node = self.graph.nodes[seq]
-        span = self.tracer.start_span(
-            "attempt",
-            attributes={
-                "job": node.spec.job_id,
-                "attempt": attempt,
-                "worker": worker,
-            },
-            push=push,
-        )
+        spec = self.graph.nodes[seq].spec
+        attributes = {"job": spec.job_id, "attempt": attempt, "worker": worker}
+        if spec.experiment:
+            attributes["experiment"] = spec.experiment
+        span = self.tracer.start_span("attempt", attributes=attributes, push=push)
         self._attempt_spans[seq] = span
         return span
 
@@ -530,7 +543,12 @@ def _run_inline(run: _MatrixRun) -> None:
             "hang/crash fault injection requires pool mode (workers > 1 "
             "or mode='pool')"
         )
-    runner = BenchmarkRunner(run.config, GraphCache(run.cache_dir))
+    runner = run.runner
+    if runner is None or runner.cache.directory != run.cache_dir:
+        # The caller's runner executes the jobs (its graphs and upload
+        # handles are reused) when its store is the run's store.
+        runner = BenchmarkRunner(run.config, GraphCache(run.cache_dir))
+    runner.cache.take_stats_delta()  # count this run's traffic only
     graph = run.graph
     clock = run.clock
     tracer = run.tracer
@@ -576,7 +594,7 @@ def _run_inline(run: _MatrixRun) -> None:
             if wake is None:
                 break  # nothing ready, nothing scheduled: DAG is drained
             clock.sleep(max(0.0, wake - clock.now()))
-    run.cache_stats.merge(runner.cache.stats)
+    run.cache_stats.merge(runner.cache.take_stats_delta())
 
 
 def _run_pool(run: _MatrixRun) -> None:
@@ -698,21 +716,31 @@ def execute_matrix(
     config: BenchmarkConfig,
     runtime: Optional[RuntimeConfig] = None,
     *,
-    include_execute: bool = True,
     run_dir: Optional[Union[str, Path]] = None,
-    resume: bool = False,
+    resume: Optional[bool] = False,
+    jobs: Optional[Sequence[JobSpec]] = None,
+    runner: Optional[BenchmarkRunner] = None,
+    header: Optional[Dict[str, object]] = None,
 ) -> RuntimeRunResult:
-    """Run a benchmark matrix through the concurrent runtime.
+    """Run a job list through the runtime: the matrix *config* selects
+    or, for an experiment or the suite, the execute ``jobs`` given
+    (their materialize/reference dependencies are derived here).
+
+    A ``runner`` receives the rows in its database, once each, in job
+    order — and executes the jobs itself when the run is inline and its
+    artifact store is the run's (its graphs and upload handles are
+    reused).
 
     With ``run_dir`` the run is **journaled**: every job transition is
     appended durably to ``<run_dir>/journal.jsonl`` before execution
     proceeds, the graph cache spills under ``<run_dir>/cache``, and the
     final database lands atomically in ``<run_dir>/results.json``. With
-    ``resume=True`` the journal is replayed first and only the remainder
-    of the DAG executes — the merged database is bit-identical (under
-    ``canonical_json``) to an uninterrupted run. Runtime knobs (workers,
-    mode, timeouts) are *not* part of the journaled identity, so a
-    resume may use a different worker count.
+    ``resume=True`` (``None``: when a journal exists) the journal is
+    replayed first and only the remainder of the DAG executes — the
+    merged database is bit-identical (under ``canonical_json``) to an
+    uninterrupted run. Runtime knobs (workers, mode, timeouts) are *not*
+    part of the journaled identity, so a resume may use a different
+    worker count. ``header`` adds fields to a fresh journal's header.
     """
     runtime = runtime or RuntimeConfig()
     if resume and run_dir is None:
@@ -721,20 +749,17 @@ def execute_matrix(
     tracer = current_tracer()
     since = (tracer.mark(), tracer.counters)
     started = tracer.clock.now()
-    with _cache_directory(runtime, run_dir) as cache_dir:
-        run = _MatrixRun(
-            config, runtime, cache_dir, include_execute=include_execute
-        )
+    with _cache_directory(runtime, run_dir, runner) as cache_dir:
+        run = _MatrixRun(config, runtime, cache_dir, jobs, runner)
         header = {} if run_dir is None else {
+            **(header or {}),
             "kind": "matrix",
             "matrix_hash": matrix_hash(config, run.specs),
             "config": config_payload(config),
-            "include_execute": include_execute,
         }
         try:
             with journaled_run(
-                run_dir, header, identity=("matrix_hash",),
-                resume=resume, since=since,
+                run_dir, header, resume=resume, since=since
             ) as journaled:
                 if journaled.replay is not None:
                     run.restore(journaled.replay)
@@ -759,6 +784,8 @@ def execute_matrix(
             run.close_spans()
         if run_dir is not None:
             database.save(run_dir / "results.json")
+    if runner is not None:
+        runner.database.extend(database)
     return RuntimeRunResult(
         database=database,
         failures=list(run.graph.failures),
@@ -781,68 +808,26 @@ def resume_run(
     run_dir: Union[str, Path],
     runtime: Optional[RuntimeConfig] = None,
 ) -> RuntimeRunResult:
-    """Resume a crashed (or complete) journaled matrix run.
+    """Resume a crashed (or complete) journaled run.
 
-    The benchmark configuration is rebuilt from the journal header — the
-    caller supplies only *runtime* knobs, which may differ from the
-    crashed run's. Resuming an already-complete journal re-executes
-    nothing and simply rebuilds the database (idempotent).
+    The benchmark configuration — and, for a suite run, the job list of
+    the experiments its header names — is rebuilt from the journal
+    header; the caller supplies only *runtime* knobs, which may differ
+    from the crashed run's. Resuming an already-complete journal
+    re-executes nothing and simply rebuilds the database (idempotent).
     """
-    replay = RunJournal.load(run_dir)
-    kind = replay.header.get("kind")
-    if kind != "matrix":
+    header = RunJournal.load(run_dir).header
+    if header.get("kind") != "matrix":
         raise JournalError(
-            f"{RunJournal.journal_path(run_dir)} records a {kind!r} run; "
-            f"resume it through the harness entry point that wrote it"
+            f"{RunJournal.journal_path(run_dir)} records a "
+            f"{header.get('kind')!r} run, not a benchmark run"
         )
-    config = config_from_payload(replay.header["config"])
+    config = config_from_payload(header["config"])
+    jobs = None
+    if header.get("experiments") is not None:
+        from repro.harness.experiments import suite_jobs
+
+        jobs = suite_jobs(header["experiments"], config.seed)
     return execute_matrix(
-        config,
-        runtime,
-        include_execute=bool(replay.header.get("include_execute", True)),
-        run_dir=run_dir,
-        resume=True,
+        config, runtime, run_dir=run_dir, resume=True, jobs=jobs
     )
-
-
-def prefetch_directory(workers: int):
-    """Context manager: the cache directory of a runner about to be
-    prefetched into — private, temporary and outliving the pool (the
-    runner reads it for as long as its suite runs); ``None``, i.e. a
-    memory-only cache, when there is no pool to prefetch on."""
-    if workers > 1:
-        return tempfile.TemporaryDirectory(prefix="graphalytics-cache-")
-    return nullcontext()
-
-
-def prefetch_into_runner(
-    runner: BenchmarkRunner,
-    *,
-    datasets: Sequence[str],
-    algorithms: Sequence[str],
-    runtime: Optional[RuntimeConfig] = None,
-) -> Optional[RuntimeRunResult]:
-    """Materialize datasets and references concurrently for a runner.
-
-    Experiment bodies are inherently sequential (baselines feed later
-    jobs), but their expensive inputs are not: this fans materialization
-    and reference computation out to the pool, which fills the directory
-    the runner's own cache reads — so the serial experiment finds every
-    artifact on disk instead of building it. Returns ``None`` when there
-    is nothing to fetch.
-    """
-    if runner.cache.directory is None:
-        raise ConfigurationError(
-            "prefetch needs a runner whose cache has a directory to fill"
-        )
-    if not datasets:
-        return None
-    config = runner.config.subset(
-        datasets=list(datasets),
-        algorithms=[a.lower() for a in algorithms] or ["bfs"],
-        repetitions=1,
-    )
-    runtime = replace(
-        runtime or RuntimeConfig(), cache_dir=runner.cache.directory
-    )
-    return execute_matrix(config, runtime, include_execute=False)

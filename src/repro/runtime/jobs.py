@@ -71,6 +71,9 @@ class JobSpec:
     run_index: int = 0             # execute jobs only
     machines: int = 1
     threads: Optional[int] = None
+    #: Experiment id of a suite job (``""`` for a plain matrix job); it
+    #: tells apart the workloads several experiments repeat.
+    experiment: str = ""
 
     @property
     def job_id(self) -> str:

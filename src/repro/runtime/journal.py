@@ -27,9 +27,9 @@ Crash-consistency guarantees (see docs/robustness.md):
   uses — so resume matches jobs by identity, not by file position.
 
 Record types (``"type"`` field): ``run-start``, ``job-scheduled``,
-``attempt-start``, ``attempt-failed``, ``job-done``, ``job-failed``,
-``serial-job`` (sequential :class:`~repro.harness.runner.
-BenchmarkRunner` paths), and ``run-complete``.
+``attempt-start``, ``attempt-failed``, ``job-done``, ``job-failed``
+and ``run-complete``. Every run — a matrix, one experiment, the whole
+suite — is a job list and writes this one vocabulary.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ __all__ = [
     "JOURNAL_NAME",
     "JournalError",
     "job_key",
-    "serial_job_key",
     "matrix_hash",
     "config_payload",
     "config_from_payload",
@@ -81,6 +80,9 @@ RELAXED_TYPES = frozenset({"attempt-start", "job-scheduled"})
 #: the run (its identity, its completion, a terminal failure).
 CRITICAL_TYPES = frozenset({"run-start", "run-complete", "job-failed"})
 
+#: Every record type this build writes after the ``run-start`` header.
+RECORD_TYPES = RELAXED_TYPES | CRITICAL_TYPES | {"attempt-failed", "job-done"}
+
 #: fdatasync skips the metadata flush where the OS offers it; appends
 #: only ever grow the file, so data + size reach disk either way.
 _datasync = getattr(os, "fdatasync", os.fsync)
@@ -97,47 +99,22 @@ def job_key(spec) -> str:
 
     Everything the job's outcome depends on enters the digest; the
     matrix sequence number does not — identity survives re-expansion.
+    The experiment tag enters only when set, so a plain matrix job keeps
+    the key every earlier journal recorded for it.
     """
-    payload = json.dumps(
-        {
-            "kind": spec.kind,
-            "dataset": spec.dataset,
-            "algorithm": spec.algorithm,
-            "platform": spec.platform,
-            "run_index": spec.run_index,
-            "machines": spec.machines,
-            "threads": spec.threads,
-            "seed": spec.seed,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def serial_job_key(
-    platform: str,
-    dataset: str,
-    algorithm: str,
-    *,
-    machines: int,
-    threads: Optional[int],
-    run_index: int,
-    seed: int,
-) -> str:
-    """Identity of one sequential ``BenchmarkRunner.run_job`` call."""
-    payload = json.dumps(
-        {
-            "kind": "serial",
-            "platform": platform.lower(),
-            "dataset": dataset,
-            "algorithm": algorithm.lower(),
-            "machines": machines,
-            "threads": threads,
-            "run_index": run_index,
-            "seed": seed,
-        },
-        sort_keys=True,
-    )
+    fields = {
+        "kind": spec.kind,
+        "dataset": spec.dataset,
+        "algorithm": spec.algorithm,
+        "platform": spec.platform,
+        "run_index": spec.run_index,
+        "machines": spec.machines,
+        "threads": spec.threads,
+        "seed": spec.seed,
+    }
+    if spec.experiment:
+        fields["experiment"] = spec.experiment
+    payload = json.dumps(fields, sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -243,48 +220,13 @@ class JournalReplay:
         self.records = records
         #: Bytes of torn tail dropped during recovery (0 = clean log).
         self.truncated_bytes = truncated_bytes
-        #: job key -> completion payload (DAG jobs).
-        self.completed: Dict[str, Dict[str, object]] = {}
-        #: job key -> replayable attempt-failed records, in order.
-        self.failed_attempts: Dict[str, List[Dict[str, object]]] = {}
-        #: job key -> count of attempt-start records (chaos accounting).
-        self.attempt_starts: Dict[str, int] = {}
-        #: job key -> terminal job-failed record.
-        self.failures: Dict[str, Dict[str, object]] = {}
-        #: serial key -> FIFO of recorded result rows.
-        self.serial_results: Dict[str, List[Dict[str, object]]] = {}
-        self.run_completes = 0
-        for record in records:
-            kind = record.get("type")
-            key = str(record.get("key", ""))
-            if kind == "attempt-start":
-                self.attempt_starts[key] = self.attempt_starts.get(key, 0) + 1
-            elif kind == "job-done":
-                self.completed[key] = record
-            elif kind == "attempt-failed":
-                self.failed_attempts.setdefault(key, []).append(record)
-            elif kind == "job-failed":
-                self.failures[key] = record
-            elif kind == "serial-job":
-                self.serial_results.setdefault(key, []).append(record)
-            elif kind == "run-complete":
-                self.run_completes += 1
-
-    @property
-    def complete(self) -> bool:
-        return self.run_completes > 0
-
-    def take_serial(self, key: str) -> Optional[Dict[str, object]]:
-        """Pop the next recorded result for a sequential job, if any.
-
-        FIFO per key: the nth call with an identity replays the nth
-        recorded outcome, so a deterministic sequential body that runs
-        the same workload twice replays both occurrences in order.
-        """
-        queue = self.serial_results.get(key)
-        if not queue:
-            return None
-        return queue.pop(0)
+        #: job key -> completion record.
+        self.completed: Dict[str, Dict[str, object]] = {
+            str(record.get("key", "")): record
+            for record in records if record.get("type") == "job-done"
+        }
+        #: Whether the run the journal describes finished.
+        self.complete = any(r.get("type") == "run-complete" for r in records)
 
 
 # -- the journal --------------------------------------------------------------
@@ -404,6 +346,18 @@ class RunJournal:
             raise JournalError(
                 f"{path} has journal version {header.get('version')!r}; "
                 f"this build reads version {JOURNAL_VERSION}"
+            )
+        foreign = {str(r.get("type")) for r in records[1:]} - RECORD_TYPES
+        if header.get("kind") in ("full-run", "experiment") or foreign:
+            # An older build's sequential path journaled this way; the
+            # job-list runtime would match none of its rows and silently
+            # run everything again.
+            raise JournalError(
+                f"{path} (run kind {header.get('kind')!r}"
+                + (f", record types {sorted(foreign)}" if foreign else "")
+                + ") predates this build, which journals every run as one "
+                "job list; it cannot be resumed — start the run again in "
+                "a fresh run directory"
             )
         return JournalReplay(header, records[1:], truncated_bytes=truncated)
 
@@ -545,24 +499,22 @@ def journaled_run(
     run_dir: Union[str, Path, None],
     header: Dict[str, object],
     *,
-    identity: Sequence[str],
-    resume: Optional[bool] = None,
-    since: Optional[Tuple[int, Dict[str, float]]] = None,
+    resume: Optional[bool],
+    since: Tuple[int, Dict[str, float]],
 ):
     """The journal and trace of one run, from open to ``run-complete``.
 
     Entering opens ``<run_dir>/journal.jsonl``: a fresh journal
-    starting with ``header``, or — when ``resume`` (default: when one
-    exists) — the existing one, whose header must agree with ``header``
-    on every ``identity`` key. Leaving normally appends
-    ``run-complete``, closes the journal and exports the spans and
-    counter deltas recorded since ``since`` — a ``(tracer.mark(),
-    tracer.counters)`` pair, default: since entry — to
+    starting with ``header``, or — when ``resume`` (``None``: when one
+    exists) — the existing one, which must record the ``matrix_hash``
+    of ``header``. Leaving normally appends ``run-complete``, closes
+    the journal and exports the spans and counter deltas recorded since
+    ``since`` — a ``(tracer.mark(), tracer.counters)`` pair — to
     ``<run_dir>/trace.jsonl``. With ``run_dir=None`` nothing is opened
     or written; the block still learns its counter deltas.
     """
     tracer = current_tracer()
-    mark, before = since or (tracer.mark(), tracer.counters)
+    mark, before = since
     run = JournaledRun()
     if run_dir is not None:
         run_dir = Path(run_dir)
@@ -571,14 +523,13 @@ def journaled_run(
             resume = path.exists()
         if resume:
             run.replay = RunJournal.load(run_dir)
-            for key in identity:
-                recorded = run.replay.header.get(key)
-                if recorded != header[key]:
-                    raise JournalError(
-                        f"{path} records {key.replace('_', ' ')} "
-                        f"{recorded!r}, not {header[key]!r}; refusing to "
-                        f"resume a different run"
-                    )
+            recorded = run.replay.header.get("matrix_hash")
+            if recorded != header["matrix_hash"]:
+                raise JournalError(
+                    f"{path} records matrix hash {recorded!r}, not "
+                    f"{header['matrix_hash']!r}; refusing to resume a "
+                    f"different run"
+                )
             run.journal = RunJournal(path)
         else:
             run.journal = RunJournal.create(run_dir, header)

@@ -59,7 +59,8 @@ def run_job_spec(runner: BenchmarkRunner, spec: JobSpec) -> Dict[str, object]:
         ):
             reference = cache.get_reference(dataset, spec.algorithm, spec.seed)
         return {"kind": spec.kind, "elements": int(reference.shape[0])}
-    result = runner.run_job(
+    # Not run_job: rows are recorded once, merged in job order.
+    result = runner.execute_job(
         spec.platform,
         spec.dataset,
         spec.algorithm,

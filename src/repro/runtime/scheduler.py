@@ -1,18 +1,18 @@
 """Dependency-aware job scheduling for the benchmark runtime.
 
-:func:`expand_matrix` turns a :class:`~repro.harness.config.
-BenchmarkConfig` into the runtime's job DAG:
+A run is a **job list**: execute jobs in the order their rows are
+reported — :func:`matrix_jobs` for a :class:`~repro.harness.config.
+BenchmarkConfig` (platform → dataset → algorithm → repetition), an
+experiment's own list for a suite run. :func:`with_dependencies` turns
+any such list into the runtime's job DAG:
 
-* one **materialize** job per dataset that any workload uses;
+* one **materialize** job per dataset that any job uses;
 * one **reference** job per validated (dataset, algorithm) pair —
   depends on the materialization;
-* one **execute** job per (platform, dataset, algorithm, repetition) —
-  depends on the materialization and (when validating) the reference.
-
-Execute jobs are numbered in exactly the order
-``BenchmarkRunner.run`` visits them (platform → dataset → algorithm →
-repetition), and the merge step sorts by that number — which is what
-makes the final database identical for any worker count.
+* the **execute** jobs, numbered in list order — each depends on its
+  materialization and (when validating) its reference. The merge step
+  sorts by that number, which is what makes the final database
+  identical for any worker count.
 
 :class:`JobGraph` tracks node states, promotes dependents as jobs
 finish, applies the bounded retry-with-backoff policy, and cascades a
@@ -23,9 +23,8 @@ transitive dependent (a job whose dataset never materialized is a
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ValidationError
 from repro.algorithms.registry import get_algorithm
@@ -35,13 +34,24 @@ from repro.platforms.registry import get_platform
 from repro.proc import RetryPolicy
 from repro.runtime.jobs import AttemptRecord, JobFailure, JobKind, JobSpec
 
-__all__ = ["can_run_combo", "expand_matrix", "JobNode", "JobGraph"]
+__all__ = [
+    "can_run_combo",
+    "matrix_jobs",
+    "with_dependencies",
+    "expand_matrix",
+    "JobNode",
+    "JobGraph",
+]
 
 
 def can_run_combo(
     platform: str, dataset_id: str, algorithm: str, *, machines: int = 1
 ) -> bool:
-    """Registry-only version of ``BenchmarkRunner.can_run`` (no driver)."""
+    """Whether the combination is runnable at all.
+
+    Weighted algorithms need weighted datasets; non-distributed
+    platforms cannot take multi-machine resources.
+    """
     dataset = get_dataset(dataset_id)
     if get_algorithm(algorithm).weighted and not dataset.weighted:
         return False
@@ -80,11 +90,10 @@ class JobNode:
         return len(self.attempts) + 1
 
 
-def expand_matrix(config: BenchmarkConfig) -> List[JobSpec]:
-    """The run's job list, deterministic in spec and numbering."""
+def matrix_jobs(config: BenchmarkConfig) -> List[JobSpec]:
+    """The configured selection as a job list (unnumbered execute jobs)."""
     machines = config.resources.machines
-    threads = config.resources.threads
-    combos: List[Tuple[str, str, str]] = []
+    jobs: List[JobSpec] = []
     for platform in config.platforms:
         for dataset_id in config.datasets:
             for algorithm in config.algorithms:
@@ -96,51 +105,56 @@ def expand_matrix(config: BenchmarkConfig) -> List[JobSpec]:
                     raise ValidationError(
                         f"cannot run {algorithm} on {dataset_id} with {platform}"
                     )
-                combos.append((platform, dataset_id, algorithm))
+                jobs.extend(
+                    JobSpec(
+                        seq=0,
+                        kind=JobKind.EXECUTE,
+                        dataset=dataset_id,
+                        platform=platform,
+                        algorithm=algorithm,
+                        run_index=run_index,
+                        machines=machines,
+                        threads=config.resources.threads,
+                        seed=config.seed,
+                    )
+                    for run_index in range(config.repetitions)
+                )
+    return jobs
 
-    counter = itertools.count()
-    specs: List[JobSpec] = []
-    for dataset_id in config.datasets:
-        if any(c[1] == dataset_id for c in combos):
-            specs.append(
-                JobSpec(
-                    seq=next(counter),
-                    kind=JobKind.MATERIALIZE,
-                    dataset=dataset_id,
-                    seed=config.seed,
-                )
+
+def with_dependencies(
+    jobs: Sequence[JobSpec], *, validate: bool = True
+) -> List[JobSpec]:
+    """The DAG of a job list, deterministic in spec and numbering:
+    materializations, then references (each in first-use order), then
+    the jobs themselves in list order."""
+    materialize: Dict[str, JobSpec] = {}
+    reference: Dict[Tuple[str, str], JobSpec] = {}
+    for job in jobs:
+        materialize.setdefault(
+            job.dataset,
+            JobSpec(seq=0, kind=JobKind.MATERIALIZE, dataset=job.dataset,
+                    seed=job.seed),
+        )
+        if validate:
+            reference.setdefault(
+                (job.dataset, job.algorithm),
+                JobSpec(seq=0, kind=JobKind.REFERENCE, dataset=job.dataset,
+                        algorithm=job.algorithm, seed=job.seed),
             )
-    if config.validate_outputs:
-        seen = set()
-        for _, dataset_id, algorithm in combos:
-            if (dataset_id, algorithm) in seen:
-                continue
-            seen.add((dataset_id, algorithm))
-            specs.append(
-                JobSpec(
-                    seq=next(counter),
-                    kind=JobKind.REFERENCE,
-                    dataset=dataset_id,
-                    algorithm=algorithm,
-                    seed=config.seed,
-                )
-            )
-    for platform, dataset_id, algorithm in combos:
-        for run_index in range(config.repetitions):
-            specs.append(
-                JobSpec(
-                    seq=next(counter),
-                    kind=JobKind.EXECUTE,
-                    dataset=dataset_id,
-                    platform=platform,
-                    algorithm=algorithm,
-                    run_index=run_index,
-                    machines=machines,
-                    threads=threads,
-                    seed=config.seed,
-                )
-            )
-    return specs
+    return [
+        replace(spec, seq=seq)
+        for seq, spec in enumerate(
+            (*materialize.values(), *reference.values(), *jobs)
+        )
+    ]
+
+
+def expand_matrix(config: BenchmarkConfig) -> List[JobSpec]:
+    """The DAG of the configured selection."""
+    return with_dependencies(
+        matrix_jobs(config), validate=config.validate_outputs
+    )
 
 
 class JobGraph:
@@ -180,10 +194,6 @@ class JobGraph:
         for node in self.nodes.values():
             if not node.deps:
                 node.state = NodeState.READY
-
-    @classmethod
-    def from_config(cls, config: BenchmarkConfig, **kwargs) -> "JobGraph":
-        return cls(expand_matrix(config), **kwargs)
 
     # -- queries -----------------------------------------------------------
 

@@ -37,7 +37,7 @@ from repro.runtime.executor import (
     execute_matrix,
     resolve_workers,
 )
-from repro.runtime.journal import RunJournal, config_from_payload
+from repro.runtime.journal import config_from_payload
 from repro.service.runs import CACHE_NAME, OUTCOME_NAME, REQUEST_NAME
 from repro.trace import Tracer, use_tracer
 
@@ -142,9 +142,9 @@ def execute_service_run(
                 # and resume after the first takes a disk hit.
                 cache_dir=run_dir.parent / CACHE_NAME,
             )
-            resume = RunJournal.journal_path(run_dir).exists()
+            # resume=None: from journal.jsonl when one exists.
             result = execute_matrix(
-                config, runtime, run_dir=run_dir, resume=resume
+                config, runtime, run_dir=run_dir, resume=None
             )
             atomic_write(
                 run_dir / "archive.json",

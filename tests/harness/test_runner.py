@@ -74,15 +74,21 @@ class TestCaching:
 
 
 class TestCanRun:
-    def test_sssp_needs_weights(self, runner):
-        assert runner.can_run("graphmat", get_dataset("R4"), "sssp")
-        assert not runner.can_run("graphmat", get_dataset("G22"), "sssp")
+    """What a ``run()`` skips: the one rule lives with the job lists."""
+
+    def test_sssp_needs_weights(self):
+        config = BenchmarkConfig(
+            platforms=["graphmat"], datasets=["R4", "G22"], algorithms=["sssp"]
+        )
+        assert [r.dataset for r in BenchmarkRunner(config).run()] == ["R4"]
 
     def test_openg_single_machine_only(self):
-        config = BenchmarkConfig(resources=ClusterResources(machines=2))
-        runner = BenchmarkRunner(config)
-        assert not runner.can_run("openg", get_dataset("D100"), "bfs")
-        assert runner.can_run("giraph", get_dataset("D100"), "bfs")
+        config = BenchmarkConfig(
+            platforms=["openg", "giraph"], datasets=["D100"],
+            algorithms=["bfs"], resources=ClusterResources(machines=2),
+        )
+        rows = BenchmarkRunner(config).run()
+        assert [r.platform for r in rows] == ["Giraph"]
 
 
 class TestBatchRun:

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.graph.generators import erdos_renyi
-from repro.harness.datasets import get_dataset
 from repro.platforms.base import JobStatus
 from repro.platforms.registry import (
     EXTRA_PLATFORMS,
@@ -18,6 +17,7 @@ from repro.platforms.registry import (
     create_driver,
     get_platform,
 )
+from repro.runtime.scheduler import can_run_combo
 
 NATIVE_PLATFORMS = ("giraph", "powergraph", "graphmat")
 
@@ -112,7 +112,7 @@ class TestNativeMode:
                 runner.run_job(platform, dataset, algorithm)
                 for dataset in ("G22", "R4")
                 for algorithm in ("bfs", "pr", "wcc", "cdlp", "sssp")
-                if runner.can_run(platform, get_dataset(dataset), algorithm)
+                if can_run_combo(platform, dataset, algorithm)
             ]
         assert len(rows) == 9  # G22 is unweighted: no SSSP
         spans = {s.span_id: s for s in tracer.finished_spans()}

@@ -59,6 +59,20 @@ class TestMeasuredExecution:
         result = driver.execute(handle, "pr")
         assert np.allclose(result.output, pagerank(handle.graph))
 
+    def test_every_row_reports_the_measured_upload(self):
+        # A refused job's row too: no engine formulates LCC.
+        driver = create_driver("pythonref-pregel")
+        handle = driver.upload(erdos_renyi(80, 0.1, weighted=True, seed=4))
+        refused = driver.execute(handle, "lcc")
+        ran = driver.execute(handle, "bfs", {"source_vertex": 0})
+        assert refused.status is JobStatus.NOT_SUPPORTED
+        assert ran.status is JobStatus.SUCCEEDED
+        assert (
+            refused.modeled_upload_time
+            == ran.modeled_upload_time
+            == handle.measured_upload_seconds
+        )
+
     def test_events_cover_makespan(self, driver, handle):
         result = driver.execute(handle, "wcc")
         assert [e["phase"] for e in result.events] == [

@@ -20,7 +20,6 @@ from repro.runtime.journal import (
     _encode_line,
     job_key,
     matrix_hash,
-    serial_job_key,
 )
 from repro.runtime.scheduler import expand_matrix
 
@@ -169,25 +168,28 @@ class TestReplayIndexes:
         journal.close()
         replay = RunJournal.load(tmp_path)
         assert set(replay.completed) == {"a"}
-        assert replay.attempt_starts == {"a": 2, "b": 1}
-        assert len(replay.failed_attempts["a"]) == 1
-        assert set(replay.failures) == {"b"}
+        assert len(replay.records) == 7
         assert not replay.complete
 
-    def test_take_serial_is_fifo_per_key(self, tmp_path):
-        journal = RunJournal.create(tmp_path, HEADER)
-        journal.append_many(
-            [
-                {"type": "serial-job", "key": "k", "result": {"n": 1}},
-                {"type": "serial-job", "key": "k", "result": {"n": 2}},
-            ]
-        )
+    @pytest.mark.parametrize(
+        "header, records",
+        [
+            ({"kind": "full-run", "seed": 0}, []),
+            ({"kind": "experiment", "seed": 0}, []),
+            (HEADER, [{"type": "serial-job", "key": "k", "result": {}}]),
+        ],
+        ids=["full-run", "experiment", "serial-job"],
+    )
+    def test_sequential_journal_of_an_older_build_is_refused(
+        self, tmp_path, header, records
+    ):
+        # Written by the serial path this build no longer has: replaying
+        # it as a job list would match nothing and re-run everything.
+        journal = RunJournal.create(tmp_path, header)
+        journal.append_many(records)
         journal.close()
-        replay = RunJournal.load(tmp_path)
-        assert replay.take_serial("k")["result"] == {"n": 1}
-        assert replay.take_serial("k")["result"] == {"n": 2}
-        assert replay.take_serial("k") is None
-        assert replay.take_serial("unknown") is None
+        with pytest.raises(JournalError, match="predates this build"):
+            RunJournal.load(tmp_path)
 
 
 class TestJobIdentity:
@@ -214,8 +216,25 @@ class TestJobIdentity:
             other, expand_matrix(other)
         )
 
-    def test_serial_key_is_case_insensitive_on_names(self):
-        kwargs = dict(machines=1, threads=None, run_index=0, seed=0)
-        assert serial_job_key("PowerGraph", "R1", "BFS", **kwargs) == (
-            serial_job_key("powergraph", "R1", "bfs", **kwargs)
+    def test_untagged_keys_are_the_ones_older_journals_recorded(self):
+        # Pinned from the build before job lists carried an experiment
+        # tag: a matrix journal in a service spool must still resume.
+        config = small_config()
+        specs = expand_matrix(config)
+        assert job_key(specs[0]) == (
+            "ae9d009788b61a26895e621e3b64730aec4631f88f7e82d27a8bebf2e2884f73"
+        )
+        assert job_key(specs[-1]) == (
+            "2bd06362eb178201547dc071737d19b686882b91261419a8204d80f9a2c041d6"
+        )
+        assert matrix_hash(config, specs) == (
+            "757641c0d20a35f6a1ade308377b471598674e31d733bcc04c3fee240ba641ba"
+        )
+
+    def test_experiment_tag_is_part_of_the_identity_when_set(self):
+        spec = expand_matrix(small_config())[-1]
+        tagged = dataclasses.replace(spec, experiment="variability")
+        assert job_key(tagged) != job_key(spec)
+        assert job_key(tagged) != job_key(
+            dataclasses.replace(spec, experiment="stress-test")
         )

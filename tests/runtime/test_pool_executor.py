@@ -19,7 +19,6 @@ from repro.runtime import (
     GraphCache,
     RuntimeConfig,
     execute_matrix,
-    prefetch_into_runner,
 )
 from repro.trace import Tracer, use_tracer
 
@@ -255,16 +254,14 @@ class TestCacheTraffic:
 
 class TestPrefetch:
     def test_pool_fills_the_directory_the_runner_reads(self, tmp_path):
+        # A runner that brings a directory shares it with the pool that
+        # runs its jobs; the next run over it builds nothing.
         config = _config(**WIDE)
+        first = BenchmarkRunner(config, GraphCache(tmp_path))
+        first.run(workers=2)
+        assert first.last_run.cache_stats.misses == WIDE_ARTIFACTS
+        assert first.cache.stats.misses == 0  # the workers built them
         runner = BenchmarkRunner(config, GraphCache(tmp_path))
-        outcome = prefetch_into_runner(
-            runner,
-            datasets=config.datasets,
-            algorithms=config.algorithms,
-            runtime=RuntimeConfig(workers=2),
-        )
-        assert outcome.job_count == 0 and outcome.dag_size == WIDE_ARTIFACTS
-        assert outcome.cache_stats.misses == WIDE_ARTIFACTS
         with use_tracer(Tracer()) as tracer:
             database = runner.run()
         assert "cache.miss" not in tracer.counters
@@ -272,12 +269,7 @@ class TestPrefetch:
         assert runner.cache.stats.misses == 0
         serial = BenchmarkRunner(config).run()
         assert database.canonical_json() == serial.canonical_json()
-
-    def test_runner_without_a_directory_is_refused(self):
-        with pytest.raises(ConfigurationError, match="directory"):
-            prefetch_into_runner(
-                BenchmarkRunner(_config()), datasets=["R1"], algorithms=["bfs"]
-            )
+        assert len(database) == len(first.database) == len(runner.database)
 
 
 class TestConfigValidation:

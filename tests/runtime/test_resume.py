@@ -3,17 +3,20 @@
 Crashes are simulated by cutting the journal file short (dropping the
 tail, including ``run-complete``) rather than by SIGKILL, which lets
 these tests pin the resume semantics precisely: bit-identical databases
-across worker counts, refusal of mismatched matrices, and serial-path
-(runner / experiment / full-run) replay.
+across worker counts, refusal of mismatched matrices and of journals an
+older build's serial path wrote, and the same resume for every kind of
+run (matrix / runner / experiment / full-run).
 """
 
 import os
+import shutil
+from pathlib import Path
 
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.harness.config import BenchmarkConfig
-from repro.harness.experiments import get_experiment
+from repro.harness.experiments import EXPERIMENTS, get_experiment
 from repro.harness.full_run import run_full_benchmark
 from repro.harness.runner import BenchmarkRunner
 from repro.runtime import (
@@ -21,8 +24,14 @@ from repro.runtime import (
     RunJournal,
     RuntimeConfig,
     execute_matrix,
+    job_key,
     resume_run,
 )
+
+#: ``journal.jsonl`` of an uninterrupted ``execute_matrix(small_config(),
+#: run_dir=...)``, written by the commit before experiments became job
+#: lists (its header still carries ``include_execute``).
+PARENT_JOURNAL = Path(__file__).parent / "fixtures" / "parent_matrix_journal.jsonl"
 
 WORKERS = int(os.environ.get("GRAPHALYTICS_TEST_WORKERS", "4"))
 
@@ -104,15 +113,70 @@ class TestResumeRefusals:
             )
 
     def test_resume_run_refuses_non_matrix_journal(self, tmp_path):
-        RunJournal.create(tmp_path, {"kind": "experiment"}).close()
-        with pytest.raises(JournalError, match="experiment"):
+        # What an older build's `run <experiment> --run-dir` left behind.
+        RunJournal.create(
+            tmp_path, {"kind": "experiment", "experiment": "variability"}
+        ).close()
+        with pytest.raises(JournalError, match="experiment.*predates"):
             resume_run(tmp_path)
+        RunJournal.create(tmp_path / "probe", {"kind": "probe"}).close()
+        with pytest.raises(JournalError, match="probe"):
+            resume_run(tmp_path / "probe")
 
     def test_fresh_journaled_run_refuses_existing_journal(self, tmp_path):
         run_dir = tmp_path / "run"
         execute_matrix(small_config(), run_dir=run_dir)
         with pytest.raises(JournalError, match="already exists"):
             execute_matrix(small_config(), run_dir=run_dir)
+
+
+@pytest.mark.parametrize("keep_lines", [None, 12], ids=["complete", "cut"])
+def test_matrix_journal_of_the_previous_build_resumes(tmp_path, keep_lines):
+    shutil.copy(PARENT_JOURNAL, RunJournal.journal_path(tmp_path))
+    if keep_lines:
+        cut_journal(tmp_path, keep_lines)
+    done = len(RunJournal.load(tmp_path).completed)
+    resumed = resume_run(tmp_path, RuntimeConfig(workers=1))
+    assert resumed.restored_jobs == done
+    assert done == (resumed.dag_size if keep_lines is None else 2)
+    assert resumed.lost_jobs == 0
+    assert (
+        resumed.database.canonical_json()
+        == execute_matrix(small_config()).database.canonical_json()
+    )
+
+
+def cut_in_half(run_dir) -> None:
+    """Keep the header, the scheduled batch and half of what follows."""
+    replay = RunJournal.load(run_dir)
+    head = 1 + sum(r["type"] == "job-scheduled" for r in replay.records)
+    cut_journal(run_dir, head + (1 + len(replay.records) - head) // 2)
+
+
+@pytest.mark.parametrize("experiment_id", list(EXPERIMENTS))
+class TestEveryExperimentIsAJobList:
+    def test_job_identities_are_unique(self, experiment_id):
+        keys = [job_key(job) for job in EXPERIMENTS[experiment_id].jobs(seed=0)]
+        assert len(set(keys)) == len(keys)
+
+    def test_same_report_on_two_workers_and_after_a_cut(
+        self, tmp_path, experiment_id
+    ):
+        experiment = EXPERIMENTS[experiment_id]
+        run_dir = tmp_path / "run"
+        serial = experiment.run(seed=0, run_dir=run_dir)
+        pooled = experiment.run(seed=0, runtime=RuntimeConfig(workers=2))
+        assert (pooled.rows, pooled.notes) == (serial.rows, serial.notes)
+
+        cut_in_half(run_dir)
+        path = RunJournal.journal_path(run_dir)
+        path.write_bytes(path.read_bytes() + b'0bad50da {"type": "job-')
+        runner = BenchmarkRunner(BenchmarkConfig(seed=0))
+        resumed = experiment.run(runner, run_dir=run_dir)
+        assert (resumed.rows, resumed.notes) == (serial.rows, serial.notes)
+        # Restored and re-executed rows alike land once, in job order.
+        assert len(runner.database) == len(experiment.jobs())
+        assert RunJournal.load(run_dir).complete
 
 
 class TestSerialRunnerResume:
@@ -142,7 +206,7 @@ class TestSerialRunnerResume:
         run_dir = tmp_path / "run"
         experiment = get_experiment("algorithm-variety")
         experiment.run(seed=0, run_dir=run_dir)
-        with pytest.raises(JournalError, match="seed"):
+        with pytest.raises(JournalError, match="matrix hash"):
             experiment.run(seed=1, run_dir=run_dir)
 
     def test_full_run_resume_is_bit_identical(self, tmp_path):

@@ -67,12 +67,12 @@ class TestExpansion:
 
 class TestJobGraphDependencies:
     def test_roots_are_materializations(self):
-        graph = JobGraph.from_config(_config())
+        graph = JobGraph(expand_matrix(_config()))
         ready = [n.spec.kind for n in graph.ready_jobs(now=0.0)]
         assert ready and set(ready) == {JobKind.MATERIALIZE}
 
     def test_completion_promotes_dependents(self):
-        graph = JobGraph.from_config(_config())
+        graph = JobGraph(expand_matrix(_config()))
         while graph.unfinished:
             ready = list(graph.ready_jobs(now=0.0))
             assert ready, "DAG stalled with unfinished jobs"
@@ -90,7 +90,7 @@ class TestRetryPolicy:
         config = _config(
             platforms=["powergraph"], datasets=["R1"], algorithms=["bfs"]
         )
-        graph = JobGraph.from_config(config, max_attempts=3,
+        graph = JobGraph(expand_matrix(config), max_attempts=3,
                                      backoff_base=0.5)
         node = next(graph.ready_jobs(now=0.0))
         graph.mark_running(node.seq, worker=0)
@@ -124,7 +124,7 @@ class TestRetryPolicy:
 
     def test_dependency_failure_cascades_to_all_dependents(self):
         config = _config(datasets=["R1"], algorithms=["bfs"])
-        graph = JobGraph.from_config(config, max_attempts=1)
+        graph = JobGraph(expand_matrix(config), max_attempts=1)
         root = next(graph.ready_jobs(now=0.0))
         assert root.spec.kind == JobKind.MATERIALIZE
         graph.mark_running(root.seq, worker=0)
@@ -139,7 +139,7 @@ class TestRetryPolicy:
         assert graph.unfinished == 0
 
     def test_next_wake_reports_backoff_and_deadlines(self):
-        graph = JobGraph.from_config(_config(), max_attempts=2,
+        graph = JobGraph(expand_matrix(_config()), max_attempts=2,
                                      backoff_base=1.0)
         first, second = list(graph.ready_jobs(now=0.0))[:2]
         graph.mark_running(first.seq, worker=0)
