@@ -10,7 +10,8 @@ Each product is one superstep-synchronous barrier:
    order (a ``shard-compute`` span, rebased onto the coordinator's
    timeline via the clock-offset handshake);
 2. **exchange** — the coordinator scatters each shard's ``y[owned]``
-   into the result vector (an ``exchange`` span);
+   into the result vector — or, for LCC, adds up the shards' integer
+   triangle counts before the one division (an ``exchange`` span);
 3. **barrier-wait** — per shard, the gap between its reply and the
    slowest shard's reply (one ``barrier-wait`` span per shard): the
    straggler cost that strong-scaling curves are made of.
@@ -42,12 +43,15 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from repro.algorithms.lcc import lcc_from_counts
 from repro.engines import engine_call, spmv
 from repro.engines.partitioned.partition import partition_graph
 from repro.engines.partitioned.shard import (
     READY,
+    SUMMED,
     Product,
     apply_product,
+    canonical,
     shard_main,
 )
 from repro.exceptions import ConfigurationError, GraphalyticsError
@@ -157,7 +161,7 @@ class _PipesTransport:
                     f"shard {shard_id} failed: {envelope.get('detail')}\n"
                     f"{envelope.get('traceback', '')}"
                 )
-            replies[shard_id] = envelope["body"]
+            replies[shard_id] = canonical(envelope["body"])
             arrivals[shard_id] = tracer.clock.now()
             outstanding.discard(shard_id)
 
@@ -374,11 +378,13 @@ class PartitionedEngine:
         return self._product("label_mode", (labels,), {})
 
     def lcc(self) -> np.ndarray:
-        return self._product("lcc", (), {})
+        return lcc_from_counts(self._product("lcc", (), {}))
 
     def _product(self, op: str, args: tuple, kwargs: Dict[str, object]) -> np.ndarray:
         """One barrier: every shard computes ``y[owned]`` for its row
-        block; the results are scattered into one dense vector."""
+        block; the results are scattered into one dense vector — or, for
+        a :data:`~repro.engines.partitioned.shard.SUMMED` product,
+        added up (exact integers: any order gives the same sum)."""
         tracer = current_tracer()
         index = self.supersteps
         self.supersteps += 1
@@ -389,10 +395,13 @@ class PartitionedEngine:
         ) as superstep:
             replies = self._transport.exchange((op, args, kwargs), superstep)
             with tracer.span("exchange", index=index):
-                y = np.empty(
-                    self.graph.num_vertices, dtype=replies[0].dtype
-                )
-                for partition in shards:
-                    y[partition.owned] = replies[partition.shard_id]
+                if op in SUMMED:
+                    y = sum(replies[p.shard_id] for p in shards)
+                else:
+                    y = np.empty(
+                        self.graph.num_vertices, dtype=replies[0].dtype
+                    )
+                    for partition in shards:
+                        y[partition.owned] = replies[partition.shard_id]
         return y
 

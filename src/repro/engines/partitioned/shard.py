@@ -8,7 +8,8 @@ state lives with the coordinator and arrives whole with every product.
 transport calls it in-process and :func:`shard_main` runs it under
 :func:`repro.proc.serve` (the same supervised-child loop as the runtime
 pool's workers), adding a ``partitioned.shard.step`` fault-point check
-that lets a chaos plan SIGKILL the shard mid-superstep.
+that lets a chaos plan SIGKILL the shard mid-superstep. Arrays that
+cross a pipe, either way, pass through :func:`canonical`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,10 @@ from repro.faults.points import IoFaultPlan, check, install_io_plan
 from repro.proc import serve
 from repro.trace import current_tracer
 
-__all__ = ["READY", "STEP_FAULT_POINT", "Product", "apply_product", "shard_main"]
+__all__ = [
+    "READY", "STEP_FAULT_POINT", "SUMMED", "Product", "apply_product",
+    "canonical", "shard_main",
+]
 
 #: Name in :data:`repro.faults.points.FAULT_POINTS`; checked before each
 #: product so a chaos plan can kill a shard mid-superstep.
@@ -36,11 +40,32 @@ Product = Tuple[str, tuple, Dict[str, object]]
 #: loop — before the first product is timed.
 READY: Product = ("ready", (), {})
 
+#: Products whose share is a full-length partial sum of exact integers
+#: (LCC's counts, each triangle found by the one shard owning its tail)
+#: rather than the owned rows: the coordinator adds these up.
+SUMMED = frozenset({"lcc"})
+
 
 def apply_product(block: SpMVEngine, product: Product) -> np.ndarray:
-    """This shard's share of one product: ``y[owned]``."""
+    """This shard's share of one product: ``y[owned]``, or the whole
+    partial sum for a :data:`SUMMED` product."""
     op, args, kwargs = product
-    return getattr(block, op)(*args, **kwargs)[block.rows]
+    y = getattr(block, op)(*args, **kwargs)
+    return y if op in SUMMED else y[block.rows]
+
+
+def canonical(value):
+    """``value`` as it came off a pipe, an array re-viewed with its
+    builtin dtype (a view: nothing is copied).
+
+    Unpickling rebuilds a dtype as a copy (``np.dtype.__reduce__``):
+    equal to ``float64``, say, but not numpy's own instance, and
+    ``np.minimum.at`` / ``np.maximum.at`` then leave their fast path
+    for a loop many times slower.
+    """
+    if isinstance(value, np.ndarray):
+        return value.view(value.dtype.type)
+    return value
 
 
 def shard_main(
@@ -64,9 +89,10 @@ def shard_main(
         # The chaos plane's hook: a kill-kind fault here is a shard
         # dying between the barrier and its compute.
         check(STEP_FAULT_POINT)
-        with current_tracer().span(
-            "shard-compute", shard=shard_id, op=product[0]
-        ):
-            reply["body"] = apply_product(block, product)
+        op, args, kwargs = product
+        with current_tracer().span("shard-compute", shard=shard_id, op=op):
+            reply["body"] = apply_product(
+                block, (op, tuple(canonical(arg) for arg in args), kwargs)
+            )
 
     serve(task_conn, result_conn, run_command, process=f"shard-{shard_id}")

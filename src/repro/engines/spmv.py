@@ -27,7 +27,7 @@ import numpy as np
 from repro.exceptions import GraphFormatError
 from repro.algorithms.cdlp import _most_frequent_min_label
 from repro.algorithms.common import expand_sources
-from repro.algorithms.lcc import local_clustering_coefficient
+from repro.algorithms.lcc import lcc_counts
 from repro.algorithms.sssp import check_sssp_input
 from repro.graph.graph import Graph
 from repro.trace import current_tracer
@@ -172,9 +172,12 @@ class SpMVEngine:
         )
 
     def lcc(self) -> np.ndarray:
-        """The per-row kernel no semiring expresses: each row's local
-        clustering coefficient, from that row's neighborhood alone."""
-        return local_clustering_coefficient(self.graph, vertices=self.rows)
+        """The product no semiring expresses: LCC's integer counts
+        (:func:`repro.algorithms.lcc.lcc_counts`) over the triangles
+        whose tail is in this block's rows. Unlike the other products
+        it is full-length: a triangle credits all three of its corners,
+        owned here or not, so blocks' counts are summed, not scattered."""
+        return lcc_counts(self.graph, tails=self.rows)
 
 
 _UNREACHED = np.iinfo(np.int64).max
