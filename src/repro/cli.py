@@ -50,20 +50,6 @@ def _workers_type(value: str):
         )
 
 
-def _add_partition_arguments(parser) -> None:
-    """``--partitions``/``--partition-strategy``: sharded pythonref runs."""
-    parser.add_argument(
-        "--partitions", type=_workers_type, default=None,
-        help="shard the measured pythonref platform across this many "
-             "partition workers ('auto' = the host CPU count; outputs "
-             "are bit-identical at any shard count, see docs/scaling.md)",
-    )
-    parser.add_argument(
-        "--partition-strategy", choices=("hash", "range"), default="hash",
-        help="edge-cut partitioning strategy for --partitions",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="graphalytics",
@@ -155,7 +141,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="journal the run under this directory (crash-safe; an "
              "existing journal of the same matrix is resumed)",
     )
-    _add_partition_arguments(report)
+    report.add_argument(
+        "--machines", type=int, default=1,
+        help="machines per job; pythonref runs on that many shards "
+             "(bit-identical outputs, see docs/scaling.md) and "
+             "non-distributed platforms are skipped",
+    )
 
     val = sub.add_parser(
         "validate",
@@ -405,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--breaker-cooldown", type=float, default=30.0,
         help="seconds an open circuit sheds a tenant's submissions",
     )
-    _add_partition_arguments(serve)
 
     submit = sub.add_parser(
         "submit", help="submit a benchmark matrix to the service"
@@ -438,7 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--watch", action="store_true",
         help="stay attached and stream the run's events after submitting",
     )
-    _add_partition_arguments(submit)
 
     watch = sub.add_parser(
         "watch", help="stream a service run's journal + trace as it executes"
@@ -649,6 +638,8 @@ def _cmd_report(args) -> int:
     from repro.harness.config import BenchmarkConfig
     from repro.harness.report import render_report, save_report
     from repro.harness.runner import BenchmarkRunner
+    from repro.platforms.cluster import ClusterResources
+    from repro.runtime.executor import RuntimeConfig, resolve_workers
 
     overrides = {}
     if args.platforms:
@@ -657,16 +648,9 @@ def _cmd_report(args) -> int:
         overrides["datasets"] = args.datasets
     if args.algorithms:
         overrides["algorithms"] = args.algorithms
-    from repro.runtime.executor import (
-        RuntimeConfig,
-        resolve_partitions,
-        resolve_workers,
-    )
-
     config = BenchmarkConfig(
         seed=args.seed,
-        partitions=resolve_partitions(args.partitions),
-        partition_strategy=args.partition_strategy,
+        resources=ClusterResources(machines=args.machines),
         **overrides,
     )
     runner = BenchmarkRunner(config)
@@ -989,16 +973,15 @@ def _cmd_full_run(args) -> int:
 
 def _cmd_resume(args) -> int:
     from repro.runtime.executor import RuntimeConfig, resolve_workers, resume_run
-    from repro.runtime.journal import RunJournal
 
-    replay = RunJournal.load(args.run_dir)
-    if replay.truncated_bytes:
-        print(f"# journal: dropped a torn tail of "
-              f"{replay.truncated_bytes} byte(s)")
     runtime = RuntimeConfig(
         workers=resolve_workers(args.workers), job_timeout=args.job_timeout
     )
     outcome = resume_run(args.run_dir, runtime)
+    replay = outcome.replay
+    if replay.truncated_bytes:
+        print(f"# journal: dropped a torn tail of "
+              f"{replay.truncated_bytes} byte(s)")
     print(f"# journal: restored {outcome.restored_jobs} of "
           f"{outcome.dag_size} job(s); "
           f"{outcome.dag_size - outcome.restored_jobs} executed now")
@@ -1113,8 +1096,6 @@ def _cmd_serve(args) -> int:
         run_backoff_base=args.run_backoff,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,
-        partitions=args.partitions,
-        partition_strategy=args.partition_strategy,
     )
 
     async def serve() -> None:
@@ -1156,11 +1137,6 @@ def _cmd_submit(args) -> int:
 
     client = ServiceClient(args.host, args.port)
     matrix = _load_matrix_argument(args.matrix)
-    if args.partitions is not None and isinstance(matrix, dict):
-        # Partitioning rides the matrix payload itself: the run child
-        # rebuilds the config via config_from_payload, no protocol change.
-        matrix["partitions"] = args.partitions
-        matrix["partition_strategy"] = args.partition_strategy
     chaos = None
     if args.chaos:
         with open(args.chaos, "r", encoding="utf-8") as handle:

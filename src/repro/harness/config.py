@@ -7,9 +7,8 @@ subset of the workload and pick the resources of the system under test.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import List
 
 from repro.exceptions import ConfigurationError
 from repro.algorithms.registry import ALGORITHMS
@@ -36,13 +35,6 @@ class BenchmarkConfig:
     #: Skip (platform, dataset, algorithm) combos the platform cannot run
     #: (e.g. SSSP on unweighted datasets) instead of erroring.
     skip_impossible: bool = True
-    #: Shard count for the partitioned engine (pythonref only). ``None``
-    #: keeps the single-process engines; ``"auto"`` sizes to the host
-    #: CPUs; >= 1 routes execution through
-    #: :mod:`repro.engines.partitioned` with that many shard workers.
-    partitions: Optional[int] = None
-    #: Edge-cut strategy for the partitioned engine ("hash" or "range").
-    partition_strategy: str = "hash"
 
     def __post_init__(self):
         self.platforms = [p.lower() for p in self.platforms]
@@ -61,25 +53,6 @@ class BenchmarkConfig:
             raise ConfigurationError("repetitions must be >= 1")
         if self.sla_seconds <= 0:
             raise ConfigurationError("sla_seconds must be positive")
-        if self.partitions is not None:
-            if self.partitions == "auto":
-                self.partitions = os.cpu_count() or 1
-            try:
-                self.partitions = int(self.partitions)
-            except (TypeError, ValueError):
-                raise ConfigurationError(
-                    f"partitions must be a positive integer or 'auto', "
-                    f"got {self.partitions!r}"
-                )
-            if self.partitions < 1:
-                raise ConfigurationError("partitions must be >= 1")
-        from repro.engines.partitioned.partition import PARTITION_STRATEGIES
-
-        if self.partition_strategy not in PARTITION_STRATEGIES:
-            raise ConfigurationError(
-                f"unknown partition strategy: {self.partition_strategy!r} "
-                f"(expected one of {PARTITION_STRATEGIES})"
-            )
 
     def subset(self, **overrides) -> "BenchmarkConfig":
         """A copy with the given fields replaced."""
@@ -93,8 +66,6 @@ class BenchmarkConfig:
             "validate_outputs": self.validate_outputs,
             "sla_seconds": self.sla_seconds,
             "skip_impossible": self.skip_impossible,
-            "partitions": self.partitions,
-            "partition_strategy": self.partition_strategy,
         }
         data.update(overrides)
         return BenchmarkConfig(**data)

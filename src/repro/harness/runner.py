@@ -55,15 +55,7 @@ class BenchmarkRunner:
     def driver(self, platform: str) -> PlatformDriver:
         platform = platform.lower()
         if platform not in self._drivers:
-            kwargs = {}
-            if platform == "pythonref" and self.config.partitions is not None:
-                # Only the measured kernels path shards: a modeled driver
-                # has nothing to shard, an engine path measures its model.
-                kwargs = {
-                    "partitions": self.config.partitions,
-                    "partition_strategy": self.config.partition_strategy,
-                }
-            self._drivers[platform] = create_driver(platform, **kwargs)
+            self._drivers[platform] = create_driver(platform)
         return self._drivers[platform]
 
     def _handle(self, platform: str, dataset: Dataset) -> UploadHandle:

@@ -22,12 +22,10 @@ the engines of :mod:`repro.engines` are further measured platforms
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Optional
 
 # Imported with the platforms, never by a job: an import inside a timed
 # ``processing`` span would be reported as T_proc (paper §2.5).
 from repro.engines import engine_call, gas, pregel, spmv
-from repro.exceptions import ConfigurationError
 from repro.platforms.base import (
     JobResult,
     JobStatus,
@@ -46,27 +44,28 @@ REFERENCE_INFO = PlatformInfo(
     language="Python",
     programming_model="NumPy kernels",
     origin="community",
-    distributed=False,
+    distributed=True,  # machines >= 2: the graph's hash shards
     version="1.0",
 )
 
 #: Execution path -> (roster entry, engine module; None: the numpy
 #: kernels themselves). Each engine of :mod:`repro.engines` is a
-#: platform of its own (requirement R1: any programming model competes).
+#: platform of its own (requirement R1: any programming model competes);
+#: only the kernels shard, so only they take more than one machine.
 MEASURED_PATHS = {"kernels": (REFERENCE_INFO, None)}
 for _model, _engine in (("Pregel", pregel), ("GAS", gas), ("SpMV", spmv)):
     MEASURED_PATHS[_model.lower()] = (
         replace(REFERENCE_INFO, name=f"PythonRef-{_model}",
-                programming_model=_model),
+                programming_model=_model, distributed=False),
         _engine,
     )
 
 #: A minimal model: the base class wants one, but every time a measured
-#: platform reports comes from the clock.
+#: platform reports comes from the clock. Each path takes it with its
+#: roster entry's ``distributed``.
 _REFERENCE_MODEL = PerformanceModel(
     base_evps=1.0,            # unused: _execute() reports the wall-clock
     tproc_floor=0.0,
-    distributed=False,
     bytes_per_element=200.0,  # numpy CSR + Python overhead, measured scale
     fixed_overhead=0.0,
     load_rate=50e6,
@@ -81,13 +80,13 @@ class ReferenceDriver(PlatformDriver):
     is the measured time. No engine formulates LCC, so an engine path
     reports it ``not-supported`` — it never times another path's code.
 
-    With ``partitions`` set, the kernels path routes through the sharded
-    engine in :mod:`repro.engines.partitioned` instead of the
-    single-process kernels. Outputs are bit-identical either way for all
-    six algorithms (the partitioned engine's core contract: every shard
-    reduces its rows in the kernels' slot order), so the switch changes
-    only *how* the measured wall-clock is produced — which is exactly
-    what the scaling experiments need.
+    On ``resources.machines`` >= 2 the kernels path runs on that many
+    hash shards of :mod:`repro.engines.partitioned` instead of in
+    process. Outputs are bit-identical either way for all six algorithms
+    (the partitioned engine's core contract: every shard reduces its
+    rows in the kernels' slot order), so the machine count changes only
+    *how* the measured wall-clock is produced — which is exactly what
+    the scaling experiments need.
 
     The shards are part of the *uploaded graph*, not of a job: they are
     deployed during an execution's ``load`` phase (a no-op from the
@@ -95,23 +94,13 @@ class ReferenceDriver(PlatformDriver):
     not depend on which job came first; :meth:`delete` stops them.
     """
 
-    def __init__(
-        self,
-        partitions: Optional[int] = None,
-        partition_strategy: str = "hash",
-        *,
-        path: str = "kernels",
-    ):
+    def __init__(self, *, path: str = "kernels"):
         info, self.engine = MEASURED_PATHS[path]
         if self.engine is not None:
-            if partitions is not None:
-                raise ConfigurationError(
-                    f"only the kernels path shards, not {path!r}"
-                )
             self.unsupported_algorithms = frozenset({"lcc"})
-        super().__init__(info, _REFERENCE_MODEL)
-        self.partitions = partitions
-        self.partition_strategy = partition_strategy
+        super().__init__(
+            info, replace(_REFERENCE_MODEL, distributed=info.distributed)
+        )
 
     def upload(self, graph, profile=None) -> UploadHandle:
         """Every row of a measured platform — a refused job's too —
@@ -120,32 +109,17 @@ class ReferenceDriver(PlatformDriver):
         handle.modeled_upload_time = handle.measured_upload_seconds
         return handle
 
-    def _deploy(self, graph):
-        """The graph's live sharded engine (started if need be)."""
-        # Imported lazily: this driver is imported by everything that
-        # names a platform, the sharded engine only when it is used.
-        from repro.engines.partitioned import deploy
-
-        return deploy(
-            graph,
-            partitions=self.partitions,
-            strategy=self.partition_strategy,
-        )
-
     def _run_algorithm(self, algorithm: str, graph, params):
         if self.engine is not None:
             return engine_call(self.engine, algorithm, params)(graph)
-        if self.partitions is None:
-            return super()._run_algorithm(algorithm, graph, params)
-        return self._deploy(graph).run(algorithm, params)
+        return super()._run_algorithm(algorithm, graph, params)
 
     def delete(self, handle: UploadHandle) -> None:
         """Release the graph and stop the shards deployed on it."""
         super().delete(handle)
-        if self.partitions is not None:
-            from repro.engines.partitioned import undeploy
+        from repro.engines.partitioned import undeploy
 
-            undeploy(handle.graph)
+        undeploy(handle.graph)
 
     def _execute(
         self, row, handle, algorithm, params, resources, run_index, seed
@@ -163,14 +137,22 @@ class ReferenceDriver(PlatformDriver):
                     _ = graph.out_indptr[-1]  # ensure CSR is hot
                 with tracer.span("in-csr") as in_span:
                     _ = graph.in_indptr[-1]
-                if self.partitions is not None:
-                    # Platform start-up is not processing time (§2.5).
-                    self._deploy(graph)
+                shards = None
+                if resources.machines > 1:
+                    # Imported here, not with the platforms: only a
+                    # sharded job loads the sharded engine. Platform
+                    # start-up is not processing time (§2.5).
+                    from repro.engines.partitioned import deploy
+
+                    shards = deploy(graph, partitions=resources.machines)
             with tracer.span("processing", algorithm=algorithm) as proc_span:
                 # Through the driver lifecycle hook, like every other
                 # driver (lint rule CON002): execution stays swappable.
                 with tracer.span("kernel", algorithm=algorithm) as kernel_span:
-                    output = self._run_algorithm(algorithm, graph, params)
+                    output = (
+                        self._run_algorithm(algorithm, graph, params)
+                        if shards is None else shards.run(algorithm, params)
+                    )
         load_seconds = load_span.duration
         measured = proc_span.duration
 

@@ -61,7 +61,6 @@ __all__ = [
     "RuntimeRunResult",
     "execute_matrix",
     "example_matrix",
-    "resolve_partitions",
     "resolve_workers",
     "resume_run",
 ]
@@ -107,24 +106,6 @@ def resolve_workers(
         )
         return available
     return count
-
-
-def resolve_partitions(
-    requested: Union[int, str, None], *, available: Optional[int] = None
-) -> Optional[int]:
-    """Effective shard count for the partitioned engine.
-
-    ``None`` means "no partitioning" (the single-process engines run);
-    ``"auto"`` or an integer delegate to :func:`resolve_workers`, so
-    shard sizing follows the same host-adaptive policy as the worker
-    pool — sized to the CPUs for ``"auto"``, capped with a warning when
-    a request oversubscribes the host. Because partitioned outputs are
-    bit-identical at any shard count, the cap changes only performance,
-    never results.
-    """
-    if requested is None:
-        return None
-    return resolve_workers(requested, available=available)
 
 
 #: Dispatcher tick in pool mode (seconds): how long one wait for a
@@ -193,6 +174,9 @@ class RuntimeRunResult:
     #: Durability-downgrade flags the run accumulated (e.g. the journal
     #: disabling itself on ENOSPC) — empty for a fully durable run.
     degraded: List[str] = field(default_factory=list)
+    #: What the journal held before a resume (its header, any torn tail
+    #: dropped); ``None`` for a fresh run.
+    replay: Optional[JournalReplay] = None
     #: The ``matrix-run`` root span followed by its phase spans, closed:
     #: what :meth:`archive` is built from.
     _spans: List[Span] = field(default_factory=list, repr=False)
@@ -717,7 +701,7 @@ def execute_matrix(
     runtime: Optional[RuntimeConfig] = None,
     *,
     run_dir: Optional[Union[str, Path]] = None,
-    resume: Optional[bool] = False,
+    resume: Union[bool, None, JournalReplay] = False,
     jobs: Optional[Sequence[JobSpec]] = None,
     runner: Optional[BenchmarkRunner] = None,
     header: Optional[Dict[str, object]] = None,
@@ -738,9 +722,11 @@ def execute_matrix(
     ``resume=True`` (``None``: when a journal exists) the journal is
     replayed first and only the remainder of the DAG executes — the
     merged database is bit-identical (under ``canonical_json``) to an
-    uninterrupted run. Runtime knobs (workers, mode, timeouts) are *not*
-    part of the journaled identity, so a resume may use a different
-    worker count. ``header`` adds fields to a fresh journal's header.
+    uninterrupted run (a :class:`JournalReplay` already loaded from
+    ``run_dir`` resumes from it without reading the journal again).
+    Runtime knobs (workers, mode, timeouts) are *not* part of the
+    journaled identity, so a resume may use a different worker count.
+    ``header`` adds fields to a fresh journal's header.
     """
     runtime = runtime or RuntimeConfig()
     if resume and run_dir is None:
@@ -800,6 +786,7 @@ def execute_matrix(
         run_dir=run_dir,
         trace_path=journaled.trace_path,
         degraded=list(run.journal.degraded) if run.journal is not None else [],
+        replay=journaled.replay,
         _spans=run.run_spans(),
     )
 
@@ -816,7 +803,8 @@ def resume_run(
     from the crashed run's. Resuming an already-complete journal
     re-executes nothing and simply rebuilds the database (idempotent).
     """
-    header = RunJournal.load(run_dir).header
+    replay = RunJournal.load(run_dir)
+    header = replay.header
     if header.get("kind") != "matrix":
         raise JournalError(
             f"{RunJournal.journal_path(run_dir)} records a "
@@ -829,5 +817,5 @@ def resume_run(
 
         jobs = suite_jobs(header["experiments"], config.seed)
     return execute_matrix(
-        config, runtime, run_dir=run_dir, resume=True, jobs=jobs
+        config, runtime, run_dir=run_dir, resume=replay, jobs=jobs
     )

@@ -129,8 +129,6 @@ def config_payload(config) -> Dict[str, object]:
         "validate_outputs": config.validate_outputs,
         "sla_seconds": config.sla_seconds,
         "skip_impossible": config.skip_impossible,
-        "partitions": config.partitions,
-        "partition_strategy": config.partition_strategy,
         "resources": {
             "machines": config.resources.machines,
             "threads": config.resources.threads,
@@ -143,6 +141,14 @@ def config_from_payload(payload: Dict[str, object]):
     from repro.harness.config import BenchmarkConfig
     from repro.platforms.cluster import ClusterResources
 
+    if payload.get("partitions") is not None:
+        # An older build's shard knob; shards are machines now, and its
+        # rows would be keyed to another matrix.
+        raise JournalError(
+            f"config records partitions={payload['partitions']!r}: it "
+            f"predates this build, which shards on resources.machines; "
+            f"it cannot be resumed — start the run again with machines"
+        )
     resources = payload.get("resources", {})
     return BenchmarkConfig(
         platforms=list(payload["platforms"]),
@@ -157,10 +163,6 @@ def config_from_payload(payload: Dict[str, object]):
         validate_outputs=bool(payload["validate_outputs"]),
         sla_seconds=float(payload["sla_seconds"]),
         skip_impossible=bool(payload["skip_impossible"]),
-        # Passed through raw: BenchmarkConfig normalizes "auto"/ints and
-        # rejects garbage, so submitted matrices share one validation path.
-        partitions=payload.get("partitions"),
-        partition_strategy=str(payload.get("partition_strategy", "hash")),
     )
 
 
@@ -172,7 +174,13 @@ def matrix_hash(config, specs: Sequence) -> str:
     """
     payload = json.dumps(
         {
-            "config": config_payload(config),
+            # The retired shard knob at the value every resumable older
+            # journal recorded, so their hashes still match.
+            "config": {
+                **config_payload(config),
+                "partitions": None,
+                "partition_strategy": "hash",
+            },
             "jobs": [job_key(spec) for spec in specs],
         },
         sort_keys=True,
@@ -499,7 +507,7 @@ def journaled_run(
     run_dir: Union[str, Path, None],
     header: Dict[str, object],
     *,
-    resume: Optional[bool],
+    resume: Union[bool, None, JournalReplay],
     since: Tuple[int, Dict[str, float]],
 ):
     """The journal and trace of one run, from open to ``run-complete``.
@@ -507,11 +515,13 @@ def journaled_run(
     Entering opens ``<run_dir>/journal.jsonl``: a fresh journal
     starting with ``header``, or — when ``resume`` (``None``: when one
     exists) — the existing one, which must record the ``matrix_hash``
-    of ``header``. Leaving normally appends ``run-complete``, closes
-    the journal and exports the spans and counter deltas recorded since
-    ``since`` — a ``(tracer.mark(), tracer.counters)`` pair — to
-    ``<run_dir>/trace.jsonl``. With ``run_dir=None`` nothing is opened
-    or written; the block still learns its counter deltas.
+    of ``header`` (a ``resume`` that is a :class:`JournalReplay` is that
+    journal, already loaded). Leaving normally appends
+    ``run-complete``, closes the journal and exports the spans and
+    counter deltas recorded since ``since`` — a ``(tracer.mark(),
+    tracer.counters)`` pair — to ``<run_dir>/trace.jsonl``. With
+    ``run_dir=None`` nothing is opened or written; the block still
+    learns its counter deltas.
     """
     tracer = current_tracer()
     mark, before = since
@@ -522,7 +532,10 @@ def journaled_run(
         if resume is None:
             resume = path.exists()
         if resume:
-            run.replay = RunJournal.load(run_dir)
+            run.replay = (
+                resume if isinstance(resume, JournalReplay)
+                else RunJournal.load(run_dir)
+            )
             recorded = run.replay.header.get("matrix_hash")
             if recorded != header["matrix_hash"]:
                 raise JournalError(

@@ -23,6 +23,7 @@ statically).
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional
 
 from repro.harness.config import BenchmarkConfig
@@ -102,12 +103,11 @@ def _worker_main(
     try:
         serve(task_conn, result_conn, run_task, process=f"worker-{worker_id}")
     finally:
-        # A sharded pythonref job left its graph's shards deployed.
-        # Imported here: whoever built ``config`` has loaded the engine
-        # already; a process that only imports this module need not.
-        from repro.engines.partitioned import undeploy
-
-        undeploy()
+        # A sharded pythonref job left its graph's shards deployed; a
+        # worker that never ran one never loaded the engine.
+        partitioned = sys.modules.get("repro.engines.partitioned")
+        if partitioned is not None:
+            partitioned.undeploy()
 
 
 class WorkerPool:

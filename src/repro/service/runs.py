@@ -97,15 +97,9 @@ def normalize_matrix(payload: object) -> Dict[str, object]:
         ("validate_outputs", bool),
         ("sla_seconds", float),
         ("skip_impossible", bool),
-        ("partition_strategy", str),
     ):
         if key in payload:
             kwargs[key] = convert(payload[key])
-    if "partitions" in payload:
-        partitions = payload["partitions"]
-        kwargs["partitions"] = (
-            int(partitions) if partitions is not None else None
-        )
     resources = payload.get("resources")
     if resources is not None:
         if not isinstance(resources, Mapping):
@@ -118,11 +112,14 @@ def normalize_matrix(payload: object) -> Dict[str, object]:
     unknown = set(payload) - {
         "platforms", "datasets", "algorithms", "repetitions", "seed",
         "validate_outputs", "sla_seconds", "skip_impossible", "resources",
-        "partitions", "partition_strategy",
     }
     if unknown:
+        hint = (
+            "; shards are machines: ask for them with resources.machines"
+            if "partitions" in unknown else ""
+        )
         raise ConfigurationError(
-            f"unknown matrix key(s): {sorted(unknown)}"
+            f"unknown matrix key(s): {sorted(unknown)}{hint}"
         )
     return config_payload(BenchmarkConfig(**kwargs))
 

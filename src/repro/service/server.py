@@ -105,11 +105,6 @@ class ServiceConfig:
     #: circuit, and how long it sheds submissions (503 + Retry-After).
     breaker_threshold: int = 3
     breaker_cooldown: float = 30.0
-    #: Default shard count for pythonref jobs, applied to submitted
-    #: matrices that do not choose one themselves ("auto" = run-child
-    #: host CPUs; None = single-process engines).
-    partitions: Union[int, str, None] = None
-    partition_strategy: str = "hash"
 
     def __post_init__(self):
         if self.max_running < 1:
@@ -454,18 +449,6 @@ class BenchmarkService:
         matrix = body.get("matrix")
         if matrix is None:
             raise ProtocolError("submission lacks a 'matrix' object")
-        if (
-            self.config.partitions is not None
-            and isinstance(matrix, dict)
-            and matrix.get("partitions") is None
-        ):
-            # Service-wide partitioning default; an explicit choice in
-            # the submitted matrix always wins.
-            matrix = {
-                **matrix,
-                "partitions": self.config.partitions,
-                "partition_strategy": self.config.partition_strategy,
-            }
         chaos = body.get("chaos")
         if chaos is not None:
             if not isinstance(chaos, dict):

@@ -139,12 +139,22 @@ class TestNativeMode:
         assert inside <= {"kernel", "superstep", "iteration", "round"}
 
     def test_partitions_reach_the_kernels_path_only(self):
+        """Shards are machines, and only the kernels shard: an engine
+        path's multi-machine cell is refused by the one runnable rule
+        (skipped in a matrix, ``NA`` in an experiment), never raised."""
         from repro.harness.config import BenchmarkConfig
-        from repro.harness.runner import BenchmarkRunner
+        from repro.platforms.cluster import ClusterResources
+        from repro.runtime.scheduler import matrix_jobs
 
-        runner = BenchmarkRunner(BenchmarkConfig(seed=0, partitions=2))
-        assert runner.driver("pythonref").partitions == 2
-        assert runner.driver("pythonref-spmv").partitions is None
+        assert can_run_combo("pythonref", "R1", "bfs", machines=2)
+        for platform in ("pythonref-pregel", "pythonref-gas", "pythonref-spmv"):
+            assert can_run_combo(platform, "R1", "bfs", machines=1)
+            assert not can_run_combo(platform, "R1", "bfs", machines=2)
+        config = BenchmarkConfig(
+            platforms=list(EXTRA_PLATFORMS), datasets=["R1"],
+            algorithms=["bfs"], resources=ClusterResources(machines=2),
+        )
+        assert [job.platform for job in matrix_jobs(config)] == ["pythonref"]
 
     def test_execution_option_is_gone(self):
         """Modeled drivers always run the reference kernels."""

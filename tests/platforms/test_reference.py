@@ -14,6 +14,7 @@ from repro.graph.generators import erdos_renyi
 from repro.harness.config import BenchmarkConfig
 from repro.harness.runner import BenchmarkRunner
 from repro.platforms.base import JobStatus
+from repro.platforms.cluster import ClusterResources
 from repro.platforms.registry import EXTRA_PLATFORMS, PLATFORMS, create_driver
 from tests.runtime.test_pool_executor import PROC_GROUP_SCAN
 
@@ -34,8 +35,11 @@ class TestRoster:
         assert "pythonref" in EXTRA_PLATFORMS
 
     def test_info(self, driver):
-        assert driver.info.type_code == "C, S"
+        # Distributed: its machines are the graph's shards. The engine
+        # paths do not shard.
+        assert driver.info.type_code == "C, D"
         assert driver.name == "PythonRef"
+        assert create_driver("pythonref-spmv").info.type_code == "C, S"
 
     def test_supports_everything(self, driver):
         assert len(driver.supported_algorithms()) == 6
@@ -91,23 +95,31 @@ class TestMeasuredExecution:
 
 
 class TestShardedRouting:
-    def test_partitions_change_no_byte_of_any_output(self):
+    def test_partitions_change_no_byte_of_any_output(self, driver):
+        """Machines are shards: every algorithm's output at 2 and 3
+        machines is the in-process kernels' (1 machine), byte for byte."""
         from repro.algorithms.registry import ALGORITHMS
         from repro.harness.datasets import get_dataset
-        from repro.platforms.reference import ReferenceDriver
+        from repro.runtime.scheduler import can_run_combo
 
-        dataset = get_dataset("D100")
-        graph = dataset.materialize(0)
-        plain, sharded = ReferenceDriver(), ReferenceDriver(partitions=2)
-        handles = plain.upload(graph), sharded.upload(graph)
-        for algorithm in sorted(ALGORITHMS):
-            params = dataset.algorithm_parameters(algorithm, 0)
-            expected, actual = (
-                driver.execute(handle, algorithm, params).output
-                for driver, handle in zip((plain, sharded), handles)
-            )
-            assert actual.dtype == expected.dtype, algorithm
-            assert actual.tobytes() == expected.tobytes(), algorithm
+        for dataset_id in ("D100", "R4", "G22"):
+            dataset = get_dataset(dataset_id)
+            handle = driver.upload(dataset.materialize(0))
+            for algorithm in sorted(ALGORITHMS):
+                if not can_run_combo("pythonref", dataset_id, algorithm):
+                    continue
+                params = dataset.algorithm_parameters(algorithm, 0)
+                expected, *sharded = (
+                    driver.execute(
+                        handle, algorithm, params,
+                        ClusterResources(machines=machines),
+                    ).output
+                    for machines in (1, 2, 3)
+                )
+                for actual in sharded:
+                    assert actual.dtype == expected.dtype, algorithm
+                    assert actual.tobytes() == expected.tobytes(), algorithm
+            driver.delete(handle)
 
     def test_tproc_never_carries_the_deployment(self):
         """Platform start-up is not processing time (paper §2.5): the
@@ -120,12 +132,14 @@ class TestShardedRouting:
         from repro.platforms.reference import ReferenceDriver
         from repro.trace import Tracer, use_tracer
 
-        driver = ReferenceDriver(partitions=2)
+        driver = ReferenceDriver()
         tracer = Tracer()
         with use_tracer(tracer):
             handle = driver.upload(get_dataset("G22").materialize(0))
             for algorithm in ("wcc", "pr", "lcc"):
-                driver.execute(handle, algorithm)
+                driver.execute(
+                    handle, algorithm, resources=ClusterResources(machines=2)
+                )
         spans = {s.span_id: s for s in tracer.finished_spans()}
 
         def ancestors(span):
@@ -168,12 +182,15 @@ from repro.exceptions import ConfigurationError
 from repro.harness.datasets import get_dataset
 from repro.platforms.registry import create_driver
 
-driver = create_driver("pythonref", **json.loads(sys.argv[1]))
+from repro.platforms.cluster import ClusterResources
+
+resources = ClusterResources(**json.loads(sys.argv[1]))
+driver = create_driver("pythonref")
 handle = driver.upload(get_dataset("G22").materialize(0))
-assert driver.execute(handle, "wcc").succeeded
+assert driver.execute(handle, "wcc", resources=resources).succeeded
 driver.delete(handle)
 try:
-    driver.execute(handle, "wcc")
+    driver.execute(handle, "wcc", resources=resources)
     verdict = "executed"
 except ConfigurationError as error:
     verdict = str(error)
@@ -190,7 +207,7 @@ class TestDeletedHandle:
     @pytest.mark.skipif(
         not Path("/proc/self/stat").exists(), reason="needs Linux /proc"
     )
-    @pytest.mark.parametrize("options", [{}, {"partitions": 2}], ids=str)
+    @pytest.mark.parametrize("options", [{}, {"machines": 2}], ids=str)
     def test_execute_after_delete_raises_and_leaves_no_shard(self, options):
         src = Path(__file__).resolve().parents[2] / "src"
         run = subprocess.run(
@@ -227,11 +244,19 @@ class TestHarnessIntegration:
             # still recorded consistently.
             assert result.eps > 0
 
-    def test_multi_machine_rejected(self, driver, handle):
-        from repro.exceptions import ConfigurationError
-        from repro.platforms.cluster import ClusterResources
-
-        with pytest.raises(ConfigurationError):
+    def test_multi_machine_rejected(self, handle):
+        # Only the kernels path shards; an engine path is one process.
+        driver = create_driver("pythonref-gas")
+        with pytest.raises(ConfigurationError, match="non-distributed"):
             driver.execute(
                 handle, "wcc", resources=ClusterResources(machines=2)
             )
+
+    def test_sharded_row_records_its_machines(self):
+        config = BenchmarkConfig(
+            platforms=["pythonref"], datasets=["R1"], algorithms=["wcc"],
+            resources=ClusterResources(machines=2),
+        )
+        (row,) = BenchmarkRunner(config).run()
+        assert row.succeeded and row.validated is True
+        assert row.machines == 2

@@ -4,7 +4,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.harness.datasets import get_dataset
-from repro.platforms.registry import create_driver
+from repro.platforms.registry import EXTRA_PLATFORMS, PLATFORMS, create_driver
 from repro.platforms.tuning import capacity_frontier, recommend_resources
 
 
@@ -120,3 +120,30 @@ class TestCapacityFrontier:
         by_machines = dict(frontier)
         assert by_machines[1] is not None
         assert by_machines[2] is None and by_machines[4] is None
+
+
+#: Every registered platform that says it can take several machines.
+DISTRIBUTED = [
+    name
+    for registry in (PLATFORMS, EXTRA_PLATFORMS)
+    for name, (info, _) in registry.items()
+    if info.distributed
+]
+
+
+@pytest.mark.parametrize("platform", DISTRIBUTED)
+def test_distributed_roster_entries_model_two_machines(platform, capsys):
+    """A roster entry that says distributed has a model that does too:
+    estimating and planning two machines must not raise."""
+    from repro.cli import main
+
+    assert "pythonref" in DISTRIBUTED
+    assert main([
+        "estimate", platform, "bfs", "--vertices", "1e6", "--edges", "1e7",
+        "--machines", "2",
+    ]) == 0
+    assert "modeled Tproc" in capsys.readouterr().out
+    frontier = capacity_frontier(
+        create_driver(platform), "bfs", profile("R1"), machine_options=(1, 2)
+    )
+    assert [machines for machines, _ in frontier] == [1, 2]

@@ -12,6 +12,7 @@ from repro.exceptions import ConfigurationError
 from repro.harness.config import BenchmarkConfig
 from repro.harness.results import ResultsDatabase
 from repro.harness.runner import BenchmarkRunner
+from repro.platforms.cluster import ClusterResources
 from repro.runtime import (
     FAILURE_STATUSES,
     FaultPlan,
@@ -33,6 +34,8 @@ def _config(**overrides):
         repetitions=2,
     )
     base.update(overrides)
+    if "resources" in base:
+        base["resources"] = ClusterResources(**base["resources"])
     return BenchmarkConfig(**base)
 
 
@@ -131,8 +134,11 @@ _SHARDED_POOL_SCRIPT = """
 import json, sys
 from repro.harness.config import BenchmarkConfig
 from repro.harness.runner import BenchmarkRunner
+from repro.platforms.cluster import ClusterResources
 
-database = BenchmarkRunner(BenchmarkConfig(**json.loads(sys.argv[1]))).run(workers=2)
+options = json.loads(sys.argv[1])
+options["resources"] = ClusterResources(**options["resources"])
+database = BenchmarkRunner(BenchmarkConfig(**options)).run(workers=2)
 """ + PROC_GROUP_SCAN + """
 print(json.dumps({"rows": [r.as_dict() for r in database], "stragglers": stragglers}))
 """
@@ -144,7 +150,7 @@ class TestShardedJobsOnPoolWorkers:
 
     SHARDED = dict(
         platforms=["pythonref", "graphmat"], datasets=["R1", "G22"],
-        algorithms=["bfs", "pr", "wcc"], partitions=2,
+        algorithms=["bfs", "pr", "wcc"], resources={"machines": 2},
     )
 
     def test_two_workers_two_shards_every_row_succeeds(self):
@@ -154,6 +160,7 @@ class TestShardedJobsOnPoolWorkers:
         assert len(pooled) == len(serial) == 12
         for row in pooled:
             assert row.succeeded and row.validated, row.failure_reason
+            assert row.machines == 2
         # PythonRef's modeled T_proc is its measured one; the modeled
         # platform's rows are the deterministic half.
         modeled = [
@@ -179,6 +186,7 @@ class TestShardedJobsOnPoolWorkers:
         report = json.loads(out.splitlines()[-1])
         assert [row["status"] for row in report["rows"]] == ["succeeded"] * 6
         assert all(row["validated"] for row in report["rows"])
+        assert all(row["machines"] == 2 for row in report["rows"])
         assert report["stragglers"] == []
         with pytest.raises(ProcessLookupError):
             os.killpg(run.pid, 0)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.exceptions import ConfigurationError
 from repro.harness.config import BenchmarkConfig
 from repro.harness.experiments import EXPERIMENTS, get_experiment
@@ -27,6 +28,7 @@ from repro.runtime import (
     job_key,
     resume_run,
 )
+from repro.runtime.journal import config_payload
 
 #: ``journal.jsonl`` of an uninterrupted ``execute_matrix(small_config(),
 #: run_dir=...)``, written by the commit before experiments became job
@@ -99,6 +101,19 @@ class TestResumeDeterminism:
         )
 
 
+def test_cli_resume_reports_the_torn_tail_it_dropped(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    execute_matrix(small_config(), run_dir=run_dir)
+    cut_journal(run_dir, TestResumeDeterminism.KEEP_LINES)
+    torn = b'0bad50da {"type": "job-'
+    path = RunJournal.journal_path(run_dir)
+    path.write_bytes(path.read_bytes() + torn)
+    assert cli_main(["resume", str(run_dir)]) == 0
+    out = capsys.readouterr().out
+    assert f"dropped a torn tail of {len(torn)} byte(s)" in out
+    assert RunJournal.load(run_dir).complete
+
+
 class TestResumeRefusals:
     def test_resume_requires_run_dir(self):
         with pytest.raises(ConfigurationError, match="run_dir"):
@@ -122,6 +137,20 @@ class TestResumeRefusals:
         RunJournal.create(tmp_path / "probe", {"kind": "probe"}).close()
         with pytest.raises(JournalError, match="probe"):
             resume_run(tmp_path / "probe")
+
+    def test_sharded_journal_of_an_older_build_is_refused(self, tmp_path, capsys):
+        # Its shard count rode a retired config field; shards are
+        # machines now, and the run is never reinterpreted as another.
+        config = {**config_payload(small_config()), "partitions": 2,
+                  "partition_strategy": "hash"}
+        RunJournal.create(
+            tmp_path, {"kind": "matrix", "matrix_hash": "0" * 64,
+                       "config": config},
+        ).close()
+        with pytest.raises(JournalError, match="predates this build"):
+            resume_run(tmp_path)
+        assert cli_main(["resume", str(tmp_path)]) == 1
+        assert "predates this build" in capsys.readouterr().err
 
     def test_fresh_journaled_run_refuses_existing_journal(self, tmp_path):
         run_dir = tmp_path / "run"

@@ -258,8 +258,8 @@ class TestRestartRecovery:
 class TestExampleMatrixSubmission:
     def test_full_example_matrix_payload_is_accepted(self, tmp_path):
         # The CLI's `submit example` sends config_payload(example_matrix())
-        # verbatim — every BenchmarkConfig field, including the
-        # partitioned-engine knobs — and the validator must know them all.
+        # verbatim — every BenchmarkConfig field — and the validator must
+        # know them all.
         from repro.runtime.executor import example_matrix
         from repro.runtime.journal import config_payload
 
@@ -270,12 +270,16 @@ class TestExampleMatrixSubmission:
             accepted = client.submit("alice", payload)
             assert accepted["state"] == "queued"
 
-    def test_explicit_partitions_survive_normalization(self, tmp_path):
-        from repro.service.runs import normalize_matrix
-
-        payload = dict(TINY_MATRIX)
-        payload["partitions"] = 2
-        payload["partition_strategy"] = "range"
-        normalized = normalize_matrix(payload)
-        assert normalized["partitions"] == 2
-        assert normalized["partition_strategy"] == "range"
+    def test_partitions_key_is_400_naming_machines(self, tmp_path):
+        # Shards are machines: the retired knob is refused, never
+        # reinterpreted, and the refusal says what to ask for instead.
+        with running_service(tmp_path) as (_service, client):
+            for retired in ({"partitions": 2}, {"partitions": None}):
+                with pytest.raises(ServiceError) as excinfo:
+                    client.submit("alice", {**TINY_MATRIX, **retired})
+                assert excinfo.value.status == 400
+                assert "resources.machines" in str(excinfo.value)
+            accepted = client.submit(
+                "alice", {**TINY_MATRIX, "resources": {"machines": 2}}
+            )
+            assert accepted["state"] == "queued"

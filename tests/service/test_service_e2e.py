@@ -655,3 +655,37 @@ def test_first_job_of_a_warm_store_child_imports_nothing(
     assert report["validated"] is True
     assert report["stats"]["disk_hits"] == 2 and report["stats"]["misses"] == 0
     assert report["imported"] == []
+
+
+def test_only_a_sharded_job_loads_the_sharded_engine():
+    """The CLI and a config never load :mod:`repro.engines.partitioned`,
+    nor does a one-machine ``pythonref`` job; a two-machine one does,
+    under its ``load`` phase. One fresh interpreter."""
+    script = (
+        "import sys, json\n"
+        "import repro.cli\n"
+        "from repro.harness.config import BenchmarkConfig\n"
+        "from repro.harness.runner import BenchmarkRunner\n"
+        "from repro.platforms.cluster import ClusterResources\n"
+        "seen = {}\n"
+        "def loaded(): return 'repro.engines.partitioned' in sys.modules\n"
+        "runner = BenchmarkRunner(BenchmarkConfig())\n"
+        "seen['config'] = loaded()\n"
+        "for machines in (1, 2):\n"
+        "    row = runner.run_job('pythonref', 'G22', 'wcc',\n"
+        "                         resources=ClusterResources(machines=machines))\n"
+        "    assert row.succeeded and row.validated, row.failure_reason\n"
+        "    seen[f'machines={machines}'] = loaded()\n"
+        "print(json.dumps(seen))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
+    child = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=_DEADLINE,
+        cwd=str(Path(__file__).resolve().parents[2]),
+    )
+    assert child.returncode == 0, child.stdout + child.stderr
+    assert json.loads(child.stdout) == {
+        "config": False, "machines=1": False, "machines=2": True,
+    }

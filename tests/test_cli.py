@@ -119,7 +119,7 @@ class TestReportCommand:
 
     def test_sharded_report_traces_the_barrier(self, tmp_path):
         # The CI partitioned leg's smoke test: a journaled pythonref run
-        # routed through the sharded engine leaves the three per-product
+        # on two machines — two shards — leaves the three per-product
         # spans in trace.jsonl.
         from repro.trace import read_trace
 
@@ -127,7 +127,7 @@ class TestReportCommand:
         code = main(
             [
                 "report", "--platforms", "pythonref", "--datasets", "D100",
-                "--algorithms", "pr", "bfs", "--partitions", "2",
+                "--algorithms", "pr", "bfs", "--machines", "2",
                 "--run-dir", str(run_dir),
                 "--output", str(tmp_path / "report.md"),
             ]
@@ -156,7 +156,7 @@ class TestReportCommand:
         code = main(
             [
                 "report", "--platforms", "pythonref", "--datasets", "R1",
-                "G22", "--algorithms", "bfs", "wcc", "--partitions", "2",
+                "G22", "--algorithms", "bfs", "wcc", "--machines", "2",
                 "--workers", "2", "--run-dir", str(run_dir),
                 "--output", str(tmp_path / "report.md"),
             ]
@@ -165,6 +165,17 @@ class TestReportCommand:
         rows = json.loads((run_dir / "results.json").read_text())
         assert [row["status"] for row in rows] == ["succeeded"] * 4
         assert all(row["validated"] for row in rows)
+        assert all(row["machines"] == 2 for row in rows)
+
+    def test_partition_flags_are_gone(self, capsys):
+        for argv in (
+            ["report", "--partitions", "2"],
+            ["serve", "--partition-strategy", "range"],
+            ["submit", "example", "--partitions", "2"],
+        ):
+            with pytest.raises(SystemExit):
+                main(argv)
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestValidateCommand:
