@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import GraphFormatError
-from repro.algorithms.common import gather_neighbors
+from repro.algorithms.common import distinct, gather_neighbors
 from repro.graph.graph import Graph
 
 __all__ = ["breadth_first_search", "BFS_UNREACHABLE"]
@@ -36,6 +36,7 @@ def breadth_first_search(graph: Graph, source: int) -> np.ndarray:
     frontier = np.array([root], dtype=np.int64)
     level = 0
     indptr, indices = graph.out_indptr, graph.out_indices
+    scratch = np.empty(n, dtype=np.int64)
     while len(frontier) > 0:
         level += 1
         candidates = gather_neighbors(indptr, indices, frontier)
@@ -44,6 +45,7 @@ def breadth_first_search(graph: Graph, source: int) -> np.ndarray:
         fresh = candidates[depth[candidates] == BFS_UNREACHABLE]
         if len(fresh) == 0:
             break
-        frontier = np.unique(fresh)
+        # A level is a set: its order reaches no output.
+        frontier = distinct(fresh, scratch)
         depth[frontier] = level
     return depth

@@ -17,11 +17,15 @@ Vertices without neighbors keep their own label.
 A receiver's histogram is reduced with one sort of the packed integer
 key (receiver, label): equal pairs become adjacent runs, run lengths are
 the frequencies, and ``np.maximum.reduceat`` over (count, -label) picks
-the winner. The kernel propagates *ranks* of the ids (order-preserving,
-below ``n``, so ids past 2**53 survive) and keeps an **active set**:
-``label[t+1](v)`` is a function of ``label[t]`` on ``N(v)`` alone, so a
-vertex none of whose neighbors changed in step t keeps its label in
-step t+1. Only rows that hear a changed vertex are recomputed — exact.
+the winner. The key is uint32 when the receiver and label bits fit in
+32, int64 otherwise — a property of the input, never an option. The
+kernel propagates *ranks* of the ids (order-preserving, below ``n``, so
+ids past 2**53 survive, and the key is uint32 up to n = 65 536) and
+keeps an **active set**: ``label[t+1](v)`` is a function of ``label[t]``
+on ``N(v)`` alone, so a vertex none of whose neighbors changed in step t
+keeps its label in step t+1. Only rows that hear a changed vertex are
+recomputed — exact. A round in which every row is active reads the
+message fabric as it stands, with no gather.
 """
 
 from __future__ import annotations
@@ -56,8 +60,13 @@ def _most_frequent_min_label(
     else:
         values, codes = np.unique(labels_in, return_inverse=True)
         bits = len(values).bit_length()
-    key = receivers << bits
-    key |= codes
+    # Receivers are below n, so the key takes (n - 1).bit_length() + bits
+    # bits: uint32 when that fits (it sorts almost twice as fast), int64
+    # otherwise. The (count, code) pairs below stay int64 either way.
+    width = np.uint32 if (n - 1).bit_length() + bits <= 32 else np.int64
+    key = receivers.astype(width)
+    key <<= bits
+    key |= codes.astype(width, copy=False)
     key.sort()
     starts = run_starts(key)  # one run per distinct (receiver, code)
     counts = np.diff(starts, append=len(key))
@@ -101,12 +110,16 @@ def community_detection_lp(graph: Graph, *, iterations: int = 10) -> np.ndarray:
     by_id = np.argsort(graph.vertex_ids, kind="stable")
     labels = np.empty(n, dtype=np.int64)
     labels[by_id] = np.arange(n, dtype=np.int64)  # rank of each vertex's id
+    receivers = expand_sources(indptr)
     active = np.arange(n, dtype=np.int64)
     for _ in range(iterations):
-        slots, counts = gather_slots(indptr, active)
-        heard = _most_frequent_min_label(
-            n, np.repeat(active, counts), labels[heard_from[slots]]
-        )
+        if len(active) == n:  # every row: the fabric as it is
+            heard = _most_frequent_min_label(n, receivers, labels[heard_from])
+        else:
+            slots, counts = gather_slots(indptr, active)
+            heard = _most_frequent_min_label(
+                n, np.repeat(active, counts), labels[heard_from[slots]]
+            )
         changed = np.flatnonzero((heard >= 0) & (heard != labels))
         if len(changed) == 0:
             break

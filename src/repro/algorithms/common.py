@@ -13,7 +13,7 @@ import numpy.ma  # noqa: F401
 
 __all__ = [
     "gather_ranges", "gather_slots", "gather_neighbors", "expand_sources",
-    "run_starts",
+    "run_starts", "distinct",
 ]
 
 
@@ -54,3 +54,18 @@ def run_starts(values: np.ndarray) -> np.ndarray:
     if len(values) == 0:
         return np.empty(0, dtype=np.int64)
     return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+
+
+def distinct(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The distinct entries of the index array ``values``, in O(len), in
+    no particular order.
+
+    ``scratch`` is an int64 array with a slot for every possible entry
+    (``np.empty(n)``, made once per kernel call). Each entry writes its
+    position to its slot; one position per distinct value survives, and
+    only the slots just written are read back, so ``scratch`` needs
+    neither initialising nor clearing between calls.
+    """
+    positions = np.arange(len(values))
+    scratch[values] = positions
+    return values[scratch[values] == positions]

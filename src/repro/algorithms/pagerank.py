@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import GenerationError
-from repro.algorithms.common import expand_sources
 from repro.graph.graph import Graph
 
 __all__ = ["pagerank"]
@@ -44,19 +43,26 @@ def pagerank(
     if n == 0:
         return np.empty(0, dtype=np.float64)
 
-    out_degree = graph.out_degrees().astype(np.float64)
-    dangling = out_degree == 0
+    out_degree = graph.out_degrees()
+    dangling = np.flatnonzero(out_degree == 0)
+    # A dangling vertex divides by 1: it has no slot, so its quotient is
+    # never read, and every other vertex gets the same IEEE quotient.
+    divisor = out_degree.astype(np.float64)
+    divisor[dangling] = 1.0
     # CSR slots give us the full directed edge expansion (both directions
-    # for undirected graphs); source of each slot:
-    sources = expand_sources(graph.out_indptr)
+    # for undirected graphs). Repeating each quotient over its row lays
+    # out the slots' contributions in slot order, so ``bincount`` adds
+    # every target's terms in the order the SpMV engines do.
     targets = graph.out_indices
 
     rank = np.full(n, 1.0 / n, dtype=np.float64)
     base = (1.0 - damping) / n
+    contrib = np.empty(n, dtype=np.float64)
     for _ in range(iterations):
-        contrib = np.zeros(n, dtype=np.float64)
-        np.divide(rank, out_degree, out=contrib, where=~dangling)
-        incoming = np.bincount(targets, weights=contrib[sources], minlength=n)
+        np.divide(rank, divisor, out=contrib)
+        incoming = np.bincount(
+            targets, weights=np.repeat(contrib, out_degree), minlength=n
+        )
         dangling_share = rank[dangling].sum() / n
         rank = base + damping * (incoming + dangling_share)
     return rank

@@ -3,6 +3,7 @@
 import numpy as np
 
 from repro.algorithms.common import (
+    distinct,
     expand_sources,
     gather_neighbors,
     gather_ranges,
@@ -91,3 +92,17 @@ class TestRunStarts:
     def test_empty_and_single(self):
         assert run_starts(np.array([], dtype=np.int64)).tolist() == []
         assert run_starts(np.array([7])).tolist() == [0]
+
+
+class TestDistinct:
+    def test_each_value_once_whatever_the_scratch_holds(self):
+        rng = np.random.default_rng(3)
+        scratch = np.empty(50, dtype=np.int64)
+        for _ in range(20):  # one scratch, reused without clearing
+            values = rng.integers(0, 50, rng.integers(0, 80))
+            out = distinct(values, scratch)
+            assert sorted(out.tolist()) == np.unique(values).tolist()
+
+    def test_empty(self):
+        scratch = np.full(4, 99, dtype=np.int64)
+        assert len(distinct(np.array([], dtype=np.int64), scratch)) == 0

@@ -15,8 +15,9 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.algorithms.bfs import breadth_first_search
 from repro.algorithms.cdlp import _most_frequent_min_label, community_detection_lp
 from repro.algorithms.lcc import (
     lcc_counts,
@@ -24,7 +25,7 @@ from repro.algorithms.lcc import (
     local_clustering_coefficient,
 )
 from repro.algorithms.sssp import SSSP_UNREACHABLE, single_source_shortest_paths
-from repro.algorithms.variants import sssp_dijkstra
+from repro.algorithms.variants import bfs_queue, sssp_dijkstra
 from repro.graph.builder import GraphBuilder
 from repro.graph.graph import Graph
 from repro.harness.datasets import get_dataset
@@ -217,10 +218,20 @@ class TestCdlpAgainstRetiredKernel:
         )
 
 
+#: Ties, a clear winner and a lone label, over codes 0..5.
+_WIDTH_PAIRS = [(0, 0), (0, 5), (3, 5), (3, 1), (3, 5), (7, 2), (7, 0), (11, 4)]
+
+
 class TestLabelModeAgainstRetiredReduce:
     """``_most_frequent_min_label`` keeps its contract for the SpMV
     engines: arbitrary receivers, arbitrary int64 labels."""
 
+    # The packed key is uint32 while bit_length(n - 1) plus the label
+    # codes' bits fit in 32: 4 + 28 bits still do, 5 + 28 do not, and
+    # labels too spread for an int64 key fall back to ranks.
+    @example(16, _WIDTH_PAIRS + [(15, 5)], (0, 1 << 25))
+    @example(17, _WIDTH_PAIRS + [(16, 5)], (0, 1 << 25))
+    @example(12, _WIDTH_PAIRS, (-(1 << 62), (1 << 60) + 7))
     @settings(max_examples=120, deadline=None)
     @given(
         st.integers(min_value=1, max_value=12),
@@ -326,7 +337,7 @@ class TestSsspAgainstDijkstra:
     @settings(max_examples=120, deadline=None)
     @given(
         random_graphs(weighted=True),
-        st.sampled_from(["drawn", "zero", "equal", "some-zero"]),
+        st.sampled_from(["drawn", "zero", "equal", "some-zero", "some-inf"]),
         st.data(),
     )
     def test_random_graphs(self, graph, weighting, data):
@@ -337,6 +348,8 @@ class TestSsspAgainstDijkstra:
             weights[:] = 0.1  # 0.1 + 0.1 + 0.1 != 0.3: order of adds shows
         elif weighting == "some-zero":
             weights[::2] = 0.0
+        elif weighting == "some-inf":
+            weights[::3] = np.inf  # admitted (inf >= 0), and never relaxes
         graph = _weighted(graph, weights)
         source = int(data.draw(st.sampled_from(list(graph.vertex_ids))))
         new = single_source_shortest_paths(graph, source)
@@ -359,10 +372,19 @@ class TestSsspAgainstDijkstra:
         assert dist.tobytes() == sssp_dijkstra(graph, 0).tobytes()
         assert dist[graph.index_of(2)] == SSSP_UNREACHABLE
         assert dist[graph.index_of(7)] == SSSP_UNREACHABLE
+        # No edges: no weight to size a round by, nothing to relax.
+        edgeless = Graph.from_edges([], directed=False, weights=[], vertices=[3, 1, 2])
+        dist = single_source_shortest_paths(edgeless, 2)
+        assert dist.tobytes() == sssp_dijkstra(edgeless, 2).tobytes()
+        assert dist.tolist() == [SSSP_UNREACHABLE, 0.0, SSSP_UNREACHABLE]
 
-    def test_long_path_worst_case(self):
-        # One round per vertex is the kernel's degenerate class. It must
-        # still be exact, and a per-round cost that grew with |V|
+    @pytest.mark.parametrize("kernel, oracle", [
+        (single_source_shortest_paths, sssp_dijkstra),
+        (breadth_first_search, bfs_queue),
+    ], ids=["sssp", "bfs"])
+    def test_long_path_worst_case(self, kernel, oracle):
+        # One round per vertex is the frontier kernels' degenerate class.
+        # It must still be exact, and a per-round cost that grew with |V|
         # instead of with the frontier would show up here.
         n = 2000
         rng = np.random.default_rng(5)
@@ -371,7 +393,7 @@ class TestSsspAgainstDijkstra:
             directed=False, weights=rng.uniform(0.0, 1.0, n - 1),
         )
         started = time.perf_counter()
-        dist = single_source_shortest_paths(graph, 0)
+        out = kernel(graph, 0)
         elapsed = time.perf_counter() - started
-        assert dist.tobytes() == sssp_dijkstra(graph, 0).tobytes()
+        assert out.tobytes() == oracle(graph, 0).tobytes()
         assert elapsed < 0.5, f"2000-vertex path took {elapsed:.3f} s"

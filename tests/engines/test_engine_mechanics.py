@@ -158,15 +158,17 @@ class TestSpMVMechanics:
         assert np.allclose(y, 2.0)  # every vertex hears both neighbors
 
     @pytest.mark.parametrize("fixture", ["er_undirected", "er_directed"])
+    @pytest.mark.parametrize("stride", [1, 1 << 33], ids=["uint32-key", "int64-key"])
     def test_label_mode_row_blocks_union_to_the_full_product(
-        self, fixture, request
+        self, fixture, stride, request
     ):
         # The sharded CDLP contract: a row block hears, for its rows,
         # exactly what the full engine hears — with labels that are
-        # external ids past 2**53 (distinct as int64, equal as float64).
+        # external ids past 2**53 (distinct as int64, equal as float64),
+        # close together or spread past what a 32-bit key holds.
         graph = request.getfixturevalue(fixture)
         n = graph.num_vertices
-        labels = (1 << 53) + np.arange(n, dtype=np.int64)[::-1] // 3
+        labels = (1 << 53) + stride * (np.arange(n, dtype=np.int64)[::-1] // 3)
         full = SpMVEngine(graph).label_mode(labels)
         assert full.dtype == np.int64
         assert (full >= 1 << 53).any()
