@@ -2,8 +2,8 @@
 ``BENCH_lint.json``.
 
 The two-phase engine parses every module, builds the project model
-(symbol tables, import graph, call graph, worker-reachability closure)
-and then runs all fifteen rules — per-file and interprocedural — over
+(symbol tables, call graph, worker- and handler-reachability closures)
+and then runs all seventeen rules — per-file and interprocedural — over
 the full tree. The gate asserts the end-to-end run stays under
 ``TIME_BUDGET_SECONDS`` so the CI lint leg (and a pre-commit habit)
 remains cheap as the tree grows; a separate ``--no-project`` arm is
@@ -19,6 +19,7 @@ round.
 
 import json
 import os
+import platform
 import time
 from pathlib import Path
 
@@ -39,7 +40,7 @@ def _one_round(project: bool):
     elapsed = time.perf_counter() - started
     # The shipped tree lints clean; a finding here means the bench is
     # measuring a broken tree, not lint performance.
-    assert findings == [], [f.fingerprint for f in findings]
+    assert findings == [], [(f.rule_id, f.path, f.line) for f in findings]
     return elapsed
 
 
@@ -71,6 +72,11 @@ def test_full_tree_lint_wall_time(benchmark):
         "budget_seconds": TIME_BUDGET_SECONDS,
         "full_samples": [round(s, 4) for s in samples[True]],
         "per_file_only_samples": [round(s, 4) for s in samples[False]],
+        "host": {
+            "cpu_count": os.cpu_count(),
+            "python": platform.python_version(),
+            "platform": platform.platform(),
+        },
     }
     OUTPUT.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 

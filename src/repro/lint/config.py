@@ -59,6 +59,11 @@ _SECTION_RE = re.compile(r"^\s*\[(?P<name>[^\]]+)\]\s*$")
 _KEY_RE = re.compile(r"^\s*(?P<key>[A-Za-z0-9_\-\"']+)\s*=\s*(?P<value>.+?)\s*$")
 
 
+def _strings(text: str) -> List[str]:
+    """The quoted strings in ``text``, in order."""
+    return [a or b for a, b in re.findall(r"\"([^\"]*)\"|'([^']*)'", text)]
+
+
 def _parse_toml_minimal(text: str) -> Dict[str, object]:
     """Tiny TOML subset: [sections], string and [list-of-string] values.
 
@@ -67,9 +72,15 @@ def _parse_toml_minimal(text: str) -> Dict[str, object]:
     """
     result: Dict[str, object] = {}
     table: Dict[str, object] = result
+    open_array: Optional[List[str]] = None   # a multi-line array being read
     for raw in text.splitlines():
         line = raw.split("#", 1)[0] if not raw.lstrip().startswith("#") else ""
         if not line.strip():
+            continue
+        if open_array is not None:
+            open_array += _strings(line)
+            if "]" in line:
+                open_array = None
             continue
         section = _SECTION_RE.match(line)
         if section:
@@ -83,8 +94,9 @@ def _parse_toml_minimal(text: str) -> Dict[str, object]:
         key = pair.group("key").strip('"').strip("'")
         value = pair.group("value")
         if value.startswith("["):
-            items = re.findall(r"\"([^\"]*)\"|'([^']*)'", value)
-            table[key] = [a or b for a, b in items]
+            table[key] = _strings(value)
+            if "]" not in value:
+                open_array = table[key]
         elif value.startswith(("\"", "'")):
             table[key] = value[1:-1]
         elif value in ("true", "false"):

@@ -21,8 +21,8 @@ Design:
   span;
 * the engine runs in **two phases**: phase 1 parses every file once
   and builds a whole-program :class:`~repro.lint.project.ProjectModel`
-  (symbol tables, import graph, approximate call graph, mutable-state
-  inventory); phase 2 hands each :class:`Module` to the per-file
+  (symbol tables, approximate call graph, mutable-state inventory);
+  phase 2 hands each :class:`Module` to the per-file
   :meth:`Rule.check` pass and the assembled project to each rule's
   :meth:`Rule.check_project` pass, so rules can be purely syntactic,
   purely interprocedural, or both.
@@ -34,7 +34,10 @@ import ast
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Collection, Dict, Iterator, List, Optional, Sequence, Set,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lint.project import ProjectModel
@@ -134,7 +137,8 @@ class Module:
 
     Attributes rules rely on:
 
-    * ``tree`` — the AST, with ``.parent`` links on every node;
+    * ``tree`` — the AST, with ``.parent`` links on every node, and
+      ``nodes``, all of them in ``ast.walk`` order;
     * ``segments`` — path parts of the project-relative path (used for
       rule scoping, e.g. ``("src", "repro", "engines", "pregel.py")``);
     * ``stem`` — module basename without extension.
@@ -147,7 +151,10 @@ class Module:
         self.stem = Path(rel_path).stem
         self.source = source
         self.tree = ast.parse(source, filename=str(path))
-        for node in ast.walk(self.tree):
+        #: Every node of the tree in ``ast.walk`` order, walked once for
+        #: all rules.
+        self.nodes: List[ast.AST] = list(ast.walk(self.tree))
+        for node in self.nodes:
             for child in ast.iter_child_nodes(node):
                 child.parent = node  # type: ignore[attr-defined]
         self.suppressions = _parse_suppressions(source)
@@ -161,7 +168,7 @@ class Module:
         lines into the statement required knowing the rule's exact
         anchor line."""
         extensions: List[Tuple[int, int, Optional[Set[str]]]] = []
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if not isinstance(node, ast.stmt):
                 continue
             end = getattr(node, "end_lineno", None) or node.lineno
@@ -196,17 +203,19 @@ class Module:
     def parent(self, node: ast.AST) -> Optional[ast.AST]:
         return getattr(node, "parent", None)
 
-    def enclosing_function(self, node: ast.AST) -> str:
-        """Dotted name of the enclosing def/class chain (may be '')."""
-        names: List[str] = []
+    def ancestors(self, node: ast.AST, kinds) -> Iterator[ast.AST]:
+        """The nodes enclosing ``node`` that are instances of ``kinds``,
+        innermost first (``FUNCTION_DEFS``: its enclosing functions)."""
         current = self.parent(node)
         while current is not None:
-            if isinstance(
-                current, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-            ):
-                names.append(current.name)
+            if isinstance(current, kinds):
+                yield current
             current = self.parent(current)
-        return ".".join(reversed(names))
+
+    def enclosing_function(self, node: ast.AST) -> str:
+        """Dotted name of the enclosing def/class chain (may be '')."""
+        scopes = self.ancestors(node, (*FUNCTION_DEFS, ast.ClassDef))
+        return ".".join(reversed([scope.name for scope in scopes]))
 
     def finding(
         self, rule: "Rule", node: ast.AST, message: str
@@ -321,6 +330,124 @@ def names_in(node: ast.AST) -> Set[str]:
         elif isinstance(child, ast.Attribute):
             found.add(child.attr)
     return found
+
+
+#: The nodes that define a function.
+FUNCTION_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+#: Methods that mutate their receiver in place (list, dict, set, deque).
+MUTATING_METHODS = frozenset({
+    "append", "extend", "insert", "add", "update", "setdefault",
+    "pop", "popitem", "remove", "discard", "clear", "sort", "reverse",
+    "appendleft", "extendleft", "popleft",
+})
+
+
+def scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
+    """Walk a function/module scope without descending into nested scopes."""
+    stack: List[ast.AST] = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if isinstance(node, (*FUNCTION_DEFS, ast.Lambda, ast.ClassDef)):
+            continue
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def local_names(func: ast.AST) -> Set[str]:
+    """Names local to a function or lambda: its parameters and every
+    name its own scope stores, less those declared global/nonlocal."""
+    args = func.args
+    params = args.posonlyargs + args.args + args.kwonlyargs
+    names = {arg.arg for arg in params + [args.vararg, args.kwarg] if arg}
+    declared: Set[str] = set()
+    for node in scope_nodes(func):
+        if isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return names - declared
+
+
+def stdlib_names(
+    source: "Module", module: str, names: Collection[str],
+    roots: Tuple[str, ...] = (),
+) -> Tuple[Set[str], Dict[str, Tuple[str, str]]]:
+    """How ``source`` can name the standard-library functions
+    ``module.<f>`` (``f`` in ``names``).
+
+    Returns the names bound to ``module`` itself (``module``, ``roots``
+    and every ``import module as m``) and, for bare names, local name ->
+    ``(how, "module.f")``: ``how`` is ``"import"`` for ``from module
+    import f [as g]`` and ``"rebind"`` for a module-level ``h = m.f``
+    or ``h = g``.
+    """
+    modules = {module, *roots}
+    bare: Dict[str, Tuple[str, str]] = {}
+    for node in source.nodes:
+        if isinstance(node, ast.Import):
+            modules.update(
+                alias.asname or module
+                for alias in node.names if alias.name == module
+            )
+        elif (
+            isinstance(node, ast.ImportFrom)
+            and node.module == module and not node.level
+        ):
+            bare.update(
+                (alias.asname or alias.name, ("import", f"{module}.{alias.name}"))
+                for alias in node.names if alias.name in names
+            )
+    for stmt in source.tree.body:
+        if not isinstance(stmt, ast.Assign):
+            continue
+        value = stmt.value
+        if (
+            isinstance(value, ast.Attribute)
+            and isinstance(value.value, ast.Name)
+            and value.value.id in modules
+            and value.attr in names
+        ):
+            function = f"{module}.{value.attr}"
+        elif isinstance(value, ast.Name) and bare.get(value.id, ("",))[0] == "import":
+            function = bare[value.id][1]
+        else:
+            continue
+        for target in stmt.targets:
+            if isinstance(target, ast.Name):
+                bare[target.id] = ("rebind", function)
+    return modules, bare
+
+
+def stdlib_calls(
+    source: "Module", module: str, names: Collection[str],
+    roots: Tuple[str, ...] = (),
+) -> Iterator[Tuple[ast.Call, str, str]]:
+    """Every call in ``source`` to a standard-library function
+    ``module.<f>`` (``f`` in ``names``), however the file spells it.
+
+    Yields ``(call, how, "module.f")``: ``how`` is ``"module"`` for
+    ``module.f()`` (or a ``roots`` spelling such as ``_time.f()``),
+    ``"alias"`` through ``import module as m``, and ``"import"`` /
+    ``"rebind"`` for a bare name (see :func:`stdlib_names`). Attribute
+    calls on any other receiver (``client.connect()``) never match.
+    """
+    modules, bare = stdlib_names(source, module, names, roots)
+    for node in source.nodes:
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in modules
+            and func.attr in names
+        ):
+            how = "module" if func.value.id in (module, *roots) else "alias"
+            yield node, how, f"{module}.{func.attr}"
+        elif isinstance(func, ast.Name) and func.id in bare:
+            how, function = bare[func.id]
+            yield node, how, function
 
 
 class LintEngine:

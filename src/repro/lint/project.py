@@ -2,48 +2,91 @@
 
 Per-file AST rules cannot see a module-level dict mutated three calls
 away from a worker entrypoint, a truncating write hidden behind a
-helper in another module, or a clock call renamed by an import alias.
-The project model gives phase-2 rules that visibility:
+helper in another module, or a clock rebound in one module and called
+from another. The project model gives phase-2 rules that visibility:
 
 * a **symbol table per module** — top-level and nested functions with
-  dotted qualnames, every import binding (``from repro.x import f as
-  g`` records ``g -> repro.x.f``), and module aliases;
-* the **import graph** over the linted modules, resolved by dotted-name
-  suffix so the model works for ``src/repro`` and for test fixture
-  trees alike;
-* an approximate **call graph** (see :mod:`repro.lint.callgraph`)
-  resolved over those symbol tables, including fork/worker entrypoints
-  (``Process(target=...)`` and callables shipped through ``.send``)
-  and the async request handlers registered through ``*add_route``
-  (the event-loop entrypoint family SRV001 polices);
+  dotted qualnames, classes with their bases and the classes their
+  methods construct into ``self.<attr>``, and every import binding
+  (``from repro.x import f as g`` records ``g -> repro.x.f``, ``import
+  repro.x as x`` a module alias);
 * a **module-level mutable-state inventory** — names bound at import
-  time to dicts/lists/sets/instances — plus a fork-unsafety
-  classification (open file handles, locks/queues, ``Tracer``
-  instances) for the RACE rule family.
+  time to dicts/lists/sets/instances — with a fork-unsafety
+  classification (open file handles, locks/queues, pipes, ``Tracer``
+  instances) for the RACE rule family;
+* an approximate **call graph** over every project function, keyed
+  ``module.qualname`` (``repro.runtime.pool._worker_main``): the edges
+  in both directions, every resolved call site, and one **entrypoint
+  table** of two families — ``Process(target=...)`` /
+  ``Child(target=...)`` targets, the fork boundary the RACE rules
+  reason from, and async handlers registered through ``*add_route``,
+  the event-loop roots SRV001 polices — with each family's closure.
 
-Resolution is deliberately *approximate*: it follows names, aliased
-imports, one-level re-exports, and ``self.``/``cls.`` methods of the
-enclosing class. It does not track values through containers,
+Every lookup goes through one resolver, :meth:`ProjectModel.resolve`:
+a name is looked up in its module, then through its import binding,
+following at most :data:`IMPORT_HOPS` imports, so a re-export through
+a package ``__init__`` resolves to the defining module. A call
+resolves as:
+
+* ``helper(...)`` — sibling nested function, then module-level
+  function, then an imported one;
+* ``mod.helper(...)`` — ``mod`` bound by ``import``;
+* ``self.meth(...)`` / ``cls.meth(...)`` — a method of the enclosing
+  class, base classes walked across modules;
+* ``obj.meth(...)`` — when ``obj``'s class is statically visible: a
+  construction, an annotated parameter or local, a local ``x =
+  SomeClass(...)``, or a recorded ``self.attr``;
+
+and a nested ``def`` adds an edge from its definer (if the outer
+function runs, the inner one may). Resolution is deliberately
+*under-approximate*: it does not track values through containers,
 attributes of arbitrary objects, ``getattr``, decorators that replace
-functions, or dynamic dispatch — ``docs/lint.md`` documents the limits.
+functions, or dynamic dispatch. Rules built on it miss exotic call
+paths rather than invent false ones; ``docs/lint.md`` documents the
+limits.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from functools import cached_property
+from operator import attrgetter
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, Optional, Set, TypeVar,
+)
 
-from repro.lint.core import Module, call_name
+from repro.lint.core import FUNCTION_DEFS, Module, call_name
 
 __all__ = [
+    "IMPORT_HOPS",
+    "SPAWN_CALLS",
     "ImportBinding",
     "ClassInfo",
     "FunctionInfo",
     "MutableGlobal",
+    "CallSite",
     "ModuleInfo",
     "ProjectModel",
 ]
+
+#: The most imports one lookup follows: ``from pkg import CACHE``,
+#: where ``pkg/__init__`` re-exports ``CACHE`` from ``pkg.mid`` and
+#: ``pkg.mid`` from ``pkg.state``, takes three.
+IMPORT_HOPS = 4
+
+#: Call names whose ``target=`` keyword crosses the fork boundary:
+#: ``multiprocessing``'s ``Process`` and :class:`repro.proc.Child`.
+SPAWN_CALLS = ("Process", "Child")
+
+#: Call names that register an async request handler in a route table.
+_ROUTE_CALLS = ("_add_route", "add_route")
+
+#: The two entrypoint families, as :attr:`ProjectModel.entrypoints`
+#: names them.
+_WORKER = "Process target"
+_HANDLER = "registered request handler"
 
 #: Constructors that produce a mutable container.
 _MUTABLE_FACTORIES = frozenset({
@@ -58,6 +101,10 @@ _LOCK_FACTORIES = frozenset({
     "Lock", "RLock", "Semaphore", "BoundedSemaphore", "Condition",
     "Event", "Barrier", "Queue", "SimpleQueue", "JoinableQueue",
 })
+
+_T = TypeVar("_T")
+_FUNCTIONS = attrgetter("functions")
+_CLASSES = attrgetter("classes")
 
 
 @dataclass(frozen=True)
@@ -107,6 +154,33 @@ class FunctionInfo:
     def key(self) -> str:
         return f"{self.module.name}.{self.qualname}"
 
+    @cached_property
+    def local_types(self) -> Dict[str, str]:
+        """Class name, as written, of each parameter or local whose class
+        is visible: its annotation, else the first ``x = SomeClass(...)``
+        or ``x: SomeClass`` in the body. Computed on first use."""
+        args = self.node.args
+        types = {
+            arg.arg: (
+                arg.annotation.value
+                if isinstance(arg.annotation, ast.Constant)
+                and isinstance(arg.annotation.value, str)
+                else call_name(arg.annotation)
+            )
+            for arg in args.posonlyargs + args.args + args.kwonlyargs
+            if arg.annotation is not None
+        }
+        for sub in ast.walk(self.node):
+            if isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call):
+                for target in sub.targets:
+                    if isinstance(target, ast.Name):
+                        types.setdefault(target.id, call_name(sub.value))
+            elif isinstance(sub, ast.AnnAssign) and isinstance(
+                sub.target, ast.Name
+            ):
+                types.setdefault(sub.target.id, call_name(sub.annotation))
+        return types
+
 
 @dataclass
 class MutableGlobal:
@@ -122,16 +196,13 @@ class MutableGlobal:
         return self.kind in ("file", "lock", "tracer", "pipe")
 
 
-def _dotted_name(node: ast.AST) -> str:
-    """``a.b.C`` for a Name/Attribute chain, '' for anything else."""
-    parts: List[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return ""
+@dataclass
+class CallSite:
+    """One call expression resolved to a project function."""
+
+    caller: FunctionInfo
+    callee: FunctionInfo
+    node: ast.Call
 
 
 def _classify_binding(value: ast.AST) -> Optional[str]:
@@ -182,7 +253,7 @@ class ModuleInfo:
     # -- collection ----------------------------------------------------
 
     def _collect_imports(self) -> None:
-        for node in ast.walk(self.module.tree):
+        for node in self.module.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".", 1)[0]
@@ -215,7 +286,7 @@ class ModuleInfo:
         self, body: List[ast.stmt], prefix: str, nested: bool
     ) -> None:
         for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, FUNCTION_DEFS):
                 qual = f"{prefix}{node.name}"
                 info = FunctionInfo(self, qual, node, nested=nested)
                 self.functions[qual] = info
@@ -226,7 +297,7 @@ class ModuleInfo:
                 bases = [
                     base_name
                     for base in node.bases
-                    if (base_name := _dotted_name(base))
+                    if (base_name := call_name(base))
                 ]
                 self.classes[qual] = ClassInfo(self, qual, node, bases=bases)
                 self._collect_functions(
@@ -265,7 +336,7 @@ class ModuleInfo:
                     )
 
     def _collect_global_decls(self) -> None:
-        for node in ast.walk(self.module.tree):
+        for node in self.module.nodes:
             if not isinstance(node, ast.Global):
                 continue
             fn = self.function_at(node)
@@ -280,7 +351,7 @@ class ModuleInfo:
                     node.value, ast.Call
                 ):
                     continue
-                constructed = _dotted_name(node.value.func)
+                constructed = call_name(node.value)
                 if not constructed or not constructed.rsplit(".", 1)[-1][:1].isupper():
                     continue
                 for target in node.targets:
@@ -296,21 +367,11 @@ class ModuleInfo:
     def function_at(self, node: ast.AST) -> Optional[FunctionInfo]:
         """The innermost function enclosing ``node`` (for a function
         definition node: the function it is nested in)."""
-        current: Optional[ast.AST]
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            current = self.module.parent(node)
-        else:
-            current = node
-        while current is not None:
-            info = self._fn_by_node.get(id(current))
+        for scope in self.module.ancestors(node, FUNCTION_DEFS):
+            info = self._fn_by_node.get(id(scope))
             if info is not None:
                 return info
-            current = self.module.parent(current)
         return None
-
-    @property
-    def is_trace_module(self) -> bool:
-        return "trace" in self.module.segments
 
 
 class ProjectModel:
@@ -320,37 +381,40 @@ class ProjectModel:
         self.modules: Dict[str, ModuleInfo] = {}
         self._by_rel_path: Dict[str, ModuleInfo] = {}
         self._suffix_cache: Dict[str, Optional[ModuleInfo]] = {}
-        self.import_graph: Dict[str, Set[str]] = {}
-        self.call_graph = None                      # set by build()
-        self.worker_entrypoints: Dict[str, str] = {}
-        self.worker_reachable: Dict[str, str] = {}  # key -> entrypoint key
-        #: Registered async request handlers (the service route table)
-        #: and their call-graph closure — the SRV001 root set.
-        self.handler_entrypoints: Dict[str, str] = {}
-        self.handler_reachable: Dict[str, str] = {}  # key -> handler key
+        #: Every project function by key, and the call edges between
+        #: them in both directions (key -> keys).
+        self.functions: Dict[str, FunctionInfo] = {}
+        self.callees: Dict[str, Set[str]] = {}
+        self.callers: Dict[str, Set[str]] = {}
+        self.call_sites: List[CallSite] = []
+        #: Entrypoint key -> its family: "Process target" (a fork/worker
+        #: entrypoint) or "registered request handler" (an async handler
+        #: on the server's event loop).
+        self.entrypoints: Dict[str, str] = {}
+        #: Each family's closure, key -> the entrypoint it is first
+        #: reached from: the RACE roots and the SRV001 roots.
+        self.worker_reachable: Dict[str, str] = {}
+        self.handler_reachable: Dict[str, str] = {}
 
     # -- construction ------------------------------------------------------
 
     @classmethod
     def build(cls, modules: List[Module]) -> "ProjectModel":
-        from repro.lint.callgraph import CallGraph
-
         project = cls()
         for module in modules:
             info = ModuleInfo(cls.module_name(module.rel_path), module)
             project.modules[info.name] = info
             project._by_rel_path[module.rel_path] = info
-        project._build_import_graph()
-        project.call_graph = CallGraph.build(project)
-        project.worker_entrypoints = dict(project.call_graph.entrypoints)
-        project.worker_reachable = project.call_graph.reachable(
-            set(project.worker_entrypoints)
-        )
-        project.handler_entrypoints = dict(
-            project.call_graph.handler_entrypoints
-        )
-        project.handler_reachable = project.call_graph.reachable(
-            set(project.handler_entrypoints)
+        for info in project.modules.values():
+            for fn in info.functions.values():
+                project.functions[fn.key] = fn
+                project.callees[fn.key] = set()
+                project.callers[fn.key] = set()
+        for info in project.modules.values():
+            project._walk_calls(info)
+        project.worker_reachable = project.closure(project._family(_WORKER))
+        project.handler_reachable = project.closure(
+            project._family(_HANDLER)
         )
         return project
 
@@ -371,16 +435,53 @@ class ProjectModel:
             parts = parts[:-1]
         return ".".join(parts)
 
-    def _build_import_graph(self) -> None:
-        for info in self.modules.values():
-            edges: Set[str] = set()
-            for binding in info.imports.values():
-                target = self.resolve_module(binding.module)
-                if target is not None and target is not info:
-                    edges.add(target.name)
-            self.import_graph[info.name] = edges
+    def _walk_calls(self, info: ModuleInfo) -> None:
+        for node in info.module.nodes:
+            if isinstance(node, FUNCTION_DEFS):
+                outer = info.function_at(node)
+                inner = info._fn_by_node.get(id(node))
+                if outer is not None and inner is not None:
+                    self._add_edge(outer, inner)
+            elif isinstance(node, ast.Call):
+                caller = info.function_at(node)
+                callee = self._resolve_call(info, caller, node)
+                if caller is not None and callee is not None:
+                    self._add_edge(caller, callee, node)
+                self._find_entrypoints(info, caller, node)
 
-    # -- resolution ----------------------------------------------------------
+    def _add_edge(
+        self, caller: FunctionInfo, callee: FunctionInfo,
+        node: Optional[ast.Call] = None,
+    ) -> None:
+        self.callees[caller.key].add(callee.key)
+        self.callers[callee.key].add(caller.key)
+        if node is not None:
+            self.call_sites.append(CallSite(caller, callee, node))
+
+    def _find_entrypoints(
+        self, info: ModuleInfo, caller: Optional[FunctionInfo], call: ast.Call
+    ) -> None:
+        last = call_name(call).rsplit(".", 1)[-1]
+        if last in _ROUTE_CALLS:
+            # The handler is the last positional argument (or handler=).
+            family = _HANDLER
+            refs = call.args[-1:] + [
+                k.value for k in call.keywords if k.arg == "handler"
+            ]
+        elif last in SPAWN_CALLS:
+            family = _WORKER
+            refs = [k.value for k in call.keywords if k.arg == "target"]
+        else:
+            return
+        for ref in refs:
+            fn = self._resolve_ref(info, caller, ref)
+            if fn is not None:
+                self.entrypoints.setdefault(fn.key, family)
+
+    def _family(self, family: str) -> Set[str]:
+        return {key for key, how in self.entrypoints.items() if how == family}
+
+    # -- resolution --------------------------------------------------------
 
     def module_for_path(self, rel_path: str) -> Optional[Module]:
         info = self._by_rel_path.get(rel_path)
@@ -407,55 +508,43 @@ class ProjectModel:
         self._suffix_cache[dotted] = result
         return result
 
-    def resolve_function(
-        self, module_dotted: str, symbol: str, _depth: int = 4
-    ) -> Optional[FunctionInfo]:
-        """A function by (module, name), following re-exports.
+    def resolve(
+        self,
+        info: Optional[ModuleInfo],
+        dotted: str,
+        table: Callable[[ModuleInfo], Mapping[str, _T]],
+    ) -> Optional[_T]:
+        """``dotted`` as named in ``info``, found in ``table`` of the
+        module that defines it (its ``functions``, ``classes``,
+        ``mutable_globals``, or a rule's own per-module map).
 
-        ``from repro.trace import set_tracer`` resolves through the
-        package ``__init__`` to ``repro.trace.tracer.set_tracer``.
+        A name missing from ``info``'s table continues through its
+        import binding — ``from m import name [as alias]`` in ``m``,
+        ``import m as alias`` with the rest of ``alias.Name`` in ``m``
+        — for at most :data:`IMPORT_HOPS` imports: ``from repro.trace
+        import set_tracer`` resolves through the package ``__init__``
+        to ``repro.trace.tracer.set_tracer``.
         """
-        if _depth <= 0:
-            return None
-        info = self.resolve_module(module_dotted)
-        if info is None:
-            return None
-        fn = info.functions.get(symbol)
-        if fn is not None:
-            return fn
-        binding = info.imports.get(symbol)
-        if binding is not None and binding.symbol is not None:
-            return self.resolve_function(
-                binding.module, binding.symbol, _depth - 1
-            )
+        for _ in range(IMPORT_HOPS + 1):
+            if info is None or not dotted:
+                return None
+            found = table(info).get(dotted)
+            if found is not None:
+                return found
+            head, _, rest = dotted.partition(".")
+            binding = info.imports.get(head)
+            if binding is None or (binding.symbol is None and not rest):
+                return None
+            dotted = ".".join(filter(None, (binding.symbol, rest)))
+            info = self.resolve_module(binding.module)
         return None
 
-    def resolve_class(
-        self, info: ModuleInfo, dotted: str, _depth: int = 4
-    ) -> Optional[ClassInfo]:
-        """A class named in ``info``'s namespace (``Runner``,
-        ``jobs.JobSpec``), following imports and re-exports."""
-        if _depth <= 0 or not dotted:
-            return None
-        head, _, rest = dotted.partition(".")
-        cls = info.classes.get(dotted)
-        if cls is not None:
-            return cls
-        binding = info.imports.get(head)
-        if binding is None:
-            return None
-        if binding.symbol is None:
-            # `import repro.runtime.jobs as jobs; jobs.JobSpec`
-            target = self.resolve_module(binding.module)
-            if target is not None and rest:
-                return self.resolve_class(target, rest, _depth - 1)
-            return None
-        # `from repro.runtime.jobs import JobSpec [as J]`
-        target = self.resolve_module(binding.module)
-        if target is None:
-            return None
-        inner = binding.symbol + (("." + rest) if rest else "")
-        return self.resolve_class(target, inner, _depth - 1)
+    def resolve_global(
+        self, info: ModuleInfo, name: str
+    ) -> Optional[MutableGlobal]:
+        """A name in ``info``'s namespace as a module-level mutable —
+        local to the module or imported from another linted module."""
+        return self.resolve(info, name, attrgetter("mutable_globals"))
 
     def find_method(
         self, cls: ClassInfo, method: str, _depth: int = 6
@@ -467,7 +556,7 @@ class ProjectModel:
         if fn is not None:
             return fn
         for base in cls.bases:
-            base_cls = self.resolve_class(cls.module, base)
+            base_cls = self.resolve(cls.module, base, _CLASSES)
             if base_cls is not None:
                 fn = self.find_method(base_cls, method, _depth - 1)
                 if fn is not None:
@@ -475,22 +564,17 @@ class ProjectModel:
         return None
 
     def class_of_expr(
-        self, info: ModuleInfo, fn: Optional["FunctionInfo"], expr: ast.AST
+        self, info: ModuleInfo, fn: Optional[FunctionInfo], expr: ast.AST
     ) -> Optional[ClassInfo]:
-        """Best-effort static type of an expression.
-
-        Understands ``SomeClass(...)`` construction, names bound by a
-        local ``x = SomeClass(...)`` or an annotated parameter/variable
-        inside ``fn``, and ``self.attr`` where the enclosing class
-        recorded ``self.attr = SomeClass(...)``.
-        """
+        """Best-effort static class of an expression: a construction
+        ``SomeClass(...)``, a local of ``fn`` whose class is visible
+        (:attr:`FunctionInfo.local_types`), or ``self.attr`` where the
+        enclosing class recorded ``self.attr = SomeClass(...)``."""
         if isinstance(expr, ast.Call):
-            return self.resolve_class(info, _dotted_name(expr.func))
-        if isinstance(expr, ast.Name) and fn is not None:
-            annotation = self._local_type(fn, expr.id)
-            if annotation:
-                return self.resolve_class(info, annotation)
-        if (
+            written = call_name(expr)
+        elif isinstance(expr, ast.Name) and fn is not None:
+            written = fn.local_types.get(expr.id, "")
+        elif (
             isinstance(expr, ast.Attribute)
             and isinstance(expr.value, ast.Name)
             and expr.value.id == "self"
@@ -498,67 +582,95 @@ class ProjectModel:
             and "." in fn.qualname
         ):
             cls = info.classes.get(fn.qualname.rsplit(".", 1)[0])
-            if cls is not None:
-                constructed = cls.attr_types.get(expr.attr)
-                if constructed:
-                    return self.resolve_class(info, constructed)
+            written = cls.attr_types.get(expr.attr, "") if cls else ""
+        else:
+            return None
+        return self.resolve(info, written, _CLASSES)
+
+    def _resolve_call(
+        self, info: ModuleInfo, caller: Optional[FunctionInfo], call: ast.Call
+    ) -> Optional[FunctionInfo]:
+        func = call.func
+        if isinstance(func, ast.Name):
+            return self._resolve_name(info, caller, func.id)
+        if not isinstance(func, ast.Attribute):
+            return None
+        if isinstance(func.value, ast.Name):
+            base = func.value.id
+            if base in ("self", "cls"):
+                return self._enclosing_method(info, caller, func.attr)
+            binding = info.imports.get(base)
+            if binding is not None and binding.symbol is None:
+                fn = self.resolve(
+                    self.resolve_module(binding.module), func.attr, _FUNCTIONS
+                )
+                if fn is not None:
+                    return fn
+        # Typed receiver: `runner.run_job(...)` where runner's class is
+        # visible from an annotation, a construction, or `self.attr`.
+        receiver = self.class_of_expr(info, caller, func.value)
+        if receiver is not None:
+            return self.find_method(receiver, func.attr)
         return None
 
-    @staticmethod
-    def _local_type(fn: "FunctionInfo", name: str) -> str:
-        """Annotation or construction class of a local name in ``fn``."""
-        node = fn.node
-        args = getattr(node, "args", None)
-        if args is not None:
-            every = (
-                list(args.posonlyargs) + list(args.args)
-                + list(args.kwonlyargs)
-            )
-            for arg in every:
-                if arg.arg == name and arg.annotation is not None:
-                    annotation = arg.annotation
-                    if isinstance(annotation, ast.Constant) and isinstance(
-                        annotation.value, str
-                    ):
-                        return annotation.value
-                    return _dotted_name(annotation)
-        for sub in ast.walk(node):
-            if isinstance(sub, ast.Assign) and isinstance(sub.value, ast.Call):
-                for target in sub.targets:
-                    if isinstance(target, ast.Name) and target.id == name:
-                        return _dotted_name(sub.value.func)
-            elif (
-                isinstance(sub, ast.AnnAssign)
-                and isinstance(sub.target, ast.Name)
-                and sub.target.id == name
-            ):
-                return _dotted_name(sub.annotation)
-        return ""
+    def _resolve_name(
+        self, info: ModuleInfo, caller: Optional[FunctionInfo], name: str
+    ) -> Optional[FunctionInfo]:
+        """A bare name in ``caller``'s scope, as a project function."""
+        if caller is not None:
+            parts = caller.qualname.split(".")
+            for cut in range(len(parts), 0, -1):
+                fn = info.functions.get(".".join(parts[:cut] + [name]))
+                if fn is not None:
+                    return fn
+        return self.resolve(info, name, _FUNCTIONS)
 
-    def resolve_global(
-        self, info: ModuleInfo, name: str
-    ) -> Optional[MutableGlobal]:
-        """A name in ``info``'s namespace as a module-level mutable —
-        local to the module or imported from another linted module."""
-        state = info.mutable_globals.get(name)
-        if state is not None:
-            return state
-        binding = info.imports.get(name)
-        if binding is not None and binding.symbol is not None:
-            target = self.resolve_module(binding.module)
-            if target is not None:
-                state = target.mutable_globals.get(binding.symbol)
-                if state is not None:
-                    return state
-                reexport = target.imports.get(binding.symbol)
-                if reexport is not None and reexport.symbol is not None:
-                    deeper = self.resolve_module(reexport.module)
-                    if deeper is not None:
-                        return deeper.mutable_globals.get(reexport.symbol)
+    def _resolve_ref(
+        self, info: ModuleInfo, caller: Optional[FunctionInfo], expr: ast.AST
+    ) -> Optional[FunctionInfo]:
+        """A *reference* (not a call) to a project function: a bare
+        name, or ``self.method``/``cls.method`` of the enclosing class."""
+        if isinstance(expr, ast.Name):
+            return self._resolve_name(info, caller, expr.id)
+        if (
+            isinstance(expr, ast.Attribute)
+            and isinstance(expr.value, ast.Name)
+            and expr.value.id in ("self", "cls")
+        ):
+            return self._enclosing_method(info, caller, expr.attr)
         return None
 
-    def functions(self) -> List[FunctionInfo]:
-        out: List[FunctionInfo] = []
-        for info in self.modules.values():
-            out.extend(info.functions.values())
-        return out
+    def _enclosing_method(
+        self, info: ModuleInfo, caller: Optional[FunctionInfo], name: str
+    ) -> Optional[FunctionInfo]:
+        """What ``self.name`` / ``cls.name`` means inside ``caller``: a
+        method of the enclosing class, base classes walked."""
+        if caller is None or "." not in caller.qualname:
+            return None
+        prefix = caller.qualname.rsplit(".", 1)[0]
+        cls = info.classes.get(prefix)
+        method = self.find_method(cls, name) if cls is not None else None
+        return method or info.functions.get(f"{prefix}.{name}")
+
+    # -- traversal ---------------------------------------------------------
+
+    def closure(
+        self, roots: Iterable[str], reverse: bool = False
+    ) -> Dict[str, str]:
+        """Every function reachable from ``roots`` along call edges — or,
+        with ``reverse``, every function that reaches one — roots
+        included, mapped to the root it is first reached from. The walk
+        is breadth-first in sorted order, so the attribution is
+        deterministic."""
+        edges = self.callers if reverse else self.callees
+        origin = {
+            root: root for root in sorted(set(roots) & self.functions.keys())
+        }
+        queue = deque(origin)
+        while queue:
+            current = queue.popleft()
+            for nxt in sorted(edges[current]):
+                if nxt not in origin:
+                    origin[nxt] = origin[current]
+                    queue.append(nxt)
+        return origin

@@ -33,28 +33,24 @@ from __future__ import annotations
 import ast
 from typing import Iterator, List, Optional, Set, Tuple
 
-from repro.lint.callgraph import SPAWN_CALLS
 from repro.lint.core import (
+    FUNCTION_DEFS,
+    MUTATING_METHODS,
     Finding,
     Module,
     Rule,
     Severity,
     call_name,
+    local_names,
     register_rule,
 )
+from repro.lint.project import SPAWN_CALLS
 
 __all__ = [
     "WorkerGlobalMutationRule",
     "UnpicklablePayloadRule",
     "ForkUnsafeImportResourceRule",
 ]
-
-#: Methods that mutate their receiver in place.
-_MUTATING_METHODS = frozenset({
-    "append", "extend", "insert", "add", "update", "setdefault",
-    "pop", "popitem", "remove", "discard", "clear", "sort", "reverse",
-    "appendleft", "extendleft", "popleft",
-})
 
 
 def _assigned_names(node: ast.AST) -> Set[str]:
@@ -77,45 +73,6 @@ def _assigned_names(node: ast.AST) -> Set[str]:
                 if isinstance(sub, ast.Name):
                     names.add(sub.id)
     return names
-
-
-def _is_local(fn, name: str) -> bool:
-    """Whether ``name`` is a parameter or plain local inside ``fn``
-    (so a mutation of it is process-private, not module state)."""
-    if name in fn.global_names:
-        return False
-    node = fn.node
-    args = getattr(node, "args", None)
-    if args is not None:
-        every = (
-            list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        )
-        if args.vararg is not None:
-            every.append(args.vararg)
-        if args.kwarg is not None:
-            every.append(args.kwarg)
-        if any(arg.arg == name for arg in every):
-            return True
-    for sub in ast.walk(node):
-        if isinstance(sub, ast.Assign):
-            for target in sub.targets:
-                if isinstance(target, ast.Name) and target.id == name:
-                    return True
-        elif isinstance(sub, (ast.For, ast.AsyncFor)):
-            for t in ast.walk(sub.target):
-                if isinstance(t, ast.Name) and t.id == name:
-                    return True
-        elif isinstance(sub, (ast.With, ast.AsyncWith)):
-            for item in sub.items:
-                if item.optional_vars is not None:
-                    for t in ast.walk(item.optional_vars):
-                        if isinstance(t, ast.Name) and t.id == name:
-                            return True
-        elif isinstance(sub, ast.comprehension):
-            for t in ast.walk(sub.target):
-                if isinstance(t, ast.Name) and t.id == name:
-                    return True
-    return False
 
 
 @register_rule
@@ -141,7 +98,7 @@ class WorkerGlobalMutationRule(Rule):
     def check_project(self, project) -> Iterator[Finding]:
         for info in project.modules.values():
             module = info.module
-            for node in ast.walk(module.tree):
+            for node in module.nodes:
                 fn = info.function_at(node)
                 if fn is None or fn.key not in project.worker_reachable:
                     continue
@@ -187,7 +144,7 @@ class WorkerGlobalMutationRule(Rule):
         elif isinstance(node, ast.Call) and isinstance(
             node.func, ast.Attribute
         ):
-            if node.func.attr not in _MUTATING_METHODS:
+            if node.func.attr not in MUTATING_METHODS:
                 return
             base = node.func.value
             if isinstance(base, ast.Name) and self._is_module_state(
@@ -205,9 +162,11 @@ class WorkerGlobalMutationRule(Rule):
 
     @staticmethod
     def _is_module_state(project, info, fn, name: str) -> bool:
-        if _is_local(fn, name):
-            return False
-        return project.resolve_global(info, name) is not None
+        # A parameter or local is process-private, not module state.
+        return (
+            project.resolve_global(info, name) is not None
+            and name not in local_names(fn.node)
+        )
 
 
 #: Receiver-name fragments identifying pipe/queue channels: the
@@ -240,7 +199,7 @@ class UnpicklablePayloadRule(Rule):
     scope = ("runtime", "partitioned", "proc")
 
     def check(self, module: Module) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             for payload, where in self._payload_exprs(node):
@@ -306,18 +265,12 @@ class UnpicklablePayloadRule(Rule):
     @staticmethod
     def _enclosing_nested_defs(module: Module, node: ast.AST) -> Set[str]:
         """Names of functions defined inside any function enclosing node."""
-        names: Set[str] = set()
-        current = module.parent(node)
-        while current is not None:
-            if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                for sub in ast.walk(current):
-                    if (
-                        isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
-                        and sub is not current
-                    ):
-                        names.add(sub.name)
-            current = module.parent(current)
-        return names
+        return {
+            sub.name
+            for scope in module.ancestors(node, FUNCTION_DEFS)
+            for sub in ast.walk(scope)
+            if isinstance(sub, FUNCTION_DEFS) and sub is not scope
+        }
 
 
 @register_rule
@@ -344,7 +297,7 @@ class ForkUnsafeImportResourceRule(Rule):
     def check_project(self, project) -> Iterator[Finding]:
         reported: Set[Tuple[str, str]] = set()
         for info in project.modules.values():
-            for node in ast.walk(info.module.tree):
+            for node in info.module.nodes:
                 if not isinstance(node, ast.Name) or not isinstance(
                     node.ctx, ast.Load
                 ):

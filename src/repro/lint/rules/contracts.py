@@ -12,20 +12,25 @@ failures, memory checks, and Granula events are produced.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, Optional, Set
 
-from repro.lint.core import Finding, Module, Rule, Severity, call_name, register_rule
+from repro.lint.core import (
+    FUNCTION_DEFS,
+    MUTATING_METHODS,
+    Finding,
+    Module,
+    Rule,
+    Severity,
+    call_name,
+    local_names,
+    register_rule,
+    scope_nodes,
+)
 
 __all__ = ["VertexProgramStateRule", "DriverBypassRule"]
 
 #: Function names that form the vertex-program contract surface.
 _CONTRACT_FUNCTIONS = {"compute", "gather", "apply", "scatter"}
-
-#: Method calls that mutate their receiver.
-_MUTATING_METHODS = {
-    "append", "add", "update", "extend", "insert", "setdefault",
-    "pop", "popitem", "clear", "discard", "remove", "sort", "reverse",
-}
 
 
 def _base_name(node: ast.AST) -> Optional[str]:
@@ -37,44 +42,10 @@ def _base_name(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-    stack: List[ast.AST] = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-
-
-def _local_names(func: ast.AST) -> Set[str]:
-    """Parameters plus names bound inside the function body."""
-    names: Set[str] = set()
-    args = func.args
-    for group in (args.posonlyargs, args.args, args.kwonlyargs):
-        names.update(a.arg for a in group)
-    if args.vararg:
-        names.add(args.vararg.arg)
-    if args.kwarg:
-        names.add(args.kwarg.arg)
-    declared_outer: Set[str] = set()
-    for node in _scope_nodes(func):
-        if isinstance(node, (ast.Global, ast.Nonlocal)):
-            declared_outer.update(node.names)
-        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            names.add(node.id)
-        elif isinstance(node, ast.comprehension):
-            for target in ast.walk(node.target):
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
-    return names - declared_outer
-
-
 def _contract_functions(module: Module) -> Iterator[ast.AST]:
     """Defs/lambdas named (or bound to) compute/gather/apply/scatter."""
-    for node in ast.walk(module.tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    for node in module.nodes:
+        if isinstance(node, FUNCTION_DEFS):
             if node.name in _CONTRACT_FUNCTIONS:
                 yield node
         elif isinstance(node, ast.Lambda):
@@ -110,13 +81,11 @@ class VertexProgramStateRule(Rule):
 
     def check(self, module: Module) -> Iterator[Finding]:
         for func in _contract_functions(module):
-            local = _local_names(func)
+            local = local_names(func)
             symbol = (
-                func.name
-                if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-                else "<lambda>"
+                func.name if isinstance(func, FUNCTION_DEFS) else "<lambda>"
             )
-            for node in _scope_nodes(func):
+            for node in scope_nodes(func):
                 if isinstance(node, (ast.Global, ast.Nonlocal)):
                     yield module.finding(
                         self, node,
@@ -143,7 +112,7 @@ class VertexProgramStateRule(Rule):
                 elif isinstance(node, ast.Call) and isinstance(
                     node.func, ast.Attribute
                 ):
-                    if node.func.attr in _MUTATING_METHODS and isinstance(
+                    if node.func.attr in MUTATING_METHODS and isinstance(
                         node.func.value, ast.Name
                     ):
                         base = node.func.value.id
@@ -172,20 +141,10 @@ _LIFECYCLE_HOOKS = {"_run_algorithm"}
 _EXEMPT_STEMS = {"base", "registry"}
 
 
-def _enclosing_def_names(module: Module, node: ast.AST) -> Set[str]:
-    names: Set[str] = set()
-    current = module.parent(node)
-    while current is not None:
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names.add(current.name)
-        current = module.parent(current)
-    return names
-
-
 def _get_algorithm_bindings(module: Module) -> Set[str]:
     """Names assigned from ``get_algorithm(...)`` anywhere in the file."""
     bound: Set[str] = set()
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
             if call_name(node.value).split(".")[-1] == "get_algorithm":
                 for target in node.targets:
@@ -215,10 +174,13 @@ class DriverBypassRule(Rule):
         if module.stem in _EXEMPT_STEMS:
             return
         spec_names = _get_algorithm_bindings(module)
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
-            if _enclosing_def_names(module, node) & _LIFECYCLE_HOOKS:
+            if any(
+                scope.name in _LIFECYCLE_HOOKS
+                for scope in module.ancestors(node, FUNCTION_DEFS)
+            ):
                 continue
             name = call_name(node)
             parts = name.split(".")

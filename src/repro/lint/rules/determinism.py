@@ -11,9 +11,11 @@ accumulating floats in an unordered fashion.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Optional, Set
 
-from repro.lint.core import Finding, Module, Rule, Severity, call_name, register_rule
+from repro.lint.core import (
+    Finding, Module, Rule, Severity, call_name, register_rule, scope_nodes,
+)
 
 __all__ = ["UnorderedIterationRule", "UnseededRngRule", "UnorderedAccumulationRule"]
 
@@ -26,18 +28,6 @@ _ORDER_INSENSITIVE_CONSUMERS = {
 _DICT_VIEWS = {"keys", "values", "items"}
 
 _SET_BINOPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
-
-
-def _scope_nodes(scope: ast.AST) -> Iterator[ast.AST]:
-    """Walk a function/module scope without descending into nested scopes."""
-    stack: List[ast.AST] = list(ast.iter_child_nodes(scope))
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda, ast.ClassDef)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
 
 
 def _is_set_constructor(node: ast.AST, set_names: Set[str]) -> bool:
@@ -62,7 +52,7 @@ def _set_typed_names(scope: ast.AST) -> Set[str]:
     """
     names: Set[str] = set()
     for _ in range(2):
-        for node in _scope_nodes(scope):
+        for node in scope_nodes(scope):
             if isinstance(node, ast.Assign):
                 if _is_set_constructor(node.value, names):
                     for target in node.targets:
@@ -89,7 +79,7 @@ def _is_unordered(node: ast.AST, set_names: Set[str]) -> bool:
 
 def _function_scopes(module: Module) -> Iterator[ast.AST]:
     yield module.tree
-    for node in ast.walk(module.tree):
+    for node in module.nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             yield node
 
@@ -137,7 +127,7 @@ class UnorderedIterationRule(Rule):
     def check(self, module: Module) -> Iterator[Finding]:
         for scope in _function_scopes(module):
             set_names = _set_typed_names(scope)
-            for node in _scope_nodes(scope):
+            for node in scope_nodes(scope):
                 if isinstance(node, ast.For):
                     if _is_unordered(node.iter, set_names):
                         yield module.finding(
@@ -211,7 +201,7 @@ class UnseededRngRule(Rule):
     scope = None  # seeds matter everywhere
 
     def check(self, module: Module) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = call_name(node)
@@ -275,7 +265,7 @@ class UnorderedAccumulationRule(Rule):
     def check(self, module: Module) -> Iterator[Finding]:
         for scope in _function_scopes(module):
             set_names = _set_typed_names(scope)
-            for node in _scope_nodes(scope):
+            for node in scope_nodes(scope):
                 if not isinstance(node, ast.Call):
                     continue
                 name = call_name(node)

@@ -10,6 +10,15 @@ drift across processes without the rebase step, and that never appear
 in the exported span tree. The only legitimate call site is the
 ``MonotonicClock`` wrapper inside ``repro/trace`` itself.
 
+OBS001 is a row of the confinement rule
+(:class:`~repro.lint.rules.robustness._ConfinementRule`): the confined
+call is a clock read, found by the alias-aware standard-library call
+matcher ROB003 uses for ``sqlite3.connect`` — whether the file spells
+it ``time.monotonic()``, through ``import time as _clk``, or through a
+module-level rebind ``_now = time.perf_counter`` — and the sanctuary is
+``repro/trace``. The project pass adds the one disguise a single file
+cannot show: a rebind imported from another module.
+
 ``time.sleep`` is deliberately *not* flagged: waiting is not
 measuring, and the tracer clock forwards it anyway.
 """
@@ -17,16 +26,18 @@ measuring, and the tracer clock forwards it anyway.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, Optional, Set
+from typing import Dict, Iterator, Tuple
 
 from repro.lint.core import (
     Finding,
     Module,
-    Rule,
     Severity,
     call_name,
     register_rule,
+    stdlib_calls,
+    stdlib_names,
 )
+from repro.lint.rules.robustness import _ConfinementRule
 
 __all__ = ["BareClockCallRule"]
 
@@ -39,15 +50,20 @@ _CLOCK_NAMES = frozenset(
     for suffix in ("", "_ns")
 )
 
+#: A spelling of the ``time`` module that needs no import alias.
+_TIME_ROOTS = ("_time",)
 
-def _is_trace_module(module: Module) -> bool:
-    """Whether the module belongs to the tracing core (the one place
-    allowed to touch the standard-library clocks)."""
-    return "trace" in module.segments
+
+def _rebind_message(name: str, function: str) -> str:
+    return (
+        f"`{name}()` is `{function}` rebound at module level — a standard "
+        f"clock in disguise; open a span or read current_tracer().clock "
+        f"instead"
+    )
 
 
 @register_rule
-class BareClockCallRule(Rule):
+class BareClockCallRule(_ConfinementRule):
     """OBS001: bare standard-library clock call outside ``repro.trace``.
 
     Reading wall-clock or monotonic time directly bypasses the
@@ -64,139 +80,88 @@ class BareClockCallRule(Rule):
         "timing must go through repro.trace's injectable clock, not "
         "bare standard-library clock calls"
     )
-    scope = None  # everywhere; the tracing core itself is exempted below
+    scope = None  # everywhere; the tracing core is the sanctuary
+    # The clock's disguise shapes the message, so ``matches`` phrases
+    # each finding whole.
+    direct_message = "{desc}"
 
-    def check(self, module: Module) -> Iterator[Finding]:
-        if _is_trace_module(module):
-            return
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.ImportFrom):
-                if node.module != "time" or node.level:
-                    continue
-                clocks = [
+    def sanctuary(self, module: Module) -> bool:
+        return "trace" in module.segments
+
+    def matches(self, module: Module) -> Iterator[Tuple[ast.AST, str]]:
+        for node in module.nodes:
+            if (
+                isinstance(node, ast.ImportFrom)
+                and node.module == "time" and not node.level
+            ):
+                clocks = sorted(
                     alias.name for alias in node.names
                     if alias.name in _CLOCK_NAMES
-                ]
-                if clocks:
-                    yield module.finding(
-                        self, node,
-                        f"importing {', '.join(sorted(clocks))} from the "
-                        f"time module bypasses the tracer clock; use "
-                        f"repro.trace (current_tracer().clock or a span)",
-                    )
-                continue
-            if not isinstance(node, ast.Call):
-                continue
-            dotted = call_name(node)
-            root, _, attr = dotted.partition(".")
-            if root in ("time", "_time") and attr in _CLOCK_NAMES:
-                yield module.finding(
-                    self, node,
-                    f"bare `{dotted}()` call bypasses the tracer clock — "
-                    f"its reading is untestable, untraced, and unrebased; "
-                    f"open a span or read current_tracer().clock instead",
                 )
-
-    # -- interprocedural pass ----------------------------------------------
+                if clocks:
+                    yield node, (
+                        f"importing {', '.join(clocks)} from the time "
+                        f"module bypasses the tracer clock; use "
+                        f"repro.trace (current_tracer().clock or a span)"
+                    )
+        calls = stdlib_calls(module, "time", _CLOCK_NAMES, _TIME_ROOTS)
+        for call, how, function in calls:
+            spelled = call_name(call)
+            if how == "module":
+                yield call, (
+                    f"bare `{spelled}()` call bypasses the tracer clock — "
+                    f"its reading is untestable, untraced, and unrebased; "
+                    f"open a span or read current_tracer().clock instead"
+                )
+            elif how == "alias":
+                yield call, (
+                    f"`{spelled}()` reads the standard clock through "
+                    f"import alias `{call.func.value.id}`, bypassing the "
+                    f"tracer clock; open a span or read "
+                    f"current_tracer().clock"
+                )
+            elif how == "rebind":
+                yield call, _rebind_message(spelled, function)
+            # how == "import": the `from time import` line is the finding
 
     def check_project(self, project) -> Iterator[Finding]:
-        """Catch clock calls the syntactic pass cannot see: the ``time``
-        module renamed by an import alias (``import time as _clk``),
-        and module-level rebinds (``_now = time.monotonic``) called
-        locally or from another module. The alias and the rebound name
-        defeat the per-file pass's ``time.``/``_time.`` root check, but
-        the reading is just as untraced.
-        """
-        aliases: Dict[str, Set[str]] = {}
+        """A module-level rebind called from another module (``from
+        clockmod import _now``): the disguise no single file shows."""
         rebinds: Dict[str, Dict[str, str]] = {}
-        for name, info in project.modules.items():
-            if info.is_trace_module:
-                continue  # the tracing core may touch the stdlib clocks
-            mod_aliases = {
-                local
-                for local, binding in info.imports.items()
-                if binding.symbol is None
-                and binding.module == "time"
-                and local not in ("time", "_time")
-            }
-            aliases[name] = mod_aliases
-            binds: Dict[str, str] = {}
-            for stmt in info.module.tree.body:
-                if not isinstance(stmt, ast.Assign):
-                    continue
-                source = self._clock_source(info, mod_aliases, stmt.value)
-                if source is None:
-                    continue
-                for target in stmt.targets:
-                    if isinstance(target, ast.Name):
-                        binds[target.id] = source
-            rebinds[name] = binds
-        for name, info in project.modules.items():
-            if info.is_trace_module:
+        for info in project.modules.values():
+            if self.sanctuary(info.module):
                 continue
-            for node in ast.walk(info.module.tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
+            _, bare = stdlib_names(
+                info.module, "time", _CLOCK_NAMES, _TIME_ROOTS
+            )
+            rebinds[info.name] = {
+                name: function
+                for name, (how, function) in bare.items() if how == "rebind"
+            }
+
+        def table(info):
+            return rebinds.get(info.name, {})
+
+        for info in project.modules.values():
+            local = rebinds.get(info.name)
+            if local is None:
+                continue  # the sanctuary
+            # A local rebind is the per-file pass's; an imported one is
+            # whatever the import resolves to.
+            imported = {
+                name: function
+                for name in info.imports if name not in local
+                if (function := project.resolve(info, name, table))
+            }
+            if not imported:
+                continue
+            for node in info.module.nodes:
                 if (
-                    isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name)
-                    and func.value.id in aliases[name]
-                    and func.attr in _CLOCK_NAMES
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in imported
                 ):
                     yield info.module.finding(
                         self, node,
-                        f"`{func.value.id}.{func.attr}()` reads the "
-                        f"standard clock through import alias "
-                        f"`{func.value.id}`, bypassing the tracer clock; "
-                        f"open a span or read current_tracer().clock",
+                        _rebind_message(node.func.id, imported[node.func.id]),
                     )
-                elif isinstance(func, ast.Name):
-                    source = self._resolve_clock_name(
-                        project, info, rebinds, func.id
-                    )
-                    if source is not None:
-                        yield info.module.finding(
-                            self, node,
-                            f"`{func.id}()` is `{source}` rebound at "
-                            f"module level — a standard clock in "
-                            f"disguise; open a span or read "
-                            f"current_tracer().clock instead",
-                        )
-
-    @staticmethod
-    def _clock_source(info, mod_aliases: Set[str], value: ast.AST) -> Optional[str]:
-        """Canonical ``time.<fn>`` if ``value`` denotes a stdlib clock."""
-        if isinstance(value, ast.Attribute) and isinstance(
-            value.value, ast.Name
-        ):
-            base = value.value.id
-            if value.attr in _CLOCK_NAMES and (
-                base in ("time", "_time") or base in mod_aliases
-            ):
-                return f"time.{value.attr}"
-        elif isinstance(value, ast.Name):
-            binding = info.imports.get(value.id)
-            if (
-                binding is not None
-                and binding.module == "time"
-                and binding.symbol in _CLOCK_NAMES
-            ):
-                return f"time.{binding.symbol}"
-        return None
-
-    @staticmethod
-    def _resolve_clock_name(
-        project, info, rebinds: Dict[str, Dict[str, str]], name: str
-    ) -> Optional[str]:
-        """``name`` in ``info``'s namespace as a module-level clock
-        rebind — defined locally or imported from another module."""
-        source = rebinds.get(info.name, {}).get(name)
-        if source is not None:
-            return source
-        binding = info.imports.get(name)
-        if binding is not None and binding.symbol is not None:
-            target = project.resolve_module(binding.module)
-            if target is not None:
-                return rebinds.get(target.name, {}).get(binding.symbol)
-        return None

@@ -49,7 +49,7 @@ class UnmeteredRateRule(Rule):
     def check(self, module: Module) -> Iterator[Finding]:
         if module.stem not in _REPORTER_STEMS:
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.BinOp) or not isinstance(
                 node.op, (ast.Div, ast.FloorDiv)
             ):

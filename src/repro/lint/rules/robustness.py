@@ -38,16 +38,18 @@ database file.
 from __future__ import annotations
 
 import ast
-from collections import deque
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.lint.core import (
+    FUNCTION_DEFS,
     Finding,
     Module,
     Rule,
     Severity,
+    call_name,
     names_in,
     register_rule,
+    stdlib_calls,
 )
 
 __all__ = [
@@ -101,7 +103,7 @@ class SwallowedExceptionRule(Rule):
     scope = ("harness", "platforms", "granula")
 
     def check(self, module: Module) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
             if _reraises(node):
@@ -136,15 +138,6 @@ _ENTRYPOINT_TOKENS = (
 _RECORD_TOKENS = ("fail", "attempt")
 
 
-def _innermost_function(module: Module, node: ast.AST) -> Optional[str]:
-    current = module.parent(node)
-    while current is not None:
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return current.name
-        current = module.parent(current)
-    return None
-
-
 def _records_failure(handler: ast.ExceptHandler) -> bool:
     found = names_in(handler)
     return any(
@@ -175,10 +168,12 @@ class RuntimeFailureRecordRule(Rule):
     scope = ("runtime", "proc")
 
     def check(self, module: Module) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.ExceptHandler):
                 continue
-            function = _innermost_function(module, node)
+            function = next(
+                (f.name for f in module.ancestors(node, FUNCTION_DEFS)), None
+            )
             if function is None or not any(
                 token in function.lower() for token in _ENTRYPOINT_TOKENS
             ):
@@ -219,14 +214,14 @@ def _open_mode(call: ast.Call, *, is_method: bool) -> Optional[ast.expr]:
     return None
 
 
-def _file_writes(tree: ast.AST, flags: str) -> Iterator[Tuple[ast.Call, str]]:
-    """Every file-writing call under ``tree`` with a short description:
+def _file_writes(module: Module, flags: str) -> Iterator[Tuple[ast.Call, str]]:
+    """Every file-writing call in ``module`` with a short description:
     ``write_text``/``write_bytes``, and ``open`` with a constant mode
     containing one of ``flags`` — ``"wx"`` selects the writes that
     truncate or replace, ``"wxa+"`` every mode that can emit bytes.
     Dynamic modes are undecidable and stay unflagged.
     """
-    for node in ast.walk(tree):
+    for node in module.nodes:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -249,54 +244,24 @@ def _file_writes(tree: ast.AST, flags: str) -> Iterator[Tuple[ast.Call, str]]:
             yield node, f"open(..., {mode.value!r})"
 
 
-def _sqlite_connect_calls(tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
-    """Every call under ``tree`` that resolves to ``sqlite3.connect``,
-    with a short description. Tracks ``import sqlite3`` aliases and
-    ``from sqlite3 import connect`` (with renames); attribute calls on
-    other receivers (``client.connect()``) are not sqlite."""
-    module_aliases = {"sqlite3"}
-    connect_aliases = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name == "sqlite3":
-                    module_aliases.add(alias.asname or "sqlite3")
-        elif isinstance(node, ast.ImportFrom):
-            if node.module == "sqlite3":
-                for alias in node.names:
-                    if alias.name == "connect":
-                        connect_aliases.add(alias.asname or "connect")
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "connect"
-            and isinstance(func.value, ast.Name)
-            and func.value.id in module_aliases
-        ):
-            yield node, f"{func.value.id}.connect(...)"
-        elif isinstance(func, ast.Name) and func.id in connect_aliases:
-            yield node, f"{func.id}(...)"
-
-
 class _ConfinementRule(Rule):
-    """Shared shape of ROB001/ROB002/ROB003: a *confined call* (a file
-    write, a SQLite connect) may appear only inside its sanctuary.
+    """Shared shape of ROB001/ROB002/ROB003 and OBS001: a *confined
+    call* (a file write, a SQLite connect, a clock read) may appear
+    only inside its sanctuary.
 
-    A subclass names the confined calls (:meth:`matches`), the modules
-    that are the sanctioned medium (:meth:`sanctuary` — never flagged,
-    never tainting their callers) and two message templates:
-    ``direct_message`` (``{desc}``) for a confined call written in
-    scope, ``taint_message`` (``{callee}``, ``{desc}``, ``{root}``) for
-    one reached through an out-of-scope helper.
+    A subclass names the confined calls (:meth:`matches`, as ``(node,
+    desc)`` pairs), the modules that are the sanctioned medium
+    (:meth:`sanctuary` — never flagged, never tainting their callers)
+    and two message templates: ``direct_message`` (``{desc}``) for a
+    confined call written in scope, ``taint_message`` (``{callee}``,
+    ``{desc}``, ``{root}``) for one reached through an out-of-scope
+    helper.
     """
 
     direct_message = ""
     taint_message = ""
 
-    def matches(self, tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
+    def matches(self, module: Module) -> Iterator[Tuple[ast.AST, str]]:
         raise NotImplementedError
 
     def sanctuary(self, module: Module) -> bool:
@@ -305,7 +270,7 @@ class _ConfinementRule(Rule):
     def check(self, module: Module) -> Iterator[Finding]:
         if self.sanctuary(module):
             return
-        for node, desc in self.matches(module.tree):
+        for node, desc in self.matches(module):
             yield module.finding(
                 self, node, self.direct_message.format(desc=desc)
             )
@@ -323,7 +288,7 @@ class _ConfinementRule(Rule):
         for info in project.modules.values():
             if self.sanctuary(info.module) or self.applies_to(info.module):
                 continue  # in-scope calls are the per-file pass's job
-            for node, desc in self.matches(info.module.tree):
+            for node, desc in self.matches(info.module):
                 fn = info.function_at(node)
                 if fn is not None:
                     tainted.setdefault(fn.key, desc)
@@ -331,31 +296,20 @@ class _ConfinementRule(Rule):
             return
         # Every function from which a tainted one is reachable, mapped
         # to the tainted function it first reaches.
-        origin = {key: key for key in tainted}
-        queue = deque(sorted(tainted))
-        while queue:
-            current = queue.popleft()
-            for prev in sorted(project.call_graph.reverse.get(current, ())):
-                if prev not in origin:
-                    origin[prev] = origin[current]
-                    queue.append(prev)
-        for site in project.call_graph.call_sites:
-            callee = project.call_graph.nodes.get(site.callee)
-            caller = project.call_graph.nodes.get(site.caller)
-            if callee is None or caller is None or site.callee not in origin:
-                continue
-            if self.applies_to(callee.module.module):
-                continue  # the callee's own call is flagged directly
-            caller_module = caller.module.module
+        origin = project.closure(tainted, reverse=True)
+        for site in project.call_sites:
+            root = origin.get(site.callee.key)
+            if root is None or self.applies_to(site.callee.module.module):
+                continue  # untainted, or the callee's own call is flagged directly
+            caller_module = site.caller.module.module
             if not self.applies_to(caller_module) or self.sanctuary(
                 caller_module
             ):
                 continue  # only flag where the taint enters scoped code
-            root = origin[site.callee]
             yield caller_module.finding(
                 self, site.node,
                 self.taint_message.format(
-                    callee=site.callee, desc=tainted[root], root=root
+                    callee=site.callee.key, desc=tainted[root], root=root
                 ),
             )
 
@@ -393,8 +347,8 @@ class AtomicArtifactWriteRule(_ConfinementRule):
         "here — route the write through repro.ioutil.atomic_write"
     )
 
-    def matches(self, tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
-        return _file_writes(tree, "wx")
+    def matches(self, module: Module) -> Iterator[Tuple[ast.Call, str]]:
+        return _file_writes(module, "wx")
 
 
 @register_rule
@@ -437,8 +391,9 @@ class SanctionedSqliteConnectRule(_ConfinementRule):
         "through repro.resultsdb.ResultsStore"
     )
 
-    def matches(self, tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
-        return _sqlite_connect_calls(tree)
+    def matches(self, module: Module) -> Iterator[Tuple[ast.Call, str]]:
+        for call, _, _ in stdlib_calls(module, "sqlite3", ("connect",)):
+            yield call, f"{call_name(call)}(...)"
 
     def sanctuary(self, module: Module) -> bool:
         # The one package allowed to open connections: it owns the
@@ -482,8 +437,8 @@ class FaultPointRoutedWriteRule(_ConfinementRule):
         "repro.ioutil.atomic_write or the run journal"
     )
 
-    def matches(self, tree: ast.AST) -> Iterator[Tuple[ast.Call, str]]:
-        return _file_writes(tree, "wxa+")
+    def matches(self, module: Module) -> Iterator[Tuple[ast.Call, str]]:
+        return _file_writes(module, "wxa+")
 
     def sanctuary(self, module: Module) -> bool:
         # The plane itself: ``atomic_write`` (every write/fsync/replace

@@ -35,6 +35,7 @@ import ast
 from typing import Iterator, Optional
 
 from repro.lint.core import (
+    FUNCTION_DEFS,
     Finding,
     Module,
     Rule,
@@ -52,21 +53,6 @@ _READ_METHODS = frozenset({"read", "readlines"})
 def _is_awaited(module: Module, call: ast.Call) -> bool:
     parent = module.parent(call)
     return isinstance(parent, ast.Await)
-
-
-def _enclosing_async_def(
-    module: Module, node: ast.AST
-) -> Optional[ast.AsyncFunctionDef]:
-    """The innermost enclosing ``async def`` — unless a plain ``def``
-    intervenes (then the code runs off-loop, e.g. a to_thread thunk)."""
-    current = module.parent(node)
-    while current is not None:
-        if isinstance(current, ast.FunctionDef):
-            return None
-        if isinstance(current, ast.AsyncFunctionDef):
-            return current
-        current = module.parent(current)
-    return None
 
 
 @register_rule
@@ -90,8 +76,8 @@ class AsyncHandlerBlockingCallRule(Rule):
 
     def check_project(self, project) -> Iterator[Finding]:
         for key in sorted(project.handler_reachable):
-            fn = project.call_graph.nodes.get(key)
-            if fn is None or not isinstance(fn.node, ast.AsyncFunctionDef):
+            fn = project.functions[key]
+            if not isinstance(fn.node, ast.AsyncFunctionDef):
                 continue
             module = fn.module.module
             if not self.applies_to(module):
@@ -103,7 +89,7 @@ class AsyncHandlerBlockingCallRule(Rule):
         for node in ast.walk(fn.node):
             if not isinstance(node, ast.Call):
                 continue
-            if _enclosing_async_def(module, node) is not fn.node:
+            if next(module.ancestors(node, FUNCTION_DEFS)) is not fn.node:
                 continue  # nested def (off-loop thunk) or foreign scope
             blocking = self._blocking_kind(module, node)
             if blocking is None:

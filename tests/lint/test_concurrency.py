@@ -46,6 +46,35 @@ class TestRace001WorkerGlobalMutation:
         config = LintConfig(root=REPO_ROOT, select=["RACE001"], project=False)
         assert LintEngine(config).run([FIXTURES / "raceproj"]) == []
 
+    def test_state_reexported_twice_resolves_to_its_owner(self, tmp_path):
+        # worker -> pkg/__init__ -> pkg/mid -> pkg/state: three imports.
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "state.py").write_text("CACHE = {}\n", encoding="utf-8")
+        (pkg / "mid.py").write_text(
+            "from pkg.state import CACHE\n", encoding="utf-8"
+        )
+        (pkg / "__init__.py").write_text(
+            "from pkg.mid import CACHE\n", encoding="utf-8"
+        )
+        (tmp_path / "worker.py").write_text(
+            "import multiprocessing as mp\n"
+            "\n"
+            "from pkg import CACHE\n"
+            "\n"
+            "\n"
+            "def _worker_main(conn):\n"
+            "    CACHE[1] = conn.recv()\n"
+            "\n"
+            "\n"
+            "def spawn(conn):\n"
+            "    mp.Process(target=_worker_main, args=(conn,)).start()\n",
+            encoding="utf-8",
+        )
+        findings = _run([tmp_path], ["RACE001"], root=tmp_path)
+        assert _triples(findings) == [("RACE001", "worker.py", 7)]
+        assert "defined in pkg.state" in findings[0].message
+
 
 class TestRace002UnpicklablePayloads:
     def test_exact_findings(self):
@@ -197,8 +226,14 @@ class TestObs001Interprocedural:
         assert all(f.symbol != "wait" for f in findings)
 
     def test_old_syntactic_pass_misses_all_of_it(self):
+        # One file shows the alias and the same-module rebind; only the
+        # rebind imported into meter.py needs the project pass.
         config = LintConfig(root=REPO_ROOT, select=["OBS001"], project=False)
-        assert LintEngine(config).run([FIXTURES / "obsproj"]) == []
+        findings = LintEngine(config).run([FIXTURES / "obsproj"])
+        assert _triples(findings) == [
+            ("OBS001", "clockmod.py", 14),
+            ("OBS001", "clockmod.py", 18),
+        ]
 
 
 class TestLiveTreeIsClean:

@@ -1,6 +1,9 @@
 """Configuration loading from pyproject.toml (tomllib and fallback)."""
 
+import sys
 from pathlib import Path
+
+import pytest
 
 from repro.lint import LintConfig, find_project_root, load_config
 from repro.lint.config import _parse_toml_minimal
@@ -41,6 +44,14 @@ class TestLoadConfig:
         config = load_config(REPO_ROOT)
         assert config.root == REPO_ROOT
         assert any("fixtures" in pattern for pattern in config.exclude)
+
+    def test_fallback_parser_reads_the_repo_excludes(self, monkeypatch):
+        # Interpreters without tomllib read multi-line arrays too.
+        tomllib = pytest.importorskip("tomllib")
+        text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        expected = tomllib.loads(text)["tool"]["graphalytics"]["lint"]
+        monkeypatch.setitem(sys.modules, "tomllib", None)
+        assert load_config(REPO_ROOT).exclude == expected["exclude"]
 
     def test_custom_pyproject(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(SAMPLE, encoding="utf-8")

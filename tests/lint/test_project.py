@@ -1,4 +1,4 @@
-"""Phase 1 of the whole-program analyzer: ProjectModel + CallGraph.
+"""Phase 1 of the whole-program analyzer: the ProjectModel and its call graph.
 
 Built over the ``raceproj`` fixture tree — a miniature dispatcher /
 worker / jobs / state project — so every assertion exercises the same
@@ -93,9 +93,9 @@ class TestSymbolTables:
 
 class TestCallGraph:
     def test_worker_entrypoint_detected(self, project):
-        (key,) = project.worker_entrypoints
+        (key,) = project.entrypoints
         assert key.endswith("raceproj.worker._worker_main")
-        assert project.worker_entrypoints[key] == "Process target"
+        assert project.entrypoints[key] == "Process target"
 
     def test_reachability_crosses_modules(self, project):
         reachable = {k.rsplit(".", 1)[-1] for k in project.worker_reachable}
@@ -108,9 +108,10 @@ class TestCallGraph:
         )
 
     def test_reverse_closure(self, project):
-        graph = project.call_graph
-        (record_key,) = [k for k in graph.nodes if k.endswith("jobs.record")]
-        callers = graph.reaches({record_key})
+        (record_key,) = [
+            k for k in project.functions if k.endswith("jobs.record")
+        ]
+        callers = project.closure({record_key}, reverse=True)
         assert any(k.endswith("_worker_main") for k in callers)
 
 
@@ -132,7 +133,7 @@ class TestLiveTreeForkBoundary:
         ],
     )
     def test_child_targets_are_worker_entrypoints(self, live, entrypoint):
-        assert live.worker_entrypoints.get(entrypoint) == "Process target"
+        assert live.entrypoints.get(entrypoint) == "Process target"
 
     def test_the_serve_loop_and_its_handlers_are_worker_reachable(self, live):
         assert {
