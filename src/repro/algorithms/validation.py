@@ -14,8 +14,6 @@ three equivalence notions:
 
 from __future__ import annotations
 
-from typing import Dict
-
 import numpy as np
 
 from repro.exceptions import ValidationError
@@ -96,7 +94,16 @@ class EpsilonMatchRule:
 
 
 class EquivalenceMatchRule:
-    """Outputs must induce the same partition of the vertex set."""
+    """Outputs must induce the same partition of the vertex set.
+
+    Two labelings induce the same partition iff each actual label meets
+    one reference label and each reference label one actual label: then
+    there are as many distinct actual labels as reference labels as
+    (actual, reference) pairs. Vertex by vertex, that is: every vertex
+    carries the reference label of the first vertex sharing its actual
+    label, and the actual label of the first vertex sharing its reference
+    label. The first vertex where either fails is the one reported.
+    """
 
     name = "equivalence"
 
@@ -107,19 +114,26 @@ class EquivalenceMatchRule:
             raise ValidationError(
                 f"shape mismatch: {actual.shape} vs reference {reference.shape}"
             )
-        forward: Dict[object, object] = {}
-        backward: Dict[object, object] = {}
-        for i, (a, r) in enumerate(zip(actual.tolist(), reference.tolist())):
-            if forward.setdefault(a, r) != r:
-                raise ValidationError(
-                    f"label {a!r} maps to both {forward[a]!r} and {r!r} "
-                    f"(vertex dense index {i}): partitions differ"
-                )
-            if backward.setdefault(r, a) != a:
-                raise ValidationError(
-                    f"reference label {r!r} split across actual labels "
-                    f"{backward[r]!r} and {a!r} (vertex dense index {i})"
-                )
+        _, first_a, class_a = np.unique(actual, return_index=True, return_inverse=True)
+        _, first_r, class_r = np.unique(reference, return_index=True, return_inverse=True)
+        # Per vertex: the reference label the first vertex of its actual
+        # class carries, and the actual label of its reference class.
+        forward = reference[first_a[class_a]]
+        backward = actual[first_r[class_r]]
+        split = (forward != reference) | (backward != actual)
+        if not split.any():
+            return
+        i = int(split.argmax())
+        a, r = actual[i].item(), reference[i].item()
+        if forward[i] != r:
+            raise ValidationError(
+                f"label {a!r} maps to both {forward[i].item()!r} and {r!r} "
+                f"(vertex dense index {i}): partitions differ"
+            )
+        raise ValidationError(
+            f"reference label {r!r} split across actual labels "
+            f"{backward[i].item()!r} and {a!r} (vertex dense index {i})"
+        )
 
 
 #: Algorithm acronym -> validation rule instance. Public so conformance

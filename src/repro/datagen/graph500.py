@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import GenerationError
-from repro.graph.builder import GraphBuilder
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, first_occurrences
 
 __all__ = ["Graph500Config", "graph500"]
 
@@ -97,29 +96,38 @@ def graph500(
     rng = np.random.default_rng(seed)
     src, dst = _rmat_edges(config, rng)
 
-    # Canonicalize to undirected (lo, hi), drop self-loops, dedup.
+    # Canonicalize to undirected (lo, hi), drop self-loops, keep the
+    # first occurrence of each edge.
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
+    del src, dst
     keep = lo != hi
     lo, hi = lo[keep], hi[keep]
-    keys = lo * np.int64(config.num_vertex_slots) + hi
-    _, first = np.unique(keys, return_index=True)
-    first.sort()
+    del keep
+    first = first_occurrences(lo * np.int64(config.num_vertex_slots) + hi)
     lo, hi = lo[first], hi[first]
+    del first
 
     # Construct the Graph directly (the arrays are already validated:
     # no loops, no duplicates); a per-edge builder loop would dominate
-    # generation time at the larger miniature scales.
-    vertex_ids = np.unique(np.concatenate([lo, hi]))
-    index = np.full(config.num_vertex_slots, -1, dtype=np.int64)
-    index[vertex_ids] = np.arange(len(vertex_ids))
+    # generation time at the larger miniature scales. The vertices are
+    # the marked slots, numbered in slot order.
+    mark = np.zeros(config.num_vertex_slots, dtype=bool)
+    mark[lo] = True
+    mark[hi] = True
+    vertex_ids = np.flatnonzero(mark)
+    index = np.cumsum(mark, dtype=np.int64)
+    index -= 1
+    del mark
+    src, dst = index[lo], index[hi]
+    del index, lo, hi
     weights = None
     if weighted:
-        weights = rng.uniform(np.finfo(np.float64).tiny, 1.0, size=len(lo))
+        weights = rng.uniform(np.finfo(np.float64).tiny, 1.0, size=len(src))
     return Graph(
         vertex_ids=vertex_ids,
-        src=index[lo],
-        dst=index[hi],
+        src=src,
+        dst=dst,
         directed=False,
         weights=weights,
         name=name or f"graph500-{scale}",

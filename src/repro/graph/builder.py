@@ -136,10 +136,10 @@ class GraphBuilder:
 
     def build(self, name: str = "") -> Graph:
         """Finalize into an immutable Graph; vertex ids sorted ascending."""
-        vertex_ids = np.array(sorted(self._vertices), dtype=np.int64)
-        index = {int(v): i for i, v in enumerate(vertex_ids)}
-        src = np.array([index[s] for s in self._src], dtype=np.int64)
-        dst = np.array([index[d] for d in self._dst], dtype=np.int64)
+        vertex_ids = np.fromiter(self._vertices, dtype=np.int64, count=len(self._vertices))
+        vertex_ids.sort()
+        src = np.searchsorted(vertex_ids, np.array(self._src, dtype=np.int64))
+        dst = np.searchsorted(vertex_ids, np.array(self._dst, dtype=np.int64))
         weights = np.array(self._weights, dtype=np.float64) if self._weighted else None
         return Graph(
             vertex_ids=vertex_ids,

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.exceptions import GraphFormatError
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "first_occurrences"]
 
 
 def _build_csr_fast(
@@ -32,15 +32,100 @@ def _build_csr_fast(
     dst: np.ndarray,
     weights: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Vectorized CSR build: lexicographic sort by (src, dst)."""
-    order = np.lexsort((dst, src))
-    src_sorted = src[order]
-    indices = dst[order].astype(np.int64, copy=False)
+    """CSR of the slots ``src[k] -> dst[k]`` (dense indices in ``[0, n)``).
+
+    Rows follow the source, each row ascends by destination and equal
+    slots keep their input order: the permutation of the stable
+    ``np.lexsort((dst, src))``. It comes from one sort of the packed key
+    ``src * n + dst`` (exact while ``n * n < 2**63``), which numpy runs
+    unstably and vectorised; only a tie in the sorted keys (parallel
+    edges, or the two slots of an undirected self-loop) makes the order
+    of equal keys matter, and then the key is sorted again stably.
+    """
+    key = src * np.int64(n)
+    key += dst
+    order = np.argsort(key)
+    ranked = key[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        order = np.argsort(key, kind="stable")
+    del key
     w = weights[order] if weights is not None else None
-    degree = np.bincount(src_sorted, minlength=n)
+    del order
+    # The quotient is the row and the remainder, written over the
+    # sorted key, the column.
+    row = np.empty_like(ranked)
+    np.divmod(ranked, n, out=(row, ranked))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degree, out=indptr[1:])
-    return indptr, indices, w
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    return indptr, ranked, w
+
+
+def first_occurrences(keys: np.ndarray) -> np.ndarray:
+    """Positions of the first occurrence of each distinct key, ascending.
+
+    The same array as ``np.sort(np.unique(keys, return_index=True)[1])``,
+    from one unstable sort: the first occurrence of a key is the least
+    position among its equals, whatever order the sort left them in.
+    """
+    order = np.argsort(keys)
+    ranked = keys[order]
+    new = np.empty(len(keys), dtype=bool)
+    new[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    first = np.minimum.reduceat(order, np.flatnonzero(new))
+    first.sort()
+    return first
+
+
+def _id_order(vertex_ids: np.ndarray) -> Optional[np.ndarray]:
+    """The permutation that sorts ``vertex_ids``, or ``None`` when they
+    already ascend strictly (what every builder and generator produces).
+
+    Raises :class:`GraphFormatError` on a repeated id.
+    """
+    if np.all(vertex_ids[1:] > vertex_ids[:-1]):
+        return None
+    order = np.argsort(vertex_ids, kind="stable")
+    ranked = vertex_ids[order]
+    if np.any(ranked[1:] == ranked[:-1]):
+        raise GraphFormatError("duplicate vertex identifiers")
+    return order
+
+
+def _check_endpoints(n: int, src: np.ndarray, dst: np.ndarray) -> None:
+    """Every endpoint must be a dense index in ``[0, n)``: the packed CSR
+    key would silently alias another vertex otherwise."""
+    if not len(src):
+        return
+    if min(src.min(), dst.min()) >= 0 and max(src.max(), dst.max()) < n:
+        return
+    outside = (src < 0) | (src >= n) | (dst < 0) | (dst >= n)
+    k = int(np.argmax(outside))
+    raise GraphFormatError(
+        f"edge {k} ({src[k]},{dst[k]}) has an endpoint outside the "
+        f"dense index range [0, {n})"
+    )
+
+
+def _keep_heap_for_kernels(slot_bytes: int) -> None:
+    """Let glibc's malloc serve the kernels' temporaries from its heap.
+
+    glibc maps every block above a dynamic threshold (128 KiB at start)
+    straight from the kernel, hands heap memory above twice that
+    threshold back on every free, and raises the threshold to the size
+    of each mapped block freed. A kernel over ``S`` bytes of slots keeps
+    up to about ``8 S`` of numpy temporaries live (CDLP), and under a
+    smaller threshold every iteration faults its pages in anew: on
+    Graph500 scale 14, SpMV PageRank ran 2-3x slower at 1,600 minor
+    faults per iteration, and CDLP and SSSP took 5,000 and 2,300 per
+    call. Generation used to free a block that large by accident (the
+    hash table of numpy's ``np.unique``). Freeing an untouched ``8 S``
+    block here does it on purpose, and costs no resident memory.
+    """
+    np.empty(8 * slot_bytes, dtype=np.uint8)
+
+
+_INT64 = np.iinfo(np.int64)
 
 
 class Graph:
@@ -65,9 +150,7 @@ class Graph:
         self._directed = bool(directed)
         self._name = name
         n = len(self._vertex_ids)
-        self._index = {int(v): i for i, v in enumerate(self._vertex_ids)}
-        if len(self._index) != n:
-            raise GraphFormatError("duplicate vertex identifiers")
+        self._id_order = _id_order(self._vertex_ids)
 
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -77,6 +160,7 @@ class Graph:
             weights = np.asarray(weights, dtype=np.float64)
             if weights.shape != src.shape:
                 raise GraphFormatError("edge weight array length mismatch")
+        _check_endpoints(n, src, dst)
         self._num_edges = len(src)
         self._edge_src = src
         self._edge_dst = dst
@@ -96,6 +180,7 @@ class Graph:
             self._in_indptr = self._out_indptr
             self._in_indices = self._out_indices
             self._in_weights = self._out_weights
+        _keep_heap_for_kernels(self._out_indices.nbytes)
 
     # -- identity ---------------------------------------------------------
 
@@ -138,19 +223,31 @@ class Graph:
         view.flags.writeable = False
         return view
 
+    def _find(self, vertex_id: int) -> int:
+        """Dense index of an external identifier, or -1 if it is absent."""
+        vid = int(vertex_id)
+        ids = self._vertex_ids
+        if not _INT64.min <= vid <= _INT64.max:
+            return -1
+        pos = int(np.searchsorted(ids, vid, sorter=self._id_order))
+        if pos == len(ids):
+            return -1
+        index = pos if self._id_order is None else int(self._id_order[pos])
+        return index if ids[index] == vid else -1
+
     def index_of(self, vertex_id: int) -> int:
         """Dense index of an external vertex identifier."""
-        try:
-            return self._index[int(vertex_id)]
-        except KeyError:
-            raise GraphFormatError(f"unknown vertex id {vertex_id}") from None
+        index = self._find(vertex_id)
+        if index < 0:
+            raise GraphFormatError(f"unknown vertex id {vertex_id}")
+        return index
 
     def id_of(self, index: int) -> int:
         """External identifier of a dense index."""
         return int(self._vertex_ids[index])
 
     def has_vertex(self, vertex_id: int) -> bool:
-        return int(vertex_id) in self._index
+        return self._find(vertex_id) >= 0
 
     # -- adjacency -----------------------------------------------------------
 
@@ -240,9 +337,7 @@ class Graph:
             return self
         lo = np.minimum(self._edge_src, self._edge_dst)
         hi = np.maximum(self._edge_src, self._edge_dst)
-        keys = lo * np.int64(self.num_vertices) + hi
-        _, first = np.unique(keys, return_index=True)
-        first.sort()
+        first = first_occurrences(lo * np.int64(self.num_vertices) + hi)
         weights = self._edge_weights[first] if self._edge_weights is not None else None
         return Graph(
             vertex_ids=self._vertex_ids,

@@ -59,7 +59,7 @@ __all__ = [
 
 #: Bump to invalidate every existing cache entry (e.g. when the key
 #: derivation, the entry header or the Graph pickle layout changes).
-CACHE_FORMAT_VERSION = 3
+CACHE_FORMAT_VERSION = 4
 
 #: An entry is header | meta | payload: magic, meta length, payload
 #: length, CRC-32 over meta + payload; meta is the JSON ``{"kind",

@@ -91,6 +91,48 @@ class TestEquivalenceMatch:
         with pytest.raises(ValidationError, match="shape"):
             EquivalenceMatchRule().check(np.array([1]), np.array([1, 2]))
 
+    @staticmethod
+    def _deep_partition(n=20_000):
+        """n vertices in 97 classes, labelled differently on each side."""
+        classes = np.arange(n) % 97
+        return classes * 1000 + 7, (96 - classes) * 3
+
+    def test_large_relabeled_partition_passes(self):
+        actual, reference = self._deep_partition()
+        EquivalenceMatchRule().check(actual, reference)
+
+    def test_merged_classes_named_at_deep_index(self):
+        # Vertex 17_000 (class 25) moves into the actual class of vertex
+        # 0: actual label 7 now meets reference labels 288 and 213.
+        actual, reference = self._deep_partition()
+        actual[17_000] = 7
+        with pytest.raises(ValidationError) as info:
+            EquivalenceMatchRule().check(actual, reference)
+        assert str(info.value) == (
+            "label 7 maps to both 288 and 213 (vertex dense index 17000): "
+            "partitions differ"
+        )
+
+    def test_split_class_named_at_deep_index(self):
+        # Vertex 16_999 (class 24) gets a fresh actual label: reference
+        # label 216 now meets actual labels 24007 and 123456.
+        actual, reference = self._deep_partition()
+        actual[16_999] = 123_456
+        with pytest.raises(ValidationError) as info:
+            EquivalenceMatchRule().check(actual, reference)
+        assert str(info.value) == (
+            "reference label 216 split across actual labels 24007 and "
+            "123456 (vertex dense index 16999)"
+        )
+
+    def test_first_offending_vertex_is_reported(self):
+        # Two faults; the earlier vertex wins whichever rule it breaks.
+        actual, reference = self._deep_partition()
+        actual[18_000] = 7
+        actual[15_000] = 999_999
+        with pytest.raises(ValidationError, match="dense index 15000"):
+            EquivalenceMatchRule().check(actual, reference)
+
 
 class TestRuleAssignment:
     @pytest.mark.parametrize(

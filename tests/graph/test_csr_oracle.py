@@ -4,12 +4,17 @@ The naive per-vertex CSR builder (quadratic-ish: a Python loop sorting
 each adjacency list) used to live in production code as ``_build_csr``;
 it now exists only here, as the obviously-correct oracle that the
 vectorized ``_build_csr_fast`` must match bit for bit on random graphs.
+The stable ``np.lexsort((dst, src))`` build that preceded the packed-key
+sort is kept here too: its permutation is the contract on slot lists
+with ties (parallel edges, self-loops, reciprocal pairs, equal weights).
 """
 
 from typing import Optional, Tuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.graph import Graph, _build_csr_fast
 
@@ -35,6 +40,102 @@ def _build_csr_oracle(
             if w is not None:
                 w[lo:hi] = w[lo:hi][sub]
     return indptr, indices, w
+
+
+def _build_csr_lexsort(
+    n: int,
+    src: np.ndarray,
+    dst: np.ndarray,
+    weights: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The previous vectorised builder: a stable sort by (src, dst)."""
+    order = np.lexsort((dst, src))
+    indices = dst[order].astype(np.int64, copy=False)
+    w = weights[order] if weights is not None else None
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src[order], minlength=n), out=indptr[1:])
+    return indptr, indices, w
+
+
+def _assert_same_csr(got, expected):
+    for name, a, b in zip(("indptr", "indices", "weights"), got, expected):
+        if b is None:
+            assert a is None, name
+            continue
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def _slot_lists(draw):
+    """Slot lists with every kind of tie: parallel edges, self-loops,
+    reciprocal pairs, and weights drawn from a tiny set so equal
+    weights sit on distinct slots."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=60))
+    if pairs:
+        # Repeat some pairs as they are, reversed, or as a loop.
+        for s, d in draw(st.lists(st.sampled_from(pairs), max_size=20)):
+            pairs.append(draw(st.sampled_from([(s, d), (d, s), (s, s)])))
+    pairs = draw(st.permutations(pairs))
+    src = np.asarray([p[0] for p in pairs], dtype=np.int64)
+    dst = np.asarray([p[1] for p in pairs], dtype=np.int64)
+    weights = None
+    if draw(st.booleans()):
+        weights = np.asarray(
+            draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, np.inf]),
+                          min_size=len(pairs), max_size=len(pairs))),
+            dtype=np.float64,
+        )
+    return n, src, dst, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(_slot_lists())
+def test_packed_key_sort_matches_stable_lexsort(slots):
+    n, src, dst, weights = slots
+    _assert_same_csr(
+        _build_csr_fast(n, src, dst, weights),
+        _build_csr_lexsort(n, src, dst, weights),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_slot_lists())
+def test_undirected_slots_match_stable_lexsort(slots):
+    # Graph's undirected CSR sorts both orientations of every edge, so a
+    # self-loop always contributes two equal slots.
+    n, src, dst, weights = slots
+    both_src = np.concatenate([src, dst])
+    both_dst = np.concatenate([dst, src])
+    both_w = np.concatenate([weights, weights]) if weights is not None else None
+    _assert_same_csr(
+        _build_csr_fast(n, both_src, both_dst, both_w),
+        _build_csr_lexsort(n, both_src, both_dst, both_w),
+    )
+
+
+def test_ties_keep_input_order():
+    # Parallel slots 0 -> 1 carry weights 3, 1, 2 in input order; an
+    # unstable sort is free to permute them, the contract is not.
+    src = np.asarray([0, 0, 1, 0, 0], dtype=np.int64)
+    dst = np.asarray([1, 1, 0, 0, 1], dtype=np.int64)
+    weights = np.asarray([3.0, 1.0, 9.0, 7.0, 2.0])
+    indptr, indices, w = _build_csr_fast(2, src, dst, weights)
+    assert indptr.tolist() == [0, 4, 5]
+    assert indices.tolist() == [0, 1, 1, 1, 0]
+    assert w.tolist() == [7.0, 3.0, 1.0, 2.0, 9.0]
+    # Thousands of parallel slots over a handful of keys: large enough
+    # for numpy's unstable sort to reorder equal keys.
+    rng = np.random.default_rng(5)
+    src = rng.integers(0, 3, 20_000)
+    dst = rng.integers(0, 3, 20_000)
+    weights = np.arange(20_000, dtype=np.float64)
+    _assert_same_csr(
+        _build_csr_fast(3, src, dst, weights),
+        _build_csr_lexsort(3, src, dst, weights),
+    )
 
 
 def _random_edges(rng, n, m, *, weighted):

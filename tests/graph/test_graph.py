@@ -1,11 +1,14 @@
 """Tests for the CSR-backed Graph data model."""
 
+import pickle
+import re
+
 import numpy as np
 import pytest
 
 from repro.exceptions import GraphFormatError
 from repro.graph.graph import Graph
-from repro.graph.generators import complete_graph, path_graph
+from repro.graph.generators import complete_graph, erdos_renyi, path_graph
 
 
 class TestConstruction:
@@ -64,6 +67,54 @@ class TestConstruction:
                 weights=np.array([1.0, 2.0]),
             )
 
+    @pytest.mark.parametrize(
+        "n, src, dst, named",
+        [
+            (3, [0, 1, 0], [1, 5, 2], "edge 1 (1,5)"),  # past the end
+            (3, [0, 1, -1], [1, 2, 0], "edge 2 (-1,0)"),  # negative
+            (3, [0, 3], [3, 1], "edge 0 (0,3)"),  # packed, 0 -> 3 is 1 -> 0
+            (2, [1, 2], [0, 0], "edge 1 (2,0)"),
+        ],
+    )
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_endpoint_outside_the_vertices_rejected(self, n, src, dst, named, directed):
+        with pytest.raises(GraphFormatError, match=re.escape(named)) as info:
+            Graph(
+                vertex_ids=np.arange(n),
+                src=np.array(src),
+                dst=np.array(dst),
+                directed=directed,
+            )
+        assert f"[0, {n})" in str(info.value)
+
+    def test_no_vertices_no_edges(self):
+        g = Graph(vertex_ids=np.array([], dtype=np.int64), src=[], dst=[], directed=True)
+        assert g.num_vertices == 0 and g.out_indptr.tolist() == [0]
+        with pytest.raises(GraphFormatError, match="outside"):
+            Graph(vertex_ids=np.array([], dtype=np.int64), src=[0], dst=[0], directed=False)
+
+
+class TestState:
+    """A Graph is arrays and scalars: nothing per vertex lives in Python
+    objects, so pickles, cache entries and worker envelopes stay small."""
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_no_per_vertex_python_container(self, directed):
+        g = erdos_renyi(300, 0.02, directed=directed, weighted=True, seed=3)
+        for name, value in vars(g).items():
+            assert not isinstance(value, (dict, list, set, tuple, frozenset)), name
+            assert value is None or isinstance(value, (np.ndarray, str, bool, int)), name
+
+    def test_pickle_round_trip_keeps_lookups(self):
+        g = Graph(
+            vertex_ids=np.array([50, 7, 900, 3]),
+            src=np.array([0, 1, 2]),
+            dst=np.array([1, 2, 3]),
+            directed=True,
+        )
+        copy = pickle.loads(pickle.dumps(g))
+        assert [copy.index_of(v) for v in (50, 7, 900, 3)] == [0, 1, 2, 3]
+
 
 class TestIdentity:
     def test_scale_small(self):
@@ -97,6 +148,28 @@ class TestIndexMapping:
     def test_has_vertex(self, path5):
         assert path5.has_vertex(0)
         assert not path5.has_vertex(99)
+
+    def test_unsorted_ids(self):
+        ids = [40, 10, 30, 2**62, 0]
+        g = Graph(
+            vertex_ids=np.array(ids),
+            src=np.array([0, 1]),
+            dst=np.array([1, 2]),
+            directed=True,
+        )
+        assert [g.index_of(v) for v in ids] == [0, 1, 2, 3, 4]
+        for absent in (-1, 5, 20, 35, 41, 2**62 + 1, 2**63, -(2**64)):
+            assert not g.has_vertex(absent)
+            with pytest.raises(GraphFormatError, match="unknown vertex"):
+                g.index_of(absent)
+
+    def test_duplicate_among_unsorted_ids_rejected(self):
+        with pytest.raises(GraphFormatError, match="duplicate vertex"):
+            Graph(vertex_ids=np.array([5, 1, 5]), src=[], dst=[], directed=True)
+
+    def test_lookup_accepts_numpy_integers(self, path5):
+        assert path5.index_of(np.int64(3)) == 3
+        assert path5.has_vertex(np.uint64(4))
 
     def test_vertex_ids_read_only(self, path5):
         with pytest.raises(ValueError):

@@ -296,6 +296,74 @@ class TestOlderFormatStore:
         assert [e.kind for e in GraphCache(tmp_path).disk_entries()] == ["graph"]
 
 
+def _format_3_graph(graph):
+    """``graph`` as a format-3 build pickled it: a per-vertex ``_index``
+    dict and no id permutation."""
+    old = object.__new__(type(graph))
+    state = dict(vars(graph))
+    del state["_id_order"]
+    state["_index"] = {int(v): i for i, v in enumerate(graph.vertex_ids)}
+    old.__dict__.update(state)
+    return old
+
+
+class TestFormat3Store:
+    """A directory a format-3 build filled (Graphs with ``_index``)."""
+
+    DATASETS = ["R1", "R4", "D100"]
+
+    def _fill(self, directory, monkeypatch):
+        """Store every graph of the matrix the way format 3 did."""
+        monkeypatch.setattr("repro.runtime.cache.CACHE_FORMAT_VERSION", 3)
+        store = GraphCache(directory)
+        for dataset_id in self.DATASETS:
+            dataset = get_dataset(dataset_id)
+            dataset._cache.clear()
+            store._disk_put(
+                graph_key(dataset, 0), _format_3_graph(dataset.materialize(0)),
+                kind="graph", label=f"{dataset_id} seed=0",
+            )
+        # Under the old key an old Graph would be served, and lookups
+        # through it fail: this is what the version bump keeps out.
+        stale = GraphCache(directory).get_graph(get_dataset("R1"), 0)
+        assert "_index" in vars(stale)
+        with pytest.raises(AttributeError):
+            stale.index_of(int(stale.vertex_ids[0]))
+        for dataset_id in self.DATASETS:
+            get_dataset(dataset_id)._cache.clear()
+        monkeypatch.undo()
+
+    def test_old_graphs_are_misses(self, tmp_path, monkeypatch):
+        self._fill(tmp_path, monkeypatch)
+        cache = GraphCache(tmp_path)
+        for dataset_id in self.DATASETS:
+            graph = cache.get_graph(get_dataset(dataset_id), 0)
+            assert "_index" not in vars(graph)
+            vid = int(graph.vertex_ids[-1])
+            assert graph.index_of(vid) == graph.num_vertices - 1
+        assert cache.stats.disk_hits == 0
+        assert cache.stats.misses == len(self.DATASETS)
+
+    def test_matrix_over_old_store_validates_every_row(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.harness.config import BenchmarkConfig
+        from repro.runtime import RuntimeConfig, execute_matrix
+
+        self._fill(tmp_path, monkeypatch)
+        config = BenchmarkConfig(
+            platforms=["pythonref", "graphmat"],
+            datasets=self.DATASETS,
+            algorithms=["bfs", "wcc", "sssp"],
+        )
+        result = execute_matrix(config, RuntimeConfig(cache_dir=tmp_path))
+        rows = list(result.database)
+        assert rows and all(
+            row.status == "succeeded" and row.validated for row in rows
+        ), [(row.dataset, row.algorithm, row.status) for row in rows]
+        assert result.cache_stats.disk_hits == 0
+
+
 class TestClearUnderLoad:
     """``cache clear`` on a directory that readers and writers are using."""
 
