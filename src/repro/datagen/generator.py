@@ -28,8 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.exceptions import GenerationError
-from repro.graph.builder import GraphBuilder
-from repro.graph.graph import Graph
+from repro.graph.graph import Graph, first_occurrences
 from repro.datagen.degrees import DEGREE_DISTRIBUTIONS
 from repro.datagen.persons import (
     CORRELATION_DIMENSIONS,
@@ -141,34 +140,35 @@ def solve_community_parameters(
     return p, fraction
 
 
+#: An undirected edge list as normalised ``(lo, hi)`` person-id arrays.
+Edges = Tuple[np.ndarray, np.ndarray]
+
+
 def _forward_decay_edges(
     order: np.ndarray,
     budgets: np.ndarray,
     *,
     block_size: int,
     rng: np.random.Generator,
-) -> List[Tuple[int, int]]:
+) -> Edges:
     """Edges to nearby successors in a correlated ordering.
 
     Person at position ``pos`` connects to ``pos + gap`` with geometric
     gaps, so consecutive persons (same university/interest) connect with
-    the highest probability — Datagen's correlation property.
+    the highest probability — Datagen's correlation property. The gaps
+    are one draw, in position order.
     """
     n = len(order)
-    edges: List[Tuple[int, int]] = []
     mean_gap = max(2.0, block_size / 8.0)
-    p_gap = 1.0 / mean_gap
-    for pos in range(n):
-        b = int(budgets[pos])
-        if b <= 0:
-            continue
-        gaps = rng.geometric(p_gap, size=b)
-        for gap in gaps:
-            partner = (pos + int(gap)) % n  # wrap to keep the degree budget
-            a, b2 = int(order[pos]), int(order[partner])
-            if a != b2:
-                edges.append((a, b2) if a < b2 else (b2, a))
-    return edges
+    gaps = rng.geometric(1.0 / mean_gap, size=int(budgets.sum()))
+    positions = np.repeat(np.arange(n, dtype=np.int64), budgets)
+    a = order[positions]
+    positions += gaps
+    positions %= n  # wrap to keep the degree budget
+    b = order[positions]
+    keep = a != b
+    a, b = a[keep], b[keep]
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 def _community_edges(
@@ -177,7 +177,7 @@ def _community_edges(
     community_size: int,
     core_density: float,
     rng: np.random.Generator,
-) -> List[Tuple[int, int]]:
+) -> Edges:
     """Core–periphery communities over consecutive persons in the ordering.
 
     Each community is a run of consecutive persons. The first ~60% form
@@ -202,16 +202,15 @@ def _community_edges(
         for i in range(core_count):
             for j in range(i + 1, core_count):
                 if rng.random() < core_density:
-                    a, b = int(core[i]), int(core[j])
-                    edges.append((a, b) if a < b else (b, a))
+                    edges.append((int(core[i]), int(core[j])))
         # Periphery: attach to k random core members each.
         k_attach = min(core_count, max(2, int(round(core_density * core_count))))
         for member in periphery:
             chosen = rng.choice(core_count, size=k_attach, replace=False)
             for c in chosen:
-                a, b = int(member), int(core[c])
-                edges.append((a, b) if a < b else (b, a))
-    return edges
+                edges.append((int(member), int(core[c])))
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return pairs.min(axis=1), pairs.max(axis=1)
 
 
 def _generate_step(
@@ -223,7 +222,7 @@ def _generate_step(
     *,
     community_mode: bool,
     core_density: float,
-) -> List[Tuple[int, int]]:
+) -> Edges:
     """Run one friendship-generation step over one correlation dimension."""
     order = np.array(
         [p.person_id for p in sorted(persons, key=sort_key_for(dimension))],
@@ -310,8 +309,12 @@ def generate_with_flow(
     budgets, core_density, community_mode = _plan_budgets(config, degrees)
 
     trace = GenerationTrace(flow=flow, num_persons=config.num_persons)
-    step_edges: List[List[Tuple[int, int]]] = []
-    accumulated = 0
+    step_edges: List[Edges] = []
+    # Old flow: step i+1 re-sorts persons plus every edge produced by
+    # steps 0..i (paper Figure 3), so cost grows with progress. New flow:
+    # each step sorts only the persons, and one final merge removes the
+    # duplicates.
+    carried = 0
     for step_index, (dimension, _) in enumerate(CORRELATION_DIMENSIONS):
         step_rng = np.random.default_rng((config.seed, 7919, step_index))
         edges = _generate_step(
@@ -324,44 +327,39 @@ def generate_with_flow(
             core_density=core_density,
         )
         step_edges.append(edges)
+        emitted = len(edges[0])
+        trace.steps.append(
+            StepTrace(
+                dimension=dimension,
+                records_sorted=config.num_persons + carried,
+                edges_emitted=emitted,
+            )
+        )
         if flow is FlowVersion.V0_2_1:
-            # Old flow: step i+1 re-sorts persons plus every edge produced
-            # by steps 0..i (paper Figure 3): cost grows with progress.
-            trace.steps.append(
-                StepTrace(
-                    dimension=dimension,
-                    records_sorted=config.num_persons + accumulated,
-                    edges_emitted=len(edges),
-                )
-            )
-            accumulated += len(edges)
-        else:
-            # New flow: each step sorts only the persons; duplicates are
-            # removed by one final merge.
-            trace.steps.append(
-                StepTrace(
-                    dimension=dimension,
-                    records_sorted=config.num_persons,
-                    edges_emitted=len(edges),
-                )
-            )
-    all_edges = [e for edges in step_edges for e in edges]
+            carried += emitted
+    lo, hi = map(np.concatenate, zip(*step_edges))
     if flow is FlowVersion.V0_2_6:
-        trace.merge_records = len(all_edges)
+        trace.merge_records = len(lo)
 
-    builder = GraphBuilder(directed=False, weighted=config.weighted, dedup=True)
-    builder.add_vertices(range(config.num_persons))
+    # Every candidate edge draws a weight, a repeat too; the first
+    # occurrence of each edge keeps its own.
+    first = first_occurrences(lo * np.int64(config.num_persons) + hi)
+    weights = None
     if config.weighted:
         weight_rng = np.random.default_rng((config.seed, 104729))
-        for src, dst in all_edges:
-            builder.add_edge(src, dst, float(weight_rng.uniform(0.05, 1.0)))
-    else:
-        for src, dst in all_edges:
-            builder.add_edge(src, dst)
+        weights = weight_rng.uniform(0.05, 1.0, size=len(lo))[first]
     name = f"datagen-p{config.num_persons}"
     if config.target_clustering_coefficient is not None:
         name += f"-cc{config.target_clustering_coefficient}"
-    return builder.build(name=name), trace
+    graph = Graph(
+        vertex_ids=np.arange(config.num_persons, dtype=np.int64),
+        src=lo[first],
+        dst=hi[first],
+        directed=False,
+        weights=weights,
+        name=name,
+    )
+    return graph, trace
 
 
 def generate(

@@ -29,12 +29,7 @@ class GraphBuilder:
         Whether every edge carries a double-precision weight.
     dedup:
         If True, silently drop duplicate edges (and reciprocal duplicates in
-        undirected graphs) instead of raising. Generators use this; file
-        loaders keep the strict default so malformed inputs are reported.
-    allow_self_loops:
-        If True, keep self-loops instead of raising. The Graphalytics model
-        forbids them; this switch exists for pre-cleaning pipelines that
-        strip loops afterwards.
+        undirected graphs) instead of raising.
     """
 
     def __init__(
@@ -43,12 +38,10 @@ class GraphBuilder:
         directed: bool = True,
         weighted: bool = False,
         dedup: bool = False,
-        allow_self_loops: bool = False,
     ):
         self._directed = directed
         self._weighted = weighted
         self._dedup = dedup
-        self._allow_self_loops = allow_self_loops
         self._vertices: set = set()
         self._src: list = []
         self._dst: list = []
@@ -92,7 +85,7 @@ class GraphBuilder:
     def add_edge(self, src: int, dst: int, weight: Optional[float] = None) -> "GraphBuilder":
         """Add one edge; validates loops, duplicates, and weight presence."""
         s, d = int(src), int(dst)
-        if s == d and not self._allow_self_loops:
+        if s == d:
             raise GraphFormatError(f"self-loop on vertex {s} is not allowed")
         if self._weighted:
             if weight is None:

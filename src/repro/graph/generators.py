@@ -126,22 +126,23 @@ def erdos_renyi(
     if not 0.0 <= p <= 1.0:
         raise GenerationError(f"p must be in [0,1], got {p}")
     rng = np.random.default_rng(seed)
-    builder = GraphBuilder(directed=directed, weighted=weighted)
-    builder.add_vertices(range(n))
+    mask = rng.random((n, n)) < p
     if directed:
-        mask = rng.random((n, n)) < p
         np.fill_diagonal(mask, False)
         srcs, dsts = np.nonzero(mask)
     else:
-        mask = rng.random((n, n)) < p
         iu = np.triu_indices(n, k=1)
         keep = mask[iu]
         srcs, dsts = iu[0][keep], iu[1][keep]
+    weights = None
     if weighted:
         weights = rng.uniform(np.finfo(np.float64).tiny, 1.0, size=len(srcs))
-        for s, d, w in zip(srcs, dsts, weights):
-            builder.add_edge(int(s), int(d), float(w))
-    else:
-        for s, d in zip(srcs, dsts):
-            builder.add_edge(int(s), int(d))
-    return builder.build(name=name or f"er-{n}-{p}")
+    # The pairs are distinct and loop-free by construction.
+    return Graph(
+        vertex_ids=np.arange(n, dtype=np.int64),
+        src=srcs,
+        dst=dsts,
+        directed=directed,
+        weights=weights,
+        name=name or f"er-{n}-{p}",
+    )

@@ -32,23 +32,23 @@ def _build_csr_fast(
     dst: np.ndarray,
     weights: Optional[np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """CSR of the slots ``src[k] -> dst[k]`` (dense indices in ``[0, n)``).
+    """CSR of the distinct slots ``src[k] -> dst[k]`` (dense indices in
+    ``[0, n)``), rows following the source and each row ascending by
+    destination.
 
-    Rows follow the source, each row ascends by destination and equal
-    slots keep their input order: the permutation of the stable
-    ``np.lexsort((dst, src))``. It comes from one sort of the packed key
-    ``src * n + dst`` (exact while ``n * n < 2**63``), which numpy runs
-    unstably and vectorised; only a tie in the sorted keys (parallel
-    edges, or the two slots of an undirected self-loop) makes the order
-    of equal keys matter, and then the key is sorted again stably.
+    One sort of the packed key ``src * n + dst`` (exact while
+    ``n * n < 2**63``), which numpy runs unstably and vectorised. With
+    every key distinct the order is the stable ``np.lexsort((dst, src))``'s.
+    Raises :class:`GraphFormatError` on two equal slots: a parallel edge,
+    or an undirected duplicate or self-loop, which the data model forbids.
     """
     key = src * np.int64(n)
     key += dst
     order = np.argsort(key)
     ranked = key[order]
-    if np.any(ranked[1:] == ranked[:-1]):
-        order = np.argsort(key, kind="stable")
     del key
+    if np.any(ranked[1:] == ranked[:-1]):
+        raise GraphFormatError("two slots are equal")
     w = weights[order] if weights is not None else None
     del order
     # The quotient is the row and the remainder, written over the
@@ -107,6 +107,25 @@ def _check_endpoints(n: int, src: np.ndarray, dst: np.ndarray) -> None:
     )
 
 
+def _model_error(
+    ids: np.ndarray, src: np.ndarray, dst: np.ndarray, directed: bool
+) -> GraphFormatError:
+    """The error for the first edge, in input order, that the data model
+    forbids: a self-loop, or a repeat of an earlier edge (undirected: in
+    either direction)."""
+    lo, hi = (src, dst) if directed else (np.minimum(src, dst), np.maximum(src, dst))
+    key = lo * np.int64(len(ids)) + hi
+    offends = np.ones(len(key), dtype=bool)
+    offends[first_occurrences(key)] = False
+    offends |= src == dst
+    k = int(np.argmax(offends))
+    j = int(np.argmax(key == key[k]))  # k itself exactly when a self-loop
+    what = "a self-loop"
+    if j != k:
+        what = f"a duplicate of edge {j} ({ids[src[j]]},{ids[dst[j]]})"
+    return GraphFormatError(f"edge {k} ({ids[src[k]]},{ids[dst[k]]}) is {what}")
+
+
 def _keep_heap_for_kernels(slot_bytes: int) -> None:
     """Let glibc's malloc serve the kernels' temporaries from its heap.
 
@@ -129,7 +148,10 @@ _INT64 = np.iinfo(np.int64)
 
 
 class Graph:
-    """An immutable graph in the Graphalytics data model.
+    """An immutable graph in the Graphalytics data model: no self-loops
+    and no duplicate edges (undirected: no edge and its reverse), which
+    the constructor rejects with a :class:`GraphFormatError` naming the
+    first offending edge in input order.
 
     Build instances with :meth:`from_edges`, :class:`~repro.graph.builder.
     GraphBuilder`, or :func:`~repro.graph.io.read_graph`; direct construction
@@ -166,20 +188,23 @@ class Graph:
         self._edge_dst = dst
         self._edge_weights = weights
 
-        if self._directed:
-            out = _build_csr_fast(n, src, dst, weights)
-            inn = _build_csr_fast(n, dst, src, weights)
-            self._out_indptr, self._out_indices, self._out_weights = out
-            self._in_indptr, self._in_indices, self._in_weights = inn
-        else:
-            both_src = np.concatenate([src, dst])
-            both_dst = np.concatenate([dst, src])
+        # The data model is enforced here, once: two equal slots tie in
+        # the out-CSR's sort, and a directed self-loop is the one
+        # violation that makes no tie.
+        if not self._directed:
             both_w = np.concatenate([weights, weights]) if weights is not None else None
-            out = _build_csr_fast(n, both_src, both_dst, both_w)
-            self._out_indptr, self._out_indices, self._out_weights = out
-            self._in_indptr = self._out_indptr
-            self._in_indices = self._out_indices
-            self._in_weights = self._out_weights
+            slots = np.concatenate([src, dst]), np.concatenate([dst, src]), both_w
+        elif (src == dst).any():
+            raise _model_error(self._vertex_ids, src, dst, directed=True)
+        else:
+            slots = src, dst, weights
+        try:
+            out = _build_csr_fast(n, *slots)
+        except GraphFormatError:
+            raise _model_error(self._vertex_ids, src, dst, self._directed) from None
+        inn = _build_csr_fast(n, dst, src, weights) if self._directed else out
+        self._out_indptr, self._out_indices, self._out_weights = out
+        self._in_indptr, self._in_indices, self._in_weights = inn
         _keep_heap_for_kernels(self._out_indices.nbytes)
 
     # -- identity ---------------------------------------------------------
@@ -387,16 +412,8 @@ class Graph:
         from repro.graph.builder import GraphBuilder
 
         builder = GraphBuilder(directed=directed, weighted=weights is not None)
-        if vertices is not None:
-            for v in vertices:
-                builder.add_vertex(v)
-        if weights is not None:
-            for (s, d), w in zip(edges, weights):
-                builder.add_edge(s, d, w)
-        else:
-            for s, d in edges:
-                builder.add_edge(s, d)
-        return builder.build(name=name)
+        builder.add_vertices(vertices if vertices is not None else ())
+        return builder.add_edges(edges, weights).build(name=name)
 
     def __repr__(self) -> str:
         kind = "directed" if self._directed else "undirected"

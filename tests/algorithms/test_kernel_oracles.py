@@ -26,6 +26,7 @@ from repro.algorithms.lcc import (
 )
 from repro.algorithms.sssp import SSSP_UNREACHABLE, single_source_shortest_paths
 from repro.algorithms.variants import bfs_queue, sssp_dijkstra
+from repro.exceptions import GraphFormatError
 from repro.graph.builder import GraphBuilder
 from repro.graph.graph import Graph
 from repro.harness.datasets import get_dataset
@@ -158,13 +159,13 @@ def _degenerate():
 
 @st.composite
 def _multigraphs(draw):
-    """Graphs with duplicate edges and self-loops, over dense ids or
-    ids >= 2**53."""
+    """Edge lists with duplicate edges and self-loops, over dense ids or
+    ids >= 2**53, as ``Graph`` keyword arguments."""
     n = draw(st.integers(min_value=1, max_value=12))
     end = st.integers(min_value=0, max_value=n - 1)
     edges = draw(st.lists(st.tuples(end, end), max_size=40))
     base = draw(st.sampled_from([0, BIG]))
-    return Graph(
+    return dict(
         vertex_ids=base + np.arange(n, dtype=np.int64),
         src=np.array([s for s, _ in edges], dtype=np.int64),
         dst=np.array([d for _, d in edges], dtype=np.int64),
@@ -310,10 +311,21 @@ class TestLccAgainstRetiredKernel:
 
     @settings(max_examples=60, deadline=None)
     @given(_multigraphs(), st.data())
-    def test_multigraph_tail_partition_sums_to_whole(self, graph, data):
-        # Duplicate edges and self-loops are outside the kernel's
-        # contract (GraphBuilder refuses both), and there the retired
-        # oracle counts differently; the split must still be exact.
+    def test_multigraph_tail_partition_sums_to_whole(self, arrays, data):
+        # Duplicate edges and self-loops are outside the data model, and
+        # Graph(...) refuses them; what is left of the edge list when
+        # they are dropped must still split exactly.
+        src, dst, directed = arrays["src"], arrays["dst"], arrays["directed"]
+        seen, keep = set(), []
+        for s, d in zip(src.tolist(), dst.tolist()):
+            key = (s, d) if directed else (min(s, d), max(s, d))
+            keep.append(s != d and key not in seen)
+            seen.add(key)
+        if not all(keep):
+            with pytest.raises(GraphFormatError, match="is a self-loop|is a duplicate of edge"):
+                Graph(**arrays)
+        keep = np.array(keep, dtype=bool)
+        graph = Graph(**{**arrays, "src": src[keep], "dst": dst[keep]})
         summed = _summed_over_a_partition(graph, data)
         assert summed.tobytes() == lcc_counts(graph).tobytes()
         assert lcc_from_counts(summed).tobytes() == \

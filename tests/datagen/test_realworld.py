@@ -20,6 +20,24 @@ class TestProfiles:
         with pytest.raises(GenerationError):
             synthetic_replica("talk", 1, 1)
 
+    @pytest.mark.parametrize(
+        "profile, directed, fixed",
+        [("talk", False, "directed"), ("citation", False, "directed"),
+         ("coplay", True, "undirected")],
+    )
+    def test_contradicting_a_fixed_orientation_is_an_error(self, profile, directed, fixed):
+        with pytest.raises(GenerationError, match=f"'{profile}' is always {fixed}$"):
+            synthetic_replica(profile, 300, 1500, directed=directed)
+
+    @pytest.mark.parametrize(
+        "profile, directed",
+        [("talk", True), ("citation", True), ("coplay", False),
+         ("social", True), ("social", False)],
+    )
+    def test_a_matching_or_absent_orientation_is_accepted(self, profile, directed):
+        assert synthetic_replica(profile, 300, 1500, directed=directed).directed == directed
+        assert synthetic_replica(profile, 300, 1500).directed == (profile in ("talk", "citation"))
+
 
 class TestTalk:
     def test_directed_and_sized(self):

@@ -35,11 +35,6 @@ class TestEdgeValidation:
         with pytest.raises(GraphFormatError, match="self-loop"):
             GraphBuilder().add_edge(1, 1)
 
-    def test_self_loop_allowed_when_opted_in(self):
-        b = GraphBuilder(allow_self_loops=True)
-        b.add_edge(1, 1)
-        assert b.num_edges == 1
-
     def test_duplicate_directed_rejected(self):
         b = GraphBuilder(directed=True).add_edge(0, 1)
         with pytest.raises(GraphFormatError, match="duplicate"):

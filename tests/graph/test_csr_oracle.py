@@ -5,8 +5,9 @@ each adjacency list) used to live in production code as ``_build_csr``;
 it now exists only here, as the obviously-correct oracle that the
 vectorized ``_build_csr_fast`` must match bit for bit on random graphs.
 The stable ``np.lexsort((dst, src))`` build that preceded the packed-key
-sort is kept here too: its permutation is the contract on slot lists
-with ties (parallel edges, self-loops, reciprocal pairs, equal weights).
+sort is kept here too, as the oracle on tie-free slot lists. Equal slots
+(parallel edges, an undirected self-loop or reciprocal pair) are outside
+the data model, and the builder refuses them.
 """
 
 from typing import Optional, Tuple
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exceptions import GraphFormatError
 from repro.graph.graph import Graph, _build_csr_fast
 
 
@@ -91,10 +93,20 @@ def _slot_lists(draw):
     return n, src, dst, weights
 
 
+def _distinct(n, src, dst, weights):
+    """The first occurrence of every slot, in input order."""
+    first = np.sort(np.unique(src * n + dst, return_index=True)[1])
+    return src[first], dst[first], weights[first] if weights is not None else None
+
+
 @settings(max_examples=300, deadline=None)
 @given(_slot_lists())
 def test_packed_key_sort_matches_stable_lexsort(slots):
     n, src, dst, weights = slots
+    if len(np.unique(src * n + dst)) < len(src):
+        with pytest.raises(GraphFormatError, match="two slots are equal"):
+            _build_csr_fast(n, src, dst, weights)
+    src, dst, weights = _distinct(n, src, dst, weights)
     _assert_same_csr(
         _build_csr_fast(n, src, dst, weights),
         _build_csr_lexsort(n, src, dst, weights),
@@ -105,8 +117,16 @@ def test_packed_key_sort_matches_stable_lexsort(slots):
 @given(_slot_lists())
 def test_undirected_slots_match_stable_lexsort(slots):
     # Graph's undirected CSR sorts both orientations of every edge, so a
-    # self-loop always contributes two equal slots.
+    # self-loop, a repeat or a reciprocal pair makes two equal slots.
     n, src, dst, weights = slots
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    if np.any(src == dst) or len(np.unique(lo * n + hi)) < len(src):
+        with pytest.raises(GraphFormatError, match="is a self-loop|is a duplicate of edge"):
+            Graph(vertex_ids=np.arange(n), src=src, dst=dst, directed=False, weights=weights)
+    first = np.sort(np.unique(lo * n + hi, return_index=True)[1])
+    first = first[src[first] != dst[first]]
+    src, dst = src[first], dst[first]
+    weights = weights[first] if weights is not None else None
     both_src = np.concatenate([src, dst])
     both_dst = np.concatenate([dst, src])
     both_w = np.concatenate([weights, weights]) if weights is not None else None
@@ -117,24 +137,28 @@ def test_undirected_slots_match_stable_lexsort(slots):
 
 
 def test_ties_keep_input_order():
-    # Parallel slots 0 -> 1 carry weights 3, 1, 2 in input order; an
-    # unstable sort is free to permute them, the contract is not.
+    # Equal slots have no order to keep: they are refused. Parallel
+    # slots 0 -> 1 at input positions 0, 1 and 4.
     src = np.asarray([0, 0, 1, 0, 0], dtype=np.int64)
     dst = np.asarray([1, 1, 0, 0, 1], dtype=np.int64)
-    weights = np.asarray([3.0, 1.0, 9.0, 7.0, 2.0])
-    indptr, indices, w = _build_csr_fast(2, src, dst, weights)
-    assert indptr.tolist() == [0, 4, 5]
-    assert indices.tolist() == [0, 1, 1, 1, 0]
-    assert w.tolist() == [7.0, 3.0, 1.0, 2.0, 9.0]
-    # Thousands of parallel slots over a handful of keys: large enough
-    # for numpy's unstable sort to reorder equal keys.
+    with pytest.raises(GraphFormatError, match="two slots are equal"):
+        _build_csr_fast(2, src, dst, None)
+    with pytest.raises(GraphFormatError, match=r"^edge 1 \(0,1\) is a duplicate of edge 0 \(0,1\)$"):
+        Graph(vertex_ids=np.arange(2), src=src, dst=dst, directed=True)
+    # Thousands of slots over a handful of keys, and thousands of
+    # distinct slots shuffled: large enough for numpy's unstable sort
+    # to reorder, and without a tie the order is the lexsort's.
     rng = np.random.default_rng(5)
     src = rng.integers(0, 3, 20_000)
     dst = rng.integers(0, 3, 20_000)
+    with pytest.raises(GraphFormatError, match="two slots are equal"):
+        _build_csr_fast(3, src, dst, None)
+    keys = rng.permutation(200 * 200)[:20_000]
+    src, dst = np.divmod(keys, 200)
     weights = np.arange(20_000, dtype=np.float64)
     _assert_same_csr(
-        _build_csr_fast(3, src, dst, weights),
-        _build_csr_lexsort(3, src, dst, weights),
+        _build_csr_fast(200, src, dst, weights),
+        _build_csr_lexsort(200, src, dst, weights),
     )
 
 

@@ -94,6 +94,74 @@ class TestConstruction:
             Graph(vertex_ids=np.array([], dtype=np.int64), src=[0], dst=[0], directed=False)
 
 
+class TestDataModelGate:
+    """``Graph(...)`` is the one place the data model is enforced: no
+    self-loop, no duplicate edge and, undirected, no edge next to its
+    reverse. The error names the first offending edge in input order."""
+
+    @staticmethod
+    def _build(src, dst, *, directed, ids=None):
+        n = max(src + dst) + 1
+        return Graph(
+            vertex_ids=np.arange(n) if ids is None else np.asarray(ids),
+            src=np.array(src),
+            dst=np.array(dst),
+            directed=directed,
+        )
+
+    @pytest.mark.parametrize(
+        "src, dst, directed, message",
+        [
+            # (1,0) is another edge when directed
+            ([0, 1, 2, 0], [1, 0, 0, 1], True, "edge 3 (0,1) is a duplicate of edge 0 (0,1)"),
+            ([0, 2, 1], [1, 0, 0], False, "edge 2 (1,0) is a duplicate of edge 0 (0,1)"),
+            # a self-loop before a later duplicate
+            ([0, 3, 0], [1, 3, 1], True, "edge 1 (3,3) is a self-loop"),
+            ([0, 3, 1], [1, 3, 0], False, "edge 1 (3,3) is a self-loop"),
+            # a duplicate before a later self-loop
+            ([0, 1, 1, 2], [1, 0, 0, 2], True, "edge 2 (1,0) is a duplicate of edge 1 (1,0)"),
+            ([0, 1, 2], [1, 0, 2], False, "edge 1 (1,0) is a duplicate of edge 0 (0,1)"),
+        ],
+        ids=["directed-duplicate", "undirected-reciprocal", "directed-loop-first",
+             "undirected-loop-first", "directed-duplicate-first",
+             "undirected-duplicate-first"],
+    )
+    def test_names_the_first_offending_edge(self, src, dst, directed, message):
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(message)}$"):
+            self._build(src, dst, directed=directed)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("kind", ["duplicate", "reciprocal", "self-loop"])
+    def test_deep_index_and_external_ids(self, directed, kind):
+        # A path over sparse ids, with the offence deep in a long list:
+        # the message counts edges (not CSR slots) and prints ids.
+        m = 5_000
+        src, dst = list(range(m)), list(range(1, m + 1))
+        bad = {"duplicate": (1234, 1235), "reciprocal": (1235, 1234),
+               "self-loop": (4321, 4321)}[kind]
+        src.insert(4000, bad[0])
+        dst.insert(4000, bad[1])
+        ids = 10 * np.arange(m + 1) + 7
+        if kind == "reciprocal" and directed:
+            assert self._build(src, dst, directed=True, ids=ids).num_edges == m + 1
+            return
+        expected = {
+            "duplicate": "edge 4000 (12347,12357) is a duplicate of edge 1234 (12347,12357)",
+            "reciprocal": "edge 4000 (12357,12347) is a duplicate of edge 1234 (12347,12357)",
+            "self-loop": "edge 4000 (43217,43217) is a self-loop",
+        }[kind]
+        with pytest.raises(GraphFormatError, match=f"^{re.escape(expected)}$"):
+            self._build(src, dst, directed=directed, ids=ids)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_reciprocal_pair_is_two_edges_only_when_directed(self, directed):
+        if directed:
+            assert self._build([0, 1], [1, 0], directed=True).num_edges == 2
+        else:
+            with pytest.raises(GraphFormatError, match="duplicate of edge 0"):
+                self._build([0, 1], [1, 0], directed=False)
+
+
 class TestState:
     """A Graph is arrays and scalars: nothing per vertex lives in Python
     objects, so pickles, cache entries and worker envelopes stay small."""
