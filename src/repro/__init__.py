@@ -29,7 +29,7 @@ Quickstart::
 """
 
 from repro import algorithms, datagen, graph, granula, harness, platforms, trace
-from repro.graph import Graph, GraphBuilder, read_graph, write_graph
+from repro.graph import Graph, read_graph, write_graph
 from repro.algorithms import (
     breadth_first_search,
     pagerank,
@@ -58,7 +58,6 @@ __all__ = [
     "platforms",
     "trace",
     "Graph",
-    "GraphBuilder",
     "read_graph",
     "write_graph",
     "breadth_first_search",

@@ -50,24 +50,23 @@ SSSP_UNREACHABLE: float = float("inf")
 
 
 def check_sssp_input(graph: Graph, source: int) -> None:
-    """The one input check every SSSP implementation shares: weighted,
-    source present, weights non-negative (the comparison rejects NaN)."""
+    """The one input check every SSSP implementation shares: weighted and
+    source present. The weights need no check: ``Graph`` admits only
+    finite, non-negative ones."""
     if not graph.is_weighted:
         raise GraphFormatError("SSSP requires a weighted graph")
     if not graph.has_vertex(source):
         raise GraphFormatError(f"SSSP source vertex {source} not in graph")
-    if not (graph.out_weights >= 0).all():
-        raise GraphFormatError("SSSP requires non-negative edge weights")
 
 
 def _bucket_width(weights: np.ndarray, n: int) -> float:
-    """Δ = 4 · mean weight / mean out-degree, the mean over the finite
-    weights (an infinite one relaxes nothing). Always finite, so a round
-    never compares against NaN; 0 when no weight is finite."""
-    finite = weights[np.isfinite(weights)]
-    if len(finite) == 0:
+    """Δ = 4 · mean weight / mean out-degree; 0 without edges. ``Graph``
+    admits only finite weights, so no filter is needed, but their mean
+    can overflow: Δ is clamped to the largest float, so a round never
+    compares against NaN."""
+    if len(weights) == 0:
         return 0.0
-    width = 4.0 * float(finite.mean()) * n / len(weights)
+    width = 4.0 * float(weights.mean()) * n / len(weights)
     return min(width, float(np.finfo(np.float64).max))
 
 

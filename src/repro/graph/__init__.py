@@ -8,13 +8,11 @@ undirected; every edge is unique; vertices and edges may carry properties
 """
 
 from repro.graph.graph import Graph
-from repro.graph.builder import GraphBuilder
 from repro.graph.io import read_graph, write_graph, read_edge_list, parse_edge_line
 from repro.graph.stats import GraphStatistics, compute_statistics, graph_scale
 
 __all__ = [
     "Graph",
-    "GraphBuilder",
     "read_graph",
     "write_graph",
     "read_edge_list",

@@ -13,7 +13,6 @@ from typing import Optional
 import numpy as np
 
 from repro.exceptions import GenerationError
-from repro.graph.builder import GraphBuilder
 from repro.graph.graph import Graph
 
 __all__ = [
@@ -37,11 +36,8 @@ def _require_positive(n: int, what: str = "n") -> int:
 def path_graph(n: int, *, directed: bool = False) -> Graph:
     """Path 0-1-...-(n-1). Diameter n-1; hop count from 0 to i is i."""
     n = _require_positive(n)
-    builder = GraphBuilder(directed=directed)
-    builder.add_vertex(0)
-    for i in range(n - 1):
-        builder.add_edge(i, i + 1)
-    return builder.build(name=f"path-{n}")
+    edges = [(i, i + 1) for i in range(n - 1)]
+    return Graph.from_edges(edges, directed=directed, vertices=[0], name=f"path-{n}")
 
 
 def cycle_graph(n: int, *, directed: bool = False) -> Graph:
@@ -49,63 +45,48 @@ def cycle_graph(n: int, *, directed: bool = False) -> Graph:
     n = _require_positive(n)
     if n < 3:
         raise GenerationError(f"cycle needs at least 3 vertices, got {n}")
-    builder = GraphBuilder(directed=directed)
-    for i in range(n):
-        builder.add_edge(i, (i + 1) % n)
-    return builder.build(name=f"cycle-{n}")
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    return Graph.from_edges(edges, directed=directed, name=f"cycle-{n}")
 
 
 def star_graph(n_leaves: int, *, directed: bool = False) -> Graph:
     """Hub (vertex 0) connected to n_leaves leaves. LCC of every vertex is 0."""
     n_leaves = _require_positive(n_leaves, "n_leaves")
-    builder = GraphBuilder(directed=directed)
-    for leaf in range(1, n_leaves + 1):
-        builder.add_edge(0, leaf)
-    return builder.build(name=f"star-{n_leaves}")
+    edges = [(0, leaf) for leaf in range(1, n_leaves + 1)]
+    return Graph.from_edges(edges, directed=directed, name=f"star-{n_leaves}")
 
 
 def complete_graph(n: int, *, directed: bool = False) -> Graph:
     """Clique over n vertices. LCC of every vertex is 1 (for n >= 3)."""
     n = _require_positive(n)
-    builder = GraphBuilder(directed=directed)
-    builder.add_vertex(0)
-    for i in range(n):
-        for j in range(n):
-            if i < j:
-                builder.add_edge(i, j)
-                if directed:
-                    builder.add_edge(j, i)
-    return builder.build(name=f"complete-{n}")
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [e for i, j in pairs for e in ((i, j), (j, i))] if directed else pairs
+    return Graph.from_edges(edges, directed=directed, vertices=[0], name=f"complete-{n}")
 
 
 def grid_graph(rows: int, cols: int) -> Graph:
     """rows x cols undirected lattice; vertex (r,c) has id r*cols + c."""
     rows = _require_positive(rows, "rows")
     cols = _require_positive(cols, "cols")
-    builder = GraphBuilder(directed=False)
-    builder.add_vertex(0)
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                builder.add_edge(v, v + 1)
-            if r + 1 < rows:
-                builder.add_edge(v, v + cols)
-    return builder.build(name=f"grid-{rows}x{cols}")
+    n = rows * cols
+    # Each vertex's right neighbour (if not in the last column), then the
+    # one below (if not in the last row).
+    edges = [
+        (v, w)
+        for v in range(n)
+        for w, inside in ((v + 1, (v + 1) % cols), (v + cols, v + cols < n))
+        if inside
+    ]
+    return Graph.from_edges(edges, directed=False, vertices=[0], name=f"grid-{rows}x{cols}")
 
 
 def binary_tree(depth: int, *, directed: bool = False) -> Graph:
     """Complete binary tree of the given depth (root at 0; depth 0 = root only)."""
     if depth < 0:
         raise GenerationError(f"depth must be >= 0, got {depth}")
-    builder = GraphBuilder(directed=directed)
-    builder.add_vertex(0)
     n = 2 ** (depth + 1) - 1
-    for v in range(n):
-        for child in (2 * v + 1, 2 * v + 2):
-            if child < n:
-                builder.add_edge(v, child)
-    return builder.build(name=f"btree-{depth}")
+    edges = [(v, child) for v in range(n) for child in (2 * v + 1, 2 * v + 2) if child < n]
+    return Graph.from_edges(edges, directed=directed, vertices=[0], name=f"btree-{depth}")
 
 
 def erdos_renyi(

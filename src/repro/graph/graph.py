@@ -107,6 +107,21 @@ def _check_endpoints(n: int, src: np.ndarray, dst: np.ndarray) -> None:
     )
 
 
+def _check_weights(
+    ids: np.ndarray, src: np.ndarray, dst: np.ndarray, weights: np.ndarray
+) -> None:
+    """Every weight must be finite and non-negative (``-0.0`` is), the rule
+    :func:`~repro.graph.io.read_graph` applies to a file, so any graph
+    written reads back."""
+    if not len(weights) or (weights.min() >= 0 and weights.max() < np.inf):
+        return  # a NaN fails the first comparison
+    k = int(np.argmax(~np.isfinite(weights) | (weights < 0)))
+    raise GraphFormatError(
+        f"edge {k} ({ids[src[k]]},{ids[dst[k]]}) has weight {float(weights[k])}, "
+        "not a finite non-negative number"
+    )
+
+
 def _model_error(
     ids: np.ndarray, src: np.ndarray, dst: np.ndarray, directed: bool
 ) -> GraphFormatError:
@@ -148,14 +163,15 @@ _INT64 = np.iinfo(np.int64)
 
 
 class Graph:
-    """An immutable graph in the Graphalytics data model: no self-loops
-    and no duplicate edges (undirected: no edge and its reverse), which
-    the constructor rejects with a :class:`GraphFormatError` naming the
-    first offending edge in input order.
+    """An immutable graph in the Graphalytics data model (paper §2.2.1):
+    unique edges between distinct vertices (undirected: no edge and its
+    reverse), and weights, if any, finite and non-negative.
 
-    Build instances with :meth:`from_edges`, :class:`~repro.graph.builder.
-    GraphBuilder`, or :func:`~repro.graph.io.read_graph`; direct construction
-    is internal.
+    The constructor is the one place that judges a graph: it takes dense
+    endpoint indices into ``vertex_ids`` and rejects anything outside the
+    model with a :class:`GraphFormatError` naming the first offending edge
+    in input order. :meth:`from_edges` builds one from external-id pairs,
+    and :func:`~repro.graph.io.read_graph` from EVL files.
     """
 
     def __init__(
@@ -183,6 +199,8 @@ class Graph:
             if weights.shape != src.shape:
                 raise GraphFormatError("edge weight array length mismatch")
         _check_endpoints(n, src, dst)
+        if weights is not None:
+            _check_weights(self._vertex_ids, src, dst, weights)
         self._num_edges = len(src)
         self._edge_src = src
         self._edge_dst = dst
@@ -403,17 +421,23 @@ class Graph:
         vertices: Optional[Iterable[int]] = None,
         name: str = "",
     ) -> "Graph":
-        """Build a graph from (src_id, dst_id) pairs.
+        """Build a graph from (src_id, dst_id) pairs, one weight per pair.
 
-        ``vertices`` may add isolated vertices beyond edge endpoints. Edges
-        must be unique and may not be self-loops (the Graphalytics data
-        model); violations raise :class:`GraphFormatError`.
+        The vertices are the endpoints plus ``vertices`` (isolated ones
+        allowed), ids ascending; edges keep their input order. The
+        constructor judges the rest of the data model.
         """
-        from repro.graph.builder import GraphBuilder
-
-        builder = GraphBuilder(directed=directed, weighted=weights is not None)
-        builder.add_vertices(vertices if vertices is not None else ())
-        return builder.add_edges(edges, weights).build(name=name)
+        pairs = np.array(list(edges), dtype=np.int64).reshape(-1, 2)
+        listed = np.fromiter(vertices if vertices is not None else (), dtype=np.int64)
+        every = np.concatenate([listed, pairs.ravel()])
+        ids = np.unique(every)
+        if len(ids) and ids[0] < 0:
+            bad = int(every[np.argmax(every < 0)])
+            raise GraphFormatError(f"vertex id must be non-negative, got {bad}")
+        src, dst = np.searchsorted(ids, pairs.T)
+        return cls(
+            vertex_ids=ids, src=src, dst=dst, directed=directed, weights=weights, name=name
+        )
 
     def __repr__(self) -> str:
         kind = "directed" if self._directed else "undirected"

@@ -40,11 +40,11 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.faults import points as fault_points
-from repro.trace import current_tracer
+from repro.trace import current_tracer, read_trace
 
 __all__ = [
     "STORE_NAME", "SCHEMA_VERSION", "ResultsStore", "RunMetadata",
-    "commit_service_run", "submit_validated_run",
+    "commit_service_run", "load_span_dicts", "submit_validated_run",
 ]
 
 #: Database file name inside a repository directory or a service spool.
@@ -659,7 +659,7 @@ def commit_service_run(
     """
     spans: List[Dict[str, object]] = []
     if trace_path is not None:
-        spans = _load_span_dicts(Path(trace_path))
+        spans = load_span_dicts(Path(trace_path))
     results = [record.as_dict() for record in database]
     with ResultsStore(store_path) as store:
         store.submit_run(
@@ -679,12 +679,11 @@ def commit_service_run(
         return store.stats()
 
 
-def _load_span_dicts(path: Path) -> List[Dict[str, object]]:
-    """Spans of an exported trace file; empty when absent or torn."""
-    from repro.trace import read_trace
-
+def load_span_dicts(path: Path) -> List[Dict[str, object]]:
+    """Spans of a run's exported ``trace.jsonl`` as plain dicts; empty
+    when the run was untraced or the file is absent, unreadable or torn."""
     try:
         spans, _counters = read_trace(path)
-    except (FileNotFoundError, json.JSONDecodeError, OSError, ValueError):
+    except (OSError, ValueError):  # FileNotFoundError, JSONDecodeError
         return []
     return [span.as_dict() for span in spans]

@@ -42,6 +42,7 @@ from typing import Awaitable, Callable, Dict, List, Optional, Tuple, Union
 from repro.exceptions import ConfigurationError, GraphalyticsError
 from repro.faults import FaultPointError, IoFaultPlan
 from repro.proc import Child, RetryPolicy, stop_all
+from repro.resultsdb.store import STORE_NAME, ResultsStore, load_span_dicts
 from repro.runtime.cache import GraphCache
 from repro.service.http import (
     EventStream,
@@ -653,7 +654,7 @@ class BenchmarkService:
                 await stream.ping()
             await asyncio.sleep(self.config.poll_interval)
         trace_path = self.registry.artifact_path(run_id, "trace")
-        spans = await asyncio.to_thread(_load_trace_spans, trace_path)
+        spans = await asyncio.to_thread(load_span_dicts, trace_path)
         for span in spans:
             await stream.send("span", span)
         await stream.send("end", record.status_payload())
@@ -681,8 +682,6 @@ def _store_stats(spool: Path) -> Dict[str, object]:
     commit; before any run has finished the store does not exist and
     healthz reports zeros without creating the file.
     """
-    from repro.resultsdb.store import STORE_NAME, ResultsStore
-
     path = spool / STORE_NAME
     if not path.exists():
         return {
@@ -700,14 +699,3 @@ def _read_artifact(path: Path) -> Optional[bytes]:
             return handle.read()
     except FileNotFoundError:
         return None
-
-
-def _load_trace_spans(path: Path) -> List[Dict[str, object]]:
-    """The run's exported spans as plain dicts (empty when untraced)."""
-    from repro.trace import read_trace
-
-    try:
-        spans, _counters = read_trace(path)
-    except (FileNotFoundError, json.JSONDecodeError):
-        return []
-    return [span.as_dict() for span in spans]

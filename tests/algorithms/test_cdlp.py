@@ -5,19 +5,15 @@ import pytest
 
 from repro.exceptions import GenerationError
 from repro.algorithms.cdlp import community_detection_lp
-from repro.graph.builder import GraphBuilder
 from repro.graph.graph import Graph
 
 
 def two_cliques_with_bridge(k=5):
     """Two k-cliques {0..k-1} and {k..2k-1} joined by one edge."""
-    builder = GraphBuilder(directed=False)
-    for base in (0, k):
-        for i in range(k):
-            for j in range(i + 1, k):
-                builder.add_edge(base + i, base + j)
-    builder.add_edge(k - 1, k)
-    return builder.build()
+    edges = [
+        (base + i, base + j) for base in (0, k) for i in range(k) for j in range(i + 1, k)
+    ]
+    return Graph.from_edges(edges + [(k - 1, k)], directed=False)
 
 
 class TestCommunityStructure:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms.lcc import local_clustering_coefficient
-from repro.graph.builder import GraphBuilder
 from repro.graph.generators import complete_graph, path_graph, star_graph
 from repro.graph.graph import Graph
 

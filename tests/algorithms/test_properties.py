@@ -9,29 +9,39 @@ from repro.algorithms.lcc import local_clustering_coefficient
 from repro.algorithms.pagerank import pagerank
 from repro.algorithms.sssp import single_source_shortest_paths
 from repro.algorithms.wcc import weakly_connected_components
-from repro.graph.builder import GraphBuilder
+from repro.graph.graph import Graph
+
+
+#: The weights ``random_graphs`` draws unless told otherwise.
+WEIGHTS = st.floats(min_value=0.01, max_value=10.0)
 
 
 @st.composite
-def random_graphs(draw, directed=None, weighted=False, max_vertices=24):
-    """Arbitrary small graphs with at least one vertex."""
+def random_graphs(draw, directed=None, weighted=False, max_vertices=24, weights=WEIGHTS):
+    """Arbitrary small graphs with at least one vertex: drawn pairs minus
+    self-loops and repeats (the first occurrence kept; undirected, either
+    way round), each drawn pair's weight drawn before the repeat is."""
     n = draw(st.integers(min_value=1, max_value=max_vertices))
     if directed is None:
         directed = draw(st.booleans())
-    builder = GraphBuilder(directed=directed, weighted=weighted, dedup=True)
-    builder.add_vertices(range(n))
     max_edges = min(60, n * (n - 1) // (1 if directed else 2))
     pair = st.tuples(
         st.integers(min_value=0, max_value=n - 1),
         st.integers(min_value=0, max_value=n - 1),
     )
-    edges = draw(st.lists(pair, max_size=max_edges))
-    for s, d in edges:
+    edges, drawn, seen = [], [], set()
+    for s, d in draw(st.lists(pair, max_size=max_edges)):
         if s == d:
             continue
-        weight = draw(st.floats(min_value=0.01, max_value=10.0)) if weighted else None
-        builder.add_edge(s, d, weight)
-    return builder.build()
+        weight = draw(weights) if weighted else None
+        key = (s, d) if directed else (min(s, d), max(s, d))
+        if key not in seen:
+            seen.add(key)
+            edges.append((s, d))
+            drawn.append(weight)
+    return Graph.from_edges(
+        edges, directed=directed, weights=drawn if weighted else None, vertices=range(n)
+    )
 
 
 @settings(max_examples=60, deadline=None)

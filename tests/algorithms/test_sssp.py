@@ -95,7 +95,8 @@ SSSP_IMPLEMENTATIONS = [
 
 
 def _raw_weighted(weights):
-    """A 3-vertex path with weights the builder would have refused."""
+    """A 3-vertex path with the given weights, straight through the
+    constructor."""
     return Graph(
         vertex_ids=np.arange(3), src=np.array([0, 1]), dst=np.array([1, 2]),
         directed=True, weights=np.array(weights),
@@ -117,8 +118,13 @@ class TestSharedInputCheck:
         with pytest.raises(GraphFormatError, match="non-negative"):
             run(_raw_weighted([1.0, bad]), 0)
 
-    def test_zero_and_infinite_weights_accepted(self, run):
-        run(_raw_weighted([0.0, float("inf")]), 0)
+    def test_zero_weights_accepted(self, run):
+        run(_raw_weighted([0.0, -0.0]), 0)
+
+    def test_infinite_weight_refused_before_any_run(self, run):
+        # The data model's weights are finite: no implementation sees inf.
+        with pytest.raises(GraphFormatError, match="has weight inf"):
+            run(_raw_weighted([0.0, float("inf")]), 0)
 
 
 class TestAgainstNetworkx:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.engines.partitioned import undeploy
-from repro.graph.builder import GraphBuilder
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
@@ -13,6 +12,7 @@ from repro.graph.generators import (
     path_graph,
     star_graph,
 )
+from repro.graph.graph import Graph
 
 
 @pytest.fixture(autouse=True)
@@ -69,10 +69,8 @@ def er_weighted():
 @pytest.fixture
 def two_triangles():
     """Two disconnected triangles: {0,1,2} and {10,11,12}."""
-    builder = GraphBuilder(directed=False)
-    for a, b in [(0, 1), (1, 2), (0, 2), (10, 11), (11, 12), (10, 12)]:
-        builder.add_edge(a, b)
-    return builder.build(name="two-triangles")
+    edges = [(0, 1), (1, 2), (0, 2), (10, 11), (11, 12), (10, 12)]
+    return Graph.from_edges(edges, directed=False, name="two-triangles")
 
 
 def to_networkx(graph):

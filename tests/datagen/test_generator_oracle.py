@@ -1,11 +1,12 @@
 """Replicas and Datagen against the per-edge pipelines they replaced.
 
-Both used to push every candidate edge through ``GraphBuilder.add_edge``
-(``dedup=True``), drawing each accepted edge's weight on the way, and
-the coplay replica kept its edges as a set of tuples. Those pipelines
-are kept here as the oracle: the random streams are unchanged, so every
-graph must be equal — ids, edge list, CSR, weights and name, dtype and
-bytes — and so must the Datagen work trace of both flows.
+Both used to push every candidate edge through a per-edge builder that
+dropped repeated edges, drawing each accepted edge's weight on the way,
+and the coplay replica kept its edges as a set of tuples. Those
+pipelines, that builder included, are kept here as the oracle: the
+random streams are unchanged, so every graph must be equal — ids, edge
+list, CSR, weights and name, dtype and bytes — and so must the Datagen
+work trace of both flows.
 """
 
 import numpy as np
@@ -23,7 +24,6 @@ from repro.datagen.generator import (
 from repro.datagen.graph500 import graph500
 from repro.datagen.persons import CORRELATION_DIMENSIONS, generate_persons, sort_key_for
 from repro.datagen.realworld import _preferential_targets, synthetic_replica
-from repro.graph.builder import GraphBuilder
 from repro.graph.graph import Graph
 from repro.harness.datasets import DATASETS
 
@@ -39,6 +39,38 @@ def _assert_same_graph(got, want):
             continue
         assert a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
+
+
+class _PerEdgeBuilder:
+    """One edge at a time: the first occurrence of an edge is kept (an
+    undirected edge either way round), a self-loop is refused, and the
+    built graph's ids ascend."""
+
+    def __init__(self, *, directed, weighted):
+        self.directed, self.weighted = directed, weighted
+        self.vertices, self.seen, self.edges, self.weights = set(), set(), [], []
+
+    def add_vertices(self, ids):
+        self.vertices.update(int(v) for v in ids)
+
+    def has_edge(self, s, d):
+        return ((s, d) if self.directed or s <= d else (d, s)) in self.seen
+
+    def add_edge(self, s, d, weight=None):
+        assert s != d, f"self-loop on vertex {s}"
+        if self.has_edge(s, d):
+            return
+        self.seen.add((s, d) if self.directed or s <= d else (d, s))
+        self.vertices.update((s, d))
+        self.edges.append((s, d))
+        self.weights.append(weight)
+
+    def build(self, name):
+        ids = np.array(sorted(self.vertices), dtype=np.int64)
+        src, dst = np.searchsorted(ids, np.array(self.edges, dtype=np.int64).reshape(-1, 2).T)
+        weights = np.array(self.weights, dtype=np.float64) if self.weighted else None
+        return Graph(vertex_ids=ids, src=src, dst=dst, directed=self.directed,
+                     weights=weights, name=name)
 
 
 # -- replicas ----------------------------------------------------------------
@@ -90,7 +122,7 @@ def _replica_oracle(profile, n, m, *, directed=None, weighted=False, seed=0, nam
                 vertex_ids=g.vertex_ids, src=g.edge_src, dst=g.edge_dst,
                 directed=False, weights=g.edge_weights, name=name,
             )
-        builder = GraphBuilder(directed=True, weighted=weighted, dedup=True)
+        builder = _PerEdgeBuilder(directed=True, weighted=weighted)
         builder.add_vertices(int(v) for v in g.vertex_ids)
         for k in range(g.num_edges):
             builder.add_edge(
@@ -99,7 +131,7 @@ def _replica_oracle(profile, n, m, *, directed=None, weighted=False, seed=0, nam
                 float(g.edge_weights[k]) if weighted else None,
             )
         return builder.build(name=name or f"social-{n}")
-    builder = GraphBuilder(directed=profile != "coplay", weighted=weighted, dedup=True)
+    builder = _PerEdgeBuilder(directed=profile != "coplay", weighted=weighted)
     builder.add_vertices(range(n))
     if profile == "talk":
         sources = _preferential_targets(rng, n, 2 * m, exponent=0.6)
@@ -186,7 +218,7 @@ def _datagen_oracle(config, flow):
         all_edges += edges
     if flow is FlowVersion.V0_2_6:
         trace.merge_records = len(all_edges)
-    builder = GraphBuilder(directed=False, weighted=config.weighted, dedup=True)
+    builder = _PerEdgeBuilder(directed=False, weighted=config.weighted)
     builder.add_vertices(range(config.num_persons))
     weight_rng = np.random.default_rng((config.seed, 104729))
     for src, dst in all_edges:

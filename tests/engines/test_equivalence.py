@@ -18,7 +18,7 @@ from repro.algorithms.sssp import single_source_shortest_paths
 from repro.algorithms.validation import validate_output
 from repro.algorithms.wcc import weakly_connected_components
 from repro.exceptions import GraphFormatError
-from repro.graph.builder import GraphBuilder
+from repro.graph.graph import Graph
 
 from tests.algorithms.test_properties import random_graphs
 from tests.engines.conftest import ENGINES
@@ -84,10 +84,9 @@ class TestWcc:
         # 2**53 and 2**53 + 1 are the same float64: an engine that
         # carries the ids themselves as floats merges the components.
         base = 2 ** 53
-        builder = GraphBuilder(directed=False)
-        builder.add_vertices([base, base + 1, base + 2])
-        builder.add_edge(base + 1, base + 2)
-        graph = builder.build()
+        graph = Graph.from_edges(
+            [(base + 1, base + 2)], directed=False, vertices=[base, base + 1, base + 2]
+        )
         labels = engine.run_wcc(graph)
         assert labels.tolist() == [base, base + 1, base + 1]
         assert np.array_equal(labels, weakly_connected_components(graph))

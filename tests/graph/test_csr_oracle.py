@@ -86,7 +86,7 @@ def _slot_lists(draw):
     weights = None
     if draw(st.booleans()):
         weights = np.asarray(
-            draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, np.inf]),
+            draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]),
                           min_size=len(pairs), max_size=len(pairs))),
             dtype=np.float64,
         )

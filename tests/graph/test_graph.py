@@ -162,6 +162,115 @@ class TestDataModelGate:
                 self._build([0, 1], [1, 0], directed=False)
 
 
+class TestFromEdges:
+    """``from_edges`` maps external ids onto ``Graph(...)``, which judges
+    the data model."""
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(GraphFormatError, match=r"^edge 0 \(1,1\) is a self-loop$"):
+            Graph.from_edges([(1, 1)])
+
+    def test_duplicate_directed_rejected(self):
+        with pytest.raises(GraphFormatError, match="duplicate of edge 0"):
+            Graph.from_edges([(0, 1), (0, 1)], directed=True)
+
+    def test_reverse_directed_edge_is_distinct(self):
+        assert Graph.from_edges([(0, 1), (1, 0)], directed=True).num_edges == 2
+
+    def test_reverse_undirected_edge_is_duplicate(self):
+        with pytest.raises(GraphFormatError, match="duplicate of edge 0"):
+            Graph.from_edges([(0, 1), (1, 0)], directed=False)
+
+    @pytest.mark.parametrize(
+        "edges, vertices, named",
+        [([(0, 1)], [2, -1, -3], -1), ([(0, 1), (4, -2), (-5, 0)], [7], -2)],
+        ids=["listed", "endpoint"],
+    )
+    def test_negative_vertex_rejected(self, edges, vertices, named):
+        # The first negative id in input order: listed vertices, then edges.
+        message = f"^vertex id must be non-negative, got {named}$"
+        with pytest.raises(GraphFormatError, match=message):
+            Graph.from_edges(edges, vertices=vertices)
+
+    @pytest.mark.parametrize("bad", [-3.0, float("nan")])
+    def test_negative_and_nan_weight_rejected(self, bad):
+        with pytest.raises(GraphFormatError, match="not a finite non-negative number"):
+            Graph.from_edges([(0, 1)], weights=[bad])
+
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 2.0, 3.0, 4.0]], ids=["too-few", "too-many"])
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_weight_count_must_match_edge_count(self, weights, directed):
+        # Too few weights used to drop the unpaired edges (and their
+        # vertices); too many were ignored.
+        with pytest.raises(GraphFormatError, match="edge weight array length mismatch"):
+            Graph.from_edges([(0, 1), (1, 2), (2, 3)], weights=weights, directed=directed)
+
+    def test_edge_registers_endpoints(self):
+        assert Graph.from_edges([(5, 9)]).vertex_ids.tolist() == [5, 9]
+
+    def test_repeated_vertex_is_one_vertex(self):
+        assert Graph.from_edges([], vertices=[3, 3]).num_vertices == 1
+
+    def test_vertex_ids_sorted(self):
+        g = Graph.from_edges([(8, 1)], vertices=[9, 3, 7])
+        assert g.vertex_ids.tolist() == [1, 3, 7, 8, 9]
+
+    def test_edges_keep_input_order(self):
+        g = Graph.from_edges([(9, 3), (3, 7), (7, 9)], directed=False)
+        assert list(g.edges()) == [(9, 3), (3, 7), (7, 9)]
+
+    def test_name_applied(self):
+        assert Graph.from_edges([], vertices=[0], name="tiny").name == "tiny"
+
+    def test_weights_carried_through(self):
+        g = Graph.from_edges([(0, 1)], weights=[2.5])
+        assert g.is_weighted
+        assert g.edge_weights[0] == pytest.approx(2.5)
+
+    def test_several_weighted_edges(self):
+        g = Graph.from_edges([(0, 1), (1, 2)], directed=True, weights=[2.5, 1.0])
+        assert g.num_edges == 2
+        assert g.edge_weights.tolist() == [2.5, 1.0]
+
+
+class TestWeightGate:
+    """Weights are finite and non-negative: ``Graph(...)`` refuses any
+    other, naming the first offending edge in input order, so SSSP and
+    the EVL writer never see one."""
+
+    @staticmethod
+    def _build(weights, ids=(10, 20, 30, 40)):
+        return Graph(
+            vertex_ids=np.asarray(ids), src=np.array([0, 1, 2]), dst=np.array([1, 2, 3]),
+            directed=False, weights=np.array(weights),
+        )
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1.0, float("nan"), -1.0], "edge 1 (20,30) has weight nan"),
+            ([float("inf"), 0.0, 1.0], "edge 0 (10,20) has weight inf"),
+            ([0.0, 1.0, float("-inf")], "edge 2 (30,40) has weight -inf"),
+            ([2.0, -0.5, float("nan")], "edge 1 (20,30) has weight -0.5"),
+        ],
+        ids=["nan", "inf", "-inf", "negative"],
+    )
+    def test_names_the_first_offending_edge(self, weights, message):
+        expected = f"^{re.escape(message)}, not a finite non-negative number$"
+        with pytest.raises(GraphFormatError, match=expected):
+            self._build(weights)
+
+    def test_zero_negative_zero_subnormal_and_largest_accepted(self):
+        weights = [0.0, -0.0, 5e-324]
+        assert self._build(weights).edge_weights.tobytes() == np.array(weights).tobytes()
+        assert self._build([np.finfo(np.float64).max] * 3).is_weighted
+
+    def test_endpoints_are_judged_first(self):
+        with pytest.raises(GraphFormatError, match="outside the dense index range"):
+            Graph(vertex_ids=np.arange(2), src=np.array([0]), dst=np.array([2]),
+                  directed=True, weights=np.array([float("nan")]))
+
+
 class TestState:
     """A Graph is arrays and scalars: nothing per vertex lives in Python
     objects, so pickles, cache entries and worker envelopes stay small."""

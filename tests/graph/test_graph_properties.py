@@ -1,13 +1,23 @@
 """Property-based tests (hypothesis) for the graph substrate invariants."""
 
+import re
+import sys
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from repro.graph.builder import GraphBuilder
+from repro.exceptions import GraphFormatError
+from repro.graph.graph import Graph
 from repro.graph.io import read_graph, write_graph
 
 from tests.algorithms.test_properties import random_graphs
+
+#: Valid weights at the edges of the model (zero either sign, the least
+#: subnormal, the largest float) mixed with ordinary ones.
+EDGE_WEIGHTS = st.sampled_from([0.0, -0.0, 5e-324, sys.float_info.max]) | st.floats(0.0, 10.0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -80,9 +90,6 @@ def test_csr_weight_alignment(graph):
 @settings(max_examples=25, deadline=None)
 @given(random_graphs(weighted=True))
 def test_evl_roundtrip_property(graph):
-    import tempfile
-    from pathlib import Path
-
     with tempfile.TemporaryDirectory() as tmp:
         write_graph(graph, Path(tmp) / "g")
         reloaded = read_graph(
@@ -91,6 +98,41 @@ def test_evl_roundtrip_property(graph):
         assert reloaded.num_vertices == graph.num_vertices
         assert reloaded.num_edges == graph.num_edges
         assert sorted(reloaded.edges()) == sorted(graph.edges())
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_graphs(weighted=True, weights=EDGE_WEIGHTS))
+def test_every_constructible_graph_survives_the_evl_files(graph):
+    """What ``Graph`` admits, ``write_graph`` writes and ``read_graph``
+    reads back byte for byte: one weight rule serves both."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_graph(graph, Path(tmp) / "g")
+        back = read_graph(Path(tmp) / "g", directed=graph.directed, weighted=True)
+    for name in ("vertex_ids", "edge_src", "edge_dst", "edge_weights"):
+        a, b = getattr(back, name), getattr(graph, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_graphs(weighted=True), st.data())
+def test_graph_refuses_weights_outside_the_model(graph, data):
+    """NaN, ±inf and negative weights never build, and the error names
+    the first offending edge in input order."""
+    assume(graph.num_edges > 0)
+    weights = graph.edge_weights.copy()
+    edge = st.integers(0, graph.num_edges - 1)
+    poisoned = data.draw(st.lists(edge, min_size=1, unique=True))
+    for k in poisoned:
+        weights[k] = data.draw(st.sampled_from([np.nan, np.inf, -np.inf, -0.5]))
+    k = min(poisoned)
+    ids = graph.vertex_ids
+    expected = (
+        f"edge {k} ({ids[graph.edge_src[k]]},{ids[graph.edge_dst[k]]}) has weight "
+        f"{float(weights[k])}, not a finite non-negative number"
+    )
+    with pytest.raises(GraphFormatError, match=f"^{re.escape(expected)}$"):
+        Graph(vertex_ids=ids, src=graph.edge_src, dst=graph.edge_dst,
+              directed=graph.directed, weights=weights)
 
 
 @settings(max_examples=40, deadline=None)
@@ -130,8 +172,8 @@ def test_subgraph_properties(graph, keep):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(min_value=0, max_value=200), min_size=1,
                 max_size=40, unique=True))
-def test_builder_vertex_set_roundtrip(ids):
-    graph = GraphBuilder().add_vertices(ids).build()
+def test_from_edges_vertex_set_roundtrip(ids):
+    graph = Graph.from_edges([], vertices=ids)
     assert sorted(graph.vertex_ids.tolist()) == sorted(ids)
     for vid in ids:
         assert graph.id_of(graph.index_of(vid)) == vid

@@ -58,7 +58,6 @@ class TestDocstrings:
             "repro",
             "repro.graph",
             "repro.graph.graph",
-            "repro.graph.builder",
             "repro.graph.io",
             "repro.graph.stats",
             "repro.graph.properties",

@@ -26,10 +26,10 @@ class TestHierarchy:
                     assert issubclass(member, GraphalyticsError), name
 
     def test_base_class_catches_everything(self):
-        from repro.graph.builder import GraphBuilder
+        from repro.graph.graph import Graph
 
         with pytest.raises(GraphalyticsError):
-            GraphBuilder().add_edge(1, 1)
+            Graph.from_edges([(1, 1)])
         with pytest.raises(GraphalyticsError):
             from repro.harness.datasets import get_dataset
 
