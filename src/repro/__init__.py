@@ -28,24 +28,7 @@ Quickstart::
     print(result.modeled_processing_time, result.validated)
 """
 
-from repro import algorithms, datagen, graph, granula, harness, platforms, trace
-from repro.graph import Graph, read_graph, write_graph
-from repro.algorithms import (
-    breadth_first_search,
-    pagerank,
-    weakly_connected_components,
-    community_detection_lp,
-    local_clustering_coefficient,
-    single_source_shortest_paths,
-)
-from repro.harness import (
-    BenchmarkConfig,
-    BenchmarkRunner,
-    DATASETS,
-    EXPERIMENTS,
-    ResultsDatabase,
-)
-from repro.platforms import PLATFORMS, create_driver
+from repro.facade import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -75,3 +58,20 @@ __all__ = [
     "create_driver",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "repro.graph.graph": ("Graph",),
+    "repro.graph.io": ("read_graph", "write_graph"),
+    "repro.algorithms.bfs": ("breadth_first_search",),
+    "repro.algorithms.pagerank": ("pagerank",),
+    "repro.algorithms.wcc": ("weakly_connected_components",),
+    "repro.algorithms.cdlp": ("community_detection_lp",),
+    "repro.algorithms.lcc": ("local_clustering_coefficient",),
+    "repro.algorithms.sssp": ("single_source_shortest_paths",),
+    "repro.harness.config": ("BenchmarkConfig",),
+    "repro.harness.runner": ("BenchmarkRunner",),
+    "repro.harness.datasets": ("DATASETS",),
+    "repro.harness.experiments": ("EXPERIMENTS",),
+    "repro.harness.results": ("ResultsDatabase",),
+    "repro.platforms.registry": ("PLATFORMS", "create_driver"),
+})

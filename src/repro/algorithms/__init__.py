@@ -11,46 +11,19 @@ and return numpy arrays indexed by dense index. Use :func:`as_vertex_map`
 to convert to an ``{external_id: value}`` mapping.
 """
 
-from typing import Dict
+from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING, Dict
 
-from repro.algorithms.bfs import breadth_first_search, BFS_UNREACHABLE
+from repro.facade import lazy_exports
+
+# ``pagerank`` names both a function and the module defining it: the
+# function is bound here, or the module's first import would bind the
+# module over it.
 from repro.algorithms.pagerank import pagerank
-from repro.algorithms.wcc import weakly_connected_components
-from repro.algorithms.cdlp import community_detection_lp
-from repro.algorithms.lcc import local_clustering_coefficient
-from repro.algorithms.sssp import single_source_shortest_paths, SSSP_UNREACHABLE
-from repro.algorithms.registry import (
-    Algorithm,
-    ALGORITHMS,
-    UNWEIGHTED_ALGORITHMS,
-    WEIGHTED_ALGORITHMS,
-    get_algorithm,
-    run_reference,
-)
-from repro.algorithms.validation import (
-    ExactMatchRule,
-    EpsilonMatchRule,
-    EquivalenceMatchRule,
-    validation_rule_for,
-    validate_output,
-)
-from repro.algorithms.extras import (
-    triangle_count,
-    diameter,
-    estimate_diameter,
-    average_clustering_coefficient,
-    degree_distribution,
-    assortativity,
-)
-from repro.algorithms.output_io import (
-    write_output,
-    read_output,
-    align_output,
-    validate_output_file,
-)
-from repro.algorithms import variants
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def as_vertex_map(graph, values: np.ndarray) -> Dict[int, object]:
@@ -92,3 +65,29 @@ __all__ = [
     "validate_output_file",
     "variants",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "repro.algorithms.bfs": ("breadth_first_search", "BFS_UNREACHABLE"),
+    "repro.algorithms.wcc": ("weakly_connected_components",),
+    "repro.algorithms.cdlp": ("community_detection_lp",),
+    "repro.algorithms.lcc": ("local_clustering_coefficient",),
+    "repro.algorithms.sssp": (
+        "single_source_shortest_paths", "SSSP_UNREACHABLE",
+    ),
+    "repro.algorithms.registry": (
+        "Algorithm", "ALGORITHMS", "UNWEIGHTED_ALGORITHMS",
+        "WEIGHTED_ALGORITHMS", "get_algorithm", "run_reference",
+    ),
+    "repro.algorithms.validation": (
+        "ExactMatchRule", "EpsilonMatchRule", "EquivalenceMatchRule",
+        "validation_rule_for", "validate_output",
+    ),
+    "repro.algorithms.extras": (
+        "triangle_count", "diameter", "estimate_diameter",
+        "average_clustering_coefficient", "degree_distribution",
+        "assortativity",
+    ),
+    "repro.algorithms.output_io": (
+        "write_output", "read_output", "align_output", "validate_output_file",
+    ),
+})

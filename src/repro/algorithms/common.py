@@ -8,7 +8,8 @@ import numpy as np
 # numpy loads this subpackage lazily on the first ``np.unique``, 9–16 ms
 # that would land inside whichever job's timed ``processing`` span runs
 # first in a process. Every kernel imports this module, so paying it here
-# keeps it out of T_proc (and forked run children inherit it).
+# keeps it out of T_proc (and forked run children inherit it);
+# tests/platforms/test_tproc_imports.py holds every measured path to it.
 import numpy.ma  # noqa: F401
 
 __all__ = [

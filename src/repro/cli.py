@@ -1050,8 +1050,21 @@ def _cmd_trace(args) -> int:
                     return f"{float(value) * 1000.0:.3f} ms"
                 return "-"
 
+            # A job's minor faults are those of its processing span.
+            by_id = {s.span_id: s for s in spans}
+            minflt = {}
+            for span in spans:
+                if span.name != "processing" or "minflt" not in span.attributes:
+                    continue
+                owner = by_id.get(span.parent_id)
+                while owner is not None and owner.name != "job":
+                    owner = by_id.get(owner.parent_id)
+                if owner is not None:
+                    minflt[owner.span_id] = span.attributes["minflt"]
+
             print(f"{'platform':12s} {'dataset':8s} {'algorithm':9s} "
-                  f"{'status':10s} {'tproc':>12s} {'makespan':>12s}")
+                  f"{'status':10s} {'tproc':>12s} {'makespan':>12s} "
+                  f"{'minflt':>8s}")
             for job in jobs:
                 attrs = job.attributes
                 print(
@@ -1060,7 +1073,8 @@ def _cmd_trace(args) -> int:
                     f"{str(attrs.get('algorithm', '?')):9s} "
                     f"{str(attrs.get('status', job.status)):10s} "
                     f"{fmt(attrs.get('tproc')):>12s} "
-                    f"{fmt(attrs.get('makespan')):>12s}"
+                    f"{fmt(attrs.get('makespan')):>12s} "
+                    f"{str(minflt.get(job.span_id, '-')):>8s}"
                 )
         else:
             print("(no job spans)")
@@ -1081,7 +1095,7 @@ def _cmd_trace(args) -> int:
 def _cmd_serve(args) -> int:
     import asyncio
 
-    from repro.service import BenchmarkService, ServiceConfig
+    from repro.service.server import BenchmarkService, ServiceConfig
 
     config = ServiceConfig(
         spool=args.spool,
@@ -1133,7 +1147,7 @@ def _load_matrix_argument(text: str):
 def _cmd_submit(args) -> int:
     import json
 
-    from repro.service import ServiceClient, ServiceError
+    from repro.service.client import ServiceClient, ServiceError
 
     client = ServiceClient(args.host, args.port)
     matrix = _load_matrix_argument(args.matrix)
@@ -1202,7 +1216,7 @@ def _watch_run(client, run_id: str, *, reconnects: int = 5) -> int:
 
 
 def _cmd_watch(args) -> int:
-    from repro.service import ServiceClient
+    from repro.service.client import ServiceClient
 
     return _watch_run(
         ServiceClient(args.host, args.port),
@@ -1212,7 +1226,7 @@ def _cmd_watch(args) -> int:
 
 
 def _cmd_fetch(args) -> int:
-    from repro.service import ServiceClient
+    from repro.service.client import ServiceClient
 
     client = ServiceClient(args.host, args.port)
     data = client.fetch(args.run_id, args.artifact)
@@ -1229,7 +1243,7 @@ def _cmd_fetch(args) -> int:
 def _cmd_health(args) -> int:
     import json
 
-    from repro.service import ServiceClient
+    from repro.service.client import ServiceClient
 
     report = ServiceClient(args.host, args.port).healthz()
     print(json.dumps(report, indent=1, sort_keys=True))

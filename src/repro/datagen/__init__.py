@@ -14,17 +14,12 @@
   model behind the §4.8 experiment (Figure 10).
 """
 
-from repro.datagen.degrees import sample_degrees, facebook_degree_distribution
-from repro.datagen.persons import Person, generate_persons, CORRELATION_DIMENSIONS
-from repro.datagen.generator import DatagenConfig, generate, generate_with_flow
-from repro.datagen.graph500 import graph500, Graph500Config
-from repro.datagen.realworld import synthetic_replica, REPLICA_PROFILES
-from repro.datagen.flow import (
-    DatagenFlowModel,
-    FlowVersion,
-    HadoopClusterModel,
-    estimate_generation_time,
-)
+from repro.facade import lazy_exports
+
+# ``graph500`` names both a function and the module defining it: the
+# function is bound here, or the module's first import would bind the
+# module over it.
+from repro.datagen.graph500 import Graph500Config, graph500
 
 __all__ = [
     "sample_degrees",
@@ -44,3 +39,20 @@ __all__ = [
     "HadoopClusterModel",
     "estimate_generation_time",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "repro.datagen.degrees": (
+        "sample_degrees", "facebook_degree_distribution",
+    ),
+    "repro.datagen.persons": (
+        "Person", "generate_persons", "CORRELATION_DIMENSIONS",
+    ),
+    "repro.datagen.generator": (
+        "DatagenConfig", "generate", "generate_with_flow",
+    ),
+    "repro.datagen.realworld": ("synthetic_replica", "REPLICA_PROFILES"),
+    "repro.datagen.flow": (
+        "DatagenFlowModel", "FlowVersion", "HadoopClusterModel",
+        "estimate_generation_time",
+    ),
+})

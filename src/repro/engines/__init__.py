@@ -24,10 +24,7 @@ of "the definition of the algorithms of Graphalytics is abstract"
 from functools import partial
 from typing import Callable
 
-from repro.exceptions import ConfigurationError
-from repro.engines.pregel import PregelEngine, VertexProgram
-from repro.engines.gas import GASEngine, GASProgram
-from repro.engines.spmv import SpMVEngine, Semiring
+from repro.facade import lazy_exports
 
 __all__ = [
     "PregelEngine",
@@ -38,6 +35,12 @@ __all__ = [
     "Semiring",
     "engine_call",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "repro.engines.pregel": ("PregelEngine", "VertexProgram"),
+    "repro.engines.gas": ("GASEngine", "GASProgram"),
+    "repro.engines.spmv": ("SpMVEngine", "Semiring"),
+})
 
 #: Acronym -> (front-end every engine module has, benchmark-description
 #: parameter -> that front-end's keyword). No engine formulates LCC (its
@@ -59,6 +62,8 @@ def engine_call(module, algorithm: str, params=None, **extra) -> Callable:
     product engine driving the :mod:`~repro.engines.spmv` loops,
     ``graph=`` to bind the graph too). Checked before anything runs.
     """
+    from repro.exceptions import ConfigurationError
+
     params = dict(params or {})
     try:
         name, keywords = _FRONT_ENDS[algorithm.lower()]

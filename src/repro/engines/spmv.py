@@ -238,9 +238,12 @@ def run_wcc(graph: Graph, engine=None) -> np.ndarray:
         with tracer.span("iteration", engine="spmv", algorithm="wcc",
                          index=iteration):
             candidate = np.minimum(labels, engine.spmv(labels, MIN_FIRST))
-            candidate = np.minimum(
-                candidate, engine.spmv(labels, MIN_FIRST, reverse=True)
-            )
+            if graph.directed:
+                # An undirected graph's in-CSR is its out-CSR: there the
+                # reverse product would repeat the forward one exactly.
+                candidate = np.minimum(
+                    candidate, engine.spmv(labels, MIN_FIRST, reverse=True)
+                )
             converged = np.array_equal(candidate, labels)
         iteration += 1
         if converged:

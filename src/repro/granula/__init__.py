@@ -12,15 +12,7 @@ Three modules mirror the three Granula components:
 * **visualizer** — renders an archive for humans (text tree / HTML).
 """
 
-from repro.granula.model import (
-    PhaseSpec,
-    ChildRule,
-    PlatformPerformanceModel,
-    DEFAULT_MODEL,
-    model_for_platform,
-)
-from repro.granula.archiver import PhaseRecord, PerformanceArchive, build_archive
-from repro.granula.visualizer import render_text, render_html
+from repro.facade import lazy_exports
 
 __all__ = [
     "PhaseSpec",
@@ -34,3 +26,14 @@ __all__ = [
     "render_text",
     "render_html",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "repro.granula.model": (
+        "PhaseSpec", "ChildRule", "PlatformPerformanceModel", "DEFAULT_MODEL",
+        "model_for_platform",
+    ),
+    "repro.granula.archiver": (
+        "PhaseRecord", "PerformanceArchive", "build_archive",
+    ),
+    "repro.granula.visualizer": ("render_text", "render_html"),
+})

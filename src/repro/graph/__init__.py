@@ -7,9 +7,7 @@ undirected; every edge is unique; vertices and edges may carry properties
 (here: optional double-precision edge weights).
 """
 
-from repro.graph.graph import Graph
-from repro.graph.io import read_graph, write_graph, read_edge_list, parse_edge_line
-from repro.graph.stats import GraphStatistics, compute_statistics, graph_scale
+from repro.facade import lazy_exports
 
 __all__ = [
     "Graph",
@@ -21,3 +19,13 @@ __all__ = [
     "compute_statistics",
     "graph_scale",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "repro.graph.graph": ("Graph",),
+    "repro.graph.io": (
+        "read_graph", "write_graph", "read_edge_list", "parse_edge_line",
+    ),
+    "repro.graph.stats": (
+        "GraphStatistics", "compute_statistics", "graph_scale",
+    ),
+})

@@ -5,41 +5,7 @@ drivers, validates outputs against the reference implementations,
 computes the benchmark metrics, and stores results.
 """
 
-from repro.harness.scale import graph_scale, scale_class, SCALE_CLASSES, class_order
-from repro.harness.datasets import (
-    Dataset,
-    DATASETS,
-    get_dataset,
-    dataset_ids,
-    datasets_up_to_class,
-)
-from repro.harness.metrics import (
-    edges_per_second,
-    edges_and_vertices_per_second,
-    speedup,
-    coefficient_of_variation,
-)
-from repro.harness.sla import SLA_MAKESPAN_SECONDS, sla_compliant
-from repro.harness.config import BenchmarkConfig
-from repro.harness.results import ResultsDatabase, BenchmarkResult
-from repro.harness.runner import BenchmarkRunner
-from repro.harness.survey import (
-    SURVEY_UNWEIGHTED,
-    SURVEY_WEIGHTED,
-    survey_table,
-    two_stage_selection,
-)
-from repro.harness.experiments import EXPERIMENTS, Experiment, get_experiment
-from repro.harness.renewal import RenewalProcess
-from repro.harness.report import render_report, save_report, summarize
-from repro.harness.archive import materialize_archive, archive_manifest
-from repro.harness.full_run import FullRunResult, run_full_benchmark
-from repro.harness.figures import render_dataset_variety, render_scaling
-from repro.harness.analysis import (
-    summarize_measurements,
-    speedup_matrix,
-    compare_platforms,
-)
+from repro.facade import lazy_exports
 
 __all__ = [
     "graph_scale",
@@ -82,3 +48,36 @@ __all__ = [
     "speedup_matrix",
     "compare_platforms",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "repro.harness.scale": (
+        "graph_scale", "scale_class", "SCALE_CLASSES", "class_order",
+    ),
+    "repro.harness.datasets": (
+        "Dataset", "DATASETS", "get_dataset", "dataset_ids",
+        "datasets_up_to_class",
+    ),
+    "repro.harness.metrics": (
+        "edges_per_second", "edges_and_vertices_per_second", "speedup",
+        "coefficient_of_variation",
+    ),
+    "repro.harness.sla": ("SLA_MAKESPAN_SECONDS", "sla_compliant"),
+    "repro.harness.config": ("BenchmarkConfig",),
+    "repro.harness.results": ("ResultsDatabase", "BenchmarkResult"),
+    "repro.harness.runner": ("BenchmarkRunner",),
+    "repro.harness.survey": (
+        "SURVEY_UNWEIGHTED", "SURVEY_WEIGHTED", "survey_table",
+        "two_stage_selection",
+    ),
+    "repro.harness.experiments": (
+        "EXPERIMENTS", "Experiment", "get_experiment",
+    ),
+    "repro.harness.renewal": ("RenewalProcess",),
+    "repro.harness.report": ("render_report", "save_report", "summarize"),
+    "repro.harness.archive": ("materialize_archive", "archive_manifest"),
+    "repro.harness.full_run": ("FullRunResult", "run_full_benchmark"),
+    "repro.harness.figures": ("render_dataset_variety", "render_scaling"),
+    "repro.harness.analysis": (
+        "summarize_measurements", "speedup_matrix", "compare_platforms",
+    ),
+})

@@ -85,12 +85,10 @@ def _check_platform_matrix() -> str:
 def _check_kernels() -> str:
     import numpy as np
 
-    from repro.algorithms import (
-        breadth_first_search,
-        local_clustering_coefficient,
-        pagerank,
-        weakly_connected_components,
-    )
+    from repro.algorithms.bfs import breadth_first_search
+    from repro.algorithms.lcc import local_clustering_coefficient
+    from repro.algorithms.pagerank import pagerank
+    from repro.algorithms.wcc import weakly_connected_components
     from repro.graph.generators import complete_graph, path_graph
 
     path = path_graph(5)

@@ -7,32 +7,7 @@ from a calibrated per-platform performance model — see DESIGN.md §2 for
 the substitution rationale and calibration sources.
 """
 
-from repro.platforms.cluster import MachineSpec, ClusterResources, DAS5_MACHINE
-from repro.platforms.base import (
-    PlatformDriver,
-    PlatformInfo,
-    UploadHandle,
-    JobResult,
-    JobStatus,
-)
-from repro.platforms.model import PerformanceModel, WorkloadProfile
-from repro.platforms.registry import (
-    PLATFORMS,
-    get_platform,
-    platform_names,
-    create_driver,
-)
-from repro.platforms.partitioning import (
-    PartitionStats,
-    hash_edge_cut,
-    greedy_vertex_cut,
-    compare_strategies,
-)
-from repro.platforms.tuning import (
-    TuningDecision,
-    recommend_resources,
-    capacity_frontier,
-)
+from repro.facade import lazy_exports
 
 __all__ = [
     "MachineSpec",
@@ -57,3 +32,24 @@ __all__ = [
     "recommend_resources",
     "capacity_frontier",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "repro.platforms.cluster": (
+        "MachineSpec", "ClusterResources", "DAS5_MACHINE",
+    ),
+    "repro.platforms.base": (
+        "PlatformDriver", "PlatformInfo", "UploadHandle", "JobResult",
+        "JobStatus",
+    ),
+    "repro.platforms.model": ("PerformanceModel", "WorkloadProfile"),
+    "repro.platforms.registry": (
+        "PLATFORMS", "get_platform", "platform_names", "create_driver",
+    ),
+    "repro.platforms.partitioning": (
+        "PartitionStats", "hash_edge_cut", "greedy_vertex_cut",
+        "compare_strategies",
+    ),
+    "repro.platforms.tuning": (
+        "TuningDecision", "recommend_resources", "capacity_frontier",
+    ),
+})

@@ -29,22 +29,7 @@ keeps it that way: ``sqlite3.connect`` outside this package is a
 finding.
 """
 
-from repro.resultsdb.migrate import import_json_repository
-from repro.resultsdb.queries import (
-    Regression,
-    RegressionQuery,
-    TopEntry,
-    TrendPoint,
-    best_platform,
-    regressions,
-    top,
-    trend,
-)
-from repro.resultsdb.store import (
-    STORE_NAME,
-    ResultsStore,
-    commit_service_run,
-)
+from repro.facade import lazy_exports
 
 __all__ = [
     "STORE_NAME",
@@ -60,3 +45,14 @@ __all__ = [
     "top",
     "trend",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "repro.resultsdb.migrate": ("import_json_repository",),
+    "repro.resultsdb.queries": (
+        "Regression", "RegressionQuery", "TopEntry", "TrendPoint",
+        "best_platform", "regressions", "top", "trend",
+    ),
+    "repro.resultsdb.store": (
+        "STORE_NAME", "ResultsStore", "commit_service_run",
+    ),
+})

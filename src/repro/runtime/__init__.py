@@ -7,39 +7,7 @@ content-addressed graph cache, producing a deterministically merged results data
 failure and cache reports.
 """
 
-from repro.runtime.cache import CacheStats, GraphCache, graph_key, reference_key
-from repro.runtime.executor import (
-    RuntimeConfig,
-    RuntimeRunResult,
-    example_matrix,
-    execute_matrix,
-    resume_run,
-)
-from repro.faults.plan import FaultPlan, FaultSpec, InjectedFaultError
-from repro.runtime.journal import (
-    JournalError,
-    JournalReplay,
-    RunJournal,
-    job_key,
-    matrix_hash,
-)
-from repro.runtime.jobs import (
-    FAILURE_STATUSES,
-    AttemptRecord,
-    JobFailure,
-    JobKind,
-    JobSpec,
-    failure_result,
-)
-from repro.runtime.pool import WorkerPool
-from repro.runtime.scheduler import (
-    JobGraph,
-    JobNode,
-    can_run_combo,
-    expand_matrix,
-    matrix_jobs,
-    with_dependencies,
-)
+from repro.facade import lazy_exports
 
 __all__ = [
     "AttemptRecord",
@@ -73,3 +41,27 @@ __all__ = [
     "resume_run",
     "with_dependencies",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "repro.runtime.cache": (
+        "CacheStats", "GraphCache", "graph_key", "reference_key",
+    ),
+    "repro.runtime.executor": (
+        "RuntimeConfig", "RuntimeRunResult", "example_matrix",
+        "execute_matrix", "resume_run",
+    ),
+    "repro.faults.plan": ("FaultPlan", "FaultSpec", "InjectedFaultError"),
+    "repro.runtime.journal": (
+        "JournalError", "JournalReplay", "RunJournal", "job_key",
+        "matrix_hash",
+    ),
+    "repro.runtime.jobs": (
+        "FAILURE_STATUSES", "AttemptRecord", "JobFailure", "JobKind",
+        "JobSpec", "failure_result",
+    ),
+    "repro.runtime.pool": ("WorkerPool",),
+    "repro.runtime.scheduler": (
+        "JobGraph", "JobNode", "can_run_combo", "expand_matrix", "matrix_jobs",
+        "with_dependencies",
+    ),
+})

@@ -26,20 +26,7 @@ validated artifacts. This package is that deployment mode
   ``graphalytics serve/submit/watch/fetch`` CLI.
 """
 
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.http import EventStream, ProtocolError, Request, Response
-from repro.service.queue import FairShareQueue, QuotaExceeded
-from repro.service.runs import RunRecord, RunRegistry, normalize_matrix
-from repro.service.server import BenchmarkService, ServiceConfig
-from repro.service.supervise import (
-    BreakerOpen,
-    RetryPolicy,
-    TenantBreaker,
-    load_quarantine,
-    load_supervision,
-)
-from repro.service.tail import JournalTailer, decode_journal_line
-from repro.service.worker import execute_service_run
+from repro.facade import lazy_exports
 
 __all__ = [
     "BenchmarkService",
@@ -64,3 +51,19 @@ __all__ = [
     "load_supervision",
     "normalize_matrix",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, __all__, {
+    "repro.service.client": ("ServiceClient", "ServiceError"),
+    "repro.service.http": (
+        "EventStream", "ProtocolError", "Request", "Response",
+    ),
+    "repro.service.queue": ("FairShareQueue", "QuotaExceeded"),
+    "repro.service.runs": ("RunRecord", "RunRegistry", "normalize_matrix"),
+    "repro.service.server": ("BenchmarkService", "ServiceConfig"),
+    "repro.service.supervise": (
+        "BreakerOpen", "RetryPolicy", "TenantBreaker", "load_quarantine",
+        "load_supervision",
+    ),
+    "repro.service.tail": ("JournalTailer", "decode_journal_line"),
+    "repro.service.worker": ("execute_service_run",),
+})

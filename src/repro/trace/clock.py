@@ -13,10 +13,15 @@ Centralizing the clock buys two things the paper's methodology needs:
 * **deterministic tests** — a :class:`FakeClock` substitutes a fully
   scripted timeline, which makes timeout, retry-backoff, and SLA paths
   (and the span output itself) reproducible bit-for-bit.
+
+A clock also counts the process's minor page faults, so a span can
+carry what its interval cost the allocator next to what it cost in
+time: a real count on the production clock, a fixed one on the fake.
 """
 
 from __future__ import annotations
 
+import resource
 import time as _time
 
 __all__ = ["Clock", "MonotonicClock", "FakeClock"]
@@ -30,6 +35,10 @@ class Clock:
 
     def sleep(self, seconds: float) -> None:
         raise NotImplementedError
+
+    def minor_faults(self) -> int:
+        """The process's minor page faults so far; fixed unless counted."""
+        return 0
 
 
 class MonotonicClock(Clock):
@@ -45,6 +54,9 @@ class MonotonicClock(Clock):
     def sleep(self, seconds: float) -> None:
         if seconds > 0:
             _time.sleep(seconds)
+
+    def minor_faults(self) -> int:
+        return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 class FakeClock(Clock):

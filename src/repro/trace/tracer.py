@@ -103,6 +103,11 @@ class Span:
         )
 
 
+#: Spans that carry ``minflt``, the minor page faults of their interval:
+#: read before the start clock and after the end clock, so the count
+#: is taken outside the time it sits next to.
+FAULT_COUNTED_SPANS = frozenset({"processing"})
+
 #: Shared placeholder yielded by disabled tracers: attribute writes land
 #: somewhere harmless and no clock reads or buffer appends happen.
 _NULL_SPAN = Span(name="disabled", span_id="", trace_id="")
@@ -129,6 +134,7 @@ class Tracer:
         self._finished: Deque[Span] = deque()
         self._stack: List[Span] = []
         self._counters: Dict[str, float] = {}
+        self._faults_at_start: Dict[str, int] = {}
         self._next_id = 0
         self._next_seq = 0
 
@@ -160,6 +166,9 @@ class Tracer:
             return _NULL_SPAN
         if parent is None and self._stack:
             parent = self._stack[-1]
+        faults = (
+            self.clock.minor_faults() if name in FAULT_COUNTED_SPANS else None
+        )
         opened = Span(
             name=name,
             span_id=self._new_id(),
@@ -169,6 +178,8 @@ class Tracer:
             process=self.process,
             attributes=dict(attributes or {}),
         )
+        if faults is not None:
+            self._faults_at_start[opened.span_id] = faults
         if push:
             self._stack.append(opened)
         return opened
@@ -181,6 +192,9 @@ class Tracer:
             self._stack.pop()
         if span.end is None:
             span.end = self.clock.now()
+        faults = self._faults_at_start.pop(span.span_id, None)
+        if faults is not None:
+            span.attributes["minflt"] = self.clock.minor_faults() - faults
         if status is not None:
             span.status = status
         self.record(span)

@@ -1,5 +1,12 @@
 """Shared fixtures for the test suite."""
 
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -21,6 +28,28 @@ def no_deployment_outlives_its_test():
     graph (or exit): a test must not start on its predecessor's."""
     yield
     undeploy()
+
+
+@pytest.fixture
+def fresh_python():
+    """Run a script in a new interpreter on this checkout's ``src``.
+
+    Returns the JSON value of the script's last line of output, so a
+    test can count what a cold process imports, never what this one
+    already holds.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+
+    def run(script: str, *args: str):
+        completed = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script), *args],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert completed.returncode == 0, completed.stderr
+        return json.loads(completed.stdout.splitlines()[-1])
+
+    return run
 
 
 @pytest.fixture

@@ -430,6 +430,13 @@ class TestTraceCommand:
         assert "pythonref" in out and "bfs" in out
         assert "tproc" in out
 
+    def test_summary_shows_processing_faults(self, tmp_path, capsys):
+        run_dir = self._run(tmp_path)
+        assert main(["trace", str(run_dir), "--summary"]) == 0
+        header, row = capsys.readouterr().out.splitlines()[1:3]
+        assert header.split()[-1] == "minflt"
+        assert row.split()[-1].isdigit()
+
     def test_max_depth(self, tmp_path, capsys):
         run_dir = self._run(tmp_path)
         assert main(["trace", str(run_dir), "--max-depth", "1"]) == 0

@@ -1,9 +1,11 @@
 """Tests for spans, the tracer, and JSONL export (repro.trace.tracer)."""
 
+import numpy as np
 import pytest
 
 from repro.trace import (
     FakeClock,
+    MonotonicClock,
     Span,
     Tracer,
     current_tracer,
@@ -78,6 +80,61 @@ class TestSpanLifecycle:
             with tracer.span("inner"):
                 pass
         assert [s.name for s in tracer.finished_spans()] == ["outer", "inner"][::-1]
+
+
+class TestMinorFaults:
+    """``processing`` spans carry their interval's minor page faults."""
+
+    def test_only_processing_spans_count(self):
+        tracer = make_tracer()
+        with tracer.span("job"):
+            with tracer.span("processing", algorithm="bfs"):
+                with tracer.span("kernel"):
+                    pass
+        by_name = {s.name: s for s in tracer.finished_spans()}
+        assert by_name["processing"].attributes == {
+            "algorithm": "bfs", "minflt": 0,
+        }
+        assert "minflt" not in by_name["job"].attributes
+        assert "minflt" not in by_name["kernel"].attributes
+
+    def test_fake_clock_traces_stay_bit_identical(self, tmp_path):
+        def run(path):
+            tracer = make_tracer()
+            with tracer.span("processing"):
+                np.ones(1 << 20).sum()  # faults, but the fake clock reads none
+            write_trace(path, tracer.finished_spans())
+            return path.read_bytes()
+
+        assert run(tmp_path / "one.jsonl") == run(tmp_path / "two.jsonl")
+
+    def test_real_clock_counts_fresh_pages(self):
+        tracer = Tracer(clock=MonotonicClock())
+        with tracer.span("processing") as span:
+            block = np.ones(1 << 23)  # 64 MB, mapped fresh: it must fault
+        del block
+        assert span.attributes["minflt"] > 0
+
+    def test_faults_are_read_outside_the_interval(self):
+        class Recording(FakeClock):
+            def __init__(self):
+                super().__init__(tick=1.0)
+                self.reads = []
+
+            def now(self):
+                self.reads.append("now")
+                return super().now()
+
+            def minor_faults(self):
+                self.reads.append("faults")
+                return len(self.reads)
+
+        clock = Recording()
+        tracer = Tracer(clock=clock)
+        with tracer.span("processing") as span:
+            pass
+        assert clock.reads == ["faults", "now", "now", "faults"]
+        assert span.attributes["minflt"] == 3
 
 
 class TestBoundedBuffer:
