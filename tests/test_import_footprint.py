@@ -37,6 +37,23 @@ def test_service_client_loads_no_numpy_sqlite_or_asyncio(fresh_python):
     assert _hits(modules, ["numpy", "sqlite3", "asyncio"]) == []
 
 
+def test_client_command_loads_no_numpy_sqlite_or_asyncio(fresh_python):
+    # Against a closed port the command runs its whole client path; how
+    # it reports the refusal is tests/cli/test_errors.py's concern.
+    modules = fresh_python("""
+import contextlib, socket
+from repro.cli import main
+
+with socket.socket() as probe:
+    probe.bind(("127.0.0.1", 0))
+    port = probe.getsockname()[1]
+with contextlib.suppress(OSError):
+    main(["health", "--port", str(port)])
+""" + LOADED)
+    assert "repro.service.client" in modules
+    assert _hits(modules, ["numpy", "sqlite3", "asyncio"]) == []
+
+
 def test_engine_set_loads_no_harness(fresh_python):
     modules = fresh_python(
         "import repro.datagen.graph500, repro.engines.partitioned, "
