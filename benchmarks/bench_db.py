@@ -102,19 +102,14 @@ def _concurrent_submits(path):
 
 
 def _build_query_store(path):
-    """500 runs x 3 jobs in one transaction (the import path's shape)."""
-    payloads = []
-    for run in range(STORE_RUNS):
-        results = [
-            _record(_PLATFORMS[(run + j) % len(_PLATFORMS)],
-                    ("bfs", "pr", "wcc")[j], run)
-            for j in range(JOBS_PER_RUN)
-        ]
-        payloads.append(
-            {"metadata": _metadata(f"run-{run:04d}"), "results": results}
-        )
+    """500 runs x 3 jobs, one ``submit_run`` each (seeding is untimed)."""
     with ResultsStore(path) as store:
-        store.submit_payloads(payloads)
+        for run in range(STORE_RUNS):
+            store.submit_run(_metadata(f"run-{run:04d}"), [
+                _record(_PLATFORMS[(run + j) % len(_PLATFORMS)],
+                        ("bfs", "pr", "wcc")[j], run)
+                for j in range(JOBS_PER_RUN)
+            ])
     return path
 
 

@@ -53,17 +53,10 @@ __all__ = [
     "validation_rule_for",
     "validate_output",
     "as_vertex_map",
-    "triangle_count",
-    "diameter",
-    "estimate_diameter",
-    "average_clustering_coefficient",
-    "degree_distribution",
-    "assortativity",
     "write_output",
     "read_output",
     "align_output",
     "validate_output_file",
-    "variants",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, __all__, {
@@ -81,11 +74,6 @@ __getattr__, __dir__ = lazy_exports(__name__, __all__, {
     "repro.algorithms.validation": (
         "ExactMatchRule", "EpsilonMatchRule", "EquivalenceMatchRule",
         "validation_rule_for", "validate_output",
-    ),
-    "repro.algorithms.extras": (
-        "triangle_count", "diameter", "estimate_diameter",
-        "average_clustering_coefficient", "degree_distribution",
-        "assortativity",
     ),
     "repro.algorithms.output_io": (
         "write_output", "read_output", "align_output", "validate_output_file",

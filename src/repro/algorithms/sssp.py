@@ -17,11 +17,12 @@ weight / mean out-degree, Meyer & Sanders' Θ(1/d). A narrow band
 relaxes few vertices before their distance is final, so far fewer slots
 are walked twice.
 
-Its output equals heap Dijkstra's (``variants.sssp_dijkstra``, the test
-oracle) bit for bit. Every distance either one writes is the float sum,
-left to right, of the weights along some path from the source; rounded
-addition is monotone in its left operand and, with ``w >= 0``, never
-decreases it, which is all Dijkstra's proof needs, so Dijkstra returns
+Its output equals heap Dijkstra's (``sssp_dijkstra`` in
+``tests/algorithms/variants.py``, the test oracle) bit for bit. Every
+distance either one writes is the float sum, left to right, of the
+weights along some path from the source; rounded addition is monotone
+in its left operand and, with ``w >= 0``, never decreases it, which is
+all Dijkstra's proof needs, so Dijkstra returns
 the minimum of those path sums. The relaxation stops only when nothing
 is pending, i.e. no slot can lower a distance: the same minimum, through
 the same additions, in whichever order the rounds took them.

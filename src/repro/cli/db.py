@@ -10,34 +10,27 @@ db = group(
     "canned queries over the SQLite results store",
     arg("--store", default=None,
         help="results.db path, or a repository/spool directory holding "
-             "one (required for every subcommand except import, which "
-             "defaults to <directory>/results.db)"),
+             "one (required for every subcommand)"),
 )
 
 
-def _resolve_store_path(value, *, must_exist: bool = True):
-    """``--store`` -> a ``results.db`` path; accepts a directory too."""
+def _open_store(args):
+    """``--store`` -> an open store; accepts a directory holding one."""
     from pathlib import Path
 
-    from repro.resultsdb.store import STORE_NAME
+    from repro.resultsdb.store import STORE_NAME, ResultsStore
 
-    if value is None:
+    if args.store is None:
         raise ConfigurationError(
             "this db subcommand needs --store (a results.db path or a "
             "directory containing one)"
         )
-    path = Path(value)
+    path = Path(args.store)
     if path.is_dir():
         path = path / STORE_NAME
-    if must_exist and not path.exists():
+    if not path.exists():
         raise ConfigurationError(f"no results store at {path}")
-    return path
-
-
-def _open_store(args):
-    from repro.resultsdb.store import ResultsStore
-
-    return ResultsStore(_resolve_store_path(args.store))
+    return ResultsStore(path)
 
 
 @db.command("runs")
@@ -126,39 +119,6 @@ def regressions(args) -> int:
         )
     print(render_store_regressions(query))
     return 1 if query.regressions else 0
-
-
-@db.command(
-    "import",
-    "directory",
-    arg("--replace", action="store_true",
-        help="overwrite runs the store already holds"),
-    arg("--no-verify", action="store_true",
-        help="skip the byte-identical round-trip check"),
-)
-def import_(args) -> int:
-    """migrate a legacy JSON repository directory into the store"""
-    from repro.resultsdb.migrate import import_json_repository
-
-    store_path = (
-        _resolve_store_path(args.store, must_exist=False) if args.store else None
-    )
-    summary = import_json_repository(
-        args.directory,
-        store_path,
-        replace=args.replace,
-        verify=not args.no_verify,
-    )
-    verified = " (byte-identical)" if summary["verified"] else ""
-    print(
-        f"imported {len(summary['imported'])} run(s) into "
-        f"{summary['store']}{verified}"
-    )
-    for run_id in summary["imported"]:
-        print(f"  {run_id}")
-    for name in summary["skipped"]:
-        print(f"  retired legacy sidecar left behind: {name}")
-    return 0
 
 
 @db.command("timeline", "run_id")

@@ -311,10 +311,15 @@ def estimate(args) -> int:
 )
 def analyze(args) -> int:
     """repeated-run head-to-head of two platforms (t-test)"""
-    from repro.harness.analysis import compare_platforms, summarize_measurements
+    from repro.harness.analysis import (
+        check_distinct_platforms,
+        compare_platforms,
+        summarize_measurements,
+    )
     from repro.harness.config import BenchmarkConfig
     from repro.harness.runner import BenchmarkRunner
 
+    check_distinct_platforms(args.platform_a, args.platform_b)
     config = BenchmarkConfig(
         platforms=[args.platform_a, args.platform_b],
         datasets=[args.dataset],

@@ -174,9 +174,9 @@ FAULT_POINTS: Dict[str, str] = {
         "service supervision ledger and quarantine records"
     ),
     "resultsdb.commit": (
-        "results-store transaction COMMIT (one submitted run, or one "
-        "whole legacy-repository import); kind=kill dies with the "
-        "transaction in WAL, which discards it on the next open"
+        "results-store transaction COMMIT (one submitted run); "
+        "kind=kill dies with the transaction in WAL, which discards it "
+        "on the next open"
     ),
     "partitioned.shard.step": (
         "per-command chaos hook in a partitioned shard worker, checked "

@@ -23,6 +23,7 @@ __all__ = [
     "MeasurementSummary",
     "summarize_measurements",
     "speedup_matrix",
+    "check_distinct_platforms",
     "compare_platforms",
 ]
 
@@ -114,6 +115,19 @@ class PlatformComparison:
     p_value: Optional[float]
 
 
+def check_distinct_platforms(platform_a: str, platform_b: str) -> None:
+    """Refuse a head-to-head of one platform with itself.
+
+    Platform names match case-insensitively, so ``giraph`` and
+    ``GIRAPH`` would pool one sample on both sides of the test.
+    """
+    if platform_a.lower() == platform_b.lower():
+        raise ConfigurationError(
+            f"cannot compare platform {platform_a!r} with itself "
+            f"({platform_b!r}); name two different platforms"
+        )
+
+
 def compare_platforms(
     database: ResultsDatabase,
     platform_a: str,
@@ -126,8 +140,10 @@ def compare_platforms(
     """Welch's t-test over repeated measurements of two platforms.
 
     With fewer than two repetitions per side the comparison falls back
-    to the point estimate and is reported as not significant.
+    to the point estimate and is reported as not significant. The two
+    platforms must differ (:func:`check_distinct_platforms`).
     """
+    check_distinct_platforms(platform_a, platform_b)
     times_a = database.processing_times(
         platform=platform_a, algorithm=algorithm, dataset=dataset
     )

@@ -14,9 +14,7 @@ store in WAL mode:
   fault point guards the commit), and lossless archive round-trip;
 * :mod:`repro.resultsdb.queries` — the canned queries behind
   ``graphalytics db top|trend|regressions``, answer-identical to the
-  retired JSON backend;
-* :mod:`repro.resultsdb.migrate` — one-transaction import of a legacy
-  JSON repository, byte-identical on round-trip.
+  retired JSON backend.
 
 Every layer that needs results talks to this package: ``full-run
 --repository`` admits its validated run through
@@ -40,14 +38,12 @@ __all__ = [
     "TrendPoint",
     "best_platform",
     "commit_service_run",
-    "import_json_repository",
     "regressions",
     "top",
     "trend",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, __all__, {
-    "repro.resultsdb.migrate": ("import_json_repository",),
     "repro.resultsdb.queries": (
         "Regression", "RegressionQuery", "TopEntry", "TrendPoint",
         "best_platform", "regressions", "top", "trend",

@@ -17,16 +17,19 @@ Answer-identity contract: SQL narrows and orders the candidate rows
 store), but the final selection replays the retired JSON backend's
 exact Python loops — same run_id iteration order, same strictly-lower
 tie-breaking in ``best_platform``, same truthy-``tproc`` filter and
-last-write-wins key index in ``regressions`` — so a migrated repository
-answers every query identically to the directory of JSON blobs it
-replaced. ``tests/resultsdb/test_migrate.py`` holds that line.
+last-write-wins key index in ``regressions`` — so the store answers
+every query identically to the directory of JSON blobs it replaced.
+``tests/resultsdb/test_queries.py`` holds that line against the old
+loops.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.exceptions import ConfigurationError
 from repro.resultsdb.store import ResultsStore
 
 __all__ = [
@@ -145,8 +148,11 @@ def top(
     Generalizes :func:`best_platform` (its answer is always rank 1).
     Per platform the winning job follows the same first-strictly-lower
     rule; platforms rank by that best time, ties broken by platform
-    name for a stable table.
+    name for a stable table. ``limit`` is ``None`` (every platform) or
+    at least 1.
     """
+    if limit is not None and limit < 1:
+        raise ConfigurationError(f"limit must be at least 1, not {limit!r}")
     best_per_platform: Dict[str, TopEntry] = {}
     for run_id, platform, tproc in _candidate_rows(store, algorithm, dataset):
         held = best_per_platform.get(platform)
@@ -248,8 +254,13 @@ def regressions(
     the old run builds a last-write-wins index keyed by
     (platform, algorithm, dataset, machines, threads) over jobs with a
     *truthy* modeled time, the new run's jobs look themselves up, and
-    hits sort by descending slowdown.
+    hits sort by descending slowdown. ``threshold`` is a finite ratio
+    of at least 1.0: below it a speed-up would count as a regression.
     """
+    if not (math.isfinite(threshold) and threshold >= 1.0):
+        raise ConfigurationError(
+            f"threshold must be a finite ratio >= 1.0, not {threshold!r}"
+        )
     old_index: Dict[tuple, float] = {}
     for record in store.run_records(old_run):
         if record.get("status") == "succeeded" and record.get(

@@ -269,41 +269,6 @@ class ResultsStore:
                 raise
         return run_id
 
-    def submit_payloads(
-        self,
-        payloads: Sequence[Mapping[str, object]],
-        *,
-        replace: bool = False,
-    ) -> List[str]:
-        """Store many legacy archive payloads in ONE transaction.
-
-        ``payloads`` are archive-shaped mappings (``metadata`` +
-        ``results``). All-or-nothing: the migration path — a crash or
-        injected fault at ``resultsdb.commit`` mid-import leaves the
-        store exactly as it was, never half a repository.
-        """
-        run_ids: List[str] = []
-        with self._mutex:
-            self._conn.execute("BEGIN IMMEDIATE")
-            try:
-                for payload in payloads:
-                    metadata = payload.get("metadata") or {}
-                    results = payload.get("results") or []
-                    run_ids.append(
-                        self._insert_run(
-                            metadata, results, replace=replace
-                        )
-                    )
-                fault_points.check("resultsdb.commit")
-                self._conn.execute("COMMIT")
-            except BaseException:
-                try:
-                    self._conn.execute("ROLLBACK")
-                except sqlite3.Error:
-                    pass  # connection already rolled back or gone
-                raise
-        return run_ids
-
     def _insert_run(
         self,
         metadata: Mapping[str, object],

@@ -244,8 +244,9 @@ class RunJournal:
 
     Writers call :meth:`append` (or :meth:`append_many` for a batch with
     one fsync); every append is durable before it returns. Readers use
-    :meth:`load` / :meth:`open`, which recover from a torn tail by
-    atomically rewriting the good prefix.
+    :meth:`load`, which recovers from a torn tail by atomically
+    rewriting the good prefix; a resumed run then appends through a
+    new ``RunJournal`` on the same path.
 
     **Graceful degradation.** A benchmark run should not die because
     its *log* cannot grow. When the disk fills (ENOSPC on append) the
@@ -368,12 +369,6 @@ class RunJournal:
                 "a fresh run directory"
             )
         return JournalReplay(header, records[1:], truncated_bytes=truncated)
-
-    @classmethod
-    def open(cls, run_dir: Union[str, Path], *, durable: bool = True) -> "RunJournal":
-        """An appendable journal positioned after the recovered tail."""
-        cls.load(run_dir)  # validates and truncates any torn tail
-        return cls(cls.journal_path(run_dir), durable=durable)
 
     # -- writing -----------------------------------------------------------
 

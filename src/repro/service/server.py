@@ -581,16 +581,10 @@ class BenchmarkService:
             }
         )
 
-    def _record_or_none(self, run_id: str) -> Optional[RunRecord]:
-        try:
-            return self.registry.records.get(run_id)
-        except KeyError:  # pragma: no cover - dict.get never raises
-            return None
-
     async def _handle_run(
         self, request: Request, writer: asyncio.StreamWriter, run_id: str
     ) -> Response:
-        record = self._record_or_none(run_id)
+        record = self.registry.records.get(run_id)
         if record is None:
             return error_response(404, f"unknown run {run_id!r}")
         return json_response(record.status_payload())
@@ -602,7 +596,7 @@ class BenchmarkService:
         run_id: str,
         artifact: str,
     ) -> Response:
-        record = self._record_or_none(run_id)
+        record = self.registry.records.get(run_id)
         if record is None:
             return error_response(404, f"unknown run {run_id!r}")
         path = self.registry.artifact_path(run_id, artifact)
@@ -621,7 +615,7 @@ class BenchmarkService:
         self, request: Request, writer: asyncio.StreamWriter, run_id: str
     ) -> Optional[Response]:
         """Stream the run's journal, then its trace spans, as SSE."""
-        record = self._record_or_none(run_id)
+        record = self.registry.records.get(run_id)
         if record is None:
             return error_response(404, f"unknown run {run_id!r}")
         try:

@@ -275,20 +275,6 @@ class Tracer:
         self._finished.clear()
         return taken
 
-    # -- JSONL export / import ---------------------------------------------
-
-    def export_jsonl(
-        self,
-        path: Union[str, Path],
-        *,
-        spans: Optional[Iterable[Span]] = None,
-        include_counters: bool = True,
-    ) -> Path:
-        """Write the trace to ``path`` atomically; returns the path."""
-        chosen = list(self._finished) if spans is None else list(spans)
-        counters = self.counters if include_counters else None
-        return write_trace(path, chosen, counters=counters)
-
 
 def write_trace(
     path: Union[str, Path],

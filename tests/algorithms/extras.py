@@ -3,8 +3,9 @@
 §1 motivates graph analysis with "complex and holistic graph
 computations ... such as global metrics (e.g., diameter, triangle
 count) or clustering". These are not part of the six-core workload, but
-they are the natural candidates of a future renewal round (§2.4), so the
-library ships reference implementations:
+they are the natural candidates of a future renewal round (§2.4). No
+command or experiment runs them, so these reference implementations
+live beside their tests:
 
 * :func:`triangle_count` — global triangle count;
 * :func:`diameter` — exact graph diameter (all-sources BFS);

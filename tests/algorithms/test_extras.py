@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GraphFormatError
-from repro.algorithms.extras import (
+from tests.algorithms.extras import (
     assortativity,
     average_clustering_coefficient,
     degree_distribution,

@@ -25,7 +25,7 @@ from repro.algorithms.lcc import (
     local_clustering_coefficient,
 )
 from repro.algorithms.sssp import SSSP_UNREACHABLE, single_source_shortest_paths
-from repro.algorithms.variants import bfs_queue, sssp_dijkstra
+from tests.algorithms.variants import bfs_queue, sssp_dijkstra
 from repro.exceptions import GraphFormatError
 from repro.graph.graph import Graph
 from repro.harness.datasets import get_dataset

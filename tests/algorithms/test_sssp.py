@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import GraphFormatError
-from repro.algorithms import variants
+from tests.algorithms import variants
 from repro.algorithms.sssp import (
     SSSP_UNREACHABLE,
     check_sssp_input,

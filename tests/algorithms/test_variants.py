@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from repro.algorithms.bfs import breadth_first_search
 from repro.algorithms.sssp import single_source_shortest_paths
 from repro.algorithms.validation import validate_output
-from repro.algorithms.variants import (
+from tests.algorithms.variants import (
     bfs_bottom_up,
     bfs_queue,
     sssp_bellman_ford,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import GenerationError
-from repro.datagen.blocks import (
+from tests.datagen.blocks import (
     Block,
     build_blocks,
     correlation_report,

@@ -131,6 +131,11 @@ class TestComparePlatforms:
         with pytest.raises(ConfigurationError):
             compare_platforms(db, "A", "B", algorithm="bfs", dataset="D300")
 
+    def test_same_platform_refused(self):
+        db = ResultsDatabase(self._repeated("A", 1.0, 0.05))
+        with pytest.raises(ConfigurationError, match="with itself"):
+            compare_platforms(db, "A", "a", algorithm="bfs", dataset="D300")
+
     def test_end_to_end_with_real_variability(self):
         from repro.harness.config import BenchmarkConfig
         from repro.harness.runner import BenchmarkRunner

@@ -8,7 +8,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.harness.results import BenchmarkResult, ResultsDatabase
 from repro.resultsdb import queries
@@ -249,8 +248,8 @@ class TestConcurrentSubmission:
 
 
 class TestLegacyAbsorption:
-    """A directory of pre-store JSON archives answers through its store
-    after ``db import`` — the one migration path — and only after it."""
+    """A directory of pre-store JSON archives is not a store: opening it
+    reads the database and nothing else."""
 
     def _write_legacy_archive(self, root, run_id, tproc=0.3):
         payload = {
@@ -265,21 +264,8 @@ class TestLegacyAbsorption:
         root.mkdir(parents=True, exist_ok=True)
         (root / f"{run_id}.json").write_text(json.dumps(payload, indent=1))
 
-    def test_legacy_archives_absorbed(self, tmp_path):
-        root = tmp_path / "repo"
-        self._write_legacy_archive(root, "old-1")
-        self._write_legacy_archive(root, "old-2", tproc=0.1)
-        assert main(["db", "import", str(root)]) == 0
-        repo = open_repository(root)
-        assert repo.run_ids() == ["old-1", "old-2"]
-        assert load(repo, "old-1").one(platform="GraphMat").validated is True
-        best = queries.best_platform(repo, "bfs", "D300")
-        assert best["run_id"] == "old-2"
-        # The archives stay in place; the import is read-only.
-        assert (root / "old-1.json").exists()
-
     def test_foreign_json_ignored(self, tmp_path, monkeypatch):
-        # Un-imported, the directory lists no runs — legacy, foreign and
+        # The directory lists no runs — legacy, foreign and
         # torn files alike: the store reads its database and nothing else.
         root = tmp_path / "repo"
         self._write_legacy_archive(root, "old-1")
@@ -298,18 +284,6 @@ class TestLegacyAbsorption:
             repo = open_repository(root)
         assert repo.run_ids() == []
         assert queries.runs(repo) == []
-
-    def test_absorption_is_idempotent_and_mixes_eras(self, tmp_path):
-        root = tmp_path / "repo"
-        self._write_legacy_archive(root, "old-1")
-        submit_validated_run(
-            open_repository(root),
-            RunMetadata("new-1", "sut"), ResultsDatabase([make_result()]),
-        )
-        assert main(["db", "import", str(root)]) == 0
-        assert open_repository(root).run_ids() == ["new-1", "old-1"]
-        again = open_repository(root)  # re-opening imports nothing
-        assert again.run_ids() == ["new-1", "old-1"]
 
 
 class TestCrossRunAnalysis:

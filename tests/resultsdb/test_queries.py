@@ -1,8 +1,8 @@
 """Canned-query semantics: top, trend, regressions.
 
-Byte-level answer identity against the retired JSON backend is proved
-in ``test_migrate.py``; this module pins each query's own contract —
-ordering, tie-breaking, filters, and which rows count as usable.
+Each query's own contract — ordering, tie-breaking, filters, and which
+rows count as usable — and its answer identity with the retired JSON
+backend, whose loops are kept here as the reference.
 """
 
 from __future__ import annotations
@@ -216,3 +216,142 @@ class TestRegressions:
         _submit(store, "run-old", [make_record()])
         with pytest.raises(ConfigurationError, match="unknown run"):
             queries.regressions(store, "run-old", "ghost")
+
+
+# -- the retired JSON backend's loops, over each run's job records ------------
+
+#: Three runs with varied workloads, as the JSON backend stored them.
+_RUNS = {
+    "run-2016-a": [
+        make_record(platform="GraphMat", modeled_processing_time=0.5),
+        make_record(platform="Giraph", modeled_processing_time=0.9),
+        make_record(platform="GraphMat", algorithm="pr",
+                    modeled_processing_time=2.0),
+    ],
+    "run-2016-b": [
+        make_record(platform="Giraph", modeled_processing_time=0.4),
+        make_record(platform="GraphMat", algorithm="pr",
+                    modeled_processing_time=3.0),
+        make_record(platform="PGX.D", status="failed",
+                    modeled_processing_time=None),
+    ],
+    "run-2016-c": [
+        make_record(platform="PGX.D", modeled_processing_time=0.5),
+        make_record(platform="Giraph", sla_compliant=False,
+                    modeled_processing_time=0.1),
+    ],
+}
+
+
+def _submit_runs(store):
+    for run_id, records in _RUNS.items():
+        _submit(store, run_id, records)
+
+
+def _json_best_platform(algorithm, dataset):
+    best = None
+    for run_id in sorted(_RUNS):
+        for record in _RUNS[run_id]:
+            if (
+                record.get("algorithm") == algorithm.lower()
+                and record.get("dataset") == dataset
+                and record.get("status") == "succeeded"
+                and record.get("sla_compliant")
+                and record.get("modeled_processing_time") is not None
+            ):
+                tproc = record["modeled_processing_time"]
+                if best is None or tproc < best["tproc"]:
+                    best = {
+                        "run_id": run_id,
+                        "platform": record["platform"],
+                        "tproc": tproc,
+                    }
+    return best
+
+
+def _json_regressions(old_run, new_run, threshold=1.10):
+    def key(record):
+        return (
+            record.get("platform"), record.get("algorithm"),
+            record.get("dataset"), record.get("machines"),
+            record.get("threads"),
+        )
+
+    old_index = {}
+    for record in _RUNS[old_run]:
+        if record.get("status") == "succeeded" and record.get(
+            "modeled_processing_time"
+        ):
+            old_index[key(record)] = record["modeled_processing_time"]
+    found = []
+    for record in _RUNS[new_run]:
+        if not (
+            record.get("status") == "succeeded"
+            and record.get("modeled_processing_time")
+        ):
+            continue
+        if key(record) in old_index:
+            old_time = old_index[key(record)]
+            new_time = record["modeled_processing_time"]
+            if new_time > threshold * old_time:
+                found.append(
+                    (record["platform"], record["algorithm"],
+                     record["dataset"], old_time, new_time)
+                )
+    return sorted(found, key=lambda row: -(row[4] / row[3]))
+
+
+class TestAnswerIdentity:
+    """Every canned query matches the JSON backend's answer."""
+
+    def test_best_platform_identical_for_every_workload(self, store):
+        _submit_runs(store)
+        for algorithm, dataset in [
+            ("bfs", "D300"), ("pr", "D300"), ("BFS", "D300"),
+            ("wcc", "D300"), ("bfs", "D1000"),
+        ]:
+            assert queries.best_platform(
+                store, algorithm, dataset
+            ) == _json_best_platform(algorithm, dataset)
+
+    def test_top_rank_one_is_the_json_best(self, store):
+        _submit_runs(store)
+        entries = queries.top(store, "bfs", "D300")
+        best = _json_best_platform("bfs", "D300")
+        assert entries[0].platform == best["platform"]
+        assert entries[0].run_id == best["run_id"]
+        assert entries[0].tproc == best["tproc"]
+
+    def test_regressions_identical_both_directions(self, store):
+        _submit_runs(store)
+        for old, new in [
+            ("run-2016-a", "run-2016-b"),
+            ("run-2016-b", "run-2016-a"),
+            ("run-2016-a", "run-2016-c"),
+        ]:
+            got = [
+                (r.platform, r.algorithm, r.dataset,
+                 r.old_seconds, r.new_seconds)
+                for r in queries.regressions(store, old, new)
+            ]
+            assert got == _json_regressions(old, new)
+
+    def test_facade_queries_match_over_a_repository_directory(
+        self, tmp_path
+    ):
+        # A repository directory is the directory holding results.db:
+        # the store ``full-run --repository`` opens, and the one the
+        # package façade's queries read.
+        from repro import resultsdb
+
+        with resultsdb.ResultsStore(tmp_path / resultsdb.STORE_NAME) as store:
+            _submit_runs(store)
+        with resultsdb.ResultsStore(
+            tmp_path / resultsdb.STORE_NAME
+        ) as repository:
+            assert repository.run_ids() == [
+                "run-2016-a", "run-2016-b", "run-2016-c",
+            ]
+            assert resultsdb.best_platform(
+                repository, "bfs", "D300"
+            ) == _json_best_platform("bfs", "D300")

@@ -49,6 +49,47 @@ class TestSubmitRoundTrip:
             assert metadata["run_id"] == "run-a"
             assert metadata["system_under_test"] == "GraphMat on DAS-5"
 
+    def test_byte_identical_round_trip(self, store):
+        # A stored run re-serializes to the exact bytes of its JSON
+        # archive, whatever the metadata and records hold.
+        runs = {
+            "run-2016-a": [
+                make_record(platform="GraphMat", modeled_processing_time=0.5),
+                make_record(platform="Giraph", algorithm="pr"),
+            ],
+            "run-2016-b": [
+                make_record(platform="PGX.D", status="failed",
+                            modeled_processing_time=None),
+            ],
+        }
+        for run_id, records in runs.items():
+            payload = {
+                "metadata": make_metadata(run_id, description="sweep"),
+                "results": records,
+            }
+            store.submit_run(payload["metadata"], records)
+            source = json.dumps(payload, indent=1).encode("utf-8")
+            assert store.canonical_bytes(run_id) == source
+            assert store.canonical_payload(run_id) == payload
+
+    def test_metadata_key_order_is_preserved(self, store):
+        # A metadata block with a non-standard key order still
+        # round-trips byte for byte: the run record column stores the
+        # mapping verbatim.
+        payload = {
+            "metadata": {
+                "description": "reordered",
+                "run_id": "run-odd",
+                "submitter": "ops",
+                "system_under_test": "X",
+            },
+            "results": [make_record()],
+        }
+        store.submit_run(payload["metadata"], payload["results"])
+        assert store.canonical_bytes("run-odd") == json.dumps(
+            payload, indent=1
+        ).encode("utf-8")
+
     def test_wal_mode_and_full_synchronous(self, store):
         assert store.query("PRAGMA journal_mode") == [("wal",)]
         assert store.query("PRAGMA synchronous") == [(2,)]

@@ -90,7 +90,8 @@ class TestJournalRoundTrip:
 
     def test_open_appends_after_existing_records(self, tmp_path):
         RunJournal.create(tmp_path, HEADER).close()
-        with RunJournal.open(tmp_path) as journal:
+        RunJournal.load(tmp_path)
+        with RunJournal(RunJournal.journal_path(tmp_path)) as journal:
             journal.append({"type": "job-done", "key": "a"})
         replay = RunJournal.load(tmp_path)
         assert [r["type"] for r in replay.records] == ["job-done"]

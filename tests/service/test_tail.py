@@ -175,7 +175,7 @@ class TestAgainstRealJournal:
         # the resumed journal then appends the remainder.
         replay = RunJournal.load(run_dir)
         assert replay.truncated_bytes > 0
-        resumed = RunJournal.open(run_dir)
+        resumed = RunJournal(path)
         resumed.append({"type": "job-done", "key": "b", "seq": 1})
         resumed.append({"type": "run-complete"})
         resumed.close()

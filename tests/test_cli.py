@@ -588,40 +588,3 @@ class TestDbCommand:
         )
         assert code == 1
         assert "no results store" in capsys.readouterr().err
-
-    def test_import_migrates_a_legacy_repository(self, tmp_path, capsys):
-        import json
-
-        legacy = tmp_path / "legacy"
-        legacy.mkdir()
-        payload = {
-            "metadata": {
-                "run_id": "run-a",
-                "system_under_test": "GraphMat on DAS-5",
-                "submitter": "", "description": "",
-            },
-            "results": [
-                {"platform": "GraphMat", "algorithm": "bfs",
-                 "dataset": "D300", "machines": 1, "threads": 32,
-                 "status": "succeeded", "modeled_processing_time": 1.0,
-                 "modeled_makespan": 2.0, "sla_compliant": True,
-                 "validated": True},
-            ],
-        }
-        (legacy / "run-a.json").write_text(
-            json.dumps(payload, indent=1), encoding="utf-8"
-        )
-        (legacy / ".index.json").write_text("{}", encoding="utf-8")
-
-        assert main(["db", "import", str(legacy)]) == 0
-        out = capsys.readouterr().out
-        assert "imported 1 run(s)" in out
-        assert "(byte-identical)" in out
-        assert "retired legacy sidecar left behind: .index.json" in out
-        assert (legacy / "results.db").exists()
-
-        # The migrated store answers through the same CLI.
-        assert main(
-            ["db", "--store", str(legacy), "top", "bfs", "D300"]
-        ) == 0
-        assert "GraphMat" in capsys.readouterr().out

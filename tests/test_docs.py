@@ -60,12 +60,9 @@ class TestDocstrings:
             "repro.graph.graph",
             "repro.graph.io",
             "repro.graph.stats",
-            "repro.graph.properties",
             "repro.algorithms",
             "repro.algorithms.validation",
             "repro.algorithms.registry",
-            "repro.algorithms.extras",
-            "repro.algorithms.variants",
             "repro.datagen",
             "repro.datagen.generator",
             "repro.datagen.flow",

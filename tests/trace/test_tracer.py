@@ -246,7 +246,10 @@ class TestSerialization:
             with tracer.span("inner"):
                 pass
         tracer.counter("c", 1 / 9)
-        path = tracer.export_jsonl(tmp_path / "trace.jsonl")
+        path = write_trace(
+            tmp_path / "trace.jsonl", tracer.finished_spans(),
+            counters=tracer.counters,
+        )
         spans, counters = read_trace(path)
         originals = tracer.finished_spans()
         assert [s.as_dict() for s in spans] == [s.as_dict() for s in originals]
