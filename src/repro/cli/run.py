@@ -11,7 +11,8 @@ from repro.exceptions import ConfigurationError
 MACHINES = arg("--machines", type=int, default=1)
 JOB_TIMEOUT = arg(
     "--job-timeout", type=float, default=None,
-    help="per-job wall-clock budget in seconds (workers > 1 only)",
+    help="per-job wall-clock budget in seconds; an overrunning job is "
+         "killed, so a timed run uses worker processes at any --workers",
 )
 
 

@@ -23,7 +23,8 @@ PORT = arg("--port", type=int, default=8735)
              "printed on boot)"),
     workers("auto", "default worker count per run ('auto' = the host CPU count)"),
     arg("--job-timeout", type=float, default=None,
-        help="default per-job wall-clock budget forwarded to runs"),
+        help="default per-job wall-clock budget in seconds forwarded to "
+             "runs (a timed run uses worker processes)"),
     arg("--max-running", type=int, default=2,
         help="global cap on concurrently executing runs"),
     arg("--tenant-depth", type=int, default=4,

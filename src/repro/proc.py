@@ -44,6 +44,7 @@ __all__ = [
     "Child",
     "RetryPolicy",
     "absorb",
+    "mark_failed",
     "serve",
     "stop_all",
     "wait_any",
@@ -278,8 +279,9 @@ def _enter(target, parent_task_send, parent_result_recv, *args) -> None:
     target(*args)
 
 
-def _mark_failed(reply: Envelope, exc: BaseException) -> None:
-    """Turn ``reply`` into the structured failure record of ``exc``."""
+def mark_failed(reply: Envelope, exc: BaseException) -> None:
+    """Turn ``reply`` into the ``fail`` envelope of ``exc``, whoever ran
+    the command: a child, or the dispatcher itself."""
     reply["event"] = "fail"
     reply["detail"] = f"{type(exc).__name__}: {exc}"
     reply["traceback"] = traceback.format_exc(limit=8)
@@ -331,7 +333,7 @@ def serve(
         try:
             handle(payload, reply)
         except Exception as exc:
-            _mark_failed(reply, exc)
+            mark_failed(reply, exc)
         reply["spans"] = [span.as_dict() for span in tracer.drain()]
         reply["counters"] = tracer.take_counters()
         reply["clock_offset"] = sent_at - received_at

@@ -2,9 +2,9 @@
 
 :func:`execute_matrix` turns a job list — a benchmark selection's
 matrix, or whatever list the caller hands it (an experiment, the whole
-suite) — into the job DAG, executes it — inline for ``workers=1``, on
-the multiprocessing pool otherwise — and merges results
-deterministically:
+suite) — into the job DAG, executes it on one dispatch loop — in the
+calling process, or on worker processes when the run needs them — and
+merges results deterministically:
 
 * every execute job's row enters the final database at its position in
   the job list, so the database (and everything rendered from it) is
@@ -47,7 +47,7 @@ from repro.runtime.journal import (
     journaled_run,
     matrix_hash,
 )
-from repro.runtime.pool import WorkerPool, run_job_spec
+from repro.runtime.pool import InProcessWorker, WorkerPool
 from repro.runtime.scheduler import (
     JobGraph,
     NodeState,
@@ -108,8 +108,8 @@ def resolve_workers(
     return count
 
 
-#: Dispatcher tick in pool mode (seconds): how long one wait for a
-#: worker envelope may block before deadlines and deaths are policed.
+#: Dispatcher tick (seconds): how long one wait for a worker envelope
+#: may block before deadlines and deaths are policed.
 POLL_INTERVAL = 0.02
 
 
@@ -118,9 +118,10 @@ class RuntimeConfig:
     """Tuning knobs of the execution runtime (see docs/runtime.md)."""
 
     workers: int = 1
-    #: "auto" picks inline for one worker, the process pool otherwise.
+    #: Only ``"auto"``: where jobs run follows from the other knobs
+    #: (:func:`run_mode`).
     mode: str = "auto"
-    #: Per-job wall-clock budget (pool mode); ``None`` disables.
+    #: Per-job wall-clock budget in seconds; ``None`` disables.
     job_timeout: Optional[float] = None
     #: Total tries per job, including the first (>= 1).
     max_attempts: int = 2
@@ -134,20 +135,39 @@ class RuntimeConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if self.mode not in ("auto", "inline", "pool"):
-            raise ConfigurationError(
-                f"mode must be auto/inline/pool, got {self.mode!r}"
-            )
+        if self.mode != "auto":
+            raise ConfigurationError(f"mode must be 'auto', got {self.mode!r}")
         if self.max_attempts < 1:
             raise ConfigurationError("max_attempts must be >= 1")
-        if self.job_timeout is not None and self.job_timeout <= 0:
-            raise ConfigurationError("job_timeout must be positive")
+        timeout = self.job_timeout
+        if timeout is not None and not (
+            isinstance(timeout, (int, float)) and timeout > 0
+        ):
+            # Not NaN either: no deadline would ever lie in its future.
+            raise ConfigurationError(
+                f"job_timeout must be a positive number, got {timeout!r}"
+            )
+        if timeout is None and _has_fault(self, "hang"):
+            raise ConfigurationError("a hang fault needs a job_timeout")
 
-    @property
-    def resolved_mode(self) -> str:
-        if self.mode != "auto":
-            return self.mode
-        return "inline" if self.workers <= 1 else "pool"
+
+def _has_fault(runtime: RuntimeConfig, kind: str) -> bool:
+    plan = runtime.fault_plan
+    return plan is not None and any(f.kind == kind for f in plan.faults)
+
+
+def run_mode(runtime: RuntimeConfig) -> str:
+    """Where a run's jobs execute, worked out from what it needs:
+    ``"pool"`` — worker processes — for more than one worker, for a job
+    timeout (killing a job takes a process of its own) and for a
+    ``crash`` fault; ``"inline"`` — the calling process — otherwise."""
+    if (
+        runtime.workers > 1
+        or runtime.job_timeout is not None
+        or _has_fault(runtime, "crash")
+    ):
+        return "pool"
+    return "inline"
 
 
 @dataclass
@@ -266,11 +286,10 @@ def _cache_directory(
         # for instead of rebuilding them.
         yield Path(run_dir) / "cache"
     elif runner is not None and (
-        runner.cache.directory is not None
-        or runtime.resolved_mode == "inline"
+        runner.cache.directory is not None or run_mode(runtime) == "inline"
     ):
-        # The caller's runner brings its own store; only pool workers
-        # need a directory a memory-only one cannot give them.
+        # The caller's runner brings its own store; only worker
+        # processes need a directory a memory-only one cannot give them.
         yield runner.cache.directory
     else:
         with tempfile.TemporaryDirectory(prefix="graphalytics-cache-") as tmp:
@@ -278,7 +297,7 @@ def _cache_directory(
 
 
 class _MatrixRun:
-    """One in-flight job-list execution (shared by inline and pool modes)."""
+    """One in-flight job-list execution."""
 
     def __init__(
         self,
@@ -292,12 +311,12 @@ class _MatrixRun:
         self.runtime = runtime
         self.cache_dir = cache_dir
         self.runner = runner
+        self.mode = run_mode(runtime)
         self.tracer = current_tracer()
         self.clock = self.tracer.clock
         self.root_span = self.tracer.start_span(
             "matrix-run",
-            attributes={"workers": runtime.workers,
-                        "mode": runtime.resolved_mode},
+            attributes={"workers": runtime.workers, "mode": self.mode},
             push=True,
         )
         self._phase_spans: Dict[str, Span] = {}
@@ -338,33 +357,27 @@ class _MatrixRun:
         self.tracer.end_span(self._phase_spans[name])
 
     def begin_attempt(self, seq: int, *, attempt: int, worker: int,
-                      push: bool = False) -> Span:
+                      push: bool) -> None:
         """Open the dispatcher-side attempt span (dispatch → envelope).
 
-        Inline execution pushes it as the current context (one attempt
-        at a time, so the job's own spans nest under it); pool dispatch
-        leaves it off the stack — attempts overlap there, and worker
-        spans are grafted under it at merge time instead.
+        An in-process worker has it pushed as the current context (one
+        attempt at a time, so the job's own spans nest under it); pool
+        dispatch leaves it off the stack — attempts overlap there, and
+        worker spans are grafted under it at merge time instead.
         """
         spec = self.graph.nodes[seq].spec
         attributes = {"job": spec.job_id, "attempt": attempt, "worker": worker}
         if spec.experiment:
             attributes["experiment"] = spec.experiment
-        span = self.tracer.start_span("attempt", attributes=attributes, push=push)
-        self._attempt_spans[seq] = span
-        return span
+        self._attempt_spans[seq] = self.tracer.start_span(
+            "attempt", attributes=attributes, push=push
+        )
 
     def finish_attempt(self, seq: int, *, status: str = "ok") -> Optional[Span]:
         span = self._attempt_spans.pop(seq, None)
         if span is not None:
             self.tracer.end_span(span, status=status)
         return span
-
-    def merge_worker_trace(self, seq: int, envelope: Dict[str, object],
-                           *, status: str) -> None:
-        """Close the attempt span; graft the worker's spans under it and
-        sum in its counters (:func:`repro.proc.absorb`)."""
-        absorb(envelope, self.tracer, self.finish_attempt(seq, status=status))
 
     def close_spans(self) -> None:
         """End any still-open phase/attempt spans plus the run root."""
@@ -488,7 +501,6 @@ class _MatrixRun:
 
     def sync_failures(self) -> None:
         """Turn newly permanent failures into database rows (execute jobs)."""
-        base = self.config.resources
         while self._failures_seen < len(self.graph.failures):
             failure = self.graph.failures[self._failures_seen]
             self._failures_seen += 1
@@ -501,13 +513,8 @@ class _MatrixRun:
                 attempts=len(failure.attempts),
             )
             if failure.spec.kind == JobKind.EXECUTE:
-                row = failure_result(failure)
-                # Respect a custom machine spec for the threads column.
-                self.results[failure.spec.seq] = BenchmarkResult(
-                    **{
-                        **row.as_dict(),
-                        "threads": failure.spec.resources(base).threads_per_machine,
-                    }
+                self.results[failure.spec.seq] = failure_result(
+                    failure, self.config.resources
                 )
 
     def merged(self) -> ResultsDatabase:
@@ -517,115 +524,70 @@ class _MatrixRun:
         )
 
 
-def _run_inline(run: _MatrixRun) -> None:
-    """Single-process execution through the same DAG and retry policy."""
+@contextmanager
+def _workers(run: _MatrixRun):
+    """The run's workers: the calling process, or a started pool."""
     runtime = run.runtime
-    if runtime.fault_plan is not None and any(
-        f.kind in ("hang", "crash") for f in runtime.fault_plan.faults
-    ):
-        raise ConfigurationError(
-            "hang/crash fault injection requires pool mode (workers > 1 "
-            "or mode='pool')"
-        )
-    runner = run.runner
-    if runner is None or runner.cache.directory != run.cache_dir:
-        # The caller's runner executes the jobs (its graphs and upload
-        # handles are reused) when its store is the run's store.
-        runner = BenchmarkRunner(run.config, GraphCache(run.cache_dir))
-    runner.cache.take_stats_delta()  # count this run's traffic only
-    graph = run.graph
-    clock = run.clock
-    tracer = run.tracer
-    while graph.unfinished:
-        now = clock.now()
-        progressed = False
-        for node in list(graph.ready_jobs(now)):
-            progressed = True
-            spec = node.spec
-            attempt = node.attempt_number
-            if runtime.fault_plan is not None:
-                # Chaos hook: SIGKILL the harness *before* dispatch, so
-                # every earlier completion is already in the journal.
-                runtime.fault_plan.inject_dispatcher(spec, attempt)
-            graph.mark_running(node.seq, worker=-1)
-            run.begin_attempt(node.seq, attempt=attempt, worker=-1, push=True)
-            run.journal_transition(
-                "attempt-start", node.seq, attempt=attempt, worker=-1
-            )
-            tracer.counter("scheduler.dispatch")
-            try:
-                with tracer.span(
-                    "task", job=spec.job_id, worker=-1, attempt=attempt
-                ) as task_span:
-                    if runtime.fault_plan is not None:
-                        runtime.fault_plan.inject(spec, attempt)
-                    payload = run_job_spec(runner, spec)
-            except Exception as exc:
-                # Converted into a structured failure record, never lost.
-                run.attempt_failed(
-                    node.seq,
-                    worker=-1,
-                    kind="exception",
-                    detail=f"{type(exc).__name__}: {exc}",
-                    elapsed=task_span.duration,
-                )
-                run.finish_attempt(node.seq, status="error")
-                continue
-            run.complete_job(node.seq, payload)
-            run.finish_attempt(node.seq)
-        if not progressed:
-            wake = graph.next_wake(clock.now())
-            if wake is None:
-                break  # nothing ready, nothing scheduled: DAG is drained
-            clock.sleep(max(0.0, wake - clock.now()))
-    run.cache_stats.merge(runner.cache.take_stats_delta())
-
-
-def _run_pool(run: _MatrixRun) -> None:
-    """Dispatch the DAG onto the worker pool; police deadlines and deaths."""
-    runtime = run.runtime
-    graph = run.graph
+    if run.mode == "inline":
+        runner = run.runner
+        if runner is None or runner.cache.directory != run.cache_dir:
+            # The caller's runner executes the jobs (its graphs and
+            # upload handles are reused) when its store is the run's.
+            runner = BenchmarkRunner(run.config, GraphCache(run.cache_dir))
+        yield InProcessWorker(runner, runtime.fault_plan)
+        return
     pool = WorkerPool(
-        runtime.workers,
-        run.config,
-        cache_dir=str(run.cache_dir),
-        fault_plan=runtime.fault_plan,
+        runtime.workers, run.config, str(run.cache_dir), runtime.fault_plan
     )
     pool.start()
     try:
-        while graph.unfinished:
-            now = run.clock.now()
-            idle = pool.idle_workers()
-            for node in graph.ready_jobs(now):
-                if not idle:
-                    break
-                worker = idle.pop(0)
-                attempt = node.attempt_number
-                if runtime.fault_plan is not None:
-                    runtime.fault_plan.inject_dispatcher(node.spec, attempt)
-                run.begin_attempt(node.seq, attempt=attempt, worker=worker)
-                pool.submit(worker, node.spec, attempt)
-                deadline = (
-                    now + runtime.job_timeout
-                    if runtime.job_timeout is not None
-                    else None
-                )
-                graph.mark_running(node.seq, worker=worker, deadline=deadline)
-                run.journal_transition(
-                    "attempt-start", node.seq, attempt=attempt, worker=worker
-                )
-                run.tracer.counter("scheduler.dispatch")
-            envelope = pool.wait(POLL_INTERVAL)
-            now = run.clock.now()
-            if envelope is not None:
-                _handle_envelope(run, pool, envelope)
-            _police_deadlines(run, pool, now)
-            _police_crashes(run, pool)
+        yield pool
     finally:
         pool.shutdown()
 
 
-def _handle_envelope(run: _MatrixRun, pool: WorkerPool, envelope) -> None:
+def _dispatch(run: _MatrixRun) -> None:
+    """The one dispatch loop. A tick hands ready jobs, lowest sequence
+    first, to idle workers, then takes the next envelope into the DAG
+    and polices deadlines and dead workers. An envelope in right after
+    a dispatch is taken at once: an in-process job is done by then, so
+    one pass runs it and its dependents, numbered after it."""
+    runtime = run.runtime
+    timeout = runtime.job_timeout
+    with _workers(run) as workers:
+        while True:
+            for node in run.graph.ready_jobs(run.clock.now()):
+                idle = workers.idle_workers()
+                if not idle:
+                    break
+                worker, attempt = idle[0], node.attempt_number
+                if runtime.fault_plan is not None:
+                    # Chaos hook: SIGKILL the harness *before* dispatch,
+                    # so every earlier completion is already journaled.
+                    runtime.fault_plan.inject_dispatcher(node.spec, attempt)
+                run.begin_attempt(node.seq, attempt=attempt, worker=worker,
+                                  push=workers.in_process)
+                run.graph.mark_running(node.seq, worker=worker, deadline=(
+                    None if timeout is None else run.clock.now() + timeout
+                ))
+                run.journal_transition(
+                    "attempt-start", node.seq, attempt=attempt, worker=worker
+                )
+                run.tracer.counter("scheduler.dispatch")
+                workers.submit(worker, node.spec, attempt)
+                envelope = workers.wait(0.0)
+                if envelope is not None:
+                    _handle_envelope(run, workers, envelope)
+            if not run.graph.unfinished:
+                return
+            envelope = workers.wait(POLL_INTERVAL)
+            now = run.clock.now()
+            if envelope is not None:
+                _handle_envelope(run, workers, envelope)
+            _police(run, workers, now)
+
+
+def _handle_envelope(run: _MatrixRun, workers, envelope) -> None:
     worker = int(envelope["worker"])
     seq = int(envelope["seq"])
     run.cache_stats.merge(envelope.get("cache", {}))
@@ -634,7 +596,7 @@ def _handle_envelope(run: _MatrixRun, pool: WorkerPool, envelope) -> None:
         node is None
         or node.state != NodeState.RUNNING
         or node.worker != worker
-        or pool.busy_seq(worker) != seq
+        or workers.busy_seq(worker) != seq
     )
     if stale:
         # A result from a worker we already timed out and replaced: the
@@ -644,10 +606,10 @@ def _handle_envelope(run: _MatrixRun, pool: WorkerPool, envelope) -> None:
         run.tracer.merge_counters(envelope.get("counters") or {})
         run.tracer.counter("scheduler.stale-result")
         return
-    pool.mark_idle(worker)
-    if envelope["event"] == "done":
+    workers.mark_idle(worker)
+    done = envelope["event"] == "done"
+    if done:
         run.complete_job(seq, envelope["payload"])
-        run.merge_worker_trace(seq, envelope, status="ok")
     else:
         run.attempt_failed(
             seq,
@@ -656,44 +618,36 @@ def _handle_envelope(run: _MatrixRun, pool: WorkerPool, envelope) -> None:
             detail=str(envelope.get("detail", "worker exception")),
             elapsed=float(envelope.get("elapsed", 0.0)),
         )
-        run.merge_worker_trace(seq, envelope, status="error")
+    # Graft the worker's spans under the closed attempt span.
+    absorb(envelope, run.tracer,
+           run.finish_attempt(seq, status="ok" if done else "error"))
 
 
-def _police_deadlines(run: _MatrixRun, pool: WorkerPool, now: float) -> None:
+def _police(run: _MatrixRun, workers, now: float) -> None:
+    """Replace the worker of every job past its deadline, and every
+    worker that died holding a job; the job's attempt is recorded."""
+    timeout = run.runtime.job_timeout
     for node in run.graph.running_jobs():
-        if node.deadline is None or node.deadline > now:
-            continue
-        worker = node.worker if node.worker is not None else -1
-        run.tracer.counter("scheduler.timeout")
-        pool.restart(worker)
+        if node.deadline is not None and node.deadline <= now:
+            _lose(run, workers, node.worker, "timeout", elapsed=float(timeout),
+                  detail=f"exceeded the {timeout:.3g} s job timeout; "
+                         f"worker killed")
+    for worker in workers.dead_busy_workers():
+        _lose(run, workers, worker, "crash", elapsed=0.0,
+              detail="worker process died while running the job")
+
+
+def _lose(run: _MatrixRun, workers, worker: int, kind: str, *,
+          elapsed: float, detail: str) -> None:
+    seq = workers.busy_seq(worker)
+    run.tracer.counter(f"scheduler.{kind}")
+    workers.restart(worker)
+    node = run.graph.nodes.get(seq) if seq is not None else None
+    if node is not None and node.state == NodeState.RUNNING:
         run.attempt_failed(
-            node.seq,
-            worker=worker,
-            kind="timeout",
-            detail=(
-                f"exceeded the {run.runtime.job_timeout:.3g} s job timeout; "
-                f"worker killed"
-            ),
-            elapsed=float(run.runtime.job_timeout or 0.0),
+            seq, worker=worker, kind=kind, detail=detail, elapsed=elapsed
         )
-        run.finish_attempt(node.seq, status="timeout")
-
-
-def _police_crashes(run: _MatrixRun, pool: WorkerPool) -> None:
-    for worker in pool.dead_busy_workers():
-        seq = pool.busy_seq(worker)
-        node = run.graph.nodes.get(seq) if seq is not None else None
-        run.tracer.counter("scheduler.crash")
-        pool.restart(worker)
-        if node is not None and node.state == NodeState.RUNNING:
-            run.attempt_failed(
-                node.seq,
-                worker=worker,
-                kind="crash",
-                detail="worker process died while running the job",
-                elapsed=0.0,
-            )
-            run.finish_attempt(node.seq, status="crash")
+        run.finish_attempt(seq, status=kind)
 
 
 def execute_matrix(
@@ -711,9 +665,9 @@ def execute_matrix(
     (their materialize/reference dependencies are derived here).
 
     A ``runner`` receives the rows in its database, once each, in job
-    order — and executes the jobs itself when the run is inline and its
-    artifact store is the run's (its graphs and upload handles are
-    reused).
+    order — and executes the jobs itself when the run needs no worker
+    process (:func:`run_mode`) and its artifact store is the run's (its
+    graphs and upload handles are reused).
 
     With ``run_dir`` the run is **journaled**: every job transition is
     appended durably to ``<run_dir>/journal.jsonl`` before execution
@@ -724,7 +678,7 @@ def execute_matrix(
     merged database is bit-identical (under ``canonical_json``) to an
     uninterrupted run (a :class:`JournalReplay` already loaded from
     ``run_dir`` resumes from it without reading the journal again).
-    Runtime knobs (workers, mode, timeouts) are *not* part of the
+    Runtime knobs (workers, timeouts) are *not* part of the
     journaled identity, so a resume may use a different worker count.
     ``header`` adds fields to a fresh journal's header.
     """
@@ -754,13 +708,9 @@ def execute_matrix(
                 run.journal = journaled.journal
                 if run.journal is not None and journaled.replay is None:
                     run.journal_scheduled()
-                mode = runtime.resolved_mode
                 run.phase_start("execute")
                 if run.graph.unfinished:
-                    if mode == "pool":
-                        _run_pool(run)
-                    else:
-                        _run_inline(run)
+                    _dispatch(run)
                 run.phase_end("execute")
                 run.phase_start("merge")
                 database = run.merged()
@@ -778,7 +728,7 @@ def execute_matrix(
         cache_stats=run.cache_stats,
         counters=journaled.counters,
         workers=runtime.workers,
-        mode=mode,
+        mode=run.mode,
         elapsed_seconds=tracer.clock.now() - started,
         job_count=run.execute_count,
         dag_size=len(run.graph),

@@ -150,8 +150,11 @@ class JobFailure:
         }
 
 
-def failure_result(failure: JobFailure) -> BenchmarkResult:
-    """The results-database row for a failed *execute* job.
+def failure_result(
+    failure: JobFailure, base: Optional[ClusterResources] = None
+) -> BenchmarkResult:
+    """The results-database row for a failed *execute* job (``base``
+    supplies the machine spec of the threads column).
 
     SLA-non-compliant and unvalidated by construction; the status names
     the harness-level failure mode so the report's failure breakdown
@@ -168,7 +171,7 @@ def failure_result(failure: JobFailure) -> BenchmarkResult:
         algorithm=spec.algorithm,
         dataset=spec.dataset,
         machines=spec.machines,
-        threads=spec.resources().threads_per_machine,
+        threads=spec.resources(base).threads_per_machine,
         status=status,
         failure_reason=failure.summary(),
         run_index=spec.run_index,

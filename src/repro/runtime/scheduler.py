@@ -221,20 +221,6 @@ class JobGraph:
             if self.nodes[seq].state == NodeState.RUNNING
         ]
 
-    def next_wake(self, now: float) -> Optional[float]:
-        """Earliest future moment a backoff or deadline needs service."""
-        moments = [
-            n.eligible_at
-            for n in self.nodes.values()
-            if n.state == NodeState.READY and n.eligible_at > now
-        ]
-        moments += [
-            n.deadline
-            for n in self.nodes.values()
-            if n.state == NodeState.RUNNING and n.deadline is not None
-        ]
-        return min(moments) if moments else None
-
     # -- transitions ---------------------------------------------------------
 
     def mark_running(

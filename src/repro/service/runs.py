@@ -49,6 +49,7 @@ __all__ = [
     "CACHE_NAME",
     "RunRecord",
     "RunRegistry",
+    "check_run_knobs",
     "normalize_matrix",
 ]
 
@@ -122,6 +123,14 @@ def normalize_matrix(payload: object) -> Dict[str, object]:
             f"unknown matrix key(s): {sorted(unknown)}{hint}"
         )
     return config_payload(BenchmarkConfig(**kwargs))
+
+
+def check_run_knobs(workers: object, job_timeout: object) -> None:
+    """Refuse a worker count or job timeout the run child would: the
+    runtime's own check, on the values the child is handed."""
+    from repro.runtime.executor import RuntimeConfig, resolve_workers
+
+    RuntimeConfig(workers=resolve_workers(workers), job_timeout=job_timeout)
 
 
 @dataclass
@@ -217,6 +226,7 @@ class RunRegistry:
                 f"tenant {tenant!r} must be alphanumeric with ._-"
             )
         config = normalize_matrix(matrix)
+        check_run_knobs(workers, job_timeout)
         self._sequence += 1
         run_id = f"r{self._sequence:06d}-{tenant}"
         record = RunRecord(

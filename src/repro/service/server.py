@@ -62,6 +62,7 @@ from repro.service.runs import (
     RUNNING,
     RunRecord,
     RunRegistry,
+    check_run_knobs,
 )
 from repro.service.supervise import (
     BreakerOpen,
@@ -116,6 +117,7 @@ class ServiceConfig:
             raise ConfigurationError("run_attempts must be >= 1")
         if self.breaker_threshold < 1:
             raise ConfigurationError("breaker_threshold must be >= 1")
+        check_run_knobs(self.workers, self.job_timeout)
 
 
 class BenchmarkService:

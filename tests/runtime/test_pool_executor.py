@@ -46,12 +46,14 @@ class TestPoolExecution:
         assert result.lost_jobs == 0
         assert all(r.succeeded and r.validated for r in result.database)
 
-    def test_explicit_pool_mode_with_one_worker(self):
+    def test_one_worker_with_a_job_timeout_uses_worker_processes(self):
+        # Killing an overrunning job takes a process of its own.
         result = execute_matrix(
-            _config(), RuntimeConfig(workers=1, mode="pool")
+            _config(), RuntimeConfig(workers=1, job_timeout=30.0)
         )
         assert result.mode == "pool"
         assert result.lost_jobs == 0
+        assert all(r.succeeded and r.validated for r in result.database)
 
     def test_events_cover_every_job(self):
         tracer = Tracer()
@@ -292,6 +294,24 @@ class TestConfigValidation:
     def test_bad_timeout_rejected(self):
         with pytest.raises(ConfigurationError):
             RuntimeConfig(job_timeout=0.0)
+
+    @pytest.mark.parametrize("mode", ["inline", "pool"])
+    def test_mode_accepts_only_auto(self, mode):
+        with pytest.raises(ConfigurationError):
+            RuntimeConfig(mode=mode)
+
+    @pytest.mark.parametrize("timeout", [float("nan"), "soon"])
+    def test_timeout_must_be_a_positive_number(self, timeout):
+        with pytest.raises(ConfigurationError, match="job_timeout"):
+            RuntimeConfig(workers=2, job_timeout=timeout)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hang_fault_without_a_timeout_rejected_at_any_worker_count(
+        self, workers
+    ):
+        plan = FaultPlan((FaultSpec(kind="hang"),))
+        with pytest.raises(ConfigurationError, match="job_timeout"):
+            RuntimeConfig(workers=workers, fault_plan=plan)
 
     def test_inline_mode_rejects_hang_faults(self):
         plan = FaultPlan((FaultSpec(kind="hang"),))

@@ -137,15 +137,3 @@ class TestRetryPolicy:
         dependents = [f for f in graph.failures if f.spec.seq != root.seq]
         assert all(f.final_kind == "dependency" for f in dependents)
         assert graph.unfinished == 0
-
-    def test_next_wake_reports_backoff_and_deadlines(self):
-        graph = JobGraph(expand_matrix(_config()), max_attempts=2,
-                                     backoff_base=1.0)
-        first, second = list(graph.ready_jobs(now=0.0))[:2]
-        graph.mark_running(first.seq, worker=0)
-        graph.record_attempt(
-            first.seq, now=0.0, worker=0, kind="exception",
-            detail="x", elapsed=0.0,
-        )
-        graph.mark_running(second.seq, worker=1, deadline=0.4)
-        assert graph.next_wake(now=0.0) == pytest.approx(0.4)

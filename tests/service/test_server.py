@@ -93,6 +93,25 @@ class TestHttpSurface:
                     client.submit("alice", matrix)
                 assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize(
+        "knobs",
+        [
+            {"workers": 0},
+            {"workers": "many"},
+            {"job_timeout": -1},
+            {"job_timeout": "soon"},
+            {"job_timeout": 0},
+            {"job_timeout": float("nan")},
+        ],
+    )
+    def test_bad_run_knobs_are_400_and_spool_nothing(self, tmp_path, knobs):
+        with running_service(tmp_path) as (service, client):
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit("acme", TINY_MATRIX, **knobs)
+            assert excinfo.value.status == 400
+            assert [p for p in service.registry.spool.iterdir()
+                    if p.name.startswith("r0")] == []
+
     def test_bad_tenant_is_400(self, tmp_path):
         with running_service(tmp_path) as (_service, client):
             with pytest.raises(ServiceError) as excinfo:

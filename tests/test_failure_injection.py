@@ -182,6 +182,50 @@ class TestRuntimeFaultInjection:
         assert result.counters["scheduler.retry"] == 1
         assert self._archived_counts(result) == (1, 1, 0)
 
+    def test_one_worker_job_timeout_kills_a_hung_job(self):
+        from repro.runtime import FaultPlan, FaultSpec, RuntimeConfig, execute_matrix
+
+        plan = FaultPlan(
+            (FaultSpec(kind="hang", algorithm="bfs", run_index=0, times=2),)
+        )
+        result = execute_matrix(
+            self._config(),
+            RuntimeConfig(
+                workers=1, job_timeout=0.5, fault_plan=plan,
+                max_attempts=2, backoff_base=0.01,
+            ),
+        )
+        assert result.mode == "pool"
+        assert result.lost_jobs == 0
+        failed = result.database.query(status="harness-timeout")
+        assert len(failed) == 1
+        assert failed[0].algorithm == "bfs" and failed[0].run_index == 0
+        [failure] = result.failures
+        assert [a.kind for a in failure.attempts] == ["timeout", "timeout"]
+        assert result.counters["scheduler.timeout"] == 2
+        assert len(result.database.query(status="succeeded")) == 3
+
+    def test_one_worker_crash_fault_is_recorded_and_retried(self):
+        from repro.runtime import FaultPlan, FaultSpec, RuntimeConfig, execute_matrix
+
+        plan = FaultPlan(
+            (FaultSpec(kind="crash", algorithm="bfs", run_index=1, times=1),)
+        )
+        result = execute_matrix(
+            self._config(),
+            RuntimeConfig(
+                workers=1, fault_plan=plan, max_attempts=2,
+                backoff_base=0.01,
+            ),
+        )
+        assert result.mode == "pool"
+        assert result.lost_jobs == 0
+        assert result.failures == []
+        assert all(r.succeeded for r in result.database)
+        assert result.counters["scheduler.crash"] == 1
+        assert result.counters["scheduler.retry"] == 1
+        assert self._archived_counts(result) == (1, 0, 1)
+
     def test_crashing_worker_is_respawned_and_job_retried(self):
         from repro.runtime import FaultPlan, FaultSpec, RuntimeConfig, execute_matrix
 
