@@ -65,14 +65,13 @@ class GASProgram:
 class GASEngine:
     """Active-set and synchronous executors for GAS programs.
 
-    After a run, :attr:`round_seconds` holds the measured wall-clock of
-    each round/sweep (one entry per ``round`` span the engine emitted
-    through :mod:`repro.trace`).
+    Each round/sweep is a ``round`` span on the current tracer; a
+    measured job's Granula archive holds them under ``kernel`` as
+    recorded.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self.round_seconds: List[float] = []
 
     def _gather_edges(self, v: int, both: bool) -> List[Tuple[int, Optional[float]]]:
         """(neighbor, weight) pairs over the gather direction of v.
@@ -120,12 +119,9 @@ class GASEngine:
         values = [program.init(graph, v) for v in range(n)]
         active = set(range(n))
         rounds = 0
-        self.round_seconds = []
         while active and rounds < max_rounds:
             rounds += 1
-            with tracer.span(
-                "round", engine="gas", index=rounds - 1
-            ) as round_span:
+            with tracer.span("round", engine="gas", index=rounds - 1):
                 next_active = set()
                 # Deterministic order keeps runs bit-reproducible.
                 for v in sorted(active):
@@ -142,7 +138,6 @@ class GASEngine:
                             for t in self._scatter_targets(v, program.both_directions)
                         )
                 active = next_active
-            self.round_seconds.append(round_span.duration)
         return values, rounds
 
     def run_synchronous(self, program: GASProgram, iterations: int):
@@ -154,11 +149,8 @@ class GASEngine:
         graph = self.graph
         n = graph.num_vertices
         values = [program.init(graph, v) for v in range(n)]
-        self.round_seconds = []
         for iteration in range(iterations):
-            with tracer.span(
-                "round", engine="gas", index=iteration
-            ) as round_span:
+            with tracer.span("round", engine="gas", index=iteration):
                 snapshot = list(values)
                 new_values = []
                 for v in range(n):
@@ -169,7 +161,6 @@ class GASEngine:
                         )
                     new_values.append(program.apply(snapshot[v], gathered))
                 values = new_values
-            self.round_seconds.append(round_span.duration)
         return values
 
 

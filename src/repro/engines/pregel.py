@@ -186,17 +186,15 @@ class VertexProgram:
 class PregelEngine:
     """Superstep-synchronous executor for vertex programs.
 
-    After :meth:`run`, :attr:`superstep_seconds` holds the measured
-    wall-clock of each superstep — the raw material for Granula's
-    per-superstep processing breakdown (see
-    :func:`repro.granula.archiver.attach_superstep_breakdown`).
+    Each superstep is a ``superstep`` span on the current tracer; a
+    measured job's Granula archive holds them under ``kernel`` as
+    recorded.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self._reverse_indptr = graph.in_indptr
         self._reverse_indices = graph.in_indices
-        self.superstep_seconds: List[float] = []
 
     def run(self, program: VertexProgram, *, superstep_limit: int = 10_000):
         """Execute to global halt; returns (values array, supersteps run)."""
@@ -212,7 +210,6 @@ class PregelEngine:
         inbox: Dict[int, List[object]] = defaultdict(list)
         limit = program.max_supersteps or superstep_limit
         supersteps = 0
-        self.superstep_seconds = []
         aggregated = {
             name: agg.initial for name, agg in sorted(program.aggregators.items())
         }
@@ -257,7 +254,6 @@ class PregelEngine:
             active = next_active
             aggregated = aggregating
             tracer.end_span(superstep_span)
-            self.superstep_seconds.append(superstep_span.duration)
         return values, supersteps
 
 

@@ -5,10 +5,11 @@ Three modules mirror the three Granula components:
 * **modeler** — experts define, once per platform, a hierarchy of
   execution phases (e.g. *graph loading* contains *reading* and
   *partitioning*) plus derivation rules, so evaluation is automated;
-* **archiver** — applies a performance model to a job's event log and
-  produces a *performance archive*: complete (all observed and derived
-  results included), descriptive (results described to non-experts), and
-  examinable (every result carries a traceable source);
+* **archiver** — applies a performance model to the spans a job
+  recorded and produces a *performance archive*: complete (all observed
+  and derived results included), descriptive (results described to
+  non-experts), and examinable (every result carries a traceable
+  source);
 * **visualizer** — renders an archive for humans (text tree / HTML).
 """
 

@@ -1,4 +1,4 @@
-"""Granula archiver: event logs -> performance archives (paper §2.5.2).
+"""Granula archiver: recorded spans -> performance archives (paper §2.5.2).
 
 "The Granula archiver uses the performance model of a graph analysis
 platform to collect and archive detailed performance information for a
@@ -6,6 +6,12 @@ job running on the platform. ... The archive is complete (all observed
 and derived results are included), descriptive (all results are
 described to non-experts) and examinable (all results are derived from a
 traceable source)."
+
+A job's timeline is one record: the spans its driver hands back
+(``JobResult.spans``, in :meth:`repro.trace.Span.as_dict` shape). A
+measured driver hands back its ``execute`` span's subtree as the tracer
+recorded it; a modeled driver hands back the same shape on its model's
+timeline (``process == "model"``).
 """
 
 from __future__ import annotations
@@ -22,22 +28,23 @@ from repro.ioutil import atomic_write
 __all__ = [
     "PhaseRecord",
     "PerformanceArchive",
+    "archive_phases",
     "build_archive",
-    "attach_superstep_breakdown",
     "phases_from_spans",
 ]
 
 
 @dataclass
 class PhaseRecord:
-    """One archived phase: observed from the log or derived by the model."""
+    """One archived phase: reported by a driver or derived by the model."""
 
     name: str
     start: float
     end: float
     description: str = ""
-    #: Provenance: "observed" (from the event log), "measured" (a real
-    #: span recorded by :mod:`repro.trace`), or "derived" (a
+    #: Provenance: "observed" (a span on a platform model's timeline, as
+    #: a modeled driver reports it), "measured" (a span recorded by
+    #: :mod:`repro.trace`), or "derived" (a
     #: :class:`~repro.granula.model.ChildRule` model fraction).
     source: str = "observed"
     metadata: Dict[str, object] = field(default_factory=dict)
@@ -114,48 +121,44 @@ class PerformanceArchive:
 
 
 def phases_from_spans(spans: List[Dict[str, object]]) -> List[PhaseRecord]:
-    """Flat parent-linked span dicts -> a measured ``PhaseRecord`` forest.
+    """Flat parent-linked span dicts -> a ``PhaseRecord`` forest.
 
-    The bridge between the results store's ``spans`` table (or any
-    span-dict list in :meth:`repro.trace.Span.as_dict` shape) and the
-    Granula views: each span becomes a phase with ``source="measured"``
-    and its attributes as metadata, re-parented by span id. Spans whose
-    parent is absent from the list (cross-process roots, truncated
-    traces) become roots rather than being dropped — the archive
-    contract says *complete*. Input order is preserved among siblings.
+    The one place Granula builds phases, from a job's spans, a run's, or
+    the results store's ``spans`` table (any span-dict list in
+    :meth:`repro.trace.Span.as_dict` shape): each span becomes a phase
+    with its attributes as metadata, re-parented by span id. A span on a
+    model's timeline (``process == "model"``) is ``source="observed"``,
+    any other ``source="measured"``. Spans whose parent is absent from
+    the list (cross-process roots, truncated traces) become roots rather
+    than being dropped — the archive contract says *complete*. Input
+    order is preserved among siblings.
     """
     records: Dict[str, PhaseRecord] = {}
     links: List[tuple] = []
     for span in spans:
-        span_id = str(span.get("id"))
         start = float(span.get("start") or 0.0)
         end = span.get("end")
-        status = str(span.get("status", "ok"))
+        status = span.get("status", "ok")
         record = PhaseRecord(
-            name=str(span.get("name", "")),
-            start=start,
-            end=float(end) if end is not None else start,
-            description="" if status == "ok" else f"status: {status}",
-            source="measured",
-            metadata=dict(span.get("attrs") or {}),
+            str(span.get("name", "")),
+            start,
+            start if end is None else float(end),
+            "" if status == "ok" else f"status: {status}",
+            "observed" if span.get("process") == "model" else "measured",
+            dict(span.get("attrs") or {}),
         )
-        records[span_id] = record
-        parent = span.get("parent")
-        links.append((span_id, None if parent is None else str(parent)))
+        records[str(span.get("id"))] = record
+        links.append((record, span.get("parent")))
     roots: List[PhaseRecord] = []
-    for span_id, parent_id in links:
-        if parent_id is not None and parent_id in records:
-            records[parent_id].children.append(records[span_id])
-        else:
-            roots.append(records[span_id])
+    for record, parent in links:
+        owner = None if parent is None else records.get(str(parent))
+        (roots if owner is None else owner.children).append(record)
     return roots
 
 
-def _derive_children(record: PhaseRecord, model: PlatformPerformanceModel) -> None:
-    spec = model.spec_for(record.name)
-    record.description = record.description or spec.description
+def _derive_children(record: PhaseRecord, rules) -> None:
     cursor = record.start
-    for rule in spec.children:
+    for rule in rules:
         length = record.duration * rule.fraction
         record.children.append(
             PhaseRecord(
@@ -169,74 +172,44 @@ def _derive_children(record: PhaseRecord, model: PlatformPerformanceModel) -> No
         cursor += length
 
 
-def attach_superstep_breakdown(
-    archive: PerformanceArchive,
-    superstep_seconds,
-) -> PerformanceArchive:
-    """Split the processing phase into measured per-superstep children.
-
-    The paper's modeler supports "recursively defining phases as a
-    collection of smaller, lower-level phases ... up to the required
-    level of granularity"; with a vertex-centric engine the natural
-    lower level is the superstep. The measured superstep durations are
-    rescaled onto the archive's processing window (which may be on a
-    modeled timeline), preserving their relative proportions; children
-    are marked ``measured`` because they come from real span durations
-    recorded by :mod:`repro.trace`.
-    """
-    durations = [float(s) for s in superstep_seconds]
-    if not durations:
-        raise ConfigurationError("superstep trace is empty")
-    if any(d < 0 for d in durations):
-        raise ConfigurationError("superstep durations must be non-negative")
-    processing = archive.phase("processing")
-    processing.children = []
-    total = sum(durations) or 1.0
-    cursor = processing.start
-    for index, duration in enumerate(durations):
-        share = processing.duration * duration / total
-        processing.children.append(
-            PhaseRecord(
-                name=f"superstep-{index}",
-                start=cursor,
-                end=cursor + share,
-                description=f"Superstep {index} of the vertex program",
-                source="measured",
-                metadata={"measured_seconds": duration},
-            )
+def _rebase(record: PhaseRecord, origin: float) -> None:
+    """Shift a subtree onto the archive's clock; describe what the model
+    does not (a measured sub-phase is described by its parent)."""
+    record.start -= origin
+    record.end -= origin
+    for child in record.children:
+        child.description = (
+            child.description or f"Measured sub-phase of {record.name}"
         )
-        cursor += share
-    return archive
+        _rebase(child, origin)
 
 
-def _measured_children(record: PhaseRecord, children) -> None:
-    """Attach real sub-phase measurements shipped with the event.
+def archive_phases(
+    spans: List[Dict[str, object]],
+    model: PlatformPerformanceModel,
+) -> List[PhaseRecord]:
+    """A job's (or run's) recorded spans -> the archive's phases.
 
-    Each entry is a span-shaped dict (``phase``/``start``/``end`` on the
-    job-relative timeline, optional ``source``, anything else becomes
-    metadata). Records default to ``source="measured"`` — they exist
-    because :mod:`repro.trace` actually timed them.
+    The spans form one tree; its root is the whole job. The phases are
+    the root's children on a clock that starts with the root, each
+    described from the expert model. A phase the spans break down keeps
+    its recorded children at every depth; only a phase without children
+    is split by the model's :class:`ChildRule` fractions
+    (``source="derived"``). A tracer-ordered list ends with its
+    outermost span, so of several roots (a truncated buffer) the last
+    is the job.
     """
-    for child in children:
-        extra = {
-            k: v
-            for k, v in child.items()
-            if k not in ("phase", "start", "end", "source", "children")
-        }
-        child_record = PhaseRecord(
-            name=str(child["phase"]),
-            start=float(child["start"]),
-            end=float(child["end"]),
-            description=str(
-                child.get("description", "")
-            ) or f"Measured sub-phase of {record.name}",
-            source=str(child.get("source", "measured")),
-            metadata=extra,
-        )
-        grandchildren = child.get("children") or []
-        if grandchildren:
-            _measured_children(child_record, grandchildren)
-        record.children.append(child_record)
+    roots = phases_from_spans(spans)
+    if not roots:
+        return []
+    root = roots[-1]
+    for phase in root.children:
+        spec = model.spec_for(phase.name)
+        phase.description = phase.description or spec.description
+        _rebase(phase, root.start)
+        if spec.children and not phase.children:
+            _derive_children(phase, spec.children)
+    return root.children
 
 
 def build_archive(
@@ -244,40 +217,12 @@ def build_archive(
     model: Optional[PlatformPerformanceModel] = None,
 ) -> PerformanceArchive:
     """Build an archive from a driver job result (or any object with
-    ``platform``/``algorithm``/``dataset``/``events`` attributes).
-
-    An event that carries a ``children`` list of real measurements keeps
-    them (``source="measured"``); only events without measured children
-    fall back to the platform model's :class:`ChildRule` fractions
-    (``source="derived"``).
-    """
-    model = model or model_for_platform(job.platform)
-    phases: List[PhaseRecord] = []
-    for event in job.events:
-        extra = {
-            k: v
-            for k, v in event.items()
-            if k not in ("phase", "start", "end", "children")
-        }
-        record = PhaseRecord(
-            name=str(event["phase"]),
-            start=float(event["start"]),
-            end=float(event["end"]),
-            source="observed",
-            metadata=extra,
-        )
-        measured = event.get("children") or []
-        if measured:
-            record.description = (
-                record.description or model.spec_for(record.name).description
-            )
-            _measured_children(record, measured)
-        else:
-            _derive_children(record, model)
-        phases.append(record)
+    ``platform``/``algorithm``/``dataset``/``spans`` attributes)."""
     return PerformanceArchive(
         platform=job.platform,
         algorithm=job.algorithm,
         dataset=job.dataset,
-        phases=phases,
+        phases=archive_phases(
+            job.spans, model or model_for_platform(job.platform)
+        ),
     )

@@ -48,7 +48,7 @@ class ChildRule:
 
 @dataclass(frozen=True)
 class PhaseSpec:
-    """One phase in the model: matched by name against driver events."""
+    """One phase in the model: matched by name against a job's phase spans."""
 
     name: str
     description: str = ""

@@ -33,7 +33,9 @@ def _format_seconds(seconds: float) -> str:
         return f"{seconds:.0f} s"
     if seconds >= 1:
         return f"{seconds:.1f} s"
-    return f"{seconds * 1000:.0f} ms"
+    if seconds >= 1e-3:
+        return f"{seconds * 1000:.0f} ms"
+    return f"{seconds * 1e6:.0f} µs"
 
 
 def _text_lines(record: PhaseRecord, depth: int, lines: List[str]) -> None:

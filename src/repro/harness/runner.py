@@ -3,8 +3,10 @@
 The runner instructs each platform driver to upload graphs, executes the
 configured (platform × dataset × algorithm) jobs, validates outputs
 against the reference implementations, extracts Tproc through the
-Granula archive of each job's event log, computes the derived metrics,
-and fills the results database.
+Granula archive of the spans each job hands back (its timeline: the
+recorded ``execute`` subtree of a measured job, the model's phases of
+a modeled one), computes the derived metrics, and fills the results
+database.
 """
 
 from __future__ import annotations
@@ -149,11 +151,11 @@ class BenchmarkRunner:
                 validate_span.attributes["validated"] = validated
 
         tproc = job.modeled_processing_time
-        if job.succeeded and job.events:
+        if job.succeeded and job.spans:
             # The harness does not trust the platform's own number: Tproc
-            # is extracted from the Granula performance archive built from
-            # the job's event log (paper §2.5.2) — which itself now
-            # carries measured span durations where they exist.
+            # is the processing phase of the Granula performance archive
+            # built from the job's spans (paper §2.5.2) — for a measured
+            # job, exactly the recorded processing span's duration.
             archive = build_archive(job)
             tproc = archive.phase_duration("processing")
 

@@ -6,7 +6,7 @@ cross-vertex communication flows through messages, gather sums, and
 engine-managed aggregators. Likewise the platform drivers are only a
 benchmark harness if every algorithm execution goes through the
 :class:`~repro.platforms.base.PlatformDriver` lifecycle, where modeled
-failures, memory checks, and Granula events are produced.
+failures, memory checks, and the spans Granula archives are produced.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ class DriverBypassRule(Rule):
     A driver that calls a reference kernel (or ``Algorithm.run``)
     directly skips the upload/execute contract of
     :class:`~repro.platforms.base.PlatformDriver` — capability checks,
-    modeled memory/crash failures, and the Granula event log — so its
+    modeled memory/crash failures, and the spans Granula archives — so its
     results are unmetered and incomparable. Execute through
     ``self._run_algorithm``.
     """

@@ -101,8 +101,9 @@ class JobResult:
     measured_processing_seconds: Optional[float] = None
     # real algorithm output on the miniature graph (dense-index array)
     output: Optional[np.ndarray] = None
-    # Granula-consumable event log: [{"phase", "start", "end", ...}, ...]
-    events: List[Dict[str, object]] = field(default_factory=list)
+    # The job's timeline, which Granula archives: span records in
+    # Span.as_dict() shape, one tree rooted at the whole job
+    spans: List[Dict[str, object]] = field(default_factory=list)
 
     @property
     def succeeded(self) -> bool:
@@ -145,6 +146,19 @@ def profile_from_graph(
         bfs_coverage=bfs_coverage,
         component_count=components,
     )
+
+
+def _model_span(span_id, name, start, end, attrs=None) -> Dict[str, object]:
+    """One phase on a platform model's timeline, as the dict
+    :meth:`repro.trace.Span.as_dict` makes; ``model:0`` is the root."""
+    record: Dict[str, object] = {
+        "kind": "span", "name": name, "id": span_id, "trace": "model",
+        "parent": None if span_id == "model:0" else "model:0",
+        "start": start, "end": end, "process": "model", "status": "ok",
+    }
+    if attrs:
+        record["attrs"] = attrs
+    return record
 
 
 class PlatformDriver:
@@ -316,43 +330,38 @@ class PlatformDriver:
         makespan = self.model.makespan(
             algorithm, profile, resources, processing_time=tproc
         )
-        result = row(
+        return row(
             status=JobStatus.SUCCEEDED,
             modeled_processing_time=tproc,
             modeled_makespan=makespan,
             modeled_memory_demand=demand,
             measured_processing_seconds=measured,
             output=output,
+            spans=self._build_spans(algorithm, profile, tproc, makespan),
         )
-        result.events = self._build_events(algorithm, profile, tproc, makespan)
-        return result
 
-    def _build_events(
+    def _build_spans(
         self,
         algorithm: str,
         profile: WorkloadProfile,
         tproc: float,
         makespan: float,
     ) -> List[Dict[str, object]]:
-        """Granula-consumable phase log on the modeled timeline."""
+        """The job's four phases on the modeled timeline: records in
+        :meth:`repro.trace.Span.as_dict` shape on the ``model`` process,
+        under an ``execute`` root that closes last, as a tracer records
+        a tree."""
         startup_end = self.model.fixed_overhead
         load_end = startup_end + self.model.load_time(profile)
         proc_end = load_end + tproc
         return [
-            {"phase": "startup", "start": 0.0, "end": startup_end},
-            {
-                "phase": "load",
-                "start": startup_end,
-                "end": load_end,
-                "elements": profile.elements,
-            },
-            {
-                "phase": "processing",
-                "start": load_end,
-                "end": proc_end,
-                "algorithm": algorithm,
-            },
-            {"phase": "cleanup", "start": proc_end, "end": makespan},
+            _model_span("model:1", "startup", 0.0, startup_end),
+            _model_span("model:2", "load", startup_end, load_end,
+                        {"elements": profile.elements}),
+            _model_span("model:3", "processing", load_end, proc_end,
+                        {"algorithm": algorithm}),
+            _model_span("model:4", "cleanup", proc_end, makespan),
+            _model_span("model:0", "execute", 0.0, makespan),
         ]
 
     def __repr__(self) -> str:

@@ -128,14 +128,17 @@ class ReferenceDriver(PlatformDriver):
         refused, and every time is a span of this very execution."""
         graph = handle.graph
         tracer = current_tracer()
+        mark = tracer.mark()
         with tracer.span(
             "execute", platform=self.name, algorithm=algorithm,
             dataset=handle.profile.name,
         ):
-            with tracer.span("load") as load_span:
-                with tracer.span("out-csr") as out_span:
+            with tracer.span(
+                "load", elements=graph.num_vertices + graph.num_edges
+            ) as load_span:
+                with tracer.span("out-csr"):
                     _ = graph.out_indptr[-1]  # ensure CSR is hot
-                with tracer.span("in-csr") as in_span:
+                with tracer.span("in-csr"):
                     _ = graph.in_indptr[-1]
                 shards = None
                 if resources.machines > 1:
@@ -148,44 +151,18 @@ class ReferenceDriver(PlatformDriver):
             with tracer.span("processing", algorithm=algorithm) as proc_span:
                 # Through the driver lifecycle hook, like every other
                 # driver (lint rule CON002): execution stays swappable.
-                with tracer.span("kernel", algorithm=algorithm) as kernel_span:
+                with tracer.span("kernel", algorithm=algorithm):
                     output = (
                         self._run_algorithm(algorithm, graph, params)
                         if shards is None else shards.run(algorithm, params)
                     )
-        load_seconds = load_span.duration
         measured = proc_span.duration
-
-        makespan = load_seconds + measured
-
-        def _child(span, parent_span, offset: float) -> dict:
-            """A measured sub-phase record on the job-relative timeline."""
-            start = offset + (span.start - parent_span.start)
-            end = start + span.duration
-            return {
-                "phase": span.name,
-                "start": start,
-                "end": end,
-                "source": "measured",
-            }
-        result = row(
+        return row(
             status=JobStatus.SUCCEEDED,
             modeled_processing_time=measured,   # measured IS the number
-            modeled_makespan=makespan,
+            modeled_makespan=load_span.duration + measured,
             measured_processing_seconds=measured,
             output=output,
+            # Granula's input: the execute subtree, as recorded.
+            spans=[span.as_dict() for span in tracer.spans_since(mark)],
         )
-        result.events = [
-            {"phase": "startup", "start": 0.0, "end": 0.0},
-            {"phase": "load", "start": 0.0, "end": load_seconds,
-             "elements": handle.graph.num_vertices + handle.graph.num_edges,
-             "children": [
-                 _child(out_span, load_span, 0.0),
-                 _child(in_span, load_span, 0.0),
-             ]},
-            {"phase": "processing", "start": load_seconds, "end": load_seconds + measured,
-             "algorithm": algorithm,
-             "children": [_child(kernel_span, proc_span, load_seconds)]},
-            {"phase": "cleanup", "start": makespan, "end": makespan},
-        ]
-        return result

@@ -210,23 +210,20 @@ class RuntimeRunResult:
         """Granula performance archive of the run itself.
 
         Read off the run's own ``matrix-run → expand/execute/merge``
-        spans (times relative to the run's start); the run-level
-        counters ride on the ``execute`` phase's metadata so the archive
-        stays self-describing. A run under a disabled tracer recorded no
-        spans and archives no phases.
+        spans through the same path as a job's archive (times relative
+        to the run's start); the run-level counters ride on the
+        ``execute`` phase's metadata so the archive stays
+        self-describing. A run under a disabled tracer recorded no spans
+        and archives no phases.
         """
-        from repro.granula.archiver import PerformanceArchive, phases_from_spans
+        from repro.granula.archiver import PerformanceArchive, archive_phases
         from repro.granula.model import model_for_platform
 
-        model = model_for_platform("runtime")
-        roots = phases_from_spans([span.as_dict() for span in self._spans])
-        phases = roots[0].children if roots else []
+        phases = archive_phases(
+            [span.as_dict() for span in self._spans],
+            model_for_platform("runtime"),
+        )
         for phase in phases:
-            phase.start -= roots[0].start
-            phase.end -= roots[0].start
-            phase.description = (
-                phase.description or model.spec_for(phase.name).description
-            )
             if phase.name == "execute":
                 phase.metadata.update(
                     workers=self.workers,

@@ -266,8 +266,18 @@ class Tracer:
         return self._next_seq
 
     def spans_since(self, mark: int) -> List[Span]:
-        """Finished spans recorded at or after ``mark`` (buffer allowing)."""
-        return [s for s in self._finished if s.seq >= mark]
+        """Finished spans recorded at or after ``mark`` (buffer allowing).
+
+        Walks back from the tail, so the cost is the spans taken, not
+        the buffer's length.
+        """
+        taken: List[Span] = []
+        for span in reversed(self._finished):
+            if span.seq < mark:
+                break
+            taken.append(span)
+        taken.reverse()
+        return taken
 
     def drain(self) -> List[Span]:
         """Remove and return every finished span (worker envelopes)."""

@@ -139,6 +139,10 @@ class TestVisualizer:
         record = PhaseRecord("processing", 0.0, 0.004)
         archive = PerformanceArchive("X", "bfs", "D", phases=[record])
         assert "4 ms" in render_text(archive)
+        # A measured phase is often shorter than a millisecond.
+        record = PhaseRecord("processing", 0.0, 0.0004)
+        archive = PerformanceArchive("X", "bfs", "D", phases=[record])
+        assert "400 µs" in render_text(archive)
 
 
 class TestComparisonRendering:
@@ -168,53 +172,6 @@ class TestComparisonRendering:
         from repro.granula.visualizer import render_comparison
 
         assert render_comparison([]) == "(no archives)"
-
-
-class TestSuperstepBreakdown:
-    """Per-superstep processing detail: measured Pregel supersteps folded
-    into the Granula archive (the §2.5.2 recursive-phase capability)."""
-
-    def test_measured_supersteps_attached(self):
-        from repro.engines.pregel import PregelEngine, bfs_program
-        from repro.granula.archiver import attach_superstep_breakdown
-        from repro.harness.datasets import get_dataset
-
-        dataset = get_dataset("G22")
-        graph = dataset.materialize()
-        source = int(dataset.algorithm_parameters("bfs")["source_vertex"])
-        engine = PregelEngine(graph)
-        program, _ = bfs_program(graph, source)
-        engine.run(program)
-        assert engine.superstep_seconds  # measured
-
-        driver = create_driver("giraph")
-        handle = driver.upload(graph, profile=dataset.profile)
-        job = driver.execute(handle, "bfs", {"source_vertex": source})
-        archive = attach_superstep_breakdown(
-            build_archive(job), engine.superstep_seconds
-        )
-        processing = archive.phase("processing")
-        assert len(processing.children) == len(engine.superstep_seconds)
-        # Children tile the processing window exactly.
-        total = sum(c.duration for c in processing.children)
-        assert total == pytest.approx(processing.duration)
-        assert processing.children[0].start == pytest.approx(processing.start)
-        assert processing.children[-1].end == pytest.approx(processing.end)
-        # Supersteps come from measured spans, not the derived model.
-        assert all(c.source == "measured" for c in processing.children)
-        assert archive.phase("superstep-0").metadata["measured_seconds"] > 0
-
-    def test_empty_trace_rejected(self, archive):
-        from repro.granula.archiver import attach_superstep_breakdown
-
-        with pytest.raises(ConfigurationError, match="empty"):
-            attach_superstep_breakdown(archive, [])
-
-    def test_negative_duration_rejected(self, archive):
-        from repro.granula.archiver import attach_superstep_breakdown
-
-        with pytest.raises(ConfigurationError, match="non-negative"):
-            attach_superstep_breakdown(archive, [0.1, -0.2])
 
 
 class TestMeasuredChildren:
@@ -256,6 +213,70 @@ class TestMeasuredChildren:
         )
         load = next(p for p in payload["phases"] if p["name"] == "load")
         assert load["children"][0]["source"] == "measured"
+
+
+def _records(records):
+    """Every record of a phase forest, depth first."""
+    for record in records:
+        yield record
+        yield from _records(record.children)
+
+
+class TestArchivedSpans:
+    """A measured job's archive holds every interval its tracer
+    recorded under ``execute``, as recorded."""
+
+    @staticmethod
+    def _run(platform, machines=1):
+        from repro.harness.datasets import get_dataset
+        from repro.platforms.cluster import ClusterResources
+        from repro.trace import current_tracer
+
+        dataset = get_dataset("G22")
+        driver = create_driver(platform)
+        handle = driver.upload(dataset.materialize(), profile=dataset.profile)
+        tracer = current_tracer()
+        mark = tracer.mark()
+        try:
+            job = driver.execute(
+                handle, "bfs", dataset.algorithm_parameters("bfs"),
+                ClusterResources(machines=machines),
+            )
+        finally:
+            driver.delete(handle)
+        return build_archive(job), tracer.spans_since(mark)
+
+    @pytest.mark.parametrize("platform, step", [
+        ("pythonref-pregel", "superstep"),
+        ("pythonref-gas", "round"),
+        ("pythonref-spmv", "iteration"),
+    ])
+    def test_every_engine_step_archived(self, platform, step):
+        archive, spans = self._run(platform)
+        recorded = [s for s in spans if s.name == step]
+        assert recorded
+        (kernel,) = archive.phase("processing").children
+        assert kernel.name == "kernel"
+        archived = [c for c in kernel.children if c.name == step]
+        assert [c.duration for c in archived] == [s.duration for s in recorded]
+        assert all(c.source == "measured" for c in archived)
+        assert all(c.description for c in archived)
+        (processing,) = [s for s in spans if s.name == "processing"]
+        assert archive.processing_time == processing.duration
+
+    def test_sharded_job_archives_every_span(self):
+        archive, spans = self._run("pythonref", machines=2)
+        under_load = {r.name for r in _records(archive.phase("load").children)}
+        under_processing = {
+            r.name for r in _records(archive.phase("processing").children)
+        }
+        assert "deploy" in under_load
+        assert {"shard-compute", "exchange", "barrier-wait"} <= under_processing
+        # Every span but the execute root is an archived phase.
+        assert [s.name for s in spans][-1] == "execute"
+        assert len(list(_records(archive.phases))) == len(spans) - 1
+        assert all(r.description for r in _records(archive.phases))
+        assert [p.name for p in archive.phases] == ["load", "processing"]
 
 
 class TestHtmlChildren:

@@ -7,6 +7,7 @@ from repro.graph.generators import erdos_renyi
 from repro.platforms.base import JobStatus, profile_from_graph
 from repro.platforms.cluster import ClusterResources
 from repro.platforms.registry import create_driver
+from repro.trace import Span
 
 
 @pytest.fixture
@@ -78,9 +79,16 @@ class TestExecute:
 
     def test_events_cover_makespan(self, driver, handle):
         result = driver.execute(handle, "wcc")
-        phases = [e["phase"] for e in result.events]
-        assert phases == ["startup", "load", "processing", "cleanup"]
-        assert result.events[-1]["end"] == pytest.approx(result.modeled_makespan)
+        *phases, root = result.spans
+        assert [s["name"] for s in phases] == [
+            "startup", "load", "processing", "cleanup",
+        ]
+        assert all(s["parent"] == root["id"] for s in phases)
+        assert all(s["process"] == "model" for s in result.spans)
+        # The records have the shape a tracer's spans export.
+        assert [Span.from_dict(s).as_dict() for s in result.spans] == result.spans
+        assert phases[-1]["end"] == pytest.approx(result.modeled_makespan)
+        assert root["end"] == pytest.approx(result.modeled_makespan)
 
     def test_unknown_algorithm_raises(self, driver, handle):
         with pytest.raises(UnsupportedAlgorithmError):

@@ -79,10 +79,16 @@ class TestMeasuredExecution:
 
     def test_events_cover_makespan(self, driver, handle):
         result = driver.execute(handle, "wcc")
-        assert [e["phase"] for e in result.events] == [
-            "startup", "load", "processing", "cleanup",
-        ]
-        assert result.events[2]["end"] <= result.modeled_makespan + 1e-9
+        root = result.spans[-1]
+        load, processing = (s for s in result.spans if s["parent"] == root["id"])
+        assert [load["name"], processing["name"]] == ["load", "processing"]
+        assert (
+            processing["end"] - processing["start"]
+            == result.modeled_processing_time
+        )
+        assert result.modeled_makespan == pytest.approx(
+            load["end"] - load["start"] + result.modeled_processing_time
+        )
 
     def test_granula_archive_builds(self, driver, handle):
         from repro.granula.archiver import build_archive
