@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import GraphFormatError
-from repro.algorithms.common import distinct, gather_neighbors
+from repro.algorithms.common import BATCH, distinct, gather_neighbors
 from repro.graph.graph import Graph
 
 __all__ = ["breadth_first_search", "BFS_UNREACHABLE"]
@@ -36,16 +36,26 @@ def breadth_first_search(graph: Graph, source: int) -> np.ndarray:
     frontier = np.array([root], dtype=np.int64)
     level = 0
     indptr, indices = graph.out_indptr, graph.out_indices
+    # The call's workspace: a level's neighbors, when a level can span
+    # more than a batch of slots, and a slot per vertex for deduplicating.
+    neighbors = np.empty(len(indices), dtype=np.int64) if len(indices) > BATCH else None
     scratch = np.empty(n, dtype=np.int64)
     while len(frontier) > 0:
         level += 1
-        candidates = gather_neighbors(indptr, indices, frontier)
+        candidates = gather_neighbors(indptr, indices, frontier, neighbors)
         if len(candidates) == 0:
             break
-        fresh = candidates[depth[candidates] == BFS_UNREACHABLE]
-        if len(fresh) == 0:
-            break
-        # A level is a set: its order reaches no output.
-        frontier = distinct(fresh, scratch)
+        # A level is a set: its order reaches no output. One that walks
+        # more slots than there are vertices marks them over the
+        # vertices; a smaller one filters its candidates, in arrays no
+        # larger than a vertex array either way.
+        if len(candidates) > n:
+            reached = np.zeros(n, dtype=bool)
+            reached[candidates] = True
+            reached &= depth == BFS_UNREACHABLE
+            frontier = np.flatnonzero(reached)
+        else:
+            fresh = candidates[depth[candidates] == BFS_UNREACHABLE]
+            frontier = distinct(fresh, scratch)
         depth[frontier] = level
     return depth

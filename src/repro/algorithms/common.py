@@ -1,8 +1,16 @@
-"""Shared vectorized CSR helpers for the algorithm kernels."""
+"""Shared vectorized CSR helpers for the algorithm kernels.
+
+A kernel's slot-sized arrays come from a :class:`Scratch` owned by the
+call (or by an engine) and are filled in place: ``out=`` ufuncs,
+``np.take(..., out=)`` and the ``out`` of the helpers below, which fill
+an array a batch of rows at a time (:func:`row_batches`). Whatever an
+iteration allocates on top is no larger than a batch or a vertex array,
+so its speed does not depend on what the allocator did before the call.
+"""
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 # numpy loads this subpackage lazily on the first ``np.unique``, 9–16 ms
@@ -13,48 +21,125 @@ import numpy as np
 import numpy.ma  # noqa: F401
 
 __all__ = [
-    "gather_ranges", "gather_slots", "gather_neighbors", "expand_sources",
-    "run_starts", "distinct",
+    "BATCH", "Scratch", "row_batches", "repeat_into", "gather_ranges",
+    "gather_neighbors", "expand_sources", "distinct",
 ]
 
+#: Slots per batch of rows. A graph of at most this many slots is one
+#: batch, so its arrays are as small as a batch's; a larger one is
+#: written a batch at a time into a workspace.
+BATCH = 1 << 16
 
-def gather_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+#: Alignment of each array carved out of a :class:`Scratch` block.
+_ALIGN = 64
+
+
+class Scratch:
+    """Grow-only scratch memory: one block, carved into typed arrays.
+
+    A kernel call, or an engine, owns one and takes every slot-sized
+    array from it. The block is allocated on first use and again only
+    when a layout outgrows it, keeping its bytes, so a loop that asks
+    for the same layout every iteration allocates once, and a layout
+    that begins like an earlier one finds those arrays as they were.
+    The arrays of one :meth:`arrays` call are disjoint.
+    """
+
+    def __init__(self) -> None:
+        self._block = np.empty(0, dtype=np.uint8)
+        self._last: Tuple[tuple, List[np.ndarray]] = ((), [])
+
+    def arrays(self, *layout: Tuple[int, "np.typing.DTypeLike"]) -> List[np.ndarray]:
+        """Arrays of the given ``(length, dtype)`` pairs, back to back
+        in the block (uninitialised where nothing was written before)."""
+        if layout == self._last[0]:  # a loop asking again
+            return self._last[1]
+        dtypes = [np.dtype(dtype) for _, dtype in layout]
+        sizes = [length * dtype.itemsize for (length, _), dtype in zip(layout, dtypes)]
+        padded = [-(-size // _ALIGN) * _ALIGN for size in sizes]
+        if sum(padded) > len(self._block):
+            block = np.empty(sum(padded), dtype=np.uint8)
+            block[:len(self._block)] = self._block
+            self._block = block
+        arrays, offset = [], 0
+        for dtype, size, step in zip(dtypes, sizes, padded):
+            arrays.append(self._block[offset:offset + size].view(dtype))
+            offset += step
+        self._last = (layout, arrays)
+        return arrays
+
+
+def row_batches(counts: np.ndarray, size: int = BATCH) -> List[Tuple[slice, slice]]:
+    """Consecutive rows of the given slot counts, cut into batches of at
+    most ``size`` slots plus one row: ``(rows, slots)`` slices per
+    batch, the second into the rows' slots laid back to back."""
+    total = int(counts.sum())
+    if total <= size:
+        return [(slice(0, len(counts)), slice(0, total))] if len(counts) else []
+    ends = np.cumsum(counts)
+    cuts = np.searchsorted(ends, np.arange(size, total, size), side="right")
+    bounds = np.unique(np.concatenate([[0], cuts, [len(counts)]]))
+    offsets = np.concatenate([[0], ends])[bounds].tolist()
+    bounds = bounds.tolist()
+    return [
+        (slice(a, b), slice(offsets[k], offsets[k + 1]))
+        for k, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))
+    ]
+
+
+def repeat_into(out: np.ndarray, values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``np.repeat(values, counts)`` written into the front of ``out``
+    a batch of rows at a time; returns that front."""
+    for rows, slots in row_batches(counts):
+        out[slots] = np.repeat(values[rows], counts[rows])
+    return out[:int(counts.sum())]
+
+
+def gather_ranges(
+    starts: np.ndarray, counts: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """``np.concatenate([np.arange(s, s + c) for s, c in zip(starts,
-    counts)])`` without the Python loop."""
-    # Start of each range minus its offset in the output, laid out back
-    # to back; adding 0..total-1 walks every range in turn.
+    counts)])`` without the Python loop. Given the int64 array ``out``,
+    a result of more than one batch is written into its front, a batch
+    of rows at a time."""
+    batches = row_batches(counts) if out is not None else ()
+    if len(batches) > 1:
+        for rows, slots in batches:
+            out[slots] = gather_ranges(starts[rows], counts[rows])
+        return out[:batches[-1][1].stop]
+    # Each range's start less its offset in the output, laid out back to
+    # back; adding 0..total-1 walks every range in turn.
     shift = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return shift + np.arange(len(shift), dtype=np.int64)
-
-
-def gather_slots(
-    indptr: np.ndarray, rows: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """(slots, counts): the CSR slot positions of ``rows``, concatenated
-    row by row (with repeats), and each row's slot count."""
-    starts = indptr[rows]
-    counts = indptr[rows + 1] - starts
-    return gather_ranges(starts, counts), counts
+    return np.add(shift, np.arange(len(shift)), out=shift)
 
 
 def gather_neighbors(
-    indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    frontier: np.ndarray,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """All neighbors of the frontier vertices, concatenated (with repeats)."""
-    return indices[gather_slots(indptr, frontier)[0]]
+    """All neighbors of the frontier vertices, concatenated (with
+    repeats); into the front of ``out``, a batch of rows at a time, when
+    given and the result spans more than one batch."""
+    starts = indptr[frontier]
+    counts = indptr[frontier + 1] - starts
+    batches = row_batches(counts) if out is not None else ()
+    if len(batches) > 1:
+        for rows, slots in batches:
+            out[slots] = indices[gather_ranges(starts[rows], counts[rows])]
+        return out[:batches[-1][1].stop]
+    return indices[gather_ranges(starts, counts)]
 
 
-def expand_sources(indptr: np.ndarray) -> np.ndarray:
-    """Source vertex of every CSR slot: [0]*deg(0) + [1]*deg(1) + ..."""
-    n = len(indptr) - 1
-    return np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-
-
-def run_starts(values: np.ndarray) -> np.ndarray:
-    """Index of the first element of every run of equal values."""
-    if len(values) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+def expand_sources(indptr: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Source vertex of every CSR slot: [0]*deg(0) + [1]*deg(1) + ...,
+    into ``out`` (any integer dtype that holds the vertices) when
+    given."""
+    rows = np.arange(len(indptr) - 1, dtype=np.int64)
+    if out is None:
+        return np.repeat(rows, np.diff(indptr))
+    return repeat_into(out, rows, np.diff(indptr))
 
 
 def distinct(values: np.ndarray, scratch: np.ndarray) -> np.ndarray:

@@ -10,12 +10,13 @@ The reference kernel is a Δ-bucketed label-correcting relaxation. The
 *pending* vertices are those whose distance dropped since their
 out-slots were last relaxed. Each round takes the pending vertices
 within Δ of the smallest pending distance, gathers only their
-out-slots, lowers the targets with one ``np.minimum.at``, and adds the
-improved targets to what stays pending — O(pending + frontier slots) a
-round, deduplicated without a sort. Δ comes from the input: 4 · mean
-weight / mean out-degree, Meyer & Sanders' Θ(1/d). A narrow band
-relaxes few vertices before their distance is final, so far fewer slots
-are walked twice.
+out-slots (targets and candidate distances, into the call's workspace),
+lowers the targets with ``np.minimum.at`` a batch of rows at a time,
+and adds the improved targets to what stays pending — O(pending +
+frontier slots) a round, deduplicated without a sort. Δ comes from the
+input: 4 · mean weight / mean out-degree, Meyer & Sanders' Θ(1/d). A
+narrow band relaxes few vertices before their distance is final, so far
+fewer slots are walked twice.
 
 Its output equals heap Dijkstra's (``sssp_dijkstra`` in
 ``tests/algorithms/variants.py``, the test oracle) bit for bit. Every
@@ -40,7 +41,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import GraphFormatError
-from repro.algorithms.common import distinct, gather_slots
+from repro.algorithms.common import Scratch, distinct, gather_ranges, row_batches
 from repro.graph.graph import Graph
 from repro.trace import current_tracer
 
@@ -80,7 +81,11 @@ def single_source_shortest_paths(graph: Graph, source: int) -> np.ndarray:
     dist[root] = 0.0
     indptr, indices, weights = graph.out_indptr, graph.out_indices, graph.out_weights
     delta = _bucket_width(weights, n)
-    scratch = np.empty(n, dtype=np.int64)
+    # The call's workspace: a round's targets and candidate distances
+    # (at most every slot), and a slot per vertex for deduplicating.
+    targets_of, candidates_of, scratch = Scratch().arrays(
+        (len(indices), np.int64), (len(indices), np.float64), (n, np.int64)
+    )
     tracer = current_tracer()
     # Vertices whose distance dropped since their out-slots were last
     # relaxed; their distances are finite, so the nearest is always
@@ -90,13 +95,23 @@ def single_source_shortest_paths(graph: Graph, source: int) -> np.ndarray:
         reach = dist[pending]
         near = reach <= reach.min() + delta
         frontier, reach, pending = pending[near], reach[near], pending[~near]
-        slots, counts = gather_slots(indptr, frontier)
-        tracer.counter("sssp.slots", len(slots))
-        candidates = np.repeat(reach, counts) + weights[slots]
-        targets = indices[slots]
-        lower = candidates < dist[targets]
-        targets = targets[lower]
-        np.minimum.at(dist, targets, candidates[lower])
-        # Every such target improved, and is pending again.
-        pending = distinct(np.concatenate([pending, targets]), scratch)
+        starts = indptr[frontier]
+        counts = indptr[frontier + 1] - starts
+        tracer.counter("sssp.slots", int(counts.sum()))
+        # A batch of rows at a time, its targets and candidates laid out
+        # in the workspace, so that nothing else here outgrows a batch or
+        # the vertex array. A batch compares against the distances the
+        # batches before it lowered: a candidate that no longer lowers
+        # its target lost to one in this round, whose target is pending
+        # already. The same minima, the same pending set.
+        for rows, batch in row_batches(counts):
+            slots = gather_ranges(starts[rows], counts[rows])
+            target = np.take(indices, slots, out=targets_of[batch], mode="wrap")
+            candidate = np.take(weights, slots, out=candidates_of[batch], mode="wrap")
+            candidate += np.repeat(reach[rows], counts[rows])
+            lower = candidate < dist[target]
+            target = target[lower]
+            np.minimum.at(dist, target, candidate[lower])
+            # Every such target improved, and is pending again.
+            pending = distinct(np.concatenate([pending, target]), scratch)
     return dist

@@ -45,7 +45,7 @@ class ExactMatchRule:
             i = int(mismatch[0])
             raise ValidationError(
                 f"{len(mismatch)} mismatching vertices; first at dense index "
-                f"{i}: {actual[i]!r} != reference {reference[i]!r}"
+                f"{i}: {actual[i].item()!r} != reference {reference[i].item()!r}"
             )
 
 
@@ -74,7 +74,7 @@ class EpsilonMatchRule:
             bad = int(np.nonzero(finite_a != finite_r)[0][0])
             raise ValidationError(
                 f"finiteness mismatch at dense index {bad}: "
-                f"{actual[bad]!r} vs reference {reference[bad]!r}"
+                f"{actual[bad].item()!r} vs reference {reference[bad].item()!r}"
             )
         nonfinite = ~finite_a
         if np.any(nonfinite) and not np.array_equal(
@@ -89,7 +89,7 @@ class EpsilonMatchRule:
             i = int(bad[0])
             raise ValidationError(
                 f"{len(bad)} vertices beyond epsilon={self.epsilon}; first: "
-                f"{a[i]!r} vs reference {r[i]!r}"
+                f"{a[i].item()!r} vs reference {r[i].item()!r}"
             )
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.exceptions import GraphFormatError
 from repro.algorithms.cdlp import _most_frequent_min_label
-from repro.algorithms.common import expand_sources
+from repro.algorithms.common import Scratch, expand_sources
 from repro.algorithms.lcc import lcc_counts
 from repro.algorithms.sssp import check_sssp_input
 from repro.graph.graph import Graph
@@ -54,6 +54,8 @@ class Semiring:
     ``add_reduce(target_indices, terms, n)`` performs the scattered
     semiring addition: combine ``terms[k]`` into slot
     ``target_indices[k]`` of a fresh vector of additive identities.
+    ``multiply(terms, weights, out=terms)`` combines in place, the way a
+    ufunc does.
     """
 
     name: str
@@ -81,7 +83,7 @@ def _or_reduce(targets: np.ndarray, terms: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _first(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _first(x: np.ndarray, weights: np.ndarray, out=None) -> np.ndarray:
     return x
 
 
@@ -93,19 +95,6 @@ OR_AND = Semiring("or-and", 0.0, _or_reduce, np.multiply)
 PLUS_TIMES = Semiring("plus-times", 0.0, _sum_reduce, np.multiply)
 
 
-def _slots(indptr, indices, weights, owned):
-    """(source, target, weight) of every CSR slot, or — given the
-    ``owned`` row mask — of the slots whose target is owned, in order."""
-    sources = expand_sources(indptr)
-    if owned is None:
-        return sources, indices, weights
-    keep = owned[indices]
-    return (
-        sources[keep], indices[keep],
-        None if weights is None else weights[keep],
-    )
-
-
 class SpMVEngine:
     """Generalized y = A^T x over a semiring, on a graph's CSR arrays.
 
@@ -115,44 +104,80 @@ class SpMVEngine:
     in the same order as the full engine — float sums included — and
     the union of blocks over a vertex partition is the full product,
     bit for bit. Rows outside the block read as the additive identity.
+
+    An engine keeps its slot-sized arrays in one block: the source of
+    each slot, then a product's workspace — ``x[sources]`` gathered and
+    multiplied in place, or the label mode's sorted keys — so repeated
+    products allocate nothing slot-sized.
     """
 
     def __init__(self, graph: Graph, rows: Optional[np.ndarray] = None):
         self.graph = graph
         self.rows = rows
-        owned = None
-        if rows is not None:
+        # Message flow src -> dst over the out-CSR's slots, and the
+        # transpose (dst -> src) for direction-ignoring algorithms;
+        # undirected graphs already store both directions in one CSR.
+        csrs = [(graph.out_indptr, graph.out_indices, graph.out_weights)]
+        if graph.directed:
+            csrs.append((graph.in_indptr, graph.in_indices, None))
+        kept = [None] * len(csrs)
+        if rows is not None:  # the slots whose target is owned, in order
             owned = np.zeros(graph.num_vertices, dtype=bool)
             owned[rows] = True
-        # Message flow src -> dst: expand the out-CSR once.
-        self._sources, self._targets, self._weights = _slots(
-            graph.out_indptr, graph.out_indices, graph.out_weights, owned
-        )
-        # The transpose (dst -> src) for direction-ignoring algorithms;
-        # undirected graphs already store both directions in one CSR.
-        if graph.directed:
-            self._rev_sources, self._rev_targets, _ = _slots(
-                graph.in_indptr, graph.in_indices, None, owned
-            )
-        else:
-            self._rev_sources, self._rev_targets = self._sources, self._targets
+            kept = [owned[indices] for _, indices, _ in csrs]
+            csrs = [
+                (indptr, indices[keep], None if weights is None else weights[keep])
+                for (indptr, indices, weights), keep in zip(csrs, kept)
+            ]
+        self._targets, self._weights = csrs[0][1:]
+        self._rev_targets = csrs[-1][1]
+        # The slot sources lead the engine's block. A whole-graph engine
+        # (one per run) lays them out at its first product, in a block
+        # sized for that product too; a row block (one per deployment)
+        # lays them out now, so a run finds its shards ready.
+        self._pinned = [(len(indices), np.int64) for _, indices, _ in csrs]
+        self._unexpanded = [(indptr, keep) for (indptr, _, _), keep in zip(csrs, kept)]
+        self._sources = self._rev_sources = None
+        self._scratch = Scratch()
+        self._hearing = None
+        if rows is not None:
+            self._workspace()
+
+    def _workspace(self, *layout) -> list:
+        """Arrays of ``layout`` for one product, in the engine's block
+        after the slot sources (which it points at, wherever the block
+        now is)."""
+        arrays = self._scratch.arrays(*self._pinned, *layout)
+        pinned = arrays[:len(self._pinned)]
+        if self._sources is None:
+            for array, (indptr, keep) in zip(pinned, self._unexpanded):
+                if keep is None:
+                    expand_sources(indptr, out=array)
+                else:
+                    array[:] = expand_sources(indptr)[keep]
+        self._sources, self._rev_sources = pinned[0], pinned[-1]
+        return arrays[len(self._pinned):]
 
     def spmv(self, x: np.ndarray, semiring: Semiring, *,
              reverse: bool = False, unit_weights: bool = False) -> np.ndarray:
         """One product: combine x[src] (x) w over edges into each dst."""
-        if reverse:
-            # in-CSR slot k: edge in_indices[k] -> rev_sources[k]; the
-            # reverse product pushes each vertex's value to its
-            # in-neighbors (against edge direction).
-            sources, targets = self._rev_sources, self._rev_targets
-        else:
-            sources, targets = self._sources, self._targets
+        # in-CSR slot k: edge in_indices[k] -> rev_sources[k]; the
+        # reverse product pushes each vertex's value to its in-neighbors
+        # (against edge direction).
+        targets = self._rev_targets if reverse else self._targets
+        (terms,) = self._workspace((len(targets), x.dtype))
+        sources = self._rev_sources if reverse else self._sources
         # Reverse edges reuse the forward weight layout only for
         # unit-weight algorithms; weighted reverse products are not
         # needed by any kernel here.
         weighted = self._weights is not None and not (unit_weights or reverse)
-        weights = self._weights if weighted else 1.0
-        terms = semiring.multiply(x[sources], weights)
+        # CSR indices are in range by construction; under the default
+        # mode="raise" numpy would gather into a copy of ``out``.
+        np.take(x, sources, out=terms, mode="wrap")
+        if weighted:
+            semiring.multiply(terms, self._weights, out=terms)
+        elif semiring.multiply is not np.multiply:  # x * 1.0 is x
+            semiring.multiply(terms, 1.0, out=terms)
         return semiring.add_reduce(targets, terms, self.graph.num_vertices)
 
     def label_mode(self, labels: np.ndarray) -> np.ndarray:
@@ -163,12 +188,26 @@ class SpMVEngine:
         programs whose reduction is not a classical semiring addition.
         Directed graphs hear both directions (a bidirectional pair
         counts twice, per the spec)."""
-        senders, receivers = self._sources, self._targets
+        n = self.graph.num_vertices
+        receivers = (self._targets,)
         if self.graph.directed:
-            senders = np.concatenate([senders, self._rev_sources])
-            receivers = np.concatenate([receivers, self._rev_targets])
+            receivers += (self._rev_targets,)
+        if self._hearing is None:
+            self._hearing = sum(np.bincount(part, minlength=n) for part in receivers)
+        if self.rows is None and not self.graph.directed:
+            # Hearing is symmetric: grouped by receiver, the fabric is
+            # the CSR's rows, heard from their slots. The keys take the
+            # whole block; a later product lays the sources out again.
+            self._sources = self._rev_sources = None
+            return _most_frequent_min_label(
+                n, None, labels, self._targets, self._hearing, self._scratch.arrays
+            )
+        # The sources laid out, with room after them for the keys (uint32
+        # unless the labels are spread too far for it).
+        self._workspace(*[(sum(map(len, receivers)), np.uint32)] * 3)
+        senders = (self._sources, self._rev_sources)[:len(receivers)]
         return _most_frequent_min_label(
-            self.graph.num_vertices, receivers, labels[senders]
+            n, receivers, labels, senders, self._hearing, self._workspace
         )
 
     def lcc(self) -> np.ndarray:

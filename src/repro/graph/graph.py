@@ -141,24 +141,6 @@ def _model_error(
     return GraphFormatError(f"edge {k} ({ids[src[k]]},{ids[dst[k]]}) is {what}")
 
 
-def _keep_heap_for_kernels(slot_bytes: int) -> None:
-    """Let glibc's malloc serve the kernels' temporaries from its heap.
-
-    glibc maps every block above a dynamic threshold (128 KiB at start)
-    straight from the kernel, hands heap memory above twice that
-    threshold back on every free, and raises the threshold to the size
-    of each mapped block freed. A kernel over ``S`` bytes of slots keeps
-    up to about ``8 S`` of numpy temporaries live (CDLP), and under a
-    smaller threshold every iteration faults its pages in anew: on
-    Graph500 scale 14, SpMV PageRank ran 2-3x slower at 1,600 minor
-    faults per iteration, and CDLP and SSSP took 5,000 and 2,300 per
-    call. Generation used to free a block that large by accident (the
-    hash table of numpy's ``np.unique``). Freeing an untouched ``8 S``
-    block here does it on purpose, and costs no resident memory.
-    """
-    np.empty(8 * slot_bytes, dtype=np.uint8)
-
-
 _INT64 = np.iinfo(np.int64)
 
 
@@ -223,7 +205,6 @@ class Graph:
         inn = _build_csr_fast(n, dst, src, weights) if self._directed else out
         self._out_indptr, self._out_indices, self._out_weights = out
         self._in_indptr, self._in_indices, self._in_weights = inn
-        _keep_heap_for_kernels(self._out_indices.nbytes)
 
     # -- identity ---------------------------------------------------------
 

@@ -192,9 +192,7 @@ class GraphCache:
         concurrent ``cache clear`` all count ``cache.corrupt``, drop
         the entry and fall through to the rebuild-and-store miss path.
         The entry is read as one blob on purpose: the CRC needs all of
-        it, and freeing a buffer this size lifts glibc's mmap threshold
-        so the kernels' numpy temporaries stop page-faulting (see
-        docs/service.md § Measured).
+        it.
         """
         path = self._entry_path(key)
         if path is None or not path.exists():

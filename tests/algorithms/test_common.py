@@ -1,14 +1,17 @@
 """Tests for the shared CSR helpers."""
 
 import numpy as np
+import pytest
 
 from repro.algorithms.common import (
+    BATCH,
+    Scratch,
     distinct,
     expand_sources,
     gather_neighbors,
     gather_ranges,
-    gather_slots,
-    run_starts,
+    repeat_into,
+    row_batches,
 )
 
 
@@ -27,18 +30,6 @@ class TestGatherRanges:
         empty = np.array([], dtype=np.int64)
         assert len(gather_ranges(empty, empty)) == 0
         assert len(gather_ranges(np.array([3, 7]), np.array([0, 0]))) == 0
-
-
-class TestGatherSlots:
-    def test_slots_and_counts(self, er_directed):
-        indptr = er_directed.out_indptr
-        rows = np.array([17, 0, 17, 3], dtype=np.int64)
-        slots, counts = gather_slots(indptr, rows)
-        assert np.array_equal(counts, indptr[rows + 1] - indptr[rows])
-        assert np.array_equal(
-            slots,
-            np.concatenate([np.arange(indptr[v], indptr[v + 1]) for v in rows]),
-        )
 
 
 class TestGatherNeighbors:
@@ -84,14 +75,84 @@ class TestExpandSources:
         assert len(expand_sources(np.array([0], dtype=np.int64))) == 0
 
 
-class TestRunStarts:
-    def test_first_index_of_every_run(self):
-        values = np.array([3, 3, 5, 5, 5, 9, 3])
-        assert run_starts(values).tolist() == [0, 2, 5, 6]
+class TestIntoHelpers:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32, np.int64])
+    def test_repeat_into_matches_np_repeat(self, dtype):
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            values = rng.integers(0, 200, rng.integers(0, 12))
+            counts = rng.integers(0, 4, len(values))
+            out = np.full(int(counts.sum()) + 2, 77, dtype=dtype)
+            front = repeat_into(out, values, counts)
+            assert front.tolist() == np.repeat(values, counts).tolist()
+            assert out[len(front):].tolist() == [77, 77]
 
-    def test_empty_and_single(self):
-        assert run_starts(np.array([], dtype=np.int64)).tolist() == []
-        assert run_starts(np.array([7])).tolist() == [0]
+    def test_row_batches_cover_the_rows_in_order(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            counts = rng.integers(0, 30, rng.integers(0, 40))
+            size = int(rng.integers(1, 50))
+            batches = row_batches(counts, size)
+            rows = [i for r, _ in batches for i in range(r.start, r.stop)]
+            assert rows == list(range(len(counts)))
+            ends = np.concatenate([[0], np.cumsum(counts)])
+            for r, slots in batches:
+                assert (slots.start, slots.stop) == (ends[r.start], ends[r.stop])
+                assert counts[r].sum() <= size + counts[r].max()
+
+    def test_helpers_fill_many_batches(self):
+        rng = np.random.default_rng(8)
+        counts = rng.integers(0, 600, 1000)  # ~300 k slots: several batches
+        values = rng.integers(0, 1000, 1000)
+        starts = rng.integers(0, 10 ** 6, 1000)
+        total = int(counts.sum())
+        assert total > 3 * BATCH
+        out = np.empty(total, dtype=np.int64)
+        assert np.array_equal(repeat_into(out, values, counts), np.repeat(values, counts))
+        got = gather_ranges(starts, counts, out)
+        assert np.shares_memory(got, out)
+        assert np.array_equal(got, gather_ranges(starts, counts))
+
+    def test_gather_helpers_fill_the_front_of_out(self, er_directed):
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            starts = rng.integers(0, 50, rng.integers(0, 10))
+            counts = rng.integers(0, 5, len(starts))
+            out = np.full(int(counts.sum()) + 3, -9, dtype=np.int64)
+            expected = [s + i for s, c in zip(starts, counts) for i in range(c)]
+            got = gather_ranges(starts, counts, out)
+            assert got.tolist() == expected
+            assert out[len(expected):].tolist() == [-9] * 3
+        indptr, indices = er_directed.out_indptr, er_directed.out_indices
+        frontier = np.array([0, 5, 17, 3], dtype=np.int64)
+        out = np.empty(len(indices), dtype=np.int64)
+        assert np.array_equal(
+            gather_neighbors(indptr, indices, frontier, out),
+            gather_neighbors(indptr, indices, frontier),
+        )
+        receivers = np.empty(len(indices), dtype=np.uint16)
+        assert np.array_equal(expand_sources(indptr, receivers), expand_sources(indptr))
+
+
+class TestScratch:
+    def test_arrays_are_disjoint_typed_views_of_one_block(self):
+        scratch = Scratch()
+        a, b, c = scratch.arrays((5, np.uint32), (3, np.int64), (7, bool))
+        assert (a.dtype, b.dtype, c.dtype) == (np.uint32, np.int64, bool)
+        assert (len(a), len(b), len(c)) == (5, 3, 7)
+        a[:], b[:], c[:] = 1, 2, True
+        assert a.tolist() == [1] * 5 and b.tolist() == [2] * 3 and c.all()
+        assert a.base is b.base is c.base
+
+    def test_grows_only_when_a_layout_outgrows_it(self):
+        scratch = Scratch()
+        (big,) = scratch.arrays((1000, np.float64))
+        (small,) = scratch.arrays((10, np.int64))
+        assert small.base is big.base
+        small[:] = np.arange(10)
+        kept, bigger = scratch.arrays((10, np.int64), (2000, np.float64))
+        assert bigger.base is not big.base
+        assert kept.tolist() == list(range(10))  # growing keeps the bytes
 
 
 class TestDistinct:

@@ -29,6 +29,11 @@ class TestExactMatch:
         with pytest.raises(ValidationError, match="dense index 1"):
             ExactMatchRule().check(np.array([1, 2, 3]), np.array([1, 9, 3]))
 
+    def test_error_prints_plain_numbers(self):
+        with pytest.raises(ValidationError) as info:
+            ExactMatchRule().check(np.array([1, 2, 3]), np.array([1, 9, 3]))
+        assert str(info.value).endswith("index 1: 2 != reference 9")
+
 
 class TestEpsilonMatch:
     def test_within_tolerance_passes(self):
@@ -59,6 +64,16 @@ class TestEpsilonMatch:
 
     def test_zero_equals_zero(self):
         EpsilonMatchRule().check(np.array([0.0]), np.array([0.0]))
+
+    def test_errors_print_plain_numbers(self):
+        # The verdict is unchanged (a zero reference admits only 0.0);
+        # the message names the values as numbers, not numpy reprs.
+        with pytest.raises(ValidationError) as info:
+            validate_output("lcc", [1e-18, 0.5], [0.0, 0.5])
+        assert str(info.value).endswith("first: 1e-18 vs reference 0.0")
+        with pytest.raises(ValidationError) as info:
+            EpsilonMatchRule().check(np.array([np.inf]), np.array([42.0]))
+        assert str(info.value).endswith("index 0: inf vs reference 42.0")
 
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError, match="shape"):

@@ -138,6 +138,54 @@ class TestNativeMode:
         assert "kernel" in inside
         assert inside <= {"kernel", "superstep", "iteration", "round"}
 
+    def test_tproc_is_the_processing_span_on_two_shards(self):
+        """The sharded path too: a ``pythonref`` row at two machines
+        times only the product and its exchange inside ``processing``;
+        deploying the shards is part of ``load``."""
+        from repro.engines.partitioned import undeploy
+        from repro.harness.config import BenchmarkConfig
+        from repro.harness.runner import BenchmarkRunner
+        from repro.platforms.cluster import ClusterResources
+        from repro.trace import Tracer, use_tracer
+
+        tracer = Tracer()
+        two = ClusterResources(machines=2)
+        try:
+            with use_tracer(tracer):
+                runner = BenchmarkRunner(BenchmarkConfig(seed=0))
+                rows = [
+                    runner.run_job("pythonref", dataset, algorithm, resources=two)
+                    for dataset in ("G22", "R4")
+                    for algorithm in ("bfs", "pr", "wcc", "cdlp", "sssp", "lcc")
+                    if can_run_combo("pythonref", dataset, algorithm, machines=2)
+                ]
+        finally:
+            undeploy()
+        assert len(rows) == 11  # G22 is unweighted: no SSSP
+        spans = {s.span_id: s for s in tracer.finished_spans()}
+        processing = sorted(
+            (s for s in spans.values() if s.name == "processing"),
+            key=lambda s: s.start,
+        )
+        for row, span in zip(rows, processing):
+            assert row.succeeded and row.validated is True
+            assert row.measured_processing_seconds == pytest.approx(span.duration)
+
+        def ancestors(span):
+            while span.parent_id is not None:
+                span = spans[span.parent_id]
+                yield span.name
+
+        inside = {s.name for s in spans.values() if "processing" in ancestors(s)}
+        assert {"partitioned", "superstep", "shard-compute"} <= inside
+        assert inside <= {
+            "partitioned", "superstep", "shard-compute", "exchange",
+            "barrier-wait", "iteration", "kernel",
+        }
+        deploys = [s for s in spans.values() if s.name == "deploy"]
+        assert len(deploys) == 2  # one per dataset
+        assert all("load" in ancestors(s) for s in deploys)
+
     def test_partitions_reach_the_kernels_path_only(self):
         """Shards are machines, and only the kernels shard: an engine
         path's multi-machine cell is refused by the one runnable rule
