@@ -21,8 +21,7 @@ key, and the (length, label) pair, are uint32 when their bits fit in
 32, int64 otherwise — a property of the input, never an option. All of
 it happens in three slot-sized arrays of one
 :class:`~repro.algorithms.common.Scratch` block, reused every
-iteration: while there are many runs, each slot carries its offset in
-its run; once they are few, each run is one entry.
+iteration, where each slot carries its offset in its run.
 
 The kernel propagates *ranks* of the ids (order-preserving, below
 ``n``, so ids past 2**53 survive, and the key is uint32 up to
@@ -142,32 +141,21 @@ def _most_frequent_min_label(
     heard = np.flatnonzero(hearing)
     first = (np.cumsum(hearing) - hearing)[heard]
     mask = (1 << bits) - 1
-    if np.count_nonzero(run) <= max(2 * n, BATCH):
-        # Few runs (labels have settled, or the fabric is small): one
-        # entry each, in arrays no larger than a batch or two vertex
-        # arrays.
-        starts = np.flatnonzero(run)
-        packed = np.diff(starts, append=slots)
-        packed -= 1
-        packed <<= bits
-        packed |= mask - (key[starts] & mask)
-        best = np.maximum.reduceat(packed, np.searchsorted(starts, first))
-    else:
-        # Every slot carries its offset in its run: its position less
-        # the run's first (a running maximum of the run starts), largest
-        # at the run's last slot.
-        position = code
-        position.fill(1)
-        position[0] = 0
-        np.cumsum(position, out=position)
-        run *= position
-        np.maximum.accumulate(run, out=run)
-        offset_in_run = np.subtract(position, run, out=position)
-        key &= mask
-        np.subtract(mask, key, out=key)
-        offset_in_run <<= bits
-        offset_in_run |= key
-        best = np.maximum.reduceat(offset_in_run, first)
+    # Every slot carries its offset in its run: its position less the
+    # run's first (a running maximum of the run starts), largest at the
+    # run's last slot.
+    position = code
+    for start in range(0, slots, BATCH):  # 0, 1, 2, ..., a batch at a time
+        stop = min(start + BATCH, slots)
+        position[start:stop] = np.arange(start, stop, dtype=width)
+    run *= position
+    np.maximum.accumulate(run, out=run)
+    offset_in_run = np.subtract(position, run, out=position)
+    key &= mask
+    np.subtract(mask, key, out=key)
+    offset_in_run <<= bits
+    offset_in_run |= key
+    best = np.maximum.reduceat(offset_in_run, first)
     winners = (mask - (best & mask)).astype(np.int64)
     result[heard] = winners + low if values is None else values[winners]
     return result

@@ -39,10 +39,10 @@ class Scratch:
 
     A kernel call, or an engine, owns one and takes every slot-sized
     array from it. The block is allocated on first use and again only
-    when a layout outgrows it, keeping its bytes, so a loop that asks
-    for the same layout every iteration allocates once, and a layout
-    that begins like an earlier one finds those arrays as they were.
-    The arrays of one :meth:`arrays` call are disjoint.
+    when a layout outgrows it, so a loop that asks for the same layout
+    every iteration allocates once, and, until the block grows, a
+    layout that begins like an earlier one finds those arrays as they
+    were. The arrays of one :meth:`arrays` call are disjoint.
     """
 
     def __init__(self) -> None:
@@ -58,9 +58,7 @@ class Scratch:
         sizes = [length * dtype.itemsize for (length, _), dtype in zip(layout, dtypes)]
         padded = [-(-size // _ALIGN) * _ALIGN for size in sizes]
         if sum(padded) > len(self._block):
-            block = np.empty(sum(padded), dtype=np.uint8)
-            block[:len(self._block)] = self._block
-            self._block = block
+            self._block = np.empty(sum(padded), dtype=np.uint8)
         arrays, offset = [], 0
         for dtype, size, step in zip(dtypes, sizes, padded):
             arrays.append(self._block[offset:offset + size].view(dtype))

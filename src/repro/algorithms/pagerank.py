@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import GenerationError
-from repro.algorithms.common import row_batches
 from repro.graph.graph import Graph
 
 __all__ = ["pagerank"]
@@ -53,24 +52,17 @@ def pagerank(
     # CSR slots give us the full directed edge expansion (both directions
     # for undirected graphs). Repeating each quotient over its row lays
     # out the slots' contributions in slot order, so ``bincount`` adds
-    # every target's terms in the order the SpMV engines do. More than a
-    # batch of them go into the call's workspace, a batch at a time.
+    # every target's terms in the order the SpMV engines do.
     targets = graph.out_indices
-    batches = row_batches(out_degree)
-    if len(batches) > 1:
-        terms = np.empty(len(targets), dtype=np.float64)
 
     rank = np.full(n, 1.0 / n, dtype=np.float64)
     base = (1.0 - damping) / n
     contrib = np.empty(n, dtype=np.float64)
     for _ in range(iterations):
         np.divide(rank, divisor, out=contrib)
-        if len(batches) > 1:
-            for rows, slots in batches:
-                terms[slots] = np.repeat(contrib[rows], out_degree[rows])
-        else:
-            terms = np.repeat(contrib, out_degree)
-        incoming = np.bincount(targets, weights=terms, minlength=n)
+        incoming = np.bincount(
+            targets, weights=np.repeat(contrib, out_degree), minlength=n
+        )
         dangling_share = rank[dangling].sum() / n
         rank = base + damping * (incoming + dangling_share)
     return rank

@@ -95,6 +95,19 @@ OR_AND = Semiring("or-and", 0.0, _or_reduce, np.multiply)
 PLUS_TIMES = Semiring("plus-times", 0.0, _sum_reduce, np.multiply)
 
 
+def _slots(indptr, indices, weights, owned):
+    """(source, target, weight) of every CSR slot, or — given the
+    ``owned`` row mask — of the slots whose target is owned, in order."""
+    sources = expand_sources(indptr)
+    if owned is None:
+        return sources, indices, weights
+    keep = owned[indices]
+    return (
+        sources[keep], indices[keep],
+        None if weights is None else weights[keep],
+    )
+
+
 class SpMVEngine:
     """Generalized y = A^T x over a semiring, on a graph's CSR arrays.
 
@@ -105,68 +118,46 @@ class SpMVEngine:
     the union of blocks over a vertex partition is the full product,
     bit for bit. Rows outside the block read as the additive identity.
 
-    An engine keeps its slot-sized arrays in one block: the source of
-    each slot, then a product's workspace — ``x[sources]`` gathered and
-    multiplied in place, or the label mode's sorted keys — so repeated
+    An engine builds the source of each slot once; a product's
+    slot-sized arrays — ``x[sources]`` gathered and multiplied in place,
+    or the label mode's sorted keys — come from one
+    :class:`~repro.algorithms.common.Scratch` block, so repeated
     products allocate nothing slot-sized.
     """
 
     def __init__(self, graph: Graph, rows: Optional[np.ndarray] = None):
         self.graph = graph
         self.rows = rows
-        # Message flow src -> dst over the out-CSR's slots, and the
-        # transpose (dst -> src) for direction-ignoring algorithms;
-        # undirected graphs already store both directions in one CSR.
-        csrs = [(graph.out_indptr, graph.out_indices, graph.out_weights)]
-        if graph.directed:
-            csrs.append((graph.in_indptr, graph.in_indices, None))
-        kept = [None] * len(csrs)
-        if rows is not None:  # the slots whose target is owned, in order
+        owned = None
+        if rows is not None:
             owned = np.zeros(graph.num_vertices, dtype=bool)
             owned[rows] = True
-            kept = [owned[indices] for _, indices, _ in csrs]
-            csrs = [
-                (indptr, indices[keep], None if weights is None else weights[keep])
-                for (indptr, indices, weights), keep in zip(csrs, kept)
-            ]
-        self._targets, self._weights = csrs[0][1:]
-        self._rev_targets = csrs[-1][1]
-        # The slot sources lead the engine's block. A whole-graph engine
-        # (one per run) lays them out at its first product, in a block
-        # sized for that product too; a row block (one per deployment)
-        # lays them out now, so a run finds its shards ready.
-        self._pinned = [(len(indices), np.int64) for _, indices, _ in csrs]
-        self._unexpanded = [(indptr, keep) for (indptr, _, _), keep in zip(csrs, kept)]
-        self._sources = self._rev_sources = None
+        # Message flow src -> dst: expand the out-CSR once.
+        self._sources, self._targets, self._weights = _slots(
+            graph.out_indptr, graph.out_indices, graph.out_weights, owned
+        )
+        # The transpose (dst -> src) for direction-ignoring algorithms;
+        # undirected graphs already store both directions in one CSR.
+        if graph.directed:
+            self._rev_sources, self._rev_targets, _ = _slots(
+                graph.in_indptr, graph.in_indices, None, owned
+            )
+        else:
+            self._rev_sources, self._rev_targets = self._sources, self._targets
         self._scratch = Scratch()
         self._hearing = None
-        if rows is not None:
-            self._workspace()
-
-    def _workspace(self, *layout) -> list:
-        """Arrays of ``layout`` for one product, in the engine's block
-        after the slot sources (which it points at, wherever the block
-        now is)."""
-        arrays = self._scratch.arrays(*self._pinned, *layout)
-        pinned = arrays[:len(self._pinned)]
-        if self._sources is None:
-            for array, (indptr, keep) in zip(pinned, self._unexpanded):
-                if keep is None:
-                    expand_sources(indptr, out=array)
-                else:
-                    array[:] = expand_sources(indptr)[keep]
-        self._sources, self._rev_sources = pinned[0], pinned[-1]
-        return arrays[len(self._pinned):]
 
     def spmv(self, x: np.ndarray, semiring: Semiring, *,
              reverse: bool = False, unit_weights: bool = False) -> np.ndarray:
         """One product: combine x[src] (x) w over edges into each dst."""
-        # in-CSR slot k: edge in_indices[k] -> rev_sources[k]; the
-        # reverse product pushes each vertex's value to its in-neighbors
-        # (against edge direction).
-        targets = self._rev_targets if reverse else self._targets
-        (terms,) = self._workspace((len(targets), x.dtype))
-        sources = self._rev_sources if reverse else self._sources
+        if reverse:
+            # in-CSR slot k: edge in_indices[k] -> rev_sources[k]; the
+            # reverse product pushes each vertex's value to its
+            # in-neighbors (against edge direction).
+            sources, targets = self._rev_sources, self._rev_targets
+        else:
+            sources, targets = self._sources, self._targets
+        (terms,) = self._scratch.arrays((len(targets), x.dtype))
         # Reverse edges reuse the forward weight layout only for
         # unit-weight algorithms; weighted reverse products are not
         # needed by any kernel here.
@@ -196,18 +187,13 @@ class SpMVEngine:
             self._hearing = sum(np.bincount(part, minlength=n) for part in receivers)
         if self.rows is None and not self.graph.directed:
             # Hearing is symmetric: grouped by receiver, the fabric is
-            # the CSR's rows, heard from their slots. The keys take the
-            # whole block; a later product lays the sources out again.
-            self._sources = self._rev_sources = None
+            # the CSR's rows, heard from their slots.
             return _most_frequent_min_label(
                 n, None, labels, self._targets, self._hearing, self._scratch.arrays
             )
-        # The sources laid out, with room after them for the keys (uint32
-        # unless the labels are spread too far for it).
-        self._workspace(*[(sum(map(len, receivers)), np.uint32)] * 3)
         senders = (self._sources, self._rev_sources)[:len(receivers)]
         return _most_frequent_min_label(
-            n, receivers, labels, senders, self._hearing, self._workspace
+            n, receivers, labels, senders, self._hearing, self._scratch.arrays
         )
 
     def lcc(self) -> np.ndarray:

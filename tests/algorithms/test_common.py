@@ -150,9 +150,11 @@ class TestScratch:
         (small,) = scratch.arrays((10, np.int64))
         assert small.base is big.base
         small[:] = np.arange(10)
-        kept, bigger = scratch.arrays((10, np.int64), (2000, np.float64))
+        again, _ = scratch.arrays((10, np.int64), (5, np.float64))
+        assert again.tolist() == list(range(10))  # a layout's front stays
+        bigger, _ = scratch.arrays((10, np.int64), (2000, np.float64))
         assert bigger.base is not big.base
-        assert kept.tolist() == list(range(10))  # growing keeps the bytes
+        assert small.tolist() == list(range(10))  # the old block lives on
 
 
 class TestDistinct:
