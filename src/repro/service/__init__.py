@@ -6,9 +6,12 @@ harness executes them fairly, and everyone can watch progress and fetch
 validated artifacts. This package is that deployment mode
 (docs/service.md):
 
-* :mod:`repro.service.server` — the asyncio HTTP server: submission,
-  fair-share multi-tenant scheduling, SSE progress streams, artifact
-  serving, spool recovery on restart;
+* :mod:`repro.service.core` — every run-lifecycle decision (dispatch,
+  supervision, quarantine, boot recovery) as one pure
+  ``step(event, now) -> [action]``;
+* :mod:`repro.service.server` — the asyncio HTTP server, the core's
+  shell: submission, SSE progress streams, artifact serving, child
+  processes and timers;
 * :mod:`repro.service.queue` — round-robin tenant queue with admission
   quotas (``429 Retry-After`` over quota);
 * :mod:`repro.service.runs` — spool-directory run registry; run state
@@ -43,6 +46,7 @@ __all__ = [
     "RunRegistry",
     "ServiceClient",
     "ServiceConfig",
+    "ServiceCore",
     "ServiceError",
     "TenantBreaker",
     "decode_journal_line",
@@ -58,7 +62,8 @@ __getattr__, __dir__ = lazy_exports(__name__, __all__, {
         "EventStream", "ProtocolError", "Request", "Response",
     ),
     "repro.service.queue": ("FairShareQueue", "QuotaExceeded"),
-    "repro.service.runs": ("RunRecord", "RunRegistry", "normalize_matrix"),
+    "repro.service.core": ("RunRecord", "ServiceCore"),
+    "repro.service.runs": ("RunRegistry", "normalize_matrix"),
     "repro.service.server": ("BenchmarkService", "ServiceConfig"),
     "repro.service.supervise": (
         "BreakerOpen", "RetryPolicy", "TenantBreaker", "load_quarantine",

@@ -24,24 +24,30 @@ the first takes disk hits instead of regenerating).
 never modified, so the submission survives any crash; everything else
 is produced by the crash-safe runtime. Run state is therefore fully
 **derivable from disk**: a directory with an ``outcome.json`` is
-terminal, anything else is resumable work — which is exactly what
-:meth:`RunRegistry.scan` exploits to re-enqueue interrupted runs after
-a server restart (docs/service.md, restart semantics).
+terminal, anything else is resumable work. :meth:`RunRegistry.scan`
+reads those facts back at boot; :class:`~repro.service.core.ServiceCore`
+decides from them which runs to re-enqueue (docs/service.md, restart
+semantics).
 """
 
 from __future__ import annotations
 
 import json
 import re
+import shutil
 import warnings
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Union
 
 from repro.exceptions import ConfigurationError
 from repro.ioutil import atomic_write
 from repro.runtime.journal import config_payload
-from repro.service.supervise import load_quarantine, load_supervision
+from repro.service.core import RunRecord
+from repro.service.supervise import (
+    load_json_object,
+    load_quarantine,
+    load_supervision,
+)
 
 __all__ = [
     "REQUEST_NAME",
@@ -58,12 +64,6 @@ OUTCOME_NAME = "outcome.json"
 #: The spool-wide artifact store; no run id can collide with it
 #: (:meth:`RunRegistry.create` mints ``r<seq>-<tenant>``).
 CACHE_NAME = "cache"
-
-#: States a run moves through: queued -> running -> done | failed —
-#: or, when supervision exhausts its attempt budget, -> quarantined.
-QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
-QUARANTINED = "quarantined"
-TERMINAL_STATES = frozenset({DONE, FAILED, QUARANTINED})
 
 _RUN_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
@@ -133,66 +133,12 @@ def check_run_knobs(workers: object, job_timeout: object) -> None:
     RuntimeConfig(workers=resolve_workers(workers), job_timeout=job_timeout)
 
 
-@dataclass
-class RunRecord:
-    """In-memory view of one submitted run."""
-
-    run_id: str
-    tenant: str
-    config: Dict[str, object]
-    #: Worker request forwarded to the run child: an int or ``"auto"``.
-    workers: Union[int, str, None] = "auto"
-    job_timeout: Optional[float] = None
-    state: str = QUEUED
-    submitted_at: float = 0.0
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
-    error: str = ""
-    #: Launches recorded in the supervise.json ledger (0 = never ran).
-    attempts: int = 0
-    #: Terminal summary loaded from outcome.json, if the run finished.
-    outcome: Optional[Dict[str, object]] = field(default=None, repr=False)
-    #: quarantine.json payload for runs that exhausted their budget.
-    quarantine: Optional[Dict[str, object]] = field(default=None, repr=False)
-    #: Optional I/O fault plan (IoFaultPlan payload) riding the request.
-    chaos: Optional[Dict[str, object]] = field(default=None, repr=False)
-
-    @property
-    def terminal(self) -> bool:
-        return self.state in TERMINAL_STATES
-
-    def status_payload(self) -> Dict[str, object]:
-        """The ``GET /v1/runs/<id>`` body."""
-        payload: Dict[str, object] = {
-            "run_id": self.run_id,
-            "tenant": self.tenant,
-            "state": self.state,
-            "workers": self.workers,
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-        }
-        if self.error:
-            payload["error"] = self.error
-        if self.attempts:
-            payload["attempts"] = self.attempts
-        if self.quarantine is not None:
-            payload["quarantine"] = self.quarantine
-        if self.outcome is not None:
-            for key in ("jobs", "failures", "sla_breaches",
-                        "elapsed_seconds", "restored_jobs", "degraded"):
-                if key in self.outcome:
-                    payload[key] = self.outcome[key]
-        return payload
-
-
 class RunRegistry:
-    """Assigns run ids, owns the spool layout, restores state on boot."""
+    """Assigns run ids, owns the spool layout, reads it back on boot."""
 
     def __init__(self, spool: Union[str, Path]):
         self.spool = Path(spool)
         self.spool.mkdir(parents=True, exist_ok=True)
-        self.records: Dict[str, RunRecord] = {}
         self._sequence = 0
 
     def run_dir(self, run_id: str) -> Path:
@@ -212,11 +158,12 @@ class RunRegistry:
         submitted_at: float = 0.0,
         chaos: Optional[Dict[str, object]] = None,
     ) -> RunRecord:
-        """Validate, assign a run id, persist ``request.json``, register.
+        """Validate, assign a run id, persist ``request.json``.
 
         The request file lands atomically before the caller enqueues
         the run, so a crash between the two leaves a resumable (never a
-        half-known) submission. ``chaos`` is a pre-validated
+        half-known) submission; a failed write removes the directory
+        and raises. ``chaos`` is a pre-validated
         :class:`~repro.faults.IoFaultPlan` payload the run child
         installs before executing — it rides the request so a resumed
         attempt replays the same fault plan.
@@ -232,11 +179,9 @@ class RunRegistry:
         record = RunRecord(
             run_id=run_id,
             tenant=tenant,
-            config=config,
             workers=workers,
             job_timeout=job_timeout,
             submitted_at=submitted_at,
-            chaos=chaos,
         )
         run_dir = self.run_dir(run_id)
         run_dir.mkdir(parents=True, exist_ok=False)
@@ -250,31 +195,33 @@ class RunRegistry:
         }
         if chaos is not None:
             request_payload["chaos"] = chaos
-        atomic_write(
-            run_dir / REQUEST_NAME,
-            json.dumps(request_payload, indent=1, sort_keys=True),
-            fault_point="service.spool.request",
-        )
-        self.records[run_id] = record
+        try:
+            atomic_write(
+                run_dir / REQUEST_NAME,
+                json.dumps(request_payload, indent=1, sort_keys=True),
+                fault_point="service.spool.request",
+            )
+        except OSError:
+            shutil.rmtree(run_dir, ignore_errors=True)
+            raise
         return record
 
     # -- restart recovery --------------------------------------------------
 
     def scan(self) -> List[RunRecord]:
-        """Rebuild the registry from the spool; returns resumable runs.
+        """Every spooled run, in submission order, with its facts.
 
-        Every directory holding a ``request.json`` becomes a record;
-        runs with an ``outcome.json`` are terminal, everything else is
-        returned (in submission order) for re-enqueueing — the journal,
-        if present, makes the re-run a resume rather than a restart.
-        A corrupted or truncated ``request.json`` (unreadable, invalid
-        JSON, or not a JSON object) is **skipped with a warning**: one
-        damaged submission must never take the whole boot scan down.
-        Quarantined runs (``quarantine.json`` present) load terminal
-        and are not returned; attempt counts come from the supervision
-        ledger so budgets survive restarts.
+        Each directory holding a ``request.json`` becomes a record
+        carrying what the spool knows: its ``outcome.json``, its
+        ``quarantine.json`` and the ledger's attempt count (so budgets
+        survive restarts). The records carry no decided state: the
+        core decides each one (a journal, if present, makes a re-run a
+        resume rather than a restart). A corrupted or truncated
+        ``request.json`` (unreadable, invalid JSON, or not a JSON
+        object) is **skipped with a warning**: one damaged submission
+        must never take the whole boot scan down.
         """
-        resumable: List[RunRecord] = []
+        records: List[RunRecord] = []
         for request_path in sorted(self.spool.glob(f"*/{REQUEST_NAME}")):
             try:
                 with open(request_path, "r", encoding="utf-8") as handle:
@@ -297,49 +244,35 @@ class RunRegistry:
                 )
                 continue
             run_id = str(request.get("run_id", request_path.parent.name))
-            chaos = request.get("chaos")
             record = RunRecord(
                 run_id=run_id,
                 tenant=str(request.get("tenant", "unknown")),
-                config=dict(request.get("config") or {}),
                 workers=request.get("workers", "auto"),
                 job_timeout=request.get("job_timeout"),
                 submitted_at=float(request.get("submitted_at", 0.0)),
-                chaos=chaos if isinstance(chaos, dict) else None,
             )
             match = re.match(r"^r(\d+)-", run_id)
             if match:
                 self._sequence = max(self._sequence, int(match.group(1)))
             run_dir = request_path.parent
             record.attempts = int(load_supervision(run_dir)["attempts"])
-            outcome = self.load_outcome(run_id)
-            quarantine = load_quarantine(run_dir)
-            if outcome is not None:
-                record.outcome = outcome
-                record.state = DONE if outcome.get("ok") else FAILED
-                record.error = str(outcome.get("error", ""))
-            elif quarantine is not None:
-                record.quarantine = quarantine
-                record.state = QUARANTINED
-                record.error = str(quarantine.get("reason", ""))
-            else:
-                record.state = QUEUED
-                resumable.append(record)
-            self.records[run_id] = record
-        return resumable
+            record.outcome = self.load_outcome(run_id)
+            record.quarantine = load_quarantine(run_dir)
+            records.append(record)
+        return records
 
     # -- artifacts ---------------------------------------------------------
 
     def load_outcome(self, run_id: str) -> Optional[Dict[str, object]]:
-        path = self.run_dir(run_id) / OUTCOME_NAME
-        if not path.exists():
-            return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                loaded = json.load(handle)
-        except (OSError, json.JSONDecodeError):
-            return None
-        return loaded if isinstance(loaded, dict) else None
+        return load_json_object(self.run_dir(run_id) / OUTCOME_NAME)
+
+    def write_outcome(self, run_id: str, outcome: Dict[str, object]) -> None:
+        """Settle a run no child settles (a queue rejection) on disk."""
+        atomic_write(
+            self.run_dir(run_id) / OUTCOME_NAME,
+            json.dumps(outcome, indent=1),
+            fault_point="service.spool.outcome",
+        )
 
     def artifact_path(self, run_id: str, artifact: str) -> Path:
         """Path of a servable run artifact (results/archive/trace/...)."""

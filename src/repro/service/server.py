@@ -23,21 +23,22 @@ Surface (see docs/service.md for the full API):
 Every handler is ``async`` and every blocking filesystem touch goes
 through :func:`asyncio.to_thread` — the event loop never waits on disk
 (lint rule SRV001 enforces this shape for all handlers under
-``repro.service``). On boot the server rescans its spool and re-enqueues
-every run without an ``outcome.json``; the child re-executes it with
-journal resume, so a SIGKILLed server finishes its work after restart.
+``repro.service``). Every run-lifecycle decision is
+:meth:`ServiceCore.step <repro.service.core.ServiceCore.step>`; this
+module is its shell. On boot the spool's runs are replayed into the core,
+which re-enqueues every run without an ``outcome.json``; the child
+re-executes it with journal resume, so a SIGKILLed server finishes its
+work after restart.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import re
 import shutil
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Awaitable, Callable, Dict, List, Optional, Tuple, Union
+from typing import Awaitable, Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.exceptions import ConfigurationError, GraphalyticsError
 from repro.faults import FaultPointError, IoFaultPlan
@@ -54,16 +55,28 @@ from repro.service.http import (
     read_request,
     write_response,
 )
-from repro.service.queue import FairShareQueue, QuotaExceeded
-from repro.service.runs import (
-    CACHE_NAME,
+from repro.service.core import (
     QUARANTINED,
     QUEUED,
-    RUNNING,
+    Action,
+    ActionFailed,
+    BootScanned,
+    ChildExited,
+    Event,
+    Launch,
+    PersistAttempt,
+    Quarantine,
+    Reject,
+    RequeueAt,
     RunRecord,
-    RunRegistry,
-    check_run_knobs,
+    ServiceCore,
+    Settle,
+    Stop,
+    Submitted,
+    TimerFired,
 )
+from repro.service.queue import FairShareQueue, QuotaExceeded
+from repro.service.runs import CACHE_NAME, RunRegistry, check_run_knobs
 from repro.service.supervise import (
     BreakerOpen,
     TenantBreaker,
@@ -121,31 +134,35 @@ class ServiceConfig:
 
 
 class BenchmarkService:
-    """One service instance: registry + queue + scheduler + HTTP front."""
+    """One service instance: registry + core + the shell + HTTP front."""
 
     def __init__(self, config: Optional[ServiceConfig] = None):
         self.config = config or ServiceConfig()
         self.registry = RunRegistry(self.config.spool)
-        self.queue = FairShareQueue(
-            per_tenant_depth=self.config.per_tenant_depth,
-            per_tenant_running=self.config.per_tenant_running,
-            retry_after=self.config.retry_after,
+        self.core = ServiceCore(
+            FairShareQueue(
+                per_tenant_depth=self.config.per_tenant_depth,
+                per_tenant_running=self.config.per_tenant_running,
+                retry_after=self.config.retry_after,
+            ),
+            TenantBreaker(
+                threshold=self.config.breaker_threshold,
+                cooldown=self.config.breaker_cooldown,
+            ),
+            RetryPolicy(
+                max_attempts=self.config.run_attempts,
+                backoff_base=self.config.run_backoff_base,
+            ),
+            max_running=self.config.max_running,
         )
         self._routes: List[Tuple[str, "re.Pattern[str]", _Handler]] = []
         self._children: Dict[str, Child] = {}
-        self._monitors: List[asyncio.Task] = []
-        self._wake: Optional[asyncio.Event] = None
+        self._watchers: Set[asyncio.Task] = set()
+        #: Batches of actions, in the order the core decided them.
+        self._actions: "asyncio.Queue[List[Action]]" = asyncio.Queue()
+        self._performer: Optional[asyncio.Task] = None
         self._server: Optional[asyncio.base_events.Server] = None
-        self._stopping = False
         self.address: Optional[Tuple[str, int]] = None
-        self.retry_policy = RetryPolicy(
-            max_attempts=self.config.run_attempts,
-            backoff_base=self.config.run_backoff_base,
-        )
-        self.breaker = TenantBreaker(
-            threshold=self.config.breaker_threshold,
-            cooldown=self.config.breaker_cooldown,
-        )
         self._add_route("POST", "/v1/runs", self._handle_submit)
         self._add_route("GET", "/v1/runs", self._handle_list)
         self._add_route("GET", "/v1/status", self._handle_status)
@@ -169,26 +186,11 @@ class BenchmarkService:
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> Tuple[str, int]:
-        """Boot: recover the spool, start the scheduler and the listener."""
-        self._wake = asyncio.Event()
-        resumable = self.registry.scan()
-        for record in resumable:
-            # Boot recovery routes through the same supervision
-            # decision as an in-life child death: a run that already
-            # burned its attempt budget is quarantined, not relaunched
-            # — this is what bounds a poison run's crash loop. Runs
-            # inside their budget are re-enqueued unconditionally
-            # (restart recovery must not re-apply admission quotas).
-            await self._supervise(
-                record,
-                reason=(
-                    f"attempt budget exhausted "
-                    f"({record.attempts}/{self.config.run_attempts} "
-                    f"launches) with no outcome; quarantined at boot"
-                ),
-                backoff=False,
-            )
-        self._scheduler = asyncio.ensure_future(self._dispatch_loop())
+        """Boot: replay the spool into the core, then start listening."""
+        self._performer = asyncio.ensure_future(self._perform_all())
+        for record in await asyncio.to_thread(self.registry.scan):
+            self._step(BootScanned(record))
+        await self._actions.join()  # recovery is on disk before we answer
         self._server = await asyncio.start_server(
             self._handle_connection, self.config.host, self.config.port
         )
@@ -202,180 +204,97 @@ class BenchmarkService:
             await self._server.serve_forever()
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop listening, reap the run children."""
-        self._stopping = True
+        """Graceful shutdown: stop listening and launching, reap the
+        run children (their exits reach the core as such)."""
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        if self._wake is not None:
-            self._wake.set()
-        self._scheduler.cancel()
-        try:
-            await self._scheduler
-        except asyncio.CancelledError:
-            pass
+        self._step(Stop())
+        if self._performer is not None:
+            await self._actions.join()
+            self._performer.cancel()
         await asyncio.to_thread(stop_all, list(self._children.values()))
-        for task in self._monitors:
-            task.cancel()
-        await asyncio.gather(*self._monitors, return_exceptions=True)
+        await asyncio.gather(*self._watchers)
 
-    # -- scheduler ---------------------------------------------------------
+    # -- the shell around the core ------------------------------------------
 
-    async def _dispatch_loop(self) -> None:
-        """Fair-share dispatch: fill run slots, then wait for a change."""
-        assert self._wake is not None
-        while not self._stopping:
-            while len(self._children) < self.config.max_running:
-                item = self.queue.acquire()
-                if item is None:
-                    break
-                tenant, run_id = item
-                self._launch(tenant, run_id)
-            self._wake.clear()
-            try:
-                await asyncio.wait_for(self._wake.wait(), timeout=1.0)
-            except asyncio.TimeoutError:
-                pass
+    def _step(self, event: Event) -> List[Action]:
+        """Decide one event now; queue its actions behind every earlier
+        step's, so they are performed in the order they were decided."""
+        actions = self.core.step(event, current_tracer().clock.now())
+        if actions:
+            self._actions.put_nowait(actions)
+        return actions
 
-    def _launch(self, tenant: str, run_id: str) -> None:
-        record = self.registry.records[run_id]
-        record.attempts += 1
-        try:
-            # Durable *before* the child starts: if the server dies
-            # mid-run, the restarted boot scan still counts this
-            # launch against the budget.
-            record_attempt(
-                self.registry.run_dir(run_id),
-                record.attempts,
-                at=current_tracer().clock.now(),
+    async def _perform_all(self) -> None:
+        """Perform each queued batch of actions, one action at a time.
+
+        A failed action voids the later actions of its run in the
+        batch; the core's answer to :class:`ActionFailed` replaces
+        them. This task must outlive any one action, so every failure
+        is reported to the core rather than raised.
+        """
+        while True:
+            pending = list(await self._actions.get())
+            while pending:
+                action = pending.pop(0)
+                try:
+                    await self._perform(action)
+                except Exception as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                    pending = [a for a in pending if a.run_id != action.run_id]
+                    now = current_tracer().clock.now()
+                    pending += self.core.step(ActionFailed(action, error), now)
+            self._actions.task_done()
+
+    async def _perform(self, action: Action) -> None:
+        run_dir = self.registry.run_dir(action.run_id)
+        if isinstance(action, PersistAttempt):
+            await asyncio.to_thread(
+                record_attempt, run_dir, action.attempt, at=action.at
             )
-        except OSError as exc:
-            warnings.warn(
-                f"could not persist attempt ledger for {run_id}: {exc}; "
-                f"supervision degrades to this server's lifetime",
-                RuntimeWarning,
-                stacklevel=2,
+        elif isinstance(action, Launch):
+            self._launch(self.core.runs[action.run_id])
+        elif isinstance(action, Quarantine):
+            await asyncio.to_thread(write_quarantine, run_dir, action.payload)
+        elif isinstance(action, Settle):
+            await asyncio.to_thread(
+                self.registry.write_outcome, action.run_id, action.outcome
             )
-        record.state = RUNNING
-        record.started_at = current_tracer().clock.now()
+        elif isinstance(action, RequeueAt):
+            # A timer that fires after Stop() is a step that decides
+            # nothing: the core launches nothing more.
+            asyncio.get_running_loop().call_later(
+                max(0.0, action.at - current_tracer().clock.now()),
+                self._step, TimerFired(action.run_id),
+            )
+        # Reject: the submit handler answers it.
+
+    def _launch(self, record: RunRecord) -> None:
         # No command channel: the run child reports through
         # ``outcome.json`` and, starting a pool of its own, must not be
         # daemonic.
         child = Child(
-            f"service-run-{run_id}",
+            f"service-run-{record.run_id}",
             target=execute_service_run,
-            args=(str(self.registry.run_dir(run_id)),),
+            args=(str(self.registry.run_dir(record.run_id)),),
             kwargs={
                 "workers": record.workers or self.config.workers,
                 "job_timeout": record.job_timeout or self.config.job_timeout,
             },
             channel=False,
         )
-        self._children[run_id] = child
-        self._monitors.append(
-            asyncio.ensure_future(self._monitor(tenant, run_id, child))
-        )
+        self._children[record.run_id] = child
+        watcher = asyncio.ensure_future(self._watch(record.run_id, child))
+        self._watchers.add(watcher)
+        watcher.add_done_callback(self._watchers.discard)
 
-    async def _monitor(self, tenant: str, run_id: str, child: Child) -> None:
-        """Wait (off-loop) for one run child; settle or supervise it.
-
-        A child that wrote ``outcome.json`` is terminal (the outcome is
-        the commit point, ``ok`` or not) and closes the tenant's
-        breaker circuit — a clean exit, even a failing one, proves the
-        tenant's runs are not *dying*. A child that exited without one
-        died mid-run: that is a breaker strike, and the run goes
-        through the supervision decision (relaunch with backoff, or
-        quarantine when the attempt budget is spent).
-        """
+    async def _watch(self, run_id: str, child: Child) -> None:
+        """Wait (off-loop) for one run child; step its exit."""
         await asyncio.to_thread(child.process.join)
-        record = self.registry.records[run_id]
         outcome = await asyncio.to_thread(self.registry.load_outcome, run_id)
-        now = current_tracer().clock.now()
-        self._children.pop(run_id, None)
-        self.queue.release(tenant)
-        if outcome is not None:
-            record.outcome = outcome
-            record.finished_at = now
-            if outcome.get("ok"):
-                record.state = "done"
-            else:
-                record.state = "failed"
-                record.error = str(outcome.get("error", ""))
-            self.breaker.record_success(tenant)
-        elif self._stopping:
-            # Graceful shutdown terminated the child mid-run. Not a
-            # death: no strike, no budget decision — the next boot
-            # scan re-enqueues it (its launch is already in the
-            # ledger, so the budget still counts the interrupted
-            # attempt).
-            record.state = QUEUED
-        else:
-            self.breaker.record_death(tenant, now=now)
-            await self._supervise(
-                record,
-                reason=(
-                    f"run child exited with code {child.process.exitcode} and "
-                    f"no outcome (attempt {record.attempts}/"
-                    f"{self.config.run_attempts})"
-                ),
-                backoff=True,
-            )
-        if self._wake is not None:
-            self._wake.set()
-
-    # -- supervision -------------------------------------------------------
-
-    async def _supervise(
-        self, record: RunRecord, *, reason: str, backoff: bool
-    ) -> None:
-        """THE run-recovery decision, for deaths and boot scans alike.
-
-        Within budget: back on the queue (after the scheduler-shaped
-        exponential backoff for in-life deaths; immediately at boot —
-        the old server's death already was the pause). Budget spent:
-        quarantine — durable, terminal, visible.
-        """
-        if self.retry_policy.exhausted(record.attempts):
-            await asyncio.to_thread(self._quarantine, record, reason)
-            return
-        record.state = QUEUED
-        record.error = reason
-        delay = (
-            self.retry_policy.backoff(record.attempts)
-            if backoff and record.attempts > 0
-            else 0.0
-        )
-        if delay > 0:
-            self._monitors.append(
-                asyncio.ensure_future(self._requeue_later(record, delay))
-            )
-        else:
-            self.queue.submit(record.tenant, record.run_id, force=True)
-
-    async def _requeue_later(self, record: RunRecord, delay: float) -> None:
-        """Exponential-backoff relaunch of a run whose child died."""
-        await asyncio.sleep(delay)
-        if self._stopping:
-            return
-        self.queue.submit(record.tenant, record.run_id, force=True)
-        if self._wake is not None:
-            self._wake.set()
-
-    def _quarantine(self, record: RunRecord, reason: str) -> None:
-        """Write ``quarantine.json`` and settle the record terminally."""
-        payload = {
-            "run_id": record.run_id,
-            "tenant": record.tenant,
-            "attempts": record.attempts,
-            "budget": self.config.run_attempts,
-            "reason": reason,
-            "quarantined_at": current_tracer().clock.now(),
-        }
-        write_quarantine(self.registry.run_dir(record.run_id), payload)
-        record.quarantine = payload
-        record.state = QUARANTINED
-        record.error = reason
-        record.finished_at = current_tracer().clock.now()
+        del self._children[run_id]
+        self._step(ChildExited(run_id, child.process.exitcode, outcome))
 
     # -- HTTP front --------------------------------------------------------
 
@@ -429,8 +348,8 @@ class BenchmarkService:
                 return error_response(400, str(exc))
             except ConfigurationError as exc:
                 return error_response(400, str(exc))
-            except GraphalyticsError as exc:
-                return error_response(500, str(exc))
+            except (GraphalyticsError, OSError) as exc:
+                return error_response(500, f"{type(exc).__name__}: {exc}")
         if path_exists:
             return error_response(405, f"method {request.method} not allowed")
         return error_response(404, f"no route for {request.path}")
@@ -448,7 +367,7 @@ class BenchmarkService:
         )
         # Shed before spooling: an open circuit costs the tenant one
         # 503, not a spool directory.
-        self.breaker.check(tenant, now=current_tracer().clock.now())
+        self.core.breaker.check(tenant, now=current_tracer().clock.now())
         matrix = body.get("matrix")
         if matrix is None:
             raise ProtocolError("submission lacks a 'matrix' object")
@@ -474,38 +393,20 @@ class BenchmarkService:
             submitted_at=current_tracer().clock.now(),
             chaos=chaos,
         )
-        try:
-            self.queue.submit(tenant, record.run_id)
-        except QuotaExceeded:
-            # Rejected after spooling: mark the directory terminal so a
-            # restart does not resurrect a run the client was told to
-            # retry.
-            record.state = "failed"
-            record.error = "rejected: tenant queue-depth quota"
-            await asyncio.to_thread(
-                self._write_rejection, record.run_id, record.error
-            )
-            raise
-        if self._wake is not None:
-            self._wake.set()
+        for action in self._step(Submitted(record)):
+            if isinstance(action, Reject):
+                await self._actions.join()  # its Settle is durable first
+                raise QuotaExceeded(
+                    action.reason, retry_after=action.retry_after
+                )
         return json_response(
             {
                 "run_id": record.run_id,
-                "state": record.state,
-                "pending": self.queue.pending(tenant),
+                "state": QUEUED,
+                "pending": self.core.queue.pending(tenant),
                 "events": f"/v1/runs/{record.run_id}/events",
             },
             status=202,
-        )
-
-    def _write_rejection(self, run_id: str, reason: str) -> None:
-        from repro.ioutil import atomic_write
-        from repro.service.runs import OUTCOME_NAME
-
-        atomic_write(
-            self.registry.run_dir(run_id) / OUTCOME_NAME,
-            json.dumps({"ok": False, "error": reason}, indent=1),
-            fault_point="service.spool.outcome",
         )
 
     async def _handle_list(
@@ -514,7 +415,7 @@ class BenchmarkService:
         tenant = request.query.get("tenant")
         runs = [
             record.status_payload()
-            for record in self.registry.records.values()
+            for record in self.core.runs.values()
             if tenant is None or record.tenant == tenant
         ]
         runs.sort(key=lambda payload: str(payload["run_id"]))
@@ -525,7 +426,7 @@ class BenchmarkService:
     ) -> Response:
         return json_response(
             {
-                "queue": self.queue.stats(),
+                "queue": self.core.queue.stats(),
                 "children": len(self._children),
                 "max_running": self.config.max_running,
                 "spool": str(self.registry.spool),
@@ -547,16 +448,16 @@ class BenchmarkService:
         usage, store_stats, artifact_stats = await asyncio.to_thread(
             _spool_report, self.registry.spool
         )
-        breakers = self.breaker.state(now=now)
+        breakers = self.core.breaker.state(now=now)
         quarantined = sorted(
             record.run_id
-            for record in self.registry.records.values()
+            for record in self.core.runs.values()
             if record.state == QUARANTINED
         )
         degraded_runs = {
             record.run_id: record.outcome["degraded"]
             for record in sorted(
-                self.registry.records.values(), key=lambda r: r.run_id
+                self.core.runs.values(), key=lambda r: r.run_id
             )
             if record.outcome is not None and record.outcome.get("degraded")
         }
@@ -568,7 +469,7 @@ class BenchmarkService:
         return json_response(
             {
                 "status": "ok" if healthy else "degraded",
-                "queue": self.queue.stats(),
+                "queue": self.core.queue.stats(),
                 "children": len(self._children),
                 "max_running": self.config.max_running,
                 "disk": {
@@ -586,7 +487,7 @@ class BenchmarkService:
     async def _handle_run(
         self, request: Request, writer: asyncio.StreamWriter, run_id: str
     ) -> Response:
-        record = self.registry.records.get(run_id)
+        record = self.core.runs.get(run_id)
         if record is None:
             return error_response(404, f"unknown run {run_id!r}")
         return json_response(record.status_payload())
@@ -598,7 +499,7 @@ class BenchmarkService:
         run_id: str,
         artifact: str,
     ) -> Response:
-        record = self.registry.records.get(run_id)
+        record = self.core.runs.get(run_id)
         if record is None:
             return error_response(404, f"unknown run {run_id!r}")
         path = self.registry.artifact_path(run_id, artifact)
@@ -617,7 +518,7 @@ class BenchmarkService:
         self, request: Request, writer: asyncio.StreamWriter, run_id: str
     ) -> Optional[Response]:
         """Stream the run's journal, then its trace spans, as SSE."""
-        record = self.registry.records.get(run_id)
+        record = self.core.runs.get(run_id)
         if record is None:
             return error_response(404, f"unknown run {run_id!r}")
         try:

@@ -1,11 +1,9 @@
-"""Run supervision: attempt budgets, quarantine, tenant circuit breaker.
+"""Run supervision: attempt ledger, quarantine record, tenant breaker.
 
-PR 7's restart story had a hole the chaos suite could drive a truck
-through: a run whose child died without ``outcome.json`` was failed
-forever inside a living server, yet re-enqueued on *every* restart — a
-poison run (bad dataset, platform bug, hostile chaos plan) crash-looped
-the boot scan unboundedly. This module gives the service the same
-discipline the job scheduler already applies to individual jobs:
+A run whose child dies every time it is launched (bad dataset, platform
+bug, hostile chaos plan) must not crash-loop the service, inside one
+server's life or across restarts. This module holds what supervision
+keeps:
 
 * an **attempt ledger** (``supervise.json``) records every launch
   durably *before* the child starts, so attempt counts survive server
@@ -13,15 +11,16 @@ discipline the job scheduler already applies to individual jobs:
   lifetime;
 * a **quarantine record** (``quarantine.json``) marks a run that
   exhausted its budget as terminally ``quarantined``: the spool keeps
-  the journal and artifacts for post-mortem, the boot scan stops
-  resurrecting it, and the API/CLI surface why;
+  the journal and artifacts for post-mortem, a restart does not
+  resurrect it, and the API/CLI surface why;
 * a **per-tenant circuit breaker** sheds new submissions with ``503 +
   Retry-After`` while a tenant's runs keep dying, so one tenant's
   poison matrix cannot monopolize run slots with doomed relaunches.
 
-The decision itself — retry with exponential backoff vs. quarantine —
-lives in :meth:`BenchmarkService._supervise` and is the *single* path
-for both in-life child death and boot-scan recovery.
+The decision itself — relaunch after a backoff, or quarantine — is
+:meth:`ServiceCore.step <repro.service.core.ServiceCore.step>`, one path
+for an in-life child death and a boot-scan entry alike; the server
+performs the ledger and quarantine writes it asks for.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ __all__ = [
     "RetryPolicy",
     "TenantBreaker",
     "record_attempt",
+    "load_json_object",
     "load_supervision",
     "write_quarantine",
     "load_quarantine",
@@ -56,6 +56,16 @@ class BreakerOpen(GraphalyticsError):
     def __init__(self, message: str, *, retry_after: float):
         super().__init__(message)
         self.retry_after = retry_after
+
+
+def load_json_object(path: Union[str, Path]) -> Optional[Dict[str, object]]:
+    """A spool JSON object; ``None`` when absent, torn or not an object."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            loaded = json.load(handle)
+    except (OSError, json.JSONDecodeError):
+        return None
+    return loaded if isinstance(loaded, dict) else None
 
 
 # -- the attempt ledger -------------------------------------------------------
@@ -91,14 +101,7 @@ def load_supervision(run_dir: Union[str, Path]) -> Dict[str, object]:
     and a torn one must never block the boot scan (the same contract
     :meth:`RunRegistry.scan` applies to ``request.json``).
     """
-    path = Path(run_dir) / SUPERVISE_NAME
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            loaded = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return {"attempts": 0, "history": []}
-    if not isinstance(loaded, dict):
-        return {"attempts": 0, "history": []}
+    loaded = load_json_object(Path(run_dir) / SUPERVISE_NAME) or {}
     try:
         attempts = int(loaded.get("attempts", 0))
     except (TypeError, ValueError):
@@ -126,13 +129,7 @@ def write_quarantine(
 def load_quarantine(
     run_dir: Union[str, Path]
 ) -> Optional[Dict[str, object]]:
-    path = Path(run_dir) / QUARANTINE_NAME
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            loaded = json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
-    return loaded if isinstance(loaded, dict) else None
+    return load_json_object(Path(run_dir) / QUARANTINE_NAME)
 
 
 # -- the circuit breaker ------------------------------------------------------

@@ -12,7 +12,8 @@ from __future__ import annotations
 import json
 
 from repro.resultsdb.store import STORE_NAME, ResultsStore
-from repro.service.runs import OUTCOME_NAME, QUARANTINED
+from repro.service.core import QUARANTINED
+from repro.service.runs import OUTCOME_NAME
 
 from tests.service.test_chaos import wait_state
 from tests.service.test_server import TINY_MATRIX, running_service, wait_terminal

@@ -218,7 +218,7 @@ class TestQuotaAndFairness:
             # The rejected run is terminal on disk: a restart must not
             # resurrect work the client was told to retry.
             rejected_dirs = [
-                record for record in service.registry.records.values()
+                record for record in service.core.runs.values()
                 if record.state == "failed" and "quota" in record.error
             ]
             assert rejected_dirs
@@ -271,7 +271,7 @@ class TestRestartRecovery:
         with running_service(tmp_path, spool=spool) as (service, client):
             payload = client.run(record.run_id)
             assert payload["state"] == "done"
-            assert service.queue.pending() == 0
+            assert service.core.queue.pending() == 0
 
 
 class TestExampleMatrixSubmission:

@@ -37,6 +37,13 @@ def test_service_client_loads_no_numpy_sqlite_or_asyncio(fresh_python):
     assert _hits(modules, ["numpy", "sqlite3", "asyncio"]) == []
 
 
+def test_service_core_is_pure(fresh_python):
+    # The run-lifecycle decision holds no clock, file, task or process.
+    modules = fresh_python("import repro.service.core" + LOADED)
+    assert "repro.service.core" in modules
+    assert _hits(modules, ["asyncio", "repro.proc", "repro.ioutil"]) == []
+
+
 def test_client_command_loads_no_numpy_sqlite_or_asyncio(fresh_python):
     # Against a closed port the command runs its whole client path; how
     # it reports the refusal is tests/cli/test_errors.py's concern.
