@@ -128,8 +128,7 @@ class ReferenceDriver(PlatformDriver):
         refused, and every time is a span of this very execution."""
         graph = handle.graph
         tracer = current_tracer()
-        mark = tracer.mark()
-        with tracer.span(
+        with tracer.capture() as taken, tracer.span(
             "execute", platform=self.name, algorithm=algorithm,
             dataset=handle.profile.name,
         ):
@@ -164,5 +163,5 @@ class ReferenceDriver(PlatformDriver):
             measured_processing_seconds=measured,
             output=output,
             # Granula's input: the execute subtree, as recorded.
-            spans=[span.as_dict() for span in tracer.spans_since(mark)],
+            spans=[span.as_dict() for span in taken],
         )

@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import tempfile
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
@@ -684,9 +684,14 @@ def execute_matrix(
         raise ConfigurationError("resume=True requires a run_dir")
     run_dir = Path(run_dir) if run_dir is not None else None
     tracer = current_tracer()
-    since = (tracer.mark(), tracer.counters)
+    before = tracer.counters
+    # A journaled run exports every span it records; any other run's
+    # spans are the tracer's ring's to keep or not.
+    capture = tracer.capture() if run_dir is not None else nullcontext([])
     started = tracer.clock.now()
-    with _cache_directory(runtime, run_dir, runner) as cache_dir:
+    with capture as taken, _cache_directory(
+        runtime, run_dir, runner
+    ) as cache_dir:
         run = _MatrixRun(config, runtime, cache_dir, jobs, runner)
         header = {} if run_dir is None else {
             **(header or {}),
@@ -696,7 +701,7 @@ def execute_matrix(
         }
         try:
             with journaled_run(
-                run_dir, header, resume=resume, since=since
+                run_dir, header, resume=resume, since=(taken, before)
             ) as journaled:
                 if journaled.replay is not None:
                     run.restore(journaled.replay)

@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.exceptions import GraphalyticsError
 from repro.faults import points as fault_points
 from repro.ioutil import atomic_write, fsync_directory
-from repro.trace import Clock, current_tracer, write_trace
+from repro.trace import Clock, Span, current_tracer, write_trace
 
 __all__ = [
     "JOURNAL_VERSION",
@@ -503,7 +503,7 @@ def journaled_run(
     header: Dict[str, object],
     *,
     resume: Union[bool, None, JournalReplay],
-    since: Tuple[int, Dict[str, float]],
+    since: Tuple[Sequence[Span], Dict[str, float]],
 ):
     """The journal and trace of one run, from open to ``run-complete``.
 
@@ -512,14 +512,15 @@ def journaled_run(
     exists) — the existing one, which must record the ``matrix_hash``
     of ``header`` (a ``resume`` that is a :class:`JournalReplay` is that
     journal, already loaded). Leaving normally appends
-    ``run-complete``, closes the journal and exports the spans and
-    counter deltas recorded since ``since`` — a ``(tracer.mark(),
-    tracer.counters)`` pair — to ``<run_dir>/trace.jsonl``. With
+    ``run-complete``, closes the journal and exports the run's spans
+    and counter deltas to ``<run_dir>/trace.jsonl``: ``since`` is a
+    ``(taken, tracer.counters)`` pair, ``taken`` the list of a
+    :meth:`~repro.trace.Tracer.capture` open around the whole run. With
     ``run_dir=None`` nothing is opened or written; the block still
     learns its counter deltas.
     """
     tracer = current_tracer()
-    mark, before = since
+    taken, before = since
     run = JournaledRun()
     if run_dir is not None:
         run_dir = Path(run_dir)
@@ -547,9 +548,9 @@ def journaled_run(
         run.journal.close()
     run.counters = tracer.counters_since(before)
     if run_dir is not None and tracer.enabled:
-        # This run's slice of the span buffer and counter deltas — the
-        # examinable record behind `graphalytics trace`.
+        # This run's spans and counter deltas — the examinable record
+        # behind `graphalytics trace`.
         run.trace_path = write_trace(
-            run_dir / "trace.jsonl", tracer.spans_since(mark),
+            run_dir / "trace.jsonl", taken,
             counters=run.counters,
         )

@@ -38,6 +38,7 @@ __all__ = [
     "Submitted", "BootScanned", "ChildExited", "TimerFired", "Stop",
     "ActionFailed",
     "Launch", "PersistAttempt", "Quarantine", "RequeueAt", "Settle", "Reject",
+    "Discard",
 ]
 
 #: States a run moves through: queued -> running -> done | failed —
@@ -187,7 +188,15 @@ class Reject:
     retry_after: float
 
 
-Action = Union[PersistAttempt, Launch, Quarantine, RequeueAt, Settle, Reject]
+@dataclass(frozen=True)
+class Discard:
+    """Remove the spool directory of a run the core has forgotten."""
+    run_id: str
+
+
+Action = Union[
+    PersistAttempt, Launch, Quarantine, RequeueAt, Settle, Reject, Discard
+]
 
 
 class ServiceCore:
@@ -312,11 +321,17 @@ class ServiceCore:
                 record, now,
                 f"attempt {record.attempts} not launched: {event.error}",
             )
-        if isinstance(action, (Quarantine, Settle)):
+        if isinstance(action, Quarantine):
             # Terminal in this server all the same; a restart decides
             # again from what the spool holds.
-            kind = type(action).__name__.lower()
-            record.error += f" ({kind} not persisted: {event.error})"
+            record.error += f" (quarantine not persisted: {event.error})"
+        elif isinstance(action, Settle):
+            # Without its rejection outcome the spool would resurrect
+            # the run at the next boot: forget it instead, as if its
+            # request.json had never been written.
+            record.error += f" (rejection not persisted: {event.error})"
+            del self.runs[action.run_id]
+            return [Discard(action.run_id)]
         return []
 
     # -- decisions ---------------------------------------------------------

@@ -202,9 +202,13 @@ class RunRegistry:
                 fault_point="service.spool.request",
             )
         except OSError:
-            shutil.rmtree(run_dir, ignore_errors=True)
+            self.discard(run_id)
             raise
         return record
+
+    def discard(self, run_id: str) -> None:
+        """Remove a run's directory: the spool forgets the run."""
+        shutil.rmtree(self.run_dir(run_id), ignore_errors=True)
 
     # -- restart recovery --------------------------------------------------
 

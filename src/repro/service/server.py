@@ -62,6 +62,7 @@ from repro.service.core import (
     ActionFailed,
     BootScanned,
     ChildExited,
+    Discard,
     Event,
     Launch,
     PersistAttempt,
@@ -261,6 +262,8 @@ class BenchmarkService:
             await asyncio.to_thread(
                 self.registry.write_outcome, action.run_id, action.outcome
             )
+        elif isinstance(action, Discard):
+            await asyncio.to_thread(self.registry.discard, action.run_id)
         elif isinstance(action, RequeueAt):
             # A timer that fires after Stop() is a step that decides
             # nothing: the core launches nothing more.
@@ -396,6 +399,10 @@ class BenchmarkService:
         for action in self._step(Submitted(record)):
             if isinstance(action, Reject):
                 await self._actions.join()  # its Settle is durable first
+                if record.run_id not in self.core.runs:
+                    # The rejection could not be written: the run is
+                    # forgotten and its directory removed.
+                    return error_response(500, record.error)
                 raise QuotaExceeded(
                     action.reason, retry_after=action.retry_after
                 )

@@ -6,10 +6,10 @@ hierarchical operation chains Granula's archives are built from
 (paper §2.5.2). A :class:`Tracer` owns the process's
 :class:`~repro.trace.clock.Clock`, assigns deterministic span ids
 (``<process>:<sequence>`` — no randomness, so traces taken under a
-:class:`~repro.trace.clock.FakeClock` are bit-reproducible), keeps a
-bounded in-memory buffer of finished spans, accumulates named counters,
-and exports/imports the whole trace as JSONL through
-:func:`repro.ioutil.atomic_write`.
+:class:`~repro.trace.clock.FakeClock` are bit-reproducible), hands each
+finished span to every open :meth:`Tracer.capture` and to a bounded
+ring, accumulates named counters, and exports/imports the whole trace
+as JSONL through :func:`repro.ioutil.atomic_write`.
 
 One tracer is *current* per process (:func:`current_tracer`); engines,
 drivers, the runtime, and the harness all emit through it, which is
@@ -23,7 +23,9 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Deque, Dict, Iterable, Iterator, List, Optional, Tuple, Union,
+)
 
 from repro.trace.clock import Clock, MonotonicClock
 
@@ -39,8 +41,9 @@ __all__ = [
     "write_trace",
 ]
 
-#: Default bound on the finished-span buffer; beyond it the oldest spans
-#: are dropped (and counted) rather than growing without limit.
+#: Default bound on an explicit tracer's ring of finished spans; beyond
+#: it the oldest spans are dropped (and counted) rather than growing
+#: without limit. Spans an open capture takes are outside the ring.
 DEFAULT_MAX_SPANS = 65536
 
 
@@ -114,7 +117,12 @@ _NULL_SPAN = Span(name="disabled", span_id="", trace_id="")
 
 
 class Tracer:
-    """Per-process span recorder with a bounded buffer and counters."""
+    """Per-process span recorder with a bounded ring and counters.
+
+    A finished span is kept while an open :meth:`capture` that began
+    before it can still take it, and otherwise only within the ring of
+    the last ``max_spans`` spans (:meth:`finished_spans`).
+    """
 
     def __init__(
         self,
@@ -132,6 +140,8 @@ class Tracer:
         self.enabled = enabled
         self.dropped_spans = 0
         self._finished: Deque[Span] = deque()
+        #: The span lists of the open captures, by ``id``.
+        self._captures: Dict[int, List[Span]] = {}
         self._stack: List[Span] = []
         self._counters: Dict[str, float] = {}
         self._faults_at_start: Dict[str, int] = {}
@@ -185,7 +195,7 @@ class Tracer:
         return opened
 
     def end_span(self, span: Span, *, status: Optional[str] = None) -> Span:
-        """Close a span and record it in the finished buffer."""
+        """Close a span and record it."""
         if span.span_id == "":  # disabled-tracer placeholder
             return span
         if self._stack and self._stack[-1] is span:
@@ -206,6 +216,8 @@ class Tracer:
             return
         span.seq = self._next_seq
         self._next_seq += 1
+        for taken in self._captures.values():
+            taken.append(span)
         self._finished.append(span)
         while len(self._finished) > self.max_spans:
             self._finished.popleft()
@@ -258,29 +270,28 @@ class Tracer:
 
     # -- buffer access -----------------------------------------------------
 
-    def finished_spans(self) -> List[Span]:
-        return list(self._finished)
+    @contextmanager
+    def capture(self) -> Iterator[List[Span]]:
+        """Take every span recorded while the block is open, whatever
+        the ring keeps: ``with tracer.capture() as taken:``.
 
-    def mark(self) -> int:
-        """A position marker; pair with :meth:`spans_since`."""
-        return self._next_seq
-
-    def spans_since(self, mark: int) -> List[Span]:
-        """Finished spans recorded at or after ``mark`` (buffer allowing).
-
-        Walks back from the tail, so the cost is the spans taken, not
-        the buffer's length.
+        ``taken`` fills in record order and stays readable after the
+        block; the tracer lets go of it when the block ends, however it
+        ends. Captures nest: each one takes what is recorded within it.
         """
         taken: List[Span] = []
-        for span in reversed(self._finished):
-            if span.seq < mark:
-                break
-            taken.append(span)
-        taken.reverse()
-        return taken
+        self._captures[id(taken)] = taken
+        try:
+            yield taken
+        finally:
+            del self._captures[id(taken)]
+
+    def finished_spans(self) -> List[Span]:
+        """The ring: the last ``max_spans`` finished spans."""
+        return list(self._finished)
 
     def drain(self) -> List[Span]:
-        """Remove and return every finished span (worker envelopes)."""
+        """Remove and return the ring's spans (worker envelopes)."""
         taken = list(self._finished)
         self._finished.clear()
         return taken
@@ -339,8 +350,10 @@ def read_trace(
 # The tracer registry is deliberately per-process: each pool worker
 # installs its own Tracer after the fork (spans are rebased onto the
 # dispatcher's timeline when results come back over the pipe), so the
-# divergence RACE001/RACE003 guard against is the design here.
-_CURRENT = Tracer()  # lint: disable=RACE003
+# divergence RACE001/RACE003 guard against is the design here. The
+# default tracer is read only through captures, so its ring is empty:
+# a long-lived process keeps no span that no capture still takes.
+_CURRENT = Tracer(max_spans=0)  # lint: disable=RACE003
 
 
 def current_tracer() -> Tracer:

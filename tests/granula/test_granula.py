@@ -235,16 +235,15 @@ class TestArchivedSpans:
         dataset = get_dataset("G22")
         driver = create_driver(platform)
         handle = driver.upload(dataset.materialize(), profile=dataset.profile)
-        tracer = current_tracer()
-        mark = tracer.mark()
-        try:
-            job = driver.execute(
-                handle, "bfs", dataset.algorithm_parameters("bfs"),
-                ClusterResources(machines=machines),
-            )
-        finally:
-            driver.delete(handle)
-        return build_archive(job), tracer.spans_since(mark)
+        with current_tracer().capture() as taken:
+            try:
+                job = driver.execute(
+                    handle, "bfs", dataset.algorithm_parameters("bfs"),
+                    ClusterResources(machines=machines),
+                )
+            finally:
+                driver.delete(handle)
+        return build_archive(job), taken
 
     @pytest.mark.parametrize("platform, step", [
         ("pythonref-pregel", "superstep"),

@@ -31,6 +31,7 @@ from repro.service.core import (
     ActionFailed,
     BootScanned,
     ChildExited,
+    Discard,
     Launch,
     PersistAttempt,
     Quarantine,
@@ -52,7 +53,9 @@ PER_TENANT_DEPTH = 2
 RUN_ATTEMPTS = 2
 BREAKER_THRESHOLD = 2
 TENANTS = ("acme", "zen", "kite")
-ACTION_KINDS = (PersistAttempt, Launch, Quarantine, RequeueAt, Settle, Reject)
+ACTION_KINDS = (
+    PersistAttempt, Launch, Quarantine, RequeueAt, Settle, Reject, Discard,
+)
 #: Actions whose performance can fail, or none.
 FAIL = st.sampled_from((None, PersistAttempt, Launch, Quarantine, Settle))
 
@@ -91,6 +94,8 @@ class ServiceLifecycle(RuleBasedStateMachine):
         self.ledger: Dict[str, Spooled] = {}
         #: Launches performed per run, across every restart.
         self.launches: Dict[str, int] = {}
+        #: Runs whose submission was refused.
+        self.rejected: Set[str] = set()
         self.core = new_core()
         self._fresh_server()
 
@@ -125,6 +130,10 @@ class ServiceLifecycle(RuleBasedStateMachine):
             self.apply(action)
 
     def apply(self, action) -> None:
+        if isinstance(action, Discard):
+            assert action.run_id not in self.core.runs
+            del self.ledger[action.run_id]  # the spool forgets it
+            return
         spooled = self.ledger[action.run_id]
         record = self.core.runs[action.run_id]
         if isinstance(action, PersistAttempt):
@@ -132,6 +141,9 @@ class ServiceLifecycle(RuleBasedStateMachine):
             spooled.attempts = action.attempt
         elif isinstance(action, Launch):
             assert action.run_id not in self.live | self.terminal
+            # A refused submission never runs, whatever its outcome's
+            # write did.
+            assert action.run_id not in self.rejected
             assert spooled.outcome is None and spooled.quarantine is None
             launches = self.launches.get(action.run_id, 0) + 1
             self.launches[action.run_id] = launches
@@ -163,8 +175,9 @@ class ServiceLifecycle(RuleBasedStateMachine):
         run_id = f"r{self.sequence:06d}-{tenant}"
         self.ledger[run_id] = Spooled(tenant)  # request.json is durable
         actions = self.step(Submitted(RunRecord(run_id, tenant)))
-        rejected = [a for a in actions if isinstance(a, Reject)]
-        assert [a.run_id for a in rejected] in ([], [run_id])
+        rejected = [a.run_id for a in actions if isinstance(a, Reject)]
+        assert rejected in ([], [run_id])
+        self.rejected.update(rejected)
 
     @precondition(lambda self: self.live)
     @rule(data=st.data(), fail=FAIL)
@@ -245,6 +258,24 @@ class ServiceLifecycle(RuleBasedStateMachine):
     def a_done_run_names_no_error(self):
         runs = self.core.runs.values()
         assert all(not rec.error for rec in runs if rec.state == "done")
+
+
+def test_unpersisted_rejection_is_forgotten():
+    core = ServiceCore(
+        FairShareQueue(per_tenant_depth=1, per_tenant_running=1),
+        TenantBreaker(threshold=BREAKER_THRESHOLD, cooldown=1e9),
+        RetryPolicy(max_attempts=RUN_ATTEMPTS, backoff_base=0.5),
+        max_running=MAX_RUNNING,
+    )
+    for index in (1, 2):
+        core.step(Submitted(RunRecord(f"r{index}", "acme")), 0.0)
+    record = RunRecord("r3", "acme")
+    settle, reject = core.step(Submitted(record), 0.0)
+    assert isinstance(settle, Settle) and isinstance(reject, Reject)
+    failed = ActionFailed(settle, "InjectedIOError: [Errno 28]")
+    assert core.step(failed, 0.0) == [Discard("r3")]
+    assert sorted(core.runs) == ["r1", "r2"]
+    assert "rejection not persisted: InjectedIOError" in record.error
 
 
 def test_service_core_state_machine():

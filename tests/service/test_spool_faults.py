@@ -5,8 +5,9 @@ process, where the in-process service runs) at one of the service's
 spool fault points and asserts what the robustness contract says that
 failure does (docs/robustness.md): the server keeps serving, a run
 whose quarantine could not be written is still quarantined (and never
-relaunched), and a submission whose ``request.json`` could not be
-written gets a JSON ``500`` and leaves nothing behind.
+relaunched), and a submission whose ``request.json`` — or whose quota
+rejection's ``outcome.json`` — could not be written gets a JSON ``500``
+and leaves nothing behind to run after a restart.
 """
 
 from __future__ import annotations
@@ -104,3 +105,38 @@ def test_failed_request_write_is_a_500_and_spools_nothing(tmp_path):
             accepted = client.submit("acme", TINY_MATRIX)
             final = wait_state(client, accepted["run_id"], ("done",))
             assert final["state"] == "done"
+
+
+def _spooled_runs(spool):
+    return sorted(p.name for p in spool.iterdir() if p.name.startswith("r0"))
+
+
+def test_unwritten_rejection_is_a_500_and_never_runs(tmp_path):
+    # One running and one queued run fill the tenant's quota; the third
+    # submission is rejected after spooling, and its rejection outcome
+    # cannot be written. (The first run's child inherits the plan and
+    # may die on its own outcome write; supervision relaunches it.)
+    with io_faults(_enospc("service.spool.outcome")):
+        with running_service(tmp_path, per_tenant_depth=1) as (
+            service, client
+        ):
+            first = client.submit("acme", TINY_MATRIX)["run_id"]
+            second = client.submit("acme", TINY_MATRIX)["run_id"]
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit("acme", TINY_MATRIX)
+            assert excinfo.value.status == 500
+            assert "rejection not persisted" in str(excinfo.value)
+            assert "[Errno 28]" in str(excinfo.value)
+            spool = service.registry.spool
+            listed = [run["run_id"] for run in client.runs()["runs"]]
+            assert listed == [first, second]
+    assert _spooled_runs(spool) == [first, second]
+
+    with running_service(tmp_path) as (service, client):
+        for run_id in (first, second):
+            assert wait_state(client, run_id, ("done",))["state"] == "done"
+        time.sleep(_SETTLE_SECONDS)
+        listed = [run["run_id"] for run in client.runs()["runs"]]
+        assert listed == [first, second]
+        assert client.status()["children"] == 0
+    assert _spooled_runs(spool) == [first, second]

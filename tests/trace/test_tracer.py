@@ -146,16 +146,18 @@ class TestBoundedBuffer:
         assert [s.name for s in tracer.finished_spans()] == ["s2", "s3", "s4"]
         assert tracer.dropped_spans == 2
 
-    def test_marks_survive_drops(self):
+    def test_captures_survive_drops(self):
         tracer = make_tracer(max_spans=2)
         with tracer.span("before"):
             pass
-        mark = tracer.mark()
-        for index in range(3):
-            with tracer.span(f"after{index}"):
-                pass
-        names = [s.name for s in tracer.spans_since(mark)]
-        assert names == ["after1", "after2"]  # after0 fell off the buffer
+        with tracer.capture() as taken:
+            for index in range(3):
+                with tracer.span(f"after{index}"):
+                    pass
+        # after0 fell off the ring, not out of the capture.
+        assert [s.name for s in taken] == ["after0", "after1", "after2"]
+        names = [s.name for s in tracer.finished_spans()]
+        assert names == ["after1", "after2"]
 
     def test_drain_empties_buffer(self):
         tracer = make_tracer()
