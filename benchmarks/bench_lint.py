@@ -3,12 +3,12 @@
 
 The two-phase engine parses every module, builds the project model
 (symbol tables, call graph, worker- and handler-reachability closures)
-and then runs all seventeen rules — per-file and interprocedural — over
-the full tree. The gate asserts the end-to-end run stays under
+and then runs every rule in the registry (``rules`` in the payload) —
+per-file and interprocedural — over the full tree. Lint has one mode,
+so this is the run the CI lint leg, the ``selfcheck`` lint probe and
+``graphalytics lint`` make. The gate asserts it stays under
 ``TIME_BUDGET_SECONDS`` so the CI lint leg (and a pre-commit habit)
-remains cheap as the tree grows; a separate ``--no-project`` arm is
-timed alongside to keep the marginal cost of the whole-program phase
-visible in the committed payload.
+remains cheap as the tree grows.
 
 The budget is asserted unless ``GRAPHALYTICS_SKIP_OVERHEAD_CHECK`` is
 set (shared CI hardware can stall arbitrarily). A full run measures
@@ -23,7 +23,7 @@ import platform
 import time
 from pathlib import Path
 
-from repro.lint import LintConfig, LintEngine, load_config
+from repro.lint import LintEngine, all_rules, load_config
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT = REPO_ROOT / "BENCH_lint.json"
@@ -32,9 +32,8 @@ ROUNDS = 5
 TIME_BUDGET_SECONDS = 10.0
 
 
-def _one_round(project: bool):
+def _one_round():
     config = load_config(REPO_ROOT)
-    config.project = project
     started = time.perf_counter()
     findings = LintEngine(config).run([TARGET])
     elapsed = time.perf_counter() - started
@@ -45,19 +44,15 @@ def _one_round(project: bool):
 
 
 def test_full_tree_lint_wall_time(benchmark):
-    _one_round(project=True)  # warm import/parse caches
+    _one_round()  # warm import/parse caches
 
     def rounds():
-        samples = {False: [], True: []}
-        for _ in range(ROUNDS):
-            for project in (False, True):
-                samples[project].append(_one_round(project))
-        return samples
+        return [_one_round() for _ in range(ROUNDS)]
 
     samples = benchmark.pedantic(rounds, rounds=1, iterations=1)
 
-    full = min(samples[True])
-    per_file_only = min(samples[False])
+    full = min(samples)
+    rules = len(all_rules())
     file_count = len(
         LintEngine(load_config(REPO_ROOT)).collect_files([TARGET])
     )
@@ -65,13 +60,11 @@ def test_full_tree_lint_wall_time(benchmark):
     payload = {
         "target": "src/repro",
         "files": file_count,
+        "rules": rules,
         "rounds": ROUNDS,
         "full_min_seconds": round(full, 4),
-        "per_file_only_min_seconds": round(per_file_only, 4),
-        "project_phase_seconds": round(full - per_file_only, 4),
         "budget_seconds": TIME_BUDGET_SECONDS,
-        "full_samples": [round(s, 4) for s in samples[True]],
-        "per_file_only_samples": [round(s, 4) for s in samples[False]],
+        "full_samples": [round(s, 4) for s in samples],
         "host": {
             "cpu_count": os.cpu_count(),
             "python": platform.python_version(),
@@ -81,10 +74,9 @@ def test_full_tree_lint_wall_time(benchmark):
     OUTPUT.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
 
     print()
-    print(f"Whole-program lint — {file_count} files, {ROUNDS} rounds")
-    print(f"  full (two-phase)  min {full:.4f} s")
-    print(f"  per-file only     min {per_file_only:.4f} s")
-    print(f"  project phase     ~{full - per_file_only:.4f} s")
+    print(f"Whole-program lint — {file_count} files, {rules} rules, "
+          f"{ROUNDS} rounds")
+    print(f"  min {full:.4f} s")
     print(f"written to {OUTPUT.name}")
 
     if not os.environ.get("GRAPHALYTICS_SKIP_OVERHEAD_CHECK"):

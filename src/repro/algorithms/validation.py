@@ -136,8 +136,8 @@ class EquivalenceMatchRule:
         )
 
 
-#: Algorithm acronym -> validation rule instance. Public so conformance
-#: tooling (repro.lint REG001) can cross-check it against the registry.
+#: Algorithm acronym -> validation rule instance, one per registered
+#: algorithm.
 VALIDATION_RULES = {
     "bfs": ExactMatchRule(),
     "pr": EpsilonMatchRule(),

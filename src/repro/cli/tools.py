@@ -14,12 +14,9 @@ from repro.exceptions import ConfigurationError
     arg("--format", choices=("text", "json"), default="text",
         help="report format"),
     arg("--select", nargs="*", default=None,
-        help="run only these rule ids (e.g. DET001 CON002)"),
+        help="run only these rule ids (e.g. DET001 OBS001)"),
     arg("--list-rules", action="store_true",
         help="print the rule table and exit"),
-    arg("--no-project", action="store_true",
-        help="skip the whole-program phase (project model, call graph, "
-             "interprocedural rules); per-file rules only"),
 )
 def lint(args) -> int:
     """static determinism & benchmark-conformance analysis"""
@@ -43,8 +40,6 @@ def lint(args) -> int:
     config = load_config()
     if args.select:
         config.select = list(args.select)
-    if args.no_project:
-        config.project = False
 
     if args.paths:
         paths = [Path(p) for p in args.paths]

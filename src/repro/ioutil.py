@@ -20,8 +20,10 @@ crash-consistency recipe instead:
 
 Lint rule ROB001 enforces statically that run-artifact writers in
 ``harness``, ``runtime``, ``granula``, and ``lint`` go through this
-helper rather than bare ``open(..., "w")`` / ``write_text``; ROB002
-extends the same discipline to service and runtime spool writers.
+helper rather than bare ``open(..., "w")`` / ``write_text``. A service
+or runtime spool write that bypasses it loses its fault point, and the
+tests that aim faults at those points fail (``tests/service/
+test_spool_faults.py``, ``tests/runtime/test_cache.py``).
 
 Every write is threaded through the named fault points of
 :mod:`repro.faults.points` (``ioutil.atomic_write.write`` / ``.fsync``

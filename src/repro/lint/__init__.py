@@ -2,11 +2,10 @@
 
 Graphalytics' validity rests on invariants no unit test can observe
 from the outside: the six kernels must be deterministic (paper §2.2),
-vertex programs must respect the Pregel/GAS state contract, drivers
-must execute through the harness lifecycle, and reported numbers must
-come from the metered §2.3 metric implementations. This package
-enforces those invariants as an AST-based lint pass over the repro
-sources:
+vertex programs must respect the Pregel/GAS state contract, and
+reported numbers must come from the metered §2.3 metric
+implementations. This package enforces those invariants as an
+AST-based lint pass over the repro sources:
 
     >>> from repro.lint import LintEngine, load_config
     >>> engine = LintEngine(load_config())

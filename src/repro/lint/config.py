@@ -3,8 +3,7 @@
 ``pyproject.toml`` keys (all optional)::
 
     [tool.graphalytics.lint]
-    select   = ["DET001", "DET002"]   # empty/absent = every rule
-    ignore   = ["REP001"]
+    select   = ["DET001", "DET003"]   # empty/absent = every rule
     exclude  = ["tests/*"]            # glob patterns on relative paths
 
 The reader uses :mod:`tomllib` on Python >= 3.11 and falls back to a
@@ -28,11 +27,7 @@ class LintConfig:
 
     root: Optional[Path] = None          # project root (finding paths)
     select: List[str] = field(default_factory=list)   # empty = all rules
-    ignore: List[str] = field(default_factory=list)
     exclude: List[str] = field(default_factory=list)
-    #: Whether to build the whole-program ProjectModel and run the
-    #: interprocedural (check_project) phase. Off = per-file rules only.
-    project: bool = True
 
 
 def find_project_root(start: Optional[Path] = None) -> Optional[Path]:
@@ -127,7 +122,5 @@ def load_config(start: Optional[Path] = None) -> LintConfig:
     return LintConfig(
         root=root,
         select=[str(r) for r in section.get("select", [])],
-        ignore=[str(r) for r in section.get("ignore", [])],
         exclude=[str(p) for p in section.get("exclude", [])],
-        project=bool(section.get("project", True)),
     )

@@ -1,10 +1,10 @@
 """The lint walker core: findings, rules, suppressions, and the engine.
 
 The benchmark's validity rests on invariants the test suite cannot see
-— determinism of the six kernels, the Pregel/GAS state contract, the
-driver lifecycle, metered reporting. :mod:`repro.lint` enforces them
-statically: every rule is an AST pass over the repro sources, producing
-:class:`Finding` records; any finding fails the run.
+— determinism of the six kernels, the Pregel/GAS state contract,
+metered reporting. :mod:`repro.lint` enforces them statically: every
+rule is an AST pass over the repro sources, producing :class:`Finding`
+records; any finding fails the run.
 
 Design:
 
@@ -94,7 +94,7 @@ class Finding:
         }
 
 
-#: ``# lint: disable=DET001`` or ``# lint: disable=DET001,CON002`` or
+#: ``# lint: disable=DET001`` or ``# lint: disable=DET001,DET003`` or
 #: ``# lint: disable`` (every rule).
 _SUPPRESS_RE = re.compile(
     r"#\s*lint:\s*disable(?:=(?P<rules>[A-Z0-9, ]+))?", re.ASCII
@@ -246,9 +246,7 @@ class Rule:
     or both. ``check`` sees one file at a time (phase 2a, the original
     API); ``check_project`` sees the assembled
     :class:`~repro.lint.project.ProjectModel` once per run (phase 2b)
-    and is where interprocedural rules live — it runs only when the
-    engine linted more than a lone snippet with the project phase
-    enabled.
+    and is where interprocedural rules live.
     """
 
     rule_id: str = ""
@@ -460,14 +458,9 @@ class LintEngine:
         rules = all_rules()
         selected = self.config.select or sorted(rules)
         unknown = [r for r in selected if r not in rules]
-        unknown += [r for r in self.config.ignore if r not in rules]
         if unknown:
             raise ConfigurationError(f"unknown lint rules: {sorted(set(unknown))}")
-        self.rules: List[Rule] = [
-            rules[rule_id]
-            for rule_id in sorted(selected)
-            if rule_id not in self.config.ignore
-        ]
+        self.rules: List[Rule] = [rules[rule_id] for rule_id in sorted(selected)]
 
     # -- file collection ---------------------------------------------------
 
@@ -551,9 +544,9 @@ class LintEngine:
     def run(self, paths: Sequence[Path]) -> List[Finding]:
         """Lint every python file under the given paths, sorted.
 
-        Phase 1 parses every file and (unless ``config.project`` is
-        off) assembles the whole-program model; phase 2 runs per-file
-        rules on each module and project rules on the model.
+        Phase 1 parses every file and assembles the whole-program
+        model; phase 2 runs per-file rules on each module and project
+        rules on the model.
         """
         findings: List[Finding] = []
         modules: List[Module] = []
@@ -564,7 +557,7 @@ class LintEngine:
                 continue
             modules.append(module)
             findings.extend(self._module_findings(module))
-        if modules and self.config.project:
+        if modules:
             findings.extend(self._project_findings(modules))
         findings.sort(
             key=lambda f: (f.path, f.line, f.col, f.rule_id, f.message)

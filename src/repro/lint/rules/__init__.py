@@ -4,20 +4,15 @@
 rule id      severity  invariant
 ===========  ========  ====================================================
 ``DET001``   error     no unordered set/dict iteration in kernels/engines
-``DET002``   error     every RNG takes an explicit seed
 ``DET003``   warning   no float accumulation over unordered iterables
 ``CON001``   error     vertex programs respect the Pregel/GAS state contract
-``CON002``   error     drivers execute through the PlatformDriver lifecycle
 ``EXC001``   warning   no broad except swallowing benchmark failures
 ``RUN001``   error     runtime entrypoints convert exceptions into records
 ``ROB001``   error     run artifacts are written via ``atomic_write``
-``ROB002``   error     service/runtime writes ride the fault-point plane
 ``ROB003``   error     ``sqlite3.connect`` only inside ``repro.resultsdb``
-``REG001``   error     algorithm registry ↔ validation/experiment wiring
 ``REP001``   warning   reporters emit metered numbers via harness.metrics
 ``OBS001``   error     timing goes through the ``repro.trace`` clock
 ``RACE001``  error     worker-reachable code never mutates module globals
-``RACE002``  error     job payloads / Pipe sends carry plain picklable data
 ``RACE003``  warning   no import-time fork-unsafe resources used in workers
 ``SRV001``   error     async request handlers never block the event loop
 ===========  ========  ====================================================
@@ -28,45 +23,33 @@ See ``docs/lint.md`` for rationale and suppression syntax.
 from repro.lint.rules.determinism import (  # noqa: F401
     UnorderedAccumulationRule,
     UnorderedIterationRule,
-    UnseededRngRule,
 )
-from repro.lint.rules.contracts import (  # noqa: F401
-    DriverBypassRule,
-    VertexProgramStateRule,
-)
+from repro.lint.rules.contracts import VertexProgramStateRule  # noqa: F401
 from repro.lint.rules.robustness import (  # noqa: F401
     AtomicArtifactWriteRule,
-    FaultPointRoutedWriteRule,
     RuntimeFailureRecordRule,
     SanctionedSqliteConnectRule,
     SwallowedExceptionRule,
 )
-from repro.lint.rules.consistency import RegistryConsistencyRule  # noqa: F401
 from repro.lint.rules.observability import BareClockCallRule  # noqa: F401
 from repro.lint.rules.reporting import UnmeteredRateRule  # noqa: F401
 from repro.lint.rules.concurrency import (  # noqa: F401
     ForkUnsafeImportResourceRule,
-    UnpicklablePayloadRule,
     WorkerGlobalMutationRule,
 )
 from repro.lint.rules.service import AsyncHandlerBlockingCallRule  # noqa: F401
 
 __all__ = [
     "UnorderedIterationRule",
-    "UnseededRngRule",
     "UnorderedAccumulationRule",
     "VertexProgramStateRule",
-    "DriverBypassRule",
     "SwallowedExceptionRule",
     "RuntimeFailureRecordRule",
     "AtomicArtifactWriteRule",
-    "FaultPointRoutedWriteRule",
     "SanctionedSqliteConnectRule",
-    "RegistryConsistencyRule",
     "UnmeteredRateRule",
     "BareClockCallRule",
     "WorkerGlobalMutationRule",
-    "UnpicklablePayloadRule",
     "ForkUnsafeImportResourceRule",
     "AsyncHandlerBlockingCallRule",
 ]

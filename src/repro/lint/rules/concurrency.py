@@ -1,7 +1,7 @@
 """Concurrency / fork-safety rules: the RACE family.
 
 The runtime executes jobs in fork-spawned worker processes
-(:mod:`repro.runtime.pool`). Fork semantics make three bug shapes easy
+(:mod:`repro.runtime.pool`). Fork semantics make two bug shapes easy
 to write and nearly impossible to test for:
 
 * **RACE001** — a module-level mutable (dict, list, instance) mutated
@@ -10,11 +10,6 @@ to write and nearly impossible to test for:
   inline (``--workers 0``) and pooled runs silently diverge — the
   benchmark's serial/parallel bit-identity guarantee breaks without a
   single test failing.
-* **RACE002** — an unpicklable or closure-capturing object placed into
-  a job payload or ``Pipe`` send: lambdas, nested functions, generator
-  expressions, open file handles. These either raise
-  ``PicklingError`` at dispatch time or (worse) pickle a stale
-  snapshot of captured state.
 * **RACE003** — a fork-unsafe resource created at import time (open
   file handle, ``threading``/``multiprocessing`` lock or queue, a
   ``Tracer``) and referenced by worker-reachable code. The child
@@ -22,10 +17,9 @@ to write and nearly impossible to test for:
   sides then interleave on one kernel object or duplicate buffered
   records.
 
-RACE001/003 are whole-program rules (:meth:`Rule.check_project`): they
-need the call graph's worker-reachable closure and the cross-module
-mutable-state inventory. RACE002 is a per-file rule: the payload
-expression and the closure it captures are visible in one module.
+Both are whole-program rules (:meth:`Rule.check_project`): they need
+the call graph's worker-reachable closure and the cross-module
+mutable-state inventory.
 """
 
 from __future__ import annotations
@@ -34,21 +28,16 @@ import ast
 from typing import Iterator, List, Optional, Set, Tuple
 
 from repro.lint.core import (
-    FUNCTION_DEFS,
     MUTATING_METHODS,
     Finding,
-    Module,
     Rule,
     Severity,
-    call_name,
     local_names,
     register_rule,
 )
-from repro.lint.project import SPAWN_CALLS
 
 __all__ = [
     "WorkerGlobalMutationRule",
-    "UnpicklablePayloadRule",
     "ForkUnsafeImportResourceRule",
 ]
 
@@ -167,110 +156,6 @@ class WorkerGlobalMutationRule(Rule):
             project.resolve_global(info, name) is not None
             and name not in local_names(fn.node)
         )
-
-
-#: Receiver-name fragments identifying pipe/queue channels: the
-#: runtime's conventions (`result_conn`, `task_send`, `pipe`, ...).
-_CHANNEL_TOKENS = ("conn", "pipe", "chan", "sock", "queue", "send")
-
-
-@register_rule
-class UnpicklablePayloadRule(Rule):
-    """RACE002: unpicklable or closure-capturing object in a job payload.
-
-    Everything crossing the dispatcher/worker boundary is pickled.
-    Lambdas and nested functions do not pickle at all; generator
-    expressions do not pickle; an ``open(...)`` handle pickles its
-    *path* at best and loses its offset and buffer always. Even when a
-    captured object sneaks through, the worker gets a snapshot — later
-    mutations on either side are invisible to the other. Payloads must
-    be plain data (dataclasses, dicts, tuples of primitives).
-    """
-
-    rule_id = "RACE002"
-    severity = Severity.ERROR
-    description = (
-        "job payloads / Pipe sends must carry plain picklable data, "
-        "not lambdas, nested functions, generators, or open handles"
-    )
-    # The subsystems that marshal payloads across process forks: the
-    # runtime pool/service plane, the partitioned shard engine, and the
-    # supervised-child primitive both are built on.
-    scope = ("runtime", "partitioned", "proc")
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        for node in module.nodes:
-            if not isinstance(node, ast.Call):
-                continue
-            for payload, where in self._payload_exprs(node):
-                yield from self._scan_payload(module, node, payload, where)
-
-    def _payload_exprs(self, call: ast.Call):
-        func = call.func
-        if isinstance(func, ast.Attribute) and func.attr == "send":
-            receiver = call_name(func.value) or ""
-            if any(token in receiver.lower() for token in _CHANNEL_TOKENS):
-                for arg in call.args:
-                    yield arg, "Pipe send"
-            return
-        last = call_name(call).rsplit(".", 1)[-1]
-        if last in SPAWN_CALLS:
-            for keyword in call.keywords:
-                if keyword.arg == "args":
-                    yield keyword.value, "Process args"
-        elif isinstance(func, ast.Attribute) and func.attr == "submit":
-            for arg in call.args:
-                yield arg, "pool submit"
-
-    def _scan_payload(
-        self, module: Module, call: ast.Call, payload: ast.AST, where: str
-    ) -> Iterator[Finding]:
-        nested_defs = self._enclosing_nested_defs(module, call)
-        called = {
-            id(sub.func) for sub in ast.walk(payload)
-            if isinstance(sub, ast.Call)
-        }
-        for sub in ast.walk(payload):
-            if isinstance(sub, ast.Lambda):
-                yield module.finding(
-                    self, sub,
-                    f"lambda in a {where} payload: lambdas do not pickle "
-                    f"and capture their defining scope by reference",
-                )
-            elif isinstance(sub, ast.GeneratorExp):
-                yield module.finding(
-                    self, sub,
-                    f"generator expression in a {where} payload: "
-                    f"generators are unpicklable — materialize a list",
-                )
-            elif isinstance(sub, ast.Call) and call_name(sub) == "open":
-                yield module.finding(
-                    self, sub,
-                    f"open file handle in a {where} payload: handles do "
-                    f"not survive pickling (offset and buffer are lost) "
-                    f"— send the path and reopen on the worker side",
-                )
-            elif (
-                isinstance(sub, ast.Name)
-                and id(sub) not in called
-                and sub.id in nested_defs
-            ):
-                yield module.finding(
-                    self, sub,
-                    f"nested function `{sub.id}` in a {where} payload: "
-                    f"closures do not pickle — move it to module level "
-                    f"and ship plain arguments",
-                )
-
-    @staticmethod
-    def _enclosing_nested_defs(module: Module, node: ast.AST) -> Set[str]:
-        """Names of functions defined inside any function enclosing node."""
-        return {
-            sub.name
-            for scope in module.ancestors(node, FUNCTION_DEFS)
-            for sub in ast.walk(scope)
-            if isinstance(sub, FUNCTION_DEFS) and sub is not scope
-        }
 
 
 @register_rule

@@ -1,18 +1,15 @@
-"""Programming-model contract rules: CON001, CON002.
+"""Programming-model contract rule: CON001.
 
 The engines in :mod:`repro.engines` are only faithful miniatures of
 Pregel/GAS if vertex programs respect the model's state contract — all
 cross-vertex communication flows through messages, gather sums, and
-engine-managed aggregators. Likewise the platform drivers are only a
-benchmark harness if every algorithm execution goes through the
-:class:`~repro.platforms.base.PlatformDriver` lifecycle, where modeled
-failures, memory checks, and the spans Granula archives are produced.
+engine-managed aggregators.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional, Set
+from typing import Iterator, Optional
 
 from repro.lint.core import (
     FUNCTION_DEFS,
@@ -21,13 +18,12 @@ from repro.lint.core import (
     Module,
     Rule,
     Severity,
-    call_name,
     local_names,
     register_rule,
     scope_nodes,
 )
 
-__all__ = ["VertexProgramStateRule", "DriverBypassRule"]
+__all__ = ["VertexProgramStateRule"]
 
 #: Function names that form the vertex-program contract surface.
 _CONTRACT_FUNCTIONS = {"compute", "gather", "apply", "scatter"}
@@ -123,83 +119,3 @@ class VertexProgramStateRule(Rule):
                                 f"via .{node.func.attr}(); use the engine "
                                 f"aggregator API",
                             )
-
-
-# -- CON002 ------------------------------------------------------------------
-
-#: Reference kernel entry points that drivers must not call directly.
-_KERNEL_NAMES = {
-    "breadth_first_search", "pagerank", "weakly_connected_components",
-    "community_detection_lp", "local_clustering_coefficient",
-    "single_source_shortest_paths", "run_reference",
-}
-
-#: The driver hook in which direct execution is the implementation itself.
-_LIFECYCLE_HOOKS = {"_run_algorithm"}
-
-#: Modules that *are* the lifecycle (base driver, registry wiring).
-_EXEMPT_STEMS = {"base", "registry"}
-
-
-def _get_algorithm_bindings(module: Module) -> Set[str]:
-    """Names assigned from ``get_algorithm(...)`` anywhere in the file."""
-    bound: Set[str] = set()
-    for node in module.nodes:
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-            if call_name(node.value).split(".")[-1] == "get_algorithm":
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        bound.add(target.id)
-    return bound
-
-
-@register_rule
-class DriverBypassRule(Rule):
-    """CON002: platform code bypassing the driver lifecycle.
-
-    A driver that calls a reference kernel (or ``Algorithm.run``)
-    directly skips the upload/execute contract of
-    :class:`~repro.platforms.base.PlatformDriver` — capability checks,
-    modeled memory/crash failures, and the spans Granula archives — so its
-    results are unmetered and incomparable. Execute through
-    ``self._run_algorithm``.
-    """
-
-    rule_id = "CON002"
-    severity = Severity.ERROR
-    description = "platform driver executes kernels outside the driver lifecycle"
-    scope = ("platforms",)
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        if module.stem in _EXEMPT_STEMS:
-            return
-        spec_names = _get_algorithm_bindings(module)
-        for node in module.nodes:
-            if not isinstance(node, ast.Call):
-                continue
-            if any(
-                scope.name in _LIFECYCLE_HOOKS
-                for scope in module.ancestors(node, FUNCTION_DEFS)
-            ):
-                continue
-            name = call_name(node)
-            parts = name.split(".")
-            direct_kernel = parts[-1] in _KERNEL_NAMES and len(parts) <= 2
-            run_on_spec = (
-                parts[-1] == "run"
-                and len(parts) == 2
-                and parts[0] in spec_names
-            )
-            run_on_get = (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "run"
-                and isinstance(node.func.value, ast.Call)
-                and call_name(node.func.value).split(".")[-1] == "get_algorithm"
-            )
-            if direct_kernel or run_on_spec or run_on_get:
-                yield module.finding(
-                    self, node,
-                    f"direct kernel execution `{name or 'get_algorithm(...).run'}`"
-                    f" bypasses the driver lifecycle; route through "
-                    f"PlatformDriver._run_algorithm",
-                )

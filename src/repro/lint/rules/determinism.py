@@ -1,11 +1,11 @@
-"""Determinism rules: DET001, DET002, DET003.
+"""Determinism rules: DET001, DET003.
 
 Graphalytics defines correctness as output equivalence against a
 deterministic reference (paper §2.2.3); the spec makes determinism a
-hard requirement. These rules catch the three classic ways Python code
+hard requirement. These rules catch two classic ways Python code
 silently loses it: iterating unordered containers where order feeds
-output or tie-breaking, constructing RNGs without an explicit seed, and
-accumulating floats in an unordered fashion.
+output or tie-breaking, and accumulating floats in an unordered
+fashion.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from repro.lint.core import (
     Finding, Module, Rule, Severity, call_name, register_rule, scope_nodes,
 )
 
-__all__ = ["UnorderedIterationRule", "UnseededRngRule", "UnorderedAccumulationRule"]
+__all__ = ["UnorderedIterationRule", "UnorderedAccumulationRule"]
 
 #: Consumers for which element order cannot affect the result.
 _ORDER_INSENSITIVE_CONSUMERS = {
@@ -147,101 +147,6 @@ class UnorderedIterationRule(Rule):
                                 f"`{_describe(gen.iter)}`; wrap in sorted() "
                                 f"to keep kernel order deterministic",
                             )
-
-
-# -- DET002 ------------------------------------------------------------------
-
-#: ``random.<fn>`` calls that use the global, implicitly-seeded state.
-_STDLIB_GLOBAL_FNS = {
-    "random", "randint", "randrange", "choice", "choices", "shuffle",
-    "sample", "uniform", "gauss", "normalvariate", "betavariate",
-    "expovariate", "triangular", "vonmisesvariate", "seed", "getrandbits",
-}
-
-#: Legacy ``np.random.<fn>`` calls against the global numpy state.
-_NUMPY_GLOBAL_FNS = {
-    "rand", "randn", "randint", "random", "random_sample", "choice",
-    "shuffle", "permutation", "seed", "standard_normal", "uniform",
-    "normal", "exponential", "poisson", "binomial",
-}
-
-_BIT_GENERATORS = {"PCG64", "MT19937", "Philox", "SFC64"}
-
-
-def _first_arg_is_missing_or_none(node: ast.Call) -> bool:
-    if not node.args and not node.keywords:
-        return True
-    if node.args and isinstance(node.args[0], ast.Constant) and (
-        node.args[0].value is None
-    ):
-        return True
-    for kw in node.keywords:
-        if kw.arg == "seed" and isinstance(kw.value, ast.Constant) and (
-            kw.value.value is None
-        ):
-            return True
-    return False
-
-
-@register_rule
-class UnseededRngRule(Rule):
-    """DET002: RNG without an explicit seed.
-
-    A benchmark run must be reproducible bit for bit from its configured
-    seed (paper §2.5: deterministic drivers and datagen). Unseeded
-    generators — ``random.Random()``, ``np.random.default_rng()``, or
-    module-level ``random.*`` calls against hidden global state — make
-    run-to-run output diverge. Thread an explicit seed from the
-    benchmark config instead.
-    """
-
-    rule_id = "DET002"
-    severity = Severity.ERROR
-    description = "RNG constructed or used without an explicit seed"
-    scope = None  # seeds matter everywhere
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        for node in module.nodes:
-            if not isinstance(node, ast.Call):
-                continue
-            name = call_name(node)
-            parts = name.split(".")
-            if name in ("random.Random", "Random"):
-                if _first_arg_is_missing_or_none(node):
-                    yield module.finding(
-                        self, node,
-                        "random.Random() without a seed; pass the config seed",
-                    )
-            elif parts[-1] == "default_rng" and parts[0] in (
-                "np", "numpy", "default_rng"
-            ):
-                if _first_arg_is_missing_or_none(node):
-                    yield module.finding(
-                        self, node,
-                        "default_rng() without a seed; pass the config seed",
-                    )
-            elif parts[-1] in _BIT_GENERATORS and parts[0] in ("np", "numpy"):
-                if _first_arg_is_missing_or_none(node):
-                    yield module.finding(
-                        self, node,
-                        f"{parts[-1]}() without a seed; pass the config seed",
-                    )
-            elif len(parts) == 2 and parts[0] == "random" and (
-                parts[1] in _STDLIB_GLOBAL_FNS
-            ):
-                yield module.finding(
-                    self, node,
-                    f"module-level random.{parts[1]}() uses hidden global "
-                    f"state; use a seeded random.Random/Generator instance",
-                )
-            elif len(parts) == 3 and parts[0] in ("np", "numpy") and (
-                parts[1] == "random" and parts[2] in _NUMPY_GLOBAL_FNS
-            ):
-                yield module.finding(
-                    self, node,
-                    f"legacy np.random.{parts[2]}() uses hidden global "
-                    f"state; use np.random.default_rng(seed)",
-                )
 
 
 # -- DET003 ------------------------------------------------------------------

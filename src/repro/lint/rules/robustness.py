@@ -1,4 +1,4 @@
-"""Harness robustness rules: EXC001, RUN001, ROB001, ROB002, ROB003.
+"""Harness robustness rules: EXC001, RUN001, ROB001, ROB003.
 
 The harness records modeled failures (OOM, crash, SLA breach) as data;
 what it must never do is *swallow* them. An over-broad ``except`` in a
@@ -16,15 +16,6 @@ truncated before the new bytes land, so a crash mid-write destroys the
 previous good copy. Every run artifact must go through
 :func:`repro.ioutil.atomic_write` (write-to-temp, fsync, rename);
 append-mode writes — the journal's own medium — are exempt.
-
-The fault-injection plane tightens it once more for the service and
-the concurrent runtime (ROB002): chaos testing can only exercise
-writes that flow through the registered fault points in
-:mod:`repro.ioutil` and :mod:`repro.runtime.journal`. A raw ``open``
-write in those layers — even an append — is invisible to every seeded
-chaos plan, so its ENOSPC/EIO handling is never tested and the
-supervision invariants (quarantine after N attempts, bounded
-re-enqueues) cannot be asserted over it.
 
 The results store closes the set (ROB003): SQLite connections carry
 their own durability contract — WAL, ``synchronous=FULL``, ``BEGIN
@@ -56,7 +47,6 @@ __all__ = [
     "SwallowedExceptionRule",
     "RuntimeFailureRecordRule",
     "AtomicArtifactWriteRule",
-    "FaultPointRoutedWriteRule",
     "SanctionedSqliteConnectRule",
 ]
 
@@ -214,12 +204,12 @@ def _open_mode(call: ast.Call, *, is_method: bool) -> Optional[ast.expr]:
     return None
 
 
-def _file_writes(module: Module, flags: str) -> Iterator[Tuple[ast.Call, str]]:
-    """Every file-writing call in ``module`` with a short description:
-    ``write_text``/``write_bytes``, and ``open`` with a constant mode
-    containing one of ``flags`` — ``"wx"`` selects the writes that
-    truncate or replace, ``"wxa+"`` every mode that can emit bytes.
-    Dynamic modes are undecidable and stay unflagged.
+def _truncating_writes(module: Module) -> Iterator[Tuple[ast.Call, str]]:
+    """Every call in ``module`` that replaces a file's contents in
+    place, with a short description: ``write_text``/``write_bytes``,
+    and ``open`` with a constant ``w`` or ``x`` mode. Appends never
+    destroy prior records; dynamic modes are undecidable; neither is
+    flagged.
     """
     for node in module.nodes:
         if not isinstance(node, ast.Call):
@@ -239,13 +229,13 @@ def _file_writes(module: Module, flags: str) -> Iterator[Tuple[ast.Call, str]]:
         if (
             isinstance(mode, ast.Constant)
             and isinstance(mode.value, str)
-            and any(flag in mode.value for flag in flags)
+            and any(flag in mode.value for flag in "wx")
         ):
             yield node, f"open(..., {mode.value!r})"
 
 
 class _ConfinementRule(Rule):
-    """Shared shape of ROB001/ROB002/ROB003 and OBS001: a *confined
+    """Shared shape of ROB001/ROB003 and OBS001: a *confined
     call* (a file write, a SQLite connect, a clock read) may appear
     only inside its sanctuary.
 
@@ -348,7 +338,7 @@ class AtomicArtifactWriteRule(_ConfinementRule):
     )
 
     def matches(self, module: Module) -> Iterator[Tuple[ast.Call, str]]:
-        return _file_writes(module, "wx")
+        return _truncating_writes(module)
 
 
 @register_rule
@@ -361,7 +351,7 @@ class SanctionedSqliteConnectRule(_ConfinementRule):
     ``resultsdb.commit`` fault point. A ``sqlite3.connect`` anywhere
     else produces a connection with none of those properties — default
     journal mode, autocommit surprises, and writes no chaos plan can
-    reach — silently forking the store's semantics. Like ROB002, the
+    reach — silently forking the store's semantics. Like ROB001, the
     rule is interprocedural: handing the path to an out-of-scope helper
     that opens the connection for you is the same hole. Helpers inside
     ``repro.resultsdb`` are the sanctioned surface and never taint
@@ -399,49 +389,3 @@ class SanctionedSqliteConnectRule(_ConfinementRule):
         # The one package allowed to open connections: it owns the
         # pragmas, the transaction discipline and the fault point.
         return "resultsdb" in module.segments
-
-
-@register_rule
-class FaultPointRoutedWriteRule(_ConfinementRule):
-    """ROB002: service/runtime write that bypasses the fault plane.
-
-    The chaos harness can only inject ENOSPC/EIO/failed-fsync at the
-    *registered fault points* — the ones ``atomic_write`` and the run
-    journal thread every byte through. A raw ``open(..., "w")`` (or
-    append, or ``write_text``) in service or runtime code is a write
-    the seeded fault plans can never reach: its error handling is
-    untestable, and a full disk or flaky device hits it in production
-    as the first-ever exercise of that path. Unlike ROB001, append
-    modes are **not** exempt here — an unreachable append is just as
-    untested as an unreachable truncate. The sanctioned media are
-    :func:`repro.ioutil.atomic_write` (pass ``fault_point=`` for spool
-    artifacts) and :class:`repro.runtime.journal.RunJournal`.
-    """
-
-    rule_id = "ROB002"
-    severity = Severity.ERROR
-    description = (
-        "service/runtime file writes must route through the "
-        "fault-point-aware ioutil helpers or the run journal"
-    )
-    scope = ("service", "runtime")
-    direct_message = (
-        "`{desc}` bypasses the fault-injection plane: no chaos plan can "
-        "reach it, so its ENOSPC/EIO handling is never exercised — route "
-        "the write through repro.ioutil.atomic_write (with "
-        "fault_point=...) or the run journal"
-    )
-    taint_message = (
-        "call to `{callee}` ends in a raw `{desc}` (inside `{root}`) that "
-        "no chaos plan can reach — route the write through "
-        "repro.ioutil.atomic_write or the run journal"
-    )
-
-    def matches(self, module: Module) -> Iterator[Tuple[ast.Call, str]]:
-        return _file_writes(module, "wxa+")
-
-    def sanctuary(self, module: Module) -> bool:
-        # The plane itself: ``atomic_write`` (every write/fsync/replace
-        # is a registered fault point) and the run journal (its append
-        # path routes through ``journal.append.*``).
-        return module.stem in ("ioutil", "journal")

@@ -149,7 +149,9 @@ class ReferenceDriver(PlatformDriver):
                     shards = deploy(graph, partitions=resources.machines)
             with tracer.span("processing", algorithm=algorithm) as proc_span:
                 # Through the driver lifecycle hook, like every other
-                # driver (lint rule CON002): execution stays swappable.
+                # driver: execution stays swappable (an engine platform
+                # archives its supersteps only this way; see
+                # tests/granula/test_granula.py::TestArchivedSpans).
                 with tracer.span("kernel", algorithm=algorithm):
                     output = (
                         self._run_algorithm(algorithm, graph, params)

@@ -50,6 +50,27 @@ class ServiceError(GraphalyticsError):
         self.retry_after = retry_after
 
 
+def _service_error(
+    status: int, headers: Dict[str, str], data: bytes
+) -> ServiceError:
+    """The :class:`ServiceError` of one non-2xx response: the ``error``
+    field of a JSON object body, else the body's first 200 bytes as
+    text, with the ``Retry-After`` hint when the server sent a number."""
+    try:
+        decoded = json.loads(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        decoded = None
+    if isinstance(decoded, dict) and "error" in decoded:
+        message = str(decoded["error"])
+    else:
+        message = data[:200].decode("utf-8", "replace")
+    try:
+        retry_after: Optional[float] = float(headers["retry-after"])
+    except (KeyError, ValueError):
+        retry_after = None
+    return ServiceError(status, message, retry_after=retry_after)
+
+
 class ServiceClient:
     """Talks to one service instance at ``host:port``.
 
@@ -122,18 +143,12 @@ class ServiceClient:
         payload: Optional[Dict[str, object]] = None,
     ) -> Dict[str, object]:
         status, headers, data = self._request(method, path, payload)
-        try:
-            decoded = json.loads(data.decode("utf-8")) if data else {}
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            decoded = {}
         if status >= 400:
-            retry_after = headers.get("retry-after")
-            raise ServiceError(
-                status,
-                str(decoded.get("error", data[:200])),
-                retry_after=float(retry_after) if retry_after else None,
-            )
-        return decoded
+            raise _service_error(status, headers, data)
+        try:
+            return json.loads(data.decode("utf-8")) if data else {}
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            return {}
 
     # -- API ---------------------------------------------------------------
 
@@ -196,15 +211,11 @@ class ServiceClient:
 
     def fetch(self, run_id: str, artifact: str) -> bytes:
         """Download one artifact (``results``/``archive``/``trace``)."""
-        status, _headers, data = self._request(
+        status, headers, data = self._request(
             "GET", f"/v1/runs/{run_id}/{artifact}"
         )
         if status >= 400:
-            try:
-                message = str(json.loads(data.decode("utf-8"))["error"])
-            except Exception:
-                message = data[:200].decode("utf-8", "replace")
-            raise ServiceError(status, message)
+            raise _service_error(status, headers, data)
         return data
 
     def events(
@@ -225,12 +236,11 @@ class ServiceClient:
             conn.request("GET", f"/v1/runs/{run_id}/events{suffix}")
             response = conn.getresponse()
             if response.status >= 400:
-                data = response.read()
-                try:
-                    message = str(json.loads(data.decode("utf-8"))["error"])
-                except Exception:
-                    message = data[:200].decode("utf-8", "replace")
-                raise ServiceError(response.status, message)
+                raise _service_error(
+                    response.status,
+                    {k.lower(): v for k, v in response.getheaders()},
+                    response.read(),
+                )
             event: Optional[str] = None
             for raw in response:
                 line = raw.decode("utf-8").rstrip("\n")

@@ -172,3 +172,17 @@ class TestRuleAssignment:
         validate_output("bfs", np.array([0, 1]), np.array([0, 1]))
         with pytest.raises(ValidationError):
             validate_output("bfs", np.array([0, 1]), np.array([0, 2]))
+
+
+def test_every_registered_algorithm_is_validated_and_wired():
+    # Paper §2.2: the benchmark is the closed set of registered
+    # algorithms, each output-validated and part of the workload.
+    from repro.algorithms.registry import ALGORITHMS
+    from repro.algorithms.validation import VALIDATION_RULES
+    from repro.harness.datasets import get_dataset
+    from repro.harness.experiments import EXPERIMENTS
+
+    wired = {a for exp in EXPERIMENTS.values() for a in exp.algorithms}
+    assert set(ALGORITHMS) <= set(VALIDATION_RULES) & wired
+    for acronym in ALGORITHMS:
+        get_dataset("D300").algorithm_parameters(acronym)

@@ -12,11 +12,3 @@ def shard_main(task_conn, result_conn):
         send_shared(0, command["target"], command["message"])
         outbox.send(1, command["target"], command["message"])
         result_conn.send({"shard": 0, "batches": list(outbox.batches)})
-
-
-def stream_batches(result_conn, batches):
-    result_conn.send(batch for batch in batches)
-
-
-def send_progress_callback(result_conn):
-    result_conn.send(lambda batch: len(batch))

@@ -5,14 +5,23 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.lint import all_rules
 
 BAD_SOURCE = """\
-import random
-
-
-def jitter():
-    return random.random()
+def kernel(frontier):
+    order = []
+    for v in set(frontier):
+        order.append(v)
+    return order
 """
+
+
+def _bad_kernel(tmp_path, source=BAD_SOURCE):
+    """A kernel module (in DET001's scope) holding one violation."""
+    (tmp_path / "algorithms").mkdir()
+    bad = tmp_path / "algorithms" / "bad.py"
+    bad.write_text(source, encoding="utf-8")
+    return bad
 
 
 class TestCleanTree:
@@ -32,26 +41,23 @@ class TestCleanTree:
 
 class TestViolations:
     def test_injected_violation_exits_1(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_SOURCE, encoding="utf-8")
+        bad = _bad_kernel(tmp_path)
         assert main(["lint", str(bad)]) == 1
         out = capsys.readouterr().out
-        assert "DET002" in out
+        assert "DET001" in out
         assert "1 new finding" in out
 
     def test_json_format_reports_violation(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_SOURCE, encoding="utf-8")
+        bad = _bad_kernel(tmp_path)
         assert main(["lint", "--format", "json", str(bad)]) == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["new"] == 1
-        assert payload["findings"][0]["rule"] == "DET002"
-        assert payload["findings"][0]["line"] == 5
+        assert payload["findings"][0]["rule"] == "DET001"
+        assert payload["findings"][0]["line"] == 3
 
     def test_select_limits_rules(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_SOURCE, encoding="utf-8")
-        assert main(["lint", str(bad), "--select", "CON002"]) == 0
+        bad = _bad_kernel(tmp_path)
+        assert main(["lint", str(bad), "--select", "DET003"]) == 0
 
 
 class TestSuppressionIsTheOnlyGrandfathering:
@@ -60,20 +66,18 @@ class TestSuppressionIsTheOnlyGrandfathering:
         "--show-baselined",
     ])
     def test_baseline_flags_are_gone(self, flag, tmp_path):
-        bad = tmp_path / "bad.py"
-        bad.write_text(BAD_SOURCE, encoding="utf-8")
+        bad = _bad_kernel(tmp_path)
         with pytest.raises(SystemExit) as exc_info:
             main(["lint", str(bad), flag])
         assert exc_info.value.code == 2
-        assert list(tmp_path.iterdir()) == [bad]
+        assert list(tmp_path.rglob("*")) == [bad.parent, bad]
 
     def test_inline_suppression_grandfathers_a_finding(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text(
+        bad = _bad_kernel(
+            tmp_path,
             BAD_SOURCE.replace(
-                "random.random()", "random.random()  # lint: disable=DET002"
-            ) + "\n\nx = random.shuffle([])\n",
-            encoding="utf-8",
+                "in set(frontier):", "in set(frontier):  # lint: disable=DET001"
+            ) + "\n\nlabels = [v for v in {3, 1, 2}]\n",
         )
         # The suppressed finding no longer fails the run; a second,
         # unsuppressed violation still does.
@@ -82,7 +86,7 @@ class TestSuppressionIsTheOnlyGrandfathering:
         assert payload["version"] == 2
         assert "baselined" not in payload and "stale" not in payload
         assert [row["line"] for row in payload["findings"]] == [8]
-        assert "shuffle" in payload["findings"][0]["message"]
+        assert "{3, 1, 2}" in payload["findings"][0]["message"]
 
 
 class TestProjectPhaseFlag:
@@ -113,19 +117,17 @@ class TestProjectPhaseFlag:
         ]) == 1
         assert "RACE001" in capsys.readouterr().out
 
-    def test_no_project_skips_whole_program_phase(self, tmp_path, capsys):
+    def test_no_project_flag_is_gone(self, tmp_path):
+        # Lint has one mode: the whole-program phase always runs.
         project = self._miniproject(tmp_path)
-        assert main([
-            "lint", str(project), "--select", "RACE001",
-            "--no-project",
-        ]) == 0
-        assert "clean" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc_info:
+            main(["lint", str(project), "--no-project"])
+        assert exc_info.value.code == 2
 
 
 class TestListRules:
     def test_rule_table_printed(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("DET001", "DET002", "DET003", "CON001",
-                        "CON002", "EXC001", "REG001", "REP001"):
+        for rule_id in all_rules():
             assert rule_id in out

@@ -16,7 +16,7 @@ name = "demo"
 
 [tool.graphalytics.lint]
 baseline = "custom-baseline.json"
-select = ["DET001", "CON002"]
+select = ["DET001", "OBS001"]
 ignore = ["REP001"]
 exclude = ["tests/*"]
 
@@ -30,7 +30,7 @@ class TestMinimalTomlParser:
         data = _parse_toml_minimal(SAMPLE)
         section = data["tool"]["graphalytics"]["lint"]
         assert section["baseline"] == "custom-baseline.json"
-        assert section["select"] == ["DET001", "CON002"]
+        assert section["select"] == ["DET001", "OBS001"]
         assert section["ignore"] == ["REP001"]
         assert section["scopes"]["DET001"] == ["algorithms", "engines"]
 
@@ -56,11 +56,12 @@ class TestLoadConfig:
     def test_custom_pyproject(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text(SAMPLE, encoding="utf-8")
         config = load_config(tmp_path)
-        assert config.select == ["DET001", "CON002"]
-        assert config.ignore == ["REP001"]
+        assert config.select == ["DET001", "OBS001"]
         assert config.exclude == ["tests/*"]
-        # The retired `baseline` key and `scopes` table are ignored.
+        # The retired `baseline` and `ignore` keys and `scopes` table
+        # are ignored.
         assert not hasattr(config, "baseline")
+        assert not hasattr(config, "ignore")
         assert not hasattr(config, "scopes")
 
     def test_no_project_root_yields_defaults(self, tmp_path):
@@ -68,7 +69,7 @@ class TestLoadConfig:
         # as *this* project's; simulate by pointing below a bare dir.
         config = LintConfig()
         assert config.root is None
-        assert config.select == [] and config.project is True
+        assert config.select == [] and config.exclude == []
 
     def test_find_project_root(self, tmp_path):
         (tmp_path / "pyproject.toml").write_text("[project]\n")

@@ -12,8 +12,8 @@ class TestSuppressions:
         assert lint_fixture("algorithms/suppressed_case.py") == []
 
     def test_parse_inline_rule_list(self):
-        parsed = _parse_suppressions("x = 1  # lint: disable=DET001,CON002\n")
-        assert parsed == {1: {"DET001", "CON002"}}
+        parsed = _parse_suppressions("x = 1  # lint: disable=DET001,DET003\n")
+        assert parsed == {1: {"DET001", "DET003"}}
 
     def test_parse_bare_disable_means_all(self):
         parsed = _parse_suppressions("x = 1  # lint: disable\n")
@@ -41,13 +41,13 @@ class TestSuppressionSpans:
     def test_multiline_statement_covered_from_first_line(self, tmp_path):
         module = self._module(
             tmp_path,
-            "value = make(  # lint: disable=DET002\n"
+            "value = make(  # lint: disable=OBS001\n"
             "    1,\n"
             "    2,\n"
             ")\n",
         )
         for line in (1, 2, 3, 4):
-            assert module.suppressions.get(line) == {"DET002"}
+            assert module.suppressions.get(line) == {"OBS001"}
 
     def test_decorator_directive_covers_the_whole_def(self, tmp_path):
         module = self._module(
@@ -74,34 +74,34 @@ class TestSuppressionSpans:
     def test_unrelated_statements_not_covered(self, tmp_path):
         module = self._module(
             tmp_path,
-            "x = 1  # lint: disable=DET002\n"
+            "x = 1  # lint: disable=OBS001\n"
             "y = 2\n",
         )
-        assert module.suppressions.get(1) == {"DET002"}
+        assert module.suppressions.get(1) == {"OBS001"}
         assert 2 not in module.suppressions
 
     def test_suppression_inside_span_silences_rule(self, tmp_path):
-        # End-to-end: the DET002 finding anchors on the *second*
+        # End-to-end: the DET001 finding anchors on the *second*
         # physical line of the statement; a directive on the first
         # line must now cover it.
         from repro.lint import LintConfig, LintEngine
 
         source = (
-            "import random\n"
+            "items = [2, 0, 1]\n"
             "\n"
-            "value = list(\n"
-            "    random.random()\n"
-            "    for _ in range(3)\n"
+            "value = tuple(\n"
+            "    [v for v in set(items)]\n"
             ")\n"
         )
-        target = tmp_path / "case.py"
+        (tmp_path / "algorithms").mkdir()
+        target = tmp_path / "algorithms" / "case.py"
         target.write_text(source, encoding="utf-8")
-        config = LintConfig(root=tmp_path, select=["DET002"])
+        config = LintConfig(root=tmp_path, select=["DET001"])
         findings = LintEngine(config).run([target])
         assert [f.line for f in findings] == [4]
         suppressed = source.replace(
-            "value = list(",
-            "value = list(  # lint: disable=DET002",
+            "value = tuple(",
+            "value = tuple(  # lint: disable=DET001",
         )
         target.write_text(suppressed, encoding="utf-8")
         assert LintEngine(config).run([target]) == []
@@ -121,19 +121,20 @@ class TestFinding:
         # Two identical violations in one function are two findings,
         # reported in source order.
         source = (
-            "import random\n"
-            "\n"
-            "\n"
-            "def jitter():\n"
-            "    a = random.random()\n"
-            "    b = random.random()\n"
-            "    return a + b\n"
+            "def kernel(frontier):\n"
+            "    order = []\n"
+            "    for v in set(frontier):\n"
+            "        order.append(v)\n"
+            "    for v in set(frontier):\n"
+            "        order.append(v)\n"
+            "    return order\n"
         )
-        target = tmp_path / "case.py"
+        (tmp_path / "algorithms").mkdir()
+        target = tmp_path / "algorithms" / "case.py"
         target.write_text(source, encoding="utf-8")
-        config = LintConfig(root=tmp_path, select=["DET002"])
+        config = LintConfig(root=tmp_path, select=["DET001"])
         findings = LintEngine(config).run([target])
-        assert [f.line for f in findings] == [5, 6]
+        assert [f.line for f in findings] == [3, 5]
         assert findings[0].message == findings[1].message
 
 
@@ -141,14 +142,6 @@ class TestEngineSetup:
     def test_unknown_selected_rule_rejected(self):
         with pytest.raises(ConfigurationError, match="NOPE01"):
             LintEngine(LintConfig(select=["NOPE01"]))
-
-    def test_unknown_ignored_rule_rejected(self):
-        with pytest.raises(ConfigurationError, match="NOPE01"):
-            LintEngine(LintConfig(ignore=["NOPE01"]))
-
-    def test_ignore_removes_rule(self):
-        engine = LintEngine(LintConfig(ignore=["DET001"]))
-        assert "DET001" not in [r.rule_id for r in engine.rules]
 
     def test_syntax_error_becomes_finding(self, tmp_path):
         bad = tmp_path / "broken.py"
@@ -159,8 +152,11 @@ class TestEngineSetup:
         assert findings[0].severity == "error"
 
     def test_exclude_patterns_filter_files(self, tmp_path):
-        (tmp_path / "keep.py").write_text("import random\nrandom.random()\n")
-        (tmp_path / "skip.py").write_text("import random\nrandom.random()\n")
-        config = LintConfig(root=tmp_path, exclude=["skip.py"])
+        (tmp_path / "algorithms").mkdir()
+        for name in ("keep.py", "skip.py"):
+            (tmp_path / "algorithms" / name).write_text(
+                "for v in {2, 0, 1}:\n    print(v)\n"
+            )
+        config = LintConfig(root=tmp_path, exclude=["algorithms/skip.py"])
         findings = LintEngine(config).run([tmp_path])
-        assert [f.path for f in findings] == ["keep.py"]
+        assert [f.path for f in findings] == ["algorithms/keep.py"]

@@ -18,7 +18,7 @@ RACEPROJ = Path(__file__).resolve().parent / "fixtures" / "raceproj"
 
 
 def _build(paths):
-    engine = LintEngine(LintConfig(root=REPO_ROOT, select=["DET002"]))
+    engine = LintEngine(LintConfig(root=REPO_ROOT, select=["DET001"]))
     modules = []
     for path in engine.collect_files([Path(p) for p in paths]):
         module, syntax = engine._parse_module(path)

@@ -19,19 +19,19 @@ class TestTextReport:
         assert "lint: 1 new finding (DET001: 1)" in text
 
     def test_summary_counts_per_rule(self):
-        text = render_text([_finding(), _finding(), _finding(rule="CON002")])
-        assert "lint: 3 new findings (CON002: 1, DET001: 2)" in text
+        text = render_text([_finding(), _finding(), _finding(rule="OBS001")])
+        assert "lint: 3 new findings (DET001: 2, OBS001: 1)" in text
 
 
 class TestJsonReport:
     def test_document_shape(self):
-        payload = json.loads(render_json([_finding(), _finding("CON002")]))
+        payload = json.loads(render_json([_finding(), _finding("OBS001")]))
         assert sorted(payload) == ["counts", "findings", "new", "version"]
         assert payload["version"] == 2
         assert payload["new"] == 2
-        assert payload["counts"] == {"CON002": 1, "DET001": 1}
+        assert payload["counts"] == {"DET001": 1, "OBS001": 1}
         assert [row["rule"] for row in payload["findings"]] == [
-            "DET001", "CON002",
+            "DET001", "OBS001",
         ]
         assert "baselined" not in payload["findings"][0]
 

@@ -8,8 +8,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 
-def _run(paths, select, project=True):
-    config = LintConfig(root=REPO_ROOT, select=list(select), project=project)
+def _run(paths, select, root=REPO_ROOT):
+    config = LintConfig(root=root, select=list(select))
     return LintEngine(config).run([Path(p) for p in paths])
 
 
@@ -63,8 +63,19 @@ class TestSrv001:
         # sync_report's sleep/open/read and unregistered_helper's sleep.
         assert not lines & {54, 55, 56, 61}
 
-    def test_no_findings_without_project_phase(self):
-        assert _run([FIXTURES / "serviceproj"], ["SRV001"], project=False) == []
+    def test_no_findings_without_a_route_registration(self, tmp_path):
+        # A blocking async def that no route table registers (nor any
+        # registered handler reaches) is not an event-loop root.
+        (tmp_path / "service").mkdir()
+        (tmp_path / "service" / "app.py").write_text(
+            "import time\n"
+            "\n"
+            "\n"
+            "async def handle_status(request):\n"
+            "    time.sleep(1)\n",
+            encoding="utf-8",
+        )
+        assert _run([tmp_path], ["SRV001"], root=tmp_path) == []
 
     def test_real_service_package_is_clean(self):
         findings = _run([REPO_ROOT / "src" / "repro" / "service"], ["SRV001"])

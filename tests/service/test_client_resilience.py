@@ -230,3 +230,39 @@ class TestWatchEvents:
         events = list(client.watch_events("r"))
         assert [e for e, _ in events] == ["run", "journal", "journal", "end"]
         assert offsets == [0, 1]
+
+
+class TestErrorBodies:
+    """One decoder reads every error body: ``_json`` and ``fetch``."""
+
+    @staticmethod
+    def respond(client, monkeypatch, status, body, headers=None):
+        monkeypatch.setattr(
+            client, "_request",
+            lambda method, path, payload=None: (status, headers or {}, body),
+        )
+
+    def test_non_json_body_reads_as_text(self, monkeypatch):
+        client = make_client()
+        self.respond(
+            client, monkeypatch, 502, b"<html>bad gateway</html>",
+            {"retry-after": "soon"},
+        )
+        with pytest.raises(ServiceError) as excinfo:
+            client.status()
+        assert str(excinfo.value) == "HTTP 502: <html>bad gateway</html>"
+        assert excinfo.value.retry_after is None
+        with pytest.raises(ServiceError) as excinfo:
+            client.fetch("r", "results")
+        assert str(excinfo.value) == "HTTP 502: <html>bad gateway</html>"
+
+    def test_json_array_body_is_a_service_error(self, monkeypatch):
+        client = make_client()
+        self.respond(
+            client, monkeypatch, 500, b'["oops"]', {"retry-after": "2"}
+        )
+        with pytest.raises(ServiceError) as excinfo:
+            client.healthz()
+        assert excinfo.value.status == 500
+        assert str(excinfo.value) == 'HTTP 500: ["oops"]'
+        assert excinfo.value.retry_after == 2.0

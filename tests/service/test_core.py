@@ -171,6 +171,22 @@ class ServiceLifecycle(RuleBasedStateMachine):
     @rule(tenant=st.sampled_from(TENANTS), fail=FAIL)
     def submit(self, tenant, fail):
         self.armed = fail
+        self._submit(tenant)
+
+    @rule(tenant=st.sampled_from(TENANTS), fail=FAIL)
+    def submit_until_rejected(self, tenant, fail):
+        """One tenant fills its quota: the move that reaches a refused
+        submission whose rejection outcome may fail to persist."""
+        self.armed = fail
+        # A run slot, the queue, and at most one run the failed write
+        # sent to a retry timer; the next submission is refused.
+        for _ in range(PER_TENANT_RUNNING + PER_TENANT_DEPTH + 2):
+            if self._submit(tenant):
+                return
+        raise AssertionError(f"{tenant} over its quota was never refused")
+
+    def _submit(self, tenant) -> bool:
+        """Submit one run; whether the core refused it."""
         self.sequence += 1
         run_id = f"r{self.sequence:06d}-{tenant}"
         self.ledger[run_id] = Spooled(tenant)  # request.json is durable
@@ -178,6 +194,7 @@ class ServiceLifecycle(RuleBasedStateMachine):
         rejected = [a.run_id for a in actions if isinstance(a, Reject)]
         assert rejected in ([], [run_id])
         self.rejected.update(rejected)
+        return bool(rejected)
 
     @precondition(lambda self: self.live)
     @rule(data=st.data(), fail=FAIL)
