@@ -52,7 +52,7 @@ class _ServiceHarness:
         )
         self.service = BenchmarkService(config)
         # Stub dispatch: admission/spooling stay real, execution doesn't.
-        self.service.queue.acquire = lambda: None
+        self.service.core.queue.acquire = lambda: None
         self.loop = asyncio.new_event_loop()
         self.thread = threading.Thread(target=self.loop.run_forever, daemon=True)
 

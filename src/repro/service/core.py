@@ -18,7 +18,9 @@ of the same run from that batch and steps :class:`ActionFailed`; the
 core's answer takes their place. So a run is launched only after its
 attempt is durable in the ledger, and the budget bounds launches
 across restarts (docs/service.md § Run supervision and quarantine
-holds the event → action table).
+holds the event → action table). When an action succeeds, the shell
+calls :meth:`ServiceCore.performed`, which sets the fact it made true:
+a run's state is read off those facts (:attr:`RunRecord.state`).
 """
 
 from __future__ import annotations
@@ -50,24 +52,37 @@ TERMINAL_STATES = frozenset({DONE, FAILED, QUARANTINED})
 
 @dataclass
 class RunRecord:
-    """In-memory view of one submitted run."""
+    """In-memory view of one submitted run: its request and its facts.
+
+    Its :attr:`state` is read off the facts, each set once the action
+    that makes it true is performed (:meth:`ServiceCore.performed`).
+    """
 
     run_id: str
     tenant: str
     #: Worker request forwarded to the run child: an int or ``"auto"``.
     workers: Union[int, str, None] = "auto"
     job_timeout: Optional[float] = None
-    state: str = QUEUED
     submitted_at: float = 0.0
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     error: str = ""
     #: Launches recorded in the supervise.json ledger (0 = never ran).
     attempts: int = 0
+    #: A launched child of this run has not exited yet.
+    live: bool = False
     #: Terminal summary loaded from outcome.json, if the run finished.
     outcome: Optional[Dict[str, object]] = field(default=None, repr=False)
     #: quarantine.json payload for runs that exhausted their budget.
     quarantine: Optional[Dict[str, object]] = field(default=None, repr=False)
+
+    @property
+    def state(self) -> str:
+        if self.outcome is not None:
+            return DONE if self.outcome.get("ok") else FAILED
+        if self.quarantine is not None:
+            return QUARANTINED
+        return RUNNING if self.live else QUEUED
 
     @property
     def terminal(self) -> bool:
@@ -240,6 +255,17 @@ class ServiceCore:
             actions += self._dispatch(now)
         return actions
 
+    def performed(self, action: Action) -> None:
+        """Set the fact that performing ``action`` made true."""
+        record = self.runs.get(action.run_id)  # a discarded run has none
+        if isinstance(action, Launch):
+            record.live = True
+        elif isinstance(action, Quarantine):
+            record.quarantine = action.payload
+            record.finished_at = action.payload["quarantined_at"]
+        elif isinstance(action, Settle):
+            record.outcome = action.outcome
+
     # -- transitions -------------------------------------------------------
 
     def _admit(self, record: RunRecord) -> List[Action]:
@@ -248,8 +274,7 @@ class ServiceCore:
         except QuotaExceeded as exc:
             # Rejected after spooling: settle it terminally, so a
             # restart does not resurrect a run the client was told to
-            # retry.
-            record.state = FAILED
+            # retry. It reads queued until that outcome is written.
             record.error = "rejected: tenant queue-depth quota"
             return [
                 Settle(record.run_id, {"ok": False, "error": record.error}),
@@ -264,10 +289,8 @@ class ServiceCore:
         the admission quotas say: accepted work is never dropped.
         """
         if record.outcome is not None:
-            record.state = DONE if record.outcome.get("ok") else FAILED
             record.error = str(record.outcome.get("error", ""))
         elif record.quarantine is not None:
-            record.state = QUARANTINED
             record.error = str(record.quarantine.get("reason", ""))
         elif self.policy.exhausted(record.attempts):
             return self._quarantine(
@@ -291,13 +314,11 @@ class ServiceCore:
         if event.outcome is not None:
             record.outcome = event.outcome
             record.finished_at = now
-            record.state = DONE if event.outcome.get("ok") else FAILED
             # An earlier attempt's death is history, not this run's error.
             record.error = str(event.outcome.get("error", ""))
             self.breaker.record_success(record.tenant)
             return []
         if self.stopping:
-            record.state = QUEUED
             return []
         self.breaker.record_death(record.tenant, now=now)
         return self._retry(
@@ -315,7 +336,6 @@ class ServiceCore:
             # launch, so the budget bounds launches across restarts.
             self._vacate(action.run_id)
             if self.stopping:
-                record.state = QUEUED
                 return []
             return self._retry(
                 record, now,
@@ -324,6 +344,7 @@ class ServiceCore:
         if isinstance(action, Quarantine):
             # Terminal in this server all the same; a restart decides
             # again from what the spool holds.
+            self.performed(action)
             record.error += f" (quarantine not persisted: {event.error})"
         elif isinstance(action, Settle):
             # Without its rejection outcome the spool would resurrect
@@ -345,7 +366,6 @@ class ServiceCore:
                 break
             record = self.runs[item[1]]
             record.attempts += 1
-            record.state = RUNNING
             record.started_at = now
             actions += [
                 PersistAttempt(record.run_id, record.attempts, now),
@@ -355,6 +375,7 @@ class ServiceCore:
 
     def _vacate(self, run_id: str) -> RunRecord:
         record = self.runs[run_id]
+        record.live = False
         self.queue.release(record.tenant)
         return record
 
@@ -365,7 +386,6 @@ class ServiceCore:
         exponential backoff. Budget spent: quarantine."""
         if self.policy.exhausted(record.attempts):
             return self._quarantine(record, now, reason)
-        record.state = QUEUED
         record.error = reason
         at = now + self.policy.backoff(record.attempts)
         return [RequeueAt(record.run_id, at)]
@@ -373,16 +393,13 @@ class ServiceCore:
     def _quarantine(
         self, record: RunRecord, now: float, reason: str
     ) -> List[Action]:
-        """Terminal and visible now; durable once the action is performed."""
-        record.quarantine = {
+        """Terminal once the action is performed: its marker is on disk."""
+        record.error = reason
+        return [Quarantine(record.run_id, {
             "run_id": record.run_id,
             "tenant": record.tenant,
             "attempts": record.attempts,
             "budget": self.policy.max_attempts,
             "reason": reason,
             "quarantined_at": now,
-        }
-        record.state = QUARANTINED
-        record.error = reason
-        record.finished_at = now
-        return [Quarantine(record.run_id, record.quarantine)]
+        })]

@@ -23,11 +23,12 @@ the first takes disk hits instead of regenerating).
 ``request.json`` is written atomically *before* the run is queued and
 never modified, so the submission survives any crash; everything else
 is produced by the crash-safe runtime. Run state is therefore fully
-**derivable from disk**: a directory with an ``outcome.json`` is
-terminal, anything else is resumable work. :meth:`RunRegistry.scan`
-reads those facts back at boot; :class:`~repro.service.core.ServiceCore`
-decides from them which runs to re-enqueue (docs/service.md, restart
-semantics).
+**derivable from disk**: a directory with an ``outcome.json`` or a
+``quarantine.json`` is terminal, anything else is resumable work.
+:meth:`RunRegistry.scan` reads those facts back at boot;
+:class:`~repro.service.core.ServiceCore` decides from them which runs
+to re-enqueue (docs/service.md, restart semantics), and a live server
+reports a state only once its fact is written.
 """
 
 from __future__ import annotations
@@ -67,6 +68,17 @@ CACHE_NAME = "cache"
 
 _RUN_ID_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
+
+
+def _record(request: Mapping[str, object], run_id: str) -> RunRecord:
+    """The record a ``request.json`` payload describes: its one decoder."""
+    return RunRecord(
+        run_id=str(request.get("run_id", run_id)),
+        tenant=str(request.get("tenant", "unknown")),
+        workers=request.get("workers", "auto"),
+        job_timeout=request.get("job_timeout"),
+        submitted_at=float(request.get("submitted_at", 0.0)),
+    )
 
 
 def normalize_matrix(payload: object) -> Dict[str, object]:
@@ -176,16 +188,7 @@ class RunRegistry:
         check_run_knobs(workers, job_timeout)
         self._sequence += 1
         run_id = f"r{self._sequence:06d}-{tenant}"
-        record = RunRecord(
-            run_id=run_id,
-            tenant=tenant,
-            workers=workers,
-            job_timeout=job_timeout,
-            submitted_at=submitted_at,
-        )
-        run_dir = self.run_dir(run_id)
-        run_dir.mkdir(parents=True, exist_ok=False)
-        request_payload = {
+        request = {
             "run_id": run_id,
             "tenant": tenant,
             "config": config,
@@ -194,17 +197,19 @@ class RunRegistry:
             "submitted_at": submitted_at,
         }
         if chaos is not None:
-            request_payload["chaos"] = chaos
+            request["chaos"] = chaos
+        run_dir = self.run_dir(run_id)
+        run_dir.mkdir(parents=True, exist_ok=False)
         try:
             atomic_write(
                 run_dir / REQUEST_NAME,
-                json.dumps(request_payload, indent=1, sort_keys=True),
+                json.dumps(request, indent=1, sort_keys=True),
                 fault_point="service.spool.request",
             )
         except OSError:
             self.discard(run_id)
             raise
-        return record
+        return _record(request, run_id)
 
     def discard(self, run_id: str) -> None:
         """Remove a run's directory: the spool forgets the run."""
@@ -227,40 +232,22 @@ class RunRegistry:
         """
         records: List[RunRecord] = []
         for request_path in sorted(self.spool.glob(f"*/{REQUEST_NAME}")):
-            try:
-                with open(request_path, "r", encoding="utf-8") as handle:
-                    request = json.load(handle)
-            except (OSError, json.JSONDecodeError) as exc:
+            run_dir = request_path.parent
+            request = load_json_object(request_path)
+            if request is None:  # torn: the submission never completed
                 warnings.warn(
-                    f"skipping spooled run {request_path.parent.name!r}: "
-                    f"unreadable {REQUEST_NAME} ({exc})",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                continue  # torn request: submission never completed
-            if not isinstance(request, dict):
-                warnings.warn(
-                    f"skipping spooled run {request_path.parent.name!r}: "
-                    f"{REQUEST_NAME} holds {type(request).__name__}, "
-                    f"not an object",
+                    f"skipping spooled run {run_dir.name!r}: {REQUEST_NAME}"
+                    f" is unreadable, not JSON, or not an object",
                     RuntimeWarning,
                     stacklevel=2,
                 )
                 continue
-            run_id = str(request.get("run_id", request_path.parent.name))
-            record = RunRecord(
-                run_id=run_id,
-                tenant=str(request.get("tenant", "unknown")),
-                workers=request.get("workers", "auto"),
-                job_timeout=request.get("job_timeout"),
-                submitted_at=float(request.get("submitted_at", 0.0)),
-            )
-            match = re.match(r"^r(\d+)-", run_id)
+            record = _record(request, run_dir.name)
+            match = re.match(r"^r(\d+)-", record.run_id)
             if match:
                 self._sequence = max(self._sequence, int(match.group(1)))
-            run_dir = request_path.parent
             record.attempts = int(load_supervision(run_dir)["attempts"])
-            record.outcome = self.load_outcome(run_id)
+            record.outcome = self.load_outcome(record.run_id)
             record.quarantine = load_quarantine(run_dir)
             records.append(record)
         return records

@@ -230,10 +230,11 @@ class BenchmarkService:
     async def _perform_all(self) -> None:
         """Perform each queued batch of actions, one action at a time.
 
-        A failed action voids the later actions of its run in the
-        batch; the core's answer to :class:`ActionFailed` replaces
-        them. This task must outlive any one action, so every failure
-        is reported to the core rather than raised.
+        A performed action is reported to the core, which sets the fact
+        it made true. A failed one voids the later actions of its run
+        in the batch; the core's answer to :class:`ActionFailed`
+        replaces them. This task must outlive any one action, so every
+        failure is reported to the core rather than raised.
         """
         while True:
             pending = list(await self._actions.get())
@@ -246,6 +247,8 @@ class BenchmarkService:
                     pending = [a for a in pending if a.run_id != action.run_id]
                     now = current_tracer().clock.now()
                     pending += self.core.step(ActionFailed(action, error), now)
+                else:
+                    self.core.performed(action)
             self._actions.task_done()
 
     async def _perform(self, action: Action) -> None:
@@ -337,19 +340,11 @@ class BenchmarkService:
                 continue
             try:
                 return await handler(request, writer, **match.groupdict())
-            except QuotaExceeded as exc:
-                return error_response(
-                    429, str(exc),
-                    **{"Retry-After": f"{exc.retry_after:g}"},
-                )
-            except BreakerOpen as exc:
-                return error_response(
-                    503, str(exc),
-                    **{"Retry-After": f"{exc.retry_after:g}"},
-                )
-            except ProtocolError as exc:
-                return error_response(400, str(exc))
-            except ConfigurationError as exc:
+            except (QuotaExceeded, BreakerOpen) as exc:
+                status = 429 if isinstance(exc, QuotaExceeded) else 503
+                retry_after = {"Retry-After": f"{exc.retry_after:g}"}
+                return error_response(status, str(exc), **retry_after)
+            except (ProtocolError, ConfigurationError) as exc:
                 return error_response(400, str(exc))
             except (GraphalyticsError, OSError) as exc:
                 return error_response(500, f"{type(exc).__name__}: {exc}")

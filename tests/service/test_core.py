@@ -7,7 +7,9 @@ a server death and the restart after either — performs the returned
 actions against an in-memory spool (the *ledger*: each run's request,
 durable attempt count, outcome and quarantine marker), and replays
 that ledger as boot-scan events on every restart, as
-``RunRegistry.scan`` does. The invariants are the supervision contract
+``RunRegistry.scan`` does. Like the server, it reports each performed
+action back to the core (``ServiceCore.performed``), and a read may land
+between any two actions. The invariants are the supervision contract
 of docs/service.md § Run supervision and quarantine.
 """
 
@@ -27,6 +29,9 @@ from hypothesis.stateful import (
 
 from repro.proc import RetryPolicy
 from repro.service.core import (
+    DONE,
+    FAILED,
+    QUARANTINED,
     RUNNING,
     ActionFailed,
     BootScanned,
@@ -119,6 +124,8 @@ class ServiceLifecycle(RuleBasedStateMachine):
     def perform(self, actions) -> None:
         pending = list(actions)
         while pending:
+            # An HTTP read may land before any action is performed.
+            self.every_reported_state_has_its_marker()
             action = pending.pop(0)
             type(self).performed.add(type(action))
             if self.armed is type(action):
@@ -128,6 +135,7 @@ class ServiceLifecycle(RuleBasedStateMachine):
                 pending += self.core.step(failed, self.now)
                 continue
             self.apply(action)
+            self.core.performed(action)
 
     def apply(self, action) -> None:
         if isinstance(action, Discard):
@@ -270,6 +278,20 @@ class ServiceLifecycle(RuleBasedStateMachine):
         runs = self.core.runs
         running = {r for r, rec in runs.items() if rec.state == RUNNING}
         assert running == self.live
+
+    @invariant()
+    def every_reported_state_has_its_marker(self):
+        for run_id, record in self.core.runs.items():
+            spooled = self.ledger[run_id]
+            if record.state in (DONE, FAILED):
+                assert spooled.outcome is not None
+            elif record.state == QUARANTINED:
+                assert (
+                    spooled.quarantine is not None
+                    or "quarantine not persisted" in record.error
+                )
+            elif record.state == RUNNING:
+                assert run_id in self.live
 
     @invariant()
     def a_done_run_names_no_error(self):
