@@ -8,10 +8,9 @@ engine formulates LCC), validates every output, and the table is read
 from the results database — T_proc is each job's ``processing`` span.
 """
 
-from paper import print_table
-
 from repro.algorithms.registry import ALGORITHMS
 from repro.harness.config import BenchmarkConfig
+from repro.harness.reproduce import Table, render
 from repro.harness.runner import BenchmarkRunner
 from repro.platforms.registry import EXTRA_PLATFORMS
 
@@ -37,11 +36,11 @@ def test_measured_family(benchmark):
             row.modeled_processing_time or "n/a"
         )
     assert len(database) == len(NAMES) * (5 + 6)  # G22 takes no SSSP
-    print_table(
+    print(render(Table(
         "Measured T_proc (s) per execution path, miniature scale",
-        ["dataset", "algorithm"] + NAMES,
-        [[*cell] + [tproc[cell][name] for name in NAMES] for cell in tproc],
-    )
+        ("dataset", "algorithm", *NAMES),
+        [(*cell, *(tproc[cell][name] for name in NAMES)) for cell in tproc],
+    )))
     # The SpMV formulation vectorizes and should clearly beat the
     # per-vertex models — GraphMat's §3.1 performance argument, measured.
     for dataset in CONFIG.datasets:

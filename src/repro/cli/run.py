@@ -1,5 +1,5 @@
-"""Benchmark runs: ``run``, ``job``, ``report``, ``full-run``, ``resume``,
-``estimate``, ``analyze`` and ``granula``."""
+"""Benchmark runs: ``run``, ``job``, ``report``, ``reproduce``,
+``full-run``, ``resume``, ``estimate``, ``analyze`` and ``granula``."""
 
 from __future__ import annotations
 
@@ -153,6 +153,19 @@ def report(args) -> int:
         print(f"report written to {path}")
     else:
         print(render_report(database))
+    return 0
+
+
+@command(
+    "reproduce",
+    arg("artifacts", nargs="*", metavar="ARTIFACT",
+        help="artifact ids, e.g. table05 figure02 (default: all of them)"),
+)
+def reproduce(args) -> int:
+    """print paper artifacts beside their reproduction, as Markdown"""
+    from repro.harness.reproduce import report
+
+    print(report(args.artifacts), end="")
     return 0
 
 

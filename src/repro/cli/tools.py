@@ -1,5 +1,4 @@
-"""Inspection tools: ``lint``, ``trace``, ``selfcheck``, ``platforms`` and
-``experiments``."""
+"""Inspection tools: ``lint``, ``trace`` and ``selfcheck``."""
 
 from __future__ import annotations
 
@@ -152,29 +151,4 @@ def selfcheck(args) -> int:
         print(f"{failed} of {len(results)} checks failed")
         return 1
     print(f"all {len(results)} checks passed")
-    return 0
-
-
-@command("platforms")
-def platforms(args) -> int:
-    """print the platform roster"""
-    from repro.platforms.registry import PLATFORMS
-
-    print(f"{'type':6s} {'name':12s} {'vendor':14s} {'lang':6s} "
-          f"{'model':12s} {'version'}")
-    for info, _ in PLATFORMS.values():
-        print(f"{info.type_code:6s} {info.name:12s} {info.vendor:14s} "
-              f"{info.language:6s} {info.programming_model:12s} {info.version}")
-    return 0
-
-
-@command("experiments")
-def experiments(args) -> int:
-    """list the experiment suite"""
-    from repro.harness.experiments import EXPERIMENTS
-
-    print(f"{'id':22s} {'sec':4s} {'category':12s} {'title'}")
-    for exp in EXPERIMENTS.values():
-        print(f"{exp.experiment_id:22s} {exp.section:4s} "
-              f"{exp.category:12s} {exp.title}")
     return 0

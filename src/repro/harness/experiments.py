@@ -2,8 +2,8 @@
 
 Each experiment is a self-contained object with Table 6 metadata and a
 ``run`` method producing an :class:`ExperimentReport` (structured rows
-ready to print as the paper's tables/figures). The benchmark scripts in
-``benchmarks/`` are thin wrappers over these.
+ready to print as the paper's tables/figures). The paper's artifacts
+(:mod:`repro.harness.reproduce`) fold these reports.
 
 | Category    | Experiment          | Algorithms | Datasets       | #nodes | #threads |
 |-------------|---------------------|-----------|----------------|--------|----------|
@@ -220,6 +220,7 @@ def _fold_dataset_variety(pairs: Pairs, report: ExperimentReport) -> None:
                 "eps": result.eps,
                 "evps": result.evps,
                 "makespan": result.modeled_makespan,
+                "upload": result.modeled_upload_time,
                 "sla_compliant": result.sla_compliant,
                 "status": _status_code(result),
             }

@@ -18,7 +18,7 @@ on a cluster:
 These implementations really partition the miniature graphs, so the
 replication factors and balance numbers that justify the performance
 models' memory terms can be *measured*, not assumed (see
-``benchmarks/bench_ablation_partitioning.py``).
+``graphalytics reproduce ablation-partitioning``).
 """
 
 from __future__ import annotations

@@ -69,6 +69,9 @@ class RunRecord:
     error: str = ""
     #: Launches recorded in the supervise.json ledger (0 = never ran).
     attempts: int = 0
+    #: Attempts this server decided whose ledger write failed: they
+    #: count against the budget, but no disk holds them.
+    unrecorded: int = 0
     #: A launched child of this run has not exited yet.
     live: bool = False
     #: Terminal summary loaded from outcome.json, if the run finished.
@@ -258,7 +261,10 @@ class ServiceCore:
     def performed(self, action: Action) -> None:
         """Set the fact that performing ``action`` made true."""
         record = self.runs.get(action.run_id)  # a discarded run has none
-        if isinstance(action, Launch):
+        if isinstance(action, PersistAttempt):
+            record.attempts = action.attempt
+            record.started_at = action.at
+        elif isinstance(action, Launch):
             record.live = True
         elif isinstance(action, Quarantine):
             record.quarantine = action.payload
@@ -334,12 +340,15 @@ class ServiceCore:
             # No child ran: the attempt counts against the budget but
             # is no strike. Without a durable ledger entry there is no
             # launch, so the budget bounds launches across restarts.
+            attempt = record.attempts
+            if isinstance(action, PersistAttempt):
+                attempt = action.attempt
+                record.unrecorded += 1
             self._vacate(action.run_id)
             if self.stopping:
                 return []
             return self._retry(
-                record, now,
-                f"attempt {record.attempts} not launched: {event.error}",
+                record, now, f"attempt {attempt} not launched: {event.error}"
             )
         if isinstance(action, Quarantine):
             # Terminal in this server all the same; a restart decides
@@ -365,10 +374,8 @@ class ServiceCore:
             if item is None:
                 break
             record = self.runs[item[1]]
-            record.attempts += 1
-            record.started_at = now
             actions += [
-                PersistAttempt(record.run_id, record.attempts, now),
+                PersistAttempt(record.run_id, record.attempts + 1, now),
                 Launch(record.run_id),
             ]
         return actions
@@ -384,10 +391,11 @@ class ServiceCore:
     ) -> List[Action]:
         """Within budget: back on the queue after the scheduler-shaped
         exponential backoff. Budget spent: quarantine."""
-        if self.policy.exhausted(record.attempts):
+        spent = record.attempts + record.unrecorded
+        if self.policy.exhausted(spent):
             return self._quarantine(record, now, reason)
         record.error = reason
-        at = now + self.policy.backoff(record.attempts)
+        at = now + self.policy.backoff(spent)
         return [RequeueAt(record.run_id, at)]
 
     def _quarantine(

@@ -123,6 +123,13 @@ class TestExecutionFlows:
         assert np.array_equal(old.edge_src, new.edge_src)
         assert np.array_equal(old.edge_dst, new.edge_dst)
 
+    def test_old_flow_sorts_more_than_one_new_step(self):
+        config = DatagenConfig(num_persons=500, seed=5)
+        old, old_trace = generate_with_flow(config, FlowVersion.V0_2_1)
+        new, new_trace = generate_with_flow(config, FlowVersion.V0_2_6)
+        assert old.num_edges == new.num_edges
+        assert old_trace.total_records_sorted > new_trace.steps[0].records_sorted
+
     def test_old_flow_sorts_grow_per_step(self):
         config = DatagenConfig(num_persons=300, seed=12)
         _, trace = generate_with_flow(config, FlowVersion.V0_2_1)

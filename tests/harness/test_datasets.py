@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import DatasetError
+from repro.harness import anchors
 from repro.harness.datasets import (
     DATASETS,
     REAL_DATASETS,
@@ -44,6 +45,18 @@ class TestCatalog:
         assert ds.name == name
         assert ds.profile.scale == scale
         assert ds.tshirt == tshirt
+
+    @pytest.mark.parametrize(
+        "dataset_id,paper", [*anchors.TABLE3.items(), *anchors.TABLE4.items()]
+    )
+    def test_catalog_matches_the_paper(self, dataset_id, paper):
+        name, vertices, edges, scale, *domain = paper
+        ds = get_dataset(dataset_id)
+        assert ds.profile.name == name
+        assert ds.profile.num_vertices == int(round(vertices))
+        assert ds.profile.num_edges == int(round(edges))
+        assert ds.profile.scale == scale
+        assert all(d in ds.domain for d in domain)
 
     def test_labels(self):
         assert get_dataset("R4").label == "R4(S)"
@@ -101,11 +114,15 @@ class TestUpToClass:
 
 class TestMaterialization:
     def test_miniature_matches_profile_shape(self):
-        for dataset_id in ("R1", "R4", "D100", "G22"):
+        for dataset_id in ("R1", "R4", "R5", "D100", "D300", "G22"):
             ds = get_dataset(dataset_id)
             g = ds.materialize()
+            assert g.num_edges > 0
             assert g.directed == ds.profile.directed
             assert g.is_weighted == ds.profile.weighted
+
+    def test_largest_graph500_miniature_is_substantial(self):
+        assert get_dataset("G26").materializer(7).num_edges > 50_000
 
     def test_materialization_cached(self):
         ds = get_dataset("G22")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.harness import anchors
 from repro.harness.config import BenchmarkConfig
 from repro.harness.experiments import EXPERIMENTS, get_experiment
 from repro.harness.runner import BenchmarkRunner
@@ -40,6 +41,12 @@ class TestCatalog:
         with pytest.raises(ConfigurationError):
             get_experiment("4.9")
 
+    def test_table6_rows_match_the_paper(self):
+        for exp in EXPERIMENTS.values():
+            assert (
+                exp.section, exp.category, exp.algorithms, max(exp.nodes)
+            ) == anchors.TABLE6[exp.experiment_id]
+
     def test_table6_parameters(self):
         vertical = get_experiment("vertical-scalability")
         assert vertical.threads == (1, 2, 4, 8, 16, 32)
@@ -62,6 +69,27 @@ class TestDatasetVariety(object):
         assert ok_rows
         assert all(r["eps"] > 0 and r["evps"] > r["eps"] for r in ok_rows)
 
+    def test_three_tiers_on_d300(self, reports):
+        def tproc(platform):
+            return reports["dataset-variety"].rows_for(
+                platform=platform, dataset="D300", algorithm="bfs"
+            )[0]["tproc"]
+
+        leaders = min(tproc("GraphMat"), tproc("PGX.D"))
+        middle = min(tproc("PowerGraph"), tproc("OpenG"))
+        jvm = min(tproc("Giraph"), tproc("GraphX"))
+        assert middle > 3 * leaders  # "roughly an order of magnitude"
+        assert jvm > 25 * leaders  # "two orders of magnitude"
+
+    def test_every_platform_is_dataset_sensitive(self, reports):
+        # §4.1: normalized performance is not constant across datasets.
+        rows = reports["dataset-variety"].rows_for(algorithm="bfs")
+        for platform in {r["platform"] for r in rows}:
+            eps = [
+                r["eps"] for r in rows if r["platform"] == platform and r["eps"]
+            ]
+            assert max(eps) > 2 * min(eps), platform
+
 
 class TestAlgorithmVariety:
     def test_pgxd_lcc_na(self, reports):
@@ -71,10 +99,22 @@ class TestAlgorithmVariety:
         assert rows and all(r["status"] == "NA" for r in rows)
 
     def test_graphx_cdlp_fails_even_on_r4(self, reports):
-        rows = reports["algorithm-variety"].rows_for(
-            platform="GraphX", algorithm="cdlp", dataset="R4"
-        )
-        assert rows[0]["status"] == "F"
+        for dataset in ("R4", "D300"):
+            rows = reports["algorithm-variety"].rows_for(
+                platform="GraphX", algorithm="cdlp", dataset=dataset
+            )
+            assert rows[0]["status"] == "F"
+
+    def test_openg_best_on_cdlp(self, reports):
+        for dataset in ("R4", "D300"):
+            ok = {
+                r["platform"]: r["tproc"]
+                for r in reports["algorithm-variety"].rows_for(
+                    algorithm="cdlp", dataset=dataset
+                )
+                if r["status"] == "ok"
+            }
+            assert min(ok, key=ok.get) == "OpenG"
 
     def test_lcc_failures_match_paper(self, reports):
         report = reports["algorithm-variety"]
@@ -85,6 +125,11 @@ class TestAlgorithmVariety:
                 if r["status"] == "ok"
             }
             assert ok == {"PowerGraph", "OpenG"}
+            for platform in ("Giraph", "GraphX", "GraphMat"):
+                rows = report.rows_for(
+                    platform=platform, algorithm="lcc", dataset=dataset
+                )
+                assert rows[0]["status"] == "F"
 
     def test_graphmat_sssp_uses_d_backend(self, reports):
         rows = reports["algorithm-variety"].rows_for(
@@ -124,6 +169,20 @@ class TestStrongScalability:
         )
         assert rows[0]["status"] == "F"
 
+    def test_figure8_status_events(self, reports):
+        def status(platform, algorithm, machines):
+            return reports["strong-scalability"].rows_for(
+                platform=platform, algorithm=algorithm, machines=machines
+            )[0]["status"]
+
+        assert status("Giraph", "pr", 1) == status("Giraph", "pr", 4) == "ok"
+        # GraphX needs 2 machines for BFS, 4 for PR (memory).
+        assert status("GraphX", "bfs", 1) == "F"
+        assert status("GraphX", "pr", 2) == "F"
+        assert status("GraphX", "pr", 4) == "ok"
+        for machines in (1, 2, 4, 8, 16):
+            assert status("PowerGraph", "bfs", machines) == "ok"
+
 
 class TestWeakScalability:
     def test_slowdown_computed_vs_first_success(self, reports):
@@ -133,6 +192,15 @@ class TestWeakScalability:
         finite = [r["slowdown"] for r in rows if r["slowdown"]]
         assert finite[0] == pytest.approx(1.0)
         assert finite[-1] > 5
+
+    def test_graphx_has_the_worst_peak_slowdown_on_pr(self, reports):
+        peak = {}
+        for platform in ("Giraph", "GraphX", "PowerGraph", "GraphMat"):
+            rows = reports["weak-scalability"].rows_for(
+                platform=platform, algorithm="pr"
+            )
+            peak[platform] = max(r["slowdown"] for r in rows if r["slowdown"])
+        assert max(peak, key=peak.get) == "GraphX"
 
 
 class TestStressTest:
@@ -163,6 +231,11 @@ class TestVariability:
     def test_openg_absent_from_distributed(self, reports):
         d_rows = reports["variability"].rows_for(config="D")
         assert all(r["platform"] != "openg" for r in d_rows)
+
+    def test_s_means_near_table11(self, reports):
+        for row in reports["variability"].rows_for(config="S"):
+            paper_mean, _ = anchors.TABLE11["S"][row["platform"]]
+            assert 0.5 * paper_mean <= row["mean"] <= 1.6 * paper_mean
 
     def test_cv_at_most_ten_percent(self, reports):
         # §4.7 key finding. Sampled CVs (n=10) fluctuate, allow headroom.

@@ -13,6 +13,8 @@ class TestTable12:
         # "There is no alternative to Graphalytics in covering R1-R4":
         # it is the only row with robustness + renewal + 2-stage selection.
         assert this_work.robustness and this_work.renewal
+        assert this_work.datasets == "2-stage"
+        assert this_work.scalability_tests == "W/S/V/H"
         for other in RELATED_WORK[:-1]:
             assert not other.robustness
             assert not other.renewal

@@ -8,6 +8,7 @@ values, within stated tolerances elsewhere.
 
 import pytest
 
+from repro.harness import anchors
 from repro.harness.datasets import DATASETS, get_dataset
 from repro.platforms.cluster import ClusterResources
 from repro.platforms.registry import PLATFORMS, create_driver
@@ -45,14 +46,7 @@ class TestTable8:
 
     @pytest.mark.parametrize(
         "platform,paper_tproc,paper_makespan",
-        [
-            ("giraph", 22.3, 276.6),
-            ("graphx", 101.5, 298.3),
-            ("powergraph", 2.1, 214.7),
-            ("graphmat", 0.3, 22.8),
-            ("openg", 1.8, 5.4),
-            ("pgxd", 0.5, 268.7),
-        ],
+        [(p, *values) for p, values in anchors.TABLE8.items()],
     )
     def test_tproc_and_makespan(self, platform, paper_tproc, paper_makespan):
         assert tproc(platform, "bfs", "D300") == pytest.approx(paper_tproc, rel=0.10)
@@ -78,14 +72,7 @@ class TestTable9:
 
     @pytest.mark.parametrize(
         "platform,paper_bfs,paper_pr",
-        [
-            ("giraph", 6.0, 8.1),
-            ("graphx", 4.5, 2.9),
-            ("powergraph", 11.8, 10.3),
-            ("graphmat", 6.9, 11.3),
-            ("openg", 6.3, 6.4),
-            ("pgxd", 15.0, 13.9),
-        ],
+        [(p, *values) for p, values in anchors.TABLE9.items()],
     )
     def test_max_speedup(self, platform, paper_bfs, paper_pr):
         for algorithm, expected in (("bfs", paper_bfs), ("pr", paper_pr)):
@@ -125,16 +112,10 @@ class TestTable9:
 class TestTable10:
     """Stress test: smallest dataset failing BFS on one machine."""
 
-    PAPER = {
-        "giraph": "G26",
-        "graphx": "G25",
-        "powergraph": "R5",
-        "graphmat": "G26",
-        "openg": "R5",
-        "pgxd": "G25",
-    }
-
-    @pytest.mark.parametrize("platform,expected", sorted(PAPER.items()))
+    @pytest.mark.parametrize(
+        "platform,expected",
+        sorted((p, dataset) for p, (dataset, _) in anchors.TABLE10.items()),
+    )
     def test_smallest_failing_dataset(self, platform, expected):
         failures = []
         for ds in sorted(
@@ -167,14 +148,7 @@ class TestTable11:
 
     @pytest.mark.parametrize(
         "platform,paper_cv",
-        [
-            ("giraph", 0.050),
-            ("graphx", 0.026),
-            ("powergraph", 0.015),
-            ("graphmat", 0.097),
-            ("openg", 0.048),
-            ("pgxd", 0.082),
-        ],
+        [(p, cv) for p, (_, cv) in anchors.TABLE11["S"].items()],
     )
     def test_single_node_cv_parameter(self, platform, paper_cv):
         assert model(platform).variability_cv(R()) == pytest.approx(paper_cv)

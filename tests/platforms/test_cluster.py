@@ -12,6 +12,7 @@ class TestMachineSpec:
         assert DAS5_MACHINE.cores == 16
         assert DAS5_MACHINE.threads == 32
         assert DAS5_MACHINE.memory_bytes == 64 * 2 ** 30
+        assert "E5-2630" in DAS5_MACHINE.name
 
     def test_threads_below_cores_rejected(self):
         with pytest.raises(ConfigurationError):

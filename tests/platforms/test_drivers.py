@@ -4,6 +4,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.graph.generators import erdos_renyi
+from repro.harness import anchors
 from repro.platforms.cluster import ClusterResources
 from repro.platforms.registry import (
     PLATFORMS,
@@ -50,6 +51,14 @@ class TestTable5Roster:
         assert info.language == language
         assert info.programming_model == model
         assert info.version == version
+
+    def test_roster_matches_the_paper(self):
+        for key, paper in anchors.TABLE5.items():
+            info = get_platform(key)
+            assert (
+                info.type_code, info.name, info.vendor, info.language,
+                info.programming_model, info.version,
+            ) == paper
 
     def test_three_community_three_industry(self):
         origins = [info.origin for info, _ in PLATFORMS.values()]

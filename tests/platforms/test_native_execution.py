@@ -96,8 +96,14 @@ class TestNativeMode:
         assert result.platform == "PythonRef-Pregel"
         assert result.validated is True
 
-    @pytest.mark.parametrize("platform", list(EXTRA_PLATFORMS))
-    def test_tproc_is_the_processing_span_and_nothing_else(self, platform):
+    @pytest.mark.parametrize(
+        "platform,count",
+        # G22 is unweighted: no SSSP; only the kernels formulate LCC.
+        [(p, 11 if p == "pythonref" else 9) for p in EXTRA_PLATFORMS],
+    )
+    def test_tproc_is_the_processing_span_and_nothing_else(
+        self, platform, count
+    ):
         """Paper §2.5: T_proc excludes start-up, upload and load. Every
         measured row's T_proc is its ``processing`` span (extracted by
         Granula), and that span's subtree holds the algorithm only."""
@@ -105,16 +111,18 @@ class TestNativeMode:
         from repro.harness.runner import BenchmarkRunner
         from repro.trace import Tracer, use_tracer
 
+        supports = create_driver(platform).supports
         tracer = Tracer()
         with use_tracer(tracer):
             runner = BenchmarkRunner(BenchmarkConfig(seed=0))
             rows = [
                 runner.run_job(platform, dataset, algorithm)
                 for dataset in ("G22", "R4")
-                for algorithm in ("bfs", "pr", "wcc", "cdlp", "sssp")
-                if can_run_combo(platform, dataset, algorithm)
+                for algorithm in ("bfs", "pr", "wcc", "cdlp", "sssp", "lcc")
+                if supports(algorithm)
+                and can_run_combo(platform, dataset, algorithm)
             ]
-        assert len(rows) == 9  # G22 is unweighted: no SSSP
+        assert len(rows) == count
         spans = {s.span_id: s for s in tracer.finished_spans()}
         processing = sorted(
             (s for s in spans.values() if s.name == "processing"),

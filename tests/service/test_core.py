@@ -164,7 +164,8 @@ class ServiceLifecycle(RuleBasedStateMachine):
             spooled.quarantine = dict(action.payload)
         elif isinstance(action, RequeueAt):
             policy = self.core.policy
-            assert action.at == self.now + policy.backoff(record.attempts)
+            spent = record.attempts + record.unrecorded
+            assert action.at == self.now + policy.backoff(spent)
             self.timers[action.run_id] = action.at
         elif isinstance(action, Settle):
             spooled.outcome = dict(action.outcome)
@@ -283,6 +284,7 @@ class ServiceLifecycle(RuleBasedStateMachine):
     def every_reported_state_has_its_marker(self):
         for run_id, record in self.core.runs.items():
             spooled = self.ledger[run_id]
+            assert record.attempts == spooled.attempts
             if record.state in (DONE, FAILED):
                 assert spooled.outcome is not None
             elif record.state == QUARANTINED:
@@ -315,6 +317,24 @@ def test_unpersisted_rejection_is_forgotten():
     assert core.step(failed, 0.0) == [Discard("r3")]
     assert sorted(core.runs) == ["r1", "r2"]
     assert "rejection not persisted: InjectedIOError" in record.error
+
+
+def test_an_unwritten_attempt_counts_against_the_budget():
+    """A failed ledger write launches nothing, yet spends the budget: a
+    spool that never takes the write quarantines the run, and no read
+    reports an attempt the ledger does not hold."""
+    core = new_core()
+    record = RunRecord("r1", "acme")
+    actions = core.step(Submitted(record), 0.0)
+    for now in range(1, RUN_ATTEMPTS + 1):
+        persist = actions[0]
+        assert isinstance(persist, PersistAttempt) and persist.attempt == 1
+        failed = ActionFailed(persist, "InjectedIOError: [Errno 28]")
+        actions = core.step(failed, float(now))
+        if isinstance(actions[0], RequeueAt):
+            actions = core.step(TimerFired("r1"), actions[0].at)
+    assert [type(a) for a in actions] == [Quarantine]
+    assert record.attempts == 0 and record.started_at is None
 
 
 def test_service_core_state_machine():

@@ -39,11 +39,14 @@ _DEADLINE = 60.0
 POISON = dict(run_attempts=2, run_backoff_base=0.05, breaker_threshold=10)
 
 
-def assert_marker_on_disk(run_dir, state):
+def assert_marker_on_disk(run_dir, status):
+    state = status["state"]
     if state == QUARANTINED:
         assert (run_dir / QUARANTINE_NAME).exists()
     elif state == RUNNING:
         assert load_supervision(run_dir)["attempts"] >= 1
+    # The attempts a read reports are in the ledger already.
+    assert status.get("attempts", 0) <= load_supervision(run_dir)["attempts"]
 
 
 @pytest.mark.parametrize(
@@ -68,8 +71,9 @@ def test_a_reported_state_has_its_marker_on_disk(tmp_path, after):
             state = None
             while state != QUARANTINED:
                 assert time.monotonic() < limit, f"last state: {state}"
-                state = client.run(run_id)["state"]
-                assert_marker_on_disk(run_dir, state)
+                status = client.run(run_id)
+                state = status["state"]
+                assert_marker_on_disk(run_dir, status)
                 time.sleep(0.01)
 
 

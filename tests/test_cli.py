@@ -26,16 +26,22 @@ class TestCommands:
         assert "graph500-26" in out
 
     def test_platforms(self, capsys):
-        assert main(["platforms"]) == 0
+        assert main(["reproduce", "table05"]) == 0
         out = capsys.readouterr().out
         assert "PGX.D" in out
         assert "C, D" in out and "I, S" in out
 
     def test_experiments(self, capsys):
-        assert main(["experiments"]) == 0
+        assert main(["reproduce", "table06"]) == 0
         out = capsys.readouterr().out
         assert "dataset-variety" in out
         assert "4.8" in out
+
+    def test_reproduce_unknown_artifact(self, capsys):
+        assert main(["reproduce", "table05", "table13"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown artifact 'table13'; known: table01" in captured.err
 
     def test_job(self, capsys):
         assert main(["job", "graphmat", "D100", "bfs"]) == 0
