@@ -23,7 +23,7 @@ import platform
 import time
 from pathlib import Path
 
-from repro.lint import LintEngine, all_rules, load_config
+from repro.lint import LintConfig, LintEngine, all_rules
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 OUTPUT = REPO_ROOT / "BENCH_lint.json"
@@ -33,7 +33,7 @@ TIME_BUDGET_SECONDS = 10.0
 
 
 def _one_round():
-    config = load_config(REPO_ROOT)
+    config = LintConfig(REPO_ROOT)
     started = time.perf_counter()
     findings = LintEngine(config).run([TARGET])
     elapsed = time.perf_counter() - started
@@ -54,7 +54,7 @@ def test_full_tree_lint_wall_time(benchmark):
     full = min(samples)
     rules = len(all_rules())
     file_count = len(
-        LintEngine(load_config(REPO_ROOT)).collect_files([TARGET])
+        LintEngine(LintConfig(REPO_ROOT)).collect_files([TARGET])
     )
 
     payload = {

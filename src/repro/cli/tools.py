@@ -22,9 +22,10 @@ def lint(args) -> int:
     from pathlib import Path
 
     from repro.lint import (
+        LintConfig,
         LintEngine,
         all_rules,
-        load_config,
+        find_project_root,
         render_json,
         render_text,
     )
@@ -36,9 +37,7 @@ def lint(args) -> int:
             print(f"    {rule.description}")
         return 0
 
-    config = load_config()
-    if args.select:
-        config.select = list(args.select)
+    config = LintConfig(find_project_root(), list(args.select or []))
 
     if args.paths:
         paths = [Path(p) for p in args.paths]

@@ -106,10 +106,10 @@ def undeploy(graph: Optional[Graph] = None, *, disown: bool = False) -> None:
         return
     for key in sorted(_deployments):
         _deployments[key].close(disown=disown)
-    # Per-process state on purpose (RACE001): the at-fork hook below
-    # empties it in every forked child, workers included.
-    _deployments.clear()  # lint: disable=RACE001
-    _deployed_graph = None  # lint: disable=RACE001
+    # Per-process state on purpose: the at-fork hook below empties it
+    # in every forked child, workers included.
+    _deployments.clear()
+    _deployed_graph = None
 
 
 atexit.register(undeploy)

@@ -321,7 +321,7 @@ def install_io_plan(plan: Optional[IoFaultPlan]) -> None:
     # Per-process by design, like the tracer globals: each worker or
     # run child arms its own plan at entry and never shares it back.
     global _ACTIVE_PLAN
-    _ACTIVE_PLAN = plan  # lint: disable=RACE001
+    _ACTIVE_PLAN = plan
 
 
 def active_io_plan() -> Optional[IoFaultPlan]:
@@ -330,11 +330,11 @@ def active_io_plan() -> Optional[IoFaultPlan]:
     if _ACTIVE_PLAN is None and not _ENV_CHECKED:
         # Lazy per-process env load, like install_io_plan: each worker
         # (pool, service child, partitioned shard) arms its own copy.
-        _ENV_CHECKED = True  # lint: disable=RACE001
+        _ENV_CHECKED = True
         path = os.environ.get(PLAN_ENV)
         if path:
             payload = json.loads(Path(path).read_text(encoding="utf-8"))
-            _ACTIVE_PLAN = IoFaultPlan.from_dict(payload)  # lint: disable=RACE001
+            _ACTIVE_PLAN = IoFaultPlan.from_dict(payload)
     return _ACTIVE_PLAN
 
 

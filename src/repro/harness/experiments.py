@@ -241,7 +241,7 @@ def _fold_algorithm_variety(pairs: Pairs, report: ExperimentReport) -> None:
         if result is None:
             report.rows.append(
                 {
-                    "platform": cell.platform,
+                    "platform": PLATFORMS[cell.platform][0].name,
                     "dataset": cell.dataset,
                     "algorithm": cell.algorithm,
                     "tproc": None,
@@ -412,7 +412,7 @@ def _fold_stress(pairs: Pairs, report: ExperimentReport) -> None:
         )
         report.rows.append(
             {
-                "platform": platform,
+                "platform": result.platform,
                 "summary": "stress-limit",
                 "dataset": smallest_failure.dataset_id if smallest_failure else None,
                 "scale": smallest_failure.profile.scale if smallest_failure else None,
@@ -437,7 +437,7 @@ def _variability_cells(exp: Experiment):
 
 
 def _fold_variability(pairs: Pairs, report: ExperimentReport) -> None:
-    for (dataset_id, machines, platform), series in groupby(
+    for (dataset_id, machines, _), series in groupby(
         pairs,
         key=lambda pair: (pair[0].dataset, pair[0].machines, pair[0].platform),
     ):
@@ -455,7 +455,7 @@ def _fold_variability(pairs: Pairs, report: ExperimentReport) -> None:
         report.rows.append(
             {
                 "config": "S" if machines == 1 else "D",
-                "platform": platform,
+                "platform": result.platform,
                 "dataset": dataset_id,
                 "machines": machines,
                 "runs": len(times),

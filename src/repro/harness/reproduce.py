@@ -273,9 +273,9 @@ def table10() -> Table:
     _, report = _run("stress-test")
     rows = []
     for row in report.rows_for(summary="stress-limit"):
-        dataset, scale = anchors.TABLE10[row["platform"]]
+        dataset, scale = anchors.TABLE10[_KEYS[row["platform"]]]
         rows.append((
-            _NAMES[row["platform"]], row["dataset"], dataset, row["scale"],
+            row["platform"], row["dataset"], dataset, row["scale"],
             scale,
         ))
     return Table(
@@ -292,9 +292,9 @@ def table11() -> Table:
     for row in report.rows:
         if row["mean"] is None:
             continue
-        mean, cv = anchors.TABLE11[row["config"]][row["platform"]]
+        mean, cv = anchors.TABLE11[row["config"]][_KEYS[row["platform"]]]
         rows.append((
-            row["config"], _NAMES[row["platform"]], row["mean"], mean,
+            row["config"], row["platform"], row["mean"], mean,
             100 * row["cv"], 100 * cv,
         ))
     return Table(
@@ -397,9 +397,7 @@ def figure06() -> Table:
     exp, report = _run("algorithm-variety")
     cells = {}
     for r in report.rows:
-        # An NA row (no job ran) carries the registry key as platform.
-        name = _NAMES.get(r["platform"], r["platform"])
-        cells[r["dataset"], r["algorithm"], name] = _status_or_tproc(r)
+        cells[r["dataset"], r["algorithm"], r["platform"]] = _status_or_tproc(r)
     rows = [
         (dataset, algorithm.upper(),
          *(cells[dataset, algorithm, name] for name in _NAMES.values()))

@@ -138,9 +138,9 @@ def _check_lint() -> str:
     from pathlib import Path
 
     import repro
-    from repro.lint import LintEngine, load_config
+    from repro.lint import LintConfig, LintEngine, find_project_root
 
-    engine = LintEngine(load_config(Path(repro.__file__)))
+    engine = LintEngine(LintConfig(find_project_root(Path(repro.__file__))))
     findings = engine.run([Path(repro.__file__).parent])
     if findings:
         first = findings[0]

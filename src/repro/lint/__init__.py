@@ -7,8 +7,8 @@ reported numbers must come from the metered §2.3 metric
 implementations. This package enforces those invariants as an
 AST-based lint pass over the repro sources:
 
-    >>> from repro.lint import LintEngine, load_config
-    >>> engine = LintEngine(load_config())
+    >>> from repro.lint import LintConfig, LintEngine, find_project_root
+    >>> engine = LintEngine(LintConfig(root=find_project_root()))
     >>> findings = engine.run(["src/repro"])
 
 Exposed on the command line as ``graphalytics lint`` (exit code 1 on
@@ -17,7 +17,7 @@ grandfather one) and as the ``lint`` probe of ``graphalytics
 selfcheck``. See ``docs/lint.md``.
 """
 
-from repro.lint.config import LintConfig, find_project_root, load_config
+from repro.lint.config import LintConfig, find_project_root
 from repro.lint.core import (
     Finding,
     LintEngine,
@@ -25,7 +25,6 @@ from repro.lint.core import (
     Rule,
     Severity,
     all_rules,
-    get_rule,
     register_rule,
 )
 from repro.lint.project import ProjectModel
@@ -39,9 +38,7 @@ __all__ = [
     "Rule",
     "Severity",
     "all_rules",
-    "get_rule",
     "register_rule",
-    "load_config",
     "find_project_root",
     "ProjectModel",
     "render_text",

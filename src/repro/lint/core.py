@@ -21,7 +21,7 @@ Design:
   span;
 * the engine runs in **two phases**: phase 1 parses every file once
   and builds a whole-program :class:`~repro.lint.project.ProjectModel`
-  (symbol tables, approximate call graph, mutable-state inventory);
+  (symbol tables, approximate call graph, module-level bindings);
   phase 2 hands each :class:`Module` to the per-file
   :meth:`Rule.check` pass and the assembled project to each rule's
   :meth:`Rule.check_project` pass, so rules can be purely syntactic,
@@ -51,23 +51,15 @@ __all__ = [
     "Rule",
     "register_rule",
     "all_rules",
-    "get_rule",
     "LintEngine",
 ]
 
 
 class Severity:
-    """Finding severities, ordered: error > warning > info."""
+    """Finding severities."""
 
     ERROR = "error"
     WARNING = "warning"
-    INFO = "info"
-
-    _ORDER = {ERROR: 0, WARNING: 1, INFO: 2}
-
-    @classmethod
-    def rank(cls, severity: str) -> int:
-        return cls._ORDER.get(severity, 99)
 
 
 @dataclass(frozen=True)
@@ -295,14 +287,6 @@ def all_rules() -> Dict[str, Rule]:
     return dict(_REGISTRY)
 
 
-def get_rule(rule_id: str) -> Rule:
-    _load_builtin_rules()
-    try:
-        return _REGISTRY[rule_id]
-    except KeyError:
-        raise ConfigurationError(f"unknown lint rule {rule_id!r}") from None
-
-
 # -- shared AST helpers (used by the rule modules) ---------------------------
 
 def call_name(node: ast.AST) -> str:
@@ -448,6 +432,12 @@ def stdlib_calls(
             yield node, how, function
 
 
+#: The linter's own fixtures, deliberate violations: a run that walks a
+#: directory above them skips them; one that names a path inside them
+#: lints it.
+FIXTURES = "tests/lint/fixtures/"
+
+
 class LintEngine:
     """Parses files and runs every enabled, in-scope rule over them."""
 
@@ -466,21 +456,16 @@ class LintEngine:
 
     def collect_files(self, paths: Sequence[Path]) -> List[Path]:
         files: List[Path] = []
-        for path in paths:
-            path = Path(path)
+        for path in map(Path, paths):
             if path.is_dir():
-                files.extend(sorted(path.rglob("*.py")))
+                named = (self._rel_path(path) + "/").startswith(FIXTURES)
+                files.extend(
+                    f for f in sorted(path.rglob("*.py"))
+                    if named or not self._rel_path(f).startswith(FIXTURES)
+                )
             elif path.suffix == ".py":
                 files.append(path)
-        result = []
-        for f in files:
-            rel = self._rel_path(f)
-            if any(
-                Path(rel).match(pattern) for pattern in self.config.exclude
-            ):
-                continue
-            result.append(f)
-        return result
+        return files
 
     def _rel_path(self, path: Path) -> str:
         path = Path(path).resolve()

@@ -10,16 +10,16 @@ from another. The project model gives phase-2 rules that visibility:
   methods construct into ``self.<attr>``, and every import binding
   (``from repro.x import f as g`` records ``g -> repro.x.f``, ``import
   repro.x as x`` a module alias);
-* a **module-level mutable-state inventory** — names bound at import
-  time to dicts/lists/sets/instances — with a fork-unsafety
-  classification (open file handles, locks/queues, pipes, ``Tracer``
-  instances) for the RACE rule family;
+* a **module-level binding inventory** — every name bound at import
+  time, with the fork-unsafe ones classified (open file handles,
+  locks/queues, pipes, ``Tracer`` instances) for RACE003, and the
+  dict/list/set/tuple displays kept as function tables;
 * an approximate **call graph** over every project function, keyed
   ``module.qualname`` (``repro.runtime.pool._worker_main``): the edges
   in both directions, every resolved call site, and one **entrypoint
   table** of two families — ``Process(target=...)`` /
-  ``Child(target=...)`` targets, the fork boundary the RACE rules
-  reason from, and async handlers registered through ``*add_route``,
+  ``Child(target=...)`` targets, the fork boundary RACE003 reasons
+  from, and async handlers registered through ``*add_route``,
   the event-loop roots SRV001 polices — with each family's closure.
 
 Every lookup goes through one resolver, :meth:`ProjectModel.resolve`:
@@ -35,15 +35,19 @@ resolves as:
   class, base classes walked across modules;
 * ``obj.meth(...)`` — when ``obj``'s class is statically visible: a
   construction, an annotated parameter or local, a local ``x =
-  SomeClass(...)``, or a recorded ``self.attr``;
+  SomeClass(...)``, or a recorded ``self.attr``. A closure variable is
+  typed where the enclosing function binds it, and a call's result
+  (``x = make()``, ``self.driver(p).execute()``) takes the class its
+  callee's return annotation names;
 
-and a nested ``def`` adds an edge from its definer (if the outer
-function runs, the inner one may). Resolution is deliberately
-*under-approximate*: it does not track values through containers,
-attributes of arbitrary objects, ``getattr``, decorators that replace
-functions, or dynamic dispatch. Rules built on it miss exotic call
-paths rather than invent false ones; ``docs/lint.md`` documents the
-limits.
+a nested ``def`` adds an edge from its definer (if the outer function
+runs, the inner one may), and a function that loads a module-level
+table (``ALGORITHMS[name]``) gets an edge to every project function
+named in it. Resolution is deliberately *under-approximate*: it does
+not track values through attributes of arbitrary objects, ``getattr``,
+decorators that replace functions, or dynamic dispatch to an override.
+Rules built on it miss exotic call paths rather than invent false
+ones; ``docs/lint.md`` documents the limits.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from typing import (
     Callable, Dict, Iterable, List, Mapping, Optional, Set, TypeVar,
 )
 
-from repro.lint.core import FUNCTION_DEFS, Module, call_name
+from repro.lint.core import FUNCTION_DEFS, Module, call_name, local_names
 
 __all__ = [
     "IMPORT_HOPS",
@@ -65,7 +69,7 @@ __all__ = [
     "ImportBinding",
     "ClassInfo",
     "FunctionInfo",
-    "MutableGlobal",
+    "ModuleGlobal",
     "CallSite",
     "ModuleInfo",
     "ProjectModel",
@@ -88,23 +92,24 @@ _ROUTE_CALLS = ("_add_route", "add_route")
 _WORKER = "Process target"
 _HANDLER = "registered request handler"
 
-#: Constructors that produce a mutable container.
-_MUTABLE_FACTORIES = frozenset({
-    "dict", "list", "set", "bytearray", "defaultdict", "Counter",
-    "deque", "OrderedDict", "ChainMap",
-})
+#: Constructors whose product is unsafe to share across a fork, by
+#: kind: the child inherits the parent's lock state / file offset /
+#: buffered bytes, and the two sides then interleave on one kernel
+#: object.
+_FORK_UNSAFE = {
+    "open": "file", "Tracer": "tracer", "Pipe": "pipe", **dict.fromkeys((
+        "Lock", "RLock", "Semaphore", "BoundedSemaphore", "Condition",
+        "Event", "Barrier", "Queue", "SimpleQueue", "JoinableQueue",
+    ), "lock"),
+}
 
-#: Constructors whose product is unsafe to share across a fork: the
-#: child inherits the parent's lock state / file offset / buffered
-#: bytes, and the two sides then interleave on one kernel object.
-_LOCK_FACTORIES = frozenset({
-    "Lock", "RLock", "Semaphore", "BoundedSemaphore", "Condition",
-    "Event", "Barrier", "Queue", "SimpleQueue", "JoinableQueue",
-})
+#: The displays a module-level function table is written as.
+_TABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.Tuple)
 
 _T = TypeVar("_T")
 _FUNCTIONS = attrgetter("functions")
 _CLASSES = attrgetter("classes")
+_GLOBALS = attrgetter("globals")
 
 
 @dataclass(frozen=True)
@@ -147,8 +152,6 @@ class FunctionInfo:
     module: "ModuleInfo"
     qualname: str                       # "WorkerPool._spawn", "outer.inner"
     node: ast.AST
-    nested: bool = False                # defined inside another function
-    global_names: Set[str] = field(default_factory=set)
 
     @property
     def key(self) -> str:
@@ -161,12 +164,7 @@ class FunctionInfo:
         or ``x: SomeClass`` in the body. Computed on first use."""
         args = self.node.args
         types = {
-            arg.arg: (
-                arg.annotation.value
-                if isinstance(arg.annotation, ast.Constant)
-                and isinstance(arg.annotation.value, str)
-                else call_name(arg.annotation)
-            )
+            arg.arg: _written(arg.annotation)
             for arg in args.posonlyargs + args.args + args.kwonlyargs
             if arg.annotation is not None
         }
@@ -181,19 +179,27 @@ class FunctionInfo:
                 types.setdefault(sub.target.id, call_name(sub.annotation))
         return types
 
+    @cached_property
+    def own_names(self) -> Set[str]:
+        """Parameters and names this function's own scope binds."""
+        return local_names(self.node)
+
 
 @dataclass
-class MutableGlobal:
-    """A module-level name bound at import time to mutable state."""
+class ModuleGlobal:
+    """A module-level name bound by assignment at import time."""
 
     module: "ModuleInfo"
     name: str
     node: ast.AST                       # the binding statement's value
-    kind: str                           # container | instance | file | lock | tracer | pipe
 
     @property
-    def fork_unsafe(self) -> bool:
-        return self.kind in ("file", "lock", "tracer", "pipe")
+    def kind(self) -> Optional[str]:
+        """``file`` | ``lock`` | ``tracer`` | ``pipe`` for a fork-unsafe
+        resource built at import, else ``None``."""
+        if not isinstance(self.node, ast.Call):
+            return None
+        return _FORK_UNSAFE.get(call_name(self.node).rsplit(".", 1)[-1])
 
 
 @dataclass
@@ -205,29 +211,13 @@ class CallSite:
     node: ast.Call
 
 
-def _classify_binding(value: ast.AST) -> Optional[str]:
-    """Mutable-state classification of a module-level bound value."""
-    if isinstance(value, (ast.Dict, ast.List, ast.Set,
-                          ast.DictComp, ast.ListComp, ast.SetComp)):
-        return "container"
-    if isinstance(value, ast.Call):
-        dotted = call_name(value)
-        last = dotted.rsplit(".", 1)[-1]
-        if last == "open":
-            return "file"
-        if last in _LOCK_FACTORIES:
-            return "lock"
-        if last == "Tracer":
-            return "tracer"
-        if last == "Pipe":
-            return "pipe"
-        if last in _MUTABLE_FACTORIES:
-            return "container"
-        if last[:1].isupper():
-            # Approximation: a Capitalized call is an instantiation of
-            # some class; treat the instance as mutable state.
-            return "instance"
-    return None
+def _written(annotation: ast.AST) -> str:
+    """An annotation's class name as written (``"X"`` strings too)."""
+    if isinstance(annotation, ast.Constant) and isinstance(
+        annotation.value, str
+    ):
+        return annotation.value
+    return call_name(annotation)
 
 
 class ModuleInfo:
@@ -239,15 +229,11 @@ class ModuleInfo:
         self.imports: Dict[str, ImportBinding] = {}
         self.functions: Dict[str, FunctionInfo] = {}
         self.classes: Dict[str, ClassInfo] = {}
-        self.mutable_globals: Dict[str, MutableGlobal] = {}
-        #: Every module-level name bound by assignment (mutable or not);
-        #: the ``global X`` rebinding check needs the full set.
-        self.module_assigns: Set[str] = set()
+        self.globals: Dict[str, ModuleGlobal] = {}
         self._fn_by_node: Dict[int, FunctionInfo] = {}
         self._collect_imports()
-        self._collect_functions(module.tree.body, prefix="", nested=False)
-        self._collect_module_state()
-        self._collect_global_decls()
+        self._collect_functions(module.tree.body, prefix="")
+        self._collect_globals()
         self._collect_attr_types()
 
     # -- collection ----------------------------------------------------
@@ -282,16 +268,14 @@ class ModuleInfo:
             base += node.module.split(".")
         return ".".join(base) if base else None
 
-    def _collect_functions(
-        self, body: List[ast.stmt], prefix: str, nested: bool
-    ) -> None:
+    def _collect_functions(self, body: List[ast.stmt], prefix: str) -> None:
         for node in body:
             if isinstance(node, FUNCTION_DEFS):
                 qual = f"{prefix}{node.name}"
-                info = FunctionInfo(self, qual, node, nested=nested)
+                info = FunctionInfo(self, qual, node)
                 self.functions[qual] = info
                 self._fn_by_node[id(node)] = info
-                self._collect_functions(node.body, f"{qual}.", nested=True)
+                self._collect_functions(node.body, f"{qual}.")
             elif isinstance(node, ast.ClassDef):
                 qual = f"{prefix}{node.name}"
                 bases = [
@@ -300,61 +284,44 @@ class ModuleInfo:
                     if (base_name := call_name(base))
                 ]
                 self.classes[qual] = ClassInfo(self, qual, node, bases=bases)
-                self._collect_functions(
-                    node.body, f"{qual}.", nested=nested
-                )
+                self._collect_functions(node.body, f"{qual}.")
             elif isinstance(node, (ast.If, ast.Try)):
                 # Conditional definitions (version guards) still count.
                 for attr in ("body", "orelse", "finalbody"):
-                    self._collect_functions(
-                        getattr(node, attr, []) or [], prefix, nested
-                    )
+                    self._collect_functions(getattr(node, attr, []) or [], prefix)
                 for handler in getattr(node, "handlers", []) or []:
-                    self._collect_functions(handler.body, prefix, nested)
+                    self._collect_functions(handler.body, prefix)
 
-    def _collect_module_state(self) -> None:
+    def _collect_globals(self) -> None:
         for stmt in self.module.tree.body:
-            targets: List[ast.expr] = []
-            value: Optional[ast.AST] = None
             if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
+                targets = stmt.targets
             elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if value is None:
+                targets = [stmt.target]
+            else:
                 continue
             for target in targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                name = target.id
-                self.module_assigns.add(name)
-                if name.startswith("__"):
-                    continue  # __all__ and friends are metadata
-                kind = _classify_binding(value)
-                if kind is not None:
-                    self.mutable_globals[name] = MutableGlobal(
-                        self, name, value, kind
+                if isinstance(target, ast.Name):
+                    self.globals[target.id] = ModuleGlobal(
+                        self, target.id, stmt.value
                     )
 
-    def _collect_global_decls(self) -> None:
-        for node in self.module.nodes:
-            if not isinstance(node, ast.Global):
-                continue
-            fn = self.function_at(node)
-            if fn is not None:
-                fn.global_names.update(node.names)
-
     def _collect_attr_types(self) -> None:
-        """``self.x = SomeClass(...)`` in a method types attribute x."""
+        """``self.x = SomeClass(...)`` or ``self.x: SomeClass = ...`` in a
+        method types attribute x."""
         for cls in self.classes.values():
             for node in ast.walk(cls.node):
-                if not isinstance(node, ast.Assign) or not isinstance(
+                if isinstance(node, ast.AnnAssign):
+                    constructed, targets = _written(node.annotation), [node.target]
+                elif isinstance(node, ast.Assign) and isinstance(
                     node.value, ast.Call
                 ):
+                    constructed, targets = call_name(node.value), node.targets
+                else:
                     continue
-                constructed = call_name(node.value)
                 if not constructed or not constructed.rsplit(".", 1)[-1][:1].isupper():
                     continue
-                for target in node.targets:
+                for target in targets:
                     if (
                         isinstance(target, ast.Attribute)
                         and isinstance(target.value, ast.Name)
@@ -448,6 +415,20 @@ class ProjectModel:
                 if caller is not None and callee is not None:
                     self._add_edge(caller, callee, node)
                 self._find_entrypoints(info, caller, node)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                # Loading a function table may call any function in it.
+                table = self.resolve_global(info, node.id)
+                if table is None or not isinstance(table.node, _TABLE_DISPLAYS):
+                    continue
+                caller = info.function_at(node)
+                if caller is None:
+                    continue
+                for ref in ast.walk(table.node):
+                    fn = isinstance(ref, ast.Name) and self.resolve(
+                        table.module, ref.id, _FUNCTIONS
+                    )
+                    if fn:
+                        self._add_edge(caller, fn)
 
     def _add_edge(
         self, caller: FunctionInfo, callee: FunctionInfo,
@@ -516,7 +497,7 @@ class ProjectModel:
     ) -> Optional[_T]:
         """``dotted`` as named in ``info``, found in ``table`` of the
         module that defines it (its ``functions``, ``classes``,
-        ``mutable_globals``, or a rule's own per-module map).
+        ``globals``, or a rule's own per-module map).
 
         A name missing from ``info``'s table continues through its
         import binding — ``from m import name [as alias]`` in ``m``,
@@ -541,10 +522,10 @@ class ProjectModel:
 
     def resolve_global(
         self, info: ModuleInfo, name: str
-    ) -> Optional[MutableGlobal]:
-        """A name in ``info``'s namespace as a module-level mutable —
+    ) -> Optional[ModuleGlobal]:
+        """A name in ``info``'s namespace as a module-level binding —
         local to the module or imported from another linted module."""
-        return self.resolve(info, name, attrgetter("mutable_globals"))
+        return self.resolve(info, name, _GLOBALS)
 
     def find_method(
         self, cls: ClassInfo, method: str, _depth: int = 6
@@ -567,13 +548,18 @@ class ProjectModel:
         self, info: ModuleInfo, fn: Optional[FunctionInfo], expr: ast.AST
     ) -> Optional[ClassInfo]:
         """Best-effort static class of an expression: a construction
-        ``SomeClass(...)``, a local of ``fn`` whose class is visible
-        (:attr:`FunctionInfo.local_types`), or ``self.attr`` where the
-        enclosing class recorded ``self.attr = SomeClass(...)``."""
+        ``SomeClass(...)``, a local of ``fn`` or of a function enclosing
+        it whose class is visible (:attr:`FunctionInfo.local_types`),
+        ``self.attr`` where the enclosing class recorded its type, or a
+        call whose callee's return annotation names a class."""
         if isinstance(expr, ast.Call):
             written = call_name(expr)
-        elif isinstance(expr, ast.Name) and fn is not None:
-            written = fn.local_types.get(expr.id, "")
+        elif isinstance(expr, ast.Name):
+            # A closure variable is typed where it is bound: walk out
+            # through the enclosing functions.
+            while fn is not None and expr.id not in fn.own_names:
+                fn = info.functions.get(fn.qualname.rpartition(".")[0])
+            written = fn.local_types.get(expr.id, "") if fn else ""
         elif (
             isinstance(expr, ast.Attribute)
             and isinstance(expr.value, ast.Name)
@@ -585,7 +571,18 @@ class ProjectModel:
             written = cls.attr_types.get(expr.attr, "") if cls else ""
         else:
             return None
-        return self.resolve(info, written, _CLASSES)
+        cls = self.resolve(info, written, _CLASSES)
+        if cls is None:
+            # A function's result: the class its return annotation names.
+            maker = (
+                self._resolve_call(info, fn, expr)
+                if isinstance(expr, ast.Call)
+                else self.resolve(info, written, _FUNCTIONS)
+            )
+            if maker is not None and maker.node.returns is not None:
+                returns = _written(maker.node.returns)
+                return self.resolve(maker.module, returns, _CLASSES)
+        return cls
 
     def _resolve_call(
         self, info: ModuleInfo, caller: Optional[FunctionInfo], call: ast.Call

@@ -12,7 +12,6 @@ rule id      severity  invariant
 ``ROB003``   error     ``sqlite3.connect`` only inside ``repro.resultsdb``
 ``REP001``   warning   reporters emit metered numbers via harness.metrics
 ``OBS001``   error     timing goes through the ``repro.trace`` clock
-``RACE001``  error     worker-reachable code never mutates module globals
 ``RACE003``  warning   no import-time fork-unsafe resources used in workers
 ``SRV001``   error     async request handlers never block the event loop
 ===========  ========  ====================================================
@@ -33,10 +32,7 @@ from repro.lint.rules.robustness import (  # noqa: F401
 )
 from repro.lint.rules.observability import BareClockCallRule  # noqa: F401
 from repro.lint.rules.reporting import UnmeteredRateRule  # noqa: F401
-from repro.lint.rules.concurrency import (  # noqa: F401
-    ForkUnsafeImportResourceRule,
-    WorkerGlobalMutationRule,
-)
+from repro.lint.rules.concurrency import ForkUnsafeImportResourceRule  # noqa: F401
 from repro.lint.rules.service import AsyncHandlerBlockingCallRule  # noqa: F401
 
 __all__ = [
@@ -49,7 +45,6 @@ __all__ = [
     "SanctionedSqliteConnectRule",
     "UnmeteredRateRule",
     "BareClockCallRule",
-    "WorkerGlobalMutationRule",
     "ForkUnsafeImportResourceRule",
     "AsyncHandlerBlockingCallRule",
 ]

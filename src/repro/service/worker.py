@@ -16,8 +16,8 @@ the server. That buys three properties the service contract needs:
   without sharing any in-process state.
 
 :func:`execute_service_run` is the :class:`repro.proc.Child` target.
-It is a lint-recognized worker entrypoint (the RACE rules police it),
-so it mutates no module globals — everything it touches lives in the
+It is a lint-recognized worker entrypoint (RACE003 polices it), and
+it mutates no module globals — everything it touches lives in the
 run directory it is handed, or in the two stores every run of the
 spool shares beside it (``results.db`` and ``cache/``).
 """

@@ -350,7 +350,7 @@ def read_trace(
 # The tracer registry is deliberately per-process: each pool worker
 # installs its own Tracer after the fork (spans are rebased onto the
 # dispatcher's timeline when results come back over the pipe), so the
-# divergence RACE001/RACE003 guard against is the design here. The
+# divergence RACE003 guards against is the design here. The
 # default tracer is read only through captures, so its ring is empty:
 # a long-lived process keeps no span that no capture still takes.
 _CURRENT = Tracer(max_spans=0)  # lint: disable=RACE003
@@ -365,7 +365,7 @@ def set_tracer(tracer: Tracer) -> Tracer:
     """Replace the current tracer; returns the previous one."""
     global _CURRENT
     previous = _CURRENT
-    _CURRENT = tracer  # lint: disable=RACE001
+    _CURRENT = tracer
     return previous
 
 

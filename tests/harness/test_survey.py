@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.harness import anchors
 from repro.harness.survey import (
     CORE_ALGORITHM_SELECTION,
     SURVEY_UNWEIGHTED,
@@ -9,6 +10,15 @@ from repro.harness.survey import (
     survey_table,
     two_stage_selection,
 )
+
+
+def _table1(survey):
+    """Table 1's (class, count, percentage) rows of one survey."""
+    return [
+        (name, count, pct)
+        for (kind, name), (count, pct) in anchors.TABLE1.items()
+        if kind == survey
+    ]
 
 
 class TestSurveyData:
@@ -20,32 +30,14 @@ class TestSurveyData:
     def test_weighted_totals(self):
         assert sum(c.count for c in SURVEY_WEIGHTED) == 50
 
-    @pytest.mark.parametrize(
-        "name,count,pct",
-        [
-            ("Statistics", 24, 17.0),
-            ("Traversal", 69, 48.9),
-            ("Components", 20, 14.2),
-            ("Graph Evolution", 6, 4.3),
-            ("Other", 22, 15.6),
-        ],
-    )
+    @pytest.mark.parametrize("name,count,pct", _table1("Unweighted"))
     def test_unweighted_rows(self, name, count, pct):
         cls = next(c for c in SURVEY_UNWEIGHTED if c.name == name)
         assert cls.count == count
         total = sum(c.count for c in SURVEY_UNWEIGHTED)
         assert cls.percentage(total) == pytest.approx(pct, abs=0.15)
 
-    @pytest.mark.parametrize(
-        "name,count,pct",
-        [
-            ("Distances/Paths", 17, 34.0),
-            ("Clustering", 7, 14.0),
-            ("Partitioning", 5, 10.0),
-            ("Routing", 5, 10.0),
-            ("Other", 16, 32.0),
-        ],
-    )
+    @pytest.mark.parametrize("name,count,pct", _table1("Weighted"))
     def test_weighted_rows(self, name, count, pct):
         cls = next(c for c in SURVEY_WEIGHTED if c.name == name)
         assert cls.count == count

@@ -11,7 +11,7 @@ def send_shared(sender, target, message):
 
 
 class Outbox:
-    """Per-process buffers: instance state is invisible to RACE001."""
+    """Per-process buffers, built after the fork."""
 
     def __init__(self):
         self.batches = []

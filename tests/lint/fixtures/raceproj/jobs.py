@@ -1,17 +1,17 @@
-"""Job functions dispatched into workers: the mutation sites."""
+"""Job functions dispatched into workers."""
 
 from raceproj.resources import LOG_HANDLE
 from raceproj.state import CACHE, RESULTS
 
 
 def run_job(payload):
-    CACHE[payload["key"]] = payload["value"]   # RACE001: item assignment
+    CACHE[payload["key"]] = payload["value"]
     record(payload)
     return helper_total(payload)
 
 
 def record(payload):
-    RESULTS.append(payload)                    # RACE001: mutating method
+    RESULTS.append(payload)
     LOG_HANDLE.write(str(payload))             # RACE003: fork-shared handle
 
 

@@ -1,6 +1,6 @@
 """Module-level state for the RACE fixture project."""
 
-CACHE = {}          # mutable container: RACE001 territory when workers touch it
-RESULTS = []        # same
-LIMIT = 8           # immutable: never flagged
-_SETTINGS = dict()  # factory-constructed container
+CACHE = {}          # containers are not fork-unsafe resources
+RESULTS = []
+LIMIT = 8
+_SETTINGS = dict()

@@ -90,18 +90,20 @@ class TestSuppressionIsTheOnlyGrandfathering:
 
 
 class TestProjectPhaseFlag:
-    # The committed raceproj fixture is excluded by pyproject's lint
-    # excludes (the CLI loads them); a tmp copy of the same shape isn't.
+    # A tmp project in the shape of the committed raceproj fixture.
     def _miniproject(self, tmp_path):
-        (tmp_path / "state.py").write_text("CACHE = {}\n", encoding="utf-8")
+        (tmp_path / "state.py").write_text(
+            "import threading\n\nLOCK = threading.Lock()\n", encoding="utf-8"
+        )
         (tmp_path / "worker.py").write_text(
             "import multiprocessing as mp\n"
             "\n"
-            "from state import CACHE\n"
+            "from state import LOCK\n"
             "\n"
             "\n"
             "def _worker_main(conn):\n"
-            "    CACHE[1] = conn.recv()\n"
+            "    with LOCK:\n"
+            "        conn.send(conn.recv())\n"
             "\n"
             "\n"
             "def spawn(conn):\n"
@@ -113,9 +115,9 @@ class TestProjectPhaseFlag:
     def test_project_rules_fire_by_default(self, tmp_path, capsys):
         project = self._miniproject(tmp_path)
         assert main([
-            "lint", str(project), "--select", "RACE001",
+            "lint", str(project), "--select", "RACE003",
         ]) == 1
-        assert "RACE001" in capsys.readouterr().out
+        assert "RACE003" in capsys.readouterr().out
 
     def test_no_project_flag_is_gone(self, tmp_path):
         # Lint has one mode: the whole-program phase always runs.

@@ -1,10 +1,10 @@
-"""The RACE rule family and the interprocedural ROB001/OBS001 passes."""
+"""RACE003 and the interprocedural ROB001/OBS001 passes."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.lint import LintConfig, LintEngine
+from repro.lint import LintConfig, LintEngine, ProjectModel
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -17,66 +17,6 @@ def _run(paths, select, root=REPO_ROOT):
 
 def _triples(findings):
     return [(f.rule_id, f.path.rsplit("/", 1)[-1], f.line) for f in findings]
-
-
-class TestRace001WorkerGlobalMutation:
-    def test_worker_reachable_mutations_flagged(self):
-        findings = _run([FIXTURES / "raceproj"], ["RACE001"])
-        assert _triples(findings) == [
-            ("RACE001", "jobs.py", 8),
-            ("RACE001", "jobs.py", 14),
-        ]
-        assert all(f.severity == "error" for f in findings)
-
-    def test_messages_name_state_owner_and_entrypoint(self):
-        by_line = {f.line: f.message for f in _run([FIXTURES / "raceproj"], ["RACE001"])}
-        assert "`CACHE`" in by_line[8] and "raceproj.state" in by_line[8]
-        assert "_worker_main" in by_line[8]
-        assert "`.append()`" in by_line[14] and "`RESULTS`" in by_line[14]
-
-    def test_dispatcher_side_mutation_not_flagged(self):
-        findings = _run([FIXTURES / "raceproj"], ["RACE001"])
-        assert all(f.symbol != "dispatcher_side_mutation" for f in findings)
-
-    def test_local_state_never_flagged(self):
-        findings = _run([FIXTURES / "raceproj"], ["RACE001"])
-        assert all(f.symbol != "helper_total" for f in findings)
-
-    def test_no_findings_without_an_entrypoint(self):
-        # The same mutations, linted without worker.py's Process(target=)
-        # call: nothing is worker-reachable.
-        raceproj = FIXTURES / "raceproj"
-        paths = [raceproj / "jobs.py", raceproj / "state.py"]
-        assert _run(paths, ["RACE001"]) == []
-
-    def test_state_reexported_twice_resolves_to_its_owner(self, tmp_path):
-        # worker -> pkg/__init__ -> pkg/mid -> pkg/state: three imports.
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        (pkg / "state.py").write_text("CACHE = {}\n", encoding="utf-8")
-        (pkg / "mid.py").write_text(
-            "from pkg.state import CACHE\n", encoding="utf-8"
-        )
-        (pkg / "__init__.py").write_text(
-            "from pkg.mid import CACHE\n", encoding="utf-8"
-        )
-        (tmp_path / "worker.py").write_text(
-            "import multiprocessing as mp\n"
-            "\n"
-            "from pkg import CACHE\n"
-            "\n"
-            "\n"
-            "def _worker_main(conn):\n"
-            "    CACHE[1] = conn.recv()\n"
-            "\n"
-            "\n"
-            "def spawn(conn):\n"
-            "    mp.Process(target=_worker_main, args=(conn,)).start()\n",
-            encoding="utf-8",
-        )
-        findings = _run([tmp_path], ["RACE001"], root=tmp_path)
-        assert _triples(findings) == [("RACE001", "worker.py", 7)]
-        assert "defined in pkg.state" in findings[0].message
 
 
 class TestRace003ForkUnsafeImportResources:
@@ -96,29 +36,100 @@ class TestRace003ForkUnsafeImportResources:
         findings = _run([FIXTURES / "raceproj"], ["RACE003"])
         assert all("STATE_LOCK" not in f.message for f in findings)
 
+    def test_closure_typed_receiver_reaches_the_job_body(self, tmp_path):
+        # The worker loop calls the job body through a closure over a
+        # runner built in the entrypoint: the lock is reached only if
+        # `runner` is typed in the function that binds it.
+        (tmp_path / "jobs.py").write_text(
+            "import threading\n"
+            "\n"
+            "JOB_LOCK = threading.Lock()\n"
+            "\n"
+            "\n"
+            "class Runner:\n"
+            "    def run(self, payload):\n"
+            "        with JOB_LOCK:\n"
+            "            return payload\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "worker.py").write_text(
+            "import multiprocessing as mp\n"
+            "\n"
+            "from jobs import Runner\n"
+            "\n"
+            "\n"
+            "def _worker_main(conn):\n"
+            "    runner = Runner()\n"
+            "\n"
+            "    def run_task(payload):\n"
+            "        return runner.run(payload)\n"
+            "\n"
+            "    while True:\n"
+            "        conn.send(run_task(conn.recv()))\n"
+            "\n"
+            "\n"
+            "def spawn(conn):\n"
+            "    mp.Process(target=_worker_main, args=(conn,)).start()\n",
+            encoding="utf-8",
+        )
+        findings = _run([tmp_path], ["RACE003"], root=tmp_path)
+        assert _triples(findings) == [("RACE003", "jobs.py", 3)]
+        assert "`jobs.Runner.run`" in findings[0].message
+
+    def test_resource_reexported_twice_resolves_to_its_owner(self, tmp_path):
+        # worker -> pkg/__init__ -> pkg/mid -> pkg/state: three imports.
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        (pkg / "state.py").write_text(
+            "import threading\n\nLOCK = threading.Lock()\n", encoding="utf-8"
+        )
+        (pkg / "mid.py").write_text(
+            "from pkg.state import LOCK\n", encoding="utf-8"
+        )
+        (pkg / "__init__.py").write_text(
+            "from pkg.mid import LOCK\n", encoding="utf-8"
+        )
+        (tmp_path / "worker.py").write_text(
+            "import multiprocessing as mp\n"
+            "\n"
+            "from pkg import LOCK\n"
+            "\n"
+            "\n"
+            "def _worker_main(conn):\n"
+            "    with LOCK:\n"
+            "        conn.send(conn.recv())\n"
+            "\n"
+            "\n"
+            "def spawn(conn):\n"
+            "    mp.Process(target=_worker_main, args=(conn,)).start()\n",
+            encoding="utf-8",
+        )
+        findings = _run([tmp_path], ["RACE003"], root=tmp_path)
+        assert _triples(findings) == [("RACE003", "state.py", 3)]
+        assert "`worker._worker_main`" in findings[0].message
+
 
 class TestPartitionedFixtureProject:
     """``partitionedproj`` mirrors the shard engine's message-send
-    entrypoints: a ``Process(target=shard_main)`` fork boundary, a racy
-    module-state send path and the clean per-process ``Outbox`` — the
-    RACE family must split them exactly."""
-
-    def test_shard_reachable_module_state_flagged(self):
-        findings = _run([FIXTURES / "partitionedproj"], ["RACE001"])
-        assert _triples(findings) == [
-            ("RACE001", "exchange.py", 9),
-            ("RACE001", "exchange.py", 10),
-        ]
-        by_line = {f.line: f.message for f in findings}
-        assert "`SEQ_COUNTERS`" in by_line[9] and "shard_main" in by_line[9]
-        assert "`.append()`" in by_line[10] and "`OUTBOX`" in by_line[10]
+    entrypoints: a ``Process(target=shard_main)`` fork boundary, a
+    module-state send path and the per-process ``Outbox`` — the call
+    graph must split the two sides of the fork exactly."""
 
     def test_per_process_outbox_and_coordinator_side_stay_clean(self):
-        # Outbox.send mutates only instance state, and
-        # drain_coordinator_side mutates OUTBOX on the dispatcher side
-        # of the fork: neither is a finding.
-        findings = _run([FIXTURES / "partitionedproj"], ["RACE001"])
-        assert {f.symbol for f in findings} == {"send_shared"}
+        # The shard reaches both send paths (Outbox through the local
+        # `outbox = Outbox()`); the coordinator's drain stays on the
+        # dispatcher side of the fork.
+        engine = LintEngine(LintConfig(root=REPO_ROOT))
+        modules = [
+            engine._parse_module(path)[0]
+            for path in engine.collect_files([FIXTURES / "partitionedproj"])
+        ]
+        reachable = {
+            key.split("partitioned.", 1)[1]
+            for key in ProjectModel.build(modules).worker_reachable
+        }
+        assert {"exchange.send_shared", "exchange.Outbox.send"} <= reachable
+        assert "coordinator.drain_coordinator_side" not in reachable
 
     def test_no_import_time_fork_unsafe_resources(self):
         assert _run([FIXTURES / "partitionedproj"], ["RACE003"]) == []
@@ -126,7 +137,7 @@ class TestPartitionedFixtureProject:
     def test_live_partitioned_engine_passes_the_family(self):
         findings = _run(
             [REPO_ROOT / "src" / "repro" / "engines" / "partitioned"],
-            ["RACE001", "RACE003"],
+            ["RACE003"],
         )
         assert findings == []
 
@@ -204,8 +215,5 @@ class TestObs001Interprocedural:
 
 class TestLiveTreeIsClean:
     def test_src_repro_has_no_unbaselined_race_findings(self):
-        findings = _run(
-            [REPO_ROOT / "src" / "repro"],
-            ["RACE001", "RACE003"],
-        )
+        findings = _run([REPO_ROOT / "src" / "repro"], ["RACE003"])
         assert findings == []

@@ -152,11 +152,16 @@ class TestEngineSetup:
         assert findings[0].severity == "error"
 
     def test_exclude_patterns_filter_files(self, tmp_path):
-        (tmp_path / "algorithms").mkdir()
-        for name in ("keep.py", "skip.py"):
-            (tmp_path / "algorithms" / name).write_text(
+        # The linter's fixtures are skipped when a run walks a directory
+        # above them, and linted when a path names them.
+        fixtures = tmp_path / "tests" / "lint" / "fixtures" / "algorithms"
+        for directory in (tmp_path / "algorithms", fixtures):
+            directory.mkdir(parents=True)
+            (directory / "case.py").write_text(
                 "for v in {2, 0, 1}:\n    print(v)\n"
             )
-        config = LintConfig(root=tmp_path, exclude=["algorithms/skip.py"])
-        findings = LintEngine(config).run([tmp_path])
-        assert [f.path for f in findings] == ["algorithms/keep.py"]
+        engine = LintEngine(LintConfig(root=tmp_path))
+        assert [f.path for f in engine.run([tmp_path])] == ["algorithms/case.py"]
+        assert [f.path for f in engine.run([fixtures])] == [
+            "tests/lint/fixtures/algorithms/case.py"
+        ]

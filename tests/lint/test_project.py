@@ -2,7 +2,7 @@
 
 Built over the ``raceproj`` fixture tree — a miniature dispatcher /
 worker / jobs / state project — so every assertion exercises the same
-resolution paths the RACE rules depend on.
+resolution paths RACE003 depends on.
 """
 
 from pathlib import Path
@@ -17,8 +17,8 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 RACEPROJ = Path(__file__).resolve().parent / "fixtures" / "raceproj"
 
 
-def _build(paths):
-    engine = LintEngine(LintConfig(root=REPO_ROOT, select=["DET001"]))
+def _build(paths, root=REPO_ROOT):
+    engine = LintEngine(LintConfig(root=root, select=["DET001"]))
     modules = []
     for path in engine.collect_files([Path(p) for p in paths]):
         module, syntax = engine._parse_module(path)
@@ -70,19 +70,13 @@ class TestSymbolTables:
         assert set(jobs.functions) == {"run_job", "record", "helper_total"}
         assert jobs.functions["run_job"].key.endswith("raceproj.jobs.run_job")
 
-    def test_mutable_global_inventory_and_kinds(self, project):
+    def test_global_inventory_and_kinds(self, project):
         state = project.resolve_module("raceproj.state")
-        assert set(state.mutable_globals) == {"CACHE", "RESULTS", "_SETTINGS"}
-        assert state.mutable_globals["CACHE"].kind == "container"
+        assert set(state.globals) == {"CACHE", "RESULTS", "LIMIT", "_SETTINGS"}
+        assert {g.kind for g in state.globals.values()} == {None}
         resources = project.resolve_module("raceproj.resources")
-        assert resources.mutable_globals["LOG_HANDLE"].kind == "file"
-        assert resources.mutable_globals["LOG_HANDLE"].fork_unsafe
-        assert resources.mutable_globals["STATE_LOCK"].kind == "lock"
-
-    def test_immutable_global_not_inventoried(self, project):
-        state = project.resolve_module("raceproj.state")
-        assert "LIMIT" not in state.mutable_globals
-        assert "LIMIT" in state.module_assigns
+        assert resources.globals["LOG_HANDLE"].kind == "file"
+        assert resources.globals["STATE_LOCK"].kind == "lock"
 
     def test_resolve_global_follows_imports(self, project):
         jobs = project.resolve_module("raceproj.jobs")
@@ -118,7 +112,7 @@ class TestCallGraph:
 class TestLiveTreeForkBoundary:
     """The real tree spawns through ``repro.proc.Child(target=...)``,
     not a literal ``Process(target=...)``: the three child entrypoints
-    must still be the fork boundary the RACE rules reason from."""
+    must still be the fork boundary RACE003 reasons from."""
 
     @pytest.fixture(scope="class")
     def live(self):
@@ -141,6 +135,88 @@ class TestLiveTreeForkBoundary:
             "repro.runtime.pool._worker_main.run_task",
             "repro.engines.partitioned.shard.shard_main.run_command",
         } <= set(live.worker_reachable)
+
+    def test_job_bodies_are_worker_reachable(self, live):
+        # run_task -> the closure's InProcessWorker -> run_job_spec ->
+        # the runner -> the driver (a return-annotated call) -> the
+        # kernels (through the ALGORITHMS table).
+        assert {
+            "repro.runtime.pool.run_job_spec",
+            "repro.harness.runner.BenchmarkRunner.execute_job",
+            "repro.platforms.base.PlatformDriver._execute",
+            "repro.algorithms.bfs.breadth_first_search",
+            "repro.algorithms.pagerank.pagerank",
+            "repro.algorithms.wcc.weakly_connected_components",
+            "repro.algorithms.cdlp.community_detection_lp",
+            "repro.algorithms.lcc.local_clustering_coefficient",
+            "repro.algorithms.sssp.single_source_shortest_paths",
+        } <= set(live.worker_reachable)
+
+
+def _tree(tmp_path, files):
+    for name, source in files.items():
+        (tmp_path / name).write_text(source, encoding="utf-8")
+    return _build([tmp_path], root=tmp_path)
+
+
+class TestJobBodyResolution:
+    """The three rules that carry the call graph into job bodies."""
+
+    def test_closure_variable_typed_where_it_is_bound(self, tmp_path):
+        project = _tree(tmp_path, {"m.py": (
+            "class Worker:\n"
+            "    def run(self):\n"
+            "        pass\n"
+            "\n"
+            "\n"
+            "def main():\n"
+            "    worker = Worker()\n"
+            "\n"
+            "    def task():\n"
+            "        worker.run()\n"
+            "\n"
+            "    def shadowed(worker):\n"
+            "        worker.run()\n"
+        )})
+        assert project.callees["m.main.task"] == {"m.Worker.run"}
+        assert project.callees["m.main.shadowed"] == set()
+
+    def test_call_result_takes_the_return_annotation(self, tmp_path):
+        project = _tree(tmp_path, {"m.py": (
+            "class Driver:\n"
+            "    def execute(self):\n"
+            "        pass\n"
+            "\n"
+            "\n"
+            "def make() -> 'Driver':\n"
+            "    return Driver()\n"
+            "\n"
+            "\n"
+            "def direct():\n"
+            "    make().execute()\n"
+            "\n"
+            "\n"
+            "def through_a_local():\n"
+            "    driver = make()\n"
+            "    driver.execute()\n"
+        )})
+        for caller in ("m.direct", "m.through_a_local"):
+            assert project.callees[caller] == {"m.make", "m.Driver.execute"}
+
+    def test_loading_a_table_reaches_every_function_in_it(self, tmp_path):
+        project = _tree(tmp_path, {
+            "kernels.py": "def bfs():\n    pass\n\n\ndef pr():\n    pass\n",
+            "registry.py": (
+                "from kernels import bfs, pr\n"
+                "\n"
+                "TABLE = {'bfs': bfs, 'pr': dict(run=pr)}\n"
+                "\n"
+                "\n"
+                "def run(name):\n"
+                "    return TABLE[name]()\n"
+            ),
+        })
+        assert project.callees["registry.run"] == {"kernels.bfs", "kernels.pr"}
 
 
 class TestLocalResolution:

@@ -23,7 +23,7 @@ class TestRuleRegistry:
     def test_registered_rules(self):
         assert sorted(all_rules()) == [
             "CON001", "DET001", "DET003", "EXC001", "OBS001",
-            "RACE001", "RACE003", "REP001", "ROB001", "ROB003",
+            "RACE003", "REP001", "ROB001", "ROB003",
             "RUN001", "SRV001",
         ]
 
